@@ -21,8 +21,8 @@ from repro.baselines import MrsnConfig, MultiPassMRSN
 from repro.blocking import citeseer_scheme
 from repro.core import citeseer_config
 from repro.evaluation import (
-    CurveRun,
     ExperimentRun,
+    RunResult,
     RunSpec,
     format_curves,
     recall_curve,
@@ -51,7 +51,7 @@ def test_related_mrsn(benchmark, citeseer_dataset, citeseer_cached_matcher, repo
         mrsn_result = MultiPassMRSN(config, Cluster(MACHINES)).run(
             citeseer_dataset
         )
-        mrsn = CurveRun(
+        mrsn = RunResult(
             label="Multi-pass MR-SN",
             curve=recall_curve(
                 mrsn_result.duplicate_events,

@@ -14,7 +14,7 @@ from repro.core import citeseer_config
 from repro.similarity import citeseer_matcher
 from repro.data import format_profile, profile_dataset, suggest_blocking_order
 from repro.evaluation import (
-    CurveRun,
+    RunResult,
     ascii_chart,
     ascii_gantt,
     load_imbalance,
@@ -47,7 +47,7 @@ def main() -> None:
         results[strategy] = approach.run(dataset)
 
     runs = [
-        CurveRun(
+        RunResult(
             label=name,
             curve=recall_curve(
                 r.duplicate_events, dataset, end_time=r.total_time

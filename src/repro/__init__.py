@@ -45,7 +45,6 @@ from .data import (
     pairs_count,
 )
 from .evaluation import (
-    CurveRun,
     ExperimentRun,
     RecallCurve,
     RunResult,
@@ -131,7 +130,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "ExperimentRun",
-    "CurveRun",
     "RecallCurve",
     "recall_curve",
     "quality",

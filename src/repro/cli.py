@@ -71,7 +71,6 @@ from .evaluation import (
 )
 from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
-from .mapreduce.executors import make_executor
 from .mechanisms import PSNM, SortedNeighborHint, set_default_batch_pairs
 from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
 from .observability import (
@@ -291,9 +290,8 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         "`slack` (paper baseline), `blocksplit` (shard oversized root "
         "blocks, LPT placement), `pairrange` (global PairRange: cut the "
         "whole estimated pair stream into equal contiguous ranges, "
-        "splitting blocks where cuts land), `pairrange-tree` (deprecated "
-        "tree-granularity variant); resolved output is identical across "
-        "strategies",
+        "splitting blocks where cuts land); resolved output is identical "
+        "across strategies",
     )
     parser.add_argument(
         "--batch-pairs",
@@ -404,8 +402,7 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         "--perf-report",
         action="store_true",
         help="print a per-phase runtime cost table (wall clock, task "
-        "fan-out, work-stealing pulls, shared-memory vs descriptor "
-        "bytes, payload wire bytes vs plain pickle, pool forks; implies "
+        "fan-out, wire bytes, pool forks, worker idle time; implies "
         "metrics collection)",
     )
 
@@ -508,15 +505,6 @@ def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
     batch_pairs = getattr(args, "batch_pairs", None)
     if batch_pairs is not None:
         set_default_batch_pairs(batch_pairs)
-    backend = getattr(args, "backend", None)
-    executor = None
-    if backend == "process" and getattr(args, "perf_report", False):
-        # The perf report wants the plain-pickle baseline next to the wire
-        # bytes; that costs an extra pickle pass per task, so only the
-        # explicit --perf-report path turns it on.
-        executor = make_executor(
-            backend, getattr(args, "workers", None), profile_wire=True
-        )
     metablock = getattr(args, "metablock", "off")
     if isinstance(config, BasicConfig):
         # The baseline has no schedule to prune; RunSpec.validate rejects
@@ -527,9 +515,8 @@ def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
         config=config,
         machines=args.machines,
         balance=getattr(args, "balance", "slack"),
-        backend=backend,
+        backend=getattr(args, "backend", None),
         workers=getattr(args, "workers", None),
-        executor=executor,
         faults=_fault_plan(args) if hasattr(args, "fault_rate") else None,
         metablock=metablock,
         **overrides,
@@ -891,7 +878,19 @@ def _command_sched(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as error:
+        # Option combinations only RunSpec.validate() can judge are usage
+        # errors like any other: one line and exit 2, not a traceback.
+        if not str(error).startswith("invalid RunSpec: "):
+            raise
+        parser.error(str(error))
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
         return _command_generate(args)
     if args.command == "run":

@@ -23,10 +23,6 @@ generated :class:`~repro.core.schedule.ProgressiveSchedule`:
   contiguous ranges, and any block a cut lands inside is split there into
   :class:`BlockShard` slices — so per-task loads are near-uniform no
   matter how skewed individual blocks are, with no oversize threshold;
-* **``pairrange-tree``** — deprecated alias for the pre-global version:
-  whole trees placed by contiguous cost ranges.  It cannot split a block,
-  so a single hot block still bounds the makespan; kept only so existing
-  configs keep running (prefer ``pairrange``);
 * **``slack``** — the paper baseline: the schedule is left untouched and
   only the skew report is computed.
 
@@ -47,9 +43,7 @@ from ..mechanisms.base import window_pairs_count
 from .schedule import ProgressiveSchedule, build_block_orders, recompute_sequence
 
 #: Recognised placement strategies (CLI ``--balance`` / ``RunSpec.balance``).
-#: ``pairrange-tree`` is a deprecated alias for the old tree-granularity
-#: placement; ``pairrange`` is the faithful global enumeration.
-BALANCE_STRATEGIES = ("slack", "blocksplit", "pairrange", "pairrange-tree")
+BALANCE_STRATEGIES = ("slack", "blocksplit", "pairrange")
 
 #: Separator inside shard routing keys; never appears in block uids.
 SHARD_SEP = "\x1f"
@@ -245,8 +239,6 @@ def apply_balance(
         shards, split_blocks, moved = _apply_blocksplit(schedule)
     elif strategy == "pairrange":
         shards, split_blocks, moved = _apply_pairrange(schedule)
-    elif strategy == "pairrange-tree":
-        moved = _apply_pairrange_tree(schedule)
     after = skew_report(schedule)
     return BalancePlan(
         strategy=strategy,
@@ -373,50 +365,6 @@ def _apply_pairrange(
         schedule, home_tasks, shards_of_tree, shard_tasks, all_shards
     )
     return tuple(all_shards), tuple(sorted(shards_of_tree)), moved
-
-
-# ---------------------------------------------------------------------------
-# pairrange-tree: contiguous global cost ranges at tree granularity
-# ---------------------------------------------------------------------------
-
-
-def _apply_pairrange_tree(schedule: ProgressiveSchedule) -> int:
-    """Reassign whole trees to tasks by contiguous cost ranges.
-
-    .. deprecated::
-        This is the pre-global ``pairrange``, kept as the
-        ``pairrange-tree`` alias.  Trees keep their internal structure, so
-        a single oversized block still bounds the makespan — prefer the
-        global ``pairrange`` (or ``blocksplit``) which can split blocks.
-
-    Trees are enumerated in canonical uid order; the cumulative cost axis
-    is cut into ``num_tasks`` equal ranges and each tree lands on the
-    range containing its midpoint.  Helps multi-tree skew (many mid-sized
-    trees stacked on one task) and stays compatible with block routing
-    because it never creates shards.
-    """
-    costs = _subtree_costs(schedule)
-    order = sorted(schedule.trees)
-    total = sum(costs.values())
-    if total <= 0:
-        return 0
-    moved = 0
-    num_tasks = schedule.num_tasks
-    cumulative = 0.0
-    new_assignment: Dict[str, int] = {}
-    for uid in order:
-        midpoint = cumulative + costs[uid] / 2.0
-        task = min(num_tasks - 1, int(midpoint * num_tasks / total))
-        new_assignment[uid] = task
-        if task != schedule.assignment[uid]:
-            moved += 1
-        cumulative += costs[uid]
-    schedule.assignment = new_assignment
-    schedule.block_order = build_block_orders(
-        schedule.trees, schedule.estimates, new_assignment, num_tasks
-    )
-    recompute_sequence(schedule)
-    return moved
 
 
 # ---------------------------------------------------------------------------

@@ -500,9 +500,8 @@ class ProgressiveER:
             (Section VI-B2's comparison).
         seed: seed for training-sample selection and cost-factor sampling.
         balance: post-pass placement strategy — ``"slack"`` (the paper
-            baseline: schedule untouched), ``"blocksplit"``, the global
-            ``"pairrange"``, or the deprecated ``"pairrange-tree"`` alias
-            (see :mod:`repro.core.balance`).
+            baseline: schedule untouched), ``"blocksplit"`` or the global
+            ``"pairrange"`` (see :mod:`repro.core.balance`).
         metablock: meta-blocking pre-pass between blocking and
             scheduling — ``"off"``, ``"bf"`` (block filtering) or
             ``"wnp"`` (weighted node pruning); knobs on the config

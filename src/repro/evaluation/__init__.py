@@ -4,7 +4,6 @@ the experiment harness behind the benchmarks."""
 from .charts import ascii_chart
 from .clustering import UnionFind, transitive_closure
 from .experiment import (
-    CurveRun,
     ExperimentRun,
     RunResult,
     RunSpec,
@@ -37,7 +36,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "ExperimentRun",
-    "CurveRun",
     "sample_times",
     "RecallCurve",
     "recall_curve",

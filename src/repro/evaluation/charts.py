@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .experiment import CurveRun
+from .experiment import RunResult
 from .metrics import RecallCurve
 
 #: Plot symbols assigned to curves in order.
@@ -17,7 +17,7 @@ _SYMBOLS = "o*x+#@%&"
 
 
 def ascii_chart(
-    runs: Sequence[CurveRun],
+    runs: Sequence[RunResult],
     *,
     width: int = 72,
     height: int = 18,

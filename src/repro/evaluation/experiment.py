@@ -70,9 +70,8 @@ class RunSpec:
             ``"nosplit"`` or ``"lpt"`` (ignored by Basic).
         balance: load-balancing post-pass for the progressive approach —
             ``"slack"`` (paper baseline, schedule untouched),
-            ``"blocksplit"``, the global ``"pairrange"``, or the
-            deprecated ``"pairrange-tree"`` alias (ignored by Basic; see
-            :mod:`repro.core.balance`).
+            ``"blocksplit"`` or the global ``"pairrange"`` (ignored by
+            Basic; see :mod:`repro.core.balance`).
         seed: seed for training-sample and cost-factor sampling.
         label: run label for reports and traces (default: derived).
         cost_model: virtual-time cost model (default: :class:`CostModel`).
@@ -247,12 +246,6 @@ class RunResult:
         return self.result.found_pairs
 
 
-#: Backwards-compatible alias: the first three fields (label, curve,
-#: result) are exactly the old ``CurveRun``'s, so existing keyword and
-#: positional constructions keep working.
-CurveRun = RunResult
-
-
 class ExperimentRun:
     """Executes one :class:`RunSpec` on a freshly built session.
 
@@ -284,7 +277,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "ExperimentRun",
-    "CurveRun",
     "PAPER_MAP_SLOTS",
     "PAPER_REDUCE_SLOTS",
     "SCHEDULE_STRATEGIES",

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .experiment import CurveRun
+from .experiment import RunResult
 from .metrics import RecallCurve
 
 
@@ -29,7 +29,7 @@ def format_table(
 
 
 def format_curves(
-    runs: Sequence[CurveRun], times: Sequence[float], *, title: str = ""
+    runs: Sequence[RunResult], times: Sequence[float], *, title: str = ""
 ) -> str:
     """Render several recall curves sampled at common times — the textual
     equivalent of one sub-figure of the paper."""
@@ -43,7 +43,7 @@ def format_curves(
     return format_table(headers, rows, title=title)
 
 
-def format_final_summary(runs: Sequence[CurveRun], *, title: str = "") -> str:
+def format_final_summary(runs: Sequence[RunResult], *, title: str = "") -> str:
     """Final recall and total time per run (Table III shape)."""
     headers = ["approach", "final recall", "total time"]
     rows = [
@@ -53,7 +53,7 @@ def format_final_summary(runs: Sequence[CurveRun], *, title: str = "") -> str:
     return format_table(headers, rows, title=title)
 
 
-def _run_jobs(run: CurveRun):
+def _run_jobs(run: RunResult):
     """The MapReduce jobs behind a run, whichever approach produced it."""
     result = run.result
     if hasattr(result, "job2"):
@@ -61,7 +61,7 @@ def _run_jobs(run: CurveRun):
     return [result.job]
 
 
-def format_fault_summary(runs: Sequence[CurveRun], *, title: str = "") -> str:
+def format_fault_summary(runs: Sequence[RunResult], *, title: str = "") -> str:
     """Aggregate ``fault.*`` counters per run as an ASCII table.
 
     Returns an empty string when no run recorded any fault activity (the

@@ -18,10 +18,8 @@ concerns:
 An :class:`Executor` only decides *where* the per-task computations run:
 
 * :class:`SerialExecutor` — in-process, one task at a time (the default);
-* :class:`ParallelExecutor` — fans tasks out to long-lived forked worker
-  processes that pull tasks from a shared queue for the duration of one
-  *job* (both phases), moving bulk bytes through shared memory and keeping
-  an adaptive serial fallback for phases too small to pay for IPC.
+* :class:`ParallelExecutor` — fans tasks out to a per-job pool of forked
+  worker processes, keeping phases too small to pay for IPC in-process.
 
 Parallel runtime design
 -----------------------
@@ -30,36 +28,26 @@ The engine brackets every job with :meth:`Executor.begin_job` /
 
 * **one fork per job, not per phase** — the job (full of lambdas and
   schedule objects, so never picklable) and its map splits are stashed in a
-  module global before the workers fork; workers inherit everything
-  copy-on-write and both phases run through the same workers.  Workers are
-  spawned lazily, so a job whose phases all fall under the serial floor
-  never forks at all.
-* **pull-based work stealing** — tasks are not pre-assigned: the driver
-  enqueues task descriptors (reduce units heaviest-first, integrating the
-  balance shards of skewed schedules) on one shared queue and every idle
-  worker pulls the next one.  A slow worker simply pulls less; a fast one
-  "steals" the work a static round-robin split would have pinned
-  elsewhere.  ``steal_tasks`` counts tasks that ran on a different worker
-  than round-robin would have chosen, ``worker_idle_ms`` sums the time
-  workers spent blocked on the queue.
-* **shared-memory data plane, descriptor control plane** — bulk bytes
-  never cross the queue pipe.  Reduce inputs (which only exist in the
-  driver — they are map outputs) are wire-encoded once into a single
-  per-phase :mod:`multiprocessing.shared_memory` segment; each task
-  message carries only ``(segment name, offset, length)``.  Result
-  payloads travel back through a per-worker shared-memory arena the same
-  way, with a small descriptor on the results queue.  ``ipc_*_bytes``
-  therefore count only descriptors; ``shm_*_bytes`` count the bulk bytes
-  that moved through shared memory, and ``payload_wire_bytes`` the encoded
-  payload size independent of transport.  Platforms without working shared
-  memory degrade to inline blobs on the queues (results identical).
-* **slim wire format** — payloads and shipped reduce inputs are encoded by
-  :mod:`repro.mapreduce.wire` rather than as plain dataclass pickles,
-  whether they land in shared memory or inline; with ``profile_wire`` on,
-  the plain-pickle baseline is measured too (``ipc_payload_raw_bytes``).
+  module global before the pool forks; workers inherit everything
+  copy-on-write and both phases run through the same
+  :class:`concurrent.futures.ProcessPoolExecutor`.  The pool is created
+  lazily, so a job whose phases all fall under the serial floor never
+  forks at all.
+* **one transport** — a task is a small tuple on the pool's call queue
+  (``("map", id)``, or ``("reduce", id, blob)`` carrying the partition,
+  which only exists in the driver) and its result is one
+  :mod:`repro.mapreduce.wire` blob on the result queue.  Idle workers pull
+  the next task; reduce units are submitted heaviest first.
+  ``ipc_bytes`` counts the blob bytes both ways and ``worker_idle_ms`` is
+  workers × phase wall minus the task wall time the payloads report.
 * **adaptive serial fallback** — a phase whose estimated virtual cost is
   below :attr:`ParallelExecutor.serial_floor` runs in-process: the
   dispatch overhead would exceed the fanned-out compute.
+* **failures are errors, not hangs** — a task that raises, or a worker
+  that dies, reaches the driver through the pool's futures
+  (``BrokenProcessPool`` for a dead worker) and is re-raised as a
+  ``RuntimeError`` naming the task; :meth:`Executor.end_job` then shuts
+  the pool down and the same executor runs the next job.
 
 Determinism contract
 --------------------
@@ -82,30 +70,22 @@ one.
 
 Worker serialization caveats
 ----------------------------
-Jobs routinely close over lambdas and rich schedule objects, so the job is
-*not* pickled to workers; the parallel backend requires the POSIX ``fork``
-start method.  Task results (and shipped reduce inputs) cross the pipe
-wire-encoded, so everything a mapper emits, a reducer writes, and every
-event payload must be picklable.  On platforms without ``fork`` the
-parallel backend transparently degrades to in-process execution (results
-are identical either way).
+The job is inherited, never pickled, so the parallel backend requires the
+POSIX ``fork`` start method; without it the backend transparently degrades
+to in-process execution (results are identical either way).  Task results
+and shipped reduce inputs cross the pipe wire-encoded, so everything a
+mapper emits, a reducer writes, and every event payload must be picklable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-import queue as queue_module
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-    _shared_memory = None
 
 from . import wire
 from .clock import CostModel
@@ -440,121 +420,40 @@ class SerialExecutor(Executor):
 class _JobState:
     """One job's fork-inherited state, stashed in a module global.
 
-    Workers created while this is the active global inherit it (and
+    Workers forked while this is the active global inherit it (and
     everything it references — the job's closures, the dataset slices in
-    the map splits) copy-on-write.  ``profile_wire`` rides along so workers
-    know whether to also measure the plain-pickle baseline.
+    the map splits) copy-on-write, so the never-picklable job crosses the
+    process boundary without being serialized.
     """
 
-    __slots__ = ("job", "splits", "cost_model", "profile_wire")
+    __slots__ = ("job", "splits", "cost_model")
 
-    def __init__(self, job, splits, cost_model, profile_wire) -> None:
+    def __init__(self, job, splits, cost_model) -> None:
         self.job = job
         self.splits = splits
         self.cost_model = cost_model
-        self.profile_wire = profile_wire
 
 
 #: The job currently fanned out; workers inherit it at fork time.
 _ACTIVE_JOB: Optional[_JobState] = None
 
 
-def _require_job() -> _JobState:
-    state = _ACTIVE_JOB
-    if state is None:  # pragma: no cover - defensive
-        raise RuntimeError(
-            "worker has no inherited job state; the parallel backend "
-            "requires the fork start method"
-        )
-    return state
-
-
-def _run_worker_task(state: _JobState, message, input_segments) -> Tuple[bytes, int]:
-    """Execute one task message; returns ``(wire blob, raw pickle size)``.
+def _run_task(message: tuple) -> bytes:
+    """Pool task body (runs in a forked worker); returns the wire blob.
 
     ``("map", id)`` reads its split from the fork-inherited job state;
-    ``("reduce-shm", id, segment, offset, length)`` reads its wire-encoded
-    partition out of the named shared-memory segment (attached once per
-    worker, cached in ``input_segments``); ``("reduce", id, blob)`` is the
-    inline fallback carrying the partition on the queue itself.
+    ``("reduce", id, blob)`` carries its wire-encoded partition, which only
+    ever existed in the driver (it is the map phase's output).
     """
-    kind = message[0]
-    if kind == "map":
-        task_id = message[1]
-        payload = compute_map_task(
-            state.job, state.splits[task_id], task_id, state.cost_model
+    state, task_id = _ACTIVE_JOB, message[1]
+    if message[0] == "map":
+        return wire.encode_map_payload(
+            compute_map_task(state.job, state.splits[task_id], task_id, state.cost_model)
         )
-        blob = wire.encode_map_payload(payload)
-    else:
-        if kind == "reduce-shm":
-            _, task_id, segment_name, offset, length = message
-            segment = input_segments.get(segment_name)
-            if segment is None:
-                segment = _shared_memory.SharedMemory(name=segment_name)
-                input_segments[segment_name] = segment
-            items = wire.decode_records(bytes(segment.buf[offset : offset + length]))
-        else:
-            _, task_id, in_blob = message
-            items = wire.decode_records(in_blob)
-        payload = compute_reduce_task(state.job, items, task_id, state.cost_model)
-        blob = wire.encode_reduce_payload(payload)
-    raw = wire.raw_pickle_size(payload) if state.profile_wire else 0
-    return blob, raw
-
-
-def _worker_main(
-    worker_id: int, task_queue, result_queue, arena_name: Optional[str]
-) -> None:
-    """Long-lived worker loop: pull a task, run it, post a result descriptor.
-
-    Results land in this worker's append-only shared-memory arena when one
-    exists and the blob fits in the remaining space; only the ``(offset,
-    length)`` descriptor crosses the results queue.  Oversized blobs (or a
-    platform without shared memory) fall back to inline descriptors.  Idle
-    nanoseconds spent blocked on the task queue ride home with each result
-    so the driver can report queue starvation.
-
-    A ``None`` message is the shutdown sentinel.  The worker never unlinks
-    any segment — the driver owns creation and destruction; workers only
-    attach and close, which keeps the (process-shared, fork-inherited)
-    resource tracker consistent on every CPython we support.
-    """
-    run_job_reset_hooks()
-    state = _require_job()
-    arena = None
-    if arena_name is not None:
-        arena = _shared_memory.SharedMemory(name=arena_name)
-    cursor = 0
-    input_segments: Dict[str, Any] = {}
-    try:
-        while True:
-            idle_start = time.perf_counter_ns()
-            message = task_queue.get()
-            idle_ns = time.perf_counter_ns() - idle_start
-            if message is None:
-                break
-            try:
-                blob, raw = _run_worker_task(state, message, input_segments)
-            except BaseException:
-                result_queue.put(
-                    ("error", message[1], worker_id, traceback.format_exc())
-                )
-                continue
-            if arena is not None and cursor + len(blob) <= arena.size:
-                arena.buf[cursor : cursor + len(blob)] = blob
-                result_queue.put(
-                    ("shm", message[1], worker_id, cursor, len(blob), raw, idle_ns)
-                )
-                cursor += len(blob)
-            else:
-                result_queue.put(
-                    ("inline", message[1], worker_id, blob, raw, idle_ns)
-                )
-    finally:
-        for segment in input_segments.values():
-            segment.close()
-        if arena is not None:
-            arena.close()
+    items = wire.decode_records(message[2])
+    return wire.encode_reduce_payload(
+        compute_reduce_task(state.job, items, task_id, state.cost_model)
+    )
 
 
 def _default_workers() -> int:
@@ -567,52 +466,22 @@ def _default_workers() -> int:
 
 #: Phases whose estimated virtual cost falls below this floor run
 #: in-process.  Calibrated against the CostModel defaults: dispatching a
-#: phase costs ~1 pool round-trip per chunk (hundreds of microseconds),
+#: phase costs ~1 pool round-trip per task (hundreds of microseconds),
 #: while one virtual cost unit corresponds to one reference-length pair
 #: comparison (~10 µs of real work in this simulator), so phases cheaper
 #: than a few hundred units lose more to IPC than fan-out can recover.
 DEFAULT_SERIAL_FLOOR = 256.0
 
-#: Per-worker result arena size.  Payload blobs for the workloads in this
-#: repo total well under a megabyte per job; blobs that do not fit fall
-#: back to inline queue messages, so the cap only affects wall-clock.
-DEFAULT_ARENA_BYTES = 8 << 20
-
-#: Seconds the driver waits on the results queue before checking whether
-#: any worker is still alive (deadlock insurance, not a deadline).
-_RESULT_POLL_SECONDS = 60.0
-
 
 class ParallelExecutor(Executor):
-    """Fan each job's tasks out to ``workers`` long-lived forked processes.
-
-    The engine brackets jobs with :meth:`begin_job` / :meth:`end_job`; the
-    fork-context workers are spawned lazily on the first phase that clears
-    the serial floor and reused for the rest of the job, so a job pays for
-    at most one fork generation (``driver.pool_forks`` ≤ jobs).  Map inputs
-    reach workers via copy-on-write fork inheritance.  Reduce partitions
-    (which only exist in the driver) are wire-encoded into one shared-memory
-    segment per phase; workers attach by name and read their slice, so the
-    task queue carries only small descriptors.  Result payloads come back
-    the same way through per-worker arenas.  Scheduling is pull-based:
-    workers take the next task (heaviest reduce unit first) whenever they
-    go idle, which is work stealing without any stealing protocol.  The
-    engine replays payloads exactly as it would serial ones, so results
-    are bit-for-bit identical to :class:`SerialExecutor`.
+    """Fan each job's tasks out to a pool of ``workers`` forked processes
+    (design in the module docstring); results are bit-for-bit identical to
+    :class:`SerialExecutor`.
 
     Args:
         workers: worker processes (default: visible CPU count).
         serial_floor: phases with estimated virtual cost below this run
             in-process (0 forces fan-out whenever possible).
-        profile_wire: also measure the plain-pickle baseline size of every
-            payload (``ipc_payload_raw_bytes``) — costs an extra pickle
-            pass per task, so benches turn it on and production runs leave
-            it off.
-        use_shared_memory: move bulk bytes through shared-memory segments
-            (default).  Off — or when segment creation fails at runtime —
-            every blob travels inline on the queues instead; results are
-            identical, only byte counters and wall-clock change.
-        arena_bytes: size of each worker's result arena.
 
     When process parallelism cannot help — no ``fork`` support, a single
     worker, or a phase with fewer than two tasks — tasks run in-process,
@@ -626,23 +495,13 @@ class ParallelExecutor(Executor):
         workers: Optional[int] = None,
         *,
         serial_floor: float = DEFAULT_SERIAL_FLOOR,
-        profile_wire: bool = False,
-        use_shared_memory: bool = True,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
     ) -> None:
         if workers is not None and workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers if workers is not None else _default_workers()
         self.serial_floor = serial_floor
-        self.profile_wire = profile_wire
-        self.use_shared_memory = use_shared_memory and _shared_memory is not None
-        self.arena_bytes = arena_bytes
         self._can_fork = "fork" in multiprocessing.get_all_start_methods()
-        self._procs: List[multiprocessing.Process] = []
-        self._task_queue = None
-        self._result_queue = None
-        self._arenas: List[Optional[Any]] = []
-        self._input_segment: Optional[Any] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._job_state: Optional[_JobState] = None
         self._phase_stats: Dict[str, int] = {}
         #: Cumulative statistics across every job this executor ran
@@ -653,39 +512,16 @@ class ParallelExecutor(Executor):
 
     def begin_job(self, job, splits, cost_model) -> None:
         self.end_job()  # defensive: a crashed previous job left state behind
-        self._job_state = _JobState(job, splits, cost_model, self.profile_wire)
+        self._job_state = _JobState(job, splits, cost_model)
 
     def end_job(self) -> None:
         global _ACTIVE_JOB
-        if self._procs:
-            for _ in self._procs:
-                self._task_queue.put(None)
-            for proc in self._procs:
-                proc.join(timeout=10.0)
-            for proc in self._procs:
-                if proc.is_alive():  # pragma: no cover - crashed worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            self._procs = []
-        if self._task_queue is not None:
-            self._task_queue.close()
-            self._result_queue.close()
-            self._task_queue = None
-            self._result_queue = None
-        # Workers have exited (their attachments are closed); now — and
-        # only now — the driver destroys the segments it created.
-        for arena in self._arenas:
-            if arena is not None:
-                arena.close()
-                arena.unlink()
-        self._arenas = []
-        self._release_input_segment()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
         if _ACTIVE_JOB is self._job_state:
             _ACTIVE_JOB = None
         self._job_state = None
-
-    def close(self) -> None:
-        self.end_job()
 
     def drain_stats(self) -> Dict[str, int]:
         drained = self._phase_stats
@@ -699,24 +535,17 @@ class ParallelExecutor(Executor):
     # -- phase execution -----------------------------------------------
 
     def run_map_phase(self, job, splits, cost_model):
-        state = self._ensure_job(job, splits, cost_model)
-        num_tasks = len(splits)
         estimate = cost_model.read_record * sum(len(s) for s in splits)
-        if not self._should_fan_out(num_tasks, estimate):
-            self._count("tasks_inline", num_tasks)
+        if not self._should_fan_out(len(splits), estimate):
+            self._count("tasks_inline", len(splits))
             return [
                 compute_map_task(job, split, task_id, cost_model)
                 for task_id, split in enumerate(splits)
             ]
-        self._ensure_workers(state)
-        self._count("tasks_fanned", num_tasks)
-        order = list(range(num_tasks))
-        for task_id in order:
-            self._dispatch(("map", task_id))
-        return self._collect(order, wire.decode_map_payload)
+        messages = [("map", task_id) for task_id in range(len(splits))]
+        return self._fan_out(messages, wire.decode_map_payload)
 
     def run_reduce_phase(self, job, partitions, cost_model):
-        state = self._ensure_job(job, None, cost_model)
         num_tasks = len(partitions)
         total_items = sum(len(p) for p in partitions)
         estimate = (
@@ -729,48 +558,18 @@ class ParallelExecutor(Executor):
                 compute_reduce_task(job, items, task_id, cost_model)
                 for task_id, items in enumerate(partitions)
             ]
-        self._ensure_workers(state)
-        # Enqueue heaviest partitions first: the queue is consumed in
+        # Submit heaviest partitions first: the call queue is consumed in
         # order, so on skewed inputs the giant partition (or its balance
         # shards) starts immediately instead of behind light tasks.
-        # Payload contents are untouched; re-sorting by task id in
-        # ``_collect`` restores the order the engine requires.
         order = sorted(range(num_tasks), key=lambda t: (-len(partitions[t]), t))
-        if order != list(range(num_tasks)):
-            self._count("reduce_skew_dispatch", 1)
-        blobs = {
-            task_id: wire.encode_records(partitions[task_id])
+        messages = [
+            ("reduce", task_id, wire.encode_records(partitions[task_id]))
             for task_id in order
-        }
-        segment = self._build_input_segment(blobs, order)
-        self._count("tasks_fanned", num_tasks)
-        if segment is None:
-            for task_id in order:
-                self._dispatch(("reduce", task_id, blobs[task_id]))
-        else:
-            offset = 0
-            for task_id in order:
-                length = len(blobs[task_id])
-                self._dispatch(
-                    ("reduce-shm", task_id, segment.name, offset, length)
-                )
-                offset += length
-        payloads = self._collect(order, wire.decode_reduce_payload)
-        # All partitions are consumed; drop the input segment before the
-        # engine snapshots the phase (workers keep their attachment until
-        # job end, which a POSIX unlink happily tolerates).
-        self._release_input_segment()
-        return payloads
+        ]
+        self._count("ipc_bytes", sum(len(m[2]) for m in messages))
+        return self._fan_out(messages, wire.decode_reduce_payload)
 
     # -- internals -----------------------------------------------------
-
-    def _ensure_job(self, job, splits, cost_model) -> _JobState:
-        """The active job state (tolerates un-bracketed direct phase calls)."""
-        state = self._job_state
-        if state is None or state.job is not job:
-            self.begin_job(job, splits if splits is not None else [], cost_model)
-            state = self._job_state
-        return state
 
     def _should_fan_out(self, num_tasks: int, estimated_cost: float) -> bool:
         return (
@@ -780,116 +579,39 @@ class ParallelExecutor(Executor):
             and estimated_cost >= self.serial_floor
         )
 
-    def _ensure_workers(self, state: _JobState) -> None:
-        """Spawn the job's workers on first use with ``state`` inheritable."""
-        if self._procs:
-            return
+    def _fan_out(self, messages: List[tuple], decode):
+        """Run one task per message on the job's pool; payloads by task id."""
         global _ACTIVE_JOB
-        _ACTIVE_JOB = state
-        context = multiprocessing.get_context("fork")
-        self._task_queue = context.Queue()
-        self._result_queue = context.Queue()
-        self._arenas = [self._create_segment(self.arena_bytes) for _ in range(self.workers)]
-        for worker_id in range(self.workers):
-            arena = self._arenas[worker_id]
-            proc = context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    self._task_queue,
-                    self._result_queue,
-                    arena.name if arena is not None else None,
-                ),
-                daemon=True,
+        if self._pool is None:
+            # With the fork context every worker is forked inside the first
+            # ``submit`` below, so the job must be the global by then.
+            _ACTIVE_JOB = self._job_state
+            self._pool = ProcessPoolExecutor(
+                self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=run_job_reset_hooks,
             )
-            proc.start()
-            self._procs.append(proc)
-        self._count("pool_forks", 1)
-
-    def _create_segment(self, size: int):
-        """A fresh driver-owned shared-memory segment, or None (fallback)."""
-        if not self.use_shared_memory or size <= 0:
-            return None
-        try:
-            segment = _shared_memory.SharedMemory(create=True, size=size)
-        except OSError:  # pragma: no cover - no usable /dev/shm
-            return None
-        self._count("shm_segments", 1)
-        return segment
-
-    def _build_input_segment(self, blobs: Dict[int, bytes], order: List[int]):
-        """One segment holding every reduce partition blob, in queue order."""
-        total = sum(len(blobs[task_id]) for task_id in order)
-        segment = self._create_segment(total)
-        if segment is None:
-            return None
-        offset = 0
-        for task_id in order:
-            blob = blobs[task_id]
-            segment.buf[offset : offset + len(blob)] = blob
-            offset += len(blob)
-        self._count("shm_input_bytes", total)
-        self._input_segment = segment
-        return segment
-
-    def _release_input_segment(self) -> None:
-        if self._input_segment is not None:
-            self._input_segment.close()
-            self._input_segment.unlink()
-            self._input_segment = None
-
-    def _dispatch(self, message) -> None:
-        """Enqueue one task message, counting its descriptor bytes."""
-        size = len(pickle.dumps(message))
-        self._count("ipc_input_bytes", size)
-        self._count("ipc_bytes", size)
-        self._task_queue.put(message)
-
-    def _next_result(self):
-        while True:
-            try:
-                return self._result_queue.get(timeout=_RESULT_POLL_SECONDS)
-            except queue_module.Empty:  # pragma: no cover - crashed workers
-                if not any(proc.is_alive() for proc in self._procs):
-                    raise RuntimeError(
-                        "all parallel workers exited without delivering results"
-                    ) from None
-
-    def _collect(self, order: List[int], decode):
-        """Receive one result per dispatched task; payloads in task-id order.
-
-        ``steal_tasks`` counts tasks whose executing worker differs from
-        the one a static round-robin over the dispatch order would have
-        used — the work the pull queue moved to whoever was free.
-        """
-        workers = max(1, len(self._procs))
-        intended = {task_id: pos % workers for pos, task_id in enumerate(order)}
+            self._count("pool_forks", 1)
+        self._count("tasks_fanned", len(messages))
+        wall_start = time.perf_counter_ns()
+        futures = {
+            self._pool.submit(_run_task, message): message[1] for message in messages
+        }
         payloads = []
-        for _ in order:
-            result = self._next_result()
-            kind = result[0]
-            if kind == "error":
-                _, task_id, worker_id, trace = result
+        for future in as_completed(futures):
+            try:
+                blob = future.result()
+            except Exception as error:  # the task raised, or its worker died
+                trace = "".join(traceback.format_exception(error))
                 raise RuntimeError(
-                    f"parallel worker {worker_id} failed on task {task_id}:\n{trace}"
-                )
-            if kind == "shm":
-                _, task_id, worker_id, offset, length, raw, idle_ns = result
-                arena = self._arenas[worker_id]
-                blob = bytes(arena.buf[offset : offset + length])
-                self._count("shm_payload_bytes", length)
-            else:
-                _, task_id, worker_id, blob, raw, idle_ns = result
-            descriptor = len(pickle.dumps(result))
-            self._count("ipc_payload_bytes", descriptor)
-            self._count("ipc_bytes", descriptor)
-            self._count("payload_wire_bytes", len(blob))
-            if raw:
-                self._count("ipc_payload_raw_bytes", raw)
-            if worker_id != intended[task_id]:
-                self._count("steal_tasks", 1)
-            self._count("worker_idle_ms", idle_ns // 1_000_000)
+                    f"parallel worker failed on task {futures[future]}:\n{trace}"
+                ) from error
+            self._count("ipc_bytes", len(blob))
             payloads.append(decode(blob))
+        # Idle = worker-seconds the phase held minus those spent in tasks.
+        phase_ns = (time.perf_counter_ns() - wall_start) * self.workers
+        busy_ns = sum(payload.wall_ns for payload in payloads)
+        self._count("worker_idle_ms", max(0, phase_ns - busy_ns) // 1_000_000)
         payloads.sort(key=lambda p: p.task_id)
         return payloads
 
@@ -898,25 +620,12 @@ class ParallelExecutor(Executor):
 BACKENDS = ("serial", "process")
 
 
-def make_executor(
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    *,
-    profile_wire: bool = False,
-    use_shared_memory: bool = True,
-) -> Executor:
-    """Build an executor from a CLI-style backend name.
-
-    ``profile_wire`` (process backend only) additionally measures the
-    plain-pickle baseline size of every payload for perf reporting;
-    ``use_shared_memory=False`` forces the inline-queue transport.
-    """
+def make_executor(backend: str = "serial", workers: Optional[int] = None) -> Executor:
+    """Build an executor from a CLI-style backend name."""
     if backend == "serial":
         return SerialExecutor()
     if backend == "process":
-        return ParallelExecutor(
-            workers, profile_wire=profile_wire, use_shared_memory=use_shared_memory
-        )
+        return ParallelExecutor(workers)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
@@ -935,7 +644,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "DEFAULT_SERIAL_FLOOR",
-    "DEFAULT_ARENA_BYTES",
     "BACKENDS",
     "make_executor",
 ]

@@ -46,64 +46,11 @@ _ZLIB = b"\x01"
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
-def _build_zdict() -> bytes:
-    """Preset zlib dictionary seeded with the payload schema's vocabulary.
-
-    Small payloads (a reduce task's worth of events and records) repeat the
-    same counter names, event kinds, span keys and framing byte patterns as
-    every *other* payload, but per-blob zlib cannot see across blobs.  A
-    preset dictionary hands the compressor that shared context up front;
-    with it, even sub-kilobyte payloads compress like they were part of a
-    large stream.  The dictionary is a synthetic pickle built from package
-    constants, so driver and (forked) workers derive the identical bytes —
-    nothing is ever persisted, so cross-version stability is irrelevant.
-    """
-    skeleton = (
-        # Counter vocabulary, as the (group, name) pairs _pack_counters emits.
-        (
-            (("engine", "map_records"), 0),
-            (("engine", "map_emitted"), 0),
-            (("engine", "combine_input"), 0),
-            (("engine", "combine_output"), 0),
-            (("engine", "reduce_groups"), 0),
-            (("engine", "reduce_records"), 0),
-            (("driver", "blocks_resolved"), 0),
-            (("driver", "duplicates"), 0),
-            (("driver", "stat_blocks"), 0),
-        ),
-        # Stat-delta vocabulary.
-        (("matcher", "cache_hits", 0), ("matcher", "cache_misses", 0)),
-        # Event / span framing: kinds, categories and arg keys that recur
-        # in every task, with the numeric shapes they usually carry.
-        tuple((float(i), "duplicate", (i, i + 1)) for i in range(4)),
-        tuple(
-            ("reduce[0]", "task", 0.0, 1.0, (("phase", "reduce"), ("task", 0)))
-            for _ in range(2)
-        ),
-        ("block", "map", "reduce", "attempt", "speculative", "duplicates"),
-        # Attribute names of the paper's three entity families (map payloads
-        # ship entities; their attrs dicts repeat these keys).
-        (
-            "title", "abstract", "venue", "authors", "publisher", "year",
-            "isbn", "pages", "language", "format", "name", "surname",
-            "street", "city", "state", "zip", "birth_year", "phone",
-        ),
-        # Output-file tuples as _pack_files emits them.
-        tuple((0, i, 0.0, ((i, i + 1),)) for i in range(3)),
-    )
-    return pickle.dumps(skeleton, protocol=_PROTOCOL)
-
-
-#: Shared compression context for small payloads (see :func:`_build_zdict`).
-_ZDICT = _build_zdict()
-
-
 def _encode(obj: Any) -> bytes:
     """Pickle ``obj`` and compress when it pays off."""
     data = pickle.dumps(obj, protocol=_PROTOCOL)
     if len(data) >= COMPRESS_MIN_BYTES:
-        compressor = zlib.compressobj(COMPRESS_LEVEL, zdict=_ZDICT)
-        packed = compressor.compress(data) + compressor.flush()
+        packed = zlib.compress(data, COMPRESS_LEVEL)
         if len(packed) + 1 < len(data):
             return _ZLIB + packed
     return _RAW + data
@@ -112,7 +59,7 @@ def _encode(obj: Any) -> bytes:
 def _decode(blob: bytes) -> Any:
     flag, data = blob[:1], blob[1:]
     if flag == _ZLIB:
-        data = zlib.decompressobj(zdict=_ZDICT).decompress(data)
+        data = zlib.decompress(data)
     elif flag != _RAW:
         raise ValueError(f"unknown wire flag {flag!r}")
     return pickle.loads(data)
@@ -285,9 +232,8 @@ def decode_records(blob: bytes) -> List[Any]:
 
 
 def raw_pickle_size(payload: Any) -> int:
-    """Bytes the pre-wire encoding (plain pickle, as the stdlib pool would
-    send it) needs for ``payload`` — the baseline the ``driver.ipc_*_raw``
-    counters compare against."""
+    """Bytes a plain pickle of the ``payload`` dataclass needs — the
+    baseline the wire format's compression ratio is quoted against."""
     return len(pickle.dumps(payload))
 
 

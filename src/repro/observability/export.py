@@ -300,11 +300,9 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
 
     Renders the ``driver.*`` counters the executor drains into each phase
     snapshot (see ``Cluster._snapshot_phase``): task placement (fanned out
-    vs kept inline under the serial floor), work-stealing pulls, wire bytes
-    of the encoded payloads with the plain-pickle baseline they replace,
-    and wall-clock seconds per phase.  Footer lines aggregate pool forks,
-    the overall wire compression ratio, the shared-memory vs descriptor
-    byte split, work-stealing/idle totals, and matcher-cache traffic.
+    vs kept inline under the serial floor), the wire-blob bytes that
+    crossed the pool's queues, and wall-clock seconds per phase.  Footer
+    lines aggregate pool forks, worker idle time and matcher-cache traffic.
     """
     rows = []
     for snap in metrics.snapshots:
@@ -321,39 +319,22 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
     scope_width = max(scope_width, len("phase"))
     header = (
         f"{'phase':<{scope_width}}  {'backend':<8} {'tasks':>5} "
-        f"{'wall s':>8} {'fanned':>6} {'inline':>6} {'steals':>6} "
-        f"{'wire':>8} {'raw':>8} {'ratio':>6}"
+        f"{'wall s':>8} {'fanned':>6} {'inline':>6} {'wire':>8}"
     )
     lines.append(header)
     lines.append("-" * len(header))
-    total_wire = total_raw = 0
-    total_descriptor = total_shm = 0
-    total_steals = total_idle_ms = 0
     for scope, extra, counters in rows:
-        wire = counters.get(
-            "driver.payload_wire_bytes",
-            counters.get("driver.ipc_payload_bytes", 0),
-        )
-        raw = counters.get("driver.ipc_payload_raw_bytes", 0)
-        total_wire += wire
-        total_raw += raw
-        total_descriptor += counters.get("driver.ipc_bytes", 0)
-        total_shm += counters.get("driver.shm_input_bytes", 0)
-        total_shm += counters.get("driver.shm_payload_bytes", 0)
-        total_steals += counters.get("driver.steal_tasks", 0)
-        total_idle_ms += counters.get("driver.worker_idle_ms", 0)
-        ratio = f"{raw / wire:5.1f}x" if wire else "     -"
         lines.append(
             f"{scope:<{scope_width}}  {str(extra.get('backend', '?')):<8} "
             f"{extra.get('tasks', 0):>5} "
             f"{extra.get('wall_seconds', 0.0):>8.3f} "
             f"{counters.get('driver.tasks_fanned', 0):>6} "
             f"{counters.get('driver.tasks_inline', 0):>6} "
-            f"{counters.get('driver.steal_tasks', 0):>6} "
-            f"{_fmt_bytes(wire):>8} {_fmt_bytes(raw):>8} {ratio:>6}"
+            f"{_fmt_bytes(counters.get('driver.ipc_bytes', 0)):>8}"
         )
 
     forks = sum(c.get("driver.pool_forks", 0) for _, _, c in rows)
+    idle_ms = sum(c.get("driver.worker_idle_ms", 0) for _, _, c in rows)
     # Matcher deltas accumulate across a job's phases, so per job only the
     # last phase snapshot counts; sum those across jobs.
     per_job: Dict[str, Tuple[int, int]] = {}
@@ -366,22 +347,8 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
     misses = sum(m for _, m in per_job.values())
     lines.append("-" * len(header))
     lines.append(f"pool forks: {forks}")
-    if total_wire:
-        lines.append(
-            f"payload wire bytes: {_fmt_bytes(total_wire)} "
-            f"(plain pickle {_fmt_bytes(total_raw)}, "
-            f"{total_raw / total_wire:.1f}x smaller)"
-        )
-    if total_shm or total_descriptor:
-        lines.append(
-            f"transport: {_fmt_bytes(total_shm)} via shared memory, "
-            f"{_fmt_bytes(total_descriptor)} descriptors on queues"
-        )
-    if total_steals or total_idle_ms:
-        lines.append(
-            f"work stealing: {total_steals} steals, "
-            f"workers idle {total_idle_ms} ms total"
-        )
+    if idle_ms:
+        lines.append(f"workers idle: {idle_ms} ms total")
     if hits or misses:
         lines.append(f"matcher cache: {hits} hits / {misses} misses")
     return "\n".join(lines)

@@ -112,9 +112,8 @@ def plan_delta(
     """Place affected blocks onto reduce tasks under a balance strategy.
 
     ``slack`` mirrors the paper baseline: hash placement, whole blocks.
-    Every other strategy (``blocksplit``, ``pairrange``,
-    ``pairrange-tree``) reuses the batch balancer's ideas at the delta
-    granularity: blocks whose planned load exceeds the per-task fair share
+    Every other strategy (``blocksplit``, ``pairrange``) reuses the batch
+    balancer's ideas at the delta granularity: blocks whose planned load exceeds the per-task fair share
     are sharded into contiguous anchor ranges, then all units are placed
     longest-processing-time-first onto the least-loaded task.  (The delta
     workload has no per-block pair-stream estimates, so the batch

@@ -118,9 +118,8 @@ class ResolverService:
         machines: simulated cluster size for the delta jobs.
         balance: placement strategy for affected blocks — ``"slack"``
             (hash placement), or any sharding strategy (``"blocksplit"``,
-            ``"pairrange"``, ``"pairrange-tree"``: shard oversized
-            blocks, LPT placement — at delta granularity they share one
-            scheme).  Output-invariant.
+            ``"pairrange"``: shard oversized blocks, LPT placement — at
+            delta granularity they share one scheme).  Output-invariant.
         min_family_matches: key families that must agree before a pair is
             compared (clamped to the scheme's family count).
         batch_pairs: batched-kernel width for delta reducers (None = the

@@ -18,8 +18,8 @@ skewed workload (one hub block holding most of the dataset) and asserts:
 The grid also pins the non-vacuousness of the tentpole: ``blocksplit``
 must actually shard the hub block and beat ``slack``'s reduce-phase
 makespan on this workload, and the global ``pairrange`` must shard the
-hub too and beat its deprecated tree-granularity alias
-``pairrange-tree`` (which cannot split a block).
+hub too and beat whole-tree placement (``slack``, which cannot split a
+block).
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ class TestGlobalPairrangeEffectiveness:
         assert covered == set(plan.split_blocks)
 
     def test_pairrange_beats_tree_granularity(self, grid):
-        """The global enumeration must beat the deprecated whole-tree
-        variant decisively on the hub workload: pairrange-tree cannot
-        split the hub, so its reduce makespan stays hub-bound."""
+        """The global enumeration must beat whole-tree placement
+        decisively on the hub workload: ``slack`` cannot split the hub,
+        so its reduce makespan stays hub-bound."""
         def reduce_span(run):
             job2 = run.result.job2
             return job2.end_time - job2.map_phase_end
 
-        tree = reduce_span(grid[("pairrange-tree", "serial", "clean")])
+        tree = reduce_span(grid[("slack", "serial", "clean")])
         global_ = reduce_span(grid[("pairrange", "serial", "clean")])
         assert global_ * 1.3 <= tree
 
@@ -199,11 +199,6 @@ class TestGlobalPairrangeEffectiveness:
         plan = grid[("pairrange", "serial", "clean")].result.balance
         assert plan.after.max < plan.before.max
         assert plan.after.max_over_mean < plan.before.max_over_mean
-
-    def test_pairrange_tree_never_creates_shards(self, grid):
-        run = grid[("pairrange-tree", "serial", "clean")]
-        assert not run.result.schedule.shards
-        assert not run.result.balance.shards
 
     def test_pairrange_rejects_block_routing(self, skewed_cfg):
         config = skewed_config(matcher=skewed_cfg.matcher, routing="block")

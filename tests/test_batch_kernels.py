@@ -24,7 +24,7 @@ import repro.mechanisms.base as mechanisms_base
 from repro.core import books_config
 from repro.data import Entity
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.mapreduce import CostModel, ParallelExecutor
+from repro.mapreduce import CostModel
 from repro.mechanisms import SortedNeighborHint, block_sort_key, resolve_block
 from repro.similarity import (
     AttributeRule,
@@ -243,18 +243,3 @@ class TestEndToEndDifferential:
         assert run(64, "serial") == reference
         assert run(64, "process") == reference
         assert run(1, "process") == reference
-
-    def test_shared_memory_parity_on_books(self, books_small):
-        config = books_config()
-
-        def run(use_shared_memory):
-            executor = ParallelExecutor(
-                2, serial_floor=0.0, use_shared_memory=use_shared_memory
-            )
-            spec = RunSpec(books_small, config, machines=4, executor=executor)
-            try:
-                return _fingerprint(ExperimentRun(spec).run())
-            finally:
-                executor.close()
-
-        assert run(True) == run(False)

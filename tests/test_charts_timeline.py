@@ -4,7 +4,7 @@ import pytest
 
 from repro.data import Dataset, Entity
 from repro.evaluation import (
-    CurveRun,
+    RunResult,
     ascii_chart,
     ascii_gantt,
     job_spans,
@@ -24,7 +24,7 @@ def _curve_run(label, times):
         Event(time=t, kind="duplicate", payload=p) for t, p in zip(times, pairs)
     ]
     curve = recall_curve(events, ds, end_time=100.0)
-    return CurveRun(label=label, curve=curve, result=None)
+    return RunResult(label=label, curve=curve, result=None)
 
 
 class TestAsciiChart:

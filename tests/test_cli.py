@@ -122,3 +122,12 @@ class TestParser:
     def test_generate_requires_out(self):
         with pytest.raises(SystemExit):
             main(["generate"])
+
+    def test_invalid_run_spec_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--family", "citeseer", "--size", "50",
+                  "--backend", "process", "--workers", "0"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: invalid RunSpec: workers must be a positive" in err
+        assert "Traceback" not in err

@@ -1,9 +1,9 @@
-"""Tests for remaining evaluation paths: io helpers, CurveRun, sampling."""
+"""Tests for remaining evaluation paths: io helpers, RunResult, sampling."""
 
 import pytest
 
 from repro.data import Dataset, Entity
-from repro.evaluation import CurveRun, recall_curve, sample_times
+from repro.evaluation import RunResult, recall_curve, sample_times
 from repro.mapreduce import (
     Cluster,
     MapReduceJob,
@@ -66,7 +66,7 @@ class TestCurveRun:
         )
         events = [Event(time=5.0, kind="duplicate", payload=(0, 1))]
         curve = recall_curve(events, ds, end_time=20.0)
-        return CurveRun(label="x", curve=curve, result="raw")
+        return RunResult(label="x", curve=curve, result="raw")
 
     def test_properties_delegate_to_curve(self):
         run = self._run()

@@ -122,8 +122,12 @@ class TestRunSpecValidation:
         assert spec.validate() is spec
 
     def test_unknown_balance_rejected(self, citeseer_cfg):
-        with pytest.raises(ValueError, match="balance.*'roundrobin'.*slack"):
-            RunSpec(None, citeseer_cfg, balance="roundrobin")
+        # "pairrange-tree" was a strategy once; now it is a typo like any other.
+        for name in ("roundrobin", "pairrange-tree"):
+            with pytest.raises(
+                ValueError, match=f"balance.*'{name}'.*slack.*blocksplit.*'pairrange'\\)"
+            ):
+                RunSpec(None, citeseer_cfg, balance=name)
 
     def test_unknown_strategy_rejected(self, citeseer_cfg):
         with pytest.raises(ValueError, match="strategy 'greedy'"):

@@ -1,18 +1,24 @@
-"""The parallel runtime's plumbing: slim wire format, per-job worker
-generations, pull-based work stealing, shared-memory transport, the
-adaptive serial floor, and worker stat deltas.
+"""The parallel runtime's plumbing: slim wire format, one fork-context
+pool per job, the adaptive serial floor, worker failures, and worker stat
+deltas.
 
 Cross-backend *result* parity lives in ``test_executor_parity.py``; these
-tests pin the mechanisms that make the process backend affordable — the
-payload encoding must be lossless and compact, a job must fork at most one
-worker generation, bulk bytes must move through shared memory (descriptors
-only on the queues), small phases must stay in-process, and worker-side
+tests pin the mechanisms around it — the payload encoding must be lossless
+and compact, a job must fork at most one worker generation, small phases
+must stay in-process, a task that raises or a worker that dies must end in
+an error (never a hang) with the executor still usable, and worker-side
 matcher-cache statistics must ride home in the payloads.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,7 +32,6 @@ from repro.mapreduce import (
     ParallelExecutor,
     Reducer,
     SerialExecutor,
-    make_executor,
 )
 from repro.mapreduce import wire
 from repro.mapreduce.executors import MapTaskPayload, ReduceTaskPayload
@@ -131,7 +136,7 @@ class TestWireFormat:
 
 
 # ---------------------------------------------------------------------------
-# Pool lifecycle / chunking / serial floor
+# Pool lifecycle / serial floor / worker failures
 # ---------------------------------------------------------------------------
 
 
@@ -157,14 +162,14 @@ def _job():
 class TestPoolLifecycle:
     def test_forced_fan_out_matches_serial(self):
         serial = Cluster(3).run_job(_job(), _LINES)
-        executor = ParallelExecutor(2, serial_floor=0.0, profile_wire=True)
+        executor = ParallelExecutor(2, serial_floor=0.0)
         parallel = Cluster(3, executor=executor).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(parallel)
         assert executor.stats["pool_forks"] == 1
         assert executor.stats["tasks_fanned"] > 0
         assert executor.stats.get("tasks_inline", 0) == 0
-        assert executor.stats["ipc_payload_bytes"] > 0
-        assert executor.stats["ipc_input_bytes"] > 0
+        assert executor.stats["ipc_bytes"] > 0
+        assert executor.stats["worker_idle_ms"] >= 0
 
     def test_one_fork_per_job_not_per_phase(self):
         executor = ParallelExecutor(2, serial_floor=0.0)
@@ -190,42 +195,6 @@ class TestPoolLifecycle:
         Cluster(2, executor=executor).run_job(_job(), _LINES[:4])
         assert executor.stats.get("pool_forks", 0) == 0
 
-    def test_work_stealing_queue_counters(self):
-        executor = ParallelExecutor(2, serial_floor=0.0)
-        Cluster(8, executor=executor).run_job(_job(), _LINES)
-        stats = executor.stats
-        assert stats["tasks_fanned"] > 0
-        # Steals are tasks that landed off their round-robin worker; they
-        # can never exceed the tasks that were dispatched at all.
-        assert 0 <= stats.get("steal_tasks", 0) <= stats["tasks_fanned"]
-        # Workers block on the shared queue between pulls; the counter must
-        # exist even when the phases drain instantly.
-        assert stats.get("worker_idle_ms", 0) >= 0
-
-    def test_shared_memory_carries_bulk_bytes(self):
-        executor = ParallelExecutor(2, serial_floor=0.0)
-        if not executor.use_shared_memory:
-            pytest.skip("platform without usable shared memory")
-        Cluster(8, executor=executor).run_job(_job(), _LINES)
-        stats = executor.stats
-        # Worker arenas plus one reduce-input segment per fanned reduce.
-        assert stats["shm_segments"] >= 3
-        assert stats["shm_input_bytes"] > 0
-        assert stats["shm_payload_bytes"] > 0
-        # The queues carry descriptors only: far fewer bytes than the wire
-        # blobs that moved through shared memory.
-        assert stats["ipc_payload_bytes"] < stats["payload_wire_bytes"]
-
-    def test_shared_memory_off_is_bit_identical(self):
-        shm = ParallelExecutor(2, serial_floor=0.0, use_shared_memory=True)
-        inline = ParallelExecutor(2, serial_floor=0.0, use_shared_memory=False)
-        a = Cluster(3, executor=shm).run_job(_job(), _LINES)
-        b = Cluster(3, executor=inline).run_job(_job(), _LINES)
-        assert job_fingerprint(a) == job_fingerprint(b)
-        assert inline.stats.get("shm_segments", 0) == 0
-        # Inline transport pays the blob bytes on the queue instead.
-        assert inline.stats["ipc_payload_bytes"] >= inline.stats["payload_wire_bytes"]
-
     def test_drain_stats_resets_phase_window(self):
         executor = ParallelExecutor(2, serial_floor=0.0)
         Cluster(3, executor=executor).run_job(_job(), _LINES)
@@ -233,6 +202,86 @@ class TestPoolLifecycle:
         assert executor.drain_stats() == {}
         # Cumulative view survives draining.
         assert executor.stats["pool_forks"] == 1
+
+
+_DRIVER_PID = os.getpid()
+
+
+class _FailingReducer(_SumReducer):
+    """Fails on the key ``gamma``: dies by SIGKILL, or raises."""
+
+    kill = False
+
+    def reduce(self, key, values, context):
+        if key == "gamma":
+            # A SIGKILL must never reach the process running pytest.
+            assert os.getpid() != _DRIVER_PID, "reduce task ran in the driver"
+            if self.kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("boom on gamma")
+        super().reduce(key, values, context)
+
+
+class _KilledReducer(_FailingReducer):
+    kill = True
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Turn a hang into a failure: ``TimeoutError`` after ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _shm_listing():
+    return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
+
+
+class TestWorkerFailures:
+    def test_killed_worker_is_an_error_not_a_hang(self):
+        serial = Cluster(3).run_job(_job(), _LINES)
+        executor = ParallelExecutor(2, serial_floor=0.0)
+        cluster = Cluster(3, executor=executor)
+        shm_before = _shm_listing()
+        with _deadline(10):
+            with pytest.raises(RuntimeError, match="parallel worker.* failed") as caught:
+                cluster.run_job(MapReduceJob(_WordMapper, _KilledReducer, alpha=1.0), _LINES)
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+        assert _shm_listing() == shm_before
+        # The same executor runs the next job as if nothing had happened.
+        with _deadline(10):
+            clean = cluster.run_job(_job(), _LINES)
+        assert job_fingerprint(clean) == job_fingerprint(serial)
+        assert multiprocessing.active_children() == []
+
+    def test_task_exception_names_task_and_carries_worker_traceback(self):
+        serial = Cluster(3).run_job(_job(), _LINES)
+        task_id = next(
+            t.task_id for t in serial.reduce_tasks
+            if any(key == "gamma" for key, _ in t.output)
+        )
+        executor = ParallelExecutor(2, serial_floor=0.0)
+        with _deadline(10):
+            with pytest.raises(RuntimeError) as caught:
+                Cluster(3, executor=executor).run_job(
+                    MapReduceJob(_WordMapper, _FailingReducer, alpha=1.0), _LINES
+                )
+        message = str(caught.value)
+        assert re.search(rf"parallel worker.* failed on task {task_id}:", message)
+        assert "Traceback (most recent call last)" in message
+        assert "in reduce" in message and "ValueError: boom on gamma" in message
+        assert isinstance(caught.value.__cause__, ValueError)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +292,7 @@ class TestPoolLifecycle:
 class TestDriverMetrics:
     @pytest.mark.parametrize("executor_factory", [
         SerialExecutor,
-        lambda: ParallelExecutor(2, serial_floor=0.0, profile_wire=True),
+        lambda: ParallelExecutor(2, serial_floor=0.0),
     ])
     def test_matcher_deltas_reach_phase_snapshots(
         self, citeseer_small, executor_factory
@@ -268,7 +317,7 @@ class TestDriverMetrics:
 
     def test_phase_snapshots_carry_driver_counters_and_wall(self):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0, profile_wire=True)
+        executor = ParallelExecutor(2, serial_floor=0.0)
         cluster = Cluster(3, executor=executor, metrics=metrics)
         cluster.run_job(_job(), _LINES)
         by_scope = {s.scope: s for s in metrics.snapshots}
@@ -276,8 +325,7 @@ class TestDriverMetrics:
         reduce_snap = by_scope["job/reduce"]
         assert map_snap.get("driver.tasks_fanned") > 0
         assert map_snap.get("driver.pool_forks") == 1
-        assert reduce_snap.get("driver.ipc_payload_bytes") > 0
-        assert reduce_snap.get("driver.ipc_payload_raw_bytes") > 0
+        assert reduce_snap.get("driver.ipc_bytes") > 0
         for snap in (map_snap, reduce_snap):
             extra = dict(snap.extra)
             assert extra["backend"] == "process"
@@ -285,17 +333,13 @@ class TestDriverMetrics:
 
     def test_perf_report_renders_phase_table(self):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0, profile_wire=True)
+        executor = ParallelExecutor(2, serial_floor=0.0)
         Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         report = format_perf_report(metrics)
+        header = report.splitlines()[0].split()
+        assert header == ["phase", "backend", "tasks", "wall", "s", "fanned", "inline", "wire"]
         assert "pool forks: 1" in report
         assert "job/map" in report
-        assert "payload wire bytes" in report
 
     def test_perf_report_without_snapshots(self):
         assert "no phase snapshots" in format_perf_report(MetricsRegistry())
-
-    def test_make_executor_profile_wire(self):
-        executor = make_executor("process", 2, profile_wire=True)
-        assert executor.profile_wire is True
-        assert make_executor("process", 2).profile_wire is False

@@ -301,7 +301,7 @@ def test_global_pairrange_load_bound(sizes, num_tasks):
     num_tasks=st.integers(1, 8),
 )
 def test_apply_balance_is_deterministic(sizes, num_tasks):
-    for strategy in ("blocksplit", "pairrange", "pairrange-tree"):
+    for strategy in ("blocksplit", "pairrange"):
         first = _toy_schedule(sizes, num_tasks)
         second = copy.deepcopy(first)
         plan_a = apply_balance(first, strategy=strategy)
