@@ -71,7 +71,7 @@ from .evaluation import (
 )
 from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
-from .mechanisms import PSNM, SortedNeighborHint, set_default_batch_pairs
+from .mechanisms import PSNM, SortedNeighborHint
 from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
 from .observability import (
     MetricsRegistry,
@@ -294,14 +294,6 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         "across strategies",
     )
     parser.add_argument(
-        "--batch-pairs",
-        type=int,
-        default=None,
-        help="pairs decided per batched similarity-kernel call during "
-        "block resolution (default 64; 1 forces the scalar per-pair "
-        "path; decisions are bit-identical at any width)",
-    )
-    parser.add_argument(
         "--metablock",
         choices=METABLOCK_MODES,
         default="off",
@@ -356,16 +348,9 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """A FaultPlan from the CLI flags, or None when nothing was requested.
-
-    ``--fault-rate 0`` with no other fault flag must reproduce today's
-    timelines exactly, so the default returns ``None`` (no fault machinery
-    attached at all); any active flag builds a seeded plan.
-    """
-    active = args.fault_rate > 0 or args.straggler_rate > 0 or args.speculative
-    if not active:
-        return None
+def _fault_plan(args: argparse.Namespace) -> FaultPlan:
+    """The seeded FaultPlan the CLI flags describe (inert at the defaults,
+    which places tasks exactly as a run with no plan does)."""
     return FaultPlan(
         seed=args.fault_seed,
         fault_rate=args.fault_rate,
@@ -502,9 +487,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
     """A RunSpec wired from the shared CLI options."""
-    batch_pairs = getattr(args, "batch_pairs", None)
-    if batch_pairs is not None:
-        set_default_batch_pairs(batch_pairs)
     metablock = getattr(args, "metablock", "off")
     if isinstance(config, BasicConfig):
         # The baseline has no schedule to prune; RunSpec.validate rejects
@@ -667,7 +649,6 @@ def _build_service(args: argparse.Namespace, tracer, metrics):
         machines=args.machines,
         balance=args.balance,
         min_family_matches=args.min_family_matches,
-        batch_pairs=args.batch_pairs,
         backend=args.backend,
         workers=args.workers,
         tracer=tracer,
@@ -732,7 +713,6 @@ def _command_submit(args: argparse.Namespace) -> int:
         machines=args.machines,
         balance=args.balance,
         min_family_matches=args.min_family_matches,
-        batch_pairs=args.batch_pairs,
         backend=args.backend,
         workers=args.workers,
         tracer=tracer,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
@@ -80,6 +80,18 @@ class ResolutionMapper(Mapper):
         )
 
     def map(self, record: AnnotatedEntity, context: TaskContext) -> None:
+        entity = record[0]
+        for _, tree_uid, dom_list in self._routed_trees(record):
+            value = (entity, dom_list)
+            context.emit(tree_uid, value)
+            for route in self._shard_routes.get(tree_uid, ()):
+                context.emit(route, value)
+
+    def _routed_trees(
+        self, record: AnnotatedEntity
+    ) -> Iterator[Tuple[str, str, Tuple[int, ...]]]:
+        """``(family, tree uid, dominance list)`` per tree containing the
+        entity — what both routing modes emit from."""
         entity, main_keys = record
         schedule = self._schedule
         scheme = self._scheme
@@ -109,10 +121,7 @@ class ResolutionMapper(Mapper):
                         schedule.dominance[next_uid] if next_uid is not None else None
                     ),
                 )
-                value = (entity, tuple(dom_list))
-                context.emit(tree_uid, value)
-                for route in self._shard_routes.get(tree_uid, ()):
-                    context.emit(route, value)
+                yield family, tree_uid, tuple(dom_list)
 
     def _tree_chain(self, entity: Entity, family: str, main_key: str) -> List[str]:
         """Trees of ``family`` containing the entity, outermost first:
@@ -172,29 +181,30 @@ class ResolutionReducer(Reducer):
         resolved_in_tree: Dict[str, Set[Pair]] = {}
         for entry in order:
             shard = self._schedule.shards.get(entry)
-            if shard is not None:
+            if shard is None:
+                # Absent when the tree produced no routed entities (fully pruned).
+                block_uid, routed, pair_range = entry, members.get(entry), None
+            else:
                 # Shard 0 reuses the tree's derived root membership (home
                 # task); remote shards got their own routed copies.
+                block_uid = shard.block_uid
                 routed = (
-                    members.get(shard.block_uid)
+                    members.get(block_uid)
                     if shard.index == 0
                     else self._buffered.get(entry)
                 )
-                if routed:
-                    resolve_scheduled_block(
-                        self._schedule,
-                        self._config,
-                        shard.block_uid,
-                        routed,
-                        resolved_in_tree,
-                        context,
-                        pair_range=(shard.start, shard.stop),
-                        pruner=self._pruner,
-                    )
-                continue
-            if entry not in members:
-                continue  # tree produced no routed entities (fully pruned)
-            self._resolve_one_block(entry, members[entry], resolved_in_tree, context)
+                pair_range = (shard.start, shard.stop)
+            if routed:
+                resolve_scheduled_block(
+                    self._schedule,
+                    self._config,
+                    block_uid,
+                    routed,
+                    resolved_in_tree,
+                    context,
+                    pair_range=pair_range,
+                    pruner=self._pruner,
+                )
 
     # ------------------------------------------------------------------
 
@@ -229,24 +239,6 @@ class ResolutionReducer(Reducer):
                     stack.append(child)
         return members
 
-    def _resolve_one_block(
-        self,
-        block_uid: str,
-        routed: List[RoutedEntity],
-        resolved_in_tree: Dict[str, Set[Pair]],
-        context: TaskContext,
-    ) -> None:
-        """Resolve one block with mechanism M under the schedule's policy."""
-        resolve_scheduled_block(
-            self._schedule,
-            self._config,
-            block_uid,
-            routed,
-            resolved_in_tree,
-            context,
-            pruner=self._pruner,
-        )
-
 
 def _cross_source_only(e1: Entity, e2: Entity) -> bool:
     """Clean-clean linkage candidate predicate: both sources are internally
@@ -280,14 +272,11 @@ def resolve_scheduled_block(
     sharded, and roots run to exhaustion (no stream-order-dependent stop
     condition), so shard output is independent of placement.
 
-    Comparisons run through :func:`resolve_block`'s batched kernel path:
-    pairs are decided dozens at a time by
-    :class:`~repro.similarity.batch.BatchMatcher` and the outcomes replayed
-    in stream order, so the ``ok_to_resolve`` veto / ``tree_resolved``
-    bookkeeping here observes exactly the scalar sequence of events (both
+    :func:`resolve_block` decides pairs dozens at a time and replays the
+    outcomes in stream order, so the ``ok_to_resolve`` veto /
+    ``tree_resolved`` bookkeeping here observes one pair at a time (both
     are keyed by the entity-id pair, which the driver's same-pair flush
-    guard relies on).  Decisions, charges, events and stop points are
-    bit-identical to per-pair ``matcher.is_match`` resolution.
+    guard relies on).
     """
     if len(routed) < 2:
         return
@@ -366,50 +355,23 @@ class BlockRoutingMapper(ResolutionMapper):
     sequence value ``SQ``."""
 
     def map(self, record: AnnotatedEntity, context: TaskContext) -> None:
-        entity, main_keys = record
+        entity = record[0]
         schedule = self._schedule
-        scheme = self._scheme
-        n = scheme.num_families
-
-        family_doms: List[Optional[int]] = []
-        for family in scheme.family_order:
-            key = main_keys.get(family)
-            uid = schedule.main_tree.get((family, key)) if key is not None else None
-            family_doms.append(schedule.dominance[uid] if uid is not None else None)
-
-        for index, family in enumerate(scheme.family_order, start=1):
-            key = main_keys.get(family)
-            if key is None:
-                continue
-            chain = self._tree_chain(entity, family, key)
-            functions = {f.level: f for f in scheme.families[family]}
-            for position, tree_uid in enumerate(chain):
-                next_uid = chain[position + 1] if position + 1 < len(chain) else None
-                dom_list = tuple(
-                    build_dominance_list(
-                        entity_id=entity.id,
-                        own_index=index,
-                        num_families=n,
-                        family_trees=family_doms,
-                        emitted_tree=schedule.dominance[tree_uid],
-                        split_descendant=(
-                            schedule.dominance[next_uid] if next_uid is not None else None
-                        ),
-                    )
+        for family, tree_uid, dom_list in self._routed_trees(record):
+            functions = {f.level: f for f in self._scheme.families[family]}
+            # Walk the scheduled tree top-down; emit at every block
+            # whose key matches the entity's key at that level.
+            node = schedule.trees[tree_uid]
+            while node is not None:
+                context.emit(schedule.sequence[node.uid], (entity, dom_list))
+                node = next(
+                    (
+                        child
+                        for child in node.children
+                        if functions[child.level].key_of(entity) == child.key
+                    ),
+                    None,
                 )
-                # Walk the scheduled tree top-down; emit at every block
-                # whose key matches the entity's key at that level.
-                node = schedule.trees[tree_uid]
-                while node is not None:
-                    context.emit(schedule.sequence[node.uid], (entity, dom_list))
-                    node = next(
-                        (
-                            child
-                            for child in node.children
-                            if functions[child.level].key_of(entity) == child.key
-                        ),
-                        None,
-                    )
 
 
 class SequencePartitioner(Partitioner):

@@ -85,8 +85,6 @@ class RunSpec:
             injecting seeded crashes, stragglers and speculative execution
             into every job of the run.  Deterministic and
             backend-independent; ``None`` (the default) runs fault-free.
-        batch_pairs: batched similarity-kernel width for this run (``None``
-            keeps the module default; ``1`` forces the scalar path).
         metablock: meta-blocking pre-pass for the progressive approach —
             ``"off"`` (default), ``"bf"`` (block filtering) or ``"wnp"``
             (weighted node pruning); knobs live on the config
@@ -108,7 +106,6 @@ class RunSpec:
     tracer: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
-    batch_pairs: Optional[int] = None
     metablock: str = "off"
 
     def __post_init__(self) -> None:
@@ -152,13 +149,6 @@ class RunSpec:
             problems.append(
                 f"workers must be a positive integer or None, got "
                 f"{self.workers!r}"
-            )
-        if self.batch_pairs is not None and (
-            not isinstance(self.batch_pairs, int) or self.batch_pairs < 1
-        ):
-            problems.append(
-                f"batch_pairs must be a positive integer or None, got "
-                f"{self.batch_pairs!r} (1 forces the scalar per-pair path)"
             )
         if self.metablock not in METABLOCK_MODES:
             problems.append(

@@ -9,7 +9,7 @@ output.
 
 from .clock import CostModel, VirtualClock
 from .counters import Counters
-from .engine import Cluster, SlotPool
+from .engine import Cluster
 from .executors import (
     BACKENDS,
     DEFAULT_SERIAL_FLOOR,
@@ -45,7 +45,6 @@ __all__ = [
     "VirtualClock",
     "Counters",
     "Cluster",
-    "SlotPool",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

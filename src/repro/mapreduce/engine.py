@@ -15,15 +15,14 @@ disabled.  :class:`Cluster` reproduces exactly that static-slot model:
 All time is virtual (see :mod:`repro.mapreduce.clock`).  The *computation*
 of each task is delegated to an execution backend
 (:mod:`repro.mapreduce.executors`): tasks return per-task cost/event
-payloads and the cluster replays them through its :class:`SlotPool` in
-task-id order, so virtual-time results are identical whether the tasks ran
-serially or on a pool of worker processes.
+payloads, a :class:`~repro.mapreduce.faults.FaultScheduler` places their
+costs on the phase's slots, and the cluster replays the payloads onto
+those placements in task-id order, so virtual-time results are identical
+whether the tasks ran serially or on a pool of worker processes.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
@@ -45,52 +44,6 @@ from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 if TYPE_CHECKING:  # observability depends on mapreduce, never the reverse
     from ..observability.metrics import MetricsRegistry
     from ..observability.tracing import Tracer
-
-
-class SlotPool:
-    """A set of identical execution slots with earliest-availability scheduling.
-
-    Backed by a min-heap of ``(free_at, slot_index)`` pairs, so placing a
-    task is O(log slots) instead of the O(slots) linear scan a naive
-    implementation needs.  Ties on ``free_at`` break by slot index, which
-    is exactly the ordering the scan-based version used.
-    """
-
-    def __init__(self, num_slots: int, ready_time: float) -> None:
-        if num_slots <= 0:
-            raise ValueError(f"need at least one slot, got {num_slots}")
-        # Already heap-ordered: equal times, ascending slot index.
-        self._heap: List[tuple[float, int]] = [
-            (ready_time, slot) for slot in range(num_slots)
-        ]
-        self._makespan = ready_time
-
-    def schedule(self, cost: float) -> tuple[float, float, int]:
-        """Place a task of ``cost`` units on the earliest-free slot.
-
-        Returns ``(start_time, end_time, slot_index)`` in global virtual
-        time.  The slot index is what the tracer uses as the span's track,
-        so a trace viewer lays tasks out exactly as the simulated slots
-        executed them.
-
-        ``cost`` must be finite and non-negative.  Zero is legitimate — an
-        empty input split produces a zero-cost map task, exactly like
-        Hadoop running an empty split — and yields a zero-length attempt
-        that still occupies a slot placement.
-        """
-        if not math.isfinite(cost) or cost < 0:
-            raise ValueError(f"task cost must be finite and >= 0, got {cost}")
-        start, slot = heapq.heappop(self._heap)
-        end = start + cost
-        heapq.heappush(self._heap, (end, slot))
-        if end > self._makespan:
-            self._makespan = end
-        return start, end, slot
-
-    @property
-    def makespan(self) -> float:
-        """Global time at which every slot is free again."""
-        return self._makespan
 
 
 class Cluster:
@@ -118,12 +71,11 @@ class Cluster:
             they are identical on every execution backend.
         slot_broker: optional multi-tenant capacity broker (see
             :mod:`repro.scheduling`).  When set, each phase checks its
-            slots out of a shared pool instead of building a private
-            :class:`SlotPool` — the broker decides *when* the phase may
-            start and *which* lane free-times it inherits, while task
-            computation and placement order are untouched.  ``None``
-            (the default) keeps the classic one-job-owns-the-cluster
-            timeline bit-identical to previous behaviour.
+            slots out of a shared pool instead of starting from idle
+            slots — the broker decides *when* the phase may start and
+            *which* lane free-times it inherits, while task computation
+            and placement order are untouched.  ``None`` (the default)
+            is the classic one-job-owns-the-cluster timeline.
     """
 
     def __init__(
@@ -171,8 +123,6 @@ class Cluster:
         start_time: float = 0.0,
         num_map_tasks: Optional[int] = None,
         num_reduce_tasks: Optional[int] = None,
-        map_failures: Optional[dict] = None,
-        reduce_failures: Optional[dict] = None,
         executor: Optional[Executor] = None,
         faults: Optional[FaultPlan] = None,
     ) -> JobResult:
@@ -183,25 +133,17 @@ class Cluster:
         starts when Job 1 ends).  ``executor`` overrides the cluster's
         backend for this job only.
 
-        ``map_failures`` / ``reduce_failures`` inject legacy Hadoop-style
-        task failures: ``{task_id: attempts_that_fail}``.  A failed attempt
-        occupies its slot for the task's full cost, then the framework
-        re-executes the task from scratch — results are identical, only
-        the timeline stretches (Hadoop's deterministic-retry fault model).
-
         ``faults`` overrides the cluster's :class:`FaultPlan` for this job
         only: seeded partial-cost crashes, straggler slowdowns, retry
         backoff and speculative execution (see
-        :mod:`repro.mapreduce.faults`).  The two fault models are mutually
-        exclusive — a seeded plan cannot be combined with the explicit
-        failure dicts.
+        :mod:`repro.mapreduce.faults`).  A failed attempt loses its
+        partial work and the task re-executes from scratch — results are
+        identical, only the timeline stretches.  With no plan on the job
+        or the cluster, phases are placed under an inert ``FaultPlan()``.
         """
         plan = faults if faults is not None else self.faults
-        if plan is not None and (map_failures or reduce_failures):
-            raise ValueError(
-                "a FaultPlan cannot be combined with the legacy "
-                "map_failures/reduce_failures dicts; pick one fault model"
-            )
+        if plan is None:
+            plan = FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
         job.config.setdefault("num_reduce_tasks", n_red)
@@ -227,8 +169,7 @@ class Cluster:
         try:
             wall_start = time.perf_counter()
             map_results, partitions = self._run_map_phase(
-                job, splits, n_red, start_time, counters, aux,
-                map_failures or {}, backend, plan,
+                job, splits, n_red, start_time, counters, aux, backend, plan,
             )
             map_wall = time.perf_counter() - wall_start
             map_phase_end = max((t.end_time for t in map_results), default=start_time)
@@ -241,7 +182,7 @@ class Cluster:
             wall_start = time.perf_counter()
             reduce_results, files = self._run_reduce_phase(
                 job, partitions, n_red, map_phase_end, counters, aux,
-                reduce_failures or {}, backend, plan,
+                backend, plan,
             )
             reduce_wall = time.perf_counter() - wall_start
             end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
@@ -341,9 +282,8 @@ class Cluster:
         start_time: float,
         counters: Counters,
         aux: Counters,
-        failures: dict,
         backend: Executor,
-        faults: Optional[FaultPlan],
+        plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[List[KeyValue]]]:
         """Run all map tasks; return task results and per-reducer partitions.
 
@@ -352,18 +292,14 @@ class Cluster:
         in task-id order, so the timeline never depends on the backend.
         """
         payloads = backend.run_map_phase(job, splits, self.cost_model)
-        pool = self._phase_pool(
-            job, "map", self.machines * self.map_slots, start_time
-        )
-        schedules = self._fault_schedules(
-            faults, job, "map", self.machines * self.map_slots, start_time,
-            payloads, counters, pool,
+        schedules = self._place_phase(
+            plan, job, "map", self.machines * self.map_slots, start_time,
+            payloads, counters,
         )
         partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
         results: List[TaskResult] = []
 
         for payload in payloads:
-            task_id = payload.task_id
             counters.merge(payload.counters)
             self._collect_stat_deltas(aux, payload)
             if job.combiner is not None:
@@ -371,52 +307,10 @@ class Cluster:
                 counters.increment("engine", "combine_output", payload.combine_output)
             counters.increment("engine", "map_records", payload.num_records)
             counters.increment("engine", "map_emitted", len(payload.emitted))
-
-            if schedules is None:
-                retries = failures.get(task_id, 0)
-                start, end, attempt_start, slot = self._schedule_attempts(
-                    pool, payload.cost, retries
-                )
-                counters.increment("engine", "map_retries", retries)
-                self._trace_task(
-                    job, "map", payload, start, end, attempt_start, slot, retries
-                )
-                stretch = 1.0
-                failed_attempts = retries
-                speculative = False
-            else:
-                sched = schedules[task_id]
-                win = sched.winning
-                start, end, attempt_start = sched.attempts[0].start, win.end, win.start
-                stretch = faults.slot_slowdown(win.slot)
-                retries = sum(
-                    1
-                    for a in sched.attempts
-                    if a.outcome == "failed" and not a.speculative
-                )
-                counters.increment("engine", "map_retries", retries)
-                self._trace_task_faulty(job, "map", payload, sched, stretch)
-                failed_attempts = sched.num_failed
-                speculative = win.speculative
             results.append(
-                TaskResult(
-                    task_id=task_id,
-                    cost=payload.cost,
-                    start_time=start,
-                    end_time=end,
-                    events=[
-                        Event(
-                            time=attempt_start + e.time * stretch,
-                            kind=e.kind,
-                            payload=e.payload,
-                        )
-                        for e in payload.events
-                    ],
-                    output=payload.emitted,
-                    num_failed_attempts=failed_attempts,
-                    speculative=speculative,
-                    wall_ns=payload.wall_ns,
-                    charge_profile=payload.charge_profile,
+                self._replay_task(
+                    job, "map", plan, payload, schedules[payload.task_id],
+                    counters, payload.emitted,
                 )
             )
             for key, value in payload.emitted:
@@ -429,66 +323,47 @@ class Cluster:
                 partitions[idx].append((key, value))
         return results, partitions
 
-    def _phase_pool(
-        self, job: MapReduceJob, phase: str, num_slots: int, ready_time: float
-    ) -> Any:
-        """The slot pool one phase places its tasks into.
-
-        Without a broker this is the classic private :class:`SlotPool`
-        (every slot free at phase start).  With a broker, the call
-        *blocks* until the multi-tenant scheduler dispatches this phase,
-        and the returned lease carries the shared lanes' current free
-        times — the phase queues behind other tenants' commitments
-        instead of pretending it owns an idle cluster.
-        """
-        if self.slot_broker is None:
-            return SlotPool(num_slots, ready_time)
-        return self.slot_broker.lease_phase(
-            kind=phase, job=job.name, ready_time=ready_time
-        )
-
-    def _fault_schedules(
+    def _place_phase(
         self,
-        faults: Optional[FaultPlan],
+        plan: FaultPlan,
         job: MapReduceJob,
         phase: str,
         num_slots: int,
         phase_start: float,
         payloads: Sequence[Any],
         counters: Counters,
-        pool: Any = None,
-    ) -> Optional[List[TaskSchedule]]:
-        """Simulate the phase under a fault plan; ``None`` without one.
+    ) -> List[TaskSchedule]:
+        """Place one phase's tasks on its slots under ``plan``.
 
         Runs entirely in the driver on the payloads' virtual costs, so the
         resulting timeline is identical on every execution backend.  Fault
         statistics land in the ``fault.*`` counter namespace (only non-zero
         values are recorded, so an inert plan leaves counters untouched).
 
-        When ``pool`` is a multi-tenant lease, the simulator is seeded
-        with the shared lanes' current free times (and the grant-time
-        floor) and its final per-slot free times are committed back, so a
-        per-job fault plan stretches only this job's phase on the shared
-        timeline.  Crash decisions key on task ids and attempt ordinals —
-        never on absolute times — so the *number* of injected faults is
-        identical to a solo run of the same plan.
+        Without a broker every slot is free at phase start.  With one, the
+        call *blocks* until the multi-tenant scheduler dispatches this
+        phase; the simulator is then seeded with the shared lanes' current
+        free times (and the grant-time floor) and its final per-slot free
+        times are committed back, so the phase queues behind other tenants'
+        commitments and a per-job fault plan stretches only this job's
+        phase on the shared timeline.  Crash decisions key on task ids and
+        attempt ordinals — never on absolute times — so the *number* of
+        injected faults is identical to a solo run of the same plan.
         """
-        if faults is None:
-            return None
-        lanes = getattr(pool, "lane_free_times", None)
-        if lanes is None:
-            scheduler = FaultScheduler(
-                faults, num_slots, phase_start, job=job.name, phase=phase
+        lease = lanes = None
+        if self.slot_broker is not None:
+            lease = self.slot_broker.lease_phase(
+                kind=phase, job=job.name, ready_time=phase_start
             )
-        else:
-            floor = max(phase_start, pool.floor)
-            scheduler = FaultScheduler(
-                faults, len(lanes), floor, job=job.name, phase=phase,
-                slot_free_times=lanes,
-            )
+            lanes = lease.lane_free_times
+            num_slots, phase_start = len(lanes), max(phase_start, lease.floor)
+        scheduler = FaultScheduler(
+            plan, num_slots, phase_start,
+            job=job.name, phase=phase, slot_free_times=lanes,
+        )
         schedules = scheduler.run([p.cost for p in payloads])
-        if lanes is not None:
-            pool.commit_fault(scheduler.final_free_times, schedules)
+        if lease is not None:
+            lease.commit_fault(scheduler.final_free_times, schedules)
         stats = scheduler.stats
         for name, value in (
             ("failed_attempts", stats.failed_attempts),
@@ -503,71 +378,50 @@ class Cluster:
                 counters.increment("fault", f"{phase}_{name}", value)
         return schedules
 
-    @staticmethod
-    def _schedule_attempts(
-        pool: SlotPool, cost: float, failed_attempts: int
-    ) -> tuple[float, float, float, int]:
-        """Place a task with ``failed_attempts`` full-cost failed attempts
-        before the successful one; returns
-        (start, end, successful start, slot index)."""
-        total = cost * (failed_attempts + 1)
-        start, end, slot = pool.schedule(total)
-        return start, end, start + cost * failed_attempts, slot
-
-    def _trace_task(
+    def _replay_task(
         self,
         job: MapReduceJob,
         phase: str,
+        plan: FaultPlan,
         payload: Any,
-        start: float,
-        end: float,
-        attempt_start: float,
-        slot: int,
-        retries: int,
-    ) -> None:
-        """Record one scheduled task: failed attempts, the successful
-        attempt, and the task-local span fragments rebased to global time."""
-        trace = self.tracer
-        if trace is None:
-            return
-        track = slot + 1  # track 0 belongs to job/phase spans
-        task_id = payload.task_id
-        for attempt in range(retries):
-            trace.record_span(
-                f"{phase}-{task_id}/attempt-{attempt}",
-                "attempt",
-                start + attempt * payload.cost,
-                start + (attempt + 1) * payload.cost,
-                job=job.name,
-                track=track,
-                task=task_id,
-                phase=phase,
-                failed=True,
-            )
-        trace.record_span(
-            f"{phase}-{task_id}",
-            "task",
-            attempt_start,
-            end,
-            job=job.name,
-            track=track,
-            task=task_id,
-            phase=phase,
-            cost=payload.cost,
-            records=payload.num_records,
-        )
-        for fragment in payload.spans:
-            trace.record_span(
-                fragment.name,
-                fragment.category,
-                attempt_start + fragment.start,
-                attempt_start + fragment.end,
-                job=job.name,
-                track=track,
-                **dict(fragment.args),
-            )
+        sched: TaskSchedule,
+        counters: Counters,
+        output: List[Any],
+    ) -> TaskResult:
+        """Rebase one payload onto its placement (shared by both phases).
 
-    def _trace_task_faulty(
+        Task-local event times are shifted to the winning attempt's start
+        and stretched by its slot's slowdown (exactly 1.0 on a healthy
+        slot).
+        """
+        win = sched.winning
+        stretch = plan.slot_slowdown(win.slot)
+        retries = sum(
+            1 for a in sched.attempts if a.outcome == "failed" and not a.speculative
+        )
+        counters.increment("engine", f"{phase}_retries", retries)
+        self._trace_task(job, phase, payload, sched, stretch)
+        return TaskResult(
+            task_id=payload.task_id,
+            cost=payload.cost,
+            start_time=sched.attempts[0].start,
+            end_time=win.end,
+            events=[
+                Event(
+                    time=win.start + e.time * stretch,
+                    kind=e.kind,
+                    payload=e.payload,
+                )
+                for e in payload.events
+            ],
+            output=output,
+            num_failed_attempts=sched.num_failed,
+            speculative=win.speculative,
+            wall_ns=payload.wall_ns,
+            charge_profile=payload.charge_profile,
+        )
+
+    def _trace_task(
         self,
         job: MapReduceJob,
         phase: str,
@@ -575,12 +429,10 @@ class Cluster:
         sched: TaskSchedule,
         stretch: float,
     ) -> None:
-        """Record a fault-scheduled task: every failed/killed attempt, the
+        """Record one placed task: every failed/killed attempt, the
         winning attempt as the task span, and the task-local span fragments
         rebased — and stretched by the winning slot's slowdown — to global
-        time.  Retry/speculation markers are added only when present, so an
-        attempt-0 non-speculative win emits spans byte-identical to
-        :meth:`_trace_task` with zero retries."""
+        time.  Retry/speculation markers are added only when present."""
         trace = self.tracer
         if trace is None:
             return
@@ -598,7 +450,7 @@ class Cluster:
                 att.start,
                 att.end,
                 job=job.name,
-                track=att.slot + 1,
+                track=att.slot + 1,  # track 0 belongs to job/phase spans
                 task=task_id,
                 phase=phase,
                 **extra,
@@ -640,18 +492,14 @@ class Cluster:
         phase_start: float,
         counters: Counters,
         aux: Counters,
-        failures: dict,
         backend: Executor,
-        faults: Optional[FaultPlan],
+        plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[OutputFile]]:
         """Run all reduce tasks; return task results and output files."""
         payloads = backend.run_reduce_phase(job, partitions, self.cost_model)
-        pool = self._phase_pool(
-            job, "reduce", self.machines * self.reduce_slots, phase_start
-        )
-        schedules = self._fault_schedules(
-            faults, job, "reduce", self.machines * self.reduce_slots,
-            phase_start, payloads, counters, pool,
+        schedules = self._place_phase(
+            plan, job, "reduce", self.machines * self.reduce_slots,
+            phase_start, payloads, counters,
         )
         results: List[TaskResult] = []
         all_files: List[OutputFile] = []
@@ -662,73 +510,28 @@ class Cluster:
             self._collect_stat_deltas(aux, payload)
             counters.increment("engine", "reduce_groups", payload.num_groups)
             counters.increment("engine", "reduce_records", payload.num_records)
-
-            if schedules is None:
-                retries = failures.get(task_id, 0)
-                start, end, attempt_start, slot = self._schedule_attempts(
-                    pool, payload.cost, retries
+            results.append(
+                self._replay_task(
+                    job, "reduce", plan, payload, schedules[task_id],
+                    counters, payload.written,
                 )
-                counters.increment("engine", "reduce_retries", retries)
-                self._trace_task(
-                    job, "reduce", payload, start, end, attempt_start, slot, retries
-                )
-                stretch = 1.0
-                failed_attempts = retries
-                speculative = False
-            else:
-                sched = schedules[task_id]
-                win = sched.winning
-                start, end, attempt_start, slot = (
-                    sched.attempts[0].start, win.end, win.start, win.slot
-                )
-                stretch = faults.slot_slowdown(win.slot)
-                retries = sum(
-                    1
-                    for a in sched.attempts
-                    if a.outcome == "failed" and not a.speculative
-                )
-                counters.increment("engine", "reduce_retries", retries)
-                self._trace_task_faulty(job, "reduce", payload, sched, stretch)
-                failed_attempts = sched.num_failed
-                speculative = win.speculative
+            )
+            win = schedules[task_id].winning
+            stretch = plan.slot_slowdown(win.slot)
             for f in payload.files:
-                # Rebase the task-local close time to global time, scaled
-                # by the winning attempt's slowdown (stretch is exactly 1.0
-                # on a healthy slot, so this is bit-identical to the plain
-                # ``close_time += attempt_start`` rebase).
-                f.close_time = attempt_start + f.close_time * stretch
+                # Rebase the task-local close time like the task's events.
+                f.close_time = win.start + f.close_time * stretch
                 if self.tracer is not None:
                     self.tracer.record_instant(
                         f"flush-{task_id}.{f.index}",
                         "flush",
                         f.close_time,
                         job=job.name,
-                        track=slot + 1,
+                        track=win.slot + 1,
                         task=task_id,
                         records=len(f.records),
                     )
             all_files.extend(payload.files)
-            results.append(
-                TaskResult(
-                    task_id=task_id,
-                    cost=payload.cost,
-                    start_time=start,
-                    end_time=end,
-                    events=[
-                        Event(
-                            time=attempt_start + e.time * stretch,
-                            kind=e.kind,
-                            payload=e.payload,
-                        )
-                        for e in payload.events
-                    ],
-                    output=payload.written,
-                    num_failed_attempts=failed_attempts,
-                    speculative=speculative,
-                    wall_ns=payload.wall_ns,
-                    charge_profile=payload.charge_profile,
-                )
-            )
         return results, all_files
 
 
@@ -752,4 +555,4 @@ def _record_cost_skew(aux: Counters, phase: str, costs: Sequence[float]) -> None
     )
 
 
-__all__ = ["Cluster", "SlotPool"]
+__all__ = ["Cluster"]

@@ -12,8 +12,9 @@ concerns:
   events, outputs and counters;
 * the **accounting** (slot scheduling, event rebasing, counter aggregation,
   partitioning) stays in :class:`repro.mapreduce.engine.Cluster`, which
-  replays the payloads through its :class:`~repro.mapreduce.engine.SlotPool`
-  in task-id order.
+  places the payloads' costs with a
+  :class:`~repro.mapreduce.faults.FaultScheduler` and replays them in
+  task-id order.
 
 An :class:`Executor` only decides *where* the per-task computations run:
 

@@ -4,8 +4,7 @@ The paper's progressive schedule is only valuable if the cluster keeps
 maximizing the early-duplicate rate *while tasks fail and straggle* — skew
 and node slowdown are the dominant real-world hazards for MapReduce-based
 ER (Kolb et al., "Load Balancing for MapReduce-based Entity Resolution").
-This module replaces the engine's historical ``{task_id: n}`` failure dict
-with a full fault model:
+This module is the engine's placement path and its fault model:
 
 * :class:`FaultPlan` — a **seeded, deterministic** description of what goes
   wrong: per-attempt crash decisions (an attempt crashes at a fraction of
@@ -40,15 +39,17 @@ non-decreasing in the fault rate" a testable property.
 The scheduler is a small discrete-event simulation over virtual time.
 Because the simulator is omniscient (an attempt's duration is known the
 moment it is placed), "events" reduce to attempt completions; slots commit
-to attempts eagerly, exactly like the engine's wave scheduling.  With an
-all-zero plan the simulation degenerates to
-:class:`~repro.mapreduce.engine.SlotPool`'s earliest-free-slot placement
-in task-id order, byte-identical to a run without any fault plan attached.
+to attempts eagerly, exactly like Hadoop's wave scheduling.  With an
+all-zero plan the simulation degenerates to plain earliest-free-slot
+placement in task-id order (ties by slot index) — which is how the engine
+places every fault-free phase (pinned against a scan reference in
+``tests/test_property_faults.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -100,7 +101,7 @@ class RetryPolicy:
             attempts count too, like Hadoop's ``mapred.map.max.attempts``).
             Exhaustion raises :class:`JobAbortedError`.
         backoff_base: virtual-time delay before the first retry; ``0``
-            retries immediately (the legacy behaviour).
+            retries immediately.
         backoff_factor: multiplier applied per additional failure
             (exponential backoff: ``base * factor ** (failures - 1)``).
     """
@@ -165,8 +166,8 @@ class FaultPlan:
         speculation: the framework's :class:`SpeculationConfig`.
 
     A default-constructed plan is inert: no crashes, no stragglers, no
-    speculation — scheduling through it is byte-identical to scheduling
-    without it.
+    speculation — the engine places every phase of a job that has no
+    plan through one.
     """
 
     seed: int = 0
@@ -345,8 +346,7 @@ class FaultScheduler:
     A deterministic discrete-event simulation: tasks become *ready* (at
     phase start, or after a failure plus backoff), ready tasks are placed
     on the earliest-free non-blacklisted slot (ties break by task id, then
-    slot index — exactly :class:`~repro.mapreduce.engine.SlotPool`'s
-    ordering), and attempt completions drive retries, blacklisting and
+    slot index), and attempt completions drive retries, blacklisting and
     speculation.  All decisions replay from the plan; nothing is random at
     simulation time.
     """
@@ -377,8 +377,7 @@ class FaultScheduler:
         # scheduling): tasks stay ready at ``ready_time`` but each slot
         # only accepts attempts once its prior commitment drains.  The
         # default — every slot free at phase start — is the classic
-        # single-job cluster and is bit-identical to the historical
-        # behaviour.
+        # single-job cluster.
         self._slots = [
             _Slot(
                 index,
@@ -395,9 +394,17 @@ class FaultScheduler:
     def run(self, costs: Sequence[float]) -> List[TaskSchedule]:
         """Simulate the phase; returns one :class:`TaskSchedule` per task.
 
+        Costs must be finite and non-negative.  Zero is legitimate — an
+        empty input split produces a zero-cost map task, exactly like
+        Hadoop running an empty split — and yields a zero-length attempt
+        that still occupies a slot placement.
+
         Raises :class:`JobAbortedError` when any task exhausts the retry
         policy's attempt budget.
         """
+        for cost in costs:
+            if not math.isfinite(cost) or cost < 0:
+                raise ValueError(f"task cost must be finite and >= 0, got {cost}")
         n = len(costs)
         self._costs = list(costs)
         self._ready: List[Tuple[float, int]] = [

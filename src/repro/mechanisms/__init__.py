@@ -1,7 +1,7 @@
 """Progressive mechanisms M: SN + hint, PSNM, popcorn stopping, exhaustive."""
 
 from .base import (
-    DEFAULT_BATCH_PAIRS,
+    BATCH_PAIRS,
     DistinctBudget,
     block_sort_key,
     Mechanism,
@@ -9,7 +9,6 @@ from .base import (
     ResolveStats,
     StopCondition,
     resolve_block,
-    set_default_batch_pairs,
     window_pairs_count,
 )
 from .full import FullResolution
@@ -32,6 +31,5 @@ __all__ = [
     "FullResolution",
     "HierarchyHint",
     "PopcornCondition",
-    "DEFAULT_BATCH_PAIRS",
-    "set_default_batch_pairs",
+    "BATCH_PAIRS",
 ]

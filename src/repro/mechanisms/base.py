@@ -17,15 +17,16 @@ invokes the match function, charges comparison cost, and consults a
 pluggable stop condition after every comparison.
 
 The driver decides pairs in **batches** through
-:class:`~repro.similarity.batch.BatchMatcher` rather than one
-``matcher.is_match`` call at a time: it collects up to
-:data:`DEFAULT_BATCH_PAIRS` admitted pairs from the stream, decides them in
-one kernel call, then *replays* the outcomes in stream order — charging,
-counting, invoking callbacks and consulting the stop condition per pair
-exactly as the scalar loop did.  Decisions, charges and stop points are
-bit-identical; only wall-clock time changes.  Look-ahead into the stream is
-free in virtual time because every mechanism charges its ``CostA`` once up
-front and never per pair.  Two contracts make the replay safe:
+:class:`~repro.similarity.batch.BatchMatcher`: it collects up to
+:data:`BATCH_PAIRS` admitted pairs from the stream, decides them in one
+kernel call, then *replays* the outcomes in stream order — charging,
+counting, invoking callbacks and consulting the stop condition per pair.
+Decisions, charges and stop points are bit-identical to a per-pair
+``matcher.is_match`` loop (the ``scalar_resolve_block`` oracle under
+``tests/``) at any width; only wall-clock time changes.  Look-ahead into
+the stream is free in virtual time because every mechanism charges its
+``CostA`` once up front and never per pair.  Two contracts make the replay
+safe:
 
 * ``should_resolve`` must be a pure function of the entity *pair* (the
   in-repo vetoes — redundancy sets keyed by id pairs — are); the driver
@@ -58,18 +59,8 @@ ShouldResolve = Callable[[Entity, Entity], bool]
 #: kernel's per-batch setup and trip its vectorized paths, small enough
 #: that stop-condition look-ahead stays cheap (a fired stop discards at
 #: most one batch of pulled-but-undecided pairs, which cost no virtual
-#: time).  Read at call time: set to ``1`` (via
-#: :func:`set_default_batch_pairs` or monkeypatching) to force the scalar
-#: per-pair path, e.g. in differential tests.
-DEFAULT_BATCH_PAIRS = 64
-
-
-def set_default_batch_pairs(width: int) -> None:
-    """Set the module-wide batch width (``<= 1`` forces the scalar path)."""
-    global DEFAULT_BATCH_PAIRS
-    if width < 1:
-        raise ValueError(f"batch width must be >= 1, got {width}")
-    DEFAULT_BATCH_PAIRS = width
+#: time).  Read at call time, so differential tests can monkeypatch it.
+BATCH_PAIRS = 64
 
 
 @dataclass
@@ -216,7 +207,6 @@ def resolve_block(
     stop: Optional[StopCondition] = None,
     on_resolved: Optional[Callable[[Entity, Entity, bool], None]] = None,
     pair_range: Optional[Tuple[int, int]] = None,
-    batch_pairs: Optional[int] = None,
     charge_compare: Optional[ChargeFn] = None,
 ) -> ResolveStats:
     """Resolve one block with mechanism M (shared driver).
@@ -252,9 +242,6 @@ def resolve_block(
             considered (load-balancing shards of oversized root blocks).
             Positions outside the range are free: no veto, no charge, no
             stats.  ``CostA`` is still charged by the stream itself.
-        batch_pairs: pairs decided per batch-kernel call (default: the
-            module-wide :data:`DEFAULT_BATCH_PAIRS`); ``<= 1`` selects the
-            scalar per-pair reference path.
         charge_compare: optional charging callback used for the per-pair
             comparison charges only (default: ``charge``).  Lets callers
             tag comparison cost separately from ``CostA`` for cost-model
@@ -271,49 +258,12 @@ def resolve_block(
     if first < 0 or (last is not None and last < first):
         raise ValueError(f"invalid pair_range {pair_range!r}")
     stream = mechanism.pair_stream(entities, window, sort_key, charge, cost_model)
-    width = DEFAULT_BATCH_PAIRS if batch_pairs is None else batch_pairs
-
-    if width <= 1:
-        # Scalar reference path: one is_match per pair, kept verbatim as
-        # the oracle the batch path is differenced against.
-        position = -1
-        for e1, e2 in stream:
-            position += 1
-            if position < first:
-                continue
-            if last is not None and position >= last:
-                break
-            if pair_filter is not None and not pair_filter(e1, e2):
-                stats.filtered += 1
-                continue
-            if prune is not None and not prune(e1, e2):
-                stats.pruned += 1
-                if condition.should_stop(stats, False):
-                    return stats
-                continue
-            if should_resolve is not None and not should_resolve(e1, e2):
-                stats.skipped += 1
-                continue
-            charge_compare(cost_model.compare * matcher.comparison_cost_factor(e1, e2))
-            is_dup = matcher.is_match(e1, e2)
-            stats.comparisons += 1
-            if is_dup:
-                stats.duplicates += 1
-                on_duplicate(e1, e2)
-            else:
-                stats.distincts += 1
-            if on_resolved is not None:
-                on_resolved(e1, e2, is_dup)
-            if condition.should_stop(stats, is_dup):
-                return stats
-        stats.exhausted = True
-        return stats
-
+    width = BATCH_PAIRS
     batcher = BatchMatcher(matcher)
     # Pending entries in stream order: a pair to decide, or the stat name
     # ("skipped" / "filtered" / "pruned") of a vetoed position, replayed so
-    # stats — and budget consumption by pruned pairs — interleave
-    # identically to the scalar loop.
+    # stats — and budget consumption by pruned pairs — interleave in
+    # stream order.
     pending: List[object] = []
     to_decide: List[Tuple[Entity, Entity]] = []
     batch_idents = set()
@@ -396,6 +346,5 @@ __all__ = [
     "resolve_block",
     "window_pairs_count",
     "SortKey",
-    "DEFAULT_BATCH_PAIRS",
-    "set_default_batch_pairs",
+    "BATCH_PAIRS",
 ]

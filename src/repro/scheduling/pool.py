@@ -1,8 +1,7 @@
 """A shared-capacity slot pool with per-job phase leases.
 
-The single-job engine builds a fresh
-:class:`~repro.mapreduce.engine.SlotPool` per phase — correct when one job
-owns the whole cluster, meaningless when many jobs share it.
+The single-job engine starts every phase from idle slots — correct when
+one job owns the whole cluster, meaningless when many jobs share it.
 :class:`SharedSlotPool` keeps **one** virtual-time availability record per
 map lane and per reduce lane for the lifetime of a
 :class:`~repro.scheduling.scheduler.JobScheduler`; each phase of each job
@@ -10,16 +9,12 @@ checks slots out through a :class:`SlotLease` and returns them at their
 post-phase free times, so the next job's tasks back-fill exactly the
 capacity the previous phase left idle.
 
-A lease preserves :class:`~repro.mapreduce.engine.SlotPool`'s placement
-contract — earliest-free lane first, ties by lane index,
-``schedule(cost) -> (start, end, lane)`` — with one addition: placements
-are floored at the lease's *grant time* (the scheduler's dispatch
-decision), never before it, so work can only run after the scheduler
-admitted it to the timeline.  Under a :class:`~repro.mapreduce.faults
-.FaultPlan` the lease instead seeds a
+A lease places nothing itself: the engine seeds a
 :class:`~repro.mapreduce.faults.FaultScheduler` with the lanes' current
-free times and absorbs the simulated outcome, so per-job fault plans scope
-cleanly to their own job on the shared timeline.
+free times, floored at the lease's *grant time* (the scheduler's dispatch
+decision) so work can only run after the scheduler admitted it to the
+timeline, and the lease absorbs the simulated outcome.  Per-job fault
+plans therefore scope cleanly to their own job on the shared timeline.
 
 Everything is driver-side virtual time: lane states never depend on the
 execution backend, which is what makes a fixed arrival trace reproduce
@@ -28,8 +23,7 @@ bit-identical schedules on serial and process backends.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 #: The two slot kinds of the paper's static-slot Hadoop model.
 SLOT_KINDS = ("map", "reduce")
@@ -39,12 +33,11 @@ class SlotLease:
     """One phase's checkout of every lane of one slot kind.
 
     Created by :meth:`SharedSlotPool.lease` at the scheduler's dispatch
-    time (``floor``); the engine then either calls :meth:`schedule` per
-    task (fault-free path) or hands the lanes to a
+    time (``floor``); the engine hands :attr:`lane_free_times` to a
     :class:`~repro.mapreduce.faults.FaultScheduler` and commits the
-    result via :meth:`commit_fault`.  Placements mutate the pool's lanes
-    eagerly — an abandoned lease can therefore never strand capacity —
-    and :meth:`close` only finalizes the accounting (phase end,
+    result via :meth:`commit_fault`, which updates the pool's lanes at
+    once — an abandoned lease can therefore never strand capacity —
+    while :meth:`close` only finalizes the accounting (phase end,
     busy slot-seconds) the scheduler charges to the owning tenant.
     """
 
@@ -64,51 +57,16 @@ class SlotLease:
         self.phase = phase
         self.tenant = tenant
         self.floor = floor
-        self.placements: List[Tuple[float, float, int]] = []
         self._initial_free = list(pool.lanes(kind))
         self._busy = 0.0
         self._end = floor
         self._closed = False
         pool._open_leases += 1
 
-    # -- SlotPool-compatible surface -----------------------------------
-
-    @property
-    def num_lanes(self) -> int:
-        return self.pool.num_lanes(self.kind)
-
     @property
     def lane_free_times(self) -> List[float]:
         """Current free time of every lane (feeds ``FaultScheduler``)."""
         return list(self.pool.lanes(self.kind))
-
-    def schedule(self, cost: float) -> Tuple[float, float, int]:
-        """Place one task on the earliest-free lane, floored at grant time.
-
-        Matches :meth:`repro.mapreduce.engine.SlotPool.schedule` exactly
-        when every lane is free at or before the floor — which is the
-        single-job case — and otherwise queues behind the lanes' earlier
-        commitments.
-        """
-        if not math.isfinite(cost) or cost < 0:
-            raise ValueError(f"task cost must be finite and >= 0, got {cost}")
-        lanes = self.pool.lanes(self.kind)
-        lane = min(range(len(lanes)), key=lambda i: (lanes[i], i))
-        start = max(lanes[lane], self.floor)
-        end = start + cost
-        lanes[lane] = end
-        self.placements.append((start, end, lane))
-        self._busy += end - start
-        if end > self._end:
-            self._end = end
-        return start, end, lane
-
-    @property
-    def makespan(self) -> float:
-        """Latest placement end so far (grant time when nothing placed)."""
-        return self._end
-
-    # -- fault-plan composition ----------------------------------------
 
     def commit_fault(self, final_free_times: Sequence[float], schedules) -> None:
         """Absorb a :class:`FaultScheduler` simulation into the lanes.
@@ -122,9 +80,6 @@ class SlotLease:
             lanes[index] = max(lanes[index], free)
         for sched in schedules:
             for attempt in sched.attempts:
-                self.placements.append(
-                    (attempt.start, attempt.end, attempt.slot)
-                )
                 self._busy += attempt.end - attempt.start
                 if attempt.end > self._end:
                     self._end = attempt.end

@@ -10,7 +10,7 @@ Dispatch model
 --------------
 
 Each job runs its existing driver unchanged on its own worker thread; the
-driver blocks inside :meth:`Cluster._phase_pool` at every phase boundary,
+driver blocks inside :meth:`Cluster._place_phase` at every phase boundary,
 which surfaces a *phase request* ``(job, kind, ready_time)`` to the
 scheduler's event loop.  The loop is strictly baton-passed: exactly one
 thread (the loop or a single job thread) executes at any moment, so the

@@ -216,14 +216,12 @@ class DeltaReducer(Reducer):
         shards: Dict[str, Tuple[int, int]],
         *,
         min_family_matches: int = 2,
-        batch_pairs: Optional[int] = None,
         cross_source_only: bool = False,
     ) -> None:
         self._matcher = matcher
         self._family_order = tuple(family_order)
         self._shards = shards
         self._min_matches = min(max(1, min_family_matches), len(self._family_order))
-        self._batch_pairs = batch_pairs
         self._cross_source_only = cross_source_only
         self._batcher: Optional[BatchMatcher] = None
 
@@ -258,10 +256,10 @@ class DeltaReducer(Reducer):
         if candidates:
             if self._batcher is None:
                 self._batcher = BatchMatcher(self._matcher)
-            width = self._batch_pairs or _mechanisms_base.DEFAULT_BATCH_PAIRS
+            width = _mechanisms_base.BATCH_PAIRS
             compare_cost = context.cost_model.compare
-            for start in range(0, len(candidates), max(1, width)):
-                chunk = candidates[start : start + max(1, width)]
+            for start in range(0, len(candidates), width):
+                chunk = candidates[start : start + width]
                 factors = self._batcher.cost_factors(chunk)
                 decisions = self._batcher.decisions(chunk)
                 for (entity_a, entity_b), factor, is_dup in zip(chunk, factors, decisions):
@@ -292,7 +290,6 @@ def build_delta_job(
     family_order: Sequence[str],
     *,
     min_family_matches: int = 2,
-    batch_pairs: Optional[int] = None,
     cross_source_only: bool = False,
     alpha: Optional[float] = None,
     name: str = "delta-resolution",
@@ -311,7 +308,6 @@ def build_delta_job(
             order,
             shards,
             min_family_matches=min_family_matches,
-            batch_pairs=batch_pairs,
             cross_source_only=cross_source_only,
         ),
         partitioner=DeltaPartitioner(dict(plan.assignment)),

@@ -122,8 +122,6 @@ class ResolverService:
             delta granularity they share one scheme).  Output-invariant.
         min_family_matches: key families that must agree before a pair is
             compared (clamped to the scheme's family count).
-        batch_pairs: batched-kernel width for delta reducers (None = the
-            module default).
         backend / workers / executor / cost_model / tracer / metrics /
             faults: forwarded to the underlying session cluster, exactly
             as :class:`~repro.evaluation.experiment.RunSpec` takes them.
@@ -145,7 +143,6 @@ class ResolverService:
         machines: int = 4,
         balance: str = "slack",
         min_family_matches: int = DEFAULT_MIN_FAMILY_MATCHES,
-        batch_pairs: Optional[int] = None,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         executor: Optional[Any] = None,
@@ -181,7 +178,6 @@ class ResolverService:
             tracer=tracer,
             metrics=metrics,
             faults=faults,
-            batch_pairs=batch_pairs,
         )
         self.session = ResolverSession(self.spec)
         self.session.begin_run(label)
@@ -232,7 +228,6 @@ class ResolverService:
             self.config.matcher,
             self.config.scheme.family_order,
             min_family_matches=self.min_family_matches,
-            batch_pairs=self.spec.batch_pairs,
             cross_source_only=self.config.mode == "linkage",
             alpha=self.config.alpha,
             name=f"delta-resolution-{batch}",

@@ -15,7 +15,7 @@ from repro.baselines import BasicConfig
 from repro.blocking import books_scheme, citeseer_scheme
 from repro.core import books_config, citeseer_config
 from repro.data import Dataset, Entity, make_books, make_citeseer
-from repro.mapreduce import Cluster, CostModel
+from repro.mapreduce import Cluster, CostModel, FaultPlan, FaultScheduler
 from repro.mechanisms import PSNM, SortedNeighborHint
 from repro.similarity import books_matcher, citeseer_matcher
 
@@ -91,6 +91,34 @@ def basic_cfg(shared_citeseer_matcher):
         mechanism=SortedNeighborHint(),
         window=15,
     )
+
+
+class ScanSlotPool:
+    """Reference placement: earliest-free slot by O(slots) linear scan,
+    ties by slot index — what an inert ``FaultScheduler`` must reproduce."""
+
+    def __init__(self, num_slots, ready_time):
+        self._free_at = [ready_time] * num_slots
+
+    def schedule(self, cost):
+        slot = min(range(len(self._free_at)), key=lambda i: (self._free_at[i], i))
+        start = self._free_at[slot]
+        end = start + cost
+        self._free_at[slot] = end
+        return start, end, slot
+
+
+def inert_scheduler(num_slots, ready_time):
+    """The placement every fault-free phase goes through."""
+    return FaultScheduler(FaultPlan(), num_slots, ready_time, job="j", phase="map")
+
+
+def inert_placements(num_slots, ready_time, costs):
+    """``(start, end, slot)`` per task under the inert plan."""
+    return [
+        (s.winning.start, s.winning.end, s.winning.slot)
+        for s in inert_scheduler(num_slots, ready_time).run(costs)
+    ]
 
 
 def toy_people() -> Dataset:

@@ -6,12 +6,12 @@ allowed to drift: the property suite pins batch ≡ scalar on random matcher
 configurations (every comparator, truncation, missing/empty attributes,
 cached and uncached) and random entity batches; the ``resolve_block``
 differential pins the full driver loop — stats, duplicate callbacks, charge
-sequences and stop points — against the scalar reference path; the guard
-test proves the hot path never falls back to per-pair ``is_match`` /
-``comparison_cost_factor`` calls; and the end-to-end differential pins
-found-pair sets and progressive curves across {scalar, batch} × {serial,
-process} × {slack, blocksplit}, plus shared-memory vs inline-pickle
-transport, on the golden books fixture.
+sequences and stop points — against the per-pair oracle
+``scalar_resolve_block`` below; the guard test proves the hot path never
+falls back to per-pair ``is_match`` / ``comparison_cost_factor`` calls; and
+the end-to-end differential pins found-pair sets and progressive curves
+across {scalar, batch} × {serial, process} × {slack, blocksplit} on the
+golden books fixture.
 """
 
 from __future__ import annotations
@@ -20,12 +20,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.driver as driver
 import repro.mechanisms.base as mechanisms_base
 from repro.core import books_config
 from repro.data import Entity
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import CostModel
-from repro.mechanisms import SortedNeighborHint, block_sort_key, resolve_block
+from repro.mechanisms import (
+    NeverStop,
+    ResolveStats,
+    SortedNeighborHint,
+    block_sort_key,
+    resolve_block,
+)
 from repro.similarity import (
     AttributeRule,
     BatchMatcher,
@@ -145,7 +152,51 @@ class TestBatchScalarEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _resolve(entities, matcher, batch_pairs, *, window=8, stop=None):
+def scalar_resolve_block(
+    entities, mechanism, *, window, sort_key, matcher, cost_model, charge,
+    on_duplicate, should_resolve=None, pair_filter=None, prune=None, stop=None,
+    on_resolved=None, pair_range=None, charge_compare=None,
+):
+    """The per-pair oracle ``resolve_block`` is differenced against: one
+    ``is_match`` per admitted pair, no look-ahead."""
+    stats = ResolveStats()
+    charge_compare = charge_compare or charge
+    condition = stop if stop is not None else NeverStop()
+    first, last = (0, None) if pair_range is None else pair_range
+    stream = mechanism.pair_stream(entities, window, sort_key, charge, cost_model)
+    for position, (e1, e2) in enumerate(stream):
+        if position < first:
+            continue
+        if last is not None and position >= last:
+            break
+        if pair_filter is not None and not pair_filter(e1, e2):
+            stats.filtered += 1
+            continue
+        if prune is not None and not prune(e1, e2):
+            stats.pruned += 1
+            if condition.should_stop(stats, False):
+                return stats
+            continue
+        if should_resolve is not None and not should_resolve(e1, e2):
+            stats.skipped += 1
+            continue
+        charge_compare(cost_model.compare * matcher.comparison_cost_factor(e1, e2))
+        is_dup = matcher.is_match(e1, e2)
+        stats.comparisons += 1
+        if is_dup:
+            stats.duplicates += 1
+            on_duplicate(e1, e2)
+        else:
+            stats.distincts += 1
+        if on_resolved is not None:
+            on_resolved(e1, e2, is_dup)
+        if condition.should_stop(stats, is_dup):
+            return stats
+    stats.exhausted = True
+    return stats
+
+
+def _resolve(entities, matcher, resolver=resolve_block, *, window=8, stop=None):
     charged = []
     dups = []
     resolved = []
@@ -154,7 +205,7 @@ def _resolve(entities, matcher, batch_pairs, *, window=8, stop=None):
         charged.append(cost)
         return cost
 
-    stats = resolve_block(
+    stats = resolver(
         entities,
         SortedNeighborHint(),
         window=window,
@@ -167,17 +218,19 @@ def _resolve(entities, matcher, batch_pairs, *, window=8, stop=None):
             (min(a.id, b.id), max(a.id, b.id), d)
         ),
         stop=stop,
-        batch_pairs=batch_pairs,
     )
     return stats, dups, resolved, charged
 
 
 class TestResolveBlockBatching:
-    def test_batched_resolution_replays_scalar_sequence(self, books_small):
+    def test_batched_resolution_replays_scalar_sequence(
+        self, books_small, monkeypatch
+    ):
         entities = books_small.entities[:120]
-        scalar = _resolve(entities, books_matcher(), 1)
+        scalar = _resolve(entities, books_matcher(), scalar_resolve_block)
         for width in (2, 64, 10_000):
-            batched = _resolve(entities, books_matcher(), width)
+            monkeypatch.setattr(mechanisms_base, "BATCH_PAIRS", width)
+            batched = _resolve(entities, books_matcher())
             assert batched == scalar
         assert scalar[0].comparisons > 0
         assert scalar[1]  # found some duplicates, or the test is vacuous
@@ -186,8 +239,10 @@ class TestResolveBlockBatching:
         from repro.mechanisms import DistinctBudget
 
         entities = books_small.entities[:120]
-        scalar = _resolve(entities, books_matcher(), 1, stop=DistinctBudget(25))
-        batched = _resolve(entities, books_matcher(), 64, stop=DistinctBudget(25))
+        scalar = _resolve(
+            entities, books_matcher(), scalar_resolve_block, stop=DistinctBudget(25)
+        )
+        batched = _resolve(entities, books_matcher(), stop=DistinctBudget(25))
         assert batched == scalar
         assert not scalar[0].exhausted
 
@@ -195,7 +250,7 @@ class TestResolveBlockBatching:
         # The CI guard: reintroducing per-pair is_match/comparison_cost_factor
         # calls on the resolve hot path must fail loudly.
         entities = books_small.entities[:120]
-        expected = _resolve(entities, books_matcher(), 64)
+        expected = _resolve(entities, books_matcher())
 
         def _banned(self, *args):
             raise AssertionError(
@@ -204,7 +259,7 @@ class TestResolveBlockBatching:
 
         monkeypatch.setattr(WeightedMatcher, "is_match", _banned)
         monkeypatch.setattr(WeightedMatcher, "comparison_cost_factor", _banned)
-        guarded = _resolve(entities, books_matcher(), 64)
+        guarded = _resolve(entities, books_matcher())
         assert guarded == expected
         assert guarded[0].comparisons > 0
 
@@ -231,15 +286,16 @@ class TestEndToEndDifferential:
     ):
         config = books_config()
 
-        def run(width, backend):
-            monkeypatch.setattr(mechanisms_base, "DEFAULT_BATCH_PAIRS", width)
+        def run(resolver, backend):
+            # Forked workers inherit the patched module: the pool is per job.
+            monkeypatch.setattr(driver, "resolve_block", resolver)
             spec = RunSpec(
                 books_small, config, machines=4,
                 backend=backend, workers=2, balance=balance,
             )
             return _fingerprint(ExperimentRun(spec).run())
 
-        reference = run(1, "serial")
-        assert run(64, "serial") == reference
-        assert run(64, "process") == reference
-        assert run(1, "process") == reference
+        reference = run(scalar_resolve_block, "serial")
+        assert run(resolve_block, "serial") == reference
+        assert run(resolve_block, "process") == reference
+        assert run(scalar_resolve_block, "process") == reference

@@ -1,11 +1,20 @@
 """Tests for the engine's combiner support, failure injection, and the
-slot pool's cost validation."""
+placement path's cost validation."""
 
 import math
 
 import pytest
 
-from repro.mapreduce import Cluster, Combiner, MapReduceJob, Mapper, Reducer, SlotPool
+from conftest import inert_scheduler
+from repro.mapreduce import (
+    Cluster,
+    Combiner,
+    FaultPlan,
+    FaultScheduler,
+    MapReduceJob,
+    Mapper,
+    Reducer,
+)
 
 
 class _WordMapper(Mapper):
@@ -60,31 +69,35 @@ class TestCombiner:
 
 
 class TestSlotPoolCostGuard:
-    """`SlotPool.schedule` validates cost: zero is a legitimate empty-split
+    """`FaultScheduler.run` validates cost: zero is a legitimate empty-split
     task, but negative and non-finite costs are scheduling-model bugs that
-    previously produced silently corrupt timelines."""
+    would otherwise produce silently corrupt timelines — under any plan."""
 
     @pytest.mark.parametrize("cost", [-1.0, -1e-9, float("nan"), float("inf")])
     def test_rejects_negative_and_nonfinite_cost(self, cost):
-        pool = SlotPool(2, 0.0)
-        with pytest.raises(ValueError):
-            pool.schedule(cost)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            inert_scheduler(2, 0.0).run([cost, 1.0])
+        faulty = FaultScheduler(
+            FaultPlan(seed=1, fault_rate=0.2), 2, 0.0, job="j", phase="map"
+        )
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            faulty.run([1.0, cost])
 
     def test_zero_cost_task_is_a_zero_length_attempt(self):
         """Empty input splits produce zero-cost map tasks (like Hadoop on
         an empty split): they occupy a placement but no time."""
-        pool = SlotPool(1, 3.0)
-        start, end, slot = pool.schedule(0.0)
-        assert (start, end, slot) == (3.0, 3.0, 0)
-        assert pool.makespan == 3.0
+        scheduler = inert_scheduler(1, 3.0)
+        win = scheduler.run([0.0])[0].winning
+        assert (win.start, win.end, win.slot) == (3.0, 3.0, 0)
+        assert scheduler.final_free_times == [3.0]
 
     def test_rejected_cost_leaves_pool_state_intact(self):
-        pool = SlotPool(1, 0.0)
+        scheduler = inert_scheduler(1, 0.0)
         with pytest.raises(ValueError):
-            pool.schedule(float("nan"))
+            scheduler.run([2.0, float("nan")])
         # The failed call must not have consumed the slot.
-        start, end, slot = pool.schedule(2.0)
-        assert (start, end, slot) == (0.0, 2.0, 0)
+        win = scheduler.run([2.0])[0].winning
+        assert (win.start, win.end, win.slot) == (0.0, 2.0, 0)
 
     def test_empty_input_job_still_runs(self):
         """End to end: an empty input yields zero-cost map tasks, which the
@@ -96,17 +109,37 @@ class TestSlotPoolCostGuard:
     def test_math_isfinite_contract(self):
         # The guard uses math.isfinite: document the accepted domain.
         assert math.isfinite(0.0) and math.isfinite(1e300)
-        pool = SlotPool(1, 0.0)
-        assert pool.schedule(1e300)[2] == 0
+        assert inert_scheduler(1, 0.0).run([1e300])[0].winning.slot == 0
+
+    def test_guard_holds_on_a_cluster_with_a_fault_plan(self):
+        """A job whose task reports a NaN cost is rejected even when a
+        fault plan is attached (the plan used to bypass the check)."""
+
+        class NanMapper(Mapper):
+            def map(self, record, context):
+                context.charge(float("nan"))
+
+        job = MapReduceJob(NanMapper, _SumReducer, name="nan-cost")
+        cluster = Cluster(2, faults=FaultPlan(fault_rate=0.2))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cluster.run_job(job, ["a"])
+
+
+#: Crashes one map and one reduce attempt of the two-line wordcount below
+#: (asserted by `_failed`, so a hash change cannot silently defuse it).
+_FAULTS = FaultPlan(seed=8, fault_rate=0.5)
+
+
+def _failed(result, phase):
+    return result.counters.get("fault", f"{phase}_failed_attempts")
 
 
 class TestFailureInjection:
     def test_output_identical_under_failures(self):
         lines = ["a b", "b c", "c d"]
         clean = Cluster(2).run_job(_job(), lines)
-        failed = Cluster(2).run_job(
-            _job(), lines, map_failures={0: 2}, reduce_failures={1: 1}
-        )
+        failed = Cluster(2).run_job(_job(), lines, faults=_FAULTS)
+        assert _failed(failed, "map") >= 1 and _failed(failed, "reduce") >= 1
         assert sorted(clean.output) == sorted(failed.output)
         assert sorted(
             (e.kind, e.payload) for e in clean.events
@@ -115,15 +148,24 @@ class TestFailureInjection:
     def test_failures_stretch_the_timeline(self):
         lines = [f"w{i}" for i in range(8)]
         clean = Cluster(1).run_job(_job(), lines)
-        failed = Cluster(1).run_job(_job(), lines, map_failures={0: 3})
+        failed = Cluster(1).run_job(_job(), lines, faults=_FAULTS)
+        assert _failed(failed, "map") >= 1
         assert failed.end_time > clean.end_time
+        # The reduce barrier moves with the stretched map phase.
+        assert failed.map_phase_end > clean.map_phase_end
+        assert all(
+            t.start_time >= failed.map_phase_end for t in failed.reduce_tasks
+        )
 
     def test_retries_counted(self):
-        result = Cluster(1).run_job(
-            _job(), ["a b"], map_failures={0: 2}, reduce_failures={0: 1}
+        result = Cluster(1).run_job(_job(), ["a b"], faults=_FAULTS)
+        assert _failed(result, "map") >= 1 and _failed(result, "reduce") >= 1
+        assert result.counters.get("engine", "map_retries") == sum(
+            t.num_failed_attempts for t in result.map_tasks
         )
-        assert result.counters.get("engine", "map_retries") == 2
-        assert result.counters.get("engine", "reduce_retries") == 1
+        assert result.counters.get("engine", "reduce_retries") == sum(
+            t.num_failed_attempts for t in result.reduce_tasks
+        )
 
     def test_reduce_failure_delays_events_and_files(self):
         class EventReducer(Reducer):
@@ -132,12 +174,13 @@ class TestFailureInjection:
                 context.record_event("tick", key)
                 context.write(key)
 
-        job = MapReduceJob(_WordMapper, EventReducer, alpha=2.0)
+        job = MapReduceJob(_WordMapper, EventReducer, alpha=2.0, name="wordcount")
         clean = Cluster(1).run_job(job, ["a"], num_reduce_tasks=1)
-        job2 = MapReduceJob(_WordMapper, EventReducer, alpha=2.0)
+        job2 = MapReduceJob(_WordMapper, EventReducer, alpha=2.0, name="wordcount")
         failed = Cluster(1).run_job(
-            job2, ["a"], num_reduce_tasks=1, reduce_failures={0: 1}
+            job2, ["a"], num_reduce_tasks=1, faults=_FAULTS
         )
+        assert _failed(failed, "reduce") >= 1
         clean_event = [e for e in clean.events if e.kind == "tick"][0]
         failed_event = [e for e in failed.events if e.kind == "tick"][0]
         assert failed_event.time > clean_event.time

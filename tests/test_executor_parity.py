@@ -159,11 +159,14 @@ class TestEngineParity:
         assert job_fingerprint(serial) == job_fingerprint(process)
 
     def test_failure_injection_parity(self):
-        kwargs = dict(map_failures={1: 2}, reduce_failures={0: 1})
+        # Seed 2 crashes attempt 0 of map task 0 and of reduce task 0.
+        kwargs = dict(faults=FaultPlan(seed=2, fault_rate=0.3))
         serial = Cluster(2).run_job(_wordcount_job(), _LINES, **kwargs)
         process = Cluster(2, executor=ParallelExecutor(WORKERS)).run_job(
             _wordcount_job(), _LINES, **kwargs
         )
+        assert serial.counters.get("fault", "map_failed_attempts") >= 1
+        assert serial.counters.get("fault", "reduce_failed_attempts") >= 1
         assert job_fingerprint(serial) == job_fingerprint(process)
 
     def test_empty_input_parity(self):

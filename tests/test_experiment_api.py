@@ -141,9 +141,13 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="workers must be a positive"):
             RunSpec(None, citeseer_cfg, backend="process", workers=0)
 
-    def test_negative_batch_pairs_rejected(self, citeseer_cfg):
-        with pytest.raises(ValueError, match="batch_pairs must be a positive"):
-            RunSpec(None, citeseer_cfg, batch_pairs=-4)
+    def test_removed_options_are_type_errors(self, citeseer_cfg):
+        from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer
+
+        with pytest.raises(TypeError):
+            RunSpec(None, citeseer_cfg, batch_pairs=1)
+        with pytest.raises(TypeError):
+            Cluster(2).run_job(MapReduceJob(Mapper, Reducer), [], map_failures={})
 
     def test_nonpositive_machines_rejected(self, citeseer_cfg):
         with pytest.raises(ValueError, match="machines must be a positive"):

@@ -19,7 +19,6 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     RetryPolicy,
-    SlotPool,
     SpeculationConfig,
 )
 from repro.mapreduce.faults import (
@@ -29,6 +28,7 @@ from repro.mapreduce.faults import (
     TaskSchedule,
 )
 
+from conftest import ScanSlotPool
 from test_executor_parity import _LINES, _wordcount_job, job_fingerprint
 
 
@@ -149,7 +149,7 @@ class TestFaultScheduler:
     def test_inert_plan_matches_slot_pool_placement(self):
         costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
         schedules = _schedules(FaultPlan(), costs, num_slots=3, ready=10.0)
-        pool = SlotPool(3, 10.0)
+        pool = ScanSlotPool(3, 10.0)
         for task_id, cost in enumerate(costs):
             start, end, slot = pool.schedule(cost)
             sched = schedules[task_id]
@@ -329,12 +329,6 @@ class TestEngineIntegration:
         assert any(
             t.speculative for t in result.map_tasks + result.reduce_tasks
         )
-
-    def test_plan_and_legacy_failures_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            Cluster(2, faults=FaultPlan(fault_rate=0.1)).run_job(
-                _wordcount_job(), _LINES, map_failures={0: 1}
-            )
 
     def test_per_job_plan_overrides_cluster_plan(self):
         cluster = Cluster(2, faults=FaultPlan(fault_rate=1.0))

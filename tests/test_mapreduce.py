@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import inert_placements
 from repro.mapreduce import (
     Cluster,
     CostModel,
@@ -14,7 +15,6 @@ from repro.mapreduce import (
     Mapper,
     Partitioner,
     Reducer,
-    SlotPool,
     TaskContext,
     VirtualClock,
     results_available_at,
@@ -161,21 +161,22 @@ class TestStableHash:
 
 
 class TestSlotPool:
+    """Fault-free placement: earliest-free slot, ties by slot index."""
+
     def test_waves(self):
-        pool = SlotPool(2, ready_time=0.0)
-        assert pool.schedule(10.0) == (0.0, 10.0, 0)
-        assert pool.schedule(5.0) == (0.0, 5.0, 1)
         # Third task waits for the earliest slot (freed at 5.0).
-        assert pool.schedule(2.0) == (5.0, 7.0, 1)
-        assert pool.makespan == 10.0
+        assert inert_placements(2, 0.0, [10.0, 5.0, 2.0]) == [
+            (0.0, 10.0, 0),
+            (0.0, 5.0, 1),
+            (5.0, 7.0, 1),
+        ]
 
     def test_ready_time_offset(self):
-        pool = SlotPool(1, ready_time=100.0)
-        assert pool.schedule(1.0) == (100.0, 101.0, 0)
+        assert inert_placements(1, 100.0, [1.0]) == [(100.0, 101.0, 0)]
 
     def test_needs_a_slot(self):
         with pytest.raises(ValueError):
-            SlotPool(0, 0.0)
+            inert_placements(0, 0.0, [])
 
 
 class _WordMapper(Mapper):

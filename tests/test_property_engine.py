@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer, SlotPool
+from repro.mapreduce import Cluster, FaultPlan, MapReduceJob, Mapper, Reducer
 
 records_strategy = st.lists(
     st.text(alphabet="abc ", min_size=0, max_size=12), min_size=0, max_size=40
@@ -65,9 +65,12 @@ class TestEngineProperties:
     @settings(max_examples=25, deadline=None)
     def test_failures_never_change_output(self, lines):
         clean = Cluster(2).run_job(_job(), lines)
+        # Seed 2 crashes attempt 0 of map task 0 and of reduce task 0.
         failed = Cluster(2).run_job(
-            _job(), lines, map_failures={0: 1}, reduce_failures={0: 2}
+            _job(), lines, faults=FaultPlan(seed=2, fault_rate=0.3)
         )
+        assert failed.counters.get("fault", "map_failed_attempts") >= 1
+        assert failed.counters.get("fault", "reduce_failed_attempts") >= 1
         assert sorted(clean.output) == sorted(failed.output)
         assert failed.end_time >= clean.end_time - 1e-9
 
@@ -78,42 +81,3 @@ class TestEngineProperties:
         b = Cluster(machines).run_job(_job(), lines)
         assert a.end_time == b.end_time
         assert a.output == b.output
-
-
-class _ScanSlotPool:
-    """Reference slot pool: the O(slots) linear scan the heap replaced."""
-
-    def __init__(self, num_slots, ready_time):
-        self._free_at = [ready_time] * num_slots
-
-    def schedule(self, cost):
-        slot = min(range(len(self._free_at)), key=lambda i: (self._free_at[i], i))
-        start = self._free_at[slot]
-        end = start + cost
-        self._free_at[slot] = end
-        return start, end, slot
-
-    @property
-    def makespan(self):
-        return max(self._free_at)
-
-
-class TestSlotPoolProperties:
-    """The heap-based SlotPool is observably identical to the scan."""
-
-    @given(
-        st.integers(1, 9),
-        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
-        st.lists(
-            st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),
-            min_size=0,
-            max_size=60,
-        ),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_heap_agrees_with_scan(self, num_slots, ready_time, costs):
-        heap_pool = SlotPool(num_slots, ready_time)
-        scan_pool = _ScanSlotPool(num_slots, ready_time)
-        for cost in costs:
-            assert heap_pool.schedule(cost) == scan_pool.schedule(cost)
-            assert heap_pool.makespan == scan_pool.makespan

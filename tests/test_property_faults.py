@@ -31,11 +31,11 @@ from repro.mapreduce import (
     JobAbortedError,
     ParallelExecutor,
     RetryPolicy,
-    SlotPool,
     SpeculationConfig,
 )
 from repro.observability import Tracer
 
+from conftest import ScanSlotPool
 from test_executor_parity import _LINES, _wordcount_job, job_fingerprint
 
 #: Generous retry budget: the properties are about timelines, not aborts.
@@ -105,12 +105,13 @@ class TestSchedulerProperties:
         ready=st.floats(min_value=0.0, max_value=100.0),
     )
     def test_inert_plan_equals_slot_pool(self, seed, costs, slots, ready):
-        """Zero-rate plans reproduce SlotPool's wave placement exactly."""
+        """Zero-rate plans reproduce plain wave placement (the scan
+        reference) exactly."""
         plan = FaultPlan(seed=seed)  # seed varies, nothing else: inert
         schedules = FaultScheduler(
             plan, slots, ready, job="j", phase="map"
         ).run(costs)
-        pool = SlotPool(slots, ready)
+        pool = ScanSlotPool(slots, ready)
         for task_id, cost in enumerate(costs):
             start, end, slot = pool.schedule(cost)
             win = schedules[task_id].winning

@@ -211,7 +211,7 @@ class TestSpanCoverage:
         assert {"job", "phase", "task", "block", "setup"} <= categories
 
     def test_failed_attempts_get_attempt_spans(self):
-        from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer
+        from repro.mapreduce import Cluster, FaultPlan, MapReduceJob, Mapper, Reducer
 
         class Identity(Mapper):
             def map(self, record, context):
@@ -226,7 +226,8 @@ class TestSpanCoverage:
         Cluster(1, tracer=tracer).run_job(
             MapReduceJob(Identity, Count, name="retry-job"),
             ["a", "b"],
-            map_failures={0: 2},
+            # Seed 28 crashes map task 0 twice and no other attempt.
+            faults=FaultPlan(seed=28, fault_rate=0.5),
         )
         attempts = [s for s in tracer.spans if s.category == "attempt"]
         assert len(attempts) == 2
