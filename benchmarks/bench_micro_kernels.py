@@ -24,8 +24,10 @@ from repro.similarity import (
     books_matcher,
     citeseer_matcher,
     clear_similarity_cache,
+    dp_cell_counters,
     jaro_winkler,
     levenshtein,
+    reset_dp_cell_counters,
 )
 
 
@@ -113,30 +115,43 @@ def test_schedule_generation_throughput(benchmark, citeseer_dataset):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_dp(a, b):
+    """Textbook two-row DP: the baseline the bit-parallel kernel is timed
+    against (the package itself no longer carries a scalar loop)."""
+    previous = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        current = [j]
+        for i, ca in enumerate(a, start=1):
+            current.append(
+                min(previous[i] + 1, current[i - 1] + 1, previous[i - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[len(a)]
+
+
+def _best_of(kernel, pairs, rounds=3):
+    """Best wall time of ``rounds`` passes over ``pairs`` (shrugs off CI jitter)."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for a, b in pairs:
+            kernel(a, b)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_myers_beats_scalar_dp_on_long_strings(report):
     """Myers' bit-parallel kernel must stay ≥10x faster than the scalar
     two-row DP on 300-character inputs (the abstract-length regime)."""
-    from repro.similarity.edit_distance import _full_dp, _myers_dp
-
     rng = random.Random(5)
     pairs = [
         (_random_string(rng, 300), _random_string(rng, 300)) for _ in range(8)
     ]
-    # Warm up, then time the best of 3 rounds each to shrug off CI jitter.
-    for a, b in pairs[:2]:
-        assert _myers_dp(a, b) == _full_dp(a, b)
+    for a, b in pairs[:2]:  # warm up
+        assert levenshtein(a, b) == _scalar_dp(a, b)
 
-    def _best_of(kernel, rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for a, b in pairs:
-                kernel(a, b)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    scalar_s = _best_of(_full_dp)
-    myers_s = _best_of(_myers_dp)
+    scalar_s = _best_of(_scalar_dp, pairs)
+    myers_s = _best_of(levenshtein, pairs)
     ratio = scalar_s / myers_s if myers_s > 0 else float("inf")
     report(
         f"myers vs scalar DP (300 chars): scalar {scalar_s * 1e3:.1f}ms  "
@@ -145,12 +160,45 @@ def test_myers_beats_scalar_dp_on_long_strings(report):
     assert ratio >= 10.0, f"Myers only {ratio:.1f}x faster than scalar DP"
 
 
-def test_threshold_propagation_reduces_banded_work(books_dataset, report):
+def test_bound_never_slows_the_kernel(report):
+    """A bound may only remove work: on unrelated abstract-length pairs the
+    bounded call takes at most 1.25x the unbounded one and visits fewer
+    columns.  What this catches is a bounded path that leaves the
+    bit-parallel loop: a scalar band is >10x slower at this length."""
+    rng = random.Random(6)
+    pairs = [
+        (_random_string(rng, 350), _random_string(rng, 350)) for _ in range(8)
+    ]
+
+    def bounded(a, b):
+        return levenshtein(a, b, max_distance=130)
+
+    def _columns(kernel):
+        reset_dp_cell_counters()
+        results = [kernel(a, b) for a, b in pairs]
+        return results, sum(dp_cell_counters().values())
+
+    exact, unbounded_columns = _columns(levenshtein)
+    clamped, bounded_columns = _columns(bounded)
+    assert clamped == [min(distance, 131) for distance in exact]
+
+    unbounded_s = _best_of(levenshtein, pairs)
+    bounded_s = _best_of(bounded, pairs)
+    ratio = bounded_s / unbounded_s if unbounded_s > 0 else float("inf")
+    report(
+        f"bounded vs unbounded (350 chars, k=130): unbounded {unbounded_s * 1e3:.2f}ms  "
+        f"bounded {bounded_s * 1e3:.2f}ms  ratio {ratio:.2f}x  "
+        f"columns {bounded_columns:,} vs {unbounded_columns:,}"
+    )
+    assert bounded_columns < unbounded_columns
+    assert ratio <= 1.25, f"a bound made the kernel {ratio:.2f}x slower"
+
+
+def test_threshold_propagation_reduces_kernel_work(books_dataset, report):
     """Propagating the matcher's running bound into the edit kernel must
-    shrink DP cell visits on the books workload without flipping a single
+    shrink DP column visits on the books workload without flipping a single
     decision."""
     from repro.core import books_config
-    from repro.similarity import dp_cell_counters, reset_dp_cell_counters
     from repro.similarity.matchers import WeightedMatcher
 
     config = books_config()
@@ -166,20 +214,21 @@ def test_threshold_propagation_reduces_banded_work(books_dataset, report):
         decisions = [matcher.is_match(a, b) for a, b in pairs]
         return decisions, sum(dp_cell_counters().values())
 
-    propagated_decisions, propagated_cells = _run_decisions()
+    propagated_decisions, propagated_columns = _run_decisions()
     original_floor = WeightedMatcher._rule_floor
     WeightedMatcher._rule_floor = lambda self, *args: 0.0  # disable propagation
     try:
-        baseline_decisions, baseline_cells = _run_decisions()
+        baseline_decisions, baseline_columns = _run_decisions()
     finally:
         WeightedMatcher._rule_floor = original_floor
 
     report(
-        f"threshold propagation on books pairs: {propagated_cells:,} DP cells "
-        f"vs {baseline_cells:,} without ({baseline_cells / max(propagated_cells, 1):.2f}x)"
+        f"threshold propagation on books pairs: {propagated_columns:,} DP columns "
+        f"vs {baseline_columns:,} without "
+        f"({baseline_columns / max(propagated_columns, 1):.2f}x)"
     )
     assert propagated_decisions == baseline_decisions
-    assert propagated_cells < baseline_cells
+    assert propagated_columns < baseline_columns
 
 
 def test_batch_kernel_call_reduction(books_dataset, report):

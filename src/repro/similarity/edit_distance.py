@@ -1,50 +1,49 @@
-"""Edit-distance kernels.
+"""Edit distance: one bit-parallel kernel for every call.
 
 The paper's match function compares attribute values with edit distance
-(Levenshtein).  The implementation below is a two-row dynamic program with
-two standard optimizations that matter for a pure-Python ER workload:
+(Levenshtein, Section VI-A2).  :func:`levenshtein` answers every query,
+bounded or not, the same way:
 
-* **Upper-bound banding** — when the caller only needs to know whether the
-  distance is below ``max_distance`` (similarity thresholding), cells
-  further than the bound from the diagonal can never contribute, so the DP
-  explores a band of width ``2 * max_distance + 1`` and exits early when a
-  whole row exceeds the bound.
-* **Common prefix/suffix stripping** — duplicates usually share long runs.
-* **Myers' bit-parallel kernel** — unbounded distances are computed with
-  the bit-vector algorithm of Myers (JACM 1999): the whole DP column lives
-  in one Python integer, so each of the ``n`` iterations is a handful of
-  word-level operations.  Two orders of magnitude faster than the scalar
-  DP on abstract-length strings.
+* **Cheap exits** — equal strings, the common prefix and suffix
+  (duplicates share long runs; neither affects the distance) and a length
+  gap already larger than the caller's bound never reach the DP.
+* **Myers' bit-parallel kernel** (JACM 1999) — a whole DP column lives in
+  one Python integer, so each character of the longer string costs a
+  handful of big-int operations instead of a cell loop.
+* **Ukkonen's cutoff** — the last-row score can fall by at most one per
+  remaining column, so once it exceeds the bound by more than the columns
+  left the answer is final and the loop stops.  An unbounded call is the
+  same loop under a bound no distance can exceed, so passing a bound never
+  makes a call slower.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-#: Cumulative DP work per kernel, in cell (or column) visits.  Cheap to
-#: maintain — one addition per row, never per cell — and the perf-smoke
-#: bench uses it to prove threshold propagation actually shrinks the
-#: quadratic work.  Wall-clock bookkeeping only: nothing in the package
-#: ever branches on these values.
-_DP_CELLS: Dict[str, int] = {"full": 0, "banded": 0, "myers": 0}
+#: Cumulative kernel work in DP columns actually visited (a call that exits
+#: early books only the columns it got through).  Cheap to maintain — one
+#: addition per call, never per column — and the perf-smoke bench uses it
+#: to prove threshold propagation shrinks the work.  Wall-clock bookkeeping
+#: only: nothing in the package ever branches on these values.
+_DP_CELLS: Dict[str, int] = {"myers": 0}
 
 
 def dp_cell_counters() -> Dict[str, int]:
-    """Snapshot of cumulative DP cell visits per kernel (this process)."""
+    """Snapshot of cumulative DP column visits (this process)."""
     return dict(_DP_CELLS)
 
 
 def reset_dp_cell_counters() -> None:
-    """Zero the DP cell-visit counters (benchmark hygiene)."""
-    for key in _DP_CELLS:
-        _DP_CELLS[key] = 0
+    """Zero the DP column-visit counter (benchmark hygiene)."""
+    _DP_CELLS["myers"] = 0
 
 
 def levenshtein(a: str, b: str, *, max_distance: Optional[int] = None) -> int:
     """Levenshtein distance between ``a`` and ``b``.
 
     With ``max_distance`` set, returns ``max_distance + 1`` as soon as the
-    true distance is provably greater than the bound (banded computation).
+    true distance is provably greater than the bound.
     """
     if a == b:
         return 0
@@ -62,20 +61,9 @@ def levenshtein(a: str, b: str, *, max_distance: Optional[int] = None) -> int:
         return _bounded(len(b), max_distance)
     if not b:
         return _bounded(len(a), max_distance)
-    if len(a) > len(b):
-        a, b = b, a
-    if max_distance is not None and len(b) - len(a) > max_distance:
+    if max_distance is not None and abs(len(a) - len(b)) > max_distance:
         return max_distance + 1
-
-    if max_distance is None:
-        return _myers_dp(a, b)
-    if 2 * max_distance + 1 >= len(a):
-        # The band would cover (nearly) whole rows: the scalar banded DP
-        # has no cells left to skip, while the bit-parallel kernel does the
-        # same rows in word-sized chunks.  Results are identical — Myers is
-        # exact and _bounded applies the caller's clamp convention.
-        return _bounded(_myers_dp(a, b), max_distance)
-    return _banded_dp(a, b, max_distance)
+    return _myers_dp(a, b, max_distance)
 
 
 def _bounded(distance: int, max_distance: Optional[int]) -> int:
@@ -85,101 +73,64 @@ def _bounded(distance: int, max_distance: Optional[int]) -> int:
     return distance
 
 
-def _full_dp(a: str, b: str) -> int:
-    """Classic two-row DP, no bound."""
-    _DP_CELLS["full"] += len(a) * len(b)
-    previous = list(range(len(a) + 1))
-    current = [0] * (len(a) + 1)
-    for j, cb in enumerate(b, start=1):
-        current[0] = j
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            current[i] = min(
-                previous[i] + 1,        # deletion
-                current[i - 1] + 1,     # insertion
-                previous[i - 1] + cost, # substitution
-            )
-        previous, current = current, previous
-    return previous[len(a)]
+def _myers_dp(a: str, b: str, bound: Optional[int] = None) -> int:
+    """Myers' bit-parallel Levenshtein (JACM '99) with Ukkonen's cutoff.
 
-
-def _myers_dp(a: str, b: str) -> int:
-    """Myers' bit-parallel Levenshtein (JACM '99), arbitrary lengths.
-
-    ``a`` (the pattern, kept as the shorter string) is encoded as one
+    Both strings non-empty.  The shorter one is the pattern, encoded as one
     bitmask per character; the vertical delta vectors ``vp`` / ``vn`` live
     in single Python integers, so long patterns transparently use big-int
-    words with no code change.
+    words with no code change.  Returns ``min(distance, bound + 1)``.
+
+    ``slack`` is ``(bound - score) + columns left``: the final score is at
+    least ``score - columns left``, so a negative slack proves the distance
+    exceeds the bound.  ``score <= max(len(a), column)`` keeps it
+    non-negative throughout when the bound is ``len(b)`` — the unbounded
+    call.
     """
     if len(a) > len(b):
         a, b = b, a
-    _DP_CELLS["myers"] += len(b)
-    m = len(a)
+    if bound is None:
+        bound = len(b)
     peq: Dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
     vp = mask
     vn = 0
-    distance = m
-    for ch in b:
+    slack = bound + len(b) - len(a)
+    for columns, ch in enumerate(b, start=1):
         eq = peq.get(ch, 0)
         d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
-        hp = vn | ~(d0 | vp)
+        hp = vn | (mask ^ (d0 | vp))
         hn = d0 & vp
-        if hp & last:
-            distance += 1
-        elif hn & last:
-            distance -= 1
+        if hp & last:  # score rose
+            slack -= 2
+            if slack < 0:
+                break
+        elif not hn & last:  # score held; a fall leaves slack unchanged
+            slack -= 1
+            if slack < 0:
+                break
         hp = ((hp << 1) | 1) & mask
         hn = (hn << 1) & mask
-        vp = (hn | (~(d0 | hp) & mask)) & mask
+        vp = hn | (mask ^ (d0 | hp))
         vn = d0 & hp
-    return distance
+    _DP_CELLS["myers"] += columns
+    return bound - slack if slack >= 0 else bound + 1
 
 
-def _banded_dp(a: str, b: str, bound: int) -> int:
-    """Two-row DP restricted to a diagonal band of half-width ``bound``.
+def distance_budget(floor: float, longest: int) -> int:
+    """Largest edit distance that keeps ``1 - d / longest >= floor``.
 
-    Only band cells are ever touched: row ``j`` writes ``[lo-1, hi]`` and
-    row ``j+1`` reads ``previous`` on ``[lo'-1, hi']`` with ``lo' >= lo``
-    and ``hi' <= hi+1``, so the single cell ``hi+1`` is the only one that
-    can leak a stale value across the swap — it is pinned to ``big``
-    explicitly instead of wiping the whole row (which would cost
-    ``O(len(a))`` per row regardless of band width).  The scratch row needs
-    no reset at all: every cell the inner loop reads from ``current`` was
-    written earlier in the same row.
+    Truncation makes the bound safe to test strictly: any distance
+    ``d > budget`` satisfies ``d >= budget + 1 > (1 - floor) * longest`` and
+    therefore ``1 - d / longest < floor`` — a bounded call that overflows
+    the budget is genuinely below the floor.
     """
-    big = bound + 1
-    previous = [i if i <= bound else big for i in range(len(a) + 1)]
-    current = [big] * (len(a) + 1)
-    cells = 0
-    for j, cb in enumerate(b, start=1):
-        lo = max(1, j - bound)
-        hi = min(len(a), j + bound)
-        cells += hi - lo + 1
-        current[lo - 1] = j if (j <= bound and lo == 1) else big
-        row_min = current[lo - 1]
-        for i in range(lo, hi + 1):
-            ca = a[i - 1]
-            cost = 0 if ca == cb else 1
-            best = previous[i - 1] + cost
-            if previous[i] + 1 < best:
-                best = previous[i] + 1
-            if current[i - 1] + 1 < best:
-                best = current[i - 1] + 1
-            current[i] = best if best <= bound else big
-            if current[i] < row_min:
-                row_min = current[i]
-        if row_min > bound:
-            _DP_CELLS["banded"] += cells
-            return big
-        if hi < len(a):
-            current[hi + 1] = big
-        previous, current = current, previous
-    _DP_CELLS["banded"] += cells
-    return previous[len(a)] if previous[len(a)] <= bound else big
+    return int((1.0 - floor) * longest)
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -194,13 +145,10 @@ def edit_similarity(a: str, b: str) -> float:
 
 
 def edit_similarity_at_least(a: str, b: str, threshold: float) -> bool:
-    """Whether ``edit_similarity(a, b) >= threshold``, with banded early exit."""
+    """Whether ``edit_similarity(a, b) >= threshold``, with early exit."""
     if not a and not b:
         return True
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return True
-    allowed = int((1.0 - threshold) * longest)
+    allowed = distance_budget(threshold, max(len(a), len(b)))
     return levenshtein(a, b, max_distance=allowed) <= allowed
 
 
@@ -208,6 +156,7 @@ __all__ = [
     "levenshtein",
     "edit_similarity",
     "edit_similarity_at_least",
+    "distance_budget",
     "dp_cell_counters",
     "reset_dp_cell_counters",
 ]

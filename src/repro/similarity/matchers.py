@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
 from ..mapreduce.executors import register_job_reset_hook, register_task_stat_source
-from .edit_distance import edit_similarity, levenshtein
+from .edit_distance import distance_budget, edit_similarity, levenshtein
 from .jaro import jaro_winkler
 from .tokens import qgram_jaccard, token_jaccard
 
@@ -92,12 +92,10 @@ def _memo_edit_at_least(v1: str, v2: str, floor: float) -> float:
     """Edit similarity when it can still matter, else :data:`_BELOW_FLOOR`.
 
     ``floor`` is the minimum similarity that could still influence the
-    match decision (see :meth:`WeightedMatcher._rule_floor`).  The floor is
-    converted into an edit-distance bound for the banded kernel:
-    ``allowed = int((1 - floor) * longest)`` truncates, so any distance
-    ``d > allowed`` satisfies ``d >= allowed + 1 > (1 - floor) * longest``
-    and therefore ``1 - d/longest < floor`` *strictly* — the sentinel is
-    only ever returned for similarities genuinely below the floor.
+    match decision (see :meth:`WeightedMatcher._rule_floor`).  It becomes
+    the kernel's bound through :func:`distance_budget`, whose truncation
+    guarantees the sentinel is only ever returned for similarities
+    *strictly* below the floor.
 
     Exact results are cached under the same key the unbounded path uses
     (``1 - d/longest`` is the identical float expression
@@ -111,7 +109,7 @@ def _memo_edit_at_least(v1: str, v2: str, floor: float) -> float:
         return cached
     _MEMO_STATS["misses"] += 1
     longest = max(len(v1), len(v2))
-    allowed = int((1.0 - floor) * longest)
+    allowed = distance_budget(floor, longest)
     distance = levenshtein(v1, v2, max_distance=allowed)
     if distance > allowed:
         return _BELOW_FLOOR
@@ -302,9 +300,9 @@ class WeightedMatcher:
 
         Edit-distance rules additionally propagate the running bound *into*
         the kernel: :meth:`_rule_floor` derives the minimum similarity this
-        rule must reach for the pair to stay alive, and the banded DP is
-        called with the matching distance bound so it can abandon rows the
-        moment the pair is dead — without changing any decision (a
+        rule must reach for the pair to stay alive, and the kernel is
+        called with the matching distance bound so it can stop the column
+        loop the moment the pair is dead — without changing any decision (a
         below-floor result implies the post-rule cutoff would have fired).
         """
         sims: List[Optional[float]] = [None] * len(self.rules)

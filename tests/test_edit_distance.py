@@ -1,12 +1,12 @@
-"""Unit and property tests for the edit-distance kernels."""
+"""Unit and property tests for the edit-distance kernel."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_property_kernels import reference_distance
+
 from repro.similarity.edit_distance import (
-    _banded_dp,
-    _full_dp,
     _myers_dp,
     edit_similarity,
     edit_similarity_at_least,
@@ -70,21 +70,21 @@ class TestProperties:
     @given(words, words)
     def test_myers_matches_reference_dp(self, a, b):
         if a and b:
-            assert _myers_dp(a, b) == _full_dp(a, b)
+            assert _myers_dp(a, b) == reference_distance(a, b)
 
     @given(long_words, long_words)
     @settings(max_examples=30)
     def test_myers_matches_reference_on_long_strings(self, a, b):
-        assert _myers_dp(a, b) == _full_dp(a, b)
+        assert _myers_dp(a, b) == reference_distance(a, b)
 
     @given(words, words, st.integers(0, 10))
     def test_banded_agrees_with_full(self, a, b, bound):
         true_distance = levenshtein(a, b)
-        banded = levenshtein(a, b, max_distance=bound)
+        bounded = levenshtein(a, b, max_distance=bound)
         if true_distance <= bound:
-            assert banded == true_distance
+            assert bounded == true_distance
         else:
-            assert banded == bound + 1
+            assert bounded == bound + 1
 
 
 class TestEditSimilarity:

@@ -1,12 +1,12 @@
-"""Property tests for the edit-distance kernels and threshold propagation.
+"""Property tests for the edit-distance kernel and threshold propagation.
 
-Three kernels can answer a distance query — the scalar ``_full_dp``, the
-bit-parallel ``_myers_dp`` and the band-limited ``_banded_dp`` — and the
-dispatcher in :func:`repro.similarity.edit_distance.levenshtein` picks
-between them per call.  They must be interchangeable: every kernel agrees
-with the reference DP on arbitrary unicode inputs, including empty strings
-and bounds that land exactly on the true distance (the banded kernel's
-boundary case).
+One kernel answers every distance query — Myers' bit-parallel column loop
+with Ukkonen's cutoff, behind the cheap exits of
+:func:`repro.similarity.edit_distance.levenshtein`.  It must agree with the
+textbook DP on arbitrary unicode inputs, bounded or not: empty strings,
+bounds that land exactly on the true distance (the cutoff's boundary
+case), and strings long enough that a column no longer fits one machine
+word.
 
 Threshold propagation (:meth:`WeightedMatcher._bounded_match` deriving a
 per-rule similarity floor and bounding the kernel with it) is a pure
@@ -16,20 +16,31 @@ propagated ``is_match`` must equal the unbounded weighted-sum decision.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Entity
-from repro.similarity import AttributeRule, WeightedMatcher, levenshtein
-from repro.similarity.edit_distance import _banded_dp, _full_dp, _myers_dp
+from repro.data.perturb import typo_delete, typo_insert, typo_substitute
+from repro.similarity import (
+    AttributeRule,
+    WeightedMatcher,
+    dp_cell_counters,
+    levenshtein,
+    reset_dp_cell_counters,
+)
+from repro.similarity.edit_distance import _myers_dp
 
 #: Unicode-heavy but collision-prone alphabet: small enough that random
 #: strings share substrings (exercising the prefix/suffix stripping and
-#: the band's early exit), plus multibyte and astral characters.
+#: the kernel's early exit), plus multibyte and astral characters.
 ALPHABET = "abcdé日本語🙂 "
 
 short_text = st.text(alphabet=ALPHABET, max_size=24)
 nonempty_text = st.text(alphabet=ALPHABET, min_size=1, max_size=24)
+#: Past one machine word: the pattern's bit-vectors are multi-limb ints.
+long_text = st.text(alphabet=ALPHABET, min_size=65, max_size=400)
 
 
 def reference_distance(a: str, b: str) -> int:
@@ -51,7 +62,7 @@ class TestKernelAgreement:
 
     @given(a=nonempty_text, b=nonempty_text)
     def test_myers_matches_full_dp(self, a, b):
-        assert _myers_dp(a, b) == _full_dp(a, b) == reference_distance(a, b)
+        assert _myers_dp(a, b) == reference_distance(a, b)
 
     @given(a=short_text, b=short_text, delta=st.integers(min_value=-2, max_value=3))
     def test_bounded_levenshtein_clamps_at_bound(self, a, b, delta):
@@ -66,23 +77,77 @@ class TestKernelAgreement:
             assert got == bound + 1
 
     @given(a=nonempty_text, b=nonempty_text, bound=st.integers(min_value=0, max_value=30))
-    def test_banded_matches_reference_within_preconditions(self, a, b, bound):
-        # _banded_dp's contract (enforced by the dispatcher): a is the
-        # shorter string, the bound covers the length difference, and the
-        # band is narrower than a row (else Myers is used).
-        if len(a) > len(b):
-            a, b = b, a
-        if len(b) - len(a) > bound or 2 * bound + 1 >= len(a):
-            return
-        true = reference_distance(a, b)
-        got = _banded_dp(a, b, bound)
-        assert got == (true if true <= bound else bound + 1)
+    def test_bounded_levenshtein_matches_reference_at_any_bound(self, a, b, bound):
+        assert levenshtein(a, b, max_distance=bound) == min(
+            reference_distance(a, b), bound + 1
+        )
 
     @given(b=short_text, bound=st.integers(min_value=0, max_value=5))
     def test_empty_string_edges(self, b, bound):
         assert levenshtein("", b) == len(b)
         got = levenshtein("", b, max_distance=bound)
         assert got == (len(b) if len(b) <= bound else bound + 1)
+
+
+def _mutated(text: str, edits: int, rng) -> str:
+    """``text`` after ``edits`` random single-character typos."""
+    for _ in range(edits):
+        text = rng.choice((typo_substitute, typo_delete, typo_insert))(rng, text)
+    return text
+
+
+@st.composite
+def long_pairs(draw):
+    """Two 65-400 char strings: unrelated, or one a light edit of the other
+    (duplicates are what the bounded kernel must score exactly)."""
+    a = draw(long_text)
+    if draw(st.booleans()):
+        return a, draw(long_text)
+    return a, _mutated(a, draw(st.integers(0, 12)), draw(st.randoms(use_true_random=False)))
+
+
+class TestBoundedKernelOnLongStrings:
+    """The bounded path past one machine word, where short strings are blind."""
+
+    @settings(max_examples=60)
+    @given(pair=long_pairs(), delta=st.integers(min_value=-2, max_value=3), swap=st.booleans())
+    def test_bounds_around_the_true_distance(self, pair, delta, swap):
+        a, b = pair[::-1] if swap else pair
+        true = reference_distance(a, b)
+        bound = max(0, true + delta)
+        assert levenshtein(a, b, max_distance=bound) == min(true, bound + 1)
+
+    @settings(max_examples=30)
+    @given(pair=long_pairs(), swap=st.booleans())
+    def test_zero_and_saturated_bounds(self, pair, swap):
+        a, b = pair[::-1] if swap else pair
+        true = reference_distance(a, b)
+        assert levenshtein(a, b, max_distance=0) == min(true, 1)
+        for bound in (max(len(a), len(b)), len(a) + len(b)):
+            assert levenshtein(a, b, max_distance=bound) == true
+        assert levenshtein(a, b) == true
+
+    def test_unrelated_abstracts_exit_early(self):
+        rng = random.Random(15)
+        a = "".join(rng.choice("abcdefghij ") for _ in range(350))
+        b = "".join(rng.choice("abcdefghij ") for _ in range(350))
+        assert a[0] != b[0] and a[-1] != b[-1]  # nothing for the strip to take
+        reset_dp_cell_counters()
+        assert levenshtein(a, b, max_distance=130) == 131
+        assert 0 < dp_cell_counters()["myers"] < len(b)
+        reset_dp_cell_counters()
+        assert levenshtein(a, b) == reference_distance(a, b) > 130
+        assert dp_cell_counters()["myers"] == len(b)
+
+    def test_bounded_call_on_a_duplicate_is_exact(self):
+        rng = random.Random(16)
+        a = "".join(rng.choice("abcdefghij ") for _ in range(350))
+        b = _mutated(a, 9, rng)
+        true = reference_distance(a, b)
+        assert 0 < true <= 9
+        assert levenshtein(a, b, max_distance=130) == true
+        assert levenshtein(b, a, max_distance=true) == true
+        assert levenshtein(a, b, max_distance=true - 1) == true
 
 
 # ---------------------------------------------------------------------------
