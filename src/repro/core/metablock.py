@@ -29,12 +29,29 @@ refine rather than add co-occurrence evidence):
 Both schemes are pure functions of the dataset and scheme, so the
 pre-pass is bit-identical across serial and process backends and under
 fault injection.
+
+**Cost.**  The blocking graph stays implicit.  A pair whose only common
+block is this one weighs 1 (``cbs``) or ``1/(l_i + l_j - 1)`` (``js``,
+``l`` the signature lengths), so a block of ``k`` members books all its
+``k(k-1)/2`` pairs in closed form from its per-length member counts and
+enumerates only the pairs that share a second block, found by grouping
+its members on every other family's key.  With ``F`` families the
+pre-pass costs ``O(sum k*F^2 + multi-block pairs)`` — never more than
+enumerating every pair once per common block — and holds nothing whose
+size grows with the number of pairs.
+
+**Exact sums, ties kept.**  Weights are accumulated as integers (scaled
+by ``lcm(1..2F-1)``, every possible ``js`` denominator) and each
+threshold is that exact mean rounded to a float once.  Weight and mean
+are rationals with small denominators, so the rounded values compare as
+the exact ones do: a pair that weighs exactly its endpoint's mean (every
+pair of four full-signature entities sharing one block, say) is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -134,6 +151,12 @@ class WnpPruner:
     signatures (pure, deterministic) and retains the pair when either
     endpoint's threshold admits it.  Plain-dict state keeps the object
     picklable for process backends and service snapshots.
+
+    A threshold is the exact mean of the entity's pair weights, rounded
+    once.  For ``cbs`` that is bit-identical to the previous release; for
+    ``js`` the previous release rounded after every addition, which
+    drifted a few ulp above or below the mean (up to 49 ulp measured on
+    ``make_linkage(1500)``) and so dropped pairs that tie with it.
     """
 
     def __init__(
@@ -158,18 +181,6 @@ class WnpPruner:
             # An endpoint that never weighed a pair imposes no bound.
             return True
         return pair_weight(sig_i, sig_j, self.weighting) >= min(th_i, th_j)
-
-
-def _responsible(
-    sig_i: Signature, sig_j: Signature, family: str, family_order: Sequence[str]
-) -> bool:
-    """Whether ``family``'s block is the pair's *first* common block —
-    the one that weighs the pair, so each pair counts exactly once."""
-    for candidate in family_order:
-        key = sig_i.get(candidate)
-        if key is not None and sig_j.get(candidate) == key:
-            return candidate == family
-    return False
 
 
 @dataclass
@@ -260,6 +271,138 @@ def candidate_pairs(
     return pairs
 
 
+def _coded_signatures(
+    signatures: Dict[int, Signature],
+    blocks: Dict[Tuple[str, str], List[int]],
+    family_order: Sequence[str],
+) -> Dict[int, Tuple[int, ...]]:
+    """Per entity id, its signature as ints: one block number per family,
+    then the signature's length.
+
+    A missing key gets a negative number no other entity has, so two
+    entities share family ``h``'s block iff their codes are equal at ``h``.
+    """
+    number = {block_key: n for n, block_key in enumerate(blocks)}
+    return {
+        eid: tuple(
+            [
+                number[(family, sig[family])] if family in sig else -1 - n
+                for family in family_order
+            ]
+            + [len(sig)]
+        )
+        for n, (eid, sig) in enumerate(signatures.items())
+    }
+
+
+def _multi_block_pairs(
+    members: List[int], family: int, coded: Dict[int, Tuple[int, ...]]
+) -> Iterable[Tuple[int, int, int, int, bool]]:
+    """The pairs of one level-1 block that share another block as well.
+
+    Found by grouping the block's members on every other family's key, so
+    the pairs whose only common block is this one are never visited.  A
+    pair that shares several other families is reported from the first.
+    Yields ``(a, b, memberships, common, first)``: the two ids, the sum of
+    their signature lengths, the number of blocks they share, and whether
+    this block is the first of those in family order — the one that
+    weighs the pair, so each pair counts exactly once.
+    """
+    others = [h for h in range(len(coded[members[0]]) - 1) if h != family]
+    for position, h in enumerate(others):
+        earlier, later = others[:position], others[position + 1 :]
+        groups: Dict[int, List[int]] = {}
+        for eid in members:
+            code = coded[eid][h]
+            if code >= 0:
+                groups.setdefault(code, []).append(eid)
+        for group in groups.values():
+            for i in range(len(group) - 1):
+                a = group[i]
+                code_a = coded[a]
+                for b in group[i + 1 :]:
+                    code_b = coded[b]
+                    for g in earlier:
+                        if code_a[g] == code_b[g]:
+                            break
+                    else:
+                        common = 2
+                        for g in later:
+                            if code_a[g] == code_b[g]:
+                                common += 1
+                        yield a, b, code_a[-1] + code_b[-1], common, family < h
+
+
+def _exact_weights(families: int, weighting: str) -> Tuple[int, List[List[int]]]:
+    """``(scale, table)`` with ``table[common][union] * 1/scale`` the weight
+    of a pair sharing ``common`` of the ``union`` level-1 blocks it is in.
+
+    ``scale`` is the least common multiple of every possible ``union``, so
+    each entry — and hence every sum of weights — is an exact integer.
+    """
+    unions = range(1, 2 * families)
+    if weighting == "cbs":
+        return 1, [[common] * (2 * families) for common in range(families + 1)]
+    if weighting == "js":
+        scale = lcm(*unions)
+        return scale, [
+            [0] + [common * scale // union for union in unions]
+            for common in range(families + 1)
+        ]
+    raise ValueError(f"unknown metablock weighting {weighting!r}")
+
+
+def _node_sums(
+    blocks: Dict[Tuple[str, str], List[int]],
+    coded: Dict[int, Tuple[int, ...]],
+    rank: Dict[str, int],
+    exact: List[List[int]],
+) -> Tuple[Dict[int, int], Dict[int, int], int]:
+    """Per entity, the sum of ``exact[common][union]`` over its distinct
+    incident pairs and their number; and the number of distinct pairs.
+
+    Every block first books all its pairs in closed form, as if it were
+    each one's only common block (so only the signature lengths matter);
+    the multi-block pairs are then enumerated and corrected: re-weighed in
+    their first common block, taken back out in every other.
+    """
+    sums = dict.fromkeys(coded, 0)
+    counts = dict.fromkeys(coded, 0)
+    distinct = 0
+    single = exact[1]
+    for (family, _), members in blocks.items():
+        if len(members) < 2:
+            continue
+        distinct += pairs_count(len(members))
+        sizes: Dict[int, int] = {}
+        for eid in members:
+            length = coded[eid][-1]
+            sizes[length] = sizes.get(length, 0) + 1
+        # What a member of length la sums over the k - 1 others.
+        booked = {
+            la: sum(n * single[la + lb - 1] for lb, n in sizes.items())
+            - single[2 * la - 1]
+            for la in sizes
+        }
+        for eid in members:
+            sums[eid] += booked[coded[eid][-1]]
+            counts[eid] += len(members) - 1
+        for a, b, memberships, common, first in _multi_block_pairs(
+            members, rank[family], coded
+        ):
+            if first:
+                delta = exact[common][memberships - common] - single[memberships - 1]
+                sums[a] += delta
+                sums[b] += delta
+            else:
+                sums[a] -= single[memberships - 1]
+                sums[b] -= single[memberships - 1]
+                counts[a] -= 1
+                counts[b] -= 1
+                distinct -= 1
+    return sums, counts, distinct
+
+
 def build_metablock_plan(
     entities: Sequence[Entity],
     scheme: BlockingScheme,
@@ -271,10 +414,14 @@ def build_metablock_plan(
     """Run the selected pre-pass over the dataset's level-1 blocks."""
     if mode not in METABLOCK_MODES or mode == "off":
         raise ValueError(f"no metablock plan to build for mode {mode!r}")
+    families = scheme.family_order
+    rank = {family: index for index, family in enumerate(families)}
+    scale, exact = _exact_weights(len(families), weighting)
     signatures = level1_signatures(entities, scheme)
-    blocks = level1_blocks(signatures, scheme.family_order)
+    blocks = level1_blocks(signatures, families)
+    coded = _coded_signatures(signatures, blocks, families)
     memberships_total = sum(len(members) for members in blocks.values())
-    pairs_total = len(_distinct_pairs(blocks))
+    sums, counts, pairs_total = _node_sums(blocks, coded, rank, exact)
 
     if mode == "bf":
         pruned = block_filter(signatures, scheme, ratio)
@@ -282,7 +429,8 @@ def build_metablock_plan(
             eid: {f: k for f, k in sig.items() if (eid, f) not in pruned}
             for eid, sig in signatures.items()
         }
-        kept_blocks = level1_blocks(filtered, scheme.family_order)
+        kept_blocks = level1_blocks(filtered, families)
+        kept_coded = _coded_signatures(filtered, kept_blocks, families)
         return MetablockPlan(
             mode=mode,
             weighting=weighting,
@@ -291,70 +439,58 @@ def build_metablock_plan(
             memberships_total=memberships_total,
             memberships_kept=memberships_total - len(pruned),
             pairs_total=pairs_total,
-            pairs_kept=len(_distinct_pairs(kept_blocks)),
+            pairs_kept=_node_sums(kept_blocks, kept_coded, rank, exact)[2],
         )
 
     # -- wnp ------------------------------------------------------------
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for family in scheme.family_order:
-        for (block_family, _), members in blocks.items():
-            if block_family != family:
-                continue
-            for i in range(len(members)):
-                sig_i = signatures[members[i]]
-                for j in range(i + 1, len(members)):
-                    sig_j = signatures[members[j]]
-                    if not _responsible(sig_i, sig_j, family, scheme.family_order):
-                        continue
-                    weight = pair_weight(sig_i, sig_j, weighting)
-                    for eid in (members[i], members[j]):
-                        sums[eid] = sums.get(eid, 0.0) + weight
-                        counts[eid] = counts.get(eid, 0) + 1
-    thresholds = {eid: sums[eid] / counts[eid] for eid in sums}
-    pruner = WnpPruner(signatures, thresholds, weighting)
-
+    thresholds = {
+        eid: sums[eid] / (scale * counts[eid]) for eid in sums if counts[eid]
+    }
+    weights = [[value / scale for value in row] for row in exact]
+    single = weights[1]
     keep_ratios: Dict[Tuple[str, str], float] = {}
-    kept_pairs: Set[Pair] = set()
-    for block_key, members in blocks.items():
+    pairs_kept = 0
+    for (family, key), members in blocks.items():
         total = pairs_count(len(members))
         if total == 0:
             continue
-        kept = 0
-        for i in range(len(members)):
-            sig_i = signatures[members[i]]
-            th_i = thresholds.get(members[i])
-            for j in range(i + 1, len(members)):
-                th_j = thresholds.get(members[j])
-                if th_i is None or th_j is None:
-                    retained = True
-                else:
-                    weight = pair_weight(sig_i, signatures[members[j]], weighting)
-                    retained = weight >= min(th_i, th_j)
-                if retained:
-                    kept += 1
-                    kept_pairs.add(pair_key(members[i], members[j]))
-        keep_ratios[block_key] = kept / total
+        # A single-block pair is dropped iff both thresholds exceed its
+        # weight, which the two signature lengths fix: count, per length
+        # la, the members above the weight of a pair with a length-lb one.
+        lengths = {coded[eid][-1] for eid in members}
+        above = dict.fromkeys(((la, lb) for la in lengths for lb in lengths), 0)
+        for eid in members:
+            la = coded[eid][-1]
+            for lb in lengths:
+                if thresholds[eid] > single[la + lb - 1]:
+                    above[la, lb] += 1
+        dropped = sum(
+            pairs_count(n) if la == lb else n * above[lb, la]
+            for (la, lb), n in above.items()
+            if la <= lb
+        )
+        kept = total - dropped
+        pairs_kept += kept
+        for a, b, memberships, common, first in _multi_block_pairs(
+            members, rank[family], coded
+        ):
+            bound = min(thresholds[a], thresholds[b])
+            as_single = single[memberships - 1] >= bound
+            retained = weights[common][memberships - common] >= bound
+            kept += retained - as_single
+            pairs_kept += (retained and first) - as_single
+        keep_ratios[(family, key)] = kept / total
     return MetablockPlan(
         mode=mode,
         weighting=weighting,
         ratio=ratio,
-        pruner=pruner,
+        pruner=WnpPruner(signatures, thresholds, weighting),
         keep_ratios=keep_ratios,
         memberships_total=memberships_total,
         memberships_kept=memberships_total,
         pairs_total=pairs_total,
-        pairs_kept=len(kept_pairs),
+        pairs_kept=pairs_kept,
     )
-
-
-def _distinct_pairs(blocks: Dict[Tuple[str, str], List[int]]) -> Set[Pair]:
-    pairs: Set[Pair] = set()
-    for members in blocks.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add(pair_key(members[i], members[j]))
-    return pairs
 
 
 def format_metablock_summary(plan: MetablockPlan) -> str:

@@ -13,7 +13,11 @@ contracts are checked directly on synthetic workloads:
 * the ``wnp`` veto is symmetric, keeps ties (weight exactly at the
   threshold), matches its own definition pair by pair, and survives a
   pickle round-trip unchanged — so a pruner shipped to a worker process
-  decides every pair exactly as the driver would.
+  decides every pair exactly as the driver would;
+* the plan — which counts single-block pairs in closed form and
+  enumerates only the multi-block ones — equals ``reference_plan``, a
+  brute-force pass over every pair in exact rationals, and holds nothing
+  whose size grows with the number of pairs.
 
 Seeds are pinned (``@seed``) so CI failures replay locally; the profile
 machinery in ``conftest.py`` additionally derandomizes under
@@ -25,11 +29,17 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from repro.blocking.functions import BlockingScheme, prefix_function
+from repro.core.config import linkage_config
 from repro.core.metablock import (
     WnpPruner,
     block_filter,
@@ -39,7 +49,8 @@ from repro.core.metablock import (
     level1_signatures,
     pair_weight,
 )
-from repro.data.entity import Entity, pair_key
+from repro.data.entity import Entity, pair_key, pairs_count
+from repro.data.linkage import make_linkage
 
 #: A three-family toy scheme over single-letter keys; tiny alphabets make
 #: block collisions (the interesting case) the norm rather than the
@@ -88,6 +99,127 @@ def signatures(draw):
         if key is not None:
             sig[family] = key
     return sig
+
+
+#: Families that nest: every pair sharing a three-letter title prefix
+#: shares the two-letter one as well, so every pair of a Q block is
+#: multi-block — the case the plan must enumerate rather than count.
+NESTED = BlockingScheme(
+    families={
+        "P": [prefix_function("P", 1, "title", 2)],
+        "Q": [prefix_function("Q", 1, "title", 3)],
+        "R": [prefix_function("R", 1, "year", 1)],
+    }
+)
+
+
+@st.composite
+def nested_entity_sets(draw, min_size=2, max_size=24):
+    """Random entities over ``NESTED``, some missing the title or year."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, "aaa", "aab", "aba", "abb", "ab", "baa"]),
+                st.sampled_from([None, "1", "2"]),
+            ),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    return [
+        Entity(eid, {k: v for k, v in (("title", title), ("year", year)) if v})
+        for eid, (title, year) in enumerate(rows)
+    ]
+
+
+#: Each entity strategy with the scheme it is blocked by.
+_workloads = st.one_of(
+    st.tuples(entity_sets(), st.just(SCHEME)),
+    st.tuples(nested_entity_sets(), st.just(NESTED)),
+)
+
+
+def reference_plan(entities, scheme, mode, *, weighting="cbs", ratio=0.8):
+    """The pre-pass by brute force: every pair enumerated, weights and
+    means as exact rationals, each threshold rounded to a float once."""
+    sigs = level1_signatures(entities, scheme)
+    blocks = level1_blocks(sigs, scheme.family_order)
+
+    def pairs_of(block_map):
+        return {
+            pair for members in block_map.values() for pair in combinations(members, 2)
+        }
+
+    universe = pairs_of(blocks)
+    memberships = sum(len(members) for members in blocks.values())
+    if mode == "bf":
+        pruned = block_filter(sigs, scheme, ratio)
+        filtered = {
+            eid: {f: k for f, k in sig.items() if (eid, f) not in pruned}
+            for eid, sig in sigs.items()
+        }
+        return SimpleNamespace(
+            memberships_total=memberships,
+            memberships_kept=memberships - len(pruned),
+            pairs_total=len(universe),
+            pairs_kept=len(pairs_of(level1_blocks(filtered, scheme.family_order))),
+        )
+
+    def weight(a, b):
+        common = sum(1 for f, k in sigs[a].items() if sigs[b].get(f) == k)
+        if weighting == "cbs":
+            return Fraction(common)
+        return Fraction(common, len(sigs[a]) + len(sigs[b]) - common)
+
+    incident = {}
+    for a, b in universe:
+        for eid in (a, b):
+            incident.setdefault(eid, []).append(weight(a, b))
+    means = {eid: sum(ws) / len(ws) for eid, ws in incident.items()}
+    kept = {(a, b) for a, b in universe if weight(a, b) >= min(means[a], means[b])}
+    return SimpleNamespace(
+        thresholds={eid: float(mean) for eid, mean in means.items()},
+        kept=kept,
+        keep_ratios={
+            block_key: sum(pair in kept for pair in combinations(members, 2))
+            / pairs_count(len(members))
+            for block_key, members in blocks.items()
+            if len(members) > 1
+        },
+        memberships_total=memberships,
+        memberships_kept=memberships,
+        pairs_total=len(universe),
+        pairs_kept=len(kept),
+    )
+
+
+def _counts(plan):
+    return (
+        plan.pairs_total,
+        plan.pairs_kept,
+        plan.memberships_total,
+        plan.memberships_kept,
+    )
+
+
+@seed(20260809)
+@given(workload=_workloads, weighting=st.sampled_from(["cbs", "js"]))
+def test_wnp_plan_equals_the_exact_reference(workload, weighting):
+    entities, scheme = workload
+    plan = build_metablock_plan(entities, scheme, "wnp", weighting=weighting)
+    exact = reference_plan(entities, scheme, "wnp", weighting=weighting)
+    assert plan.pruner.thresholds == exact.thresholds
+    assert plan.keep_ratios == exact.keep_ratios
+    assert _counts(plan) == _counts(exact)
+
+
+@seed(20260809)
+@given(workload=_workloads, ratio=st.floats(min_value=0.1, max_value=1.0))
+def test_bf_plan_counts_equal_the_exact_reference(workload, ratio):
+    entities, scheme = workload
+    plan = build_metablock_plan(entities, scheme, "bf", ratio=ratio)
+    exact = reference_plan(entities, scheme, "bf", ratio=ratio)
+    assert _counts(plan) == _counts(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +312,50 @@ def test_wnp_veto_is_symmetric(entities, weighting):
 
 
 @seed(20260809)
-@given(entities=entity_sets(), weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_keeps_ties_and_matches_its_definition(entities, weighting):
-    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
-    pruner = plan.pruner
+@given(workload=_workloads, weighting=st.sampled_from(["cbs", "js"]))
+def test_wnp_keeps_ties_and_matches_its_definition(workload, weighting):
+    """``keep`` compares rounded floats; the definition is over exact
+    rationals, where a pair weighing exactly the smaller mean is a tie."""
+    entities, scheme = workload
+    plan = build_metablock_plan(entities, scheme, "wnp", weighting=weighting)
+    exact = reference_plan(entities, scheme, "wnp", weighting=weighting)
     by_id = {e.id: e for e in entities}
-    sigs = pruner.signatures
-    for a_id, b_id in candidate_pairs(entities, SCHEME):
-        a, b = by_id[a_id], by_id[b_id]
-        th_a = pruner.thresholds.get(a_id)
-        th_b = pruner.thresholds.get(b_id)
-        if th_a is None or th_b is None:
-            assert pruner.keep(a, b), "an unweighed endpoint imposes no bound"
-            continue
-        weight = pair_weight(sigs[a_id], sigs[b_id], weighting)
-        assert pruner.keep(a, b) == (weight >= min(th_a, th_b))
-        if weight == min(th_a, th_b):
-            assert pruner.keep(a, b), "ties must be kept"
+    for a_id, b_id in candidate_pairs(entities, scheme):
+        assert plan.pruner.keep(by_id[a_id], by_id[b_id]) == (
+            (a_id, b_id) in exact.kept
+        )
+
+
+@pytest.mark.parametrize("weighting", ["cbs", "js"])
+def test_wnp_keeps_a_block_of_equal_weights(weighting):
+    """Four full signatures sharing one X block and nothing else: every
+    pair weighs the same, so every threshold ties with every weight.  A
+    running float sum of ``js``'s three 1/5s gives 0.20000000000000004 and
+    drops all six pairs."""
+    entities = [
+        Entity(eid, {"x": "a", "y": "abcd"[eid], "z": "abcd"[eid]})
+        for eid in range(4)
+    ]
+    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
+    weight = {"cbs": 1.0, "js": 0.2}[weighting]
+    assert plan.pruner.thresholds == dict.fromkeys(range(4), weight)
+    assert (plan.pairs_total, plan.pairs_kept) == (6, 6)
+    assert plan.keep_ratios == {("X", "a"): 1.0}
+    assert all(plan.pruner.keep(a, b) for a, b in combinations(entities, 2))
+
+
+def test_wnp_plan_holds_nothing_per_pair():
+    """The pair universe is counted, never stored: the pre-pass peaks at a
+    few bytes per candidate pair (two materialised pair sets cost 87)."""
+    entities = make_linkage(2000, seed=13).entities
+    scheme = linkage_config().scheme
+    tracemalloc.start()
+    try:
+        plan = build_metablock_plan(entities, scheme, "wnp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * plan.pairs_total
 
 
 @seed(20260809)
