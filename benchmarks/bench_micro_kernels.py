@@ -240,7 +240,7 @@ def test_batch_kernel_call_reduction(books_dataset, report):
     the batch, so the interpreter executes far fewer function calls for
     identical decisions.  Calls are counted with ``sys.setprofile`` 'call'
     events (Python frames only — C entry points are excluded on both
-    sides, so numpy availability does not skew the ratio).
+    sides).
     """
     matcher = books_matcher()
     rng = random.Random(13)

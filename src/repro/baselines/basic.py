@@ -102,10 +102,12 @@ class BasicReducer(Reducer):
         signatures = {entity.id: sig for entity, sig in values}
         sort_attribute = config.sort_attribute(family)
 
-        def ok_to_resolve(e1: Entity, e2: Entity) -> bool:
-            return _is_smallest_common_block(
+        def admit(e1: Entity, e2: Entity) -> Optional[str]:
+            if _is_smallest_common_block(
                 signatures[e1.id], signatures[e2.id], position
-            )
+            ):
+                return None
+            return "skipped"
 
         found = 0
 
@@ -125,15 +127,18 @@ class BasicReducer(Reducer):
             else None
         )
         resolve_block(
-            entities,
-            config.mechanism,
-            window=config.window,
-            sort_key=lambda e: block_sort_key(e, sort_attribute),
-            matcher=config.matcher,
-            cost_model=context.cost_model,
-            charge=context.charge,
-            on_duplicate=on_duplicate,
-            should_resolve=ok_to_resolve,
+            config.mechanism.pair_stream(
+                entities,
+                config.window,
+                lambda e: block_sort_key(e, sort_attribute),
+                context.charge,
+                context.cost_model,
+            ),
+            config.matcher,
+            context.cost_model,
+            context.charge,
+            on_duplicate,
+            admit=admit,
             stop=stop,
         )
         context.counters.increment("driver", "blocks_resolved")

@@ -240,12 +240,6 @@ class ResolutionReducer(Reducer):
         return members
 
 
-def _cross_source_only(e1: Entity, e2: Entity) -> bool:
-    """Clean-clean linkage candidate predicate: both sources are internally
-    duplicate-free, so only cross-source pairs can match."""
-    return e1.source != e2.source
-
-
 def resolve_scheduled_block(
     schedule: ProgressiveSchedule,
     config: ApproachConfig,
@@ -258,14 +252,17 @@ def resolve_scheduled_block(
     pruner: Optional[WnpPruner] = None,
 ) -> None:
     """Resolve one scheduled block (shared by both routing modes):
-    mechanism M, window/Th from the schedule, SHOULD-RESOLVE veto, and
-    per-tree skip of pairs already resolved in descendants.
+    mechanism M's pair stream, window/Th from the schedule, and one
+    ``admit`` predicate per block folding every reason not to compare.
 
-    In linkage mode same-source pairs are rejected by the scenario
-    ``pair_filter`` at zero cost; ``pruner`` (weighted node pruning)
-    likewise vetoes low-weight pairs for free, with the pruned positions
-    still consuming the distinct-pair budget (see
-    :func:`~repro.mechanisms.base.resolve_block`).
+    ``admit`` answers, in this order: ``"filtered"`` for a same-source
+    pair in linkage mode (both sources are internally duplicate-free, so
+    only cross-source pairs are candidates); ``"pruned"`` when ``pruner``
+    (weighted node pruning) drops the pair — free, but still consuming
+    the distinct-pair budget (see
+    :func:`~repro.mechanisms.base.resolve_block`); ``"skipped"`` for a
+    pair already resolved in a descendant of the same tree or one the
+    dominance lists make another tree responsible for (SHOULD-RESOLVE).
 
     ``pair_range`` restricts the resolution to a slice of the raw pair
     stream — a balance shard of an oversized root.  Only roots are ever
@@ -273,10 +270,9 @@ def resolve_scheduled_block(
     condition), so shard output is independent of placement.
 
     :func:`resolve_block` decides pairs dozens at a time and replays the
-    outcomes in stream order, so the ``ok_to_resolve`` veto /
-    ``tree_resolved`` bookkeeping here observes one pair at a time (both
-    are keyed by the entity-id pair, which the driver's same-pair flush
-    guard relies on).
+    outcomes in stream order, so the ``tree_resolved`` bookkeeping here
+    observes one pair at a time (it is keyed by the entity-id pair, which
+    the loop's same-pair flush guard relies on).
     """
     if len(routed) < 2:
         return
@@ -291,12 +287,21 @@ def resolve_scheduled_block(
     n = config.scheme.num_families
     sort_attribute = config.sort_attribute(block.family)
 
-    def ok_to_resolve(e1: Entity, e2: Entity) -> bool:
+    linkage = config.mode == "linkage"
+    redundancy_free = config.redundancy_free
+
+    def admit(e1: Entity, e2: Entity) -> Optional[str]:
+        if linkage and e1.source == e2.source:
+            return "filtered"
+        if pruner is not None and not pruner.keep(e1, e2):
+            return "pruned"
         if pair_key(e1.id, e2.id) in tree_resolved:
-            return False
-        if not config.redundancy_free:
-            return True
-        return should_resolve(dom_lists[e1.id], dom_lists[e2.id], index, n)
+            return "skipped"
+        if redundancy_free and not should_resolve(
+            dom_lists[e1.id], dom_lists[e2.id], index, n
+        ):
+            return "skipped"
+        return None
 
     def on_resolved(e1: Entity, e2: Entity, is_dup: bool) -> None:
         tree_resolved.add(pair_key(e1.id, e2.id))
@@ -314,23 +319,22 @@ def resolve_scheduled_block(
     trace = context.tracing
     span_start = context.clock.now if trace else 0.0
     stop = None if estimate.full else DistinctBudget(estimate.th)
-    pair_filter = _cross_source_only if config.mode == "linkage" else None
     stats = resolve_block(
-        entities,
-        config.mechanism,
-        window=estimate.window,
-        sort_key=lambda e: block_sort_key(e, sort_attribute),
-        matcher=config.matcher,
-        cost_model=context.cost_model,
-        charge=context.charge,
-        on_duplicate=on_duplicate,
-        should_resolve=ok_to_resolve,
-        pair_filter=pair_filter,
-        prune=pruner.keep if pruner is not None else None,
+        config.mechanism.pair_stream(
+            entities,
+            estimate.window,
+            lambda e: block_sort_key(e, sort_attribute),
+            context.charge,
+            context.cost_model,
+        ),
+        config.matcher,
+        context.cost_model,
+        lambda units: context.charge(units, "compare"),
+        on_duplicate,
+        admit=admit,
         stop=stop,
         on_resolved=on_resolved,
         pair_range=pair_range,
-        charge_compare=lambda units: context.charge(units, "compare"),
     )
     if stats.filtered:
         context.counters.increment("resolve", "pairs_filtered", stats.filtered)

@@ -10,13 +10,15 @@ two things:
 * an **additional cost** ``CostA`` (hint generation, sorting, reading) that
   it charges before the first comparison.
 
-:func:`resolve_block` is the shared driver used by both our approach's
-reducer and the Basic baseline: it walks the stream, lets the caller veto
-pairs (redundancy-free resolution / already-resolved-in-child checks),
-invokes the match function, charges comparison cost, and consults a
-pluggable stop condition after every comparison.
+:func:`resolve_block` is the one resolution loop in the package — Job 2's
+reducer, the Basic baseline and the incremental service's delta reducer all
+call it.  Like the paper's mechanism (Section III-B, Figure 7) it takes a
+**pair stream** in priority order, one **admission predicate** (the
+``SHOULD-RESOLVE`` veto and every other reason not to compare a pair,
+folded into a single ``admit`` callable by the caller) and a pluggable
+**stop condition** consulted after every comparison.
 
-The driver decides pairs in **batches** through
+The loop decides pairs in **batches** through
 :class:`~repro.similarity.batch.BatchMatcher`: it collects up to
 :data:`BATCH_PAIRS` admitted pairs from the stream, decides them in one
 kernel call, then *replays* the outcomes in stream order — charging,
@@ -28,22 +30,23 @@ the stream is free in virtual time because every mechanism charges its
 ``CostA`` once up front and never per pair.  Two contracts make the replay
 safe:
 
-* ``should_resolve`` must be a pure function of the entity *pair* (the
-  in-repo vetoes — redundancy sets keyed by id pairs — are); the driver
-  additionally flushes the pending batch before admitting a pair whose id
-  pair already occurred in it, so a veto consulted at collection time can
-  never miss state an earlier occurrence of the *same pair* would have
-  written.
-* pair streams must not call ``charge`` per yielded pair (all in-repo
-  mechanisms front-load their cost; a stream that charged lazily would see
-  those charges reordered relative to comparison charges).
+* ``admit`` may read state that ``on_resolved`` / ``on_duplicate`` write
+  only if that state is keyed by the entity-id *pair* (the in-repo vetoes —
+  redundancy sets keyed by id pairs — are); everything else in it must be
+  a pure function of the pair.  The loop flushes the pending batch before
+  consulting ``admit`` on a pair whose id pair already occurred in it, so
+  a veto consulted at collection time can never miss state an earlier
+  occurrence of the *same pair* would have written.
+* pair streams must not charge per yielded pair (all in-repo mechanisms
+  front-load their cost; a stream that charged lazily would see those
+  charges reordered relative to comparison charges).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
@@ -53,13 +56,17 @@ from ..similarity.matchers import WeightedMatcher
 SortKey = Callable[[Entity], object]
 ChargeFn = Callable[[float], float]
 PairCallback = Callable[[Entity, Entity], None]
-ShouldResolve = Callable[[Entity, Entity], bool]
+#: ``admit(e1, e2)``: ``None`` to compare the pair, else the
+#: :class:`ResolveStats` field (``"filtered"`` / ``"pruned"`` /
+#: ``"skipped"``) the vetoed position is counted under.
+Admit = Callable[[Entity, Entity], Optional[str]]
 
 #: Pairs decided per batch-kernel call.  Large enough to amortize the
-#: kernel's per-batch setup and trip its vectorized paths, small enough
-#: that stop-condition look-ahead stays cheap (a fired stop discards at
-#: most one batch of pulled-but-undecided pairs, which cost no virtual
-#: time).  Read at call time, so differential tests can monkeypatch it.
+#: kernel's per-batch setup and let it dedup repeated value pairs, small
+#: enough that stop-condition look-ahead stays cheap (a fired stop
+#: discards at most one batch of pulled-but-undecided pairs, which cost no
+#: virtual time).  Read at call time, so differential tests can
+#: monkeypatch it.
 BATCH_PAIRS = 64
 
 
@@ -71,13 +78,12 @@ class ResolveStats:
         comparisons: resolve-function invocations actually performed.
         duplicates: pairs declared duplicates.
         distincts: pairs declared distinct.
-        skipped: pairs vetoed by ``should_resolve`` (redundancy / already
-            resolved in a child block).
-        filtered: pairs vetoed by the scenario-level ``pair_filter``
-            (e.g. same-source pairs in clean-clean linkage) — not
-            candidates at all, so they cost nothing and never touch the
-            stop budget.
-        pruned: pairs vetoed by the meta-blocking ``prune`` predicate.
+        skipped: pairs ``admit`` vetoed as ``"skipped"`` (redundancy /
+            already resolved in a child block).
+        filtered: pairs ``admit`` vetoed as ``"filtered"`` (e.g.
+            same-source pairs in clean-clean linkage) — not candidates at
+            all, so they cost nothing and never touch the stop budget.
+        pruned: pairs ``admit`` vetoed as ``"pruned"`` (meta-blocking).
             Pruned pairs cost nothing but *do* consume the distinct-pair
             budget (see :class:`DistinctBudget`), so a pruned run stops no
             later than its unpruned twin at every stream position — the
@@ -192,47 +198,38 @@ def window_pairs_count(n: int, window: int) -> int:
 
 
 def resolve_block(
-    entities: Sequence[Entity],
-    mechanism: Mechanism,
-    *,
-    window: int,
-    sort_key: SortKey,
+    pairs: Iterable[Tuple[Entity, Entity]],
     matcher: WeightedMatcher,
     cost_model: CostModel,
-    charge: ChargeFn,
+    charge_compare: ChargeFn,
     on_duplicate: PairCallback,
-    should_resolve: Optional[ShouldResolve] = None,
-    pair_filter: Optional[ShouldResolve] = None,
-    prune: Optional[ShouldResolve] = None,
+    *,
+    admit: Optional[Admit] = None,
     stop: Optional[StopCondition] = None,
     on_resolved: Optional[Callable[[Entity, Entity, bool], None]] = None,
     pair_range: Optional[Tuple[int, int]] = None,
-    charge_compare: Optional[ChargeFn] = None,
 ) -> ResolveStats:
-    """Resolve one block with mechanism M (shared driver).
+    """Resolve one pair stream: collect, decide in batches, replay in order.
 
     Args:
-        entities: the block's members.
-        mechanism: the progressive mechanism M.
-        window: SN-style window size for this block.
-        sort_key: attribute extractor used to sort the block (the paper
-            sorts on the attribute the blocking was performed on).
+        pairs: candidate pairs in priority order — a mechanism's
+            ``pair_stream(...)`` (which charges its own ``CostA``) or any
+            other iterable of entity pairs.
         matcher: the resolve/match function.
         cost_model: unit costs.
-        charge: task-clock charging callback.
+        charge_compare: task-clock charging callback for the per-pair
+            comparison charges (callers tag it ``"compare"`` for
+            cost-model calibration).
         on_duplicate: called for every pair declared duplicate.
-        should_resolve: optional veto; a vetoed pair costs nothing and is
-            counted in ``stats.skipped``.
-        pair_filter: optional scenario-level candidate predicate (e.g.
-            "cross-source only" in clean-clean linkage).  A rejected pair
-            costs nothing, is counted in ``stats.filtered`` and does not
-            touch the stop budget — it was never a candidate.
-        prune: optional meta-blocking veto.  A rejected pair costs
-            nothing and is counted in ``stats.pruned``; pruned pairs *do*
-            consume the :class:`DistinctBudget` (checked in stream order),
-            so pruning can only make a block stop earlier, never extend
-            its resolution deeper into the stream.  Must be a pure
-            function of the entity pair.
+        admit: optional admission predicate ``admit(e1, e2)``: ``None``
+            sends the pair to the matcher; otherwise the name of the
+            :class:`ResolveStats` field to bump — ``"filtered"``,
+            ``"pruned"`` or ``"skipped"``.  A vetoed pair costs nothing;
+            ``"pruned"`` pairs *do* consume the :class:`DistinctBudget`
+            (checked in stream order), so pruning can only make a block
+            stop earlier.  Apart from state keyed by the entity-id pair
+            and written by ``on_resolved`` / ``on_duplicate``, it must be
+            a pure function of the pair.
         stop: stop condition (default: run to exhaustion).
         on_resolved: optional observer called for every *performed*
             comparison with the verdict (used to track per-tree resolved
@@ -241,26 +238,19 @@ def resolve_block(
             pair-stream positions — only pairs at those positions are
             considered (load-balancing shards of oversized root blocks).
             Positions outside the range are free: no veto, no charge, no
-            stats.  ``CostA`` is still charged by the stream itself.
-        charge_compare: optional charging callback used for the per-pair
-            comparison charges only (default: ``charge``).  Lets callers
-            tag comparison cost separately from ``CostA`` for cost-model
-            calibration without touching the mechanism interface.
+            stats.
 
     Returns:
-        the final :class:`ResolveStats` of the block.
+        the final :class:`ResolveStats` of the stream.
     """
     stats = ResolveStats()
-    if charge_compare is None:
-        charge_compare = charge
     condition = stop if stop is not None else NeverStop()
     first, last = (0, None) if pair_range is None else pair_range
     if first < 0 or (last is not None and last < first):
         raise ValueError(f"invalid pair_range {pair_range!r}")
-    stream = mechanism.pair_stream(entities, window, sort_key, charge, cost_model)
     width = BATCH_PAIRS
     batcher = BatchMatcher(matcher)
-    # Pending entries in stream order: a pair to decide, or the stat name
+    # Pending entries in stream order: a pair to decide, or the verdict
     # ("skipped" / "filtered" / "pruned") of a vetoed position, replayed so
     # stats — and budget consumption by pruned pairs — interleave in
     # stream order.
@@ -304,26 +294,21 @@ def resolve_block(
         return stopped
 
     position = -1
-    for e1, e2 in stream:
+    for e1, e2 in pairs:
         position += 1
         if position < first:
             continue
         if last is not None and position >= last:
             break
-        if pair_filter is not None and not pair_filter(e1, e2):
-            pending.append("filtered")
-            continue
-        if prune is not None and not prune(e1, e2):
-            pending.append("pruned")
-            continue
         ident = (e1.id, e2.id) if e1.id <= e2.id else (e2.id, e1.id)
         if ident in batch_idents:
             # The same pair again before the first occurrence was decided:
-            # flush so the veto below sees that decision's state updates.
+            # flush so ``admit`` sees that decision's state updates.
             if _flush():
                 return stats
-        if should_resolve is not None and not should_resolve(e1, e2):
-            pending.append("skipped")
+        verdict = admit(e1, e2) if admit is not None else None
+        if verdict is not None:
+            pending.append(verdict)
             continue
         pending.append((e1, e2))
         to_decide.append((e1, e2))

@@ -2,10 +2,11 @@
 
 One submit runs one job.  Map routes each member of an *affected* block
 (a level-1 block containing at least one new entity) to that block's
-reduce target(s); reduce enumerates candidate pairs, decides them with the
-batched similarity kernel, and writes ``(pair, verdict)`` records.  The
-job runs on the ordinary cluster engine, so executor pools, fault plans,
-balance-style placement, and tracer spans all apply unchanged.
+reduce target(s); reduce feeds the block's *fresh* pairs to
+:func:`~repro.mechanisms.base.resolve_block` — the same collect → decide →
+replay loop Job 2 runs — and writes what Job 2 writes: the duplicate
+pairs.  The job runs on the ordinary cluster engine, so executor pools,
+fault plans, balance-style placement, and tracer spans all apply unchanged.
 
 Batch-partition invariance — the property the differential oracle pins —
 comes from three rules, each a pure function of the two entities involved:
@@ -20,20 +21,25 @@ comes from three rules, each a pure function of the two entities involved:
   younger of the two arrives.
 * **Freshness.**  Each submit decides only pairs with at least one member
   from the current batch; old-old pairs were decided when their younger
-  member arrived.  The union over any batch sequence is therefore the
-  one-shot candidate set, decided by the same deterministic kernel.
+  member arrived.  :func:`fresh_pairs` enumerates exactly those —
+  ``O(new · |block|)``, never the block's full pair set.  The union over
+  any batch sequence is therefore the one-shot candidate set, decided by
+  the same deterministic kernel.
+
+The first two rules are the reducer's ``admit`` predicate
+(:func:`responsible_family` plus the cross-source veto in linkage mode);
+the third is the pair stream it hands to ``resolve_block``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity, pair_key
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext, stable_hash
-from ..mechanisms import base as _mechanisms_base
-from ..similarity.batch import BatchMatcher
+from ..mechanisms.base import resolve_block
 from ..similarity.matchers import WeightedMatcher
 from .store import ROUTE_SEP, BlockRoute, route_label
 
@@ -45,17 +51,27 @@ SHARD_SEP = "\x1e"
 DeltaRecord = Tuple[Entity, Dict[str, Optional[str]], bool]
 
 
-def matching_families(
+def responsible_family(
     keys_a: Dict[str, Optional[str]],
     keys_b: Dict[str, Optional[str]],
     family_order: Sequence[str],
-) -> List[str]:
-    """Families (dominance order) where both entities share a non-None key."""
-    return [
-        family
-        for family in family_order
-        if keys_a.get(family) is not None and keys_a.get(family) == keys_b.get(family)
-    ]
+    min_matches: int,
+) -> Optional[str]:
+    """The family whose block decides the pair: the first (dominance
+    order) where both entities share a non-None key — or ``None`` when
+    fewer than ``min_matches`` families agree (not a candidate at all)."""
+    first = None
+    matches = 0
+    for family in family_order:
+        key = keys_a.get(family)
+        if key is None or key != keys_b.get(family):
+            continue
+        if first is None:
+            first = family
+        matches += 1
+        if matches >= min_matches:
+            return first
+    return None
 
 
 def block_weight(members: Sequence[Tuple[int, bool]]) -> List[int]:
@@ -72,6 +88,26 @@ def block_weight(members: Sequence[Tuple[int, bool]]) -> List[int]:
         if is_new:
             new_before += 1
     return weights
+
+
+def fresh_pairs(
+    members: Sequence[DeltaRecord], lo: int, hi: int
+) -> Iterator[Tuple[Entity, Entity]]:
+    """The block's pairs with at least one new member, anchors ``[lo, hi)``.
+
+    ``members`` is sorted by id.  For anchor ``j``: every ``i < j`` when
+    ``j`` is new, else only the new ``i < j`` — anchor-major, ``i``
+    ascending, so :func:`block_weight` counts exactly what this yields.
+    """
+    seen: List[Entity] = []
+    seen_new: List[Entity] = []
+    for j, (entity_j, _, new_j) in enumerate(members[:hi]):
+        if j >= lo:
+            for entity_i in seen if new_j else seen_new:
+                yield entity_i, entity_j
+        seen.append(entity_j)
+        if new_j:
+            seen_new.append(entity_j)
 
 
 @dataclass
@@ -206,8 +242,8 @@ class DeltaPartitioner(Partitioner):
 
 
 class DeltaReducer(Reducer):
-    """Decide one affected block (or shard): enumerate fresh candidates,
-    batch them through the similarity kernel, report duplicates."""
+    """Decide one affected block (or shard): its fresh pairs through
+    :func:`~repro.mechanisms.base.resolve_block`, duplicates reported."""
 
     def __init__(
         self,
@@ -223,54 +259,47 @@ class DeltaReducer(Reducer):
         self._shards = shards
         self._min_matches = min(max(1, min_family_matches), len(self._family_order))
         self._cross_source_only = cross_source_only
-        self._batcher: Optional[BatchMatcher] = None
-
-    def _candidates(self, key: str, members: Sequence[DeltaRecord]) -> List[Tuple[Entity, Entity]]:
-        family = key.split(ROUTE_SEP, 1)[0]
-        lo, hi = self._shards.get(key, (0, len(members)))
-        pairs: List[Tuple[Entity, Entity]] = []
-        for j in range(max(lo, 1), min(hi, len(members))):
-            entity_j, keys_j, new_j = members[j]
-            for i in range(j):
-                entity_i, keys_i, new_i = members[i]
-                if not (new_i or new_j):
-                    continue
-                if self._cross_source_only and entity_i.source == entity_j.source:
-                    # Clean-clean linkage: same-source pairs are never
-                    # candidates.  Pure in the pair, so batch-partition
-                    # invariance is untouched.
-                    continue
-                matched = matching_families(keys_i, keys_j, self._family_order)
-                if len(matched) < self._min_matches or matched[0] != family:
-                    continue
-                pairs.append((entity_i, entity_j))
-        return pairs
 
     def reduce(self, key: str, values: Sequence[DeltaRecord], context: TaskContext) -> None:
-        context.charge(context.cost_model.read_record * len(values))
+        context.charge(context.cost_model.read_record * len(values), "read")
         members = sorted(values, key=lambda record: record[0].id)
-        candidates = self._candidates(key, members)
+        family = key.split(ROUTE_SEP, 1)[0]
+        lo, hi = self._shards.get(key, (0, len(members)))
+        keys_of = {entity.id: keys for entity, keys, _ in members}
+        family_order = self._family_order
+        min_matches = self._min_matches
+        cross_source_only = self._cross_source_only
+
+        def admit(e1: Entity, e2: Entity) -> Optional[str]:
+            # Both vetoes are pure in the pair, so batch-partition
+            # invariance is untouched.
+            if cross_source_only and e1.source == e2.source:
+                return "filtered"  # clean-clean linkage: never a candidate
+            responsible = responsible_family(
+                keys_of[e1.id], keys_of[e2.id], family_order, min_matches
+            )
+            if responsible == family:
+                return None
+            return "filtered" if responsible is None else "skipped"
+
+        def on_duplicate(e1: Entity, e2: Entity) -> None:
+            context.counters.increment("service", "duplicates")
+            pair = pair_key(e1.id, e2.id)
+            context.record_event("duplicate", pair)
+            context.write(pair)
+
         trace = context.tracing
         started = context.clock.now if trace else 0.0
-        found = 0
-        if candidates:
-            if self._batcher is None:
-                self._batcher = BatchMatcher(self._matcher)
-            width = _mechanisms_base.BATCH_PAIRS
-            compare_cost = context.cost_model.compare
-            for start in range(0, len(candidates), width):
-                chunk = candidates[start : start + width]
-                factors = self._batcher.cost_factors(chunk)
-                decisions = self._batcher.decisions(chunk)
-                for (entity_a, entity_b), factor, is_dup in zip(chunk, factors, decisions):
-                    context.charge(compare_cost * factor)
-                    context.counters.increment("service", "comparisons")
-                    pair = pair_key(entity_a.id, entity_b.id)
-                    if is_dup:
-                        found += 1
-                        context.counters.increment("service", "duplicates")
-                        context.record_event("duplicate", pair)
-                    context.write((pair, is_dup))
+        stats = resolve_block(
+            fresh_pairs(members, lo, hi),
+            self._matcher,
+            context.cost_model,
+            lambda units: context.charge(units, "compare"),
+            on_duplicate,
+            admit=admit,
+        )
+        if stats.comparisons:
+            context.counters.increment("service", "comparisons", stats.comparisons)
         context.counters.increment("service", "blocks_resolved")
         if trace:
             context.record_span(
@@ -279,8 +308,8 @@ class DeltaReducer(Reducer):
                 started,
                 context.clock.now,
                 members=len(members),
-                candidates=len(candidates),
-                duplicates=found,
+                candidates=stats.comparisons,
+                duplicates=stats.duplicates,
             )
 
 
@@ -321,8 +350,9 @@ __all__ = [
     "SHARD_SEP",
     "DeltaRecord",
     "DeltaPlan",
-    "matching_families",
+    "responsible_family",
     "block_weight",
+    "fresh_pairs",
     "plan_delta",
     "DeltaMapper",
     "DeltaPartitioner",

@@ -3,11 +3,11 @@
 A :class:`ResolverService` is a long-lived resolver.  Batches of entities
 arrive via :meth:`~ResolverService.submit`; each batch is blocked against
 the persistent forest, only the *affected* blocks re-enter resolution (as
-one delta MapReduce job on the session cluster), and the found-pair set,
-similarity memo and virtual clock persist across batches.  Consumers
-stream new pairs with :meth:`~ResolverService.pairs`, query live cluster
-membership with :meth:`~ResolverService.cluster_of`, and round-trip the
-whole service state with :meth:`~ResolverService.snapshot` /
+one delta MapReduce job on the session cluster), and the found-pair set
+and virtual clock persist across batches.  Consumers stream new pairs with
+:meth:`~ResolverService.pairs`, query live cluster membership with
+:meth:`~ResolverService.cluster_of`, and round-trip the whole service
+state with :meth:`~ResolverService.snapshot` /
 :meth:`~ResolverService.restore`.
 
 The headline invariant (pinned by the differential-oracle tests): any
@@ -188,7 +188,6 @@ class ResolverService:
         self.store = EntityStore(config.scheme)
         self._events: List[PairEvent] = []
         self._found: Set[Pair] = set()
-        self._decisions: Dict[Pair, bool] = {}
         self._clusters = UnionFind()
         self._clock = 0.0
         self._batches = 0
@@ -198,7 +197,13 @@ class ResolverService:
     # -- core API ----------------------------------------------------------
 
     def submit(self, entities: Iterable[Entity]) -> BatchReceipt:
-        """Admit a batch and resolve everything it can change."""
+        """Admit a batch and resolve everything it can change.
+
+        Atomic: the batch is admitted only after its delta job returned.
+        If the job raises (a fault plan aborting it, a dead worker) the
+        store, batch counter, clock, pair stream and receipts are exactly
+        as before the call, and the same batch can be submitted again.
+        """
         batch_entities = list(entities)
         self._check_batch(batch_entities)
         batch = self._batches + 1
@@ -206,11 +211,11 @@ class ResolverService:
             (entity, self.store.annotate(entity)) for entity in batch_entities
         ]
         affected = self._affected_blocks(annotated)
-        self.store.admit(annotated, batch)
-        self._batches = batch
 
         start_time = self._clock
         if not affected:
+            self.store.admit(annotated, batch)
+            self._batches = batch
             receipt = BatchReceipt(
                 batch=batch, added=len(batch_entities), affected_blocks=0,
                 planned_pairs=0, comparisons=0, duplicates=0, pairs=(),
@@ -232,14 +237,15 @@ class ResolverService:
             alpha=self.config.alpha,
             name=f"delta-resolution-{batch}",
         )
-        records = self._delta_records(affected)
+        records = self._delta_records(affected, annotated)
         result = self.session.run_job(job, records, start_time=start_time)
+        # Nothing above mutated the service; from here on nothing raises.
+        self.store.admit(annotated, batch)
+        self._batches = batch
         self._clock = result.end_time
 
         first_seq = len(self._events) + 1
         new_pairs: List[Pair] = []
-        for pair, verdict in result.output:
-            self._decisions.setdefault(pair, verdict)
         for event in result.events:
             if event.kind != "duplicate":
                 continue
@@ -332,7 +338,7 @@ class ResolverService:
     # -- snapshot / restore ------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable state: entities, stream, decisions, clock."""
+        """JSON-serializable state: entities, pair stream, clock."""
         stored = sorted(self.store.stored(), key=lambda s: s.entity.id)
         return {
             "format": SNAPSHOT_FORMAT,
@@ -353,10 +359,6 @@ class ResolverService:
                 {"seq": e.seq, "pair": list(e.pair), "batch": e.batch, "time": e.time}
                 for e in self._events
             ],
-            "decisions": [
-                [pair[0], pair[1], verdict]
-                for pair, verdict in sorted(self._decisions.items())
-            ],
         }
 
     @classmethod
@@ -367,7 +369,9 @@ class ResolverService:
         ``config`` must be behaviorally identical to the snapshotting
         service's (checked via the embedded fingerprint); keys are
         recomputed from it, so only entities, stream state and the clock
-        travel in the snapshot.
+        travel in the snapshot.  (Snapshots written before the per-pair
+        ``"decisions"`` ledger was dropped still restore: the key is
+        ignored, nothing ever read it.)
         """
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -403,8 +407,6 @@ class ResolverService:
             service._events.append(event)
             service._found.add(pair)
             service._clusters.union(*pair)
-        for a, b, verdict in snapshot.get("decisions", ()):
-            service._decisions[pair_key(int(a), int(b))] = bool(verdict)
         service._clock = float(snapshot["clock"])
         service._batches = int(snapshot["batches"])
         service._comparisons = int(snapshot["comparisons"])
@@ -447,17 +449,26 @@ class ResolverService:
         return affected
 
     def _delta_records(
-        self, affected: Dict[BlockRoute, List[Tuple[int, bool]]]
+        self,
+        affected: Dict[BlockRoute, List[Tuple[int, bool]]],
+        annotated: Sequence[Tuple[Entity, Dict[str, Optional[str]]]],
     ) -> List[Any]:
-        """Map input: every member of an affected block, annotated, once."""
-        wanted: Dict[int, bool] = {}
-        for members in affected.values():
-            for entity_id, is_new in members:
-                wanted[entity_id] = is_new
+        """Map input: every member of an affected block, annotated, once.
+
+        New members come from ``annotated`` — they are not in the store
+        until the job has returned (see :meth:`submit`).
+        """
+        fresh = {entity.id: (entity, keys, True) for entity, keys in annotated}
+        wanted = {
+            entity_id for members in affected.values() for entity_id, _ in members
+        }
         records = []
         for entity_id in sorted(wanted):
-            stored = self.store.get(entity_id)
-            records.append((stored.entity, stored.keys, wanted[entity_id]))
+            record = fresh.get(entity_id)
+            if record is None:
+                stored = self.store.get(entity_id)
+                record = (stored.entity, stored.keys, False)
+            records.append(record)
         return records
 
 

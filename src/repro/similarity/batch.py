@@ -11,18 +11,15 @@ almost all of that per-call work is redundant.
 
 :class:`BatchMatcher` amortizes it:
 
-* **per-entity value tables** — each entity's (truncated) attribute values,
-  their lengths, and integer codes for exact-comparator values are computed
-  once per entity and reused by every pair that touches it;
+* **per-entity value tables** — each entity's (truncated) attribute values
+  and their lengths are computed once per entity and reused by every pair
+  that touches it;
 * **rule-major evaluation** — the outer loop runs over rules (in the same
   cheapest-first order the scalar path uses), the inner loop over the pairs
   still alive, with the rule's weight/comparator hoisted into locals;
 * **batched short-circuits** — the scalar path's upper-bound cutoff and the
   threshold-propagating edit-distance floor run per pair inside the batch,
-  so a dead pair drops out of every later (more expensive) rule;
-* **optional numpy fast path** — exact-comparator columns are evaluated as
-  vectorized integer-code comparisons when numpy is importable and the
-  batch is large enough; a pure-python loop covers every other case.
+  so a dead pair drops out of every later (more expensive) rule.
 
 Decisions are **bit-identical** to the scalar matcher: the same float
 expressions accumulate in the same order with the same ``1e-9`` / ``1e-7``
@@ -52,20 +49,11 @@ from .matchers import (
     _memo_edit_at_least,
 )
 
-try:  # pragma: no cover - exercised via the fallback flag either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional by design
-    _np = None
-
-#: Batches below this size skip the numpy path: array construction costs
-#: more than the handful of string comparisons it replaces.
-NUMPY_MIN_PAIRS = 16
-
 #: Comparators whose cost the scalar cost model treats as negligible
 #: (mirrors the tuple in ``WeightedMatcher.comparison_cost_factor``).
 _CHEAP_COMPARATORS = ("exact", "token_jaccard", "qgram")
 
-_STATS = {"batches": 0, "pairs": 0, "numpy_batches": 0}
+_STATS = {"batches": 0, "pairs": 0}
 
 
 def batch_kernel_counters() -> Dict[str, int]:
@@ -90,11 +78,9 @@ class BatchMatcher:
 
     Args:
         matcher: the scalar matcher whose decisions are reproduced.
-        use_numpy: enable the vectorized exact-comparator path (ignored
-            when numpy is not importable).
     """
 
-    def __init__(self, matcher: WeightedMatcher, *, use_numpy: bool = True) -> None:
+    def __init__(self, matcher: WeightedMatcher) -> None:
         self.matcher = matcher
         rules = matcher.rules
         self._rules: List[AttributeRule] = rules
@@ -103,24 +89,17 @@ class BatchMatcher:
         self._total_weight = matcher._total_weight
         #: ``threshold - 1e-9`` exactly as the scalar cutoff computes it.
         self._cutoff = matcher.threshold - 1e-9
-        self._exact_indices = tuple(
-            i for i, rule in enumerate(rules) if rule.comparator == "exact"
-        )
         self._quad_indices = tuple(
             i for i, rule in enumerate(rules)
             if rule.comparator not in _CHEAP_COMPARATORS
         )
         self._cost_denominator = len(self._quad_indices) * REFERENCE_LENGTH
-        self._use_numpy = use_numpy and _np is not None
-        #: entity id -> (values, lengths, exact-value codes), one row each.
-        self._rows: Dict[int, Tuple[tuple, tuple, tuple]] = {}
-        #: exact-comparator value -> small integer code ("" is always 0, so
-        #: the vectorized path can test missing values without strings).
-        self._value_codes: Dict[str, int] = {"": 0}
+        #: entity id -> (values, lengths), one row each.
+        self._rows: Dict[int, Tuple[tuple, tuple]] = {}
 
     # -- per-entity tables ---------------------------------------------
 
-    def _row(self, entity: Entity) -> Tuple[tuple, tuple, tuple]:
+    def _row(self, entity: Entity) -> Tuple[tuple, tuple]:
         row = self._rows.get(entity.id)
         if row is None:
             values = []
@@ -129,16 +108,7 @@ class BatchMatcher:
                 if rule.max_chars is not None:
                     value = value[: rule.max_chars]
                 values.append(value)
-            codes = [0] * len(values)
-            value_codes = self._value_codes
-            for index in self._exact_indices:
-                value = values[index]
-                code = value_codes.get(value)
-                if code is None:
-                    code = len(value_codes)
-                    value_codes[value] = code
-                codes[index] = code
-            row = (tuple(values), tuple([len(v) for v in values]), tuple(codes))
+            row = (tuple(values), tuple([len(v) for v in values]))
             self._rows[entity.id] = row
         return row
 
@@ -166,25 +136,6 @@ class BatchMatcher:
             return self._cached_decisions(pairs)
         return self._bounded_decisions(pairs)
 
-    def _exact_columns(self, rows1, rows2):
-        """Vectorized exact-rule columns: index -> (sims, missing) lists.
-
-        Integer codes compare equal iff the strings do, and code 0 is the
-        empty string, so one array comparison yields the whole column.
-        ``tolist()`` converts back to the exact Python floats/bools the
-        scalar path produces (0.0 / 1.0 literals).
-        """
-        columns = {}
-        for index in self._exact_indices:
-            # List comprehensions, not generators: one frame per column
-            # instead of one generator resumption per element.
-            c1 = _np.array([row[2][index] for row in rows1], dtype=_np.int64)
-            c2 = _np.array([row[2][index] for row in rows2], dtype=_np.int64)
-            sims = (c1 == c2).astype(_np.float64).tolist()
-            missing = ((c1 == 0) & (c2 == 0)).tolist()
-            columns[index] = (sims, missing)
-        return columns
-
     def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
         """Mirror of ``WeightedMatcher._bounded_match`` over a batch.
 
@@ -199,10 +150,6 @@ class BatchMatcher:
         matcher = self.matcher
         cutoff = self._cutoff
         rows1, rows2 = self._row_columns(pairs)
-        exact_columns = None
-        if self._use_numpy and n >= NUMPY_MIN_PAIRS and self._exact_indices:
-            _STATS["numpy_batches"] += 1
-            exact_columns = self._exact_columns(rows1, rows2)
 
         sims: List[List[Optional[float]]] = [[None] * num_rules for _ in range(n)]
         totals = [0.0] * n
@@ -217,7 +164,6 @@ class BatchMatcher:
             comparator = rule.comparator
             is_edit = comparator == "edit"
             is_exact = comparator == "exact"
-            column = exact_columns.get(index) if exact_columns is not None else None
             # Within one rule, identical value pairs recur constantly in
             # sorted blocks; resolve them once per batch instead of once
             # per pair (same value either way — only memo traffic differs).
@@ -231,10 +177,8 @@ class BatchMatcher:
                 v1 = rows1[p][0][index]
                 v2 = rows2[p][0][index]
                 remaining_after = remainings[p] - weight
-                if column is not None:
-                    sim: Optional[float] = None if column[1][p] else column[0][p]
-                elif not v1 and not v2:
-                    sim = None
+                if not v1 and not v2:
+                    sim: Optional[float] = None
                 elif not v1 or not v2:
                     sim = 0.0
                 elif is_exact:
@@ -332,26 +276,17 @@ class BatchMatcher:
             return []
         n = len(pairs)
         rows1, rows2 = self._row_columns(pairs)
-        exact_columns = None
-        if self._use_numpy and n >= NUMPY_MIN_PAIRS and self._exact_indices:
-            _STATS["numpy_batches"] += 1
-            exact_columns = self._exact_columns(rows1, rows2)
         totals = [0.0] * n
         weights = [0.0] * n
         for index, rule in enumerate(self._rules):
             weight = rule.weight
             comparator = rule.comparator
             is_exact = comparator == "exact"
-            column = exact_columns.get(index) if exact_columns is not None else None
             local: Dict[Tuple[str, str], float] = {}
             for p in range(n):
                 v1 = rows1[p][0][index]
                 v2 = rows2[p][0][index]
-                if column is not None:
-                    if column[1][p]:
-                        continue
-                    sim = column[0][p]
-                elif not v1 and not v2:
+                if not v1 and not v2:
                     continue
                 elif not v1 or not v2:
                     sim = 0.0
@@ -397,23 +332,19 @@ class BatchMatcher:
 # ---------------------------------------------------------------------------
 
 
-def batch_similarity(
-    rules: Sequence[AttributeRule], pairs: PairSeq, *, use_numpy: bool = True
-) -> List[float]:
+def batch_similarity(rules: Sequence[AttributeRule], pairs: PairSeq) -> List[float]:
     """Weighted similarities of ``pairs`` under ``rules``, batched.
 
     Equivalent to ``[WeightedMatcher(rules, t).similarity(e1, e2) ...]``
     for any threshold ``t`` (the threshold never enters the similarity).
     """
     matcher = WeightedMatcher(rules, threshold=1.0)
-    return BatchMatcher(matcher, use_numpy=use_numpy).similarities(pairs)
+    return BatchMatcher(matcher).similarities(pairs)
 
 
-def batch_is_match(
-    matcher: WeightedMatcher, pairs: PairSeq, *, use_numpy: bool = True
-) -> List[bool]:
+def batch_is_match(matcher: WeightedMatcher, pairs: PairSeq) -> List[bool]:
     """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, batched."""
-    return BatchMatcher(matcher, use_numpy=use_numpy).decisions(pairs)
+    return BatchMatcher(matcher).decisions(pairs)
 
 
 def batch_cost_factors(
@@ -430,5 +361,4 @@ __all__ = [
     "batch_cost_factors",
     "batch_kernel_counters",
     "reset_batch_kernel_counters",
-    "NUMPY_MIN_PAIRS",
 ]

@@ -16,6 +16,10 @@ golden books fixture.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +46,6 @@ from repro.similarity import (
     batch_similarity,
     books_matcher,
 )
-from repro.similarity.batch import NUMPY_MIN_PAIRS
 
 ALPHABET = "abcdé日本語🙂 "
 _ATTRS = ("title", "venue", "year")
@@ -75,9 +78,9 @@ def matcher_configs(draw, cache=False):
 
 
 @st.composite
-def entity_batches(draw, min_pairs=0, max_pairs=NUMPY_MIN_PAIRS + 8):
+def entity_batches(draw, min_pairs=0, max_pairs=24):
     """A pool of entities (attributes randomly missing/empty) and a pair
-    list over them, long enough to cross the numpy-path threshold."""
+    list over them, long enough for value pairs to repeat in a batch."""
     pool_size = draw(st.integers(min_value=2, max_value=8))
     entities = []
     for i in range(pool_size):
@@ -114,12 +117,6 @@ class TestBatchScalarEquivalence:
         assert batch_is_match(matcher, pairs) == scalar
 
     @settings(max_examples=100)
-    @given(matcher=matcher_configs(), pairs=entity_batches())
-    def test_is_match_without_numpy_equals_scalar(self, matcher, pairs):
-        scalar = [matcher.is_match(e1, e2) for e1, e2 in pairs]
-        assert batch_is_match(matcher, pairs, use_numpy=False) == scalar
-
-    @settings(max_examples=100)
     @given(matcher=matcher_configs(cache=True), pairs=entity_batches())
     def test_cached_matcher_decisions_equal_scalar(self, matcher, pairs):
         # The batch path must populate and consult the pair cache exactly
@@ -153,32 +150,24 @@ class TestBatchScalarEquivalence:
 
 
 def scalar_resolve_block(
-    entities, mechanism, *, window, sort_key, matcher, cost_model, charge,
-    on_duplicate, should_resolve=None, pair_filter=None, prune=None, stop=None,
-    on_resolved=None, pair_range=None, charge_compare=None,
+    pairs, matcher, cost_model, charge_compare, on_duplicate, *,
+    admit=None, stop=None, on_resolved=None, pair_range=None,
 ):
     """The per-pair oracle ``resolve_block`` is differenced against: one
     ``is_match`` per admitted pair, no look-ahead."""
     stats = ResolveStats()
-    charge_compare = charge_compare or charge
     condition = stop if stop is not None else NeverStop()
     first, last = (0, None) if pair_range is None else pair_range
-    stream = mechanism.pair_stream(entities, window, sort_key, charge, cost_model)
-    for position, (e1, e2) in enumerate(stream):
+    for position, (e1, e2) in enumerate(pairs):
         if position < first:
             continue
         if last is not None and position >= last:
             break
-        if pair_filter is not None and not pair_filter(e1, e2):
-            stats.filtered += 1
-            continue
-        if prune is not None and not prune(e1, e2):
-            stats.pruned += 1
-            if condition.should_stop(stats, False):
+        verdict = admit(e1, e2) if admit is not None else None
+        if verdict is not None:
+            setattr(stats, verdict, getattr(stats, verdict) + 1)
+            if verdict == "pruned" and condition.should_stop(stats, False):
                 return stats
-            continue
-        if should_resolve is not None and not should_resolve(e1, e2):
-            stats.skipped += 1
             continue
         charge_compare(cost_model.compare * matcher.comparison_cost_factor(e1, e2))
         is_dup = matcher.is_match(e1, e2)
@@ -196,7 +185,9 @@ def scalar_resolve_block(
     return stats
 
 
-def _resolve(entities, matcher, resolver=resolve_block, *, window=8, stop=None):
+def _resolve(
+    entities, matcher, resolver=resolve_block, *, window=8, stop=None, admit=None
+):
     charged = []
     dups = []
     resolved = []
@@ -205,19 +196,20 @@ def _resolve(entities, matcher, resolver=resolve_block, *, window=8, stop=None):
         charged.append(cost)
         return cost
 
+    cost_model = CostModel()
     stats = resolver(
-        entities,
-        SortedNeighborHint(),
-        window=window,
-        sort_key=lambda e: block_sort_key(e, "title"),
-        matcher=matcher,
-        cost_model=CostModel(),
-        charge=charge,
-        on_duplicate=lambda a, b: dups.append((min(a.id, b.id), max(a.id, b.id))),
+        SortedNeighborHint().pair_stream(
+            entities, window, lambda e: block_sort_key(e, "title"), charge, cost_model
+        ),
+        matcher,
+        cost_model,
+        charge,
+        lambda a, b: dups.append((min(a.id, b.id), max(a.id, b.id))),
         on_resolved=lambda a, b, d: resolved.append(
             (min(a.id, b.id), max(a.id, b.id), d)
         ),
         stop=stop,
+        admit=admit,
     )
     return stats, dups, resolved, charged
 
@@ -245,6 +237,73 @@ class TestResolveBlockBatching:
         batched = _resolve(entities, books_matcher(), stop=DistinctBudget(25))
         assert batched == scalar
         assert not scalar[0].exhausted
+
+    def test_admit_verdicts_are_counted_and_pruned_burns_the_budget(
+        self, books_small, monkeypatch
+    ):
+        from repro.mechanisms import DistinctBudget
+
+        entities = books_small.entities[:120]
+        verdicts = (None, "filtered", "pruned", "skipped")
+
+        def admit(e1, e2):
+            return verdicts[(e1.id + e2.id) % 4]
+
+        unstopped = _resolve(entities, books_matcher(), admit=admit)[0]
+        assert unstopped.exhausted
+        assert min(
+            unstopped.comparisons, unstopped.filtered,
+            unstopped.pruned, unstopped.skipped,
+        ) > 0
+
+        scalar = _resolve(
+            entities, books_matcher(), scalar_resolve_block,
+            admit=admit, stop=DistinctBudget(25),
+        )
+        for width in (2, 64):
+            monkeypatch.setattr(mechanisms_base, "BATCH_PAIRS", width)
+            batched = _resolve(
+                entities, books_matcher(), admit=admit, stop=DistinctBudget(25)
+            )
+            assert batched == scalar
+        stats = scalar[0]
+        assert not stats.exhausted
+        # Pruned positions burned budget: the stop fired on fewer than 25
+        # actual distinct verdicts.
+        assert stats.distincts + stats.pruned == 25
+        assert 0 < stats.pruned and stats.distincts < 25
+        assert stats.filtered > 0 and stats.skipped > 0
+
+    def test_removed_options_are_type_errors(self):
+        matcher = books_matcher()
+        with pytest.raises(TypeError):
+            BatchMatcher(matcher, use_numpy=False)
+        with pytest.raises(TypeError):
+            batch_is_match(matcher, [], use_numpy=False)
+        with pytest.raises(TypeError):
+            resolve_block(
+                [], matcher, CostModel(), lambda cost: cost, lambda a, b: None,
+                pair_filter=lambda a, b: True,
+            )
+
+    def test_src_never_imports_numpy(self):
+        # A fresh interpreter where ``import numpy`` fails: the CLI still
+        # imports and the batch kernel still decides.
+        script = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "import repro.cli\n"
+            "from repro.data import make_books\n"
+            "from repro.similarity import batch_is_match, books_matcher\n"
+            "entities = make_books(40, seed=2).entities\n"
+            "pairs = list(zip(entities, entities[1:]))\n"
+            "matcher = books_matcher()\n"
+            "assert batch_is_match(matcher, pairs) == "
+            "[matcher.is_match(a, b) for a, b in pairs]\n"
+            "assert not any(name.split('.')[0] == 'numpy' and module is not None"
+            " for name, module in sys.modules.items())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
     def test_hot_path_never_calls_scalar_matcher(self, books_small, monkeypatch):
         # The CI guard: reintroducing per-pair is_match/comparison_cost_factor

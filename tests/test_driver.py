@@ -76,7 +76,7 @@ class TestRedundancyFreedom:
         resolved = Counter()
         original = mechanisms_base.resolve_block
 
-        def counting(entities, mechanism, **kwargs):
+        def counting(*args, **kwargs):
             inner = kwargs.get("on_resolved")
 
             def wrapper(e1, e2, is_dup):
@@ -85,7 +85,7 @@ class TestRedundancyFreedom:
                     inner(e1, e2, is_dup)
 
             kwargs["on_resolved"] = wrapper
-            return original(entities, mechanism, **kwargs)
+            return original(*args, **kwargs)
 
         driver_module.resolve_block = counting
         try:

@@ -59,14 +59,13 @@ class TestEngineEdges:
 class TestMechanismEdges:
     def test_empty_block(self):
         stats = resolve_block(
-            [],
-            PSNM(),
-            window=5,
-            sort_key=lambda e: e.get("v"),
-            matcher=citeseer_matcher(),
-            cost_model=CostModel(),
-            charge=lambda c: None,
-            on_duplicate=lambda a, b: None,
+            PSNM().pair_stream(
+                [], 5, lambda e: e.get("v"), lambda c: None, CostModel()
+            ),
+            citeseer_matcher(),
+            CostModel(),
+            lambda c: None,
+            lambda a, b: None,
         )
         assert stats.comparisons == 0
         assert stats.exhausted
@@ -74,14 +73,13 @@ class TestMechanismEdges:
     def test_window_of_one_compares_nothing(self):
         entities = [Entity(id=i, attrs={"v": str(i)}) for i in range(5)]
         stats = resolve_block(
-            entities,
-            SortedNeighborHint(),
-            window=1,
-            sort_key=lambda e: e.get("v"),
-            matcher=citeseer_matcher(),
-            cost_model=CostModel(),
-            charge=lambda c: None,
-            on_duplicate=lambda a, b: None,
+            SortedNeighborHint().pair_stream(
+                entities, 1, lambda e: e.get("v"), lambda c: None, CostModel()
+            ),
+            citeseer_matcher(),
+            CostModel(),
+            lambda c: None,
+            lambda a, b: None,
         )
         assert stats.comparisons == 0
 

@@ -157,14 +157,11 @@ class TestResolveBlock:
         found = []
         charged = []
         stats = resolve_block(
-            entities,
-            PSNM(),
-            window=3,
-            sort_key=_sort_key,
-            matcher=self._matcher(),
-            cost_model=CostModel(),
-            charge=charged.append,
-            on_duplicate=lambda a, b: found.append((a.id, b.id)),
+            PSNM().pair_stream(entities, 3, _sort_key, charged.append, CostModel()),
+            self._matcher(),
+            CostModel(),
+            charged.append,
+            lambda a, b: found.append((a.id, b.id)),
         )
         assert [tuple(sorted(p)) for p in found] == [(0, 1)]
         assert stats.duplicates == 1
@@ -174,31 +171,27 @@ class TestResolveBlock:
     def test_should_resolve_veto_skips_and_costs_nothing(self):
         entities = _entities("aa", "ab")
         charged = []
+        compared = []
         stats = resolve_block(
-            entities,
-            PSNM(),
-            window=2,
-            sort_key=_sort_key,
-            matcher=self._matcher(),
-            cost_model=CostModel(),
-            charge=charged.append,
-            on_duplicate=lambda a, b: None,
-            should_resolve=lambda a, b: False,
+            PSNM().pair_stream(entities, 2, _sort_key, charged.append, CostModel()),
+            self._matcher(),
+            CostModel(),
+            compared.append,
+            lambda a, b: None,
+            admit=lambda a, b: "skipped",
         )
         assert stats.skipped == 1
         assert stats.comparisons == 0
+        assert compared == []
 
     def test_stop_condition_halts_early(self):
         entities = _entities(*[f"x{i:02d}" for i in range(20)])
         stats = resolve_block(
-            entities,
-            PSNM(),
-            window=10,
-            sort_key=_sort_key,
-            matcher=self._matcher(),
-            cost_model=CostModel(),
-            charge=lambda c: None,
-            on_duplicate=lambda a, b: None,
+            PSNM().pair_stream(entities, 10, _sort_key, lambda c: None, CostModel()),
+            self._matcher(),
+            CostModel(),
+            lambda c: None,
+            lambda a, b: None,
             stop=DistinctBudget(3),
         )
         assert not stats.exhausted
@@ -208,14 +201,13 @@ class TestResolveBlock:
         entities = _entities("aa", "ab", "zz")
         seen = []
         resolve_block(
-            entities,
-            FullResolution(),
-            window=99,
-            sort_key=_sort_key,
-            matcher=self._matcher(),
-            cost_model=CostModel(),
-            charge=lambda c: None,
-            on_duplicate=lambda a, b: None,
+            FullResolution().pair_stream(
+                entities, 99, _sort_key, lambda c: None, CostModel()
+            ),
+            self._matcher(),
+            CostModel(),
+            lambda c: None,
+            lambda a, b: None,
             on_resolved=lambda a, b, d: seen.append(((a.id, b.id), d)),
         )
         assert len(seen) == 3

@@ -5,11 +5,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core import citeseer_config, skewed_config
-from repro.data import Entity, make_citeseer, make_skewed
+from repro.core import books_config, citeseer_config, skewed_config
+from repro.data import Entity, make_books, make_citeseer, make_skewed
 from repro.service import ResolverService
-from repro.service.delta import block_weight, matching_families, plan_delta
+from repro.service.delta import (
+    block_weight,
+    fresh_pairs,
+    plan_delta,
+    responsible_family,
+)
 from repro.service.resolver import SNAPSHOT_FORMAT, config_fingerprint
 from repro.service.store import EntityStore, route_label
 
@@ -55,6 +62,20 @@ class TestEntityStore:
             store.admit(annotated, batch=2)
 
 
+def brute_force_fresh_pairs(members, lo, hi):
+    """The oracle: every ``j × i`` pair of the anchor range, old×old
+    discarded — the double loop the delta reducer used to run."""
+    pairs = []
+    for j in range(max(lo, 1), min(hi, len(members))):
+        entity_j, _, new_j = members[j]
+        for i in range(j):
+            entity_i, _, new_i = members[i]
+            if not (new_i or new_j):
+                continue
+            pairs.append((entity_i.id, entity_j.id))
+    return pairs
+
+
 class TestDeltaPlanning:
     def test_block_weight_counts_fresh_pairs(self):
         # ids 1,3 old; 5,9 new: fresh pairs are every pair minus (1,3).
@@ -63,11 +84,41 @@ class TestDeltaPlanning:
         assert sum(weights) == 6 - 1
         assert weights[0] == 0  # first anchor has no partners
 
-    def test_matching_families_in_dominance_order(self):
+    def test_responsible_family_in_dominance_order(self):
         a = {"X": "ab", "Y": None, "Z": "zz"}
         b = {"X": "ab", "Y": "yy", "Z": "zz"}
-        assert matching_families(a, b, ("X", "Y", "Z")) == ["X", "Z"]
-        assert matching_families(a, b, ("Z", "Y", "X")) == ["Z", "X"]
+        # X and Z agree: the first of them in dominance order decides.
+        assert responsible_family(a, b, ("X", "Y", "Z"), 2) == "X"
+        assert responsible_family(a, b, ("Z", "Y", "X"), 2) == "Z"
+        assert responsible_family(a, b, ("X", "Y", "Z"), 1) == "X"
+        # The floor: two agreeing families are not three.
+        assert responsible_family(a, b, ("X", "Y", "Z"), 3) is None
+        # A None key never agrees, not even with another None.
+        assert responsible_family(a, b, ("Y", "X"), 2) is None
+        assert responsible_family(a, dict(b, Y=None), ("Y", "X", "Z"), 2) == "X"
+        assert responsible_family(a, dict(b, Y=None), ("Y",), 1) is None
+        # A family missing from one side counts as a None key.
+        assert responsible_family({"X": "ab"}, b, ("X", "Z"), 2) is None
+
+    @given(
+        roster=st.lists(st.booleans(), max_size=12),
+        bounds=st.tuples(st.integers(0, 13), st.integers(0, 13)),
+    )
+    def test_fresh_pairs_equal_the_double_loop(self, roster, bounds):
+        # Ties the reducer's generator to the planner's weights: same
+        # pairs as the old j × i scan, same order, block_weight many.
+        members = [
+            (Entity(3 * index + 1, {}), {}, is_new)
+            for index, is_new in enumerate(roster)
+        ]
+        lo, hi = min(bounds), max(bounds)
+        assert [
+            (a.id, b.id) for a, b in fresh_pairs(members, lo, hi)
+        ] == brute_force_fresh_pairs(members, lo, hi)
+        whole = list(fresh_pairs(members, 0, len(members)))
+        assert len(whole) == sum(
+            block_weight([(entity.id, is_new) for entity, _, is_new in members])
+        )
 
     def test_slack_keeps_whole_blocks(self):
         affected = {("X", "aa"): [(1, True), (2, False), (3, False)]}
@@ -154,6 +205,64 @@ class TestSubmit:
         assert receipt.affected_blocks == 0
         assert receipt.comparisons == 0
 
+    def test_failed_submit_leaves_the_service_untouched(
+        self, dataset, config, monkeypatch
+    ):
+        batches = [
+            dataset.entities[:200],
+            dataset.entities[200:250],
+            dataset.entities[250:300],
+        ]
+        undisturbed = make_service(config)
+        for batch in batches:
+            undisturbed.submit(batch)
+
+        service = make_service(config)
+        service.submit(batches[0])
+        run_job = service.session.run_job
+        calls = []
+
+        def dies_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("parallel worker failed on task 0")
+            return run_job(*args, **kwargs)
+
+        monkeypatch.setattr(service.session, "run_job", dies_once)
+        before = (service.snapshot(), service.stats(), service.receipts)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            service.submit(batches[1])
+        assert (service.snapshot(), service.stats(), service.receipts) == before
+        assert service.total_entities == 200
+        assert batches[1][0].id not in service.store
+
+        retried = service.submit(batches[1])
+        assert retried.batch == 2
+        service.submit(batches[2])
+        assert len(calls) == 3
+        assert service.found_pairs == undisturbed.found_pairs
+        assert service.total_comparisons == undisturbed.total_comparisons
+        assert service.receipts == undisturbed.receipts
+
+    def test_delta_charges_are_tagged_for_calibration(
+        self, dataset, config, monkeypatch
+    ):
+        service = make_service(config)
+        run_job = service.session.run_job
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(run_job(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(service.session, "run_job", recording)
+        service.submit(dataset.entities[:100])
+        profiles = [dict(task.charge_profile) for task in results[0].reduce_tasks]
+        assert any(
+            profile.get("read", 0.0) > 0.0 and profile.get("compare", 0.0) > 0.0
+            for profile in profiles
+        )
+
 
 class TestPairStream:
     def test_seqs_are_contiguous_and_monotone(self, dataset, config):
@@ -228,6 +337,34 @@ class TestSnapshotRestore:
         restored.submit(dataset.entities[200:300])
         assert restored.found_pairs == service.found_pairs
         assert restored.clock == service.clock
+
+    def test_snapshot_carries_no_decision_ledger(self):
+        entities = make_books(400, seed=11).entities
+        service = ResolverService(books_config(), machines=3)
+        for start in range(0, 400, 100):
+            service.submit(entities[start : start + 100])
+        assert service.total_comparisons > 0
+        snapshot = service.snapshot()
+        assert "decisions" not in snapshot
+        # The state is the entities plus a little: no per-comparison part.
+        assert len(json.dumps(snapshot)) < 2 * len(json.dumps(snapshot["entities"]))
+
+    def test_old_snapshot_with_a_decision_ledger_still_restores(
+        self, dataset, config
+    ):
+        service = make_service(config)
+        service.submit(dataset.entities[:200])
+        old = dict(service.snapshot())
+        old["decisions"] = [
+            [event.pair[0], event.pair[1], True] for event in service.pairs()
+        ] + [[dataset.entities[0].id, dataset.entities[199].id, False]]
+        restored = ResolverService.restore(
+            json.loads(json.dumps(old)), citeseer_config(), machines=3
+        )
+        service.submit(dataset.entities[200:300])
+        restored.submit(dataset.entities[200:300])
+        assert restored.pairs() == service.pairs()
+        assert restored.total_comparisons == service.total_comparisons
 
     def test_unknown_format_rejected(self, config):
         with pytest.raises(ValueError, match="snapshot format"):
