@@ -19,8 +19,9 @@ from repro.core.estimation import EstimationModel, UniformEstimator
 from repro.core.schedule import generate_schedule
 from repro.core.statistics import run_statistics_job
 from repro.mapreduce import Cluster, CostModel
+import repro.similarity.batch as batch_module
 from repro.similarity import (
-    batch_is_match,
+    BatchMatcher,
     books_matcher,
     citeseer_matcher,
     clear_similarity_cache,
@@ -62,12 +63,12 @@ def test_jaro_winkler_throughput(benchmark):
 
 
 def test_matcher_throughput(benchmark, citeseer_dataset):
-    matcher = citeseer_matcher()  # uncached: measure the real kernel
+    matcher = citeseer_matcher()  # uncached: measure the bounded kernel
     rng = random.Random(2)
     pairs = [tuple(rng.sample(citeseer_dataset.entities, 2)) for _ in range(40)]
 
     def kernel():
-        return sum(matcher.is_match(a, b) for a, b in pairs)
+        return sum(BatchMatcher(matcher).decisions(pairs))
 
     benchmark(kernel)
 
@@ -195,11 +196,10 @@ def test_bound_never_slows_the_kernel(report):
 
 
 def test_threshold_propagation_reduces_kernel_work(books_dataset, report):
-    """Propagating the matcher's running bound into the edit kernel must
-    shrink DP column visits on the books workload without flipping a single
-    decision."""
+    """Propagating the match kernel's running bound into the edit kernel
+    must shrink DP column visits on the books workload without flipping a
+    single decision."""
     from repro.core import books_config
-    from repro.similarity.matchers import WeightedMatcher
 
     config = books_config()
     matcher = config.matcher
@@ -211,16 +211,16 @@ def test_threshold_propagation_reduces_kernel_work(books_dataset, report):
     def _run_decisions():
         clear_similarity_cache()
         reset_dp_cell_counters()
-        decisions = [matcher.is_match(a, b) for a, b in pairs]
+        decisions = BatchMatcher(matcher).decisions(pairs)
         return decisions, sum(dp_cell_counters().values())
 
     propagated_decisions, propagated_columns = _run_decisions()
-    original_floor = WeightedMatcher._rule_floor
-    WeightedMatcher._rule_floor = lambda self, *args: 0.0  # disable propagation
+    original_floor = batch_module._rule_floor
+    batch_module._rule_floor = lambda *args: 0.0  # disable propagation
     try:
         baseline_decisions, baseline_columns = _run_decisions()
     finally:
-        WeightedMatcher._rule_floor = original_floor
+        batch_module._rule_floor = original_floor
 
     report(
         f"threshold propagation on books pairs: {propagated_columns:,} DP columns "
@@ -232,15 +232,16 @@ def test_threshold_propagation_reduces_kernel_work(books_dataset, report):
 
 
 def test_batch_kernel_call_reduction(books_dataset, report):
-    """The batched kernel must make ≥3x fewer Python-level calls than the
-    per-pair scalar path on the same fixed batch.
+    """The bounded kernel must make ≥3x fewer Python-level calls than the
+    definition (``WeightedMatcher.is_match``, the full weighted sum per
+    pair) on the same fixed batch.
 
-    This is the machine-independent core of the wall-clock claim: batching
-    amortizes attribute extraction, rule dispatch and memo lookups across
-    the batch, so the interpreter executes far fewer function calls for
-    identical decisions.  Calls are counted with ``sys.setprofile`` 'call'
-    events (Python frames only — C entry points are excluded on both
-    sides).
+    This is the machine-independent core of the wall-clock claim: the
+    kernel amortizes attribute extraction, rule dispatch and memo lookups
+    across the batch and short-circuits dead pairs, so the interpreter
+    executes far fewer function calls for identical decisions.  Calls are
+    counted with ``sys.setprofile`` 'call' events (Python frames only — C
+    entry points are excluded on both sides).
     """
     matcher = books_matcher()
     rng = random.Random(13)
@@ -267,17 +268,19 @@ def test_batch_kernel_call_reduction(books_dataset, report):
             sys.setprofile(None)
         return result, calls
 
-    scalar, scalar_calls = _count_calls(
+    definition, definition_calls = _count_calls(
         lambda: [matcher.is_match(a, b) for a, b in pairs]
     )
-    batched, batch_calls = _count_calls(lambda: batch_is_match(matcher, pairs))
-    ratio = scalar_calls / max(batch_calls, 1)
+    batched, batch_calls = _count_calls(
+        lambda: BatchMatcher(matcher).decisions(pairs)
+    )
+    ratio = definition_calls / max(batch_calls, 1)
     report(
         f"batch kernel call reduction on {len(pairs)} pairs: "
-        f"scalar {scalar_calls:,} calls vs batch {batch_calls:,} "
+        f"definition {definition_calls:,} calls vs kernel {batch_calls:,} "
         f"({ratio:.1f}x fewer)"
     )
-    assert batched == scalar
+    assert batched == definition
     assert ratio >= 3.0, (
         f"batch kernel only cut Python calls by {ratio:.2f}x (need >=3x)"
     )

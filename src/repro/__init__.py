@@ -15,7 +15,7 @@ Quick start::
     print(run.final_recall, run.curve.recall_at(run.total_time / 4))
 """
 
-from .baselines import BasicConfig, BasicER, BasicResult, run_lpt, run_nosplit, run_ours
+from .baselines import BasicConfig, BasicER, BasicResult
 from .blocking import (
     Block,
     BlockingFunction,
@@ -123,9 +123,6 @@ __all__ = [
     "BasicConfig",
     "BasicER",
     "BasicResult",
-    "run_ours",
-    "run_nosplit",
-    "run_lpt",
     # evaluation
     "RunSpec",
     "RunResult",

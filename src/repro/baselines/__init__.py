@@ -1,9 +1,8 @@
-"""Baselines: the Basic single-job approach and the NoSplit/LPT tree
-schedulers the paper compares against."""
+"""Baselines: the Basic single-job approach and multi-pass MR-SN (the
+NoSplit/LPT tree schedulers are ``RunSpec(strategy=)`` values)."""
 
 from .basic import BasicConfig, BasicER, BasicResult
 from .mrsn import MrsnConfig, MrsnResult, MultiPassMRSN
-from .schedulers import run_lpt, run_nosplit, run_ours
 
 __all__ = [
     "BasicConfig",
@@ -12,7 +11,4 @@ __all__ = [
     "MrsnConfig",
     "MultiPassMRSN",
     "MrsnResult",
-    "run_ours",
-    "run_nosplit",
-    "run_lpt",
 ]

@@ -14,7 +14,9 @@ per blocking pass:
   **replicated** to the succeeding partition (the RepSN scheme), so no
   cross-boundary pair is missed;
 * each reduce task slides the SN window over its sorted range, skipping
-  pairs of two replicas (they belong to the preceding partition).
+  pairs of two replicas (they belong to the preceding partition), and
+  hands that window to :func:`~repro.mechanisms.base.resolve_block` — the
+  loop and match kernel every other pair in ``src/`` is decided by.
 
 Passes run sequentially (job p + 1 starts when job p ends).  As the paper
 notes, such algorithms "implement a fixed ER algorithm and need to run to
@@ -26,8 +28,8 @@ over plain parallel SN.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
@@ -35,7 +37,7 @@ from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import block_sort_key
+from ..mechanisms.base import block_sort_key, resolve_block
 from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (partition index, sort key, replica flag); the replica flag
@@ -113,29 +115,31 @@ class MrsnReducer(Reducer):
             self._ordered.append((entity, is_replica))
 
     def cleanup(self, context: TaskContext) -> None:
-        config = self._config
-        matcher = config.matcher
-        window = config.window
+        window = self._config.window
         ordered = self._ordered
         context.charge(context.cost_model.sort_cost(len(ordered)))
-        for i in range(len(ordered)):
-            entity_i, replica_i = ordered[i]
-            for j in range(i + 1, min(len(ordered), i + window)):
-                entity_j, replica_j = ordered[j]
-                if replica_i and replica_j:
-                    continue  # both belong to the preceding partition
-                if entity_i.id == entity_j.id:
-                    continue  # an entity next to its own replica
-                context.charge(
-                    context.cost_model.compare
-                    * matcher.comparison_cost_factor(entity_i, entity_j)
-                )
-                if matcher.is_match(entity_i, entity_j):
-                    # Plain MR jobs commit reducer output only when the
-                    # task completes — no incremental α-flushing here, so
-                    # the pair becomes *available* at task end (see
-                    # MrsnResult's availability semantics).
-                    context.write(pair_key(entity_i.id, entity_j.id))
+
+        def window_pairs() -> Iterator[Tuple[Entity, Entity]]:
+            for i in range(len(ordered)):
+                entity_i, replica_i = ordered[i]
+                for j in range(i + 1, min(len(ordered), i + window)):
+                    entity_j, replica_j = ordered[j]
+                    if replica_i and replica_j:
+                        continue  # both belong to the preceding partition
+                    if entity_i.id == entity_j.id:
+                        continue  # an entity next to its own replica
+                    yield entity_i, entity_j
+
+        # Plain MR jobs commit reducer output only when the task completes
+        # — no incremental α-flushing here, so a pair becomes *available*
+        # at task end (see MrsnResult's availability semantics).
+        resolve_block(
+            window_pairs(),
+            self._config.matcher,
+            context.cost_model,
+            context.charge,
+            lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
+        )
 
 
 @dataclass

@@ -581,30 +581,64 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_jsonl_entities(path: str):
-    """[(explicit_batch_or_None, Entity)] from a JSONL stream ('-' = stdin)."""
+def _jsonl_int(value, what: str, where: str) -> int:
+    """``value`` as an integer, or exit naming the offending line."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SystemExit(f"{where}: {what} must be an integer, got {value!r}")
+
+
+def _read_jsonl_entities(path: str, taken=()):
+    """[(explicit_batch_or_None, Entity)] from a JSONL stream ('-' = stdin).
+
+    Every malformed line ends the command with ``path:lineno: ...`` before
+    anything is submitted; so does an id that appears twice in the stream
+    or is already in ``taken`` (the restored store, for ``submit``).
+    """
     handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     rows = []
+    first_line = {}
     try:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SystemExit(f"{path}:{lineno}: not valid JSON: {exc}")
+                raise SystemExit(f"{where}: not valid JSON: {exc}")
             if not isinstance(obj, dict) or "id" not in obj:
                 raise SystemExit(
-                    f"{path}:{lineno}: each line must be an object with an "
+                    f"{where}: each line must be an object with an "
                     "'id' field (and attribute fields, or a nested 'attrs')"
                 )
             batch = obj.pop("batch", None)
+            if batch is not None:
+                batch = _jsonl_int(batch, "'batch'", where)
             source = obj.pop("source", None)
             attrs = obj.pop("attrs", None)
-            entity_id = int(obj.pop("id"))
+            entity_id = _jsonl_int(obj.pop("id"), "'id'", where)
+            if entity_id in first_line:
+                raise SystemExit(
+                    f"{where}: entity id {entity_id} already appears on "
+                    f"line {first_line[entity_id]}"
+                )
+            if entity_id in taken:
+                raise SystemExit(
+                    f"{where}: entity id {entity_id} was already submitted; "
+                    "ids are immutable once admitted"
+                )
+            first_line[entity_id] = lineno
             if attrs is None:
                 attrs = obj
+            elif not isinstance(attrs, dict):
+                raise SystemExit(
+                    f"{where}: 'attrs' must be an object, got {attrs!r}"
+                )
             rows.append(
                 (
                     batch,
@@ -630,7 +664,7 @@ def _batched_entities(rows, batch_size: int):
     if any(batch is not None for batch, _ in rows):
         by_batch = {}
         for batch, entity in rows:
-            by_batch.setdefault(0 if batch is None else int(batch), []).append(entity)
+            by_batch.setdefault(0 if batch is None else batch, []).append(entity)
         return [by_batch[key] for key in sorted(by_batch)]
     entities = [entity for _, entity in rows]
     if batch_size < 1:
@@ -705,21 +739,26 @@ def _command_submit(args: argparse.Namespace) -> int:
     from .service import ResolverService
 
     tracer, metrics = _observers(args)
-    with open(args.snapshot, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    service = ResolverService.restore(
-        snapshot,
-        _CONFIGS[args.family](),
-        machines=args.machines,
-        balance=args.balance,
-        min_family_matches=args.min_family_matches,
-        backend=args.backend,
-        workers=args.workers,
-        tracer=tracer,
-        metrics=metrics,
-        faults=_fault_plan(args),
-    )
-    entities = [entity for _, entity in _read_jsonl_entities(args.input)]
+    try:
+        with open(args.snapshot, "r", encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        service = ResolverService.restore(
+            snapshot,
+            _CONFIGS[args.family](),
+            machines=args.machines,
+            balance=args.balance,
+            min_family_matches=args.min_family_matches,
+            backend=args.backend,
+            workers=args.workers,
+            tracer=tracer,
+            metrics=metrics,
+            faults=_fault_plan(args),
+        )
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise SystemExit(f"{args.snapshot}: not a usable snapshot: {exc}")
+    entities = [
+        entity for _, entity in _read_jsonl_entities(args.input, service.store)
+    ]
     receipt = service.submit(entities)
     _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)

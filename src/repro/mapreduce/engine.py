@@ -146,8 +146,6 @@ class Cluster:
             plan = FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
-        job.config.setdefault("num_reduce_tasks", n_red)
-        job.config.setdefault("num_map_tasks", n_map)
         # Plain assignment, not setdefault: a job object may be reused
         # against clusters with and without a tracer.
         job.config[TRACE_CONFIG_KEY] = self.tracer is not None

@@ -11,8 +11,8 @@ two things:
   it charges before the first comparison.
 
 :func:`resolve_block` is the one resolution loop in the package — Job 2's
-reducer, the Basic baseline and the incremental service's delta reducer all
-call it.  Like the paper's mechanism (Section III-B, Figure 7) it takes a
+reducer, the Basic and MR-SN baselines and the incremental service's delta
+reducer all call it.  Like the paper's mechanism (Section III-B, Figure 7) it takes a
 **pair stream** in priority order, one **admission predicate** (the
 ``SHOULD-RESOLVE`` veto and every other reason not to compare a pair,
 folded into a single ``admit`` callable by the caller) and a pluggable
@@ -23,9 +23,9 @@ The loop decides pairs in **batches** through
 :data:`BATCH_PAIRS` admitted pairs from the stream, decides them in one
 kernel call, then *replays* the outcomes in stream order — charging,
 counting, invoking callbacks and consulting the stop condition per pair.
-Decisions, charges and stop points are bit-identical to a per-pair
-``matcher.is_match`` loop (the ``scalar_resolve_block`` oracle under
-``tests/``) at any width; only wall-clock time changes.  Look-ahead into
+Decisions, charges and stop points are bit-identical to a per-pair loop
+over the definition ``matcher.is_match`` (the ``scalar_resolve_block``
+oracle under ``tests/``) at any width; only wall-clock time changes.  Look-ahead into
 the stream is free in virtual time because every mechanism charges its
 ``CostA`` once up front and never per pair.  Two contracts make the replay
 safe:

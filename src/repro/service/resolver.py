@@ -371,13 +371,23 @@ class ResolverService:
         recomputed from it, so only entities, stream state and the clock
         travel in the snapshot.  (Snapshots written before the per-pair
         ``"decisions"`` ledger was dropped still restore: the key is
-        ignored, nothing ever read it.)
+        ignored, nothing ever read it.)  Anything that is not a complete
+        snapshot of this format raises ``ValueError``.
         """
+        if not isinstance(snapshot, dict):
+            raise ValueError("a snapshot is a JSON object")
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
                 f"unsupported snapshot format {snapshot.get('format')!r} "
                 f"(this build reads format {SNAPSHOT_FORMAT})"
             )
+        missing = [
+            section
+            for section in ("entities", "events", "clock", "batches", "comparisons")
+            if section not in snapshot
+        ]
+        if missing:
+            raise ValueError(f"snapshot has no {', '.join(missing)} section")
         service = cls(config, **service_options)
         expected = config_fingerprint(config, service.min_family_matches)
         if snapshot.get("fingerprint") != expected:

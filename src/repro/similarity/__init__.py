@@ -1,13 +1,6 @@
 """Similarity kernels and the weighted-sum resolve/match function."""
 
-from .batch import (
-    BatchMatcher,
-    batch_cost_factors,
-    batch_is_match,
-    batch_kernel_counters,
-    batch_similarity,
-    reset_batch_kernel_counters,
-)
+from .batch import BatchMatcher, batch_kernel_counters, reset_batch_kernel_counters
 from .edit_distance import (
     dp_cell_counters,
     edit_similarity,
@@ -50,9 +43,6 @@ __all__ = [
     "dp_cell_counters",
     "reset_dp_cell_counters",
     "BatchMatcher",
-    "batch_similarity",
-    "batch_is_match",
-    "batch_cost_factors",
     "batch_kernel_counters",
     "reset_batch_kernel_counters",
 ]

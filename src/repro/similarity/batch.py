@@ -1,35 +1,41 @@
-"""Batched similarity kernels: decide many pairs per Python call.
+"""The bounded match kernel: decide many pairs per Python call.
 
-:class:`~repro.similarity.matchers.WeightedMatcher` decides one pair per
-call, and every call pays the same fixed tolls — attribute lookups and
-truncation slices (``AttributeRule.values``), method dispatch through
-``is_match -> _bounded_match -> rule.similarity -> _memo_compare``, and
-tuple keys into the process-wide memo.  Block resolution asks the same
-question for *hundreds* of pairs over the *same few dozen* entities (an
-SN window of width ``w`` visits each entity in up to ``2(w-1)`` pairs), so
-almost all of that per-call work is redundant.
-
-:class:`BatchMatcher` amortizes it:
+:meth:`WeightedMatcher.is_match` is the definition — the full weighted sum
+against the threshold, one pair per call.  Block resolution asks that
+question for *hundreds* of pairs over the *same few dozen* entities (an SN
+window of width ``w`` visits each entity in up to ``2(w-1)`` pairs), most
+of them nowhere near the threshold, so the definition pays for attribute
+lookups, truncation slices, memo keys and quadratic edit distances that
+cannot change the answer.  :class:`BatchMatcher` is the one place in
+``src/`` that knows how to skip them:
 
 * **per-entity value tables** — each entity's (truncated) attribute values
   and their lengths are computed once per entity and reused by every pair
   that touches it;
-* **rule-major evaluation** — the outer loop runs over rules (in the same
-  cheapest-first order the scalar path uses), the inner loop over the pairs
-  still alive, with the rule's weight/comparator hoisted into locals;
-* **batched short-circuits** — the scalar path's upper-bound cutoff and the
-  threshold-propagating edit-distance floor run per pair inside the batch,
-  so a dead pair drops out of every later (more expensive) rule.
+* **cheapest comparator first** — rules are evaluated in
+  :data:`_COMPARATOR_RANK` order, rule-major (outer loop over rules, inner
+  loop over the pairs still alive), so a pair can be ruled out before it
+  pays for a quadratic edit distance on a long attribute;
+* **upper-bound cutoff** — after each rule every unevaluated rule is
+  assumed to score a perfect 1.0; if even that cannot reach the threshold
+  the pair is dead and leaves every later rule;
+* **threshold propagation** — for edit rules :func:`_rule_floor` turns the
+  same bound into the minimum similarity the rule must reach, and the edit
+  kernel is called with the matching distance bound so it stops its column
+  loop the moment the pair is dead.
 
-Decisions are **bit-identical** to the scalar matcher: the same float
-expressions accumulate in the same order with the same ``1e-9`` / ``1e-7``
-guard margins (floors are computed by :meth:`WeightedMatcher._rule_floor`
-itself), the final weighted sum is re-accumulated in original rule order,
-and edit kernels are reached through the same memo functions.  The property
-suite in ``tests/test_batch_kernels.py`` pins the equivalence on random
-matchers, and the differential harness pins it end-to-end.
+Decisions are **bit-identical** to the definition.  The short-circuits only
+ever *reject*, and only pairs whose exact sum is below the threshold: the
+running bound is accumulated in evaluation order, not rule order, so the
+cutoff compares against ``threshold - 1e-9`` (float reordering noise must
+not cut a pair the exact sum would accept), and the floor derived from it
+gives up a further ``1e-7`` for the noise of its own arithmetic.  A pair
+that survives every rule is decided by the weighted sum re-accumulated in
+*original* rule order — the float sequence ``WeightedMatcher.similarity``
+evaluates.  ``tests/test_batch_kernels.py`` holds the kernel to the
+definition on random matchers, thresholds at the boundary included.
 
-What batching may legitimately change: wall-clock time and the memo
+What the kernel may legitimately change: wall-clock time and the memo
 hit/miss counters (a batch deduplicates identical value pairs before
 consulting the memo), both of which live outside virtual time.
 """
@@ -49,9 +55,19 @@ from .matchers import (
     _memo_edit_at_least,
 )
 
-#: Comparators whose cost the scalar cost model treats as negligible
+#: Comparators whose cost the cost model treats as negligible
 #: (mirrors the tuple in ``WeightedMatcher.comparison_cost_factor``).
 _CHEAP_COMPARATORS = ("exact", "token_jaccard", "qgram")
+
+#: Relative wall-clock cost rank per comparator: rules are evaluated
+#: cheapest first so the short-circuits fire before the expensive ones run.
+_COMPARATOR_RANK = {
+    "exact": 0,
+    "token_jaccard": 1,
+    "qgram": 1,
+    "jaro_winkler": 2,
+    "edit": 3,  # quadratic in string length
+}
 
 _STATS = {"batches": 0, "pairs": 0}
 
@@ -69,25 +85,57 @@ def reset_batch_kernel_counters() -> None:
 PairSeq = Sequence[Tuple[Entity, Entity]]
 
 
+def _rule_floor(
+    cutoff: float,
+    weight: float,
+    total: float,
+    total_weight: float,
+    remaining_after: float,
+) -> float:
+    """Minimum similarity a rule must score to keep the pair alive.
+
+    Derived by solving the post-rule cutoff inequality for this rule's
+    similarity ``s``: the cutoff fires when
+    ``(total + weight*s + remaining_after) / bound_weight < cutoff`` with
+    ``cutoff = threshold - 1e-9`` (every later rule assumed perfect).  Any
+    ``s`` below the returned floor therefore guarantees the cutoff — or,
+    for the final rule, the exact threshold check — rejects the pair.  An
+    extra ``1e-7`` is subtracted so float noise in computing the floor
+    itself can never disqualify a pair the exact-order sum would accept:
+    propagation may only skip work, never flip decisions.
+    """
+    bound_weight = total_weight + weight + remaining_after
+    if bound_weight <= 0.0:
+        return 0.0
+    floor = (cutoff * bound_weight - total - remaining_after) / weight
+    return floor - 1e-7
+
+
 class BatchMatcher:
-    """Batched, bit-identical evaluation of one matcher over many pairs.
+    """Bounded, bit-identical evaluation of one matcher over many pairs.
 
     Build one per block (or longer — the per-entity tables are keyed by
     entity id, so reuse across batches of the same dataset is safe) and
     call :meth:`decisions` / :meth:`cost_factors` with lists of pairs.
 
     Args:
-        matcher: the scalar matcher whose decisions are reproduced.
+        matcher: the matcher whose ``is_match`` decisions are reproduced.
     """
 
     def __init__(self, matcher: WeightedMatcher) -> None:
         self.matcher = matcher
         rules = matcher.rules
         self._rules: List[AttributeRule] = rules
-        self._eval_order = matcher._eval_order
+        # Cheapest comparators first, stable on the original order.
+        self._eval_order = sorted(
+            range(len(rules)),
+            key=lambda i: (_COMPARATOR_RANK[rules[i].comparator], i),
+        )
         self._threshold = matcher.threshold
-        self._total_weight = matcher._total_weight
-        #: ``threshold - 1e-9`` exactly as the scalar cutoff computes it.
+        self._total_weight = sum(rule.weight for rule in rules)
+        #: What the upper bound is compared against; the margin gives
+        #: float reordering noise no chance to cut a pair that the exact
+        #: original-order sum would accept.
         self._cutoff = matcher.threshold - 1e-9
         self._quad_indices = tuple(
             i for i, rule in enumerate(rules)
@@ -127,27 +175,34 @@ class BatchMatcher:
     # -- decisions ------------------------------------------------------
 
     def decisions(self, pairs: PairSeq) -> List[bool]:
-        """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, batched."""
+        """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, bounded."""
         if not pairs:
             return []
         _STATS["batches"] += 1
         _STATS["pairs"] += len(pairs)
-        if self.matcher._cache is not None:
-            return self._cached_decisions(pairs)
+        matcher = self.matcher
+        if matcher._cache is not None:
+            # The pair cache wants the full score anyway: no point
+            # bounding, and the cache stays in the one place that owns it.
+            return [matcher.similarity(e1, e2) >= self._threshold for e1, e2 in pairs]
         return self._bounded_decisions(pairs)
 
     def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
-        """Mirror of ``WeightedMatcher._bounded_match`` over a batch.
+        """Rule-major bounded evaluation of one batch.
 
-        Rule-major: for each rule in cheapest-first order, evaluate every
-        pair still alive, updating the per-pair running bound exactly as
-        the scalar loop does.  A pair leaves ``alive`` the moment any
-        scalar early-return would have fired for it.
+        For each rule in cheapest-first order, evaluate every pair still
+        alive and update its running bound.  A pair leaves ``alive`` — and
+        is decided ``False`` — when the upper bound on its achievable
+        similarity falls below the cutoff (unevaluated rules assumed
+        perfect, which also dominates the missing-on-both-sides case where
+        the weight drops from numerator and denominator alike), or, inside
+        an edit rule, when :func:`_rule_floor` shows that the rule cannot
+        score high enough: a below-floor result implies the post-rule
+        cutoff would have fired, so propagation changes no decision.
         """
         n = len(pairs)
         rules = self._rules
         num_rules = len(rules)
-        matcher = self.matcher
         cutoff = self._cutoff
         rows1, rows2 = self._row_columns(pairs)
 
@@ -187,12 +242,14 @@ class BatchMatcher:
                     fkey = (totals[p], weights[p])
                     floor = floors.get(fkey)
                     if floor is None:
-                        floor = matcher._rule_floor(
-                            weight, totals[p], weights[p], remaining_after
+                        floor = _rule_floor(
+                            cutoff, weight, totals[p], weights[p], remaining_after
                         )
                         floors[fkey] = floor
                     if floor > 1.0:
-                        continue  # scalar: return False
+                        # Even a perfect score on this rule leaves the pair
+                        # below the cutoff bound: no kernel call needed.
+                        continue
                     if floor > 0.0:
                         ekey = (v1, v2, floor)
                         sim = local.get(ekey)
@@ -200,7 +257,7 @@ class BatchMatcher:
                             sim = _memo_edit_at_least(v1, v2, floor)
                             local[ekey] = sim
                         if sim == _BELOW_FLOOR:
-                            continue  # scalar: return False
+                            continue
                     else:
                         sim = local.get((v1, v2))
                         if sim is None:
@@ -218,12 +275,12 @@ class BatchMatcher:
                     weights[p] += weight
                 bound_weight = weights[p] + remaining_after
                 if bound_weight == 0.0:
-                    continue  # scalar: return False (all rules missing)
+                    continue  # every evaluated rule missing on both sides
                 if (
                     remaining_after > 0.0
                     and (totals[p] + remaining_after) / bound_weight < cutoff
                 ):
-                    continue  # scalar: return False (upper bound too low)
+                    continue  # upper bound too low
                 next_alive.append(p)
             alive = next_alive
 
@@ -232,7 +289,7 @@ class BatchMatcher:
         for p in alive:
             if weights[p] == 0.0:
                 continue
-            # Re-accumulate in original rule order, like the scalar path.
+            # Re-accumulate in original rule order, like the definition.
             exact_total = 0.0
             exact_weight = 0.0
             pair_sims = sims[p]
@@ -244,69 +301,12 @@ class BatchMatcher:
             out[p] = exact_total / exact_weight >= threshold
         return out
 
-    def _cached_decisions(self, pairs: PairSeq) -> List[bool]:
-        """The pair-cached matcher path: full similarity, cached by id pair."""
-        cache = self.matcher._cache
-        threshold = self._threshold
-        out = [False] * len(pairs)
-        misses: List[Tuple[int, Tuple[int, int]]] = []
-        for i, (e1, e2) in enumerate(pairs):
-            key = (e1.id, e2.id) if e1.id < e2.id else (e2.id, e1.id)
-            hit = cache.get(key)
-            if hit is not None:
-                out[i] = hit >= threshold
-            else:
-                misses.append((i, key))
-        if misses:
-            values = self.similarities([pairs[i] for i, _ in misses])
-            for (i, key), value in zip(misses, values):
-                cache[key] = value
-                out[i] = value >= threshold
-        return out
-
-    # -- similarities / cost factors -------------------------------------
-
-    def similarities(self, pairs: PairSeq) -> List[float]:
-        """``[matcher._similarity(e1, e2) for e1, e2 in pairs]``, batched.
-
-        Rule-major but accumulated per pair in original rule order, so the
-        weighted sums are the identical float sequences.
-        """
-        if not pairs:
-            return []
-        n = len(pairs)
-        rows1, rows2 = self._row_columns(pairs)
-        totals = [0.0] * n
-        weights = [0.0] * n
-        for index, rule in enumerate(self._rules):
-            weight = rule.weight
-            comparator = rule.comparator
-            is_exact = comparator == "exact"
-            local: Dict[Tuple[str, str], float] = {}
-            for p in range(n):
-                v1 = rows1[p][0][index]
-                v2 = rows2[p][0][index]
-                if not v1 and not v2:
-                    continue
-                elif not v1 or not v2:
-                    sim = 0.0
-                elif is_exact:
-                    sim = 1.0 if v1 == v2 else 0.0
-                else:
-                    sim = local.get((v1, v2))
-                    if sim is None:
-                        sim = _memo_compare(comparator, v1, v2)
-                        local[(v1, v2)] = sim
-                totals[p] += weight * sim
-                weights[p] += weight
-        return [
-            0.0 if weights[p] == 0.0 else totals[p] / weights[p] for p in range(n)
-        ]
+    # -- cost factors ----------------------------------------------------
 
     def cost_factors(self, pairs: PairSeq) -> List[float]:
         """``[matcher.comparison_cost_factor(e1, e2) ...]``, batched.
 
-        Same float sequence as the scalar loop: per quadratic rule in
+        Same float sequence as the per-pair method: per quadratic rule in
         original order, ``(len(v1) + len(v2)) / 2.0`` summed, divided by
         ``quadratic_rules * REFERENCE_LENGTH`` and clamped.
         """
@@ -327,38 +327,8 @@ class BatchMatcher:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def batch_similarity(rules: Sequence[AttributeRule], pairs: PairSeq) -> List[float]:
-    """Weighted similarities of ``pairs`` under ``rules``, batched.
-
-    Equivalent to ``[WeightedMatcher(rules, t).similarity(e1, e2) ...]``
-    for any threshold ``t`` (the threshold never enters the similarity).
-    """
-    matcher = WeightedMatcher(rules, threshold=1.0)
-    return BatchMatcher(matcher).similarities(pairs)
-
-
-def batch_is_match(matcher: WeightedMatcher, pairs: PairSeq) -> List[bool]:
-    """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, batched."""
-    return BatchMatcher(matcher).decisions(pairs)
-
-
-def batch_cost_factors(
-    matcher: WeightedMatcher, pairs: PairSeq
-) -> List[float]:
-    """``[matcher.comparison_cost_factor(e1, e2) ...]``, batched."""
-    return BatchMatcher(matcher).cost_factors(pairs)
-
-
 __all__ = [
     "BatchMatcher",
-    "batch_similarity",
-    "batch_is_match",
-    "batch_cost_factors",
     "batch_kernel_counters",
     "reset_batch_kernel_counters",
 ]

@@ -1,18 +1,29 @@
-"""The resolve/match function.
+"""The resolve/match function — the definition.
 
 Section VI-A2: "we applied similarity functions on multiple individual
 attributes and then used the weighted summation of the attribute
 similarities to decide whether the two entities co-refer or not."
-:class:`WeightedMatcher` implements exactly that, with per-attribute
-comparator choice (edit distance, exact, Jaro-Winkler), optional value
-truncation (the paper compares only the first ≤ 350 abstract characters),
-and a cost hook so the simulator can charge longer comparisons more.
+:class:`WeightedMatcher` is exactly that and nothing else: per-attribute
+comparator choice (edit distance, exact, Jaro-Winkler, token/q-gram
+Jaccard), optional value truncation (the paper compares only the first
+≤ 350 abstract characters), the weighted sum of :meth:`similarity`, the
+threshold test of :meth:`is_match`, and a cost hook so the simulator can
+charge longer comparisons more.
+
+Nothing here short-circuits.  The one bounded implementation of the same
+decision — cheapest comparator first, upper-bound cutoff, threshold
+propagated into the edit kernel — is
+:class:`~repro.similarity.batch.BatchMatcher`, which every pair ``src/``
+decides goes through (``repro.mechanisms.base.resolve_block``);
+:meth:`WeightedMatcher.is_match` is what it must reproduce and what the
+tests hold it to.  The value-comparison memo (:func:`_memo_compare`,
+:func:`_memo_edit_at_least`) lives here because both share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
@@ -27,16 +38,6 @@ REFERENCE_LENGTH = 40.0
 #: Lower clamp on the per-pair cost factor: even trivial comparisons incur
 #: dispatch/serialization overhead.
 MIN_COST_FACTOR = 0.2
-
-#: Relative wall-clock cost rank per comparator, used to order rule
-#: evaluation cheapest-first when a bounded match can short-circuit.
-_COMPARATOR_RANK = {
-    "exact": 0,
-    "token_jaccard": 1,
-    "qgram": 1,
-    "jaro_winkler": 2,
-    "edit": 3,  # quadratic in string length
-}
 
 _COMPARATOR_FUNCTIONS = {
     "edit": edit_similarity,
@@ -92,7 +93,7 @@ def _memo_edit_at_least(v1: str, v2: str, floor: float) -> float:
     """Edit similarity when it can still matter, else :data:`_BELOW_FLOOR`.
 
     ``floor`` is the minimum similarity that could still influence the
-    match decision (see :meth:`WeightedMatcher._rule_floor`).  It becomes
+    match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).  It becomes
     the kernel's bound through :func:`distance_budget`, whose truncation
     guarantees the sentinel is only ever returned for similarities
     *strictly* below the floor.
@@ -238,14 +239,6 @@ class WeightedMatcher:
         self.rules: List[AttributeRule] = list(rules)
         self.threshold = threshold
         self._cache: Optional[dict] = {} if cache else None
-        # Cheapest comparators first (stable on the original order), so a
-        # bounded match can rule a pair out before paying for quadratic
-        # edit distances on long attributes.
-        self._eval_order: List[int] = sorted(
-            range(len(self.rules)),
-            key=lambda i: (_COMPARATOR_RANK[self.rules[i].comparator], i),
-        )
-        self._total_weight = sum(rule.weight for rule in self.rules)
 
     def clear_cache(self) -> None:
         """Drop all memoized similarities (switching datasets)."""
@@ -280,110 +273,7 @@ class WeightedMatcher:
 
     def is_match(self, e1: Entity, e2: Entity) -> bool:
         """The resolve function: do ``e1`` and ``e2`` co-refer?"""
-        if self._cache is not None:
-            # The pair cache wants the full score anyway; no point bounding.
-            return self.similarity(e1, e2) >= self.threshold
-        return self._bounded_match(e1, e2)
-
-    def _bounded_match(self, e1: Entity, e2: Entity) -> bool:
-        """Decide ``is_match`` evaluating cheap comparators first.
-
-        After each rule, an upper bound on the achievable weighted
-        similarity is checked: every unevaluated rule is assumed to score a
-        perfect 1.0 (which also dominates the missing-on-both-sides case,
-        where the weight drops from both numerator and denominator).  If
-        even that bound falls below the threshold the pair cannot match and
-        the remaining — typically quadratic — comparators are skipped.  When
-        no cutoff fires, the final sum is re-accumulated in the *original*
-        rule order so the decision is bit-for-bit the one
-        :meth:`similarity` would make.
-
-        Edit-distance rules additionally propagate the running bound *into*
-        the kernel: :meth:`_rule_floor` derives the minimum similarity this
-        rule must reach for the pair to stay alive, and the kernel is
-        called with the matching distance bound so it can stop the column
-        loop the moment the pair is dead — without changing any decision (a
-        below-floor result implies the post-rule cutoff would have fired).
-        """
-        sims: List[Optional[float]] = [None] * len(self.rules)
-        total = 0.0
-        total_weight = 0.0
-        remaining = self._total_weight
-        for index in self._eval_order:
-            rule = self.rules[index]
-            remaining_after = remaining - rule.weight
-            if rule.comparator == "edit":
-                v1, v2 = rule.values(e1, e2)
-                if not v1 and not v2:
-                    sim: Optional[float] = None
-                elif not v1 or not v2:
-                    sim = 0.0
-                else:
-                    floor = self._rule_floor(
-                        rule.weight, total, total_weight, remaining_after
-                    )
-                    if floor > 1.0:
-                        # Even a perfect score on this rule leaves the pair
-                        # below the cutoff bound: no kernel call needed.
-                        return False
-                    if floor > 0.0:
-                        sim = _memo_edit_at_least(v1, v2, floor)
-                        if sim == _BELOW_FLOOR:
-                            return False
-                    else:
-                        sim = _memo_compare("edit", v1, v2)
-            else:
-                sim = rule.similarity(e1, e2)
-            sims[index] = sim
-            remaining = remaining_after
-            if sim is not None:
-                total += rule.weight * sim
-                total_weight += rule.weight
-            bound_weight = total_weight + remaining
-            if bound_weight == 0.0:
-                return False  # every evaluated rule missing on both sides
-            # Conservative margin: the bound is accumulated in evaluation
-            # order, so give float reordering noise no chance to cut a pair
-            # that the exact original-order sum would accept.
-            if remaining > 0.0 and (total + remaining) / bound_weight < self.threshold - 1e-9:
-                return False
-        if total_weight == 0.0:
-            return False
-        exact_total = 0.0
-        exact_weight = 0.0
-        for rule, sim in zip(self.rules, sims):
-            if sim is None:
-                continue
-            exact_total += rule.weight * sim
-            exact_weight += rule.weight
-        return exact_total / exact_weight >= self.threshold
-
-    def _rule_floor(
-        self,
-        weight: float,
-        total: float,
-        total_weight: float,
-        remaining_after: float,
-    ) -> float:
-        """Minimum similarity this rule must score to keep the pair alive.
-
-        Derived by solving the post-rule cutoff inequality for this rule's
-        similarity ``s``: the cutoff fires when
-        ``(total + weight*s + remaining_after) / bound_weight <
-        threshold - 1e-9`` (every later rule assumed perfect).  Any ``s``
-        below the returned floor therefore guarantees the existing cutoff —
-        or, for the final rule, the exact threshold check — rejects the
-        pair.  An extra ``1e-7`` is subtracted so float noise in computing
-        the floor itself can never disqualify a pair the exact-order sum
-        would accept: propagation may only skip work, never flip decisions.
-        """
-        bound_weight = total_weight + weight + remaining_after
-        if bound_weight <= 0.0:
-            return 0.0
-        floor = (
-            (self.threshold - 1e-9) * bound_weight - total - remaining_after
-        ) / weight
-        return floor - 1e-7
+        return self.similarity(e1, e2) >= self.threshold
 
     def comparison_cost_factor(self, e1: Entity, e2: Entity) -> float:
         """Relative cost of resolving this pair (1.0 = reference length).

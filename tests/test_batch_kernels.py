@@ -1,31 +1,38 @@
-"""The batched similarity kernels must be invisible except in wall-clock.
+"""The bounded match kernel must be invisible except in wall-clock.
 
-``BatchMatcher`` re-implements ``WeightedMatcher``'s decision, similarity
-and cost-factor paths rule-major over whole pair batches.  Nothing here is
-allowed to drift: the property suite pins batch ≡ scalar on random matcher
+``BatchMatcher`` is the only short-circuiting implementation of the match
+decision; ``WeightedMatcher.is_match`` — the full weighted sum against the
+threshold — is its definition and the oracle here.  Nothing is allowed to
+drift: the property suite holds kernel ≡ definition on random matcher
 configurations (every comparator, truncation, missing/empty attributes,
-cached and uncached) and random entity batches; the ``resolve_block``
-differential pins the full driver loop — stats, duplicate callbacks, charge
-sequences and stop points — against the per-pair oracle
-``scalar_resolve_block`` below; the guard test proves the hot path never
-falls back to per-pair ``is_match`` / ``comparison_cost_factor`` calls; and
-the end-to-end differential pins found-pair sets and progressive curves
-across {scalar, batch} × {serial, process} × {slack, blocksplit} on the
-golden books fixture.
+cached and uncached) and random entity batches, and checks the soundness
+of the per-rule floor with thresholds drawn at the boundary; the
+``resolve_block`` differential pins the full driver loop — stats,
+duplicate callbacks, charge sequences and stop points — against the
+per-pair oracle ``scalar_resolve_block`` below; the guard tests prove that
+the hot path never falls back to per-pair ``is_match`` /
+``comparison_cost_factor`` calls and that ``src/`` decides through one
+kernel; and the end-to-end differential pins found-pair sets and
+progressive curves across {definition, kernel} × {serial, process} ×
+{slack, blocksplit} on the golden books fixture.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.driver as driver
 import repro.mechanisms.base as mechanisms_base
+import repro.similarity.batch as batch_module
 from repro.core import books_config
 from repro.data import Entity
 from repro.evaluation import ExperimentRun, RunSpec
@@ -41,9 +48,6 @@ from repro.similarity import (
     AttributeRule,
     BatchMatcher,
     WeightedMatcher,
-    batch_cost_factors,
-    batch_is_match,
-    batch_similarity,
     books_matcher,
 )
 
@@ -109,39 +113,94 @@ def entity_batches(draw, min_pairs=0, max_pairs=24):
     return [(entities[i], entities[j]) for i, j in pairs]
 
 
-class TestBatchScalarEquivalence:
+class TestKernelEqualsDefinition:
     @settings(max_examples=150)
     @given(matcher=matcher_configs(), pairs=entity_batches())
     def test_is_match_equals_scalar(self, matcher, pairs):
-        scalar = [matcher.is_match(e1, e2) for e1, e2 in pairs]
-        assert batch_is_match(matcher, pairs) == scalar
+        definition = [matcher.is_match(e1, e2) for e1, e2 in pairs]
+        assert BatchMatcher(matcher).decisions(pairs) == definition
 
     @settings(max_examples=100)
     @given(matcher=matcher_configs(cache=True), pairs=entity_batches())
     def test_cached_matcher_decisions_equal_scalar(self, matcher, pairs):
-        # The batch path must populate and consult the pair cache exactly
-        # like the scalar one; interleave to exercise warm-cache hits.
-        assert batch_is_match(matcher, pairs) == [
+        # The kernel answers a pair-cached matcher through the matcher's
+        # own cache; interleave to exercise warm-cache hits.
+        assert BatchMatcher(matcher).decisions(pairs) == [
             matcher.is_match(e1, e2) for e1, e2 in pairs
         ]
-
-    @settings(max_examples=150)
-    @given(matcher=matcher_configs(), pairs=entity_batches())
-    def test_similarity_equals_scalar(self, matcher, pairs):
-        scalar = [matcher.similarity(e1, e2) for e1, e2 in pairs]
-        assert batch_similarity(matcher.rules, pairs) == scalar
+        assert set(matcher._cache) == {
+            (min(e1.id, e2.id), max(e1.id, e2.id)) for e1, e2 in pairs
+        }
 
     @settings(max_examples=100)
     @given(matcher=matcher_configs(), pairs=entity_batches())
     def test_cost_factors_equal_scalar(self, matcher, pairs):
-        scalar = [matcher.comparison_cost_factor(e1, e2) for e1, e2 in pairs]
-        assert batch_cost_factors(matcher, pairs) == scalar
+        definition = [matcher.comparison_cost_factor(e1, e2) for e1, e2 in pairs]
+        assert BatchMatcher(matcher).cost_factors(pairs) == definition
 
     def test_empty_batch(self):
-        matcher = books_matcher()
-        assert batch_is_match(matcher, []) == []
-        assert batch_similarity(matcher.rules, []) == []
-        assert batch_cost_factors(matcher, []) == []
+        batcher = BatchMatcher(books_matcher())
+        assert batcher.decisions([]) == []
+        assert batcher.cost_factors([]) == []
+
+    def test_removed_surface_is_gone(self):
+        for name in ("batch_is_match", "batch_similarity", "batch_cost_factors"):
+            with pytest.raises(ImportError):
+                exec(f"from repro.similarity import {name}")
+        with pytest.raises(AttributeError):
+            BatchMatcher(books_matcher()).similarities
+        with pytest.raises(AttributeError):
+            books_matcher()._bounded_match
+
+
+@st.composite
+def boundary_cases(draw):
+    """A matcher whose threshold sits within 1e-6 of the weighted sum of
+    one of the batch's own pairs — where a floor that is too high flips a
+    decision and one that is merely conservative does not."""
+    pairs = draw(entity_batches(min_pairs=1))
+    loose = draw(matcher_configs())
+    pivot = pairs[draw(st.integers(min_value=0, max_value=len(pairs) - 1))]
+    offset = draw(st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False))
+    threshold = loose.similarity(*pivot) + offset
+    assume(0.0 < threshold <= 1.0)
+    return WeightedMatcher(loose.rules, threshold), pairs
+
+
+class TestFloorSoundness:
+    """What a mirror sharing the floor could not catch: every pair the
+    kernel drops on the strength of ``_rule_floor`` — before its last rule
+    was ever summed — is below the threshold by the definition."""
+
+    @settings(max_examples=300)
+    @given(case=boundary_cases())
+    def test_pairs_dropped_by_the_floor_are_below_threshold(self, case):
+        matcher, pairs = case
+        floor_fired = []
+        real_floor = batch_module._rule_floor
+        real_edit = batch_module._memo_edit_at_least
+
+        def spy_floor(*args):
+            floor = real_floor(*args)
+            floor_fired.append(floor > 1.0)
+            return floor
+
+        def spy_edit(v1, v2, floor):
+            sim = real_edit(v1, v2, floor)
+            floor_fired.append(sim == batch_module._BELOW_FLOOR)
+            return sim
+
+        with mock.patch.object(batch_module, "_rule_floor", spy_floor), \
+                mock.patch.object(batch_module, "_memo_edit_at_least", spy_edit):
+            for e1, e2 in pairs:
+                floor_fired.clear()
+                # One pair per batch, so the spies speak about this pair.
+                (decision,) = BatchMatcher(matcher).decisions([(e1, e2)])
+                similarity = matcher.similarity(e1, e2)
+                if any(floor_fired):
+                    assert not decision
+                    assert similarity < matcher.threshold
+                assert decision == (similarity >= matcher.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +213,8 @@ def scalar_resolve_block(
     admit=None, stop=None, on_resolved=None, pair_range=None,
 ):
     """The per-pair oracle ``resolve_block`` is differenced against: one
-    ``is_match`` per admitted pair, no look-ahead."""
+    ``is_match`` — the definition, no short-circuit — per admitted pair,
+    no look-ahead."""
     stats = ResolveStats()
     condition = stop if stop is not None else NeverStop()
     first, last = (0, None) if pair_range is None else pair_range
@@ -279,8 +339,6 @@ class TestResolveBlockBatching:
         with pytest.raises(TypeError):
             BatchMatcher(matcher, use_numpy=False)
         with pytest.raises(TypeError):
-            batch_is_match(matcher, [], use_numpy=False)
-        with pytest.raises(TypeError):
             resolve_block(
                 [], matcher, CostModel(), lambda cost: cost, lambda a, b: None,
                 pair_filter=lambda a, b: True,
@@ -293,11 +351,11 @@ class TestResolveBlockBatching:
             "import sys; sys.modules['numpy'] = None\n"
             "import repro.cli\n"
             "from repro.data import make_books\n"
-            "from repro.similarity import batch_is_match, books_matcher\n"
+            "from repro.similarity import BatchMatcher, books_matcher\n"
             "entities = make_books(40, seed=2).entities\n"
             "pairs = list(zip(entities, entities[1:]))\n"
             "matcher = books_matcher()\n"
-            "assert batch_is_match(matcher, pairs) == "
+            "assert BatchMatcher(matcher).decisions(pairs) == "
             "[matcher.is_match(a, b) for a, b in pairs]\n"
             "assert not any(name.split('.')[0] == 'numpy' and module is not None"
             " for name, module in sys.modules.items())\n"
@@ -322,9 +380,24 @@ class TestResolveBlockBatching:
         assert guarded == expected
         assert guarded[0].comparisons > 0
 
+    def test_src_decides_through_one_kernel(self):
+        # One decide loop, one kernel: nothing under src/repro calls
+        # ``.is_match(`` and only resolve_block calls ``.decisions(``.
+        root = pathlib.Path(mechanisms_base.__file__).resolve().parents[1]
+        callers = {"is_match": set(), "decisions": set()}
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in callers
+                ):
+                    callers[node.func.attr].add(path.relative_to(root).as_posix())
+        assert callers == {"is_match": set(), "decisions": {"mechanisms/base.py"}}
+
 
 # ---------------------------------------------------------------------------
-# End-to-end differential: {scalar, batch} × {serial, process} × balance
+# End-to-end differential: {definition, kernel} × {serial, process} × balance
 # ---------------------------------------------------------------------------
 
 

@@ -159,3 +159,95 @@ class TestSubmit:
         ) == 0
         assert snap.read_text() == before
         assert json.loads(out_path.read_text())["batches"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Hostile input: one message naming the file, no traceback, nothing written
+# ---------------------------------------------------------------------------
+
+_GOOD = '{"id": 9001, "title": "a"}\n{"id": 9002, "title": "b"}\n'
+
+
+def _drop(section):
+    def mutate(text):
+        snapshot = json.loads(text)
+        del snapshot[section]
+        return json.dumps(snapshot)
+
+    return mutate
+
+
+def _set(key, value):
+    def mutate(text):
+        return json.dumps({**json.loads(text), key: value})
+
+    return mutate
+
+
+#: (command, input stream, snapshot mutation, what the message must name)
+_HOSTILE = {
+    "serve-non-integer-id": ("serve", '{"id": "x1", "title": "a"}\n', None, "in.jsonl:1:"),
+    "serve-attrs-not-an-object": ("serve", '{"id": 1, "attrs": [1, 2]}\n', None, "in.jsonl:1:"),
+    "serve-non-integer-batch": (
+        "serve", '{"id": 1, "title": "a", "batch": "soon"}\n', None, "in.jsonl:1:",
+    ),
+    # Found before the first batch runs, not by submit() after two did.
+    "serve-id-twice": ("serve", _GOOD + '{"id": 9001, "title": "c"}\n', None, "in.jsonl:3:"),
+    "submit-id-twice": ("submit", _GOOD + '{"id": 9001, "title": "c"}\n', None, "in.jsonl:3:"),
+    "submit-id-already-stored": ("submit", _GOOD + '{"id": 0, "title": "c"}\n', None, "in.jsonl:3:"),
+    "submit-truncated-snapshot": ("submit", _GOOD, lambda text: text[: len(text) // 2], "state.json"),
+    "submit-missing-entities": ("submit", _GOOD, _drop("entities"), "state.json"),
+    "submit-missing-events": ("submit", _GOOD, _drop("events"), "state.json"),
+    "submit-missing-clock": ("submit", _GOOD, _drop("clock"), "state.json"),
+    "submit-wrong-format": ("submit", _GOOD, _set("format", 99), "state.json"),
+    "submit-foreign-fingerprint": ("submit", _GOOD, _set("fingerprint", "0" * 16), "state.json"),
+}
+
+
+@pytest.fixture(scope="module")
+def good_snapshot(tmp_path_factory, entities):
+    directory = tmp_path_factory.mktemp("snapshot")
+    stream = directory / "first.jsonl"
+    with open(stream, "w", encoding="utf-8") as handle:
+        for entity in entities[:40]:
+            handle.write(json.dumps({"id": entity.id, **entity.attrs}) + "\n")
+    snap = directory / "state.json"
+    main(["serve", "--input", str(stream), "--machines", "2",
+          "--snapshot-out", str(snap)])
+    assert 0 in {row["id"] for row in json.loads(snap.read_text())["entities"]}
+    return snap.read_text()
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_hostile_input_exits_with_one_message(case, tmp_path, good_snapshot):
+    command, stream, mutate, named = _HOSTILE[case]
+    source = tmp_path / "in.jsonl"
+    source.write_text(stream)
+    snap = tmp_path / "state.json"
+    if command == "serve":
+        argv = ["serve", "--input", str(source), "--batch-size", "1",
+                "--machines", "2", "--snapshot-out", str(snap)]
+        before = None
+    else:
+        snap.write_text(good_snapshot if mutate is None else mutate(good_snapshot))
+        argv = ["submit", "--snapshot", str(snap), "--input", str(source),
+                "--machines", "2"]
+        before = snap.read_bytes()
+    # SystemExit with a message is exit status 1 and that one line on
+    # stderr; any other exception would be a traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert isinstance(exit_info.value.code, str)
+    assert named in exit_info.value.code
+    assert (snap.read_bytes() if snap.exists() else None) == before
+
+
+def test_restore_rejects_an_incomplete_snapshot_with_value_error(good_snapshot):
+    from repro.core import citeseer_config
+    from repro.service import ResolverService
+
+    for section in ("entities", "events", "clock"):
+        with pytest.raises(ValueError, match=section):
+            ResolverService.restore(
+                json.loads(_drop(section)(good_snapshot)), citeseer_config()
+            )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data import Entity
+from repro.similarity.batch import _COMPARATOR_RANK, BatchMatcher
 from repro.similarity.matchers import (
     MIN_COST_FACTOR,
     AttributeRule,
@@ -195,7 +196,8 @@ class TestSimilarityMemoCache:
 
 
 class TestBoundedMatch:
-    """Cheap-comparator-first short-circuiting never changes the decision."""
+    """The bounded kernel's cheap-comparator-first short-circuiting never
+    changes the decision ``is_match`` defines."""
 
     def test_agrees_with_full_similarity_on_random_pairs(self):
         import random
@@ -220,16 +222,15 @@ class TestBoundedMatch:
                 if peers:
                     entity = next(e for e in dataset.entities if e.id == eid)
                     pairs.append((entity, peers[0]))
-            decisions = [matcher.is_match(a, b) for a, b in pairs]
+            decisions = BatchMatcher(matcher).decisions(pairs)
             expected = [matcher.similarity(a, b) >= matcher.threshold for a, b in pairs]
             assert decisions == expected
+            assert [matcher.is_match(a, b) for a, b in pairs] == expected
             assert any(expected), "want at least one matching pair in the sample"
 
     def test_evaluation_order_is_cheapest_first(self):
         matcher = books_matcher()
-        ranks = []
-        from repro.similarity.matchers import _COMPARATOR_RANK
-
-        for index in matcher._eval_order:
-            ranks.append(_COMPARATOR_RANK[matcher.rules[index].comparator])
+        order = BatchMatcher(matcher)._eval_order
+        assert sorted(order) == list(range(len(matcher.rules)))
+        ranks = [_COMPARATOR_RANK[matcher.rules[index].comparator] for index in order]
         assert ranks == sorted(ranks)

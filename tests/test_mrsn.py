@@ -1,11 +1,16 @@
 """Tests for the multi-pass MR Sorted-Neighborhood baseline."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines import MrsnConfig, MultiPassMRSN
-from repro.blocking import citeseer_scheme
+from repro.baselines.mrsn import MrsnReducer
+from repro.blocking import books_scheme, citeseer_scheme
+from repro.data import make_books, make_citeseer
 from repro.mapreduce import Cluster
 from repro.evaluation import recall_curve
+from repro.similarity import books_matcher, citeseer_matcher
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +55,83 @@ class TestCorrectness:
         dataset, runs = mrsn_runs
         found = runs[3].found_pairs
         assert len(found & dataset.true_pairs) / len(found) > 0.9
+
+
+def _digest(result):
+    """sha256 over the ``(time, pair)`` events and every task's
+    ``(cost, start, end)``."""
+    sha = hashlib.sha256()
+    for event in result.duplicate_events:
+        sha.update(repr((event.time, event.payload)).encode())
+    for job in result.jobs:
+        for task in job.map_tasks + job.reduce_tasks:
+            sha.update(repr((task.cost, task.start_time, task.end_time)).encode())
+    return sha.hexdigest()
+
+
+class _TwoReduceTasks(Cluster):
+    """Plans one partition per reduce slot, runs them on two tasks."""
+
+    def run_job(self, job, records, **kwargs):
+        return super().run_job(job, records, num_reduce_tasks=2, **kwargs)
+
+
+class TestPinnedTimeline:
+    """Values computed before the reducer decided through ``resolve_block``
+    (its own charge → ``is_match`` → write loop): handing the window to
+    the shared loop must move no charge, event or task boundary."""
+
+    @pytest.mark.parametrize(
+        "make, size, scheme, matcher, total_time, pairs, digest",
+        [
+            (
+                make_citeseer, 600, citeseer_scheme, citeseer_matcher,
+                5221.058684301415, 339,
+                "9ec58b5bd8681e7514ea2274d2b6f541ebd2f6005500bf31434eca9c2841125d",
+            ),
+            (
+                make_books, 1500, books_scheme, books_matcher,
+                4387.239901581293, 817,
+                "a5b905e215cf68ce5b6d14864645e802e1c7d00cbe61e8c87f418fff0880f476",
+            ),
+        ],
+        ids=["citeseer", "books"],
+    )
+    def test_bit_identical_to_the_private_loop(
+        self, make, size, scheme, matcher, total_time, pairs, digest
+    ):
+        config = MrsnConfig(scheme=scheme(), matcher=matcher(), window=10)
+        result = MultiPassMRSN(config, Cluster(3)).run(make(size, seed=3))
+        assert result.total_time == total_time
+        assert len(result.found_pairs) == pairs
+        assert _digest(result) == digest
+
+    def test_several_partitions_per_task_meet_their_own_replicas(self, monkeypatch):
+        # Six planned partitions on two reduce tasks: task 1 holds
+        # partitions 1-5 back to back, so every boundary entity sits within
+        # a window of its own replica.
+        tasks = []
+        cleanup = MrsnReducer.cleanup
+
+        def recording_cleanup(reducer, context):
+            tasks.append([entity.id for entity, _ in reducer._ordered])
+            cleanup(reducer, context)
+
+        monkeypatch.setattr(MrsnReducer, "cleanup", recording_cleanup)
+        dataset = make_citeseer(300, seed=5)
+        config = MrsnConfig(
+            scheme=citeseer_scheme(), matcher=citeseer_matcher(), window=6
+        )
+        narrow = MultiPassMRSN(config, _TwoReduceTasks(3)).run(dataset)
+        assert any(len(ids) > len(set(ids)) for ids in tasks)
+        reference = MultiPassMRSN(config, Cluster(1)).run(dataset)
+        assert narrow.found_pairs == reference.found_pairs
+        assert all(a != b for a, b in narrow.found_pairs)
+        assert narrow.total_time == 7124.149331010931
+        assert len(narrow.found_pairs) == 200
+        assert _digest(narrow) == (
+            "2da73f91ecdef2f14764b0ecbe7ce7123637b1c855f201c2c2e2d67a0dad39be"
+        )
 
 
 class TestScaling:

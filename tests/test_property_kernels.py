@@ -8,10 +8,10 @@ bounds that land exactly on the true distance (the cutoff's boundary
 case), and strings long enough that a column no longer fits one machine
 word.
 
-Threshold propagation (:meth:`WeightedMatcher._bounded_match` deriving a
-per-rule similarity floor and bounding the kernel with it) is a pure
-optimization: on random matcher configurations and entity pairs, the
-propagated ``is_match`` must equal the unbounded weighted-sum decision.
+Threshold propagation (``BatchMatcher`` deriving a per-rule similarity
+floor and bounding the edit kernel with it) is a pure optimization: on
+random matcher configurations and entity pairs, the propagated decision
+must equal the unbounded weighted-sum decision ``is_match`` defines.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.data import Entity
 from repro.data.perturb import typo_delete, typo_insert, typo_substitute
 from repro.similarity import (
     AttributeRule,
+    BatchMatcher,
     WeightedMatcher,
     dp_cell_counters,
     levenshtein,
@@ -201,6 +202,6 @@ class TestThresholdPropagation:
             # floors sit closest to the actual similarities.
             v2 = [value[:-1] if value else value for value in v1]
         e1, e2 = _entity(0, v1), _entity(1, v2)
-        bounded = matcher.is_match(e1, e2)
+        (bounded,) = BatchMatcher(matcher).decisions([(e1, e2)])
         unbounded = matcher.similarity(e1, e2) >= matcher.threshold
-        assert bounded == unbounded
+        assert bounded == unbounded == matcher.is_match(e1, e2)
