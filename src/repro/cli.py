@@ -596,17 +596,28 @@ def _read_jsonl_entities(path: str, taken=()):
 
     Every malformed line ends the command with ``path:lineno: ...`` before
     anything is submitted; so does an id that appears twice in the stream
-    or is already in ``taken`` (the restored store, for ``submit``).
+    or is already in ``taken`` (the restored store, for ``submit``), and —
+    as ``path: ...`` — an input that cannot be opened.  The stream is read
+    as bytes and decoded line by line, so a non-UTF-8 byte is reported on
+    the line that holds it.
     """
-    handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    try:
+        handle = sys.stdin.buffer if path == "-" else open(path, "rb")
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read input: {exc.strerror or exc}")
     rows = []
     first_line = {}
     try:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(handle, 1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SystemExit(
+                    f"{where}: not valid UTF-8: {exc.reason} at byte {exc.start}"
+                )
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -650,7 +661,7 @@ def _read_jsonl_entities(path: str, taken=()):
                 )
             )
     finally:
-        if handle is not sys.stdin:
+        if path != "-":
             handle.close()
     return rows
 

@@ -68,6 +68,14 @@ class ResolutionMapper(Mapper):
         self._shard_routes: Dict[str, Tuple[str, ...]] = {
             uid: tuple(sorted(keys)) for uid, keys in routes.items()
         }
+        #: family -> [(level, key -> split-root uids)] by level; built from
+        #: the (level, key, uid)-sorted ``split_roots`` so uids keep their order.
+        self._split_index: Dict[str, List[Tuple[int, Dict[str, List[str]]]]] = {}
+        for family, entries in schedule.split_roots.items():
+            levels: Dict[int, Dict[str, List[str]]] = {}
+            for level, key, uid in entries:
+                levels.setdefault(level, {}).setdefault(key, []).append(uid)
+            self._split_index[family] = sorted(levels.items())
 
     def setup(self, context: TaskContext) -> None:
         """Charge the progressive-schedule generation performed in the map
@@ -131,9 +139,9 @@ class ResolutionMapper(Mapper):
         if main_uid is not None:
             chain.append(main_uid)
         functions = self._scheme.families[family]
-        for level, key, uid in self._schedule.split_roots.get(family, ()):  # by level
-            if functions[level - 1].key_of(entity) == key:
-                chain.append(uid)
+        for level, by_key in self._split_index.get(family, ()):
+            # One key per level: the entity's own, computed once.
+            chain.extend(by_key.get(functions[level - 1].key_of(entity), ()))
         return chain
 
 

@@ -9,31 +9,56 @@ lookups, truncation slices, memo keys and quadratic edit distances that
 cannot change the answer.  :class:`BatchMatcher` is the one place in
 ``src/`` that knows how to skip them:
 
-* **per-entity value tables** — each entity's (truncated) attribute values
-  and their lengths are computed once per entity and reused by every pair
-  that touches it;
+* **per-entity value tables** — each entity's (truncated) attribute values,
+  their lengths and, for edit rules, a character-count signature are
+  computed once per entity and reused by every pair that touches it;
 * **cheapest comparator first** — rules are evaluated in
   :data:`_COMPARATOR_RANK` order, rule-major (outer loop over rules, inner
   loop over the pairs still alive), so a pair can be ruled out before it
   pays for a quadratic edit distance on a long attribute;
-* **upper-bound cutoff** — after each rule every unevaluated rule is
-  assumed to score a perfect 1.0; if even that cannot reach the threshold
-  the pair is dead and leaves every later rule;
+* **upper-bound cutoff** — after each rule, the score so far plus the
+  *credit* of every unevaluated rule is the most the pair can still reach;
+  if that is below the threshold the pair is dead and leaves every later
+  rule;
 * **threshold propagation** — for edit rules :func:`_rule_floor` turns the
   same bound into the minimum similarity the rule must reach, and the edit
   kernel is called with the matching distance bound so it stops its column
-  loop the moment the pair is dead.
+  loop the moment the pair is dead;
+* **bounded credit** — an unevaluated edit rule is not credited a perfect
+  1.0 but :func:`_edit_upper_bound`: what the two lengths and the two
+  character-count signatures still allow (the length and count filters of
+  the string-similarity-join literature, used as upper bounds on rules
+  *still to come*, so they tighten every floor at once instead of
+  filtering one call).  On book records most non-matches die on these
+  credits and never reach the edit kernel; a floor above the current
+  rule's own bound ends the pair without a call.
 
 Decisions are **bit-identical** to the definition.  The short-circuits only
 ever *reject*, and only pairs whose exact sum is below the threshold: the
 running bound is accumulated in evaluation order, not rule order, so the
 cutoff compares against ``threshold - 1e-9`` (float reordering noise must
 not cut a pair the exact sum would accept), and the floor derived from it
-gives up a further ``1e-7`` for the noise of its own arithmetic.  A pair
-that survives every rule is decided by the weighted sum re-accumulated in
-*original* rule order — the float sequence ``WeightedMatcher.similarity``
-evaluates.  ``tests/test_batch_kernels.py`` holds the kernel to the
-definition on random matchers, thresholds at the boundary included.
+gives up a further ``1e-7`` for the noise of its own arithmetic.  A credit
+needs no margin of its own: ``1.0 - lb / longest`` with ``lb <= d`` is the
+float expression of the true ``1.0 - d / longest``, and IEEE division,
+subtraction and the multiplication by the weight are monotone, so ``weight
+* upper >= weight * sim`` holds exactly term by term; only the order of the
+additions (and the subtraction that retires a credit) differs — the noise
+the ``1e-9`` already covers.
+
+A rule whose value is missing on *both* sides leaves the definition's
+numerator and denominator alike; it is credited in full and its weight
+stays in the denominator, which dominates: with ``N <= D`` the bound over
+the rules that do count and ``M >= 0`` the both-missing weight, ``(N + M) /
+(D + M) >= N / D``, and ``N <= D`` holds because every score and every
+credit is at most its weight.  An edit value facing a missing one is
+credited the 0.0 the definition scores it.  A pair that survives every rule
+is decided by the weighted sum re-accumulated in *original* rule order —
+the float sequence ``WeightedMatcher.similarity`` evaluates.
+``tests/test_batch_kernels.py`` holds the kernel to the definition on
+random matchers, thresholds at the boundary included, and
+``tests/test_property_kernels.py`` holds the credit to the true similarity
+on hostile text.
 
 What the kernel may legitimately change: wall-clock time and the memo
 hit/miss counters (a batch deduplicates identical value pairs before
@@ -85,19 +110,84 @@ def reset_batch_kernel_counters() -> None:
 PairSeq = Sequence[Tuple[Entity, Entity]]
 
 
+#: Character-count signature layout: :data:`_BUCKETS` counters of 16 bits
+#: packed into one Python int.  A counter uses its low 15 bits; the 16th is
+#: the guard :func:`_edit_upper_bound` borrows from, so a value longer than
+#: :data:`_COUNTER_MAX` gets no signature and falls back to the length bound.
+_BUCKETS = 32
+_COUNTER_MAX = 0x7FFF
+_GUARD = sum(0x8000 << (16 * bucket) for bucket in range(_BUCKETS))
+#: Low byte of a code point -> one count in its bucket.  Distinct characters
+#: may share a bucket; that only ever hides a difference (weaker bound).
+_BUCKET_UNIT = tuple(1 << (16 * (byte % _BUCKETS)) for byte in range(256)).__getitem__
+
+
+def _signature(value: str) -> Optional[int]:
+    """Bucketed character counts of ``value``, or ``None`` when too long.
+
+    One count per code point (UTF-32, so astral characters and lone
+    surrogates are one unit each, exactly as ``len`` and the edit kernel
+    see them), bucketed by the code point's low byte.
+    """
+    if len(value) > _COUNTER_MAX:
+        return None
+    return sum(map(_BUCKET_UNIT, value.encode("utf-32-le", "surrogatepass")[::4]))
+
+
+def _edit_upper_bound(
+    len1: int, len2: int, sig1: Optional[int], sig2: Optional[int]
+) -> float:
+    """The most an edit rule can score on two values, from lengths and counts.
+
+    ``1.0`` when both values are empty (the rule then leaves the weighted
+    sum; crediting it in full dominates that, see the module docstring),
+    otherwise ``1.0 - lb / longest`` with ``lb = max(|len1 - len2|, bag
+    distance)`` — both lower bounds on Levenshtein, since one edit changes
+    the length by at most one and moves at most one character out of, and
+    one into, the multiset.  A value facing an empty one gets ``lb =
+    longest`` and so ``0.0``, which is what the definition scores it.
+
+    The bag distance is ``max(surplus(1, 2), surplus(2, 1))``, where
+    ``surplus(a, b)`` sums over the buckets what ``a`` counts beyond ``b``;
+    the two differ by exactly ``len1 - len2``, so one subtraction yields
+    both and their maximum already covers the length gap.  Per 16-bit
+    field, ``(count1 | guard) - count2`` keeps the guard bit iff ``count1
+    >= count2`` and never borrows from a neighbour; masking the fields
+    whose guard survived leaves the surpluses, and ``% 0xFFFF`` adds the
+    fields up (``2**16 = 1 mod 0xFFFF``, and the sum is at most ``len1``).
+
+    This is the float expression of the true similarity with ``lb <= d``,
+    and IEEE division and subtraction are monotone, so ``ub >= sim`` holds
+    exactly in floats, not merely up to rounding.
+    """
+    longest = len1 if len1 >= len2 else len2
+    if not longest:
+        return 1.0
+    if sig1 is None or sig2 is None:
+        return 1.0 - abs(len1 - len2) / longest
+    diff = (sig1 | _GUARD) - sig2
+    kept = diff & _GUARD
+    lower = (diff & (kept - (kept >> 15))) % 0xFFFF
+    if len2 > len1:
+        lower += len2 - len1
+    return 1.0 - lower / longest
+
+
 def _rule_floor(
     cutoff: float,
     weight: float,
     total: float,
     total_weight: float,
+    credit_after: float,
     remaining_after: float,
 ) -> float:
     """Minimum similarity a rule must score to keep the pair alive.
 
     Derived by solving the post-rule cutoff inequality for this rule's
     similarity ``s``: the cutoff fires when
-    ``(total + weight*s + remaining_after) / bound_weight < cutoff`` with
-    ``cutoff = threshold - 1e-9`` (every later rule assumed perfect).  Any
+    ``(total + weight*s + credit_after) / bound_weight < cutoff`` with
+    ``cutoff = threshold - 1e-9``, ``credit_after`` the most the later
+    rules can still add and ``remaining_after`` their full weight.  Any
     ``s`` below the returned floor therefore guarantees the cutoff — or,
     for the final rule, the exact threshold check — rejects the pair.  An
     extra ``1e-7`` is subtracted so float noise in computing the floor
@@ -107,7 +197,7 @@ def _rule_floor(
     bound_weight = total_weight + weight + remaining_after
     if bound_weight <= 0.0:
         return 0.0
-    floor = (cutoff * bound_weight - total - remaining_after) / weight
+    floor = (cutoff * bound_weight - total - credit_after) / weight
     return floor - 1e-7
 
 
@@ -131,8 +221,21 @@ class BatchMatcher:
             range(len(rules)),
             key=lambda i: (_COMPARATOR_RANK[rules[i].comparator], i),
         )
+        self._edit_indices = tuple(
+            i for i, rule in enumerate(rules) if rule.comparator == "edit"
+        )
+        #: Full weight of the rules after each one in evaluation order
+        #: (the cutoff's denominator; exactly 0.0 after the last).
+        self._weight_after: Dict[int, float] = {}
+        later = 0.0
+        for index in reversed(self._eval_order):
+            self._weight_after[index] = later
+            later += rules[index].weight
+        #: What the cheap rules are credited before they are evaluated.
+        self._cheap_weight = sum(
+            rule.weight for rule in rules if rule.comparator != "edit"
+        )
         self._threshold = matcher.threshold
-        self._total_weight = sum(rule.weight for rule in rules)
         #: What the upper bound is compared against; the margin gives
         #: float reordering noise no chance to cut a pair that the exact
         #: original-order sum would accept.
@@ -142,12 +245,13 @@ class BatchMatcher:
             if rule.comparator not in _CHEAP_COMPARATORS
         )
         self._cost_denominator = len(self._quad_indices) * REFERENCE_LENGTH
-        #: entity id -> (values, lengths), one row each.
-        self._rows: Dict[int, Tuple[tuple, tuple]] = {}
+        #: entity id -> (values, lengths, signatures), one row each;
+        #: only edit rules carry a signature.
+        self._rows: Dict[int, Tuple[tuple, tuple, tuple]] = {}
 
     # -- per-entity tables ---------------------------------------------
 
-    def _row(self, entity: Entity) -> Tuple[tuple, tuple]:
+    def _row(self, entity: Entity) -> Tuple[tuple, tuple, tuple]:
         row = self._rows.get(entity.id)
         if row is None:
             values = []
@@ -156,7 +260,14 @@ class BatchMatcher:
                 if rule.max_chars is not None:
                     value = value[: rule.max_chars]
                 values.append(value)
-            row = (tuple(values), tuple([len(v) for v in values]))
+            signatures: List[Optional[int]] = [None] * len(values)
+            for index in self._edit_indices:
+                signatures[index] = _signature(values[index])
+            row = (
+                tuple(values),
+                tuple([len(v) for v in values]),
+                tuple(signatures),
+            )
             self._rows[entity.id] = row
         return row
 
@@ -190,14 +301,17 @@ class BatchMatcher:
     def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
         """Rule-major bounded evaluation of one batch.
 
-        For each rule in cheapest-first order, evaluate every pair still
-        alive and update its running bound.  A pair leaves ``alive`` — and
-        is decided ``False`` — when the upper bound on its achievable
-        similarity falls below the cutoff (unevaluated rules assumed
-        perfect, which also dominates the missing-on-both-sides case where
-        the weight drops from numerator and denominator alike), or, inside
-        an edit rule, when :func:`_rule_floor` shows that the rule cannot
-        score high enough: a below-floor result implies the post-rule
+        First every pair is given its **credit**: the most its unevaluated
+        rules can still add to the weighted sum — the full weight for a
+        cheap rule, ``weight * _edit_upper_bound`` for an edit rule.  Then,
+        for each rule in cheapest-first order, every pair still alive
+        trades that rule's credit for its score.  A pair leaves ``alive`` —
+        and is decided ``False`` — when score so far plus remaining credit,
+        over the full weight of everything evaluated or still to come,
+        falls below the cutoff, or, inside an edit rule, when
+        :func:`_rule_floor` asks for more than the rule can score (its own
+        upper bound, without a kernel call) or does score (the bounded
+        kernel's below-floor sentinel): either implies the post-rule
         cutoff would have fired, so propagation changes no decision.
         """
         n = len(pairs)
@@ -206,32 +320,44 @@ class BatchMatcher:
         cutoff = self._cutoff
         rows1, rows2 = self._row_columns(pairs)
 
+        credits = [self._cheap_weight] * n
+        uppers: Dict[int, List[float]] = {}
+        for index in self._edit_indices:
+            weight = rules[index].weight
+            column = uppers[index] = []
+            for p in range(n):
+                _, lens1, sigs1 = rows1[p]
+                _, lens2, sigs2 = rows2[p]
+                upper = _edit_upper_bound(
+                    lens1[index], lens2[index], sigs1[index], sigs2[index]
+                )
+                column.append(upper)
+                credits[p] += weight * upper
+
         sims: List[List[Optional[float]]] = [[None] * num_rules for _ in range(n)]
         totals = [0.0] * n
         weights = [0.0] * n
-        remainings = [self._total_weight] * n
         alive = list(range(n))
         for index in self._eval_order:
             if not alive:
                 break
             rule = rules[index]
             weight = rule.weight
+            remaining_after = self._weight_after[index]
             comparator = rule.comparator
             is_edit = comparator == "edit"
             is_exact = comparator == "exact"
+            column = uppers.get(index)
             # Within one rule, identical value pairs recur constantly in
             # sorted blocks; resolve them once per batch instead of once
             # per pair (same value either way — only memo traffic differs).
-            # Floors dedup too: every pair still alive at this rule has
-            # accumulated over the same earlier rules, so the floor is a
-            # pure function of the (few distinct) running totals.
             local: Dict[tuple, float] = {}
-            floors: Dict[Tuple[float, float], float] = {}
             next_alive = []
             for p in alive:
                 v1 = rows1[p][0][index]
                 v2 = rows2[p][0][index]
-                remaining_after = remainings[p] - weight
+                upper = 1.0 if column is None else column[p]
+                credit_after = credits[p] - weight * upper
                 if not v1 and not v2:
                     sim: Optional[float] = None
                 elif not v1 or not v2:
@@ -239,23 +365,17 @@ class BatchMatcher:
                 elif is_exact:
                     sim = 1.0 if v1 == v2 else 0.0
                 elif is_edit:
-                    fkey = (totals[p], weights[p])
-                    floor = floors.get(fkey)
-                    if floor is None:
-                        floor = _rule_floor(
-                            cutoff, weight, totals[p], weights[p], remaining_after
-                        )
-                        floors[fkey] = floor
-                    if floor > 1.0:
-                        # Even a perfect score on this rule leaves the pair
-                        # below the cutoff bound: no kernel call needed.
+                    floor = _rule_floor(
+                        cutoff, weight, totals[p], weights[p],
+                        credit_after, remaining_after,
+                    )
+                    if floor > upper:
+                        # Even the best score this rule's lengths and
+                        # character counts allow leaves the pair below the
+                        # cutoff bound: no kernel call needed.
                         continue
                     if floor > 0.0:
-                        ekey = (v1, v2, floor)
-                        sim = local.get(ekey)
-                        if sim is None:
-                            sim = _memo_edit_at_least(v1, v2, floor)
-                            local[ekey] = sim
+                        sim = _memo_edit_at_least(v1, v2, floor)
                         if sim == _BELOW_FLOOR:
                             continue
                     else:
@@ -269,7 +389,7 @@ class BatchMatcher:
                         sim = _memo_compare(comparator, v1, v2)
                         local[(v1, v2)] = sim
                 sims[p][index] = sim
-                remainings[p] = remaining_after
+                credits[p] = credit_after
                 if sim is not None:
                     totals[p] += weight * sim
                     weights[p] += weight
@@ -278,7 +398,7 @@ class BatchMatcher:
                     continue  # every evaluated rule missing on both sides
                 if (
                     remaining_after > 0.0
-                    and (totals[p] + remaining_after) / bound_weight < cutoff
+                    and (totals[p] + credit_after) / bound_weight < cutoff
                 ):
                     continue  # upper bound too low
                 next_alive.append(p)

@@ -49,6 +49,7 @@ from repro.similarity import (
     BatchMatcher,
     WeightedMatcher,
     books_matcher,
+    citeseer_matcher,
 )
 
 ALPHABET = "abcdé日本語🙂 "
@@ -167,40 +168,190 @@ def boundary_cases(draw):
     return WeightedMatcher(loose.rules, threshold), pairs
 
 
+class _Deaths:
+    """Which short-circuit ended the one pair of a one-pair batch.
+
+    Spies on the module-level names the kernel calls.  ``sentinel`` and
+    ``above_upper`` are read off return values; the credit cutoff is inline
+    code, so it is recognised by what never ran: every rule that is not
+    ``exact`` and has a value on both sides announces itself — an edit rule
+    through ``_rule_floor``, the others through ``_memo_compare`` — and a
+    pair that neither met the sentinel nor an unreachable floor yet never
+    reached one of them was cut by the cutoff before it got there.
+    """
+
+    def __init__(self, matcher):
+        self.matcher = matcher
+        self.real = {
+            name: getattr(batch_module, name)
+            for name in (
+                "_rule_floor", "_edit_upper_bound",
+                "_memo_edit_at_least", "_memo_compare",
+            )
+        }
+        self.clear()
+
+    def clear(self):
+        self.reached = 0
+        self.uppers = []
+        self.floors = []
+        self.kernel_calls = 0
+        self.sentinel = False
+
+    def _rule_floor(self, *args):
+        floor = self.real["_rule_floor"](*args)
+        self.reached += 1
+        self.floors.append(floor)
+        return floor
+
+    def _edit_upper_bound(self, *args):
+        upper = self.real["_edit_upper_bound"](*args)
+        self.uppers.append(upper)
+        return upper
+
+    def _memo_edit_at_least(self, v1, v2, floor):
+        sim = self.real["_memo_edit_at_least"](v1, v2, floor)
+        self.kernel_calls += 1
+        self.sentinel = self.sentinel or sim == batch_module._BELOW_FLOOR
+        return sim
+
+    def _memo_compare(self, comparator, v1, v2):
+        if comparator == "edit":
+            self.kernel_calls += 1
+        else:
+            self.reached += 1
+        return self.real["_memo_compare"](comparator, v1, v2)
+
+    def patched(self):
+        return mock.patch.multiple(
+            batch_module, **{name: getattr(self, name) for name in self.real}
+        )
+
+    def decide(self, e1, e2):
+        """``(decision, short-circuits that fired)`` for the pair, decided
+        in a batch of its own so the spies speak about this pair only."""
+        self.clear()
+        with self.patched():
+            (decision,) = BatchMatcher(self.matcher).decisions([(e1, e2)])
+        kinds = set()
+        if self.sentinel:
+            kinds.add("sentinel")
+        # Every floor is answered by a kernel call unless it was unreachable.
+        if len(self.floors) > self.kernel_calls:
+            assert len(self.floors) == self.kernel_calls + 1
+            assert self.floors[-1] > min(self.uppers)
+            kinds.add("above_upper")
+        announced = sum(
+            1
+            for rule in self.matcher.rules
+            if rule.comparator != "exact" and all(rule.values(e1, e2))
+        )
+        if not kinds and self.reached < announced:
+            kinds.add("cutoff")
+        return decision, kinds
+
+
 class TestFloorSoundness:
-    """What a mirror sharing the floor could not catch: every pair the
-    kernel drops on the strength of ``_rule_floor`` — before its last rule
-    was ever summed — is below the threshold by the definition."""
+    """What a mirror sharing the bounds could not catch: every pair the
+    kernel drops before its last rule was ever summed — by the credit
+    cutoff, by a floor above the rule's own upper bound, by the bounded
+    kernel's below-floor sentinel — is below the threshold by the
+    definition."""
 
     @settings(max_examples=300)
     @given(case=boundary_cases())
     def test_pairs_dropped_by_the_floor_are_below_threshold(self, case):
+        # ``entity_batches`` leaves attributes out on one side and on both;
+        # ``boundary_cases`` puts the threshold within 1e-6 of a pair's sum.
         matcher, pairs = case
-        floor_fired = []
-        real_floor = batch_module._rule_floor
-        real_edit = batch_module._memo_edit_at_least
+        deaths = _Deaths(matcher)
+        for e1, e2 in pairs:
+            decision, kinds = deaths.decide(e1, e2)
+            similarity = matcher.similarity(e1, e2)
+            if kinds:
+                assert not decision
+                assert similarity < matcher.threshold
+            assert decision == (similarity >= matcher.threshold)
 
-        def spy_floor(*args):
-            floor = real_floor(*args)
-            floor_fired.append(floor > 1.0)
-            return floor
+    def test_every_way_to_die_fires_and_is_sound(self, books_small, citeseer_small):
+        # Not vacuous: on real pairs each short-circuit ends some pair.  An
+        # unreachable floor needs an edit rule evaluated first (citeseer);
+        # behind a cheap rule the cutoff gets there before it (books).
+        import random
 
-        def spy_edit(v1, v2, floor):
-            sim = real_edit(v1, v2, floor)
-            floor_fired.append(sim == batch_module._BELOW_FLOOR)
-            return sim
-
-        with mock.patch.object(batch_module, "_rule_floor", spy_floor), \
-                mock.patch.object(batch_module, "_memo_edit_at_least", spy_edit):
+        rng = random.Random(21)
+        seen = {"cutoff": 0, "above_upper": 0, "sentinel": 0}
+        for matcher, entities in (
+            (books_matcher(), books_small.entities),
+            (citeseer_matcher(), citeseer_small.entities),
+        ):
+            pairs = [tuple(rng.sample(entities, 2)) for _ in range(150)]
+            pairs += list(zip(entities, entities[1:150]))
+            deaths = _Deaths(matcher)
             for e1, e2 in pairs:
-                floor_fired.clear()
-                # One pair per batch, so the spies speak about this pair.
-                (decision,) = BatchMatcher(matcher).decisions([(e1, e2)])
-                similarity = matcher.similarity(e1, e2)
-                if any(floor_fired):
+                decision, kinds = deaths.decide(e1, e2)
+                for kind in kinds:
+                    seen[kind] += 1
                     assert not decision
-                    assert similarity < matcher.threshold
-                assert decision == (similarity >= matcher.threshold)
+                    assert matcher.similarity(e1, e2) < matcher.threshold
+                assert decision == matcher.is_match(e1, e2)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("missing", ["neither", "one side", "both sides"])
+    def test_a_tight_bound_keeps_the_pair_at_its_own_threshold(self, missing):
+        # Bag distance == Levenshtein on every edit field, so each credit is
+        # exactly what the rule will score and the threshold *is* the pair's
+        # sum: any margin given away (``upper - 1e-3``, ``cutoff + 1e-3``,
+        # a floor without its ``1e-7``) turns this accept into a reject.
+        rules = [
+            AttributeRule("title", weight=0.5, comparator="edit"),
+            AttributeRule("venue", weight=0.3, comparator="edit"),
+            AttributeRule("year", weight=0.2, comparator="exact"),
+        ]
+        left = {"title": "abcdefgh", "venue": "🙂 xyz", "year": "1999"}
+        right = {"title": "abcdefgx", "venue": " xyz", "year": "2001"}
+        if missing == "one side":
+            del right["venue"]
+        elif missing == "both sides":
+            del left["venue"], right["venue"]
+        e1, e2 = Entity(id=1, attrs=left), Entity(id=2, attrs=right)
+        own_sum = WeightedMatcher(rules, 0.5).similarity(e1, e2)
+        assert 0.0 < own_sum < 1.0
+        matcher = WeightedMatcher(rules, own_sum)
+        assert matcher.is_match(e1, e2)
+        assert BatchMatcher(matcher).decisions([(e1, e2), (e2, e1)]) == [True, True]
+        # ... and a hair above it the same pair is out, by both.
+        above = WeightedMatcher(rules, own_sum + 1e-12)
+        assert not above.is_match(e1, e2)
+        assert BatchMatcher(above).decisions([(e1, e2)]) == [False]
+
+    def test_astral_character_counts_once(self):
+        # The prototype's first signature counted UTF-16 units: the emoji
+        # weighed two, the bound said similarity 0.0, and this pair — 0.5 by
+        # the definition, at threshold 0.5 — flipped to a non-match.
+        matcher = WeightedMatcher([AttributeRule("title", 1.0, "edit")], 0.5)
+        e1 = Entity(id=1, attrs={"title": " 🙂"})
+        e2 = Entity(id=2, attrs={"title": " "})
+        assert matcher.is_match(e1, e2)
+        assert BatchMatcher(matcher).decisions([(e1, e2), (e2, e1)]) == [True, True]
+
+    def test_value_too_long_for_a_counter_uses_the_length_bound(self):
+        longest = batch_module._COUNTER_MAX + 1
+        matcher = WeightedMatcher([AttributeRule("title", 1.0, "edit")], 0.9)
+        base = "a" * longest
+        near = Entity(id=1, attrs={"title": base[:-3] + "bcd"})
+        far = Entity(id=2, attrs={"title": "a" * (longest // 2)})
+        e0 = Entity(id=0, attrs={"title": base})
+        assert batch_module._signature(base) is None
+        with mock.patch.object(
+            batch_module, "_memo_edit_at_least",
+            side_effect=batch_module._memo_edit_at_least,
+        ) as kernel:
+            assert BatchMatcher(matcher).decisions([(e0, near), (e0, far)]) == [
+                True, False,
+            ]
+        # The length gap alone ruled the second pair out.
+        assert kernel.call_count == 1
 
 
 # ---------------------------------------------------------------------------

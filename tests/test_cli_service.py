@@ -184,7 +184,8 @@ def _set(key, value):
     return mutate
 
 
-#: (command, input stream, snapshot mutation, what the message must name)
+#: (command, input stream — bytes as they are, ``None`` for no file at all —
+#: snapshot mutation, what the message must name)
 _HOSTILE = {
     "serve-non-integer-id": ("serve", '{"id": "x1", "title": "a"}\n', None, "in.jsonl:1:"),
     "serve-attrs-not-an-object": ("serve", '{"id": 1, "attrs": [1, 2]}\n', None, "in.jsonl:1:"),
@@ -195,6 +196,15 @@ _HOSTILE = {
     "serve-id-twice": ("serve", _GOOD + '{"id": 9001, "title": "c"}\n', None, "in.jsonl:3:"),
     "submit-id-twice": ("submit", _GOOD + '{"id": 9001, "title": "c"}\n', None, "in.jsonl:3:"),
     "submit-id-already-stored": ("submit", _GOOD + '{"id": 0, "title": "c"}\n', None, "in.jsonl:3:"),
+    # A Latin-1 e-acute: read as bytes, so the line that holds it is named.
+    "serve-non-utf8-byte": (
+        "serve", _GOOD.encode() + b'{"id": 9003, "title": "caf\xe9"}\n', None, "in.jsonl:3:",
+    ),
+    "submit-non-utf8-byte": (
+        "submit", _GOOD.encode() + b'{"id": 9003, "title": "caf\xe9"}\n', None, "in.jsonl:3:",
+    ),
+    "serve-missing-input": ("serve", None, None, "in.jsonl: cannot read input"),
+    "submit-missing-input": ("submit", None, None, "in.jsonl: cannot read input"),
     "submit-truncated-snapshot": ("submit", _GOOD, lambda text: text[: len(text) // 2], "state.json"),
     "submit-missing-entities": ("submit", _GOOD, _drop("entities"), "state.json"),
     "submit-missing-events": ("submit", _GOOD, _drop("events"), "state.json"),
@@ -222,7 +232,10 @@ def good_snapshot(tmp_path_factory, entities):
 def test_hostile_input_exits_with_one_message(case, tmp_path, good_snapshot):
     command, stream, mutate, named = _HOSTILE[case]
     source = tmp_path / "in.jsonl"
-    source.write_text(stream)
+    if isinstance(stream, bytes):
+        source.write_bytes(stream)
+    elif stream is not None:
+        source.write_text(stream)
     snap = tmp_path / "state.json"
     if command == "serve":
         argv = ["serve", "--input", str(source), "--batch-size", "1",

@@ -8,6 +8,13 @@ bounds that land exactly on the true distance (the cutoff's boundary
 case), and strings long enough that a column no longer fits one machine
 word.
 
+The credit ``BatchMatcher`` gives an edit rule it has not evaluated yet —
+``_edit_upper_bound``, from the two lengths and the bucketed character
+counts of ``_signature`` — must never fall below the rule's true
+similarity, as floats, whatever the text: astral code points, lone
+surrogates, combining marks, characters that share a bucket, values too
+long for a counter.
+
 Threshold propagation (``BatchMatcher`` deriving a per-rule similarity
 floor and bounding the edit kernel with it) is a pure optimization: on
 random matcher configurations and entity pairs, the propagated decision
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Entity
@@ -31,7 +38,8 @@ from repro.similarity import (
     levenshtein,
     reset_dp_cell_counters,
 )
-from repro.similarity.edit_distance import _myers_dp
+from repro.similarity.batch import _COUNTER_MAX, _edit_upper_bound, _signature
+from repro.similarity.edit_distance import _myers_dp, edit_similarity
 
 #: Unicode-heavy but collision-prone alphabet: small enough that random
 #: strings share substrings (exercising the prefix/suffix stripping and
@@ -149,6 +157,66 @@ class TestBoundedKernelOnLongStrings:
         assert levenshtein(a, b, max_distance=130) == true
         assert levenshtein(b, a, max_distance=true) == true
         assert levenshtein(a, b, max_distance=true - 1) == true
+
+
+# ---------------------------------------------------------------------------
+# The character-count credit is an upper bound on the edit similarity
+# ---------------------------------------------------------------------------
+
+#: Everything a count of "characters" can get wrong: ``a A ā š`` share a
+#: bucket (equal low five bits of the code point), and so do ``b B``, the
+#: emoji and its own low surrogate; ``e`` + U+0301 is two code points; the
+#: emoji is one code point but two UTF-16 units; the surrogates stand alone.
+HOSTILE_ALPHABET = "aAāšbB e\u0301é🙂\ud83d\ude42"
+
+hostile_text = st.text(alphabet=HOSTILE_ALPHABET, max_size=20)
+
+
+def _upper(a: str, b: str) -> float:
+    return _edit_upper_bound(len(a), len(b), _signature(a), _signature(b))
+
+
+class TestSignatureBound:
+    @settings(max_examples=400)
+    @given(a=hostile_text, b=hostile_text)
+    @example(a=" 🙂", b=" ")  # UTF-16 low bytes counted the emoji twice
+    @example(a="aA", b="āš")  # one bucket: the counts see no difference
+    @example(a="", b="")
+    @example(a="", b="\ud83d")
+    def test_bound_sits_between_the_similarity_and_the_length_bound(self, a, b):
+        upper = _upper(a, b)
+        assert upper == _upper(b, a)
+        longest = max(len(a), len(b))
+        if not longest:
+            assert upper == 1.0
+            return
+        # signature bound >= |len1 - len2| and <= levenshtein(a, b), said
+        # in the floats the kernel compares.
+        assert upper <= 1.0 - abs(len(a) - len(b)) / longest
+        assert upper >= 1.0 - reference_distance(a, b) / longest
+        assert upper >= edit_similarity(a, b)
+
+    @given(a=hostile_text, extra=hostile_text)
+    def test_bag_distance_of_an_anagram_plus_suffix_is_the_suffix(self, a, extra):
+        # Same multiset (reversed) plus a suffix: no bucket can hide more
+        # than the collisions allow, and the length gap is always seen.
+        upper = _upper(a[::-1] + extra, a)
+        longest = len(a) + len(extra)
+        if longest:
+            assert upper == 1.0 - len(extra) / longest
+
+    def test_a_value_longer_than_a_counter_falls_back_to_its_length(self):
+        full = "a" * _COUNTER_MAX
+        assert _signature(full) is not None
+        assert _signature(full + "a") is None
+        # A full counter on either side neither overflows nor borrows.
+        assert _upper(full, "b" * _COUNTER_MAX) == 0.0
+        assert _upper("b" * _COUNTER_MAX, full) == 0.0
+        assert _upper(full, full) == 1.0
+        assert _upper(full, "") == 0.0
+        # Past it only the lengths speak: sound, merely weaker.
+        assert _upper(full + "a", "b" * (_COUNTER_MAX + 1)) == 1.0
+        assert _upper(full + "a", "b" * _COUNTER_MAX) == 1.0 - 1 / (_COUNTER_MAX + 1)
 
 
 # ---------------------------------------------------------------------------
