@@ -119,10 +119,6 @@ class BlockingScheme:
         """The level-1 function of ``family``."""
         return self.families[family][0]
 
-    def sub_functions(self, family: str) -> List[BlockingFunction]:
-        """The sub-blocking functions of ``family`` (levels 2..)."""
-        return self.families[family][1:]
-
     def depth(self, family: str) -> int:
         """``N(X1)``: number of sub-blocking functions of ``family``."""
         return len(self.families[family]) - 1

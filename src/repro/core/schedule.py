@@ -90,10 +90,6 @@ class ProgressiveSchedule:
     blocks: Dict[str, Block] = field(default_factory=dict)
     shards: Dict[str, "BlockShard"] = field(default_factory=dict)
 
-    def task_of_tree(self, tree_uid: str) -> int:
-        """Reduce task responsible for a tree."""
-        return self.assignment[tree_uid]
-
     @property
     def num_trees(self) -> int:
         return len(self.trees)

@@ -98,10 +98,6 @@ class DatasetStatistics:
             stats.roots[family].sort(key=lambda b: b.key)
         return stats
 
-    def size_of(self, block: Block) -> int:
-        """Block cardinality from the statistics."""
-        return block.size
-
     @property
     def num_blocks(self) -> int:
         """Total number of blocks across all families."""

@@ -161,36 +161,30 @@ class Cluster:
         # registry (and the backend's own `stats`), never in job counters.
         aux = Counters()
         splits = split_input(records, n_map)
-        # The splits must exist before the pool forks: the parallel backend
-        # hands them to workers via copy-on-write inheritance.
-        backend.begin_job(job, splits, self.cost_model)
-        try:
-            wall_start = time.perf_counter()
-            map_results, partitions = self._run_map_phase(
-                job, splits, n_red, start_time, counters, aux, backend, plan,
-            )
-            map_wall = time.perf_counter() - wall_start
-            map_phase_end = max((t.end_time for t in map_results), default=start_time)
-            _record_cost_skew(aux, "map", [t.cost for t in map_results])
-            self._snapshot_phase(
-                f"{job.name}/map", counters, aux, backend,
-                tasks=len(map_results), phase_end=map_phase_end, wall=map_wall,
-            )
+        wall_start = time.perf_counter()
+        map_results, partitions = self._run_map_phase(
+            job, splits, n_red, start_time, counters, aux, backend, plan,
+        )
+        map_wall = time.perf_counter() - wall_start
+        map_phase_end = max((t.end_time for t in map_results), default=start_time)
+        _record_cost_skew(aux, "map", [t.cost for t in map_results])
+        self._snapshot_phase(
+            f"{job.name}/map", counters, aux, backend,
+            tasks=len(map_results), phase_end=map_phase_end, wall=map_wall,
+        )
 
-            wall_start = time.perf_counter()
-            reduce_results, files = self._run_reduce_phase(
-                job, partitions, n_red, map_phase_end, counters, aux,
-                backend, plan,
-            )
-            reduce_wall = time.perf_counter() - wall_start
-            end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
-            _record_cost_skew(aux, "reduce", [t.cost for t in reduce_results])
-            self._snapshot_phase(
-                f"{job.name}/reduce", counters, aux, backend,
-                tasks=len(reduce_results), phase_end=end_time, wall=reduce_wall,
-            )
-        finally:
-            backend.end_job()
+        wall_start = time.perf_counter()
+        reduce_results, files = self._run_reduce_phase(
+            job, partitions, n_red, map_phase_end, counters, aux,
+            backend, plan,
+        )
+        reduce_wall = time.perf_counter() - wall_start
+        end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
+        _record_cost_skew(aux, "reduce", [t.cost for t in reduce_results])
+        self._snapshot_phase(
+            f"{job.name}/reduce", counters, aux, backend,
+            tasks=len(reduce_results), phase_end=end_time, wall=reduce_wall,
+        )
         if self.tracer is not None:
             self.tracer.record_span(
                 job.name, "job", start_time, end_time, job=job.name

@@ -19,36 +19,36 @@ concerns:
 An :class:`Executor` only decides *where* the per-task computations run:
 
 * :class:`SerialExecutor` — in-process, one task at a time (the default);
-* :class:`ParallelExecutor` — fans tasks out to a per-job pool of forked
+* :class:`ParallelExecutor` — fans a phase's tasks out to a pool of forked
   worker processes, keeping phases too small to pay for IPC in-process.
 
 Parallel runtime design
 -----------------------
-The engine brackets every job with :meth:`Executor.begin_job` /
-:meth:`Executor.end_job`.  For the parallel backend that means:
+Both phases go through :meth:`ParallelExecutor._run_phase`:
 
-* **one fork per job, not per phase** — the job (full of lambdas and
-  schedule objects, so never picklable) and its map splits are stashed in a
-  module global before the pool forks; workers inherit everything
-  copy-on-write and both phases run through the same
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The pool is created
-  lazily, so a job whose phases all fall under the serial floor never
-  forks at all.
-* **one transport** — a task is a small tuple on the pool's call queue
-  (``("map", id)``, or ``("reduce", id, blob)`` carrying the partition,
-  which only exists in the driver) and its result is one
-  :mod:`repro.mapreduce.wire` blob on the result queue.  Idle workers pull
-  the next task; reduce units are submitted heaviest first.
-  ``ipc_bytes`` counts the blob bytes both ways and ``worker_idle_ms`` is
-  workers × phase wall minus the task wall time the payloads report.
 * **adaptive serial fallback** — a phase whose estimated virtual cost is
   below :attr:`ParallelExecutor.serial_floor` runs in-process: the
   dispatch overhead would exceed the fanned-out compute.
+* **inputs are inherited, never shipped** — a fanned-out phase stashes its
+  job (full of lambdas and schedule objects, so never picklable), its
+  inputs (map splits or reduce partitions) and the cost model in one
+  module global, forks a :class:`concurrent.futures.ProcessPoolExecutor`
+  for *this phase*, and clears the global when the phase returns or
+  raises.  Workers read ``inputs[task_id]`` copy-on-write, the way a
+  Hadoop reduce task reads the map output where it lies; only bare task
+  ids go down the call queue and one :mod:`repro.mapreduce.wire` result
+  blob per task comes back.  ``pool_forks`` therefore counts fanned-out
+  phases.  The fork per phase replaced one fork per job plus a
+  pickle-and-zlib of every reduce partition in the driver:
+  ``books_process`` ``run_s`` 3.57 → 2.41 s, ten alternating pairs
+  (``docs/architecture.md`` has the runs).
+* **stats** — ``ipc_bytes`` counts the result blobs and ``worker_idle_ms``
+  is workers × phase wall minus the task wall time the payloads report.
 * **failures are errors, not hangs** — a task that raises, or a worker
   that dies, reaches the driver through the pool's futures
   (``BrokenProcessPool`` for a dead worker) and is re-raised as a
-  ``RuntimeError`` naming the task; :meth:`Executor.end_job` then shuts
-  the pool down and the same executor runs the next job.
+  ``RuntimeError`` naming the task; the phase's ``finally`` shuts the
+  pool down and the same executor runs the next job.
 
 Determinism contract
 --------------------
@@ -71,11 +71,12 @@ one.
 
 Worker serialization caveats
 ----------------------------
-The job is inherited, never pickled, so the parallel backend requires the
-POSIX ``fork`` start method; without it the backend transparently degrades
-to in-process execution (results are identical either way).  Task results
-and shipped reduce inputs cross the pipe wire-encoded, so everything a
-mapper emits, a reducer writes, and every event payload must be picklable.
+The job and its inputs are inherited, never pickled, so the parallel
+backend requires the POSIX ``fork`` start method; without it the backend
+transparently degrades to in-process execution (results are identical
+either way).  Only task *results* cross the pipe, wire-encoded, so
+everything a mapper emits, a reducer writes, and every event payload must
+be picklable.
 """
 
 from __future__ import annotations
@@ -349,27 +350,12 @@ class Executor:
 
     Implementations must return payloads in task-id order and must not
     change the payloads' contents relative to :class:`SerialExecutor` —
-    the engine relies on this for cross-backend determinism.
-
-    The engine brackets every job with :meth:`begin_job` / :meth:`end_job`
-    (both no-ops by default) so backends can hold per-job resources — the
-    parallel backend's worker pool lives exactly that long.  After each
+    the engine relies on this for cross-backend determinism.  After each
     phase the engine calls :meth:`drain_stats` and surfaces whatever the
     backend measured as ``driver.*`` metrics.
     """
 
     name: str = "?"
-
-    def begin_job(
-        self,
-        job: MapReduceJob,
-        splits: Sequence[Sequence[Any]],
-        cost_model: CostModel,
-    ) -> None:
-        """Called once before the job's map phase (resources may be lazy)."""
-
-    def end_job(self) -> None:
-        """Called once after the job's reduce phase (idempotent)."""
 
     def drain_stats(self) -> Dict[str, int]:
         """Performance statistics accumulated since the last drain.
@@ -396,9 +382,6 @@ class Executor:
     ) -> List[ReduceTaskPayload]:
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release any worker resources (idempotent)."""
-
 
 class SerialExecutor(Executor):
     """The default backend: every task runs in the driver process."""
@@ -418,43 +401,18 @@ class SerialExecutor(Executor):
         ]
 
 
-class _JobState:
-    """One job's fork-inherited state, stashed in a module global.
-
-    Workers forked while this is the active global inherit it (and
-    everything it references — the job's closures, the dataset slices in
-    the map splits) copy-on-write, so the never-picklable job crosses the
-    process boundary without being serialized.
-    """
-
-    __slots__ = ("job", "splits", "cost_model")
-
-    def __init__(self, job, splits, cost_model) -> None:
-        self.job = job
-        self.splits = splits
-        self.cost_model = cost_model
+#: ``(compute, encode, job, inputs, cost_model)`` of the phase currently
+#: fanned out, set for the length of one ``_run_phase`` call.  Workers
+#: forked meanwhile inherit it (and everything it references — the job's
+#: closures, the dataset slices in the inputs) copy-on-write, so neither
+#: the never-picklable job nor a task's input is ever serialized.
+_ACTIVE_PHASE: Optional[tuple] = None
 
 
-#: The job currently fanned out; workers inherit it at fork time.
-_ACTIVE_JOB: Optional[_JobState] = None
-
-
-def _run_task(message: tuple) -> bytes:
-    """Pool task body (runs in a forked worker); returns the wire blob.
-
-    ``("map", id)`` reads its split from the fork-inherited job state;
-    ``("reduce", id, blob)`` carries its wire-encoded partition, which only
-    ever existed in the driver (it is the map phase's output).
-    """
-    state, task_id = _ACTIVE_JOB, message[1]
-    if message[0] == "map":
-        return wire.encode_map_payload(
-            compute_map_task(state.job, state.splits[task_id], task_id, state.cost_model)
-        )
-    items = wire.decode_records(message[2])
-    return wire.encode_reduce_payload(
-        compute_reduce_task(state.job, items, task_id, state.cost_model)
-    )
+def _run_task(task_id: int) -> bytes:
+    """Pool task body (runs in a forked worker); returns the wire blob."""
+    compute, encode, job, inputs, cost_model = _ACTIVE_PHASE
+    return encode(compute(job, inputs[task_id], task_id, cost_model))
 
 
 def _default_workers() -> int:
@@ -475,7 +433,7 @@ DEFAULT_SERIAL_FLOOR = 256.0
 
 
 class ParallelExecutor(Executor):
-    """Fan each job's tasks out to a pool of ``workers`` forked processes
+    """Fan each phase's tasks out to a pool of ``workers`` forked processes
     (design in the module docstring); results are bit-for-bit identical to
     :class:`SerialExecutor`.
 
@@ -502,27 +460,10 @@ class ParallelExecutor(Executor):
         self.workers = workers if workers is not None else _default_workers()
         self.serial_floor = serial_floor
         self._can_fork = "fork" in multiprocessing.get_all_start_methods()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._job_state: Optional[_JobState] = None
         self._phase_stats: Dict[str, int] = {}
         #: Cumulative statistics across every job this executor ran
         #: (never drained; benches read this directly).
         self.stats: Dict[str, int] = {}
-
-    # -- job lifecycle -------------------------------------------------
-
-    def begin_job(self, job, splits, cost_model) -> None:
-        self.end_job()  # defensive: a crashed previous job left state behind
-        self._job_state = _JobState(job, splits, cost_model)
-
-    def end_job(self) -> None:
-        global _ACTIVE_JOB
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if _ACTIVE_JOB is self._job_state:
-            _ACTIVE_JOB = None
-        self._job_state = None
 
     def drain_stats(self) -> Dict[str, int]:
         drained = self._phase_stats
@@ -537,40 +478,21 @@ class ParallelExecutor(Executor):
 
     def run_map_phase(self, job, splits, cost_model):
         estimate = cost_model.read_record * sum(len(s) for s in splits)
-        if not self._should_fan_out(len(splits), estimate):
-            self._count("tasks_inline", len(splits))
-            return [
-                compute_map_task(job, split, task_id, cost_model)
-                for task_id, split in enumerate(splits)
-            ]
-        messages = [("map", task_id) for task_id in range(len(splits))]
-        return self._fan_out(messages, wire.decode_map_payload)
+        return self._run_phase(
+            compute_map_task, wire.encode_map_payload, wire.decode_map_payload,
+            job, splits, cost_model, estimate,
+        )
 
     def run_reduce_phase(self, job, partitions, cost_model):
-        num_tasks = len(partitions)
         total_items = sum(len(p) for p in partitions)
         estimate = (
             cost_model.shuffle_record * total_items
             + cost_model.sort_cost(total_items)
         )
-        if not self._should_fan_out(num_tasks, estimate):
-            self._count("tasks_inline", num_tasks)
-            return [
-                compute_reduce_task(job, items, task_id, cost_model)
-                for task_id, items in enumerate(partitions)
-            ]
-        # Submit heaviest partitions first: the call queue is consumed in
-        # order, so on skewed inputs the giant partition (or its balance
-        # shards) starts immediately instead of behind light tasks.
-        order = sorted(range(num_tasks), key=lambda t: (-len(partitions[t]), t))
-        messages = [
-            ("reduce", task_id, wire.encode_records(partitions[task_id]))
-            for task_id in order
-        ]
-        self._count("ipc_bytes", sum(len(m[2]) for m in messages))
-        return self._fan_out(messages, wire.decode_reduce_payload)
-
-    # -- internals -----------------------------------------------------
+        return self._run_phase(
+            compute_reduce_task, wire.encode_reduce_payload,
+            wire.decode_reduce_payload, job, partitions, cost_model, estimate,
+        )
 
     def _should_fan_out(self, num_tasks: int, estimated_cost: float) -> bool:
         return (
@@ -580,39 +502,51 @@ class ParallelExecutor(Executor):
             and estimated_cost >= self.serial_floor
         )
 
-    def _fan_out(self, messages: List[tuple], decode):
-        """Run one task per message on the job's pool; payloads by task id."""
-        global _ACTIVE_JOB
-        if self._pool is None:
-            # With the fork context every worker is forked inside the first
-            # ``submit`` below, so the job must be the global by then.
-            _ACTIVE_JOB = self._job_state
-            self._pool = ProcessPoolExecutor(
-                self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=run_job_reset_hooks,
-            )
+    def _run_phase(self, compute, encode, decode, job, inputs, cost_model, estimate):
+        """One task per input, inline or on a pool forked for this phase;
+        payloads by task id."""
+        global _ACTIVE_PHASE
+        num_tasks = len(inputs)
+        if not self._should_fan_out(num_tasks, estimate):
+            self._count("tasks_inline", num_tasks)
+            return [
+                compute(job, items, task_id, cost_model)
+                for task_id, items in enumerate(inputs)
+            ]
+        pool = ProcessPoolExecutor(
+            self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=run_job_reset_hooks,
+        )
+        # With the fork context every worker is forked inside the first
+        # ``submit`` below, so the phase must be the global by then.
+        _ACTIVE_PHASE = (compute, encode, job, inputs, cost_model)
+        try:
             self._count("pool_forks", 1)
-        self._count("tasks_fanned", len(messages))
-        wall_start = time.perf_counter_ns()
-        futures = {
-            self._pool.submit(_run_task, message): message[1] for message in messages
-        }
-        payloads = []
-        for future in as_completed(futures):
-            try:
-                blob = future.result()
-            except Exception as error:  # the task raised, or its worker died
-                trace = "".join(traceback.format_exception(error))
-                raise RuntimeError(
-                    f"parallel worker failed on task {futures[future]}:\n{trace}"
-                ) from error
-            self._count("ipc_bytes", len(blob))
-            payloads.append(decode(blob))
-        # Idle = worker-seconds the phase held minus those spent in tasks.
-        phase_ns = (time.perf_counter_ns() - wall_start) * self.workers
-        busy_ns = sum(payload.wall_ns for payload in payloads)
-        self._count("worker_idle_ms", max(0, phase_ns - busy_ns) // 1_000_000)
+            self._count("tasks_fanned", num_tasks)
+            wall_start = time.perf_counter_ns()
+            futures = {
+                pool.submit(_run_task, task_id): task_id
+                for task_id in range(num_tasks)
+            }
+            payloads = []
+            for future in as_completed(futures):
+                try:
+                    blob = future.result()
+                except Exception as error:  # the task raised, or its worker died
+                    trace = "".join(traceback.format_exception(error))
+                    raise RuntimeError(
+                        f"parallel worker failed on task {futures[future]}:\n{trace}"
+                    ) from error
+                self._count("ipc_bytes", len(blob))
+                payloads.append(decode(blob))
+            # Idle = worker-seconds the phase held minus those spent in tasks.
+            phase_ns = (time.perf_counter_ns() - wall_start) * self.workers
+            busy_ns = sum(payload.wall_ns for payload in payloads)
+            self._count("worker_idle_ms", max(0, phase_ns - busy_ns) // 1_000_000)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+            _ACTIVE_PHASE = None
         payloads.sort(key=lambda p: p.task_id)
         return payloads
 

@@ -1,8 +1,8 @@
 """Slim wire format for task payloads crossing the worker boundary.
 
-The parallel backend moves two kinds of data over process pipes: reduce
-inputs (driver -> worker) and task payloads (worker -> driver).  Pickling
-the payload dataclasses directly is wasteful — every :class:`Event`,
+The parallel backend moves one kind of data over process pipes: task
+payloads, worker -> driver (task inputs are fork-inherited).  Pickling the
+payload dataclasses directly is wasteful — every :class:`Event`,
 :class:`SpanFragment` and :class:`OutputFile` instance pays dataclass
 ``__reduce__`` overhead (per-instance state dicts, attribute-name
 back-references), and ER payloads are text-heavy (entity attributes,
@@ -222,15 +222,6 @@ def decode_reduce_payload(blob: bytes):
     )
 
 
-def encode_records(records: Sequence[Any]) -> bytes:
-    """Encode a task's input records (reduce partitions shipped to workers)."""
-    return _encode(tuple(records))
-
-
-def decode_records(blob: bytes) -> List[Any]:
-    return list(_decode(blob))
-
-
 def raw_pickle_size(payload: Any) -> int:
     """Bytes a plain pickle of the ``payload`` dataclass needs — the
     baseline the wire format's compression ratio is quoted against."""
@@ -244,7 +235,5 @@ __all__ = [
     "decode_map_payload",
     "encode_reduce_payload",
     "decode_reduce_payload",
-    "encode_records",
-    "decode_records",
     "raw_pickle_size",
 ]

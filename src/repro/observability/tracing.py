@@ -36,7 +36,7 @@ a JSONL event log, and a terminal per-task Gantt/skew summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Track index reserved for job- and phase-level spans; slot ``s`` of a
 #: phase's slot pool maps to track ``s + 1``.
@@ -209,17 +209,10 @@ class Tracer:
         return f"Tracer(spans={len(self.spans)}, instants={len(self.instants)})"
 
 
-def iter_all(tracer: Tracer) -> Iterable[object]:
-    """Spans then instants, each in recording order (export helper)."""
-    yield from tracer.spans
-    yield from tracer.instants
-
-
 __all__ = [
     "SCHEDULER_TRACK",
     "Span",
     "Instant",
     "Tracer",
     "freeze_args",
-    "iter_all",
 ]

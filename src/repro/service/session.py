@@ -11,8 +11,8 @@ backend, fault plan, tracer, metrics, balance strategy — built from a
 
 Both go through the same :meth:`~repro.mapreduce.engine.Cluster.run_job`,
 so a fault plan stretches delta timelines exactly as it stretches batch
-timelines, process pools are reused per job, and tracer spans land in one
-timeline regardless of which API drove the work.
+timelines, and tracer spans land in one timeline regardless of which API
+drove the work.
 """
 
 from __future__ import annotations

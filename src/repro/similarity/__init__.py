@@ -1,6 +1,6 @@
 """Similarity kernels and the weighted-sum resolve/match function."""
 
-from .batch import BatchMatcher, batch_kernel_counters, reset_batch_kernel_counters
+from .batch import BatchMatcher, batch_kernel_counters
 from .edit_distance import (
     dp_cell_counters,
     edit_similarity,
@@ -44,5 +44,4 @@ __all__ = [
     "reset_dp_cell_counters",
     "BatchMatcher",
     "batch_kernel_counters",
-    "reset_batch_kernel_counters",
 ]

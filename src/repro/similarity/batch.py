@@ -102,11 +102,6 @@ def batch_kernel_counters() -> Dict[str, int]:
     return dict(_STATS)
 
 
-def reset_batch_kernel_counters() -> None:
-    for name in _STATS:
-        _STATS[name] = 0
-
-
 PairSeq = Sequence[Tuple[Entity, Entity]]
 
 
@@ -450,5 +445,4 @@ class BatchMatcher:
 __all__ = [
     "BatchMatcher",
     "batch_kernel_counters",
-    "reset_batch_kernel_counters",
 ]

@@ -219,10 +219,11 @@ class WeightedMatcher:
         rules: per-attribute contribution rules.
         threshold: declare a duplicate when the weighted similarity is at
             least this value.
-        cache: memoize pair similarities by entity-id pair.  Only valid
-            while the matcher is used against a single dataset (ids key the
-            cache); benchmark harnesses use it to share comparisons across
-            the many runs they perform on one dataset.
+        cache: memoize pair similarities by entity-id pair.  A stored
+            value answers only for the two entity *objects* it was computed
+            from, so one matcher may serve datasets with overlapping ids;
+            benchmark harnesses use it to share comparisons across the many
+            runs they perform on one dataset.
     """
 
     def __init__(
@@ -241,22 +242,23 @@ class WeightedMatcher:
         self._cache: Optional[dict] = {} if cache else None
 
     def clear_cache(self) -> None:
-        """Drop all memoized similarities (switching datasets)."""
+        """Drop all memoized similarities."""
         if self._cache is not None:
             self._cache.clear()
 
     def similarity(self, e1: Entity, e2: Entity) -> float:
         """Weighted similarity in [0, 1]; attributes missing on both sides
         are excluded and the remaining weights re-normalized."""
-        if self._cache is not None:
-            key = (e1.id, e2.id) if e1.id < e2.id else (e2.id, e1.id)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-            value = self._similarity(e1, e2)
-            self._cache[key] = value
-            return value
-        return self._similarity(e1, e2)
+        if self._cache is None:
+            return self._similarity(e1, e2)
+        low, high = (e1, e2) if e1.id < e2.id else (e2, e1)
+        key = (low.id, high.id)
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] is low and hit[1] is high:
+            return hit[2]
+        value = self._similarity(e1, e2)
+        self._cache[key] = (low, high, value)
+        return value
 
     def _similarity(self, e1: Entity, e2: Entity) -> float:
         total_weight = 0.0

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.data import Entity
+from repro.core import citeseer_config
+from repro.data import Entity, make_citeseer
+from repro.evaluation import ExperimentRun, RunSpec
 from repro.similarity.batch import _COMPARATOR_RANK, BatchMatcher
 from repro.similarity.matchers import (
     MIN_COST_FACTOR,
@@ -94,6 +96,19 @@ class TestWeightedMatcher:
         e1, e2 = _e(1, a="hello"), _e(2, a="hallo")
         assert cached.similarity(e1, e2) == plain.similarity(e1, e2)
         assert cached.similarity(e2, e1) == plain.similarity(e1, e2)  # hits cache
+
+    def test_cache_answers_only_for_the_entities_it_was_filled_from(self):
+        # Every generated dataset numbers its entities from 0, and tier-1
+        # shares one caching matcher across several of them: a hit keyed by
+        # id alone would score this dataset's pair with the last one's.
+        def found(dataset, matcher, machines):
+            spec = RunSpec(dataset, citeseer_config(matcher=matcher), machines=machines)
+            return ExperimentRun(spec).run().found_pairs
+
+        shared = citeseer_matcher(cache=True)
+        found(make_citeseer(200, seed=3), shared, 4)
+        second = make_citeseer(250, seed=7)
+        assert found(second, shared, 3) == found(second, citeseer_matcher(cache=True), 3)
 
     def test_clear_cache(self):
         matcher = WeightedMatcher([AttributeRule("a", 1.0)], threshold=0.5, cache=True)

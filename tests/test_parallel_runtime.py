@@ -1,11 +1,12 @@
 """The parallel runtime's plumbing: slim wire format, one fork-context
-pool per job, the adaptive serial floor, worker failures, and worker stat
-deltas.
+pool per fanned-out phase, the adaptive serial floor, worker failures, and
+worker stat deltas.
 
 Cross-backend *result* parity lives in ``test_executor_parity.py``; these
 tests pin the mechanisms around it — the payload encoding must be lossless
-and compact, a job must fork at most one worker generation, small phases
-must stay in-process, a task that raises or a worker that dies must end in
+and compact, a job must fork one pool per fanned-out phase and leave
+neither a child process nor the phase global behind, small phases must
+stay in-process, a task that raises or a worker that dies must end in
 an error (never a hang) with the executor still usable, and worker-side
 matcher-cache statistics must ride home in the payloads.
 """
@@ -33,7 +34,7 @@ from repro.mapreduce import (
     Reducer,
     SerialExecutor,
 )
-from repro.mapreduce import wire
+from repro.mapreduce import executors, wire
 from repro.mapreduce.executors import MapTaskPayload, ReduceTaskPayload
 from repro.mapreduce.types import Event, OutputFile, SpanFragment
 from repro.observability import MetricsRegistry, format_perf_report
@@ -60,6 +61,15 @@ def _sample_map_payload() -> MapTaskPayload:
         combine_output=2,
         spans=[SpanFragment(name="map[3]", category="task", start=0.0, end=12.5, args=(("phase", "map"),))],
         stat_deltas=(("matcher", "cache_misses", 5),),
+    )
+
+
+def _empty_map_payload(emitted) -> MapTaskPayload:
+    """A payload that is all ``emitted``: the vehicle for the blob-level
+    (flag byte, compression) behaviour of the encoding."""
+    return MapTaskPayload(
+        task_id=0, cost=0.0, events=[], emitted=emitted,
+        counters=Counters(), num_records=0,
     )
 
 
@@ -109,26 +119,22 @@ class TestWireFormat:
         assert decoded.files == payload.files
         assert decoded.num_groups == payload.num_groups
 
-    def test_records_round_trip(self):
-        records = [("key-%d" % i, {"attr": "value %d" % i}) for i in range(50)]
-        assert wire.decode_records(wire.encode_records(records)) == records
-
     def test_small_blobs_skip_compression(self):
-        blob = wire.encode_records([("k", 1)])
+        blob = wire.encode_map_payload(_empty_map_payload([("k", 1)]))
         assert blob[:1] == b"\x00"
 
     def test_redundant_payloads_compress(self):
         # ER payloads repeat attribute text constantly; zlib must engage
         # above the threshold and beat the plain pickle by a wide margin.
         records = [("the same blocking key", "the same attribute value")] * 500
-        blob = wire.encode_records(records)
+        blob = wire.encode_map_payload(_empty_map_payload(records))
         raw = len(pickle.dumps(tuple(records)))
         assert blob[:1] == b"\x01"
         assert len(blob) * 3 < raw
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(ValueError):
-            wire.decode_records(b"\x7fgarbage")
+            wire.decode_map_payload(b"\x7fgarbage")
 
     def test_raw_pickle_size_is_plain_pickle(self):
         payload = _sample_map_payload()
@@ -159,25 +165,36 @@ def _job():
     return MapReduceJob(_WordMapper, _SumReducer, alpha=1.0)
 
 
+def _assert_nothing_left_behind():
+    """What every ``run_job`` must leave, returning or raising."""
+    assert executors._ACTIVE_PHASE is None
+    assert multiprocessing.active_children() == []
+
+
 class TestPoolLifecycle:
     def test_forced_fan_out_matches_serial(self):
         serial = Cluster(3).run_job(_job(), _LINES)
         executor = ParallelExecutor(2, serial_floor=0.0)
         parallel = Cluster(3, executor=executor).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(parallel)
-        assert executor.stats["pool_forks"] == 1
+        assert executor.stats["pool_forks"] == 2  # map + reduce
         assert executor.stats["tasks_fanned"] > 0
         assert executor.stats.get("tasks_inline", 0) == 0
         assert executor.stats["ipc_bytes"] > 0
         assert executor.stats["worker_idle_ms"] >= 0
+        _assert_nothing_left_behind()
 
-    def test_one_fork_per_job_not_per_phase(self):
+    def test_one_fork_per_fanned_out_phase(self):
         executor = ParallelExecutor(2, serial_floor=0.0)
         cluster = Cluster(3, executor=executor)
         jobs = 3
         for _ in range(jobs):
             cluster.run_job(_job(), _LINES)
-        assert executor.stats["pool_forks"] == jobs
+        assert executor.stats["pool_forks"] == 2 * jobs
+        # A phase with a single task stays inline and forks nothing.
+        cluster.run_job(_job(), _LINES, num_reduce_tasks=1)
+        assert executor.stats["pool_forks"] == 2 * jobs + 1
+        _assert_nothing_left_behind()
 
     def test_serial_floor_keeps_small_phases_inline(self):
         executor = ParallelExecutor(2, serial_floor=1e9)
@@ -189,8 +206,6 @@ class TestPoolLifecycle:
         assert executor.stats["tasks_inline"] > 0
 
     def test_below_floor_job_never_forks(self):
-        # The pool is lazy: a job whose phases all stay inline must not
-        # pay for a fork at begin_job.
         executor = ParallelExecutor(2, serial_floor=1e9)
         Cluster(2, executor=executor).run_job(_job(), _LINES[:4])
         assert executor.stats.get("pool_forks", 0) == 0
@@ -201,7 +216,7 @@ class TestPoolLifecycle:
         executor.drain_stats()  # engine already drained per phase
         assert executor.drain_stats() == {}
         # Cumulative view survives draining.
-        assert executor.stats["pool_forks"] == 1
+        assert executor.stats["pool_forks"] == 2
 
 
 _DRIVER_PID = os.getpid()
@@ -256,13 +271,13 @@ class TestWorkerFailures:
             with pytest.raises(RuntimeError, match="parallel worker.* failed") as caught:
                 cluster.run_job(MapReduceJob(_WordMapper, _KilledReducer, alpha=1.0), _LINES)
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left_behind()
         assert _shm_listing() == shm_before
         # The same executor runs the next job as if nothing had happened.
         with _deadline(10):
             clean = cluster.run_job(_job(), _LINES)
         assert job_fingerprint(clean) == job_fingerprint(serial)
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left_behind()
 
     def test_task_exception_names_task_and_carries_worker_traceback(self):
         serial = Cluster(3).run_job(_job(), _LINES)
@@ -270,10 +285,10 @@ class TestWorkerFailures:
             t.task_id for t in serial.reduce_tasks
             if any(key == "gamma" for key, _ in t.output)
         )
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        cluster = Cluster(3, executor=ParallelExecutor(2, serial_floor=0.0))
         with _deadline(10):
             with pytest.raises(RuntimeError) as caught:
-                Cluster(3, executor=executor).run_job(
+                cluster.run_job(
                     MapReduceJob(_WordMapper, _FailingReducer, alpha=1.0), _LINES
                 )
         message = str(caught.value)
@@ -281,7 +296,11 @@ class TestWorkerFailures:
         assert "Traceback (most recent call last)" in message
         assert "in reduce" in message and "ValueError: boom on gamma" in message
         assert isinstance(caught.value.__cause__, ValueError)
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left_behind()
+        with _deadline(10):
+            clean = cluster.run_job(_job(), _LINES)
+        assert job_fingerprint(clean) == job_fingerprint(serial)
+        _assert_nothing_left_behind()
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +357,7 @@ class TestDriverMetrics:
         report = format_perf_report(metrics)
         header = report.splitlines()[0].split()
         assert header == ["phase", "backend", "tasks", "wall", "s", "fanned", "inline", "wire"]
-        assert "pool forks: 1" in report
+        assert "pool forks: 2" in report
         assert "job/map" in report
 
     def test_perf_report_without_snapshots(self):

@@ -61,8 +61,6 @@ def rival_dataset():
 
 @pytest.fixture(scope="module")
 def cfg():
-    # Dedicated caching matcher: the session-wide shared matchers keep an
-    # id-keyed cache that is only valid against their own dataset.
     return skewed_config(matcher=citeseer_matcher(cache=True))
 
 
