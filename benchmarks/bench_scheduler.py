@@ -89,7 +89,6 @@ def test_scheduler_bench(calibrated_seconds, report):
 
     stats = {}
     for name, rep in (("fair", fair), ("fifo", fifo)):
-        assert rep.open_leases == 0
         assert all(o.finished_at is not None for o in rep.outcomes)
         stats[name] = {
             lane: rep.latency_percentiles(lane)

@@ -118,8 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--points", type=int, default=10, help="curve sample points")
     _add_backend_options(run)
+    _add_metablock_options(run)
     _add_fault_options(run)
     _add_observability_options(run)
+    _add_report_options(run)
 
     compare = sub.add_parser("compare", help="ours vs the Basic baseline")
     _add_dataset_options(compare)
@@ -135,8 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--points", type=int, default=10)
     compare.add_argument("--chart", action="store_true", help="ASCII chart output")
     _add_backend_options(compare)
+    _add_metablock_options(compare)
     _add_fault_options(compare)
     _add_observability_options(compare)
+    _add_report_options(compare)
 
     profile = sub.add_parser(
         "profile", help="profile a dataset's attributes and blocking keys"
@@ -175,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_options(serve)
     _add_fault_options(serve)
     _add_observability_options(serve)
+    _add_report_options(serve)
 
     submit = sub.add_parser(
         "submit",
@@ -198,6 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_options(submit)
     _add_fault_options(submit)
     _add_observability_options(submit)
+    _add_report_options(submit)
 
     sched = sub.add_parser(
         "sched",
@@ -256,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "as JSON",
     )
     _add_backend_options(calibrate)
+    _add_metablock_options(calibrate)
     calibrate.set_defaults(backend="process")
     return parser
 
@@ -293,6 +300,9 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         "splitting blocks where cuts land); resolved output is identical "
         "across strategies",
     )
+
+
+def _add_metablock_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metablock",
         choices=METABLOCK_MODES,
@@ -377,6 +387,9 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         help="write per-phase counter snapshots (engine.*/driver.*/"
         "matcher.*) as JSON",
     )
+
+
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--skew",
         action="store_true",
@@ -394,9 +407,9 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
 
 def _observers(args: argparse.Namespace):
     """(tracer, metrics) from the CLI flags; None when not requested."""
-    want_trace = args.trace is not None or args.skew
+    want_trace = args.trace is not None or getattr(args, "skew", False)
     tracer = Tracer() if want_trace else None
-    want_metrics = args.metrics is not None or args.perf_report
+    want_metrics = args.metrics is not None or getattr(args, "perf_report", False)
     metrics = MetricsRegistry() if want_metrics else None
     return tracer, metrics
 
@@ -411,10 +424,10 @@ def _write_observations(args: argparse.Namespace, tracer, metrics) -> None:
     if metrics is not None and args.metrics is not None:
         metrics.write_json(args.metrics)
         print(f"metrics written to {args.metrics}", file=sys.stderr)
-    if tracer is not None and args.skew:
+    if tracer is not None and getattr(args, "skew", False):
         print()
         print(format_trace_summary(tracer))
-    if metrics is not None and args.perf_report:
+    if metrics is not None and getattr(args, "perf_report", False):
         print()
         print(format_perf_report(metrics))
 
@@ -448,9 +461,9 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return _MAKERS[args.family](args.size, seed=args.seed)
 
 
-def _progressive_config(family: str, args: Optional[argparse.Namespace] = None):
+def _progressive_config(family: str, args: argparse.Namespace):
     overrides = {}
-    if args is not None and getattr(args, "metablock_ratio", None) is not None:
+    if args.metablock_ratio is not None:
         overrides["metablock_ratio"] = args.metablock_ratio
     return _CONFIGS[family](**overrides)
 
@@ -487,7 +500,7 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
     """A RunSpec wired from the shared CLI options."""
-    metablock = getattr(args, "metablock", "off")
+    metablock = args.metablock
     if isinstance(config, BasicConfig):
         # The baseline has no schedule to prune; RunSpec.validate rejects
         # the combination, so the flag silently stays off for Basic runs.
@@ -804,7 +817,7 @@ def _command_calibrate(args: argparse.Namespace) -> int:
     from .core import calibration_report, fit_cost_model, task_samples
 
     dataset = _MAKERS[args.family](args.size, seed=args.seed)
-    config = _CONFIGS[args.family]()
+    config = _progressive_config(args.family, args)
     repeats = max(1, args.repeats)
     samples = []
     for _ in range(repeats):

@@ -70,12 +70,15 @@ class Cluster:
             Fault decisions replay from the seeded plan in the driver, so
             they are identical on every execution backend.
         slot_broker: optional multi-tenant capacity broker (see
-            :mod:`repro.scheduling`).  When set, each phase checks its
-            slots out of a shared pool instead of starting from idle
-            slots — the broker decides *when* the phase may start and
-            *which* lane free-times it inherits, while task computation
-            and placement order are untouched.  ``None`` (the default)
-            is the classic one-job-owns-the-cluster timeline.
+            :mod:`repro.scheduling`), a callable
+            ``slot_broker(kind, job_name, ready, place) -> (fault_scheduler,
+            schedules)``.  When set, each phase is placed on a shared
+            pool instead of starting from idle slots — the broker decides
+            *when* the phase may start and *which* lane free-times it
+            inherits, and calls ``place(lane_free_times, start)`` to run
+            the phase's ``FaultScheduler``; task computation and placement
+            order are untouched.  ``None`` (the default) is the classic
+            one-job-owns-the-cluster timeline.
     """
 
     def __init__(
@@ -333,29 +336,29 @@ class Cluster:
         values are recorded, so an inert plan leaves counters untouched).
 
         Without a broker every slot is free at phase start.  With one, the
-        call *blocks* until the multi-tenant scheduler dispatches this
-        phase; the simulator is then seeded with the shared lanes' current
-        free times (and the grant-time floor) and its final per-slot free
-        times are committed back, so the phase queues behind other tenants'
-        commitments and a per-job fault plan stretches only this job's
-        phase on the shared timeline.  Crash decisions key on task ids and
-        attempt ordinals — never on absolute times — so the *number* of
-        injected faults is identical to a solo run of the same plan.
+        call may *block* until the multi-tenant scheduler dispatches this
+        phase; the broker then runs ``place`` on the shared lanes' current
+        free times from the grant time and commits the final per-slot free
+        times back, so the phase queues behind other tenants' commitments
+        and a per-job fault plan stretches only this job's phase on the
+        shared timeline.  Crash decisions key on task ids and attempt
+        ordinals — never on absolute times — so the *number* of injected
+        faults is identical to a solo run of the same plan.
         """
-        lease = lanes = None
-        if self.slot_broker is not None:
-            lease = self.slot_broker.lease_phase(
-                kind=phase, job=job.name, ready_time=phase_start
+
+        def place(lanes: Optional[List[float]], start: float):
+            scheduler = FaultScheduler(
+                plan, num_slots if lanes is None else len(lanes), start,
+                job=job.name, phase=phase, slot_free_times=lanes,
             )
-            lanes = lease.lane_free_times
-            num_slots, phase_start = len(lanes), max(phase_start, lease.floor)
-        scheduler = FaultScheduler(
-            plan, num_slots, phase_start,
-            job=job.name, phase=phase, slot_free_times=lanes,
-        )
-        schedules = scheduler.run([p.cost for p in payloads])
-        if lease is not None:
-            lease.commit_fault(scheduler.final_free_times, schedules)
+            return scheduler, scheduler.run([p.cost for p in payloads])
+
+        if self.slot_broker is None:
+            scheduler, schedules = place(None, phase_start)
+        else:
+            scheduler, schedules = self.slot_broker(
+                phase, job.name, phase_start, place
+            )
         stats = scheduler.stats
         for name, value in (
             ("failed_attempts", stats.failed_attempts),

@@ -402,8 +402,7 @@ def format_sched_report(report: Any) -> str:
         f"makespan {report.makespan:.2f}, "
         f"busy map {report.busy.get('map', 0.0):.2f} / "
         f"reduce {report.busy.get('reduce', 0.0):.2f}, "
-        f"peak queue depth {report.queue_depth_peak}, "
-        f"open leases {report.open_leases}"
+        f"peak queue depth {report.queue_depth_peak}"
     )
     return "\n".join(lines)
 

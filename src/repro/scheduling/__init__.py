@@ -19,9 +19,9 @@ from .admission import (
     AdmissionReceipt,
 )
 from .arrivals import Arrival, poisson_arrivals
-from .pool import SLOT_KINDS, SharedSlotPool, SlotLease
+from .pool import SLOT_KINDS, SharedSlotPool
 from .report import JobOutcome, SchedulerReport, TenantUsage, percentile
-from .scheduler import LANES, JobBroker, JobHandle, JobScheduler
+from .scheduler import LANES, JobHandle, JobScheduler
 
 __all__ = [
     "LANES",
@@ -31,13 +31,11 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionReceipt",
     "Arrival",
-    "JobBroker",
     "JobHandle",
     "JobOutcome",
     "JobScheduler",
     "SchedulerReport",
     "SharedSlotPool",
-    "SlotLease",
     "TenantUsage",
     "percentile",
     "poisson_arrivals",

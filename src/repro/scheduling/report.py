@@ -101,7 +101,6 @@ class SchedulerReport:
     decisions: List[Dict[str, Any]] = field(default_factory=list)
     makespan: float = 0.0
     busy: Dict[str, float] = field(default_factory=dict)
-    open_leases: int = 0
 
     @property
     def queue_depth_peak(self) -> int:
@@ -134,7 +133,6 @@ class SchedulerReport:
             "tenants": [t.to_dict() for t in self.tenants],
             "makespan": round(self.makespan, 9),
             "busy": {k: round(v, 9) for k, v in sorted(self.busy.items())},
-            "open_leases": self.open_leases,
             "queue_depth_peak": self.queue_depth_peak,
             "latency": {
                 lane: self.latency_percentiles(lane)

@@ -28,7 +28,7 @@ work (work conservation).  Ties between runnable requests break by:
     priority lane first (``interactive`` preempts ``batch`` at phase
     boundaries), then lowest tenant *virtual finish time* — classic
     weighted fair queueing where a tenant's clock advances by
-    ``slot_seconds / weight`` whenever one of its phases closes — then
+    ``slot_seconds / weight`` whenever one of its phases is placed — then
     submission order.
 ``policy="fifo"``
     submission order only (the bench baseline).
@@ -42,14 +42,15 @@ start.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..mapreduce.clock import CostModel
 from ..mapreduce.engine import Cluster, MapReduceJob
 from ..mapreduce.faults import FaultPlan
 from .admission import AdmissionPolicy, AdmissionReceipt
-from .pool import SharedSlotPool, SlotLease
+from .pool import SharedSlotPool
 from .report import JobOutcome, SchedulerReport, TenantUsage
 
 #: Priority lanes, in dispatch-preference order.
@@ -85,7 +86,7 @@ class _PhaseRequest:
     kind: str
     ready: float
     seq: int
-    lease: Optional[SlotLease] = None
+    dispatch: Optional[float] = None
 
 
 class JobHandle:
@@ -130,7 +131,6 @@ class JobHandle:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._body = body
-        self._thread: Optional[threading.Thread] = None
         self._go = threading.Event()
         self._request_seq = 0
 
@@ -148,35 +148,6 @@ class JobHandle:
         )
 
 
-class JobBroker:
-    """Engine-facing lease factory bound to one scheduler job.
-
-    A :class:`Cluster` with ``slot_broker`` set calls
-    :meth:`lease_phase` at each phase boundary.  Inside
-    :meth:`JobScheduler.run` (on the job's own thread) the call blocks
-    until the event loop dispatches the phase; outside the loop —
-    e.g. a direct ``service.submit()`` on a scheduler-attached service —
-    it grants immediately at the lanes' earliest availability
-    (*immediate mode*), so a scheduler-attached service still works
-    stand-alone.
-    """
-
-    def __init__(
-        self,
-        scheduler: "JobScheduler",
-        handle: Optional[JobHandle] = None,
-        tenant: str = "service",
-    ) -> None:
-        self.scheduler = scheduler
-        self.handle = handle
-        self.tenant = tenant
-
-    def lease_phase(self, *, kind: str, job: str, ready_time: float) -> SlotLease:
-        return self.scheduler._lease_phase(
-            self, kind=kind, job=job, ready_time=ready_time
-        )
-
-
 class JobScheduler:
     """Weighted fair-share scheduler over one shared slot pool.
 
@@ -191,8 +162,8 @@ class JobScheduler:
         cost_model: cost model for clusters the scheduler builds itself
             (``submit_job``); specs and services bring their own.
         tracer: optional tracer receiving submit/reject instants and one
-            lease span per granted phase (track 1 = map lane, track 2 =
-            reduce lane).
+            ``sched-lease`` span per granted phase (track 1 = map lane,
+            track 2 = reduce lane).
         metrics: optional registry receiving a ``sched`` snapshot plus
             one ``sched.tenant.<name>`` snapshot per tenant at
             :meth:`report` time.
@@ -232,9 +203,6 @@ class JobScheduler:
         self._service_tail: Dict[int, JobHandle] = {}
         self._service_tenant: Dict[int, str] = {}
         self._baton = threading.Event()
-        self._loop_active = False
-        self._active_running = 0
-        self._immediate: Optional[tuple] = None
         self._ran = False
 
     # -- tenants -------------------------------------------------------
@@ -285,7 +253,7 @@ class JobScheduler:
                 reduce_slots=self.reduce_slots,
                 cost_model=self.cost_model,
                 faults=faults,
-                slot_broker=JobBroker(self, handle, tenant),
+                slot_broker=partial(self._place, handle, tenant),
             )
             return cluster.run_job(
                 job,
@@ -322,7 +290,7 @@ class JobScheduler:
             from ..evaluation.experiment import ExperimentRun
 
             run = ExperimentRun(spec)
-            run.cluster.slot_broker = JobBroker(self, handle, tenant)
+            run.cluster.slot_broker = partial(self._place, handle, tenant)
             return run.run()
 
         resolved = getattr(spec, "resolved_label", None)
@@ -332,15 +300,15 @@ class JobScheduler:
     def adopt_service(self, service: Any, tenant: str = "service") -> None:
         """Attach a :class:`ResolverService` to this scheduler.
 
-        Installs an immediate-mode broker on the service's cluster (so
-        direct ``service.submit()`` calls place work on the shared
-        timeline) and records the service's accounting tenant.  Called
-        automatically when a service is constructed with
-        ``scheduler=``.
+        Points the service's cluster at this scheduler's pool with no
+        job handle, so direct ``service.submit()`` calls place each phase
+        on the shared timeline at once, and records the service's
+        accounting tenant.  Called automatically when a service is
+        constructed with ``scheduler=``.
         """
         self._service_tenant[id(service)] = tenant
         self._tenant(tenant)
-        service.session.attach_broker(JobBroker(self, None, tenant))
+        service.session.cluster.slot_broker = partial(self._place, None, tenant)
 
     def submit_batch(
         self,
@@ -367,13 +335,14 @@ class JobScheduler:
         )
 
         def body(handle: JobHandle) -> Any:
-            service.session.attach_broker(JobBroker(self, handle, tenant))
+            cluster = service.session.cluster
+            cluster.slot_broker = partial(self._place, handle, tenant)
             try:
                 return service.submit(entities)
             finally:
-                # Leave the service in immediate mode so direct
-                # ``service.submit()`` calls after the trace still work.
-                service.session.attach_broker(JobBroker(self, None, tenant))
+                # Back to placing at once, so direct ``service.submit()``
+                # calls after the trace still work.
+                cluster.slot_broker = partial(self._place, None, tenant)
 
         handle = self._admit(
             label or f"batch-{len(self._handles)}",
@@ -403,7 +372,6 @@ class JobScheduler:
             raise ValueError(f"unknown lane {lane!r}; use one of {LANES}")
         if arrival < 0:
             raise ValueError(f"arrival must be >= 0, got {arrival}")
-        self._close_immediate()
         state = self._tenant(tenant)
         admitted_active = sum(
             1
@@ -445,12 +413,7 @@ class JobScheduler:
         if self._ran:
             raise RuntimeError("scheduler already ran")
         self._ran = True
-        self._close_immediate()
-        self._loop_active = True
-        try:
-            self._event_loop()
-        finally:
-            self._loop_active = False
+        self._event_loop()
         errors = [h for h in self._handles if h.error is not None]
         if errors:
             first = errors[0]
@@ -516,12 +479,10 @@ class JobScheduler:
         self._not_started.remove(handle)
         handle.state = "running"
         handle.floor = max(handle.floor, start_t)
-        self._active_running += 1
-        handle._thread = threading.Thread(
+        threading.Thread(
             target=self._thread_main, args=(handle,), daemon=True,
             name=f"sched-{handle.name}",
-        )
-        handle._thread.start()
+        ).start()
         self._await_yield(handle)
 
     def _grant(self, request: _PhaseRequest, dispatch: float) -> None:
@@ -552,50 +513,17 @@ class JobScheduler:
             }
         )
         self._pending.remove(request)
-        lease = self.pool.lease(
-            request.kind,
-            job=handle.name,
-            phase=request.kind,
-            tenant=handle.tenant,
-            floor=dispatch,
-        )
-        request.lease = lease
+        request.dispatch = dispatch
         if handle.started_at is None:
             handle.started_at = dispatch
         handle.grants += 1
         handle.wait_total += dispatch - request.ready
         self._await_yield(handle)
-        self._settle_lease(handle, lease, request)
-
-    def _settle_lease(
-        self, handle: JobHandle, lease: SlotLease, request: _PhaseRequest
-    ) -> None:
-        lease.close()
-        tenant = self._tenants[handle.tenant]
-        tenant.vtime += lease.slot_seconds / tenant.weight
-        tenant.slot_seconds += lease.slot_seconds
-        handle.slot_seconds += lease.slot_seconds
-        handle.floor = max(handle.floor, lease.phase_end)
-        if self.tracer is not None:
-            self.tracer.record_span(
-                f"{handle.name}/{request.kind}",
-                "sched-lease",
-                lease.floor,
-                lease.phase_end,
-                job=handle.name,
-                track=1 if request.kind == "map" else 2,
-                tenant=handle.tenant,
-                lane=handle.lane,
-                wait=round(lease.floor - request.ready, 9),
-            )
-        if handle.state in ("finished", "failed"):
-            self._finish_job(handle)
 
     def _finish_job(self, handle: JobHandle) -> None:
         if handle.finished_at is not None:
             return
         handle.finished_at = handle.floor
-        self._active_running -= 1
         self._tenants[handle.tenant].completed += 1
         if self._admission_fifo:
             released = self._admission_fifo.pop(0)
@@ -606,8 +534,7 @@ class JobScheduler:
         handle._go.set()
         self._baton.wait()
         self._baton.clear()
-        if handle.state in ("finished", "failed") and handle.grants == 0:
-            # Degenerate job that never requested a phase.
+        if handle.state in ("finished", "failed"):
             self._finish_job(handle)
 
     def _thread_main(self, handle: JobHandle) -> None:
@@ -622,66 +549,66 @@ class JobScheduler:
         finally:
             self._baton.set()
 
-    # -- the engine-facing lease protocol ------------------------------
+    # -- the engine-facing placement call ------------------------------
 
-    def _lease_phase(
-        self, broker: JobBroker, *, kind: str, job: str, ready_time: float
-    ) -> SlotLease:
-        handle = broker.handle
-        on_job_thread = (
-            self._loop_active
-            and handle is not None
-            and handle._thread is threading.current_thread()
-        )
-        if not on_job_thread:
-            return self._immediate_lease(broker, kind, job, ready_time)
-        assert handle is not None
-        ready = max(ready_time, handle.floor)
-        request = _PhaseRequest(handle, kind, ready, handle._request_seq)
-        handle._request_seq += 1
-        self._pending.append(request)
-        self._baton.set()
-        handle._go.wait()
-        handle._go.clear()
-        if request.lease is None:  # pragma: no cover - defensive
-            raise RuntimeError("scheduler granted no lease")
-        return request.lease
+    def _place(
+        self,
+        handle: Optional[JobHandle],
+        tenant: str,
+        kind: str,
+        job: str,
+        ready: float,
+        place: Callable[[List[float], float], tuple],
+    ) -> tuple:
+        """Place one phase on the shared pool: a ``Cluster.slot_broker``.
 
-    def _immediate_lease(
-        self, broker: JobBroker, kind: str, job: str, ready_time: float
-    ) -> SlotLease:
-        self._close_immediate()
-        lease = self.pool.lease(
-            kind, job=job, phase=kind, tenant=broker.tenant, floor=ready_time
-        )
-        self._immediate = (lease, broker.tenant)
-        return lease
-
-    def _close_immediate(self) -> None:
-        if self._immediate is None:
-            return
-        lease, tenant_name = self._immediate
-        self._immediate = None
-        lease.close()
-        tenant = self._tenant(tenant_name)
-        tenant.vtime += lease.slot_seconds / tenant.weight
-        tenant.slot_seconds += lease.slot_seconds
-        tenant.completed += 0  # immediate batches are accounted by the service
-
-    def quiesce(self) -> None:
-        """Close any open immediate-mode lease (idempotent).
-
-        After this, :attr:`pool` ``.open_leases`` is 0 whenever no
-        :meth:`run` loop is active — the no-leaked-slots invariant the
-        snapshot/restore regression test pins.
+        Bound to a job's ``handle`` and ``tenant`` with
+        :func:`functools.partial`; the engine supplies the rest (``job``
+        names the engine job, ``place`` runs its ``FaultScheduler``).
+        With a handle — on that job's thread, inside :meth:`run` — the
+        phase becomes a request to the event loop and this blocks until
+        the loop grants it; with ``handle=None`` (a direct
+        ``service.submit()`` on an adopted service) it is placed at
+        ``ready`` at once.  Either way the placement is committed and
+        charged to the tenant before this returns, on the calling thread,
+        so an accounting error ends as that job's error.
         """
-        self._close_immediate()
+        start = ready
+        if handle is not None:
+            request = _PhaseRequest(
+                handle, kind, max(ready, handle.floor), handle._request_seq
+            )
+            handle._request_seq += 1
+            self._pending.append(request)
+            self._baton.set()
+            handle._go.wait()
+            handle._go.clear()
+            start = request.dispatch
+        scheduler, schedules, busy, end = self.pool.place(kind, start, place)
+        usage = self._tenant(tenant)
+        usage.vtime += busy / usage.weight
+        usage.slot_seconds += busy
+        if handle is not None:
+            handle.slot_seconds += busy
+            handle.floor = max(handle.floor, end)
+            if self.tracer is not None:
+                self.tracer.record_span(
+                    f"{handle.name}/{kind}",
+                    "sched-lease",
+                    start,
+                    end,
+                    job=handle.name,
+                    track=1 if kind == "map" else 2,
+                    tenant=handle.tenant,
+                    lane=handle.lane,
+                    wait=round(start - request.ready, 9),
+                )
+        return scheduler, schedules
 
     # -- reporting -----------------------------------------------------
 
     def report(self) -> SchedulerReport:
         """Summarize the trace: outcomes, tenant usage, decision log."""
-        self._close_immediate()
         outcomes = [
             JobOutcome(
                 job=h.name,
@@ -719,7 +646,6 @@ class JobScheduler:
             decisions=list(self.decisions),
             makespan=self.pool.makespan,
             busy={kind: self.pool.busy_seconds(kind) for kind in ("map", "reduce")},
-            open_leases=self.pool.open_leases,
         )
         self._snapshot_metrics(report)
         return report
@@ -770,7 +696,6 @@ __all__ = [
     "DEFAULT_MAP_SLOTS",
     "DEFAULT_REDUCE_SLOTS",
     "LANES",
-    "JobBroker",
     "JobHandle",
     "JobScheduler",
 ]

@@ -372,7 +372,8 @@ class ResolverService:
         travel in the snapshot.  (Snapshots written before the per-pair
         ``"decisions"`` ledger was dropped still restore: the key is
         ignored, nothing ever read it.)  Anything that is not a complete
-        snapshot of this format raises ``ValueError``.
+        snapshot of this format raises ``ValueError``, naming the section
+        (and row index) that cannot be parsed.
         """
         if not isinstance(snapshot, dict):
             raise ValueError("a snapshot is a JSON object")
@@ -388,6 +389,14 @@ class ResolverService:
         ]
         if missing:
             raise ValueError(f"snapshot has no {', '.join(missing)} section")
+        entities = _parse_rows(snapshot, "entities", _entity_row)
+        events = _parse_rows(snapshot, "events", _event_row)
+        counts = {}
+        for section, parse in (("clock", float), ("batches", int), ("comparisons", int)):
+            try:
+                counts[section] = parse(snapshot[section])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"snapshot {section} is malformed: {exc}") from exc
         service = cls(config, **service_options)
         expected = config_fingerprint(config, service.min_family_matches)
         if snapshot.get("fingerprint") != expected:
@@ -397,29 +406,21 @@ class ResolverService:
                 "found-pair set"
             )
         by_batch: Dict[int, List[Entity]] = {}
-        for row in snapshot["entities"]:
-            entity = Entity(
-                int(row["id"]), dict(row["attrs"]), source=row.get("source")
-            )
-            by_batch.setdefault(int(row["batch"]), []).append(entity)
+        for batch, entity in entities:
+            by_batch.setdefault(batch, []).append(entity)
         for batch in sorted(by_batch):
             annotated = [
                 (entity, service.store.annotate(entity))
                 for entity in by_batch[batch]
             ]
             service.store.admit(annotated, batch)
-        for row in snapshot["events"]:
-            pair = pair_key(int(row["pair"][0]), int(row["pair"][1]))
-            event = PairEvent(
-                seq=int(row["seq"]), pair=pair,
-                batch=int(row["batch"]), time=float(row["time"]),
-            )
+        for event in events:
             service._events.append(event)
-            service._found.add(pair)
-            service._clusters.union(*pair)
-        service._clock = float(snapshot["clock"])
-        service._batches = int(snapshot["batches"])
-        service._comparisons = int(snapshot["comparisons"])
+            service._found.add(event.pair)
+            service._clusters.union(*event.pair)
+        service._clock = counts["clock"]
+        service._batches = counts["batches"]
+        service._comparisons = counts["comparisons"]
         return service
 
     # -- internals ---------------------------------------------------------
@@ -480,6 +481,49 @@ class ResolverService:
                 record = (stored.entity, stored.keys, False)
             records.append(record)
         return records
+
+
+def _parse_rows(snapshot: Dict[str, Any], section: str, parse) -> List[Any]:
+    """``parse(row)`` for every row of a snapshot section, in order.
+
+    A section that is not a list, or a row ``parse`` cannot read, raises
+    ``ValueError`` naming the section and the row index.
+    """
+    rows = snapshot[section]
+    if not isinstance(rows, list):
+        raise ValueError(f"snapshot {section} section is not a list")
+    parsed = []
+    for index, row in enumerate(rows):
+        try:
+            parsed.append(parse(row))
+        except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+            raise ValueError(
+                f"snapshot {section}[{index}] is malformed: {exc!r}"
+            ) from exc
+    return parsed
+
+
+def _entity_row(row: Dict[str, Any]) -> Tuple[int, Entity]:
+    attrs = row["attrs"]
+    if not isinstance(attrs, dict):
+        raise TypeError(f"'attrs' must be an object, got {attrs!r}")
+    source = row.get("source")
+    entity = Entity(
+        int(row["id"]),
+        {key: str(value) for key, value in attrs.items()},
+        source=None if source is None else str(source),
+    )
+    return int(row["batch"]), entity
+
+
+def _event_row(row: Dict[str, Any]) -> PairEvent:
+    first, second = row["pair"]
+    return PairEvent(
+        seq=int(row["seq"]),
+        pair=pair_key(int(first), int(second)),
+        batch=int(row["batch"]),
+        time=float(row["time"]),
+    )
 
 
 __all__ = [

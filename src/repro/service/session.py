@@ -66,17 +66,6 @@ class ResolverSession:
         if self.spec.metrics is not None:
             self.spec.metrics.begin_run(label)
 
-    def attach_broker(self, broker: Any) -> None:
-        """Point the session cluster at a multi-tenant slot broker.
-
-        Many sessions attached to the same
-        :class:`~repro.scheduling.scheduler.JobScheduler` share one slot
-        pool: each phase of each session's jobs leases capacity from the
-        common virtual timeline instead of assuming an idle cluster.
-        Pass ``None`` to detach and return to exclusive ownership.
-        """
-        self.cluster.slot_broker = broker
-
     def run_job(
         self, job: MapReduceJob, records: Sequence[Any], *, start_time: float = 0.0
     ) -> JobResult:

@@ -113,8 +113,47 @@ class TestCalibrate:
         assert report["workload"]["family"] == "citeseer"
         assert all(v >= 0.0 for v in report["seconds_per_unit"].values())
 
+    def test_metablock_ratio_reaches_the_workload(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        specs = []
+
+        class RecordingRun(cli.ExperimentRun):
+            def __init__(self, spec):
+                specs.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(cli, "ExperimentRun", RecordingRun)
+        code = main(
+            [
+                "calibrate", "--family", "citeseer", "--size", "200",
+                "--machines", "2", "--backend", "serial",
+                "--metablock", "bf", "--metablock-ratio", "0.5",
+            ]
+        )
+        assert code == 0
+        assert specs, "calibrate ran no workload"
+        assert all(spec.metablock == "bf" for spec in specs)
+        assert all(spec.config.metablock_ratio == 0.5 for spec in specs)
+
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--metablock", "wnp"],
+            ["serve", "--metablock-ratio", "0.3"],
+            ["submit", "--snapshot", "state.json", "--metablock", "bf"],
+            ["sched", "--skew"],
+            ["sched", "--perf-report"],
+        ],
+    )
+    def test_flags_a_command_would_ignore_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.observability import validate_chrome_trace
 
@@ -30,7 +32,10 @@ class TestSched:
         report = json.loads(report_path.read_text())
         assert len(report["outcomes"]) == 5
         assert all(o["finished_at"] is not None for o in report["outcomes"])
-        assert report["open_leases"] == 0
+        # Every placed phase is charged exactly once.
+        assert sum(t["slot_seconds"] for t in report["tenants"]) == pytest.approx(
+            sum(report["busy"].values())
+        )
 
         events = json.loads(trace.read_text())
         validate_chrome_trace(events)

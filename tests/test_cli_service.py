@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -253,6 +254,51 @@ def test_hostile_input_exits_with_one_message(case, tmp_path, good_snapshot):
     assert isinstance(exit_info.value.code, str)
     assert named in exit_info.value.code
     assert (snap.read_bytes() if snap.exists() else None) == before
+
+
+def _set_row(section, key, value):
+    def mutate(text):
+        snapshot = json.loads(text)
+        snapshot[section][0][key] = value
+        return json.dumps(snapshot)
+
+    return mutate
+
+
+#: Rows inside a snapshot section that cannot be parsed: (snapshot
+#: mutation, what restore's message must name).
+_MALFORMED_ROWS = {
+    "entity-attrs-not-an-object": (_set_row("entities", "attrs", 5), "entities[0]"),
+    "entity-id-a-list": (_set_row("entities", "id", [1]), "entities[0]"),
+    "event-pair-of-one": (_set_row("events", "pair", [1]), "events[0]"),
+    "entities-not-a-list": (_set("entities", 7), "entities section"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ROWS))
+def test_malformed_snapshot_row_exits_with_one_message(case, tmp_path, good_snapshot):
+    from repro.core import citeseer_config
+    from repro.service import ResolverService
+
+    mutate, named = _MALFORMED_ROWS[case]
+    text = mutate(good_snapshot)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ResolverService.restore(json.loads(text), citeseer_config())
+
+    snap = tmp_path / "state.json"
+    snap.write_text(text)
+    source = tmp_path / "in.jsonl"
+    source.write_text(_GOOD)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["submit", "--snapshot", str(snap), "--input", str(source),
+              "--machines", "2", "--snapshot-out", str(out)])
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"{snap}: not a usable snapshot: ")
+    assert named in message
+    assert not out.exists()
+    assert snap.read_text() == text
 
 
 def test_restore_rejects_an_incomplete_snapshot_with_value_error(good_snapshot):

@@ -28,10 +28,15 @@ The hypothesis profile is registered in ``conftest.py``; CI runs with
 
 from __future__ import annotations
 
+import threading
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import MapReduceJob, Mapper, Reducer
+from repro.observability import Tracer
 from repro.scheduling import (
     AdmissionPolicy,
     JobScheduler,
@@ -134,7 +139,11 @@ class TestWorkConservation:
             seed=seed, count=count, rate=rate, policy=policy,
             interactive_fraction=interactive_fraction,
         )
-        assert report.open_leases == 0
+        # Every placed phase is charged exactly once: the tenants' bill
+        # is the pool's busy time.
+        assert sum(t.slot_seconds for t in report.tenants) == pytest.approx(
+            sum(report.busy.values())
+        )
         for outcome in report.outcomes:
             assert outcome.finished_at is not None
             assert outcome.started_at is not None
@@ -360,3 +369,35 @@ class TestAdmissionProperties:
                 continue
             # A queued job may only start once some earlier job finished.
             assert outcome.started_at >= finishes[0]
+
+
+class _FailingLeaseTracer(Tracer):
+    """A tracer whose sink fails on every scheduler lease span."""
+
+    def record_span(self, name, category, *args, **kwargs):
+        if category == "sched-lease":
+            raise OSError("trace sink is full")
+        return super().record_span(name, category, *args, **kwargs)
+
+
+class TestAccountingFailure:
+    def test_raising_tracer_fails_the_job_and_strands_no_thread(self):
+        """An error while a placed phase is charged is that job's error:
+        ``run()`` raises the typed ``RuntimeError`` naming the first job,
+        chained to the cause, and every job thread has ended."""
+        scheduler = JobScheduler(machines=1, tracer=_FailingLeaseTracer())
+        for index in range(3):
+            scheduler.submit_job(
+                _job(f"j{index}"), _LINES, tenant=f"t{index}", arrival=0.0
+            )
+        with pytest.raises(RuntimeError, match="job 'j0' \\(tenant 't0'\\)") as caught:
+            scheduler.run()
+        assert isinstance(caught.value.__cause__, OSError)
+
+        def stranded():
+            return [t.name for t in threading.enumerate() if t.name.startswith("sched-")]
+
+        deadline = time.monotonic() + 5.0
+        while stranded() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert stranded() == []
