@@ -87,6 +87,29 @@ from .observability import (
 _FAMILIES = ("citeseer", "books", "people", "skewed", "linkage")
 
 
+def _ranged(kind, low, high=None, *, above=False):
+    """An argparse ``type``: a ``kind`` value ``>= low`` (``> low`` when
+    ``above``) and ``<= high``, so out-of-range input is a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        # Written so that NaN fails every comparison and is rejected too.
+        in_range = value > low if above else value >= low
+        if not (in_range and (high is None or value <= high)):
+            if high is not None:
+                bound = f"in [{low}, {high}]"
+            else:
+                bound = f"{'>' if above else '>='} {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+_COUNT = _ranged(int, 1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -96,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV/JSONL")
     gen.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    gen.add_argument("--size", type=int, default=2000)
+    gen.add_argument("--size", type=_COUNT, default=2000)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument(
         "--out", required=True,
@@ -111,12 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("ours", "nosplit", "lpt", "basic"),
         default="ours",
     )
-    run.add_argument("--machines", type=int, default=10)
-    run.add_argument("--window", type=int, default=15, help="Basic's SN window")
+    run.add_argument("--machines", type=_COUNT, default=10)
+    run.add_argument(
+        "--window", type=_ranged(int, 2), default=15, help="Basic's SN window"
+    )
     run.add_argument(
         "--threshold", type=float, default=None, help="Basic's popcorn threshold"
     )
-    run.add_argument("--points", type=int, default=10, help="curve sample points")
+    run.add_argument("--points", type=_COUNT, default=10, help="curve sample points")
     _add_backend_options(run)
     _add_metablock_options(run)
     _add_fault_options(run)
@@ -125,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="ours vs the Basic baseline")
     _add_dataset_options(compare)
-    compare.add_argument("--machines", type=int, default=10)
-    compare.add_argument("--window", type=int, default=15)
+    compare.add_argument("--machines", type=_COUNT, default=10)
+    compare.add_argument("--window", type=_ranged(int, 2), default=15)
     compare.add_argument(
         "--threshold",
         type=float,
@@ -134,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="thresholds",
         help="popcorn threshold (repeatable); Basic F always included",
     )
-    compare.add_argument("--points", type=int, default=10)
+    compare.add_argument("--points", type=_COUNT, default=10)
     compare.add_argument("--chart", action="store_true", help="ASCII chart output")
     _add_backend_options(compare)
     _add_metablock_options(compare)
@@ -162,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entities per submitted batch (a `batch` field in the input "
         "overrides this grouping)",
     )
-    serve.add_argument("--machines", type=int, default=4)
+    serve.add_argument("--machines", type=_COUNT, default=4)
     serve.add_argument(
         "--min-family-matches", type=int, default=2,
         help="key families that must agree before a pair is compared "
@@ -192,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "previous `submit`)",
     )
     submit.add_argument("--input", default="-", help="JSONL batch to submit")
-    submit.add_argument("--machines", type=int, default=4)
+    submit.add_argument("--machines", type=_COUNT, default=4)
     submit.add_argument("--min-family-matches", type=int, default=2)
     submit.add_argument(
         "--snapshot-out", metavar="PATH", default=None,
@@ -211,29 +236,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "batches competing for shared slots",
     )
     sched.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    sched.add_argument("--size", type=int, default=240, help="total entities")
+    sched.add_argument("--size", type=_COUNT, default=240, help="total entities")
     sched.add_argument("--seed", type=int, default=7)
-    sched.add_argument("--jobs", type=int, default=9, help="arrivals to draw")
+    sched.add_argument("--jobs", type=_COUNT, default=9, help="arrivals to draw")
     sched.add_argument(
-        "--rate", type=float, default=0.02,
+        "--rate", type=_ranged(float, 0, above=True), default=0.02,
         help="Poisson arrival rate (jobs per virtual time unit)",
     )
-    sched.add_argument("--machines", type=int, default=4)
+    sched.add_argument("--machines", type=_COUNT, default=4)
     sched.add_argument("--policy", choices=("fair", "fifo"), default="fair")
     sched.add_argument(
-        "--tenants", type=int, default=3,
+        "--tenants", type=_COUNT, default=3,
         help="number of tenants (weights 1..N, one service each)",
     )
     sched.add_argument(
-        "--interactive-fraction", type=float, default=0.3,
+        "--interactive-fraction", type=_ranged(float, 0, 1), default=0.3,
         help="probability an arrival lands in the interactive lane",
     )
     sched.add_argument(
-        "--max-queued", type=int, default=None,
+        "--max-queued", type=_COUNT, default=None,
         help="per-tenant cap on unfinished submissions (admission control)",
     )
     sched.add_argument(
-        "--max-active", type=int, default=None,
+        "--max-active", type=_COUNT, default=None,
         help="cluster-wide cap on concurrently running jobs",
     )
     sched.add_argument(
@@ -248,9 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit the cost model's virtual-unit prices to real wall clock",
     )
     calibrate.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    calibrate.add_argument("--size", type=int, default=800)
+    calibrate.add_argument("--size", type=_COUNT, default=800)
     calibrate.add_argument("--seed", type=int, default=7)
-    calibrate.add_argument("--machines", type=int, default=4)
+    calibrate.add_argument("--machines", type=_COUNT, default=4)
     calibrate.add_argument(
         "--repeats", type=int, default=1,
         help="run the workload this many times and fit over all tasks "
@@ -264,12 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_options(calibrate)
     _add_metablock_options(calibrate)
     calibrate.set_defaults(backend="process")
+    for command in sub.choices.values():
+        # A bad value propagates to the top-level parser, so every usage
+        # error reads `repro: error: …`.
+        command.exit_on_error = False
     return parser
 
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    parser.add_argument("--size", type=int, default=2000)
+    parser.add_argument("--size", type=_COUNT, default=2000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--dataset", default=None, help="CSV written by `generate`")
 
@@ -861,9 +890,6 @@ def _command_sched(args: argparse.Namespace) -> int:
     """
     from .service import ResolverService
 
-    if args.jobs <= 0:
-        print("--jobs must be positive", file=sys.stderr)
-        return 2
     dataset = _MAKERS[args.family](args.size, seed=args.seed)
     config = _CONFIGS[args.family]()
     tracer, metrics = _observers(args)

@@ -55,14 +55,6 @@ from .estimation import (
 from .redundancy import build_dominance_list, missing_sentinel, should_resolve
 from .responsibility import compute_coverage, covered_pairs, uncovered_pairs
 from .schedule import ProgressiveSchedule, generate_schedule
-from .serialize import (
-    load_events,
-    load_schedule,
-    save_events,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
 from .statistics import (
     AnnotatedEntity,
     BlockRecord,
@@ -120,12 +112,6 @@ __all__ = [
     "uncovered_pairs",
     "ProgressiveSchedule",
     "generate_schedule",
-    "schedule_to_dict",
-    "schedule_from_dict",
-    "save_schedule",
-    "load_schedule",
-    "save_events",
-    "load_events",
     "AnnotatedEntity",
     "BlockRecord",
     "DatasetStatistics",

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mapreduce.job import stable_hash
 from ..mechanisms.base import window_pairs_count
-from .schedule import ProgressiveSchedule, build_block_orders, recompute_sequence
+from .schedule import ProgressiveSchedule, build_block_orders
 
 #: Recognised placement strategies (CLI ``--balance`` / ``RunSpec.balance``).
 BALANCE_STRATEGIES = ("slack", "blocksplit", "pairrange")
@@ -423,8 +423,7 @@ def _install_placement(
     """Write a placement back into the schedule (shared by ``blocksplit``
     and global ``pairrange``): assignment, shard table, per-task block
     orders with shard 0 spliced into the tree's home order and remote
-    shards leading their task, and the recomputed resolution sequence.
-    Returns how many trees changed home task."""
+    shards leading their task.  Returns how many trees changed home task."""
     num_tasks = schedule.num_tasks
     moved = 0
     new_assignment: Dict[str, int] = {}
@@ -457,7 +456,6 @@ def _install_placement(
         shard_list.sort(key=lambda s: (-s.cost, s.key))
         orders[task] = [shard.key for shard in shard_list] + orders[task]
     schedule.block_order = orders
-    recompute_sequence(schedule)
     return moved
 
 

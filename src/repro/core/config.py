@@ -129,14 +129,6 @@ class ApproachConfig:
         redundancy_free: apply Section V's SHOULD-RESOLVE check.  Disabling
             it (ablation) resolves every shared pair in every tree
             containing it.
-        routing: how Job 2's mapper routes entities.  ``"tree"`` (default)
-            is the paper's actual implementation — one emission per tree
-            containing the entity, sub-block membership re-derived reduce
-            side (footnote 5).  ``"block"`` is the naive implementation the
-            paper describes first: one emission per *block*, keyed by the
-            block's sequence value ``SQ``, so the reduce function is called
-            once per block in block-schedule order.  Same results, larger
-            shuffle.
         mode: ``"dirty"`` (default) resolves duplicates anywhere in one
             source; ``"linkage"`` is clean-clean record linkage — entities
             carry ``source`` tags and only *cross-source* pairs are
@@ -162,7 +154,6 @@ class ApproachConfig:
     train_fraction: float = 0.1
     estimator: str = "learned"
     redundancy_free: bool = True
-    routing: str = "tree"
     mode: str = "dirty"
     metablock_ratio: float = 0.8
     metablock_weighting: str = "cbs"
@@ -176,8 +167,6 @@ class ApproachConfig:
             raise ValueError("train_fraction must be in (0, 1]")
         if self.estimator not in ("learned", "oracle", "uniform"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.routing not in ("tree", "block"):
-            raise ValueError(f"unknown routing {self.routing!r}")
         if self.mode not in ("dirty", "linkage"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.metablock_ratio <= 1.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
@@ -88,18 +88,6 @@ class ResolutionMapper(Mapper):
         )
 
     def map(self, record: AnnotatedEntity, context: TaskContext) -> None:
-        entity = record[0]
-        for _, tree_uid, dom_list in self._routed_trees(record):
-            value = (entity, dom_list)
-            context.emit(tree_uid, value)
-            for route in self._shard_routes.get(tree_uid, ()):
-                context.emit(route, value)
-
-    def _routed_trees(
-        self, record: AnnotatedEntity
-    ) -> Iterator[Tuple[str, str, Tuple[int, ...]]]:
-        """``(family, tree uid, dominance list)`` per tree containing the
-        entity — what both routing modes emit from."""
         entity, main_keys = record
         schedule = self._schedule
         scheme = self._scheme
@@ -129,7 +117,10 @@ class ResolutionMapper(Mapper):
                         schedule.dominance[next_uid] if next_uid is not None else None
                     ),
                 )
-                yield family, tree_uid, tuple(dom_list)
+                value = (entity, tuple(dom_list))
+                context.emit(tree_uid, value)
+                for route in self._shard_routes.get(tree_uid, ()):
+                    context.emit(route, value)
 
     def _tree_chain(self, entity: Entity, family: str, main_key: str) -> List[str]:
         """Trees of ``family`` containing the entity, outermost first:
@@ -259,9 +250,9 @@ def resolve_scheduled_block(
     pair_range: Optional[Tuple[int, int]] = None,
     pruner: Optional[WnpPruner] = None,
 ) -> None:
-    """Resolve one scheduled block (shared by both routing modes):
-    mechanism M's pair stream, window/Th from the schedule, and one
-    ``admit`` predicate per block folding every reason not to compare.
+    """Resolve one scheduled block: mechanism M's pair stream, window/Th
+    from the schedule, and one ``admit`` predicate per block folding every
+    reason not to compare.
 
     ``admit`` answers, in this order: ``"filtered"`` for a same-source
     pair in linkage mode (both sources are internally duplicate-free, so
@@ -361,73 +352,6 @@ def resolve_scheduled_block(
         )
 
 
-class BlockRoutingMapper(ResolutionMapper):
-    """The naive Job-2 mapper (Section III-B before footnote 5): one
-    key-value pair per *block* containing the entity, keyed by the block's
-    sequence value ``SQ``."""
-
-    def map(self, record: AnnotatedEntity, context: TaskContext) -> None:
-        entity = record[0]
-        schedule = self._schedule
-        for family, tree_uid, dom_list in self._routed_trees(record):
-            functions = {f.level: f for f in self._scheme.families[family]}
-            # Walk the scheduled tree top-down; emit at every block
-            # whose key matches the entity's key at that level.
-            node = schedule.trees[tree_uid]
-            while node is not None:
-                context.emit(schedule.sequence[node.uid], (entity, dom_list))
-                node = next(
-                    (
-                        child
-                        for child in node.children
-                        if functions[child.level].key_of(entity) == child.key
-                    ),
-                    None,
-                )
-
-
-class SequencePartitioner(Partitioner):
-    """Route an ``SQ`` key to its reduce task (``SQ // stride``)."""
-
-    def __init__(self, schedule: ProgressiveSchedule) -> None:
-        self._stride = schedule.sequence_stride
-
-    def partition(self, key: int, num_reduce_tasks: int) -> int:
-        return key // self._stride
-
-
-class BlockRoutingReducer(Reducer):
-    """The naive Job-2 reducer: called once per block, in sequence-value
-    order (the engine sorts groups by key), resolving immediately."""
-
-    def __init__(
-        self,
-        schedule: ProgressiveSchedule,
-        config: ApproachConfig,
-        pruner: Optional[WnpPruner] = None,
-    ) -> None:
-        self._schedule = schedule
-        self._config = config
-        self._pruner = pruner
-        self._uid_of_sequence = {sq: uid for uid, sq in schedule.sequence.items()}
-        self._resolved_in_tree: Dict[str, Set[Pair]] = {}
-
-    def reduce(
-        self, key: int, values: Sequence[RoutedEntity], context: TaskContext
-    ) -> None:
-        context.charge(context.cost_model.read_record * len(values), "read")
-        block_uid = self._uid_of_sequence[key]
-        resolve_scheduled_block(
-            self._schedule,
-            self._config,
-            block_uid,
-            list(values),
-            self._resolved_in_tree,
-            context,
-            pruner=self._pruner,
-        )
-
-
 # ---------------------------------------------------------------------------
 # End-to-end driver
 # ---------------------------------------------------------------------------
@@ -499,11 +423,6 @@ class ProgressiveER:
         self.seed = seed
         self.balance = balance
         self.metablock = metablock
-        if balance in ("blocksplit", "pairrange") and config.routing == "block":
-            raise ValueError(
-                f"balance={balance!r} requires tree routing; the naive "
-                "block-routing mapper cannot replicate shard groups"
-            )
         if metablock not in METABLOCK_MODES:
             raise ValueError(f"unknown metablock mode {metablock!r}")
 
@@ -656,26 +575,13 @@ class ProgressiveER:
         *,
         pruner: Optional[WnpPruner] = None,
     ) -> JobResult:
-        if self.config.routing == "block":
-            job = MapReduceJob(
-                mapper_factory=lambda: BlockRoutingMapper(schedule, self.config.scheme),
-                reducer_factory=lambda: BlockRoutingReducer(
-                    schedule, self.config, pruner
-                ),
-                partitioner=SequencePartitioner(schedule),
-                alpha=self.config.alpha,
-                name="progressive-resolution-naive",
-            )
-        else:
-            job = MapReduceJob(
-                mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
-                reducer_factory=lambda: ResolutionReducer(
-                    schedule, self.config, pruner
-                ),
-                partitioner=SchedulePartitioner(schedule),
-                alpha=self.config.alpha,
-                name="progressive-resolution",
-            )
+        job = MapReduceJob(
+            mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
+            reducer_factory=lambda: ResolutionReducer(schedule, self.config, pruner),
+            partitioner=SchedulePartitioner(schedule),
+            alpha=self.config.alpha,
+            name="progressive-resolution",
+        )
         return self.cluster.run_job(job, list(annotated), start_time=start_time)
 
 
@@ -697,9 +603,6 @@ __all__ = [
     "ResolutionMapper",
     "SchedulePartitioner",
     "ResolutionReducer",
-    "BlockRoutingMapper",
-    "SequencePartitioner",
-    "BlockRoutingReducer",
     "resolve_scheduled_block",
     "ProgressiveER",
     "ProgressiveResult",

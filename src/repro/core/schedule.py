@@ -59,9 +59,6 @@ class ProgressiveSchedule:
         main_tree: (family, main key) -> tree uid for level-1 roots.
         split_roots: family -> [(level, key, tree uid)] for split-off
             trees, sorted by level.
-        sequence: block uid -> sequence value ``SQ`` (monotone within each
-            task's block schedule; ``SQ // stride`` is the task index).
-        sequence_stride: the per-task ``SQ`` range width.
         cost_vector: the cost vector ``C`` actually used (possibly
             auto-extended).
         weights: ``W(c_i)`` per interval.
@@ -82,8 +79,6 @@ class ProgressiveSchedule:
     tree_of_block: Dict[str, str]
     main_tree: Dict[Tuple[str, str], str]
     split_roots: Dict[str, List[Tuple[int, str, str]]]
-    sequence: Dict[str, int]
-    sequence_stride: int
     cost_vector: List[float]
     weights: List[float]
     generation_cost: float
@@ -573,7 +568,7 @@ def _assemble_schedule(
     weights: List[float],
     generation_cost: float,
 ) -> ProgressiveSchedule:
-    """Assign dominance and sequence values and build the final object."""
+    """Assign dominance values and build the final object."""
     dominance = {uid: dom for dom, uid in enumerate(sorted(trees))}
     tree_of_block: Dict[str, str] = {}
     blocks: Dict[str, Block] = {}
@@ -592,12 +587,6 @@ def _assemble_schedule(
     for family in split_roots:
         split_roots[family].sort()
 
-    stride = len(tree_of_block) + 1
-    sequence: Dict[str, int] = {}
-    for task, order in enumerate(block_order):
-        for position, uid in enumerate(order):
-            sequence[uid] = task * stride + position
-
     return ProgressiveSchedule(
         num_tasks=num_tasks,
         trees=trees,
@@ -608,8 +597,6 @@ def _assemble_schedule(
         tree_of_block=tree_of_block,
         main_tree=main_tree,
         split_roots=split_roots,
-        sequence=sequence,
-        sequence_stride=stride,
         cost_vector=cost_vector,
         weights=weights,
         generation_cost=generation_cost,
@@ -617,26 +604,8 @@ def _assemble_schedule(
     )
 
 
-def recompute_sequence(schedule: ProgressiveSchedule) -> None:
-    """Recompute ``SQ`` values after a balance pass rewrote the block
-    orders.
-
-    The stride covers the longest possible per-task order (every block or
-    shard entry), so ``SQ // stride`` still recovers the task index for
-    sequence-based routing.
-    """
-    stride = sum(len(order) for order in schedule.block_order) + 1
-    sequence: Dict[str, int] = {}
-    for task, order in enumerate(schedule.block_order):
-        for position, uid in enumerate(order):
-            sequence[uid] = task * stride + position
-    schedule.sequence = sequence
-    schedule.sequence_stride = stride
-
-
 __all__ = [
     "ProgressiveSchedule",
     "generate_schedule",
     "build_block_orders",
-    "recompute_sequence",
 ]

@@ -18,9 +18,7 @@ tracer — each run is labeled via ``begin_run``.
 :class:`~repro.service.session.ResolverSession` seam — the same driver
 path the incremental :class:`~repro.service.resolver.ResolverService`
 uses, so batch experiments and streaming sessions share executor pools,
-balance strategies, fault plans and tracer plumbing.  (The pre-RunSpec
-``make_cluster`` / ``run_progressive`` / ``run_basic`` helpers, deprecated
-since PR 2, are gone — see the CHANGELOG.)
+balance strategies, fault plans and tracer plumbing.
 """
 
 from __future__ import annotations
@@ -164,16 +162,6 @@ class RunSpec:
             problems.append(
                 f"faults must be a FaultPlan or None, got "
                 f"{type(self.faults).__name__}"
-            )
-        if (
-            isinstance(self.config, ApproachConfig)
-            and self.balance in ("blocksplit", "pairrange")
-            and self.config.routing == "block"
-        ):
-            problems.append(
-                f"balance={self.balance!r} requires tree routing; the naive "
-                "block-routing mapper cannot replicate shard groups "
-                "(use routing='tree' or balance='slack')"
             )
         if problems:
             raise ValueError("invalid RunSpec: " + "; ".join(problems))

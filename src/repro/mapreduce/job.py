@@ -4,7 +4,8 @@ The API intentionally mirrors Hadoop's old-style ``org.apache.hadoop.mapred``
 interfaces (``setup`` / ``map`` / ``reduce`` / ``Partitioner``) because the
 paper's implementation targets Hadoop 1.2.1 and relies on details such as the
 map-task ``setup`` hook (where the progressive schedule is generated) and a
-custom partition function (which routes blocks by sequence value).
+custom partition function (which routes trees to their scheduled reduce
+task).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ bit-identical schedules on serial and process backends.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 #: The two slot kinds of the paper's static-slot Hadoop model.
 SLOT_KINDS = ("map", "reduce")
@@ -64,9 +64,6 @@ class SharedSlotPool:
                 f"unknown slot kind {kind!r}; expected one of {SLOT_KINDS}"
             ) from None
 
-    def num_lanes(self, kind: str) -> int:
-        return len(self.lanes(kind))
-
     def first_free(self, kind: str) -> float:
         """Earliest time any lane of ``kind`` is (or becomes) free."""
         return min(self.lanes(kind))
@@ -79,13 +76,6 @@ class SharedSlotPool:
     def busy_seconds(self, kind: str) -> float:
         """Cumulative lane-busy virtual time of every placed phase."""
         return self._busy[kind]
-
-    def utilization(self, kind: str, horizon: Optional[float] = None) -> float:
-        """Busy fraction of ``kind`` capacity over ``[0, horizon]``."""
-        horizon = self.makespan if horizon is None else horizon
-        if horizon <= 0:
-            return 0.0
-        return self._busy[kind] / (horizon * self.num_lanes(kind))
 
     # -- placement -----------------------------------------------------
 

@@ -29,7 +29,6 @@ import pytest
 from repro.core import skewed_config
 from repro.core.balance import BALANCE_STRATEGIES, SHARD_SEP
 from repro.core.driver import ProgressiveER
-from repro.core.serialize import schedule_from_dict, schedule_to_dict
 from repro.data.skewed import make_skewed
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import Cluster, FaultPlan, RetryPolicy, SpeculationConfig
@@ -200,32 +199,14 @@ class TestGlobalPairrangeEffectiveness:
         assert plan.after.max < plan.before.max
         assert plan.after.max_over_mean < plan.before.max_over_mean
 
-    def test_pairrange_rejects_block_routing(self, skewed_cfg):
-        config = skewed_config(matcher=skewed_cfg.matcher, routing="block")
-        with pytest.raises(ValueError, match="pairrange"):
-            ProgressiveER(config, Cluster(MACHINES), balance="pairrange")
-
 
 class TestScheduleIntegrity:
-    def test_blocksplit_schedule_round_trips_through_json(self, grid):
-        schedule = grid[("blocksplit", "serial", "clean")].result.schedule
-        clone = schedule_from_dict(schedule_to_dict(schedule))
-        assert clone.assignment == schedule.assignment
-        assert clone.block_order == schedule.block_order
-        assert clone.shards == schedule.shards
-        assert clone.sequence_stride == schedule.sequence_stride
-
     def test_shard_keys_never_collide_with_block_uids(self, grid):
         schedule = grid[("blocksplit", "serial", "clean")].result.schedule
         for key, shard in schedule.shards.items():
             assert SHARD_SEP in key
             assert key not in schedule.tree_of_block
             assert shard.block_uid in schedule.tree_of_block
-
-    def test_blocksplit_rejects_block_routing(self, skewed_cfg, skewed_dataset):
-        config = skewed_config(matcher=skewed_cfg.matcher, routing="block")
-        with pytest.raises(ValueError, match="blocksplit"):
-            ProgressiveER(config, Cluster(MACHINES), balance="blocksplit")
 
     def test_unknown_strategy_rejected(self, skewed_cfg, skewed_dataset):
         er = ProgressiveER(skewed_cfg, Cluster(MACHINES), balance="bogus")

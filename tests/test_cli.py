@@ -154,6 +154,30 @@ class TestParser:
         assert caught.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sched", "--tenants", "0"],
+            ["sched", "--rate", "0"],
+            ["sched", "--interactive-fraction", "2"],
+            ["sched", "--machines", "0"],
+            ["sched", "--max-active", "0"],
+            ["sched", "--jobs", "0"],
+            ["run", "--size", "60", "--points", "0"],
+            ["generate", "--size", "0", "--out", "never-written.csv"],
+            # A window below 2 compares nothing: Basic would report recall 0.
+            ["run", "--size", "60", "--approach", "basic", "--window", "0"],
+            ["compare", "--size", "60", "--window", "0"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: argument --" in err
+        assert "Traceback" not in err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

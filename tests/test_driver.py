@@ -68,6 +68,14 @@ class TestEndToEnd:
         generation = result.schedule.generation_cost
         assert all(task.cost >= generation for task in result.job2.map_tasks)
 
+    def test_tree_routing_ships_fewer_records(self, progressive_run):
+        """Footnote 5: one emission per tree, not one per block membership
+        (the per-block draft would ship every scheduled block's size)."""
+        _, result = progressive_run
+        emitted = result.job2.counters.get("engine", "map_emitted")
+        per_block = sum(block.size for block in result.schedule.blocks.values())
+        assert 0 < emitted < per_block
+
 
 class TestRedundancyFreedom:
     def test_no_pair_resolved_twice_globally(self, citeseer_small, citeseer_cfg):

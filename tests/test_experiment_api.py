@@ -3,8 +3,6 @@ plus construction-time spec validation."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.evaluation import ExperimentRun, RunResult, RunSpec
@@ -161,11 +159,6 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="faults must be a FaultPlan"):
             RunSpec(None, citeseer_cfg, faults="chaos")
         RunSpec(None, citeseer_cfg, faults=FaultPlan(seed=0))  # real plan OK
-
-    def test_blocksplit_needs_tree_routing(self, citeseer_cfg):
-        block_routed = dataclasses.replace(citeseer_cfg, routing="block")
-        with pytest.raises(ValueError, match="blocksplit.*tree routing"):
-            RunSpec(None, block_routed, balance="blocksplit")
 
     def test_all_problems_reported_at_once(self, citeseer_cfg):
         with pytest.raises(ValueError) as excinfo:

@@ -1,10 +1,9 @@
-"""Edge cases for the Job-2 partitioners.
+"""Edge cases for the Job-2 partitioner.
 
-Both partitioners route by the *schedule*, not by hashing, so the
-interesting failures are schedule mismatches: a tree the schedule never
-assigned, and sequence values that land outside the task range (which the
-engine — not the partitioner — rejects, mirroring Hadoop's partition
-validation).
+It routes by the *schedule*, not by hashing, so the interesting failures
+are schedule mismatches: a tree the schedule never assigned, and an
+assignment that lands outside the task range (which the engine — not the
+partitioner — rejects, mirroring Hadoop's partition validation).
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.driver import SchedulePartitioner, SequencePartitioner
+from repro.core.driver import SchedulePartitioner
 from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer
 
 
 def _schedule(**attrs):
-    """The minimal schedule surface each partitioner reads."""
+    """The minimal schedule surface the partitioner reads."""
     return SimpleNamespace(**attrs)
 
 
@@ -51,30 +50,3 @@ class TestSchedulePartitioner:
         job = MapReduceJob(_EmitKey, _Collect, partitioner=partitioner)
         with pytest.raises(ValueError, match="valid range"):
             Cluster(1).run_job(job, ["t0"], num_reduce_tasks=2)
-
-
-class TestSequencePartitioner:
-    def test_routes_by_stride(self):
-        partitioner = SequencePartitioner(_schedule(sequence_stride=10))
-        assert partitioner.partition(0, 3) == 0
-        assert partitioner.partition(9, 3) == 0
-        assert partitioner.partition(10, 3) == 1
-        assert partitioner.partition(25, 3) == 2
-
-    def test_single_reduce_task_gets_everything(self):
-        partitioner = SequencePartitioner(_schedule(sequence_stride=100))
-        assert all(partitioner.partition(sq, 1) == 0 for sq in range(100))
-
-    def test_sequence_beyond_stride_range_rejected_by_engine(self):
-        partitioner = SequencePartitioner(_schedule(sequence_stride=2))
-        job = MapReduceJob(_EmitKey, _Collect, partitioner=partitioner)
-        # SQ 5 // stride 2 -> task 2, but only 2 reduce tasks exist.
-        with pytest.raises(ValueError, match="valid range"):
-            Cluster(1).run_job(job, [5], num_reduce_tasks=2)
-
-    def test_in_range_sequences_resolve_in_key_order(self):
-        partitioner = SequencePartitioner(_schedule(sequence_stride=2))
-        job = MapReduceJob(_EmitKey, _Collect, partitioner=partitioner)
-        result = Cluster(1).run_job(job, [3, 0, 2, 1], num_reduce_tasks=2)
-        assert list(result.reduce_tasks[0].output) == [0, 1]
-        assert list(result.reduce_tasks[1].output) == [2, 3]

@@ -30,11 +30,7 @@ from repro.core.balance import (
     skew_report,
 )
 from repro.core.estimation import BlockEstimate
-from repro.core.schedule import (
-    ProgressiveSchedule,
-    build_block_orders,
-    recompute_sequence,
-)
+from repro.core.schedule import ProgressiveSchedule, build_block_orders
 from repro.mechanisms.base import window_pairs_count
 
 _WINDOW = 10
@@ -150,7 +146,7 @@ def _toy_schedule(sizes, num_tasks):
         task = min(range(num_tasks), key=lambda t: (loads[t], t))
         assignment[uid] = task
         loads[task] += estimates[uid].cost
-    schedule = ProgressiveSchedule(
+    return ProgressiveSchedule(
         num_tasks=num_tasks,
         trees=trees,
         estimates=estimates,
@@ -160,15 +156,11 @@ def _toy_schedule(sizes, num_tasks):
         tree_of_block={uid: uid for uid in trees},
         main_tree={},
         split_roots={},
-        sequence={},
-        sequence_stride=1,
         cost_vector=[1.0],
         weights=[1.0],
         generation_cost=0.0,
         blocks=dict(trees),
     )
-    recompute_sequence(schedule)
-    return schedule
 
 
 def _giant_size_for(small_sizes, num_tasks):
@@ -310,4 +302,3 @@ def test_apply_balance_is_deterministic(sizes, num_tasks):
         assert first.assignment == second.assignment
         assert first.block_order == second.block_order
         assert first.shards == second.shards
-        assert first.sequence == second.sequence

@@ -103,13 +103,7 @@ def test_schedule_invariants_on_random_forests(stats, num_tasks, strategy, prob)
             for child in schedule.blocks[uid].children:
                 assert position[child.uid] < position[uid]
 
-    # 4. Sequence values are monotone within a task and route back to it.
-    for task, order in enumerate(schedule.block_order):
-        values = [schedule.sequence[uid] for uid in order]
-        assert values == sorted(values)
-        assert all(v // schedule.sequence_stride == task for v in values)
-
-    # 5. Dominance values unique; roots full; weights non-increasing.
+    # 4. Dominance values unique; roots full; weights non-increasing.
     doms = list(schedule.dominance.values())
     assert len(doms) == len(set(doms))
     for uid in schedule.trees:

@@ -60,13 +60,6 @@ class TestScheduleInvariants:
                 for child in block.children:
                     assert position[child.uid] < position[uid]
 
-    def test_sequence_values_monotone_per_task(self, ours_schedule):
-        sched = ours_schedule
-        for task, order in enumerate(sched.block_order):
-            values = [sched.sequence[uid] for uid in order]
-            assert values == sorted(values)
-            assert all(v // sched.sequence_stride == task for v in values)
-
     def test_dominance_values_unique(self, ours_schedule):
         sched = ours_schedule
         values = list(sched.dominance.values())
