@@ -19,11 +19,12 @@ placement — which is what Figures 8 and 10 measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
+from ..core.driver import _first_discoveries
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
@@ -61,11 +62,6 @@ class BasicConfig:
     popcorn_threshold: Optional[float] = None
     alpha: float = 200.0
 
-    def sort_attribute(self, family: str) -> str:
-        """Attribute blocks of ``family`` are sorted on."""
-        description = self.scheme.main_function(family).description
-        return description.split(".", 1)[0]
-
 
 class BasicMapper(Mapper):
     """Emit each entity once per main blocking function."""
@@ -100,7 +96,7 @@ class BasicReducer(Reducer):
         family = config.scheme.family_order[position]
         entities = [entity for entity, _ in values]
         signatures = {entity.id: sig for entity, sig in values}
-        sort_attribute = config.sort_attribute(family)
+        sort_attribute = config.scheme.sort_attribute(family)
 
         def admit(e1: Entity, e2: Entity) -> Optional[str]:
             if _is_smallest_common_block(
@@ -205,19 +201,6 @@ class BasicER:
         result = self.cluster.run_job(job, dataset.entities)
         events = _first_discoveries(result.events)
         return BasicResult(dataset=dataset, job=result, duplicate_events=events)
-
-
-def _first_discoveries(events: Sequence[Event]) -> List[Event]:
-    """First occurrence per duplicate pair, in time order."""
-    seen: Set[Pair] = set()
-    kept: List[Event] = []
-    for event in sorted(
-        (e for e in events if e.kind == "duplicate"), key=lambda e: e.time
-    ):
-        if event.payload not in seen:
-            seen.add(event.payload)
-            kept.append(event)
-    return kept
 
 
 __all__ = ["BasicConfig", "BasicER", "BasicResult", "BasicMapper", "BasicReducer"]

@@ -61,10 +61,6 @@ class MrsnConfig:
     matcher: WeightedMatcher
     window: int = 15
 
-    def sort_attribute(self, family: str) -> str:
-        description = self.scheme.main_function(family).description
-        return description.split(".", 1)[0]
-
 
 class MrsnMapper(Mapper):
     """Key each entity by the pass's sorting key; replicate boundary
@@ -180,7 +176,7 @@ class MultiPassMRSN:
     # ------------------------------------------------------------------
 
     def _run_pass(self, dataset: Dataset, family: str, start_time: float) -> JobResult:
-        sort_attribute = self.config.sort_attribute(family)
+        sort_attribute = self.config.scheme.sort_attribute(family)
         boundaries, replicate = self._plan_partitions(dataset, sort_attribute)
         job = MapReduceJob(
             mapper_factory=lambda: MrsnMapper(sort_attribute, boundaries, replicate),

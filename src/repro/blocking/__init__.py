@@ -1,7 +1,7 @@
 """Blocking: functions, schemes, blocks, trees, forests, and the
 progressive blocker (paper Sections II-A and III-A)."""
 
-from .blocker import build_forest, build_forests, group_by_key, main_block_key_of
+from .blocker import build_forest, build_forests, group_by_key
 from .blocks import Block, Forest, tree_of
 from .functions import (
     BlockingFunction,
@@ -27,5 +27,4 @@ __all__ = [
     "group_by_key",
     "build_forest",
     "build_forests",
-    "main_block_key_of",
 ]

@@ -16,7 +16,7 @@ Pruning rules:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..data.dataset import Dataset
 from ..data.entity import Entity
@@ -90,11 +90,4 @@ def build_forests(dataset: Dataset, scheme: BlockingScheme) -> Dict[str, Forest]
     return {family: build_forest(dataset, scheme, family) for family in scheme.family_order}
 
 
-def main_block_key_of(
-    entity: Entity, scheme: BlockingScheme, family: str
-) -> Optional[str]:
-    """The entity's main-block key under ``family`` (None = unblocked)."""
-    return scheme.main_function(family).key_of(entity)
-
-
-__all__ = ["group_by_key", "build_forest", "build_forests", "main_block_key_of"]
+__all__ = ["group_by_key", "build_forest", "build_forests"]

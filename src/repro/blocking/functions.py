@@ -119,6 +119,11 @@ class BlockingScheme:
         """The level-1 function of ``family``."""
         return self.families[family][0]
 
+    def sort_attribute(self, family: str) -> str:
+        """Attribute the blocks of ``family`` are sorted on (the paper sorts
+        each block by the attribute its blocking function is defined on)."""
+        return self.main_function(family).description.split(".", 1)[0]
+
     def depth(self, family: str) -> int:
         """``N(X1)``: number of sub-blocking functions of ``family``."""
         return len(self.families[family]) - 1

@@ -39,7 +39,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from .baselines import BasicConfig
-from .blocking import books_scheme, citeseer_scheme, linkage_scheme, people_scheme
 from .core import (
     BALANCE_STRATEGIES,
     METABLOCK_MODES,
@@ -51,15 +50,7 @@ from .core import (
     people_config,
     skewed_config,
 )
-from .data import (
-    Dataset,
-    Entity,
-    make_books,
-    make_citeseer,
-    make_linkage,
-    make_people,
-    make_skewed,
-)
+from .data import Dataset, make_books, make_citeseer, make_linkage, make_people, make_skewed
 from .data.profile import format_profile, profile_dataset, suggest_blocking_order
 from .evaluation import (
     ExperimentRun,
@@ -73,6 +64,8 @@ from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
 from .mechanisms import PSNM, SortedNeighborHint
 from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
+from .service import ResolverService
+from .service.rows import batch_rows, read_entity_rows
 from .observability import (
     MetricsRegistry,
     Tracer,
@@ -87,17 +80,20 @@ from .observability import (
 _FAMILIES = ("citeseer", "books", "people", "skewed", "linkage")
 
 
-def _ranged(kind, low, high=None, *, above=False):
+def _ranged(kind, low, high=None, *, above=False, below=False):
     """An argparse ``type``: a ``kind`` value ``>= low`` (``> low`` when
-    ``above``) and ``<= high``, so out-of-range input is a usage error."""
+    ``above``) and ``<= high`` (``< high`` when ``below``), so out-of-range
+    input is a usage error."""
 
     def parse(text: str):
         value = kind(text)
         # Written so that NaN fails every comparison and is rejected too.
-        in_range = value > low if above else value >= low
-        if not (in_range and (high is None or value <= high)):
+        in_range = (value > low if above else value >= low) and (
+            high is None or (value < high if below else value <= high)
+        )
+        if not in_range:
             if high is not None:
-                bound = f"in [{low}, {high}]"
+                bound = f"in {'(' if above else '['}{low}, {high}{')' if below else ']'}"
             else:
                 bound = f"{'>' if above else '>='} {low}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
@@ -108,6 +104,9 @@ def _ranged(kind, low, high=None, *, above=False):
 
 
 _COUNT = _ranged(int, 1)
+_PROBABILITY = _ranged(float, 0, 1)
+#: Basic's popcorn threshold: both ends open.
+_POPCORN = _ranged(float, 0, 1, above=True, below=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV/JSONL")
+    gen.set_defaults(handler=_command_generate)
     gen.add_argument("--family", choices=_FAMILIES, default="citeseer")
     gen.add_argument("--size", type=_COUNT, default=2000)
     gen.add_argument("--seed", type=int, default=7)
@@ -128,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="resolve a dataset progressively")
+    run.set_defaults(handler=_command_run)
     _add_dataset_options(run)
     run.add_argument(
         "--approach",
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window", type=_ranged(int, 2), default=15, help="Basic's SN window"
     )
     run.add_argument(
-        "--threshold", type=float, default=None, help="Basic's popcorn threshold"
+        "--threshold", type=_POPCORN, default=None, help="Basic's popcorn threshold"
     )
     run.add_argument("--points", type=_COUNT, default=10, help="curve sample points")
     _add_backend_options(run)
@@ -149,12 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_report_options(run)
 
     compare = sub.add_parser("compare", help="ours vs the Basic baseline")
+    compare.set_defaults(handler=_command_compare)
     _add_dataset_options(compare)
     compare.add_argument("--machines", type=_COUNT, default=10)
     compare.add_argument("--window", type=_ranged(int, 2), default=15)
     compare.add_argument(
         "--threshold",
-        type=float,
+        type=_POPCORN,
         action="append",
         dest="thresholds",
         help="popcorn threshold (repeatable); Basic F always included",
@@ -170,12 +172,14 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="profile a dataset's attributes and blocking keys"
     )
+    profile.set_defaults(handler=_command_profile)
     _add_dataset_options(profile)
 
     serve = sub.add_parser(
         "serve",
         help="stream a JSONL entity file through the incremental resolver",
     )
+    serve.set_defaults(handler=_command_serve)
     serve.add_argument("--family", choices=_FAMILIES, default="citeseer")
     serve.add_argument(
         "--input", default="-",
@@ -183,13 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "('-' reads stdin; `generate --out x.jsonl` writes this format)",
     )
     serve.add_argument(
-        "--batch-size", type=int, default=200,
+        "--batch-size", type=_COUNT, default=200,
         help="entities per submitted batch (a `batch` field in the input "
         "overrides this grouping)",
     )
     serve.add_argument("--machines", type=_COUNT, default=4)
     serve.add_argument(
-        "--min-family-matches", type=int, default=2,
+        "--min-family-matches", type=_COUNT, default=2,
         help="key families that must agree before a pair is compared "
         "(clamped to the scheme's family count)",
     )
@@ -210,6 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one more batch to a saved resolver-service snapshot",
     )
+    submit.set_defaults(handler=_command_submit)
     submit.add_argument("--family", choices=_FAMILIES, default="citeseer")
     submit.add_argument(
         "--snapshot", required=True, metavar="PATH",
@@ -218,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--input", default="-", help="JSONL batch to submit")
     submit.add_argument("--machines", type=_COUNT, default=4)
-    submit.add_argument("--min-family-matches", type=int, default=2)
+    submit.add_argument("--min-family-matches", type=_COUNT, default=2)
     submit.add_argument(
         "--snapshot-out", metavar="PATH", default=None,
         help="where to write the updated snapshot (default: overwrite "
@@ -235,6 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multi-tenant scheduler demo: Poisson arrivals of resolver "
         "batches competing for shared slots",
     )
+    sched.set_defaults(handler=_command_sched)
     sched.add_argument("--family", choices=_FAMILIES, default="citeseer")
     sched.add_argument("--size", type=_COUNT, default=240, help="total entities")
     sched.add_argument("--seed", type=int, default=7)
@@ -250,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of tenants (weights 1..N, one service each)",
     )
     sched.add_argument(
-        "--interactive-fraction", type=_ranged(float, 0, 1), default=0.3,
+        "--interactive-fraction", type=_PROBABILITY, default=0.3,
         help="probability an arrival lands in the interactive lane",
     )
     sched.add_argument(
@@ -277,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--seed", type=int, default=7)
     calibrate.add_argument("--machines", type=_COUNT, default=4)
     calibrate.add_argument(
-        "--repeats", type=int, default=1,
+        "--repeats", type=_COUNT, default=1,
         help="run the workload this many times and fit over all tasks "
         "(more samples, steadier fit)",
     )
@@ -288,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_options(calibrate)
     _add_metablock_options(calibrate)
-    calibrate.set_defaults(backend="process")
+    calibrate.set_defaults(handler=_command_calibrate, backend="process")
     for command in sub.choices.values():
         # A bad value propagates to the top-level parser, so every usage
         # error reads `repro: error: …`.
@@ -344,7 +350,7 @@ def _add_metablock_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metablock-ratio",
-        type=float,
+        type=_ranged(float, 0, 1, above=True),
         default=None,
         metavar="R",
         help="block-filtering retention ratio in (0, 1] for --metablock "
@@ -362,20 +368,20 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fault-rate",
-        type=float,
+        type=_PROBABILITY,
         default=0.0,
         help="probability that any task attempt crashes partway and is "
         "retried (0 disables fault injection)",
     )
     parser.add_argument(
         "--straggler-rate",
-        type=float,
+        type=_PROBABILITY,
         default=0.0,
         help="probability that a slot is a straggler",
     )
     parser.add_argument(
         "--straggler-factor",
-        type=float,
+        type=_ranged(float, 1),
         default=3.0,
         help="cost multiplier of a straggler slot (default: 3)",
     )
@@ -475,13 +481,6 @@ _CONFIGS = {
     "skewed": skewed_config,
     "linkage": linkage_config,
 }
-_SCHEMES = {
-    "citeseer": citeseer_scheme,
-    "books": books_scheme,
-    "people": people_scheme,
-    "skewed": lambda: skewed_config().scheme,
-    "linkage": linkage_scheme,
-}
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
@@ -501,7 +500,7 @@ def _basic_config(family: str, window: int, threshold: Optional[float]) -> Basic
     config = _CONFIGS[family]()
     mechanism = SortedNeighborHint() if family == "citeseer" else PSNM()
     return BasicConfig(
-        scheme=_SCHEMES[family](),
+        scheme=config.scheme,
         matcher=config.matcher,
         mechanism=mechanism,
         window=window,
@@ -623,116 +622,9 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonl_int(value, what: str, where: str) -> int:
-    """``value`` as an integer, or exit naming the offending line."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise SystemExit(f"{where}: {what} must be an integer, got {value!r}")
-
-
-def _read_jsonl_entities(path: str, taken=()):
-    """[(explicit_batch_or_None, Entity)] from a JSONL stream ('-' = stdin).
-
-    Every malformed line ends the command with ``path:lineno: ...`` before
-    anything is submitted; so does an id that appears twice in the stream
-    or is already in ``taken`` (the restored store, for ``submit``), and —
-    as ``path: ...`` — an input that cannot be opened.  The stream is read
-    as bytes and decoded line by line, so a non-UTF-8 byte is reported on
-    the line that holds it.
-    """
-    try:
-        handle = sys.stdin.buffer if path == "-" else open(path, "rb")
-    except OSError as exc:
-        raise SystemExit(f"{path}: cannot read input: {exc.strerror or exc}")
-    rows = []
-    first_line = {}
-    try:
-        for lineno, raw in enumerate(handle, 1):
-            where = f"{path}:{lineno}"
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise SystemExit(
-                    f"{where}: not valid UTF-8: {exc.reason} at byte {exc.start}"
-                )
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"{where}: not valid JSON: {exc}")
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise SystemExit(
-                    f"{where}: each line must be an object with an "
-                    "'id' field (and attribute fields, or a nested 'attrs')"
-                )
-            batch = obj.pop("batch", None)
-            if batch is not None:
-                batch = _jsonl_int(batch, "'batch'", where)
-            source = obj.pop("source", None)
-            attrs = obj.pop("attrs", None)
-            entity_id = _jsonl_int(obj.pop("id"), "'id'", where)
-            if entity_id in first_line:
-                raise SystemExit(
-                    f"{where}: entity id {entity_id} already appears on "
-                    f"line {first_line[entity_id]}"
-                )
-            if entity_id in taken:
-                raise SystemExit(
-                    f"{where}: entity id {entity_id} was already submitted; "
-                    "ids are immutable once admitted"
-                )
-            first_line[entity_id] = lineno
-            if attrs is None:
-                attrs = obj
-            elif not isinstance(attrs, dict):
-                raise SystemExit(
-                    f"{where}: 'attrs' must be an object, got {attrs!r}"
-                )
-            rows.append(
-                (
-                    batch,
-                    Entity(
-                        entity_id,
-                        {k: str(v) for k, v in attrs.items()},
-                        source=None if source is None else str(source),
-                    ),
-                )
-            )
-    finally:
-        if path != "-":
-            handle.close()
-    return rows
-
-
-def _batched_entities(rows, batch_size: int):
-    """Group parsed JSONL rows into submit batches.
-
-    Rows carrying an explicit ``batch`` field are grouped by it (ascending);
-    otherwise the stream is chunked every ``batch_size`` entities.
-    """
-    if any(batch is not None for batch, _ in rows):
-        by_batch = {}
-        for batch, entity in rows:
-            by_batch.setdefault(0 if batch is None else batch, []).append(entity)
-        return [by_batch[key] for key in sorted(by_batch)]
-    entities = [entity for _, entity in rows]
-    if batch_size < 1:
-        raise SystemExit(f"--batch-size must be >= 1, got {batch_size}")
-    return [
-        entities[start : start + batch_size]
-        for start in range(0, len(entities), batch_size)
-    ]
-
-
-def _build_service(args: argparse.Namespace, tracer, metrics):
-    from .service import ResolverService
-
-    return ResolverService(
-        _CONFIGS[args.family](),
+def _service_options(args: argparse.Namespace, tracer, metrics) -> dict:
+    """The ResolverService keywords `serve` and `submit` share."""
+    return dict(
         machines=args.machines,
         balance=args.balance,
         min_family_matches=args.min_family_matches,
@@ -742,6 +634,14 @@ def _build_service(args: argparse.Namespace, tracer, metrics):
         metrics=metrics,
         faults=_fault_plan(args),
     )
+
+
+def _read_rows(path: str, taken=()):
+    """The input's entity rows, or exit with the reader's one-line error."""
+    try:
+        return read_entity_rows(path, taken)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _print_receipt(receipt, print_pairs: bool) -> None:
@@ -777,9 +677,10 @@ def _write_service_snapshot(service, path: Optional[str]) -> None:
 
 def _command_serve(args: argparse.Namespace) -> int:
     tracer, metrics = _observers(args)
-    service = _build_service(args, tracer, metrics)
-    batches = _batched_entities(_read_jsonl_entities(args.input), args.batch_size)
-    for batch in batches:
+    service = ResolverService(
+        _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
+    )
+    for batch in batch_rows(_read_rows(args.input), args.batch_size):
         receipt = service.submit(batch)
         _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
@@ -789,30 +690,18 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_submit(args: argparse.Namespace) -> int:
-    from .service import ResolverService
-
     tracer, metrics = _observers(args)
     try:
         with open(args.snapshot, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
         service = ResolverService.restore(
-            snapshot,
-            _CONFIGS[args.family](),
-            machines=args.machines,
-            balance=args.balance,
-            min_family_matches=args.min_family_matches,
-            backend=args.backend,
-            workers=args.workers,
-            tracer=tracer,
-            metrics=metrics,
-            faults=_fault_plan(args),
+            snapshot, _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
         )
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise SystemExit(f"{args.snapshot}: not a usable snapshot: {exc}")
-    entities = [
-        entity for _, entity in _read_jsonl_entities(args.input, service.store)
-    ]
-    receipt = service.submit(entities)
+    receipt = service.submit(
+        [entity for _, entity in _read_rows(args.input, service.store)]
+    )
     _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
     _write_service_snapshot(
@@ -847,9 +736,8 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 
     dataset = _MAKERS[args.family](args.size, seed=args.seed)
     config = _progressive_config(args.family, args)
-    repeats = max(1, args.repeats)
     samples = []
-    for _ in range(repeats):
+    for _ in range(args.repeats):
         spec = _run_spec(args, config, dataset=dataset)
         run = ExperimentRun(spec).run()
         samples.extend(task_samples([run.result.job1, run.result.job2]))
@@ -866,7 +754,7 @@ def _command_calibrate(args: argparse.Namespace) -> int:
             "size": args.size,
             "seed": args.seed,
             "machines": args.machines,
-            "repeats": repeats,
+            "repeats": args.repeats,
         },
         workers=workers if args.backend == "process" else 1,
         backend=args.backend,
@@ -888,8 +776,6 @@ def _command_sched(args: argparse.Namespace) -> int:
     Everything is virtual time, so the same seed reproduces the same
     report on every machine and backend.
     """
-    from .service import ResolverService
-
     dataset = _MAKERS[args.family](args.size, seed=args.seed)
     config = _CONFIGS[args.family]()
     tracer, metrics = _observers(args)
@@ -950,31 +836,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ValueError as error:
         # Option combinations only RunSpec.validate() can judge are usage
         # errors like any other: one line and exit 2, not a traceback.
         if not str(error).startswith("invalid RunSpec: "):
             raise
         parser.error(str(error))
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "generate":
-        return _command_generate(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "profile":
-        return _command_profile(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
-    if args.command == "sched":
-        return _command_sched(args)
-    if args.command == "calibrate":
-        return _command_calibrate(args)
-    return _command_compare(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

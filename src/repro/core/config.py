@@ -11,7 +11,7 @@ incremental-output period α.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..blocking.blocks import Block
 from ..blocking.functions import (
@@ -175,12 +175,6 @@ class ApproachConfig:
             raise ValueError(
                 f"unknown metablock_weighting {self.metablock_weighting!r}"
             )
-
-    def sort_attribute(self, family: str) -> str:
-        """Attribute the blocks of ``family`` are sorted on (the paper sorts
-        each block by the attribute its blocking function is defined on)."""
-        description = self.scheme.main_function(family).description
-        return description.split(".", 1)[0]
 
 
 def citeseer_config(**overrides) -> ApproachConfig:

@@ -284,7 +284,7 @@ def resolve_scheduled_block(
     dom_lists = {entity.id: dom_list for entity, dom_list in routed}
     index = config.scheme.index_of(block.family)
     n = config.scheme.num_families
-    sort_attribute = config.sort_attribute(block.family)
+    sort_attribute = config.scheme.sort_attribute(block.family)
 
     linkage = config.mode == "linkage"
     redundancy_free = config.redundancy_free

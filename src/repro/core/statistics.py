@@ -122,7 +122,6 @@ class AnnotateMapper(Mapper):
     ) -> None:
         self._scheme = scheme
         self._pruned = pruned
-        self.annotated: List[AnnotatedEntity] = []
 
     def map(self, record: Entity, context: TaskContext) -> None:
         keys: Dict[str, Optional[str]] = {}
@@ -136,7 +135,6 @@ class AnnotateMapper(Mapper):
                 key = None
             keys[family] = key
         annotated: AnnotatedEntity = (record, keys)
-        self.annotated.append(annotated)
         for family, key in keys.items():
             if key is not None:
                 context.emit((family, key), annotated)

@@ -27,6 +27,7 @@ from ..data.entity import Entity, Pair, pair_key
 from ..evaluation.clustering import UnionFind
 from ..mapreduce.job import stable_hash
 from .delta import build_delta_job, plan_delta
+from .rows import entity_from_row, json_int
 from .session import ResolverSession
 from .store import BlockRoute, EntityStore
 
@@ -371,9 +372,12 @@ class ResolverService:
         recomputed from it, so only entities, stream state and the clock
         travel in the snapshot.  (Snapshots written before the per-pair
         ``"decisions"`` ledger was dropped still restore: the key is
-        ignored, nothing ever read it.)  Anything that is not a complete
-        snapshot of this format raises ``ValueError``, naming the section
-        (and row index) that cannot be parsed.
+        ignored, nothing ever read it.)  Entity rows are read by
+        :func:`~repro.service.rows.entity_from_row`, the parser `serve`
+        input goes through.  Anything that is not a complete snapshot of
+        this format, an entity id that appears twice included, raises
+        ``ValueError`` naming the section (and row index) that cannot be
+        parsed.
         """
         if not isinstance(snapshot, dict):
             raise ValueError("a snapshot is a JSON object")
@@ -389,7 +393,16 @@ class ResolverService:
         ]
         if missing:
             raise ValueError(f"snapshot has no {', '.join(missing)} section")
-        entities = _parse_rows(snapshot, "entities", _entity_row)
+        seen: Set[int] = set()
+
+        def entity_row(row: Dict[str, Any]) -> Tuple[int, Entity]:
+            entity = entity_from_row(row)
+            if entity.id in seen:
+                raise ValueError(f"entity id {entity.id} appears twice")
+            seen.add(entity.id)
+            return json_int(row["batch"], "'batch'"), entity
+
+        entities = _parse_rows(snapshot, "entities", entity_row)
         events = _parse_rows(snapshot, "events", _event_row)
         counts = {}
         for section, parse in (("clock", float), ("batches", int), ("comparisons", int)):
@@ -503,24 +516,11 @@ def _parse_rows(snapshot: Dict[str, Any], section: str, parse) -> List[Any]:
     return parsed
 
 
-def _entity_row(row: Dict[str, Any]) -> Tuple[int, Entity]:
-    attrs = row["attrs"]
-    if not isinstance(attrs, dict):
-        raise TypeError(f"'attrs' must be an object, got {attrs!r}")
-    source = row.get("source")
-    entity = Entity(
-        int(row["id"]),
-        {key: str(value) for key, value in attrs.items()},
-        source=None if source is None else str(source),
-    )
-    return int(row["batch"]), entity
-
-
 def _event_row(row: Dict[str, Any]) -> PairEvent:
     first, second = row["pair"]
     return PairEvent(
         seq=int(row["seq"]),
-        pair=pair_key(int(first), int(second)),
+        pair=pair_key(json_int(first, "'pair'"), json_int(second, "'pair'")),
         batch=int(row["batch"]),
         time=float(row["time"]),
     )

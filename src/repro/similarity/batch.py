@@ -286,12 +286,28 @@ class BatchMatcher:
             return []
         _STATS["batches"] += 1
         _STATS["pairs"] += len(pairs)
-        matcher = self.matcher
-        if matcher._cache is not None:
-            # The pair cache wants the full score anyway: no point
-            # bounding, and the cache stays in the one place that owns it.
-            return [matcher.similarity(e1, e2) >= self._threshold for e1, e2 in pairs]
-        return self._bounded_decisions(pairs)
+        cache = self.matcher._cache
+        if cache is None:
+            return self._bounded_decisions(pairs)
+        # The matcher's pair cache holds decisions; a hit answers only for
+        # the two entity objects it was decided on.  Misses are bounded too.
+        ordered = [(e1, e2) if e1.id < e2.id else (e2, e1) for e1, e2 in pairs]
+        out = []
+        misses = []
+        for p, (low, high) in enumerate(ordered):
+            hit = cache.get((low.id, high.id))
+            if hit is not None and hit[0] is low and hit[1] is high:
+                out.append(hit[2])
+            else:
+                out.append(False)
+                misses.append(p)
+        if misses:
+            decided = self._bounded_decisions([pairs[p] for p in misses])
+            for p, decision in zip(misses, decided):
+                low, high = ordered[p]
+                cache[(low.id, high.id)] = (low, high, decision)
+                out[p] = decision
+        return out
 
     def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
         """Rule-major bounded evaluation of one batch.

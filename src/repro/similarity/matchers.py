@@ -219,9 +219,11 @@ class WeightedMatcher:
         rules: per-attribute contribution rules.
         threshold: declare a duplicate when the weighted similarity is at
             least this value.
-        cache: memoize pair similarities by entity-id pair.  A stored
-            value answers only for the two entity *objects* it was computed
-            from, so one matcher may serve datasets with overlapping ids;
+        cache: memoize match decisions by entity-id pair; filled and read
+            by :meth:`BatchMatcher.decisions
+            <repro.similarity.batch.BatchMatcher.decisions>`.  A stored
+            decision answers only for the two entity *objects* it was made
+            on, so one matcher may serve datasets with overlapping ids;
             benchmark harnesses use it to share comparisons across the many
             runs they perform on one dataset.
     """
@@ -242,25 +244,13 @@ class WeightedMatcher:
         self._cache: Optional[dict] = {} if cache else None
 
     def clear_cache(self) -> None:
-        """Drop all memoized similarities."""
+        """Drop all memoized decisions."""
         if self._cache is not None:
             self._cache.clear()
 
     def similarity(self, e1: Entity, e2: Entity) -> float:
         """Weighted similarity in [0, 1]; attributes missing on both sides
         are excluded and the remaining weights re-normalized."""
-        if self._cache is None:
-            return self._similarity(e1, e2)
-        low, high = (e1, e2) if e1.id < e2.id else (e2, e1)
-        key = (low.id, high.id)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is low and hit[1] is high:
-            return hit[2]
-        value = self._similarity(e1, e2)
-        self._cache[key] = (low, high, value)
-        return value
-
-    def _similarity(self, e1: Entity, e2: Entity) -> float:
         total_weight = 0.0
         total = 0.0
         for rule in self.rules:

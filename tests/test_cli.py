@@ -168,6 +168,20 @@ class TestParser:
             # A window below 2 compares nothing: Basic would report recall 0.
             ["run", "--size", "60", "--approach", "basic", "--window", "0"],
             ["compare", "--size", "60", "--window", "0"],
+            ["run", "--size", "60", "--fault-rate", "2"],
+            ["run", "--size", "60", "--straggler-rate", "1.5"],
+            ["serve", "--straggler-factor", "0.5"],
+            ["run", "--size", "60", "--metablock-ratio", "0"],
+            ["calibrate", "--metablock-ratio", "1.5"],
+            ["run", "--size", "60", "--approach", "basic", "--threshold", "-1"],
+            ["compare", "--size", "60", "--threshold", "1.5"],
+            # The popcorn threshold's interval is open at both ends.
+            ["compare", "--size", "60", "--threshold", "1"],
+            ["run", "--size", "60", "--approach", "basic", "--threshold", "0"],
+            ["serve", "--batch-size", "0"],
+            ["calibrate", "--repeats", "0"],
+            ["serve", "--min-family-matches", "0"],
+            ["submit", "--snapshot", "state.json", "--min-family-matches", "0"],
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):

@@ -83,9 +83,9 @@ class TestApproachConfig:
 
     def test_sort_attribute_follows_blocking_function(self):
         config = citeseer_config()
-        assert config.sort_attribute("X") == "title"
-        assert config.sort_attribute("Y") == "abstract"
-        assert config.sort_attribute("Z") == "venue"
+        assert config.scheme.sort_attribute("X") == "title"
+        assert config.scheme.sort_attribute("Y") == "abstract"
+        assert config.scheme.sort_attribute("Z") == "venue"
 
     def test_validation(self):
         with pytest.raises(ValueError):

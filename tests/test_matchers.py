@@ -112,7 +112,7 @@ class TestWeightedMatcher:
 
     def test_clear_cache(self):
         matcher = WeightedMatcher([AttributeRule("a", 1.0)], threshold=0.5, cache=True)
-        matcher.similarity(_e(1, a="x"), _e(2, a="y"))
+        BatchMatcher(matcher).decisions([(_e(1, a="x"), _e(2, a="y"))])
         assert matcher._cache
         matcher.clear_cache()
         assert not matcher._cache

@@ -1,0 +1,159 @@
+"""The entity-row parser and JSONL reader, tested without the CLI."""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+
+import pytest
+
+from repro.core import citeseer_config
+from repro.data import Entity
+from repro.service import ResolverService
+from repro.service.rows import batch_rows, entity_from_row, json_int, read_entity_rows
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("value, expected", [(7, 7), ("12", 12), (-3, -3), ("-4", -4)])
+    def test_ints_and_decimal_strings(self, value, expected):
+        assert json_int(value, "'id'") == expected
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "x1", "1.5", None, [1], {}])
+    def test_everything_else_is_rejected(self, value):
+        with pytest.raises(ValueError, match="'id' must be an integer"):
+            json_int(value, "'id'")
+
+
+class TestEntityFromRow:
+    def test_flat_attributes(self):
+        entity = entity_from_row({"id": 3, "title": "a", "year": 1999, "batch": 2})
+        assert entity == Entity(3)
+        assert entity.attrs == {"title": "a", "year": "1999"}
+        assert entity.source is None
+
+    def test_nested_attributes_and_source(self):
+        entity = entity_from_row(
+            {"id": "4", "attrs": {"title": "b"}, "source": "a", "ignored": 1}
+        )
+        assert (entity.id, entity.attrs, entity.source) == (4, {"title": "b"}, "a")
+
+    def test_null_attrs_means_flat(self):
+        assert entity_from_row({"id": 1, "attrs": None, "t": "x"}).attrs == {"t": "x"}
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ({"id": 1.5}, "'id'"),
+            ({"id": True}, "'id'"),
+            ({"id": 1, "attrs": [1, 2]}, "'attrs'"),
+            ({"id": 1, "source": 5}, "'source'"),
+        ],
+    )
+    def test_malformed_rows_raise_value_error(self, row, named):
+        with pytest.raises(ValueError, match=named):
+            entity_from_row(row)
+
+
+def _write(tmp_path, data, name="in.jsonl"):
+    path = tmp_path / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return str(path)
+
+
+class TestReadEntityRows:
+    def test_rows_and_explicit_batches(self, tmp_path):
+        path = _write(
+            tmp_path,
+            '{"id": 1, "title": "a"}\n\n{"id": "2", "attrs": {"title": "b"}, "batch": 5}\n',
+        )
+        rows = read_entity_rows(path)
+        assert [(batch, entity.id) for batch, entity in rows] == [(None, 1), (5, 2)]
+        assert rows[1][1].attrs == {"title": "b"}
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"id": 1}\nnot-json\n', ":2: not valid JSON"),
+            ('{"title": "x"}\n', ":1: each line must be an object"),
+            ('[1]\n', ":1: each line must be an object"),
+            ('{"id": 1.5}\n', ":1: 'id' must be an integer"),
+            ('{"id": 1, "batch": "soon"}\n', ":1: 'batch' must be an integer"),
+            ('{"id": 1, "attrs": 5}\n', ":1: 'attrs' must be an object"),
+            ('{"id": 1}\n{"id": 1}\n', ":2: entity id 1 already appears on line 1"),
+            (b'{"id": 1}\n{"id": 2, "t": "caf\xe9"}\n', ":2: not valid UTF-8"),
+        ],
+    )
+    def test_every_error_names_path_and_line(self, tmp_path, text, named):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(path + named)):
+            read_entity_rows(path)
+
+    def test_taken_ids_are_rejected(self, tmp_path):
+        path = _write(tmp_path, '{"id": 1}\n{"id": 9}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: entity id 9 was already")):
+            read_entity_rows(path, taken={9})
+
+    def test_missing_input_names_the_path(self, tmp_path):
+        path = str(tmp_path / "missing.jsonl")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: cannot read input")):
+            read_entity_rows(path)
+
+    def test_dash_reads_stdin(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b'{"id": 4, "t": "x"}\n'))
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert [entity.id for _, entity in read_entity_rows("-")] == [4]
+
+
+class TestBatchRows:
+    def test_chunks_without_batch_fields(self):
+        rows = [(None, Entity(i)) for i in range(5)]
+        assert [[e.id for e in b] for b in batch_rows(rows, 2)] == [[0, 1], [2, 3], [4]]
+
+    def test_explicit_batches_group_ascending(self):
+        rows = [(3, Entity(0)), (None, Entity(1)), (1, Entity(2)), (3, Entity(3))]
+        assert [[e.id for e in b] for b in batch_rows(rows, 100)] == [[1], [2], [0, 3]]
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    from repro.data import make_citeseer
+
+    service = ResolverService(citeseer_config(), machines=2)
+    service.submit(make_citeseer(60, seed=3).entities)
+    assert service.pairs(), "the fixture needs at least one pair event"
+    return json.loads(json.dumps(service.snapshot()))
+
+
+def _mutated(snapshot, section, index, key, value):
+    copy = json.loads(json.dumps(snapshot))
+    copy[section][index][key] = value
+    return copy
+
+
+class TestRestoreUsesTheRowParser:
+    @pytest.mark.parametrize("value", [1.5, True, "x"])
+    def test_entity_id_that_is_not_an_integer(self, snapshot, value):
+        bad = _mutated(snapshot, "entities", 0, "id", value)
+        with pytest.raises(ValueError, match=re.escape("entities[0]")):
+            ResolverService.restore(bad, citeseer_config(), machines=2)
+
+    def test_duplicate_entity_id(self, snapshot):
+        bad = _mutated(snapshot, "entities", 2, "id", snapshot["entities"][0]["id"])
+        with pytest.raises(ValueError, match=re.escape("entities[2]") + ".*twice"):
+            ResolverService.restore(bad, citeseer_config(), machines=2)
+
+    def test_event_pair_that_is_not_integers(self, snapshot):
+        bad = _mutated(snapshot, "events", 0, "pair", [1.5, 2])
+        with pytest.raises(ValueError, match=re.escape("events[0]")):
+            ResolverService.restore(bad, citeseer_config(), machines=2)
+
+    def test_decimal_string_ids_restore(self, snapshot):
+        text_ids = json.loads(json.dumps(snapshot))
+        for row in text_ids["entities"]:
+            row["id"] = str(row["id"])
+        restored = ResolverService.restore(text_ids, citeseer_config(), machines=2)
+        assert restored.snapshot() == snapshot
