@@ -10,7 +10,7 @@ overflowed trees (Section IV-C2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..data.entity import pairs_count
 

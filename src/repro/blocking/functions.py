@@ -12,7 +12,7 @@ functions (Section IV-A): earlier family == more dominating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..data.entity import Entity
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -738,15 +737,14 @@ def _command_calibrate(args: argparse.Namespace) -> int:
     config = _progressive_config(args.family, args)
     samples = []
     for _ in range(args.repeats):
-        spec = _run_spec(args, config, dataset=dataset)
-        run = ExperimentRun(spec).run()
+        experiment = ExperimentRun(_run_spec(args, config, dataset=dataset))
+        run = experiment.run()
         samples.extend(task_samples([run.result.job1, run.result.job2]))
     try:
         fit = fit_cost_model(samples)
     except ValueError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers or os.cpu_count() or 1
     report = calibration_report(
         fit,
         workload={
@@ -756,7 +754,9 @@ def _command_calibrate(args: argparse.Namespace) -> int:
             "machines": args.machines,
             "repeats": args.repeats,
         },
-        workers=workers if args.backend == "process" else 1,
+        # What the executor ran: the serial one has no workers, the process
+        # one defaults to the CPUs its affinity mask allows.
+        workers=getattr(experiment.cluster.executor, "workers", 1),
         backend=args.backend,
     )
     print(format_calibration_report(report))

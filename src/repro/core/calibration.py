@@ -31,11 +31,11 @@ under contention) rather than silently trusted.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..mapreduce.clock import CostModel
+from ..mapreduce.executors import visible_cpus
 from ..mapreduce.types import JobResult, TaskResult
 
 #: Charge categories the fit solves for, in reporting order.  ``other`` is
@@ -239,14 +239,6 @@ def _median(values: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def visible_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def calibration_report(

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..blocking.blocker import build_forests
 from ..blocking.blocks import Block
 from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
-from ..data.entity import pair_key, pairs_count
+from ..data.entity import pair_key
 from ..mapreduce.clock import CostModel
-from ..mechanisms.base import Mechanism, window_pairs_count
-from .config import ApproachConfig, LevelPolicy
+from ..mechanisms.base import window_pairs_count
+from .config import ApproachConfig
 
 #: Upper bounds of the size-fraction sub-ranges used by the learned model.
 FRACTION_BINS: Tuple[float, ...] = (

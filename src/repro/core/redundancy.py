@@ -13,7 +13,7 @@ communication.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 #: A dominance-list entry: a tree's dominance value, or an entity-unique
 #: sentinel (negative) when the entity is not blocked under that family.

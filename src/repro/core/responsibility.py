@@ -17,7 +17,7 @@ which every ``OLP({X^i_j} ∪ H)`` term is a marginal.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..data.entity import pairs_count
 from .statistics import DatasetStatistics, OverlapHistogram

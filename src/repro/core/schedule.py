@@ -25,7 +25,7 @@ tree schedulers compared in Section VI-B2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 from ..blocking.blocks import Block
 

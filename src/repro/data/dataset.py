@@ -11,9 +11,9 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
-from .entity import Entity, Pair, pair_key, pairs_count
+from .entity import Entity, Pair, pair_key
 
 
 @dataclass

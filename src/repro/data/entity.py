@@ -8,7 +8,7 @@ in sets and dictionaries throughout the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True)

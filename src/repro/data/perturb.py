@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
 # Visually/typographically confusable character groups (OCR-style noise).
 _CONFUSIONS: Dict[str, str] = {

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .experiment import RunResult
-from .metrics import RecallCurve
 
 #: Plot symbols assigned to curves in order.
 _SYMBOLS = "o*x+#@%&"

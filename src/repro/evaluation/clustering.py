@@ -8,7 +8,7 @@ union by size.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from ..data.entity import Pair
 

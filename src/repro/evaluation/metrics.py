@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..data.dataset import Dataset

@@ -3,10 +3,9 @@ tables and figures show."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .experiment import RunResult
-from .metrics import RecallCurve
 
 
 def format_table(

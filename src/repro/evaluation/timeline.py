@@ -8,9 +8,9 @@ grinds through an overflowed tree, and how balanced a job's phases are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from ..mapreduce.types import JobResult, TaskResult
+from ..mapreduce.types import JobResult
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 from .clock import CostModel
 from .counters import Counters
 from .faults import FaultPlan, FaultScheduler, TaskSchedule
-from .executors import (
-    Executor,
-    MapTaskPayload,
-    ReduceTaskPayload,
-    SerialExecutor,
-    default_group_key as _default_key,
-    group_by_key as _group_by_key,
-    run_job_reset_hooks,
-)
+from .executors import Executor, SerialExecutor, run_job_reset_hooks
 from .job import TRACE_CONFIG_KEY, MapReduceJob, split_input
 from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 
@@ -126,33 +118,25 @@ class Cluster:
         start_time: float = 0.0,
         num_map_tasks: Optional[int] = None,
         num_reduce_tasks: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        faults: Optional[FaultPlan] = None,
     ) -> JobResult:
         """Execute one MapReduce job and return its :class:`JobResult`.
 
         ``records`` is the logical input file; it is split contiguously
         across map tasks.  ``start_time`` lets callers chain jobs (Job 2
-        starts when Job 1 ends).  ``executor`` overrides the cluster's
-        backend for this job only.
+        starts when Job 1 ends).
 
-        ``faults`` overrides the cluster's :class:`FaultPlan` for this job
-        only: seeded partial-cost crashes, straggler slowdowns, retry
-        backoff and speculative execution (see
-        :mod:`repro.mapreduce.faults`).  A failed attempt loses its
-        partial work and the task re-executes from scratch — results are
-        identical, only the timeline stretches.  With no plan on the job
-        or the cluster, phases are placed under an inert ``FaultPlan()``.
+        Phases run on the cluster's executor and are placed under the
+        cluster's :class:`FaultPlan` (see :mod:`repro.mapreduce.faults`),
+        or an inert ``FaultPlan()`` when it has none.  A failed attempt
+        loses its partial work and the task re-executes from scratch —
+        results are identical, only the timeline stretches.
         """
-        plan = faults if faults is not None else self.faults
-        if plan is None:
-            plan = FaultPlan()
+        plan = self.faults if self.faults is not None else FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
         # Plain assignment, not setdefault: a job object may be reused
         # against clusters with and without a tracer.
         job.config[TRACE_CONFIG_KEY] = self.tracer is not None
-        backend = executor if executor is not None else self.executor
         # Reset process-global wall-clock caches (similarity memo et al.) so
         # per-job `matcher.*` metrics describe this job, not every job the
         # process ever ran; parallel workers run the same hooks at fork.
@@ -166,26 +150,25 @@ class Cluster:
         splits = split_input(records, n_map)
         wall_start = time.perf_counter()
         map_results, partitions = self._run_map_phase(
-            job, splits, n_red, start_time, counters, aux, backend, plan,
+            job, splits, n_red, start_time, counters, aux, plan,
         )
         map_wall = time.perf_counter() - wall_start
         map_phase_end = max((t.end_time for t in map_results), default=start_time)
         _record_cost_skew(aux, "map", [t.cost for t in map_results])
         self._snapshot_phase(
-            f"{job.name}/map", counters, aux, backend,
+            f"{job.name}/map", counters, aux,
             tasks=len(map_results), phase_end=map_phase_end, wall=map_wall,
         )
 
         wall_start = time.perf_counter()
         reduce_results, files = self._run_reduce_phase(
-            job, partitions, n_red, map_phase_end, counters, aux,
-            backend, plan,
+            job, partitions, n_red, map_phase_end, counters, aux, plan,
         )
         reduce_wall = time.perf_counter() - wall_start
         end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
         _record_cost_skew(aux, "reduce", [t.cost for t in reduce_results])
         self._snapshot_phase(
-            f"{job.name}/reduce", counters, aux, backend,
+            f"{job.name}/reduce", counters, aux,
             tasks=len(reduce_results), phase_end=end_time, wall=reduce_wall,
         )
         if self.tracer is not None:
@@ -229,7 +212,6 @@ class Cluster:
         scope: str,
         counters: Counters,
         aux: Counters,
-        backend: Executor,
         *,
         tasks: int,
         phase_end: float,
@@ -245,7 +227,7 @@ class Cluster:
         backends, which is why they are surfaced here and never merged
         into the backend-identical job counters.
         """
-        perf = backend.drain_stats()
+        perf = self.executor.drain_stats()
         if self.metrics is None:
             return
         flat = counters.as_flat_dict()
@@ -257,7 +239,7 @@ class Cluster:
         self.metrics.snapshot(
             scope,
             flat,
-            backend=backend.name,
+            backend=self.executor.name,
             tasks=tasks,
             phase_end=phase_end,
             wall_seconds=round(wall, 6),
@@ -277,7 +259,6 @@ class Cluster:
         start_time: float,
         counters: Counters,
         aux: Counters,
-        backend: Executor,
         plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[List[KeyValue]]]:
         """Run all map tasks; return task results and per-reducer partitions.
@@ -286,7 +267,7 @@ class Cluster:
         scheduling, counter aggregation and partitioning replay them here,
         in task-id order, so the timeline never depends on the backend.
         """
-        payloads = backend.run_map_phase(job, splits, self.cost_model)
+        payloads = self.executor.run_map_phase(job, splits, self.cost_model)
         schedules = self._place_phase(
             plan, job, "map", self.machines * self.map_slots, start_time,
             payloads, counters,
@@ -487,11 +468,10 @@ class Cluster:
         phase_start: float,
         counters: Counters,
         aux: Counters,
-        backend: Executor,
         plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[OutputFile]]:
         """Run all reduce tasks; return task results and output files."""
-        payloads = backend.run_reduce_phase(job, partitions, self.cost_model)
+        payloads = self.executor.run_reduce_phase(job, partitions, self.cost_model)
         schedules = self._place_phase(
             plan, job, "reduce", self.machines * self.reduce_slots,
             phase_start, payloads, counters,

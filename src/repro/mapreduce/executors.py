@@ -38,10 +38,7 @@ Both phases go through :meth:`ParallelExecutor._run_phase`:
   Hadoop reduce task reads the map output where it lies; only bare task
   ids go down the call queue and one :mod:`repro.mapreduce.wire` result
   blob per task comes back.  ``pool_forks`` therefore counts fanned-out
-  phases.  The fork per phase replaced one fork per job plus a
-  pickle-and-zlib of every reduce partition in the driver:
-  ``books_process`` ``run_s`` 3.57 → 2.41 s, ten alternating pairs
-  (``docs/architecture.md`` has the runs).
+  phases.
 * **stats** — ``ipc_bytes`` counts the result blobs and ``worker_idle_ms``
   is workers × phase wall minus the task wall time the payloads report.
 * **failures are errors, not hangs** — a task that raises, or a worker
@@ -401,9 +398,9 @@ class SerialExecutor(Executor):
         ]
 
 
-#: ``(compute, encode, job, inputs, cost_model)`` of the phase currently
-#: fanned out, set for the length of one ``_run_phase`` call.  Workers
-#: forked meanwhile inherit it (and everything it references — the job's
+#: ``(compute, job, inputs, cost_model)`` of the phase currently fanned
+#: out, set for the length of one ``_run_phase`` call.  Workers forked
+#: meanwhile inherit it (and everything it references — the job's
 #: closures, the dataset slices in the inputs) copy-on-write, so neither
 #: the never-picklable job nor a task's input is ever serialized.
 _ACTIVE_PHASE: Optional[tuple] = None
@@ -411,12 +408,13 @@ _ACTIVE_PHASE: Optional[tuple] = None
 
 def _run_task(task_id: int) -> bytes:
     """Pool task body (runs in a forked worker); returns the wire blob."""
-    compute, encode, job, inputs, cost_model = _ACTIVE_PHASE
-    return encode(compute(job, inputs[task_id], task_id, cost_model))
+    compute, job, inputs, cost_model = _ACTIVE_PHASE
+    return wire.encode(compute(job, inputs[task_id], task_id, cost_model))
 
 
-def _default_workers() -> int:
-    """Worker count honoring CPU affinity where the platform exposes it."""
+def visible_cpus() -> int:
+    """CPUs this process may run on (affinity-aware): the default worker
+    count of :class:`ParallelExecutor`."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -457,7 +455,7 @@ class ParallelExecutor(Executor):
     ) -> None:
         if workers is not None and workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = workers if workers is not None else _default_workers()
+        self.workers = workers if workers is not None else visible_cpus()
         self.serial_floor = serial_floor
         self._can_fork = "fork" in multiprocessing.get_all_start_methods()
         self._phase_stats: Dict[str, int] = {}
@@ -478,10 +476,7 @@ class ParallelExecutor(Executor):
 
     def run_map_phase(self, job, splits, cost_model):
         estimate = cost_model.read_record * sum(len(s) for s in splits)
-        return self._run_phase(
-            compute_map_task, wire.encode_map_payload, wire.decode_map_payload,
-            job, splits, cost_model, estimate,
-        )
+        return self._run_phase(compute_map_task, job, splits, cost_model, estimate)
 
     def run_reduce_phase(self, job, partitions, cost_model):
         total_items = sum(len(p) for p in partitions)
@@ -490,8 +485,7 @@ class ParallelExecutor(Executor):
             + cost_model.sort_cost(total_items)
         )
         return self._run_phase(
-            compute_reduce_task, wire.encode_reduce_payload,
-            wire.decode_reduce_payload, job, partitions, cost_model, estimate,
+            compute_reduce_task, job, partitions, cost_model, estimate
         )
 
     def _should_fan_out(self, num_tasks: int, estimated_cost: float) -> bool:
@@ -502,7 +496,7 @@ class ParallelExecutor(Executor):
             and estimated_cost >= self.serial_floor
         )
 
-    def _run_phase(self, compute, encode, decode, job, inputs, cost_model, estimate):
+    def _run_phase(self, compute, job, inputs, cost_model, estimate):
         """One task per input, inline or on a pool forked for this phase;
         payloads by task id."""
         global _ACTIVE_PHASE
@@ -520,7 +514,7 @@ class ParallelExecutor(Executor):
         )
         # With the fork context every worker is forked inside the first
         # ``submit`` below, so the phase must be the global by then.
-        _ACTIVE_PHASE = (compute, encode, job, inputs, cost_model)
+        _ACTIVE_PHASE = (compute, job, inputs, cost_model)
         try:
             self._count("pool_forks", 1)
             self._count("tasks_fanned", num_tasks)
@@ -539,7 +533,7 @@ class ParallelExecutor(Executor):
                         f"parallel worker failed on task {futures[future]}:\n{trace}"
                     ) from error
                 self._count("ipc_bytes", len(blob))
-                payloads.append(decode(blob))
+                payloads.append(wire.decode(blob))
             # Idle = worker-seconds the phase held minus those spent in tasks.
             phase_ns = (time.perf_counter_ns() - wall_start) * self.workers
             busy_ns = sum(payload.wall_ns for payload in payloads)
@@ -581,4 +575,5 @@ __all__ = [
     "DEFAULT_SERIAL_FLOOR",
     "BACKENDS",
     "make_executor",
+    "visible_cpus",
 ]

@@ -7,7 +7,7 @@ files up to that time."
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List
+from typing import Any, List
 
 from .types import JobResult, OutputFile
 

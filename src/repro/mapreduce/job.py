@@ -10,7 +10,7 @@ task).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from .clock import CostModel, VirtualClock
 from .counters import Counters

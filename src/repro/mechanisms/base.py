@@ -45,7 +45,7 @@ safe:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..data.entity import Entity

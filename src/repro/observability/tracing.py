@@ -35,7 +35,7 @@ a JSONL event log, and a terminal per-task Gantt/skew summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 #: Track index reserved for job- and phase-level spans; slot ``s`` of a

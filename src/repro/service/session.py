@@ -17,7 +17,7 @@ drove the work.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from ..baselines.basic import BasicER
 from ..core.driver import ProgressiveER

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,26 @@ class TestCalibrate:
         assert report["samples_used"] > 0
         assert report["workload"]["family"] == "citeseer"
         assert all(v >= 0.0 for v in report["seconds_per_unit"].values())
+
+    def test_reports_the_workers_the_executor_ran(self, monkeypatch, tmp_path, capsys):
+        # More CPUs installed than the affinity mask allows: the process
+        # executor runs one worker per allowed CPU, and the report says so.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "calibration.json"
+        code = main(
+            [
+                "calibrate", "--family", "citeseer", "--size", "200",
+                "--machines", "2", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["backend"] == "process"
+        assert report["workers"] == 2
+        assert report["cpus_visible"] == 2
+        assert report["parallelism_limited"] is False
+        assert "WARNING" not in capsys.readouterr().out
 
     def test_metablock_ratio_reaches_the_workload(self, monkeypatch, capsys):
         import repro.cli as cli

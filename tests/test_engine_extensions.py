@@ -138,7 +138,7 @@ class TestFailureInjection:
     def test_output_identical_under_failures(self):
         lines = ["a b", "b c", "c d"]
         clean = Cluster(2).run_job(_job(), lines)
-        failed = Cluster(2).run_job(_job(), lines, faults=_FAULTS)
+        failed = Cluster(2, faults=_FAULTS).run_job(_job(), lines)
         assert _failed(failed, "map") >= 1 and _failed(failed, "reduce") >= 1
         assert sorted(clean.output) == sorted(failed.output)
         assert sorted(
@@ -148,7 +148,7 @@ class TestFailureInjection:
     def test_failures_stretch_the_timeline(self):
         lines = [f"w{i}" for i in range(8)]
         clean = Cluster(1).run_job(_job(), lines)
-        failed = Cluster(1).run_job(_job(), lines, faults=_FAULTS)
+        failed = Cluster(1, faults=_FAULTS).run_job(_job(), lines)
         assert _failed(failed, "map") >= 1
         assert failed.end_time > clean.end_time
         # The reduce barrier moves with the stretched map phase.
@@ -158,7 +158,7 @@ class TestFailureInjection:
         )
 
     def test_retries_counted(self):
-        result = Cluster(1).run_job(_job(), ["a b"], faults=_FAULTS)
+        result = Cluster(1, faults=_FAULTS).run_job(_job(), ["a b"])
         assert _failed(result, "map") >= 1 and _failed(result, "reduce") >= 1
         assert result.counters.get("engine", "map_retries") == sum(
             t.num_failed_attempts for t in result.map_tasks
@@ -177,9 +177,7 @@ class TestFailureInjection:
         job = MapReduceJob(_WordMapper, EventReducer, alpha=2.0, name="wordcount")
         clean = Cluster(1).run_job(job, ["a"], num_reduce_tasks=1)
         job2 = MapReduceJob(_WordMapper, EventReducer, alpha=2.0, name="wordcount")
-        failed = Cluster(1).run_job(
-            job2, ["a"], num_reduce_tasks=1, faults=_FAULTS
-        )
+        failed = Cluster(1, faults=_FAULTS).run_job(job2, ["a"], num_reduce_tasks=1)
         assert _failed(failed, "reduce") >= 1
         clean_event = [e for e in clean.events if e.kind == "tick"][0]
         failed_event = [e for e in failed.events if e.kind == "tick"][0]

@@ -160,11 +160,11 @@ class TestEngineParity:
 
     def test_failure_injection_parity(self):
         # Seed 2 crashes attempt 0 of map task 0 and of reduce task 0.
-        kwargs = dict(faults=FaultPlan(seed=2, fault_rate=0.3))
-        serial = Cluster(2).run_job(_wordcount_job(), _LINES, **kwargs)
-        process = Cluster(2, executor=ParallelExecutor(WORKERS)).run_job(
-            _wordcount_job(), _LINES, **kwargs
-        )
+        plan = FaultPlan(seed=2, fault_rate=0.3)
+        serial = Cluster(2, faults=plan).run_job(_wordcount_job(), _LINES)
+        process = Cluster(
+            2, executor=ParallelExecutor(WORKERS), faults=plan
+        ).run_job(_wordcount_job(), _LINES)
         assert serial.counters.get("fault", "map_failed_attempts") >= 1
         assert serial.counters.get("fault", "reduce_failed_attempts") >= 1
         assert job_fingerprint(serial) == job_fingerprint(process)
@@ -175,14 +175,6 @@ class TestEngineParity:
             _wordcount_job(), []
         )
         assert job_fingerprint(serial) == job_fingerprint(process)
-
-    def test_per_job_executor_override(self):
-        cluster = Cluster(2)  # serial by default
-        override = cluster.run_job(
-            _wordcount_job(), _LINES, executor=ParallelExecutor(WORKERS)
-        )
-        default = cluster.run_job(_wordcount_job(), _LINES)
-        assert job_fingerprint(override) == job_fingerprint(default)
 
 
 class TestFaultParity:

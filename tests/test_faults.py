@@ -330,13 +330,6 @@ class TestEngineIntegration:
             t.speculative for t in result.map_tasks + result.reduce_tasks
         )
 
-    def test_per_job_plan_overrides_cluster_plan(self):
-        cluster = Cluster(2, faults=FaultPlan(fault_rate=1.0))
-        # The per-job inert plan overrides the cluster's always-crashing one.
-        result = cluster.run_job(_wordcount_job(), _LINES, faults=FaultPlan())
-        base = Cluster(2).run_job(_wordcount_job(), _LINES)
-        assert job_fingerprint(result) == job_fingerprint(base)
-
     def test_abort_propagates_from_engine(self):
         plan = FaultPlan(seed=0, fault_rate=1.0)
         with pytest.raises(JobAbortedError):

@@ -1,4 +1,4 @@
-"""The parallel runtime's plumbing: slim wire format, one fork-context
+"""The parallel runtime's plumbing: wire format, one fork-context
 pool per fanned-out phase, the adaptive serial floor, worker failures, and
 worker stat deltas.
 
@@ -119,13 +119,19 @@ class TestWireFormat:
         assert decoded.files == payload.files
         assert decoded.num_groups == payload.num_groups
 
-    def test_small_blobs_skip_compression(self):
-        blob = wire.encode_map_payload(_empty_map_payload([("k", 1)]))
+    def test_zlib_only_when_smaller(self):
+        compressible = _empty_map_payload([("k", "v" * 4096)])
+        assert wire.encode_map_payload(compressible)[:1] == b"\x01"
+        # Random bytes do not compress: the raw pickle is kept.
+        noise = _empty_map_payload([("k", os.urandom(1 << 20))])
+        blob = wire.encode_map_payload(noise)
         assert blob[:1] == b"\x00"
+        assert len(blob) == 1 + len(pickle.dumps(noise, pickle.HIGHEST_PROTOCOL))
+        assert wire.decode_map_payload(blob).emitted == noise.emitted
 
     def test_redundant_payloads_compress(self):
         # ER payloads repeat attribute text constantly; zlib must engage
-        # above the threshold and beat the plain pickle by a wide margin.
+        # and beat the plain pickle by a wide margin.
         records = [("the same blocking key", "the same attribute value")] * 500
         blob = wire.encode_map_payload(_empty_map_payload(records))
         raw = len(pickle.dumps(tuple(records)))

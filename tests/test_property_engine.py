@@ -66,8 +66,8 @@ class TestEngineProperties:
     def test_failures_never_change_output(self, lines):
         clean = Cluster(2).run_job(_job(), lines)
         # Seed 2 crashes attempt 0 of map task 0 and of reduce task 0.
-        failed = Cluster(2).run_job(
-            _job(), lines, faults=FaultPlan(seed=2, fault_rate=0.3)
+        failed = Cluster(2, faults=FaultPlan(seed=2, fault_rate=0.3)).run_job(
+            _job(), lines
         )
         assert failed.counters.get("fault", "map_failed_attempts") >= 1
         assert failed.counters.get("fault", "reduce_failed_attempts") >= 1

@@ -223,11 +223,9 @@ class TestSpanCoverage:
                 context.write((key, len(values)))
 
         tracer = Tracer()
-        Cluster(1, tracer=tracer).run_job(
-            MapReduceJob(Identity, Count, name="retry-job"),
-            ["a", "b"],
-            # Seed 28 crashes map task 0 twice and no other attempt.
-            faults=FaultPlan(seed=28, fault_rate=0.5),
+        # Seed 28 crashes map task 0 twice and no other attempt.
+        Cluster(1, tracer=tracer, faults=FaultPlan(seed=28, fault_rate=0.5)).run_job(
+            MapReduceJob(Identity, Count, name="retry-job"), ["a", "b"]
         )
         attempts = [s for s in tracer.spans if s.category == "attempt"]
         assert len(attempts) == 2
