@@ -2,7 +2,7 @@
 
 One submit runs one job.  Map routes each member of an *affected* block
 (a level-1 block containing at least one new entity) to that block's
-reduce target(s); reduce feeds the block's *fresh* pairs to
+reduce target(s); reduce feeds the block's fresh candidate pairs to
 :func:`~repro.mechanisms.base.resolve_block` — the same collect → decide →
 replay loop Job 2 runs — and writes what Job 2 writes: the duplicate
 pairs.  The job runs on the ordinary cluster engine, so executor pools,
@@ -21,20 +21,24 @@ comes from three rules, each a pure function of the two entities involved:
   younger of the two arrives.
 * **Freshness.**  Each submit decides only pairs with at least one member
   from the current batch; old-old pairs were decided when their younger
-  member arrived.  :func:`fresh_pairs` enumerates exactly those —
-  ``O(new · |block|)``, never the block's full pair set.  The union over
-  any batch sequence is therefore the one-shot candidate set, decided by
-  the same deterministic kernel.
+  member arrived.  The union over any batch sequence is therefore the
+  one-shot candidate set, decided by the same deterministic kernel.
 
-The first two rules are the reducer's ``admit`` predicate
-(:func:`responsible_family` plus the cross-source veto in linkage mode);
-the third is the pair stream it hands to ``resolve_block``.
+The reducer's pair stream is :func:`candidate_pairs`: the block's fresh
+pairs whose keys also agree on enough of the families *after* the
+block's, looked up per anchor in key indexes rather than scanned, so a
+block never walks pairs that a later family could not make candidates.
+Its ``admit`` predicate keeps the definitions — :func:`responsible_family`,
+left to reject the candidates an earlier family agrees on, plus the
+cross-source veto in linkage mode.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity, pair_key
@@ -78,8 +82,9 @@ def block_weight(members: Sequence[Tuple[int, bool]]) -> List[int]:
     """Per-anchor candidate-pair upper bounds for one affected block.
 
     ``members`` is (id, is_new) sorted by id.  Entry ``j`` counts the pairs
-    ``(i, j), i < j`` that pass the freshness filter — exact for planning
-    because responsibility and the key predicate only thin it further.
+    ``(i, j), i < j`` that pass the freshness filter, so planned pairs are
+    an upper bound on the pairs compared: :func:`candidate_pairs` and
+    responsibility only thin it further.
     """
     weights: List[int] = []
     new_before = 0
@@ -90,24 +95,66 @@ def block_weight(members: Sequence[Tuple[int, bool]]) -> List[int]:
     return weights
 
 
-def fresh_pairs(
-    members: Sequence[DeltaRecord], lo: int, hi: int
+def candidate_pairs(
+    members: Sequence[DeltaRecord],
+    lo: int,
+    hi: int,
+    family: str,
+    family_order: Sequence[str],
+    min_matches: int,
 ) -> Iterator[Tuple[Entity, Entity]]:
-    """The block's pairs with at least one new member, anchors ``[lo, hi)``.
+    """The fresh pairs of a ``family`` block that the block can decide.
 
-    ``members`` is sorted by id.  For anchor ``j``: every ``i < j`` when
-    ``j`` is new, else only the new ``i < j`` — anchor-major, ``i``
-    ascending, so :func:`block_weight` counts exactly what this yields.
+    ``members`` is sorted by id and shares the block's ``family`` key.  A
+    fresh pair — at least one new member, anchor in ``[lo, hi)`` — can be
+    decided here only if its keys also agree on ``min_matches - 1`` of the
+    families after ``family`` (the least-common-block rule), so each
+    anchor ``j`` looks its partners up in per-family key → positions
+    indexes (all members seen, and new members seen) instead of scanning
+    every ``i < j``.  With ``min_matches`` 1 every fresh partner is
+    yielded.  Order is anchor-major, ``i`` ascending — the fresh-pair
+    scan's own order with non-candidates left out — so batches, charges
+    and clocks match that scan's.  Pairs an *earlier* family agrees on
+    still come out; :func:`responsible_family` in ``admit`` rejects them.
     """
-    seen: List[Entity] = []
-    seen_new: List[Entity] = []
-    for j, (entity_j, _, new_j) in enumerate(members[:hi]):
+    later = tuple(family_order[family_order.index(family) + 1:])
+    need = min_matches - 1
+    if need > len(later):
+        return
+    entities = [entity for entity, _, _ in members]
+    new_positions: List[int] = []
+    index_all: List[Dict[str, List[int]]] = [{} for _ in later]
+    index_new: List[Dict[str, List[int]]] = [{} for _ in later]
+    for j, (entity_j, keys_j, new_j) in enumerate(members[:hi]):
+        codes = [keys_j.get(later_family) for later_family in later]
         if j >= lo:
-            for entity_i in seen if new_j else seen_new:
-                yield entity_i, entity_j
-        seen.append(entity_j)
+            if need <= 0:
+                partners: Sequence[int] = range(j) if new_j else new_positions
+            else:
+                index = index_all if new_j else index_new
+                hits = [
+                    index[f][code] for f, code in enumerate(codes)
+                    if code is not None and code in index[f]
+                ]
+                if len(hits) < need:
+                    partners = ()
+                elif len(hits) == 1:
+                    partners = hits[0]
+                elif need == 1:
+                    partners = sorted(set().union(*hits))
+                else:
+                    counts = Counter(chain.from_iterable(hits))
+                    partners = sorted(i for i, count in counts.items() if count >= need)
+            for i in partners:
+                yield entities[i], entity_j
+        if need > 0:
+            for f, code in enumerate(codes):
+                if code is not None:
+                    index_all[f].setdefault(code, []).append(j)
+                    if new_j:
+                        index_new[f].setdefault(code, []).append(j)
         if new_j:
-            seen_new.append(entity_j)
+            new_positions.append(j)
 
 
 @dataclass
@@ -242,8 +289,9 @@ class DeltaPartitioner(Partitioner):
 
 
 class DeltaReducer(Reducer):
-    """Decide one affected block (or shard): its fresh pairs through
-    :func:`~repro.mechanisms.base.resolve_block`, duplicates reported."""
+    """Decide one affected block (or shard): its :func:`candidate_pairs`
+    through :func:`~repro.mechanisms.base.resolve_block`, duplicates
+    reported."""
 
     def __init__(
         self,
@@ -291,7 +339,7 @@ class DeltaReducer(Reducer):
         trace = context.tracing
         started = context.clock.now if trace else 0.0
         stats = resolve_block(
-            fresh_pairs(members, lo, hi),
+            candidate_pairs(members, lo, hi, family, family_order, min_matches),
             self._matcher,
             context.cost_model,
             lambda units: context.charge(units, "compare"),
@@ -352,7 +400,7 @@ __all__ = [
     "DeltaPlan",
     "responsible_family",
     "block_weight",
-    "fresh_pairs",
+    "candidate_pairs",
     "plan_delta",
     "DeltaMapper",
     "DeltaPartitioner",

@@ -19,6 +19,7 @@ for why.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -375,9 +376,13 @@ class ResolverService:
         ignored, nothing ever read it.)  Entity rows are read by
         :func:`~repro.service.rows.entity_from_row`, the parser `serve`
         input goes through.  Anything that is not a complete snapshot of
-        this format, an entity id that appears twice included, raises
-        ``ValueError`` naming the section (and row index) that cannot be
-        parsed.
+        this format raises ``ValueError`` naming the section (and row
+        index) that cannot be parsed — and so does a snapshot that
+        contradicts itself: an entity id twice, an event pair naming an
+        unknown id or repeating an earlier pair, ``seq`` not running 1..N,
+        a ``batch`` outside 1..``batches``, a negative or non-finite
+        ``clock``, negative counts, or event times that decrease or pass
+        ``clock``.
         """
         if not isinstance(snapshot, dict):
             raise ValueError("a snapshot is a JSON object")
@@ -393,6 +398,15 @@ class ResolverService:
         ]
         if missing:
             raise ValueError(f"snapshot has no {', '.join(missing)} section")
+        counts = {}
+        for section, parse in (
+            ("clock", _clock), ("batches", _count), ("comparisons", _count)
+        ):
+            try:
+                counts[section] = parse(snapshot[section], section)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"snapshot {section} is malformed: {exc}") from exc
+        clock, batches = counts["clock"], counts["batches"]
         seen: Set[int] = set()
 
         def entity_row(row: Dict[str, Any]) -> Tuple[int, Entity]:
@@ -400,16 +414,32 @@ class ResolverService:
             if entity.id in seen:
                 raise ValueError(f"entity id {entity.id} appears twice")
             seen.add(entity.id)
-            return json_int(row["batch"], "'batch'"), entity
+            return _batch_of(json_int(row["batch"], "'batch'"), batches), entity
+
+        found: Set[Pair] = set()
+        last_time = 0.0
+
+        def event_row(row: Dict[str, Any]) -> PairEvent:
+            nonlocal last_time
+            event = _event_row(row)
+            if event.seq != len(found) + 1:
+                raise ValueError(f"seq {event.seq} where {len(found) + 1} was expected")
+            _batch_of(event.batch, batches)
+            unknown = [entity_id for entity_id in event.pair if entity_id not in seen]
+            if unknown:
+                raise ValueError(f"entity id {unknown[0]} is not in the entities section")
+            if event.pair in found:
+                raise ValueError(f"pair {event.pair} appears twice")
+            if not last_time <= event.time <= clock:
+                raise ValueError(
+                    f"time {event.time!r} is not within [{last_time!r}, clock {clock!r}]"
+                )
+            found.add(event.pair)
+            last_time = event.time
+            return event
 
         entities = _parse_rows(snapshot, "entities", entity_row)
-        events = _parse_rows(snapshot, "events", _event_row)
-        counts = {}
-        for section, parse in (("clock", float), ("batches", int), ("comparisons", int)):
-            try:
-                counts[section] = parse(snapshot[section])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"snapshot {section} is malformed: {exc}") from exc
+        events = _parse_rows(snapshot, "events", event_row)
         service = cls(config, **service_options)
         expected = config_fingerprint(config, service.min_family_matches)
         if snapshot.get("fingerprint") != expected:
@@ -427,12 +457,12 @@ class ResolverService:
                 for entity in by_batch[batch]
             ]
             service.store.admit(annotated, batch)
+        service._events = events
+        service._found = found
         for event in events:
-            service._events.append(event)
-            service._found.add(event.pair)
             service._clusters.union(*event.pair)
-        service._clock = counts["clock"]
-        service._batches = counts["batches"]
+        service._clock = clock
+        service._batches = batches
         service._comparisons = counts["comparisons"]
         return service
 
@@ -514,6 +544,26 @@ def _parse_rows(snapshot: Dict[str, Any], section: str, parse) -> List[Any]:
                 f"snapshot {section}[{index}] is malformed: {exc!r}"
             ) from exc
     return parsed
+
+
+def _clock(value: Any, section: str) -> float:
+    clock = float(value)
+    if not (math.isfinite(clock) and clock >= 0.0):
+        raise ValueError(f"{section} must be a finite number >= 0, got {clock!r}")
+    return clock
+
+
+def _count(value: Any, section: str) -> int:
+    count = json_int(value, section)
+    if count < 0:
+        raise ValueError(f"{section} must be >= 0, got {count}")
+    return count
+
+
+def _batch_of(batch: int, batches: int) -> int:
+    if not 1 <= batch <= batches:
+        raise ValueError(f"batch {batch} is outside 1..{batches}")
+    return batch
 
 
 def _event_row(row: Dict[str, Any]) -> PairEvent:

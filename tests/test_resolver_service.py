@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from repro.data import Entity, make_books, make_citeseer, make_skewed
 from repro.service import ResolverService
 from repro.service.delta import (
     block_weight,
-    fresh_pairs,
+    candidate_pairs,
     plan_delta,
     responsible_family,
 )
@@ -60,6 +61,26 @@ class TestEntityStore:
         store.admit(annotated, batch=1)
         with pytest.raises(ValueError, match="already admitted"):
             store.admit(annotated, batch=2)
+
+
+def fresh_pairs(members, lo, hi):
+    """The oracle stream: the block's pairs with at least one new member,
+    anchors ``[lo, hi)``.
+
+    ``members`` is sorted by id.  For anchor ``j``: every ``i < j`` when
+    ``j`` is new, else only the new ``i < j`` — anchor-major, ``i``
+    ascending, so :func:`block_weight` counts exactly what this yields.
+    This was the delta reducer's stream before it looked candidates up.
+    """
+    seen = []
+    seen_new = []
+    for j, (entity_j, _, new_j) in enumerate(members[:hi]):
+        if j >= lo:
+            for entity_i in seen if new_j else seen_new:
+                yield entity_i, entity_j
+        seen.append(entity_j)
+        if new_j:
+            seen_new.append(entity_j)
 
 
 def brute_force_fresh_pairs(members, lo, hi):
@@ -119,6 +140,51 @@ class TestDeltaPlanning:
         assert len(whole) == sum(
             block_weight([(entity.id, is_new) for entity, _, is_new in members])
         )
+
+    @given(
+        roster=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.sampled_from(["a", "b", None]), min_size=3, max_size=3),
+            ),
+            max_size=14,
+        ),
+        bounds=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    )
+    def test_candidate_pairs_are_the_responsible_fresh_pairs(self, roster, bounds):
+        # Every family as the block family, every min_matches, a random
+        # anchor range and the whole block: what the lookup yields and the
+        # reducer's admit keeps is exactly the fresh-pair scan filtered by
+        # responsibility, in the same order.
+        order = ("X", "Y", "Z")
+        for family, min_matches, (lo, hi) in itertools.product(
+            order, (1, 2, 3), ((min(bounds), max(bounds)), (0, len(roster)))
+        ):
+            members = [
+                (Entity(2 * index + 1, {}), dict(zip(order, codes), **{family: "k"}), is_new)
+                for index, (is_new, codes) in enumerate(roster)
+            ]
+            keys_of = {entity.id: keys for entity, keys, _ in members}
+
+            def responsible(pair):
+                a, b = pair
+                return responsible_family(keys_of[a.id], keys_of[b.id], order, min_matches)
+
+            fresh = list(fresh_pairs(members, lo, hi))
+            expected = [(a.id, b.id) for a, b in fresh if responsible((a, b)) == family]
+            yielded = list(candidate_pairs(members, lo, hi, family, order, min_matches))
+            scan = iter([(a.id, b.id) for a, b in fresh])
+            assert all((a.id, b.id) in scan for a, b in yielded)  # a subsequence
+            assert [
+                (a.id, b.id) for a, b in yielded if responsible((a, b)) == family
+            ] == expected
+
+    def test_last_family_block_has_no_candidates_at_two_matches(self):
+        members = [
+            (Entity(i, {}), {"X": "x", "Y": "y", "Z": "z"}, True) for i in range(5)
+        ]
+        assert list(candidate_pairs(members, 0, 5, "Z", ("X", "Y", "Z"), 2)) == []
+        assert len(list(candidate_pairs(members, 0, 5, "Y", ("X", "Y", "Z"), 2))) == 10
 
     def test_slack_keeps_whole_blocks(self):
         affected = {("X", "aa"): [(1, True), (2, False), (3, False)]}

@@ -157,3 +157,56 @@ class TestRestoreUsesTheRowParser:
             row["id"] = str(row["id"])
         restored = ResolverService.restore(text_ids, citeseer_config(), machines=2)
         assert restored.snapshot() == snapshot
+
+
+def _edited(snapshot, section, index, key, value):
+    """A copy with ``section`` (or its row ``index``'s ``key``) set to
+    ``value(copy)``."""
+    copy = json.loads(json.dumps(snapshot))
+    if index is None:
+        copy[section] = value(copy)
+    else:
+        copy[section][index][key] = value(copy)
+    return copy
+
+
+class TestRestoreRejectsContradictions:
+    """Rows that parse one by one but contradict the rest of the snapshot."""
+
+    @pytest.mark.parametrize(
+        "section, index, key, value, reason",
+        [
+            pytest.param("events", 3, "pair", lambda s: [s["events"][3]["pair"][0], 10**9],
+                         "entity id 1000000000 is not in the entities section",
+                         id="a-event-names-unknown-id"),
+            pytest.param("events", 4, "pair", lambda s: s["events"][2]["pair"],
+                         "appears twice", id="b-pair-in-two-events"),
+            pytest.param("events", 1, "seq", lambda s: 3, "seq 3 where 2 was expected",
+                         id="c-seq-out-of-order"),
+            pytest.param("entities", 5, "batch", lambda s: s["batches"] + 1,
+                         "batch 2 is outside 1..1", id="d-entity-batch-after-last"),
+            pytest.param("entities", 5, "batch", lambda s: 0, "batch 0 is outside 1..1",
+                         id="d-entity-batch-zero"),
+            pytest.param("events", 2, "batch", lambda s: 2, "batch 2 is outside 1..1",
+                         id="d-event-batch-after-last"),
+            pytest.param("clock", None, None, lambda s: float("nan"), "finite number >= 0",
+                         id="e-clock-nan"),
+            pytest.param("clock", None, None, lambda s: float("inf"), "finite number >= 0",
+                         id="e-clock-infinite"),
+            pytest.param("clock", None, None, lambda s: -5.0, "finite number >= 0, got -5.0",
+                         id="e-clock-negative"),
+            pytest.param("comparisons", None, None, lambda s: -1, "must be >= 0, got -1",
+                         id="e-comparisons-negative"),
+            pytest.param("events", 5, "time", lambda s: s["events"][4]["time"] - 1.0,
+                         "is not within", id="f-time-decreases"),
+            pytest.param("events", 5, "time", lambda s: s["clock"] + 1.0, "is not within",
+                         id="f-time-after-clock"),
+        ],
+    )
+    def test_names_the_section_and_row(self, snapshot, section, index, key, value, reason):
+        assert len(snapshot["events"]) > 5 and snapshot["batches"] == 1
+        bad = _edited(snapshot, section, index, key, value)
+        named = section if index is None else f"{section}[{index}]"
+        with pytest.raises(ValueError, match=re.escape(f"snapshot {named} is malformed: ")
+                           + ".*" + re.escape(reason)):
+            ResolverService.restore(bad, citeseer_config(), machines=2)
