@@ -30,8 +30,15 @@ from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import Mechanism, block_sort_key, resolve_block
+from ..mechanisms.base import (
+    Admit,
+    Mechanism,
+    block_sort_key,
+    resolve_block,
+    shared_values,
+)
 from ..mechanisms.popcorn import PopcornCondition
+from ..similarity.batch import BatchMatcher
 from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (family index, blocking key value); map value: the entity plus
@@ -83,8 +90,9 @@ class BasicReducer(Reducer):
     """Resolve each block with M under the popcorn scheme, applying the
     smallest-key redundancy rule of [14]."""
 
-    def __init__(self, config: BasicConfig) -> None:
+    def __init__(self, config: BasicConfig, batcher: BatchMatcher) -> None:
         self._config = config
+        self._batcher = batcher
 
     def reduce(
         self, key: BasicKey, values: Sequence[BasicValue], context: TaskContext
@@ -94,16 +102,21 @@ class BasicReducer(Reducer):
         position, block_key = key
         config = self._config
         family = config.scheme.family_order[position]
-        entities = [entity for entity, _ in values]
-        signatures = {entity.id: sig for entity, sig in values}
         sort_attribute = config.scheme.sort_attribute(family)
 
-        def admit(e1: Entity, e2: Entity) -> Optional[str]:
-            if _is_smallest_common_block(
-                signatures[e1.id], signatures[e2.id], position
-            ):
-                return None
-            return "skipped"
+        trace = context.tracing
+        span_start = context.clock.now if trace else 0.0
+        members, runs = config.mechanism.pair_stream(
+            [entity for entity, _ in values],
+            config.window,
+            lambda e: block_sort_key(e, sort_attribute),
+            context.charge,
+            context.cost_model,
+        )
+        signature_of = {entity.id: signature for entity, signature in values}
+        admit = smallest_key_veto(
+            [signature_of[entity.id] for entity in members], position, block_key
+        )
 
         found = 0
 
@@ -115,22 +128,15 @@ class BasicReducer(Reducer):
             context.record_event("duplicate", pair)
             context.write(pair)
 
-        trace = context.tracing
-        span_start = context.clock.now if trace else 0.0
         stop = (
             PopcornCondition(config.popcorn_threshold)
             if config.popcorn_threshold is not None
             else None
         )
         resolve_block(
-            config.mechanism.pair_stream(
-                entities,
-                config.window,
-                lambda e: block_sort_key(e, sort_attribute),
-                context.charge,
-                context.cost_model,
-            ),
-            config.matcher,
+            members,
+            runs,
+            self._batcher,
             context.cost_model,
             context.charge,
             on_duplicate,
@@ -143,8 +149,39 @@ class BasicReducer(Reducer):
                 f"resolve:{family}1:{block_key}", "block",
                 span_start, context.clock.now,
                 block=f"{family}1:{block_key}",
-                entities=len(entities), duplicates=found,
+                entities=len(members), duplicates=found,
             )
+
+
+def smallest_key_veto(
+    signatures: Sequence[Tuple[Optional[str], ...]], position: int, block_key: str
+) -> Admit:
+    """[14]'s rule over a run: ``"skipped"`` where
+    :func:`_is_smallest_common_block` is false.
+
+    ``signatures`` are the block members' main keys, in member order.  A
+    pair of this block shares its key here, so it is skipped iff it also
+    shares a key under a family whose ``(key, family position)`` sorts
+    before ``(block_key, position)``: one column per other family holds
+    such keys, and a value no other member holds where the key is missing
+    or sorts after this block's.
+    """
+    here = (block_key, position)
+    columns = [
+        [
+            signature[other]
+            if signature[other] is not None and (signature[other], other) < here
+            else -1 - rank
+            for rank, signature in enumerate(signatures)
+        ]
+        for other in range(len(signatures[0]) if signatures else 0)
+        if other != position
+    ]
+
+    def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
+        return ["skipped" if s else None for s in shared_values(columns, lefts, rights)]
+
+    return admit
 
 
 def _is_smallest_common_block(
@@ -192,9 +229,10 @@ class BasicER:
 
     def run(self, dataset: Dataset) -> BasicResult:
         """Run the single-job baseline on ``dataset``."""
+        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: BasicMapper(self.config.scheme),
-            reducer_factory=lambda: BasicReducer(self.config),
+            reducer_factory=lambda: BasicReducer(self.config, batcher),
             alpha=self.config.alpha,
             name="basic-er",
         )
@@ -203,4 +241,11 @@ class BasicER:
         return BasicResult(dataset=dataset, job=result, duplicate_events=events)
 
 
-__all__ = ["BasicConfig", "BasicER", "BasicResult", "BasicMapper", "BasicReducer"]
+__all__ = [
+    "BasicConfig",
+    "BasicER",
+    "BasicResult",
+    "BasicMapper",
+    "BasicReducer",
+    "smallest_key_veto",
+]

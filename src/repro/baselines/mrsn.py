@@ -15,7 +15,8 @@ per blocking pass:
   cross-boundary pair is missed;
 * each reduce task slides the SN window over its sorted range, skipping
   pairs of two replicas (they belong to the preceding partition), and
-  hands that window to :func:`~repro.mechanisms.base.resolve_block` — the
+  hands that window, one run per left position, to
+  :func:`~repro.mechanisms.base.resolve_block` — the
   loop and match kernel every other pair in ``src/`` is decided by.
 
 Passes run sequentially (job p + 1 starts when job p ends).  As the paper
@@ -37,7 +38,8 @@ from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import block_sort_key, resolve_block
+from ..mechanisms.base import Run, block_sort_key, resolve_block
+from ..similarity.batch import BatchMatcher
 from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (partition index, sort key, replica flag); the replica flag
@@ -91,11 +93,27 @@ class MrsnPartitioner(Partitioner):
         return min(key[0], num_reduce_tasks - 1)
 
 
+def window_runs(ordered: Sequence[Tuple[Entity, bool]], window: int) -> Iterator[Run]:
+    """The SN window over a task's ``(entity, is_replica)`` range: one run
+    per left position, its partners within ``window - 1`` ranks."""
+    for i, (entity_i, replica_i) in enumerate(ordered):
+        partners = [
+            j
+            for j in range(i + 1, min(len(ordered), i + window))
+            # Two replicas belong to the preceding partition; an entity
+            # next to its own replica is no pair.
+            if not (replica_i and ordered[j][1]) and ordered[j][0].id != entity_i.id
+        ]
+        if partners:
+            yield [i] * len(partners), partners
+
+
 class MrsnReducer(Reducer):
     """Slide the SN window over the task's sorted range."""
 
-    def __init__(self, config: MrsnConfig) -> None:
+    def __init__(self, config: MrsnConfig, batcher: BatchMatcher) -> None:
         self._config = config
+        self._batcher = batcher
         self._ordered: List[Tuple[Entity, bool]] = []
 
     def reduce(
@@ -115,23 +133,13 @@ class MrsnReducer(Reducer):
         ordered = self._ordered
         context.charge(context.cost_model.sort_cost(len(ordered)))
 
-        def window_pairs() -> Iterator[Tuple[Entity, Entity]]:
-            for i in range(len(ordered)):
-                entity_i, replica_i = ordered[i]
-                for j in range(i + 1, min(len(ordered), i + window)):
-                    entity_j, replica_j = ordered[j]
-                    if replica_i and replica_j:
-                        continue  # both belong to the preceding partition
-                    if entity_i.id == entity_j.id:
-                        continue  # an entity next to its own replica
-                    yield entity_i, entity_j
-
         # Plain MR jobs commit reducer output only when the task completes
         # — no incremental α-flushing here, so a pair becomes *available*
         # at task end (see MrsnResult's availability semantics).
         resolve_block(
-            window_pairs(),
-            self._config.matcher,
+            [entity for entity, _ in ordered],
+            window_runs(ordered, window),
+            self._batcher,
             context.cost_model,
             context.charge,
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
@@ -178,9 +186,10 @@ class MultiPassMRSN:
     def _run_pass(self, dataset: Dataset, family: str, start_time: float) -> JobResult:
         sort_attribute = self.config.scheme.sort_attribute(family)
         boundaries, replicate = self._plan_partitions(dataset, sort_attribute)
+        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: MrsnMapper(sort_attribute, boundaries, replicate),
-            reducer_factory=lambda: MrsnReducer(self.config),
+            reducer_factory=lambda: MrsnReducer(self.config, batcher),
             partitioner=MrsnPartitioner(),
             # No α: a plain MR job writes one output file per reduce task,
             # readable only once the task finishes.
@@ -235,4 +244,4 @@ def _first_discoveries(jobs: Sequence[JobResult]) -> List[Event]:
     return merged
 
 
-__all__ = ["MrsnConfig", "MultiPassMRSN", "MrsnResult"]
+__all__ = ["MrsnConfig", "MultiPassMRSN", "MrsnResult", "window_runs"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -30,7 +30,8 @@ from ..data.entity import Entity, Pair, cross_pairs_count, pair_key, pairs_count
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import DistinctBudget, block_sort_key, resolve_block
+from ..mechanisms.base import DistinctBudget, block_sort_key, resolve_block, shared_values
+from ..similarity.batch import BatchMatcher
 from .config import ApproachConfig
 from .metablock import METABLOCK_MODES, MetablockPlan, WnpPruner, build_metablock_plan
 from .estimation import (
@@ -41,7 +42,7 @@ from .estimation import (
     UniformEstimator,
 )
 from .balance import BalancePlan, apply_balance
-from .redundancy import build_dominance_list, should_resolve
+from .redundancy import build_dominance_list, dominance_columns
 from .schedule import ProgressiveSchedule, generate_schedule
 from .statistics import AnnotatedEntity, DatasetStatistics, run_statistics_job
 
@@ -161,10 +162,12 @@ class ResolutionReducer(Reducer):
         self,
         schedule: ProgressiveSchedule,
         config: ApproachConfig,
+        batcher: BatchMatcher,
         pruner: Optional[WnpPruner] = None,
     ) -> None:
         self._schedule = schedule
         self._config = config
+        self._batcher = batcher
         self._pruner = pruner
         self._buffered: Dict[str, List[RoutedEntity]] = {}
 
@@ -197,6 +200,7 @@ class ResolutionReducer(Reducer):
                 resolve_scheduled_block(
                     self._schedule,
                     self._config,
+                    self._batcher,
                     block_uid,
                     routed,
                     resolved_in_tree,
@@ -242,6 +246,7 @@ class ResolutionReducer(Reducer):
 def resolve_scheduled_block(
     schedule: ProgressiveSchedule,
     config: ApproachConfig,
+    batcher: BatchMatcher,
     block_uid: str,
     routed: List[RoutedEntity],
     resolved_in_tree: Dict[str, Set[Pair]],
@@ -250,11 +255,10 @@ def resolve_scheduled_block(
     pair_range: Optional[Tuple[int, int]] = None,
     pruner: Optional[WnpPruner] = None,
 ) -> None:
-    """Resolve one scheduled block: mechanism M's pair stream, window/Th
-    from the schedule, and one ``admit`` predicate per block folding every
-    reason not to compare.
+    """Resolve one scheduled block: mechanism M's runs, window/Th from the
+    schedule, and one veto per run folding every reason not to compare.
 
-    ``admit`` answers, in this order: ``"filtered"`` for a same-source
+    The veto answers, in this order: ``"filtered"`` for a same-source
     pair in linkage mode (both sources are internally duplicate-free, so
     only cross-source pairs are candidates); ``"pruned"`` when ``pruner``
     (weighted node pruning) drops the pair — free, but still consuming
@@ -262,16 +266,17 @@ def resolve_scheduled_block(
     :func:`~repro.mechanisms.base.resolve_block`); ``"skipped"`` for a
     pair already resolved in a descendant of the same tree or one the
     dominance lists make another tree responsible for (SHOULD-RESOLVE).
+    It reads per-block columns — sources, ids, and one column per
+    dominance entry SHOULD-RESOLVE compares — position against position.
 
     ``pair_range`` restricts the resolution to a slice of the raw pair
     stream — a balance shard of an oversized root.  Only roots are ever
     sharded, and roots run to exhaustion (no stream-order-dependent stop
     condition), so shard output is independent of placement.
 
-    :func:`resolve_block` decides pairs dozens at a time and replays the
-    outcomes in stream order, so the ``tree_resolved`` bookkeeping here
-    observes one pair at a time (it is keyed by the entity-id pair, which
-    the loop's same-pair flush guard relies on).
+    The ``tree_resolved`` bookkeeping is keyed by the entity-id pair: the
+    veto of a run reads it before the run's pairs are decided, which is
+    safe because a block's stream never repeats a pair.
     """
     if len(routed) < 2:
         return
@@ -279,31 +284,52 @@ def resolve_scheduled_block(
     estimate = schedule.estimates[block_uid]
     tree_uid = schedule.tree_of_block[block_uid]
     tree_resolved = resolved_in_tree.setdefault(tree_uid, set())
-
-    entities = [entity for entity, _ in routed]
-    dom_lists = {entity.id: dom_list for entity, dom_list in routed}
-    index = config.scheme.index_of(block.family)
-    n = config.scheme.num_families
     sort_attribute = config.scheme.sort_attribute(block.family)
 
-    linkage = config.mode == "linkage"
-    redundancy_free = config.redundancy_free
+    trace = context.tracing
+    span_start = context.clock.now if trace else 0.0
+    members, runs = config.mechanism.pair_stream(
+        [entity for entity, _ in routed],
+        estimate.window,
+        lambda e: block_sort_key(e, sort_attribute),
+        context.charge,
+        context.cost_model,
+    )
+    ids = [entity.id for entity in members]
+    dom_of = {entity.id: dom_list for entity, dom_list in routed}
+    columns = dominance_columns(
+        [dom_of[entity_id] for entity_id in ids],
+        config.scheme.index_of(block.family),
+        config.scheme.num_families,
+    ) if config.redundancy_free else []
+    sources = [entity.source for entity in members] if config.mode == "linkage" else None
 
-    def admit(e1: Entity, e2: Entity) -> Optional[str]:
-        if linkage and e1.source == e2.source:
-            return "filtered"
-        if pruner is not None and not pruner.keep(e1, e2):
-            return "pruned"
-        if pair_key(e1.id, e2.id) in tree_resolved:
-            return "skipped"
-        if redundancy_free and not should_resolve(
-            dom_lists[e1.id], dom_lists[e2.id], index, n
-        ):
-            return "skipped"
-        return None
+    def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
+        skip = shared_values(columns, lefts, rights)
+        if tree_resolved:
+            skip = [
+                s or ((x, y) if x < y else (y, x)) in tree_resolved
+                for s, x, y in zip(
+                    skip, map(ids.__getitem__, lefts), map(ids.__getitem__, rights)
+                )
+            ]
+        verdicts = ["skipped" if s else None for s in skip]
+        if sources is not None:
+            verdicts = [
+                "filtered" if sources[a] == sources[b] else v
+                for v, a, b in zip(verdicts, lefts, rights)
+            ]
+        if pruner is not None:
+            keep = pruner.keep
+            verdicts = [
+                v if v == "filtered" or keep(members[a], members[b]) else "pruned"
+                for v, a, b in zip(verdicts, lefts, rights)
+            ]
+        return verdicts
 
     def on_resolved(e1: Entity, e2: Entity, is_dup: bool) -> None:
-        tree_resolved.add(pair_key(e1.id, e2.id))
+        x, y = e1.id, e2.id
+        tree_resolved.add((x, y) if x < y else (y, x))
 
     found = 0
 
@@ -315,20 +341,13 @@ def resolve_scheduled_block(
         context.record_event("duplicate", pair)
         context.write(pair)
 
-    trace = context.tracing
-    span_start = context.clock.now if trace else 0.0
     stop = None if estimate.full else DistinctBudget(estimate.th)
     stats = resolve_block(
-        config.mechanism.pair_stream(
-            entities,
-            estimate.window,
-            lambda e: block_sort_key(e, sort_attribute),
-            context.charge,
-            context.cost_model,
-        ),
-        config.matcher,
+        members,
+        runs,
+        batcher,
         context.cost_model,
-        lambda units: context.charge(units, "compare"),
+        partial(context.charge, category="compare"),
         on_duplicate,
         admit=admit,
         stop=stop,
@@ -348,7 +367,7 @@ def resolve_scheduled_block(
     if trace:
         context.record_span(
             span_name, "block", span_start, context.clock.now,
-            block=block_uid, entities=len(entities), duplicates=found,
+            block=block_uid, entities=len(members), duplicates=found,
         )
 
 
@@ -575,9 +594,12 @@ class ProgressiveER:
         *,
         pruner: Optional[WnpPruner] = None,
     ) -> JobResult:
+        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
-            reducer_factory=lambda: ResolutionReducer(schedule, self.config, pruner),
+            reducer_factory=lambda: ResolutionReducer(
+                schedule, self.config, batcher, pruner
+            ),
             partitioner=SchedulePartitioner(schedule),
             alpha=self.config.alpha,
             name="progressive-resolution",

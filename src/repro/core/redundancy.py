@@ -95,10 +95,31 @@ def should_resolve(
     return True
 
 
+def dominance_columns(
+    dom_lists: Sequence[DominanceList], index: int, num_families: int
+) -> List[List[DomValue]]:
+    """:func:`should_resolve` as columns over a block's members.
+
+    One column per entry the test compares — the dominating families'
+    entries, then the split-tree tail when any member has one — so that
+    positions ``a`` and ``b`` of the block are vetoed iff some column holds
+    the same value at both.  A member without a tail gets a negative value
+    no other member's column holds (tails are dominance values, >= 0).
+    """
+    columns = [[dom_list[m] for dom_list in dom_lists] for m in range(index - 1)]
+    if any(len(dom_list) > num_families for dom_list in dom_lists):
+        columns.append([
+            dom_list[num_families] if len(dom_list) > num_families else -1 - position
+            for position, dom_list in enumerate(dom_lists)
+        ])
+    return columns
+
+
 __all__ = [
     "DomValue",
     "DominanceList",
     "missing_sentinel",
     "build_dominance_list",
     "should_resolve",
+    "dominance_columns",
 ]

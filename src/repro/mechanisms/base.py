@@ -5,41 +5,58 @@ possibly combined with a hint — that can be applied on a block to identify
 its duplicate pairs as quickly as possible.  Here a mechanism contributes
 two things:
 
-* a **pair stream**: candidate entity pairs of one block in priority order
-  (most-likely-duplicate first), and
+* a **pair stream**: the block's members in the mechanism's order and its
+  candidate pairs in priority order (most-likely-duplicate first), as
+  **runs** — equal-length position sequences ``(lefts, rights)`` into
+  those members, pair ``k`` of a run being ``(members[lefts[k]],
+  members[rights[k]])``.  PSNM and the SN hint yield one run per rank
+  distance; every other stream cuts its own.  The stream is the runs'
+  concatenation, and
 * an **additional cost** ``CostA`` (hint generation, sorting, reading) that
   it charges before the first comparison.
 
 :func:`resolve_block` is the one resolution loop in the package — Job 2's
 reducer, the Basic and MR-SN baselines and the incremental service's delta
-reducer all call it.  Like the paper's mechanism (Section III-B, Figure 7) it takes a
-**pair stream** in priority order, one **admission predicate** (the
-``SHOULD-RESOLVE`` veto and every other reason not to compare a pair,
+reducer all call it.  Like the paper's mechanism (Section III-B, Figure 7)
+it takes a pair stream in priority order, one **veto** (the
+``SHOULD-RESOLVE`` test and every other reason not to compare a pair,
 folded into a single ``admit`` callable by the caller) and a pluggable
-**stop condition** consulted after every comparison.
+**stop condition** consulted after every comparison.  ``admit`` answers
+for a whole run at once: it compares per-block columns (ids, sources,
+dominance entries, ...) position against position, so a vetoed position
+costs a list element, not a Python call.
 
 The loop decides pairs in **batches** through
-:class:`~repro.similarity.batch.BatchMatcher`: it collects up to
-:data:`BATCH_PAIRS` admitted pairs from the stream, decides them in one
-kernel call, then *replays* the outcomes in stream order — charging,
-counting, invoking callbacks and consulting the stop condition per pair.
-Decisions, charges and stop points are bit-identical to a per-pair loop
-over the definition ``matcher.is_match`` (the ``scalar_resolve_block``
-oracle under ``tests/``) at any width; only wall-clock time changes.  Look-ahead into
-the stream is free in virtual time because every mechanism charges its
-``CostA`` once up front and never per pair.  Two contracts make the replay
-safe:
+:class:`~repro.similarity.batch.BatchMatcher`: it collects
+:data:`BATCH_PAIRS` compared pairs from the runs, decides them in one
+kernel call, then *replays* in stream order what can move the clock or the
+stop: per compared pair the charge, the counts, the callbacks and the stop
+condition, and per ``"pruned"`` position the budget it burns.
+``"skipped"`` and ``"filtered"`` positions touch nothing but their
+tallies, so they are counted a piece of a run at a time (and only up to
+the position a stop fired at).  Decisions, charges and stop points are
+bit-identical to a per-pair loop over the definition ``matcher.is_match``
+(the ``scalar_resolve_block`` oracle under ``tests/``) at any width; only
+wall-clock time changes.  Look-ahead into the stream is free in virtual
+time because every mechanism charges its ``CostA`` once up front and never
+per pair.  Three contracts make the replay safe:
 
+* **no repeats** — no stream yields the same entity-id pair twice within a
+  block (every in-repo stream is a set of distinct position pairs over
+  distinct entities), so no pair's decision can change a veto computed
+  for a later position of the same block;
 * ``admit`` may read state that ``on_resolved`` / ``on_duplicate`` write
   only if that state is keyed by the entity-id *pair* (the in-repo vetoes —
   redundancy sets keyed by id pairs — are); everything else in it must be
-  a pure function of the pair.  The loop flushes the pending batch before
-  consulting ``admit`` on a pair whose id pair already occurred in it, so
-  a veto consulted at collection time can never miss state an earlier
-  occurrence of the *same pair* would have written.
-* pair streams must not charge per yielded pair (all in-repo mechanisms
+  a pure function of the pair.  With no repeats, a veto taken over a
+  whole run before any of its pairs is decided sees exactly the state a
+  per-pair veto would;
+* pair streams must not charge per yielded run (all in-repo mechanisms
   front-load their cost; a stream that charged lazily would see those
   charges reordered relative to comparison charges).
+
+A stop condition may read every :class:`ResolveStats` field but
+``skipped`` and ``filtered``, which are settled at batch ends and stops.
 """
 
 from __future__ import annotations
@@ -51,15 +68,16 @@ from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Seque
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
 from ..similarity.batch import BatchMatcher
-from ..similarity.matchers import WeightedMatcher
 
 SortKey = Callable[[Entity], object]
 ChargeFn = Callable[[float], float]
 PairCallback = Callable[[Entity, Entity], None]
-#: ``admit(e1, e2)``: ``None`` to compare the pair, else the
-#: :class:`ResolveStats` field (``"filtered"`` / ``"pruned"`` /
-#: ``"skipped"``) the vetoed position is counted under.
-Admit = Callable[[Entity, Entity], Optional[str]]
+#: A run: two equal-length position sequences into a block's members.
+Run = Tuple[Sequence[int], Sequence[int]]
+#: ``admit(lefts, rights)``: per position of the run, ``None`` to compare
+#: the pair, else the :class:`ResolveStats` field (``"filtered"`` /
+#: ``"pruned"`` / ``"skipped"``) the vetoed position is counted under.
+Admit = Callable[[Sequence[int], Sequence[int]], List[Optional[str]]]
 
 #: Pairs decided per batch-kernel call.  Large enough to amortize the
 #: kernel's per-batch setup and let it dedup repeated value pairs, small
@@ -103,7 +121,9 @@ class ResolveStats:
 
 
 class StopCondition(Protocol):
-    """Consulted after every comparison; ``True`` terminates the block."""
+    """Consulted after every comparison and every ``"pruned"`` position;
+    ``True`` terminates the block.  ``stats.skipped`` and
+    ``stats.filtered`` may lag behind the position consulted about."""
 
     def should_stop(self, stats: ResolveStats, was_duplicate: bool) -> bool:
         """Decide termination given the running stats of this block."""
@@ -153,8 +173,16 @@ class Mechanism(ABC):
         sort_key: SortKey,
         charge: ChargeFn,
         cost_model: CostModel,
-    ) -> Iterator[Tuple[Entity, Entity]]:
-        """Yield candidate pairs in priority order, charging ``CostA`` first."""
+    ) -> Tuple[List[Entity], Iterator[Run]]:
+        """Charge ``CostA``, then return the block's members in this
+        mechanism's order and its runs over them in priority order.
+
+        The runs may be produced lazily (a stop condition usually ends the
+        block long before the last one), must not charge, and must never
+        repeat an entity-id pair: :func:`resolve_block` vetoes a run
+        before deciding any of its pairs, which is only safe because no
+        later position can be the same pair.
+        """
 
     @abstractmethod
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
@@ -177,11 +205,11 @@ def block_sort_key(entity: Entity, primary: str) -> Tuple[str, str]:
     parts = []
     if primary != "title":
         parts.append(entity.get("title"))
-    parts.extend(
+    parts.extend([
         value
         for name, value in sorted(entity.attrs.items())
         if name != primary and name != "title"
-    )
+    ])
     return entity.get(primary), "\x1f".join(parts)
 
 
@@ -197,9 +225,21 @@ def window_pairs_count(n: int, window: int) -> int:
     return dmax * n - dmax * (dmax + 1) // 2
 
 
+def shared_values(
+    columns: Sequence[Sequence[object]], lefts: Sequence[int], rights: Sequence[int]
+) -> List[bool]:
+    """Per position of a run: whether some column holds the same value at
+    both of its member positions — the shape of every in-repo veto."""
+    shared = [False] * len(lefts)
+    for column in columns:
+        shared = [s or column[a] == column[b] for s, a, b in zip(shared, lefts, rights)]
+    return shared
+
+
 def resolve_block(
-    pairs: Iterable[Tuple[Entity, Entity]],
-    matcher: WeightedMatcher,
+    members: Sequence[Entity],
+    runs: Iterable[Run],
+    matcher: BatchMatcher,
     cost_model: CostModel,
     charge_compare: ChargeFn,
     on_duplicate: PairCallback,
@@ -209,74 +249,69 @@ def resolve_block(
     on_resolved: Optional[Callable[[Entity, Entity, bool], None]] = None,
     pair_range: Optional[Tuple[int, int]] = None,
 ) -> ResolveStats:
-    """Resolve one pair stream: collect, decide in batches, replay in order.
+    """Resolve one block's runs: veto a run at a time, decide in batches,
+    replay in stream order.
 
     Args:
-        pairs: candidate pairs in priority order — a mechanism's
-            ``pair_stream(...)`` (which charges its own ``CostA``) or any
-            other iterable of entity pairs.
-        matcher: the resolve/match function.
+        members: the block's members; runs index into this sequence.
+        runs: the block's pairs in priority order, as runs — a mechanism's
+            ``pair_stream(...)`` runs (which charged its own ``CostA``) or
+            any other iterable of ``(lefts, rights)`` position sequences
+            that never repeats an id pair.
+        matcher: the bounded kernel of the resolve/match function.
         cost_model: unit costs.
         charge_compare: task-clock charging callback for the per-pair
             comparison charges (callers tag it ``"compare"`` for
             cost-model calibration).
         on_duplicate: called for every pair declared duplicate.
-        admit: optional admission predicate ``admit(e1, e2)``: ``None``
-            sends the pair to the matcher; otherwise the name of the
-            :class:`ResolveStats` field to bump — ``"filtered"``,
-            ``"pruned"`` or ``"skipped"``.  A vetoed pair costs nothing;
-            ``"pruned"`` pairs *do* consume the :class:`DistinctBudget`
-            (checked in stream order), so pruning can only make a block
-            stop earlier.  Apart from state keyed by the entity-id pair
-            and written by ``on_resolved`` / ``on_duplicate``, it must be
-            a pure function of the pair.
+        admit: optional veto over a run, ``admit(lefts, rights)``: one
+            verdict per position — ``None`` sends the pair to the matcher,
+            otherwise the :class:`ResolveStats` field to bump,
+            ``"filtered"``, ``"pruned"`` or ``"skipped"``.  A vetoed pair
+            costs nothing; ``"pruned"`` pairs *do* consume the
+            :class:`DistinctBudget` (checked in stream order), so pruning
+            can only make a block stop earlier.  It is consulted on a run
+            before any of the run's pairs is decided: apart from state
+            keyed by the entity-id pair and written by ``on_resolved`` /
+            ``on_duplicate``, it must be a pure function of the pair.
         stop: stop condition (default: run to exhaustion).
         on_resolved: optional observer called for every *performed*
             comparison with the verdict (used to track per-tree resolved
             pairs so parents skip work done in children).
-        pair_range: optional ``(start, stop)`` half-open slice of the raw
-            pair-stream positions — only pairs at those positions are
-            considered (load-balancing shards of oversized root blocks).
-            Positions outside the range are free: no veto, no charge, no
-            stats.
+        pair_range: optional ``(start, stop)`` half-open slice of the
+            stream's positions, counted across runs — only pairs at those
+            positions are considered (load-balancing shards of oversized
+            root blocks).  Positions outside the range are free: no veto,
+            no charge, no stats.
 
     Returns:
         the final :class:`ResolveStats` of the stream.
     """
     stats = ResolveStats()
-    condition = stop if stop is not None else NeverStop()
     first, last = (0, None) if pair_range is None else pair_range
     if first < 0 or (last is not None and last < first):
         raise ValueError(f"invalid pair_range {pair_range!r}")
     width = BATCH_PAIRS
-    batcher = BatchMatcher(matcher)
-    # Pending entries in stream order: a pair to decide, or the verdict
-    # ("skipped" / "filtered" / "pruned") of a vetoed position, replayed so
-    # stats — and budget consumption by pruned pairs — interleave in
-    # stream order.
-    pending: List[object] = []
-    to_decide: List[Tuple[Entity, Entity]] = []
-    batch_idents = set()
+    rows = matcher.rows(members)
+    compare = cost_model.compare
+    # The open batch: the compared pairs, and the run pieces holding them
+    # — ``(verdicts, lo, hi)`` per piece, ``verdicts`` None when every
+    # position of the piece is compared — in stream order.
+    lefts_b: List[int] = []
+    rights_b: List[int] = []
+    pieces: List[Tuple[Optional[List[Optional[str]]], int, int]] = []
 
-    def _flush() -> bool:
-        """Decide and replay the pending batch; True when stop fired."""
-        if not pending:
-            return False
-        factors = batcher.cost_factors(to_decide)
-        decisions = batcher.decisions(to_decide)
-        index = 0
-        stopped = False
-        for entry in pending:
-            if isinstance(entry, str):
-                setattr(stats, entry, getattr(stats, entry) + 1)
-                if entry == "pruned" and condition.should_stop(stats, False):
-                    stopped = True
-                    break
-                continue
-            e1, e2 = entry
-            charge_compare(cost_model.compare * factors[index])
-            is_dup = decisions[index]
-            index += 1
+    def replay(start: int, end: int, decisions: List[bool], factors: List[float]) -> int:
+        """Replay compared pairs ``start..end-1`` of the batch; the index
+        the stop fired at, else ``end``."""
+        index = start
+        for i, j, is_dup, factor in zip(
+            lefts_b[start:end], rights_b[start:end],
+            decisions[start:end], factors[start:end],
+        ):
+            e1 = members[i]
+            e2 = members[j]
+            charge_compare(compare * factor)
             stats.comparisons += 1
             if is_dup:
                 stats.duplicates += 1
@@ -285,38 +320,98 @@ def resolve_block(
                 stats.distincts += 1
             if on_resolved is not None:
                 on_resolved(e1, e2, is_dup)
-            if condition.should_stop(stats, is_dup):
-                stopped = True
+            if stop is not None and stop.should_stop(stats, is_dup):
+                return index
+            index += 1
+        return end
+
+    def settle(
+        piece: List[Optional[str]], done: int, decisions: List[bool], factors: List[float]
+    ) -> Tuple[bool, int]:
+        """Replay one vetted piece from compared pair ``done`` on:
+        ``(stopped, next compared pair)``.  Compared pairs and pruned
+        positions go in stream order; skips and filters are tallied up to
+        where the replay got."""
+        cuts = [k for k, v in enumerate(piece) if v == "pruned"] if "pruned" in piece else []
+        cuts.append(len(piece))
+        start = 0
+        for cut in cuts:
+            segment = piece[start:cut]
+            end = done + segment.count(None)
+            fired = replay(done, end, decisions, factors)
+            if fired < end:
+                # Only the vetoes before the pair the stop fired at count.
+                segment = segment[: [k for k, v in enumerate(segment) if v is None][fired - done]]
+            stats.skipped += segment.count("skipped")
+            stats.filtered += segment.count("filtered")
+            if fired < end:
+                return True, end
+            done = end
+            if cut == len(piece):
                 break
-        pending.clear()
-        to_decide.clear()
-        batch_idents.clear()
+            # A pruned position burns the budget where it stands.
+            stats.pruned += 1
+            if stop is not None and stop.should_stop(stats, False):
+                return True, done
+            start = cut + 1
+        return False, done
+
+    def flush() -> bool:
+        """Decide and replay the open batch; True when the stop fired."""
+        factors = matcher.cost_factors(rows, lefts_b, rights_b)
+        decisions = matcher.decisions(rows, lefts_b, rights_b)
+        done = 0
+        stopped = False
+        for verdicts, lo, hi in pieces:
+            if verdicts is None:
+                end = done + hi - lo
+                stopped = replay(done, end, decisions, factors) < end
+                done = end
+            else:
+                stopped, done = settle(verdicts[lo:hi], done, decisions, factors)
+            if stopped:
+                break
+        lefts_b.clear()
+        rights_b.clear()
+        pieces.clear()
         return stopped
 
-    position = -1
-    for e1, e2 in pairs:
-        position += 1
-        if position < first:
+    position = 0
+    for lefts, rights in runs:
+        start = position
+        size = len(lefts)
+        position += size
+        if position <= first:
             continue
-        if last is not None and position >= last:
+        if last is not None and start >= last:
             break
-        ident = (e1.id, e2.id) if e1.id <= e2.id else (e2.id, e1.id)
-        if ident in batch_idents:
-            # The same pair again before the first occurrence was decided:
-            # flush so ``admit`` sees that decision's state updates.
-            if _flush():
+        if start < first or (last is not None and position > last):
+            lo = max(first - start, 0)
+            hi = size if last is None else min(size, last - start)
+            lefts, rights, size = lefts[lo:hi], rights[lo:hi], hi - lo
+        verdicts = admit(lefts, rights) if admit is not None else None
+        if verdicts is not None and not any(verdicts):
+            verdicts = None
+        kept = None if verdicts is None else [k for k, v in enumerate(verdicts) if v is None]
+        lo = taken = 0
+        # Cut the run into pieces at every BATCH_PAIRS-th compared pair.
+        while lo < size:
+            room = width - len(lefts_b)
+            if kept is None:
+                hi = min(size, lo + room)
+                lefts_b.extend(lefts[lo:hi])
+                rights_b.extend(rights[lo:hi])
+            else:
+                chosen = kept[taken:taken + room]
+                taken += len(chosen)
+                hi = chosen[-1] + 1 if len(chosen) == room else size
+                lefts_b.extend([lefts[k] for k in chosen])
+                rights_b.extend([rights[k] for k in chosen])
+            pieces.append((verdicts, lo, hi))
+            lo = hi
+            if len(lefts_b) >= width and flush():
                 return stats
-        verdict = admit(e1, e2) if admit is not None else None
-        if verdict is not None:
-            pending.append(verdict)
-            continue
-        pending.append((e1, e2))
-        to_decide.append((e1, e2))
-        batch_idents.add(ident)
-        if len(to_decide) >= width:
-            if _flush():
-                return stats
-    if _flush():
+    if pieces and flush():
         return stats
     stats.exhausted = True
     return stats
@@ -329,7 +424,10 @@ __all__ = [
     "NeverStop",
     "DistinctBudget",
     "resolve_block",
+    "shared_values",
     "window_pairs_count",
     "SortKey",
+    "Run",
+    "Admit",
     "BATCH_PAIRS",
 ]

@@ -9,12 +9,11 @@ a subset of what this one finds).
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
-from .base import ChargeFn, Mechanism, SortKey
+from .base import ChargeFn, Mechanism, Run, SortKey
 
 
 class FullResolution(Mechanism):
@@ -29,10 +28,13 @@ class FullResolution(Mechanism):
         sort_key: SortKey,
         charge: ChargeFn,
         cost_model: CostModel,
-    ) -> Iterator[Tuple[Entity, Entity]]:
+    ) -> Tuple[List[Entity], Iterator[Run]]:
+        """Every pair in id order: one run per left member."""
         charge(self.additional_cost(len(entities), window, cost_model))
         ordered = sorted(entities, key=lambda e: e.id)
-        yield from combinations(ordered, 2)
+        n = len(ordered)
+        runs = (([i] * (n - 1 - i), range(i + 1, n)) for i in range(n - 1))
+        return ordered, runs
 
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
         """``CostA``: reading the block members (no sort, no hint)."""

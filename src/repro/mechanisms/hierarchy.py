@@ -18,11 +18,11 @@ mechanism's work matches the SN family's.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
-from .base import ChargeFn, Mechanism, SortKey
+from .base import ChargeFn, Mechanism, Run, SortKey
 
 
 class HierarchyHint(Mechanism):
@@ -45,23 +45,25 @@ class HierarchyHint(Mechanism):
         sort_key: SortKey,
         charge: ChargeFn,
         cost_model: CostModel,
-    ) -> Iterator[Tuple[Entity, Entity]]:
-        """Yield window-bounded pairs by lowest-common-partition level."""
+    ) -> Tuple[List[Entity], Iterator[Run]]:
+        """Window-bounded pairs by lowest-common-partition level: one run
+        per (level, rank distance)."""
         charge(self.additional_cost(len(entities), window, cost_model))
         ordered = sorted(entities, key=lambda e: (sort_key(e), e.id))
         n = len(ordered)
-        if n < 2:
-            return
-        levels = self._levels(n)
-        buckets: List[List[Tuple[int, int, int]]] = [[] for _ in range(len(levels))]
+        levels = self._levels(n) if n >= 2 else []
+        # level -> distance -> left ranks, ascending.
+        buckets: List[Dict[int, List[int]]] = [{} for _ in levels]
         for i in range(n):
             for j in range(i + 1, min(n, i + window)):
                 level = self._common_level(i, j, levels)
-                buckets[level].append((j - i, i, j))
-        for bucket in buckets:
-            bucket.sort()
-            for _, i, j in bucket:
-                yield ordered[i], ordered[j]
+                buckets[level].setdefault(j - i, []).append(i)
+        runs: List[Run] = [
+            (lefts, [i + distance for i in lefts])
+            for bucket in buckets
+            for distance, lefts in sorted(bucket.items())
+        ]
+        return ordered, iter(runs)
 
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
         """``CostA``: entity sort plus building/ordering the hint."""

@@ -12,11 +12,11 @@ difference is the cost profile: no pair list is built or sorted, so
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
-from .base import ChargeFn, Mechanism, SortKey
+from .base import ChargeFn, Mechanism, Run, SortKey
 
 
 class PSNM(Mechanism):
@@ -31,14 +31,16 @@ class PSNM(Mechanism):
         sort_key: SortKey,
         charge: ChargeFn,
         cost_model: CostModel,
-    ) -> Iterator[Tuple[Entity, Entity]]:
-        """Sort the block, then lazily yield pairs distance by distance."""
+    ) -> Tuple[List[Entity], Iterator[Run]]:
+        """Sort the block, then lazily yield one run per rank distance."""
         charge(self.additional_cost(len(entities), window, cost_model))
         ordered = sorted(entities, key=lambda e: (sort_key(e), e.id))
         n = len(ordered)
-        for distance in range(1, min(window, n)):
-            for i in range(n - distance):
-                yield ordered[i], ordered[i + distance]
+        runs = (
+            (range(n - distance), range(distance, n))
+            for distance in range(1, min(window, n))
+        )
+        return ordered, runs
 
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
         """``CostA``: entity sort only (no materialized hint)."""

@@ -18,7 +18,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
-from .base import ChargeFn, Mechanism, SortKey, window_pairs_count
+from .base import ChargeFn, Mechanism, Run, SortKey, window_pairs_count
 
 
 class SortedNeighborHint(Mechanism):
@@ -33,19 +33,19 @@ class SortedNeighborHint(Mechanism):
         sort_key: SortKey,
         charge: ChargeFn,
         cost_model: CostModel,
-    ) -> Iterator[Tuple[Entity, Entity]]:
-        """Sort the block, build the hint, then yield pairs by distance."""
+    ) -> Tuple[List[Entity], Iterator[Run]]:
+        """Sort the block and build the hint: one run per rank distance."""
         charge(self.additional_cost(len(entities), window, cost_model))
         ordered = sorted(entities, key=lambda e: (sort_key(e), e.id))
         # The hint: all pairs with distance < window, ordered by distance
         # (ties broken by position for determinism).  Materialized up front,
         # exactly like the sorted-list-of-pairs hint in the paper.
-        hint: List[Tuple[Entity, Entity]] = []
         n = len(ordered)
-        for distance in range(1, min(window, n)):
-            for i in range(n - distance):
-                hint.append((ordered[i], ordered[i + distance]))
-        yield from hint
+        hint: List[Run] = [
+            (range(n - distance), range(distance, n))
+            for distance in range(1, min(window, n))
+        ]
+        return ordered, iter(hint)
 
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
         """``CostA``: entity sort + hint generation/sort over window pairs."""

@@ -28,9 +28,11 @@ The reducer's pair stream is :func:`candidate_pairs`: the block's fresh
 pairs whose keys also agree on enough of the families *after* the
 block's, looked up per anchor in key indexes rather than scanned, so a
 block never walks pairs that a later family could not make candidates.
-Its ``admit`` predicate keeps the definitions — :func:`responsible_family`,
-left to reject the candidates an earlier family agrees on, plus the
-cross-source veto in linkage mode.
+It yields one run per anchor, and its veto, :func:`responsibility_veto`,
+compares per-block key columns over a whole run: it skips the candidates
+an earlier family agrees on — where :func:`responsible_family`, the
+definition, names another family — and filters same-source pairs in
+linkage mode.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity, pair_key
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext, stable_hash
-from ..mechanisms.base import resolve_block
-from ..similarity.matchers import WeightedMatcher
+from ..mechanisms.base import Admit, Run, resolve_block, shared_values
+from ..similarity.batch import BatchMatcher
 from .store import ROUTE_SEP, BlockRoute, route_label
 
 #: Routing-label separator between the base route and a shard index.
@@ -102,8 +105,9 @@ def candidate_pairs(
     family: str,
     family_order: Sequence[str],
     min_matches: int,
-) -> Iterator[Tuple[Entity, Entity]]:
-    """The fresh pairs of a ``family`` block that the block can decide.
+) -> Iterator[Run]:
+    """The fresh pairs of a ``family`` block that the block can decide, as
+    one run per anchor over the positions of ``members``.
 
     ``members`` is sorted by id and shares the block's ``family`` key.  A
     fresh pair — at least one new member, anchor in ``[lo, hi)`` — can be
@@ -111,25 +115,26 @@ def candidate_pairs(
     families after ``family`` (the least-common-block rule), so each
     anchor ``j`` looks its partners up in per-family key → positions
     indexes (all members seen, and new members seen) instead of scanning
-    every ``i < j``.  With ``min_matches`` 1 every fresh partner is
-    yielded.  Order is anchor-major, ``i`` ascending — the fresh-pair
-    scan's own order with non-candidates left out — so batches, charges
-    and clocks match that scan's.  Pairs an *earlier* family agrees on
-    still come out; :func:`responsible_family` in ``admit`` rejects them.
+    every ``i < j``; its run is ``(partners, [j] * len(partners))``.  With
+    ``min_matches`` 1 every fresh partner is yielded.  Order is
+    anchor-major, ``i`` ascending — the fresh-pair scan's own order with
+    non-candidates left out — so batches, charges and clocks match that
+    scan's.  Every pair yielded is a candidate (the block's own key agrees
+    too); pairs an *earlier* family agrees on still come out, and
+    :func:`responsibility_veto` skips them.
     """
     later = tuple(family_order[family_order.index(family) + 1:])
     need = min_matches - 1
     if need > len(later):
         return
-    entities = [entity for entity, _, _ in members]
     new_positions: List[int] = []
     index_all: List[Dict[str, List[int]]] = [{} for _ in later]
     index_new: List[Dict[str, List[int]]] = [{} for _ in later]
-    for j, (entity_j, keys_j, new_j) in enumerate(members[:hi]):
+    for j, (_, keys_j, new_j) in enumerate(members[:hi]):
         codes = [keys_j.get(later_family) for later_family in later]
         if j >= lo:
             if need <= 0:
-                partners: Sequence[int] = range(j) if new_j else new_positions
+                partners: Sequence[int] = range(j) if new_j else new_positions[:]
             else:
                 index = index_all if new_j else index_new
                 hits = [
@@ -139,14 +144,14 @@ def candidate_pairs(
                 if len(hits) < need:
                     partners = ()
                 elif len(hits) == 1:
-                    partners = hits[0]
+                    partners = hits[0][:]
                 elif need == 1:
                     partners = sorted(set().union(*hits))
                 else:
                     counts = Counter(chain.from_iterable(hits))
                     partners = sorted(i for i, count in counts.items() if count >= need)
-            for i in partners:
-                yield entities[i], entity_j
+            if partners:
+                yield partners, [j] * len(partners)
         if need > 0:
             for f, code in enumerate(codes):
                 if code is not None:
@@ -155,6 +160,45 @@ def candidate_pairs(
                         index_new[f].setdefault(code, []).append(j)
         if new_j:
             new_positions.append(j)
+
+
+def responsibility_veto(
+    members: Sequence[DeltaRecord],
+    family: str,
+    family_order: Sequence[str],
+    cross_source_only: bool,
+) -> Admit:
+    """The delta reducer's veto over a run of :func:`candidate_pairs`.
+
+    ``"filtered"`` for a same-source pair in linkage mode; ``"skipped"``
+    where the keys agree under a family before ``family`` — for a
+    candidate, exactly where :func:`responsible_family` names another
+    family than the block's.  One column per earlier family holds the
+    members' keys, and a value no other member holds where a key is
+    missing.
+    """
+    earlier = family_order[: family_order.index(family)]
+    columns = [
+        [
+            key if key is not None else -1 - rank
+            for rank, key in enumerate(keys.get(other) for _, keys, _ in members)
+        ]
+        for other in earlier
+    ]
+    sources = [entity.source for entity, _, _ in members] if cross_source_only else None
+
+    def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
+        verdicts = [
+            "skipped" if s else None for s in shared_values(columns, lefts, rights)
+        ]
+        if sources is not None:
+            verdicts = [
+                "filtered" if sources[a] == sources[b] else v
+                for v, a, b in zip(verdicts, lefts, rights)
+            ]
+        return verdicts
+
+    return admit
 
 
 @dataclass
@@ -295,14 +339,14 @@ class DeltaReducer(Reducer):
 
     def __init__(
         self,
-        matcher: WeightedMatcher,
+        batcher: BatchMatcher,
         family_order: Sequence[str],
         shards: Dict[str, Tuple[int, int]],
         *,
         min_family_matches: int = 2,
         cross_source_only: bool = False,
     ) -> None:
-        self._matcher = matcher
+        self._batcher = batcher
         self._family_order = tuple(family_order)
         self._shards = shards
         self._min_matches = min(max(1, min_family_matches), len(self._family_order))
@@ -313,22 +357,6 @@ class DeltaReducer(Reducer):
         members = sorted(values, key=lambda record: record[0].id)
         family = key.split(ROUTE_SEP, 1)[0]
         lo, hi = self._shards.get(key, (0, len(members)))
-        keys_of = {entity.id: keys for entity, keys, _ in members}
-        family_order = self._family_order
-        min_matches = self._min_matches
-        cross_source_only = self._cross_source_only
-
-        def admit(e1: Entity, e2: Entity) -> Optional[str]:
-            # Both vetoes are pure in the pair, so batch-partition
-            # invariance is untouched.
-            if cross_source_only and e1.source == e2.source:
-                return "filtered"  # clean-clean linkage: never a candidate
-            responsible = responsible_family(
-                keys_of[e1.id], keys_of[e2.id], family_order, min_matches
-            )
-            if responsible == family:
-                return None
-            return "filtered" if responsible is None else "skipped"
 
         def on_duplicate(e1: Entity, e2: Entity) -> None:
             context.counters.increment("service", "duplicates")
@@ -339,12 +367,19 @@ class DeltaReducer(Reducer):
         trace = context.tracing
         started = context.clock.now if trace else 0.0
         stats = resolve_block(
-            candidate_pairs(members, lo, hi, family, family_order, min_matches),
-            self._matcher,
+            [entity for entity, _, _ in members],
+            candidate_pairs(
+                members, lo, hi, family, self._family_order, self._min_matches
+            ),
+            self._batcher,
             context.cost_model,
-            lambda units: context.charge(units, "compare"),
+            partial(context.charge, category="compare"),
             on_duplicate,
-            admit=admit,
+            # Both vetoes are pure in the pair, so batch-partition
+            # invariance is untouched.
+            admit=responsibility_veto(
+                members, family, self._family_order, self._cross_source_only
+            ),
         )
         if stats.comparisons:
             context.counters.increment("service", "comparisons", stats.comparisons)
@@ -363,7 +398,7 @@ class DeltaReducer(Reducer):
 
 def build_delta_job(
     plan: DeltaPlan,
-    matcher: WeightedMatcher,
+    batcher: BatchMatcher,
     family_order: Sequence[str],
     *,
     min_family_matches: int = 2,
@@ -381,7 +416,7 @@ def build_delta_job(
     return MapReduceJob(
         mapper_factory=lambda: DeltaMapper(routes, order),
         reducer_factory=lambda: DeltaReducer(
-            matcher,
+            batcher,
             order,
             shards,
             min_family_matches=min_family_matches,
@@ -401,6 +436,7 @@ __all__ = [
     "responsible_family",
     "block_weight",
     "candidate_pairs",
+    "responsibility_veto",
     "plan_delta",
     "DeltaMapper",
     "DeltaPartitioner",

@@ -27,6 +27,7 @@ from ..core.config import ApproachConfig
 from ..data.entity import Entity, Pair, pair_key
 from ..evaluation.clustering import UnionFind
 from ..mapreduce.job import stable_hash
+from ..similarity.batch import BatchMatcher
 from .delta import build_delta_job, plan_delta
 from .rows import entity_from_row, json_int
 from .session import ResolverSession
@@ -164,6 +165,7 @@ class ResolverService:
         from ..evaluation.experiment import RunSpec
 
         self.config = config
+        self._batcher = BatchMatcher(config.matcher)
         self.min_family_matches = min(
             max(1, min_family_matches), config.scheme.num_families
         )
@@ -232,7 +234,7 @@ class ResolverService:
         )
         job = build_delta_job(
             plan,
-            self.config.matcher,
+            self._batcher,
             self.config.scheme.family_order,
             min_family_matches=self.min_family_matches,
             cross_source_only=self.config.mode == "linkage",

@@ -42,9 +42,11 @@ def entity_from_row(row: Dict[str, Any]) -> Entity:
     """The entity one JSON object describes.
 
     ``id`` follows :func:`json_int`.  Attributes are the nested ``attrs``
-    object or, without one, every field but ``id``/``source``/``batch``;
-    their values are converted to strings.  ``source`` is a string or
-    absent/null.  ``batch`` is left to the caller.
+    object or, without one, every field but ``id``/``source``/``batch``.
+    A ``null`` value means the attribute is absent; strings, numbers and
+    booleans are converted to strings; a list or object value is an error
+    naming the attribute.  ``source`` is a string or absent/null.
+    ``batch`` is left to the caller.
     """
     attrs = row.get("attrs")
     if attrs is None:
@@ -54,11 +56,17 @@ def entity_from_row(row: Dict[str, Any]) -> Entity:
     source = row.get("source")
     if source is not None and not isinstance(source, str):
         raise ValueError(f"'source' must be a string or null, got {source!r}")
-    return Entity(
-        json_int(row["id"], "'id'"),
-        {key: str(value) for key, value in attrs.items()},
-        source=source,
-    )
+    values = {}
+    for key, value in attrs.items():
+        if value is None:
+            continue
+        if isinstance(value, (list, dict)):
+            raise ValueError(
+                f"attribute {key!r} must be a string, number or boolean, "
+                f"got {value!r}"
+            )
+        values[key] = str(value)
+    return Entity(json_int(row["id"], "'id'"), values, source=source)
 
 
 def read_entity_rows(path: str, taken: Container[int] = ()) -> List[Row]:

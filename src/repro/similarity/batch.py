@@ -9,13 +9,16 @@ lookups, truncation slices, memo keys and quadratic edit distances that
 cannot change the answer.  :class:`BatchMatcher` is the one place in
 ``src/`` that knows how to skip them:
 
-* **per-entity value tables** — each entity's (truncated) attribute values,
-  their lengths and, for edit rules, a character-count signature are
-  computed once per entity and reused by every pair that touches it;
+* **per-block rows** — pairs arrive as positions into one block's
+  members; each member's (truncated) attribute values, their lengths, for
+  edit rules a character-count signature, and the summed length its cost
+  factor reads are computed once per block (:class:`BlockRows`) and reused
+  by every pair that touches it;
 * **cheapest comparator first** — rules are evaluated in
   :data:`_COMPARATOR_RANK` order, rule-major (outer loop over rules, inner
   loop over the pairs still alive), so a pair can be ruled out before it
-  pays for a quadratic edit distance on a long attribute;
+  pays for a quadratic edit distance on a long attribute; the exact rules
+  come first and need neither memo nor kernel;
 * **upper-bound cutoff** — after each rule, the score so far plus the
   *credit* of every unevaluated rule is the most the pair can still reach;
   if that is below the threshold the pair is dead and leaves every later
@@ -29,9 +32,9 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   character-count signatures still allow (the length and count filters of
   the string-similarity-join literature, used as upper bounds on rules
   *still to come*, so they tighten every floor at once instead of
-  filtering one call).  On book records most non-matches die on these
-  credits and never reach the edit kernel; a floor above the current
-  rule's own bound ends the pair without a call.
+  filtering one call).  Credits are computed heaviest rule first and only
+  while the pair is still alive, so on book records most non-matches die
+  on one or two of them and never reach the edit kernel.
 
 Decisions are **bit-identical** to the definition.  The short-circuits only
 ever *reject*, and only pairs whose exact sum is below the threshold: the
@@ -100,9 +103,6 @@ _STATS = {"batches": 0, "pairs": 0}
 def batch_kernel_counters() -> Dict[str, int]:
     """Process-wide batch-kernel invocation counters (wall-clock facts)."""
     return dict(_STATS)
-
-
-PairSeq = Sequence[Tuple[Entity, Entity]]
 
 
 #: Character-count signature layout: :data:`_BUCKETS` counters of 16 bits
@@ -196,12 +196,48 @@ def _rule_floor(
     return floor - 1e-7
 
 
-class BatchMatcher:
-    """Bounded, bit-identical evaluation of one matcher over many pairs.
+#: One member's kernel row: per rule its (truncated) value, the value's
+#: length and, for edit rules, its character-count signature; last, the
+#: summed length of its quadratic-rule values, which is all a cost factor
+#: reads.
+Row = Tuple[tuple, tuple, tuple, int]
 
-    Build one per block (or longer — the per-entity tables are keyed by
-    entity id, so reuse across batches of the same dataset is safe) and
-    call :meth:`decisions` / :meth:`cost_factors` with lists of pairs.
+
+class BlockRows:
+    """One block's kernel rows by member position, each built on first use.
+
+    Made by :meth:`BatchMatcher.rows` and kept for one block's resolution,
+    so a member's row is built once however many pairs of the block touch
+    it, and a member whose every pair is vetoed never gets one.  Members
+    of a block share values (a third of the edit values on books), so the
+    table also keeps each value's signature for the block's lifetime.
+    """
+
+    __slots__ = ("members", "rows", "signatures", "_build")
+
+    def __init__(self, members: Sequence[Entity], build) -> None:
+        self.members = members
+        self.rows: List[Optional[Row]] = [None] * len(members)
+        self.signatures: Dict[str, Optional[int]] = {}
+        self._build = build
+
+    def fetch(self, positions: Sequence[int]) -> List[Row]:
+        """The rows at ``positions``, building the ones not built yet."""
+        rows = self.rows
+        return [rows[i] or self._fill(i) for i in positions]
+
+    def _fill(self, position: int) -> Row:
+        row = self.rows[position] = self._build(self.members[position], self.signatures)
+        return row
+
+
+class BatchMatcher:
+    """Bounded, bit-identical evaluation of one matcher over index pairs.
+
+    Holds only the matcher's rule plan, so one instance serves every block
+    of a job.  Give each block a row table with :meth:`rows`, then call
+    :meth:`decisions` / :meth:`cost_factors` with equal-length position
+    sequences ``lefts`` / ``rights`` into that block's members.
 
     Args:
         matcher: the matcher whose ``is_match`` decisions are reproduced.
@@ -216,8 +252,22 @@ class BatchMatcher:
             range(len(rules)),
             key=lambda i: (_COMPARATOR_RANK[rules[i].comparator], i),
         )
+        #: The exact rules (they lead the evaluation order) and the rules
+        #: scored after them.
+        self._exact_indices = tuple(
+            i for i in self._eval_order if rules[i].comparator == "exact"
+        )
+        self._scored_order = tuple(
+            i for i in self._eval_order if rules[i].comparator != "exact"
+        )
+        self._scored_weight = sum(rules[i].weight for i in self._scored_order)
         self._edit_indices = tuple(
             i for i, rule in enumerate(rules) if rule.comparator == "edit"
+        )
+        #: Edit rules in the order their credits are computed: heaviest
+        #: first, so a hopeless pair dies on the fewest bounds.
+        self._credit_order = tuple(
+            sorted(self._edit_indices, key=lambda i: (-rules[i].weight, i))
         )
         #: Full weight of the rules after each one in evaluation order
         #: (the cutoff's denominator; exactly 0.0 after the last).
@@ -226,7 +276,7 @@ class BatchMatcher:
         for index in reversed(self._eval_order):
             self._weight_after[index] = later
             later += rules[index].weight
-        #: What the cheap rules are credited before they are evaluated.
+        #: What the non-edit rules are credited before they are evaluated.
         self._cheap_weight = sum(
             rule.weight for rule in rules if rule.comparator != "edit"
         )
@@ -240,116 +290,195 @@ class BatchMatcher:
             if rule.comparator not in _CHEAP_COMPARATORS
         )
         self._cost_denominator = len(self._quad_indices) * REFERENCE_LENGTH
-        #: entity id -> (values, lengths, signatures), one row each;
-        #: only edit rules carry a signature.
-        self._rows: Dict[int, Tuple[tuple, tuple, tuple]] = {}
+        #: Per rule, the attribute a row reads and its truncation.
+        self._fields = [(rule.attribute, rule.max_chars) for rule in rules]
 
-    # -- per-entity tables ---------------------------------------------
+    # -- per-block rows --------------------------------------------------
 
-    def _row(self, entity: Entity) -> Tuple[tuple, tuple, tuple]:
-        row = self._rows.get(entity.id)
-        if row is None:
-            values = []
-            for rule in self._rules:
-                value = entity.get(rule.attribute)
-                if rule.max_chars is not None:
-                    value = value[: rule.max_chars]
-                values.append(value)
-            signatures: List[Optional[int]] = [None] * len(values)
-            for index in self._edit_indices:
-                signatures[index] = _signature(values[index])
-            row = (
-                tuple(values),
-                tuple([len(v) for v in values]),
-                tuple(signatures),
-            )
-            self._rows[entity.id] = row
-        return row
+    def rows(self, members: Sequence[Entity]) -> BlockRows:
+        """An empty row table over one block's ``members``."""
+        return BlockRows(members, self._build_row)
 
-    def _row_columns(self, pairs: PairSeq):
-        """Left/right row lists for a batch, hitting the cache inline.
-
-        The dict probe runs in the comprehension (no ``_row`` frame) for
-        entities already tabled — in sorted blocks that is nearly all of
-        them after the first batch.
-        """
-        rows = self._rows
-        rows1 = [rows.get(e1.id) or self._row(e1) for e1, _ in pairs]
-        rows2 = [rows.get(e2.id) or self._row(e2) for _, e2 in pairs]
-        return rows1, rows2
+    def _build_row(self, entity: Entity, known: Dict[str, Optional[int]]) -> Row:
+        get = entity.attrs.get
+        values = tuple([
+            get(attribute, "")[:max_chars] for attribute, max_chars in self._fields
+        ])
+        lengths = tuple(map(len, values))
+        signatures: List[Optional[int]] = [None] * len(values)
+        for index in self._edit_indices:
+            value = values[index]
+            signature = known.get(value)
+            if signature is None:
+                signature = known[value] = _signature(value)
+            signatures[index] = signature
+        return (
+            values,
+            lengths,
+            tuple(signatures),
+            sum(map(lengths.__getitem__, self._quad_indices)),
+        )
 
     # -- decisions ------------------------------------------------------
 
-    def decisions(self, pairs: PairSeq) -> List[bool]:
-        """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, bounded."""
-        if not pairs:
+    def decisions(
+        self, rows: BlockRows, lefts: Sequence[int], rights: Sequence[int]
+    ) -> List[bool]:
+        """``[matcher.is_match(members[i], members[j]) for i, j in
+        zip(lefts, rights)]``, bounded."""
+        if not lefts:
             return []
         _STATS["batches"] += 1
-        _STATS["pairs"] += len(pairs)
+        _STATS["pairs"] += len(lefts)
         cache = self.matcher._cache
         if cache is None:
-            return self._bounded_decisions(pairs)
+            return self._bounded_decisions(rows.fetch(lefts), rows.fetch(rights))
         # The matcher's pair cache holds decisions; a hit answers only for
         # the two entity objects it was decided on.  Misses are bounded too.
-        ordered = [(e1, e2) if e1.id < e2.id else (e2, e1) for e1, e2 in pairs]
+        members = rows.members
         out = []
         misses = []
-        for p, (low, high) in enumerate(ordered):
+        for p, (i, j) in enumerate(zip(lefts, rights)):
+            e1, e2 = members[i], members[j]
+            low, high = (e1, e2) if e1.id < e2.id else (e2, e1)
             hit = cache.get((low.id, high.id))
             if hit is not None and hit[0] is low and hit[1] is high:
                 out.append(hit[2])
             else:
                 out.append(False)
-                misses.append(p)
+                misses.append((p, low, high))
         if misses:
-            decided = self._bounded_decisions([pairs[p] for p in misses])
-            for p, decision in zip(misses, decided):
-                low, high = ordered[p]
+            decided = self._bounded_decisions(
+                rows.fetch([lefts[p] for p, _, _ in misses]),
+                rows.fetch([rights[p] for p, _, _ in misses]),
+            )
+            for (p, low, high), decision in zip(misses, decided):
                 cache[(low.id, high.id)] = (low, high, decision)
                 out[p] = decision
         return out
 
-    def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
-        """Rule-major bounded evaluation of one batch.
+    def _bounded_decisions(self, rows1: List[Row], rows2: List[Row]) -> List[bool]:
+        """Rule-major bounded evaluation of one batch, in three passes.
 
-        First every pair is given its **credit**: the most its unevaluated
-        rules can still add to the weighted sum — the full weight for a
-        cheap rule, ``weight * _edit_upper_bound`` for an edit rule.  Then,
-        for each rule in cheapest-first order, every pair still alive
-        trades that rule's credit for its score.  A pair leaves ``alive`` —
-        and is decided ``False`` — when score so far plus remaining credit,
-        over the full weight of everything evaluated or still to come,
-        falls below the cutoff, or, inside an edit rule, when
-        :func:`_rule_floor` asks for more than the rule can score (its own
-        upper bound, without a kernel call) or does score (the bounded
-        kernel's below-floor sentinel): either implies the post-rule
-        cutoff would have fired, so propagation changes no decision.
+        1. **Exact rules**, every pair: equality needs no memo and no
+           kernel, and it fixes the score the other rules must make up.
+        2. **Credits**, heaviest edit rule first: each alive pair trades
+           the full weight of the rule for ``weight * _edit_upper_bound``
+           and leaves ``alive`` — decided ``False`` — once score plus
+           credit, over the full weight of everything evaluated or still
+           to come, falls below the cutoff.  A pair that dies here never
+           pays for the bounds of its lighter rules.
+        3. **Scored rules**, cheapest first: every pair still alive trades
+           a rule's credit for its score and dies when the same bound falls
+           below the cutoff or, inside an edit rule, when the bounded
+           kernel answers with its below-floor sentinel for the floor
+           :func:`_rule_floor` derived from that bound.
+
+        Pass 3 keeps its credits in the float sequence of the one-pass
+        evaluation (credits summed in rule order, each evaluated rule's
+        subtracted in evaluation order), so its floors, its kernel calls
+        and its memo traffic are those of that evaluation.
         """
-        n = len(pairs)
+        n = len(rows1)
         rules = self._rules
-        num_rules = len(rules)
         cutoff = self._cutoff
-        rows1, rows2 = self._row_columns(pairs)
-
-        credits = [self._cheap_weight] * n
-        uppers: Dict[int, List[float]] = {}
-        for index in self._edit_indices:
-            weight = rules[index].weight
-            column = uppers[index] = []
-            for p in range(n):
-                _, lens1, sigs1 = rows1[p]
-                _, lens2, sigs2 = rows2[p]
-                upper = _edit_upper_bound(
-                    lens1[index], lens2[index], sigs1[index], sigs2[index]
-                )
-                column.append(upper)
-                credits[p] += weight * upper
-
-        sims: List[List[Optional[float]]] = [[None] * num_rules for _ in range(n)]
+        values1 = [row[0] for row in rows1]
+        values2 = [row[0] for row in rows2]
         totals = [0.0] * n
         weights = [0.0] * n
+        exact_rules = [(index, rules[index].weight) for index in self._exact_indices]
+        if exact_rules:
+            for p in range(n):
+                va = values1[p]
+                vb = values2[p]
+                total = 0.0
+                weight_sum = 0.0
+                for index, weight in exact_rules:
+                    v1 = va[index]
+                    if v1 != vb[index]:
+                        weight_sum += weight
+                    elif v1:
+                        total += weight
+                        weight_sum += weight
+                totals[p] = total
+                weights[p] = weight_sum
+
         alive = list(range(n))
-        for index in self._eval_order:
+        sims: Dict[int, List[Optional[float]]] = {}
+        if self._scored_order:
+            scored_weight = self._scored_weight
+            # Score plus credit, and the cutoff times the bound's weight.
+            reach = [total + scored_weight for total in totals]
+            needed = [cutoff * (weight + scored_weight) for weight in weights]
+            alive = [p for p in alive if reach[p] >= needed[p]]
+            lengths1 = [row[1] for row in rows1]
+            lengths2 = [row[1] for row in rows2]
+            signatures1 = [row[2] for row in rows1]
+            signatures2 = [row[2] for row in rows2]
+            edit_upper_bound = _edit_upper_bound
+            uppers: Dict[int, List[float]] = {}
+            for index in self._credit_order:
+                weight = rules[index].weight
+                column = uppers[index] = [0.0] * n
+                next_alive = []
+                for p in alive:
+                    upper = edit_upper_bound(
+                        lengths1[p][index], lengths2[p][index],
+                        signatures1[p][index], signatures2[p][index],
+                    )
+                    column[p] = upper
+                    bound = reach[p] - weight * (1.0 - upper)
+                    if bound < needed[p]:
+                        continue
+                    reach[p] = bound
+                    next_alive.append(p)
+                alive = next_alive
+            if alive:
+                credits = [self._cheap_weight] * n
+                for index in self._edit_indices:
+                    weight = rules[index].weight
+                    column = uppers[index]
+                    for p in alive:
+                        credits[p] += weight * column[p]
+                for index, weight in exact_rules:
+                    for p in alive:
+                        credits[p] -= weight
+                alive = self._scored_pass(
+                    values1, values2, alive, sims, totals, weights, credits, uppers
+                )
+
+        out = [False] * n
+        threshold = self._threshold
+        for p in alive:
+            if weights[p] == 0.0:
+                continue
+            # Re-accumulate in original rule order, like the definition.
+            va = values1[p]
+            vb = values2[p]
+            exact_total = 0.0
+            exact_weight = 0.0
+            for index, rule in enumerate(rules):
+                if rule.comparator == "exact":
+                    v1 = va[index]
+                    if v1 != vb[index]:
+                        sim: Optional[float] = 0.0
+                    else:
+                        sim = 1.0 if v1 else None
+                else:
+                    sim = sims[index][p]
+                if sim is None:
+                    continue
+                exact_total += rule.weight * sim
+                exact_weight += rule.weight
+            out[p] = exact_total / exact_weight >= threshold
+        return out
+
+    def _scored_pass(self, values1, values2, alive, sims, totals, weights, credits, uppers):
+        """Pass 3 of :meth:`_bounded_decisions`; returns the survivors."""
+        rules = self._rules
+        cutoff = self._cutoff
+        n = len(values1)
+        for index in self._scored_order:
             if not alive:
                 break
             rule = rules[index]
@@ -357,34 +486,27 @@ class BatchMatcher:
             remaining_after = self._weight_after[index]
             comparator = rule.comparator
             is_edit = comparator == "edit"
-            is_exact = comparator == "exact"
             column = uppers.get(index)
+            scores = sims[index] = [None] * n
             # Within one rule, identical value pairs recur constantly in
             # sorted blocks; resolve them once per batch instead of once
             # per pair (same value either way — only memo traffic differs).
             local: Dict[tuple, float] = {}
             next_alive = []
             for p in alive:
-                v1 = rows1[p][0][index]
-                v2 = rows2[p][0][index]
+                v1 = values1[p][index]
+                v2 = values2[p][index]
                 upper = 1.0 if column is None else column[p]
                 credit_after = credits[p] - weight * upper
                 if not v1 and not v2:
                     sim: Optional[float] = None
                 elif not v1 or not v2:
                     sim = 0.0
-                elif is_exact:
-                    sim = 1.0 if v1 == v2 else 0.0
                 elif is_edit:
                     floor = _rule_floor(
                         cutoff, weight, totals[p], weights[p],
                         credit_after, remaining_after,
                     )
-                    if floor > upper:
-                        # Even the best score this rule's lengths and
-                        # character counts allow leaves the pair below the
-                        # cutoff bound: no kernel call needed.
-                        continue
                     if floor > 0.0:
                         sim = _memo_edit_at_least(v1, v2, floor)
                         if sim == _BELOW_FLOOR:
@@ -399,7 +521,7 @@ class BatchMatcher:
                     if sim is None:
                         sim = _memo_compare(comparator, v1, v2)
                         local[(v1, v2)] = sim
-                sims[p][index] = sim
+                scores[p] = sim
                 credits[p] = credit_after
                 if sim is not None:
                     totals[p] += weight * sim
@@ -414,51 +536,33 @@ class BatchMatcher:
                     continue  # upper bound too low
                 next_alive.append(p)
             alive = next_alive
-
-        out = [False] * n
-        threshold = self._threshold
-        for p in alive:
-            if weights[p] == 0.0:
-                continue
-            # Re-accumulate in original rule order, like the definition.
-            exact_total = 0.0
-            exact_weight = 0.0
-            pair_sims = sims[p]
-            for rule, sim in zip(rules, pair_sims):
-                if sim is None:
-                    continue
-                exact_total += rule.weight * sim
-                exact_weight += rule.weight
-            out[p] = exact_total / exact_weight >= threshold
-        return out
+        return alive
 
     # -- cost factors ----------------------------------------------------
 
-    def cost_factors(self, pairs: PairSeq) -> List[float]:
-        """``[matcher.comparison_cost_factor(e1, e2) ...]``, batched.
+    def cost_factors(
+        self, rows: BlockRows, lefts: Sequence[int], rights: Sequence[int]
+    ) -> List[float]:
+        """``[matcher.comparison_cost_factor(members[i], members[j]) ...]``.
 
-        Same float sequence as the per-pair method: per quadratic rule in
-        original order, ``(len(v1) + len(v2)) / 2.0`` summed, divided by
-        ``quadratic_rules * REFERENCE_LENGTH`` and clamped.
+        The same floats as the per-pair method: it sums ``(len(v1) +
+        len(v2)) / 2.0`` over the quadratic rules, which is exact for
+        integer lengths, so one ``(quad1 + quad2) / 2.0`` of the rows'
+        summed lengths is that sum; then it divides by ``quadratic_rules *
+        REFERENCE_LENGTH`` and clamps.
         """
-        quad = self._quad_indices
-        if not quad:
-            return [MIN_COST_FACTOR] * len(pairs)
+        if not self._quad_indices:
+            return [MIN_COST_FACTOR] * len(lefts)
         denominator = self._cost_denominator
-        rows = self._rows
-        out = []
-        for e1, e2 in pairs:
-            lens1 = (rows.get(e1.id) or self._row(e1))[1]
-            lens2 = (rows.get(e2.id) or self._row(e2))[1]
-            chars = 0.0
-            for index in quad:
-                chars += (lens1[index] + lens2[index]) / 2.0
-            factor = chars / denominator
-            out.append(factor if factor > MIN_COST_FACTOR else MIN_COST_FACTOR)
-        return out
+        factors = [
+            (row1[3] + row2[3]) / 2.0 / denominator
+            for row1, row2 in zip(rows.fetch(lefts), rows.fetch(rights))
+        ]
+        return [f if f > MIN_COST_FACTOR else MIN_COST_FACTOR for f in factors]
 
 
 __all__ = [
     "BatchMatcher",
+    "BlockRows",
     "batch_kernel_counters",
 ]

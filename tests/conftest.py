@@ -144,3 +144,33 @@ def toy_people() -> Dataset:
 @pytest.fixture(scope="session")
 def toy_people_dataset() -> Dataset:
     return toy_people()
+
+
+def index_pairs(pairs):
+    """Entity pairs as ``(members, lefts, rights)``: each distinct entity
+    object once, in first-seen order, and the pairs as positions into it —
+    the form the batch kernel and the resolution loop take."""
+    members, lefts, rights = [], [], []
+    position_of = {}
+    for e1, e2 in pairs:
+        for entity, side in ((e1, lefts), (e2, rights)):
+            if id(entity) not in position_of:
+                position_of[id(entity)] = len(members)
+                members.append(entity)
+            side.append(position_of[id(entity)])
+    return members, lefts, rights
+
+
+def decide(batcher, pairs):
+    """``batcher``'s decisions on a list of entity pairs."""
+    members, lefts, rights = index_pairs(pairs)
+    return batcher.decisions(batcher.rows(members), lefts, rights)
+
+
+def flatten_runs(members, runs):
+    """A run stream as the entity pairs it stands for, in stream order."""
+    return [
+        (members[i], members[j])
+        for lefts, rights in runs
+        for i, j in zip(lefts, rights)
+    ]

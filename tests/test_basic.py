@@ -1,9 +1,13 @@
 """Unit and end-to-end tests for the Basic baseline (Section II-C)."""
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.baselines import BasicConfig, BasicER
-from repro.baselines.basic import _is_smallest_common_block
+from repro.baselines.basic import _is_smallest_common_block, smallest_key_veto
 from repro.blocking import citeseer_scheme
 from repro.mapreduce import Cluster
 from repro.evaluation import recall_curve
@@ -35,6 +39,31 @@ class TestSmallestCommonBlockRule:
 
     def test_none_keys_are_not_common(self):
         assert not _is_smallest_common_block((None,), (None,), 0)
+
+    @given(
+        keys=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", None]), min_size=3, max_size=3),
+            max_size=8,
+        ),
+        position=st.integers(0, 2),
+        block_key=st.sampled_from(["a", "b", "c"]),
+    )
+    def test_the_run_veto_is_the_rule(self, keys, position, block_key):
+        # Every member of a block shares the block's key; over all pairs
+        # of the block, the column veto skips exactly where the rule says.
+        signatures = [
+            tuple(block_key if f == position else key for f, key in enumerate(row))
+            for row in keys
+        ]
+        pairs = list(itertools.permutations(range(len(signatures)), 2))
+        lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
+        verdicts = smallest_key_veto(signatures, position, block_key)(lefts, rights)
+        assert verdicts == [
+            None
+            if _is_smallest_common_block(signatures[a], signatures[b], position)
+            else "skipped"
+            for a, b in pairs
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,11 @@ duplicate callbacks, charge sequences and stop points — against the
 per-pair oracle ``scalar_resolve_block`` below; the guard tests prove that
 the hot path never falls back to per-pair ``is_match`` /
 ``comparison_cost_factor`` calls and that ``src/`` decides through one
-kernel; and the end-to-end differential pins found-pair sets and
-progressive curves across {definition, kernel} × {serial, process} ×
-{slack, blocksplit} on the golden books fixture.
+kernel; the run-loop property holds the loop to the oracle on every
+in-repo run stream, random vetoes, ranges, stops and widths; and the
+end-to-end differential pins found-pair sets and progressive curves
+across {definition, kernel} × {serial, process} × {slack, blocksplit} on
+the golden books fixture.
 """
 
 from __future__ import annotations
@@ -27,23 +29,31 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.driver as driver
 import repro.mechanisms.base as mechanisms_base
 import repro.similarity.batch as batch_module
+from conftest import decide, flatten_runs, index_pairs
 from repro.core import books_config
 from repro.data import Entity
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import CostModel
+from repro.baselines.mrsn import window_runs
 from repro.mechanisms import (
+    PSNM,
+    DistinctBudget,
+    FullResolution,
+    HierarchyHint,
     NeverStop,
+    PopcornCondition,
     ResolveStats,
     SortedNeighborHint,
     block_sort_key,
     resolve_block,
 )
+from repro.service.delta import candidate_pairs
 from repro.similarity import (
     AttributeRule,
     BatchMatcher,
@@ -119,14 +129,14 @@ class TestKernelEqualsDefinition:
     @given(matcher=matcher_configs(), pairs=entity_batches())
     def test_is_match_equals_scalar(self, matcher, pairs):
         definition = [matcher.is_match(e1, e2) for e1, e2 in pairs]
-        assert BatchMatcher(matcher).decisions(pairs) == definition
+        assert decide(BatchMatcher(matcher), pairs) == definition
 
     @settings(max_examples=100)
     @given(matcher=matcher_configs(cache=True), pairs=entity_batches())
     def test_cached_matcher_decisions_equal_scalar(self, matcher, pairs):
         # The kernel answers a pair-cached matcher through the matcher's
         # own cache; interleave to exercise warm-cache hits.
-        assert BatchMatcher(matcher).decisions(pairs) == [
+        assert decide(BatchMatcher(matcher), pairs) == [
             matcher.is_match(e1, e2) for e1, e2 in pairs
         ]
         assert set(matcher._cache) == {
@@ -137,19 +147,25 @@ class TestKernelEqualsDefinition:
     @given(matcher=matcher_configs(), pairs=entity_batches())
     def test_cost_factors_equal_scalar(self, matcher, pairs):
         definition = [matcher.comparison_cost_factor(e1, e2) for e1, e2 in pairs]
-        assert BatchMatcher(matcher).cost_factors(pairs) == definition
+        batcher = BatchMatcher(matcher)
+        members, lefts, rights = index_pairs(pairs)
+        assert batcher.cost_factors(batcher.rows(members), lefts, rights) == definition
 
     def test_empty_batch(self):
         batcher = BatchMatcher(books_matcher())
-        assert batcher.decisions([]) == []
-        assert batcher.cost_factors([]) == []
+        rows = batcher.rows([])
+        before = batch_module.batch_kernel_counters()
+        assert batcher.decisions(rows, [], []) == []
+        assert batcher.cost_factors(rows, [], []) == []
+        assert batch_module.batch_kernel_counters() == before  # not a batch
 
     def test_removed_surface_is_gone(self):
         for name in ("batch_is_match", "batch_similarity", "batch_cost_factors"):
             with pytest.raises(ImportError):
                 exec(f"from repro.similarity import {name}")
-        with pytest.raises(AttributeError):
-            BatchMatcher(books_matcher()).similarities
+        for name in ("similarities", "_row", "_row_columns", "_rows"):
+            with pytest.raises(AttributeError):
+                getattr(BatchMatcher(books_matcher()), name)
         with pytest.raises(AttributeError):
             books_matcher()._bounded_match
 
@@ -171,13 +187,15 @@ def boundary_cases(draw):
 class _Deaths:
     """Which short-circuit ended the one pair of a one-pair batch.
 
-    Spies on the module-level names the kernel calls.  ``sentinel`` and
-    ``above_upper`` are read off return values; the credit cutoff is inline
+    Spies on the module-level names the kernel calls.  ``sentinel`` is read
+    off the bounded kernel's return value.  ``credit``: the pair died while
+    its edit credits were being computed, heaviest first — fewer
+    ``_edit_upper_bound`` calls than edit rules.  The cutoff is inline
     code, so it is recognised by what never ran: every rule that is not
     ``exact`` and has a value on both sides announces itself — an edit rule
     through ``_rule_floor``, the others through ``_memo_compare`` — and a
-    pair that neither met the sentinel nor an unreachable floor yet never
-    reached one of them was cut by the cutoff before it got there.
+    pair that met no other short-circuit yet never reached one of them was
+    cut by the cutoff before it got there.
     """
 
     def __init__(self, matcher):
@@ -189,6 +207,7 @@ class _Deaths:
                 "_memo_edit_at_least", "_memo_compare",
             )
         }
+        self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
         self.clear()
 
     def clear(self):
@@ -232,15 +251,16 @@ class _Deaths:
         in a batch of its own so the spies speak about this pair only."""
         self.clear()
         with self.patched():
-            (decision,) = BatchMatcher(self.matcher).decisions([(e1, e2)])
+            (decision,) = decide(BatchMatcher(self.matcher), [(e1, e2)])
         kinds = set()
         if self.sentinel:
             kinds.add("sentinel")
-        # Every floor is answered by a kernel call unless it was unreachable.
-        if len(self.floors) > self.kernel_calls:
-            assert len(self.floors) == self.kernel_calls + 1
-            assert self.floors[-1] > min(self.uppers)
-            kinds.add("above_upper")
+        # Every floor is answered by a kernel call: the credits already
+        # ended every pair whose floor its own bound could not reach.
+        assert len(self.floors) == self.kernel_calls
+        if len(self.uppers) < self.edit_rules:
+            assert not self.floors
+            kinds.add("credit")
         announced = sum(
             1
             for rule in self.matcher.rules
@@ -253,10 +273,9 @@ class _Deaths:
 
 class TestFloorSoundness:
     """What a mirror sharing the bounds could not catch: every pair the
-    kernel drops before its last rule was ever summed — by the credit
-    cutoff, by a floor above the rule's own upper bound, by the bounded
-    kernel's below-floor sentinel — is below the threshold by the
-    definition."""
+    kernel drops before its last rule was ever summed — by a credit
+    computed heaviest rule first, by the cutoff, by the bounded kernel's
+    below-floor sentinel — is below the threshold by the definition."""
 
     @settings(max_examples=300)
     @given(case=boundary_cases())
@@ -274,13 +293,11 @@ class TestFloorSoundness:
             assert decision == (similarity >= matcher.threshold)
 
     def test_every_way_to_die_fires_and_is_sound(self, books_small, citeseer_small):
-        # Not vacuous: on real pairs each short-circuit ends some pair.  An
-        # unreachable floor needs an edit rule evaluated first (citeseer);
-        # behind a cheap rule the cutoff gets there before it (books).
+        # Not vacuous: on real pairs each short-circuit ends some pair.
         import random
 
         rng = random.Random(21)
-        seen = {"cutoff": 0, "above_upper": 0, "sentinel": 0}
+        seen = {"credit": 0, "cutoff": 0, "sentinel": 0}
         for matcher, entities in (
             (books_matcher(), books_small.entities),
             (citeseer_matcher(), citeseer_small.entities),
@@ -319,11 +336,11 @@ class TestFloorSoundness:
         assert 0.0 < own_sum < 1.0
         matcher = WeightedMatcher(rules, own_sum)
         assert matcher.is_match(e1, e2)
-        assert BatchMatcher(matcher).decisions([(e1, e2), (e2, e1)]) == [True, True]
+        assert decide(BatchMatcher(matcher), [(e1, e2), (e2, e1)]) == [True, True]
         # ... and a hair above it the same pair is out, by both.
         above = WeightedMatcher(rules, own_sum + 1e-12)
         assert not above.is_match(e1, e2)
-        assert BatchMatcher(above).decisions([(e1, e2)]) == [False]
+        assert decide(BatchMatcher(above), [(e1, e2)]) == [False]
 
     def test_astral_character_counts_once(self):
         # The prototype's first signature counted UTF-16 units: the emoji
@@ -333,7 +350,7 @@ class TestFloorSoundness:
         e1 = Entity(id=1, attrs={"title": " 🙂"})
         e2 = Entity(id=2, attrs={"title": " "})
         assert matcher.is_match(e1, e2)
-        assert BatchMatcher(matcher).decisions([(e1, e2), (e2, e1)]) == [True, True]
+        assert decide(BatchMatcher(matcher), [(e1, e2), (e2, e1)]) == [True, True]
 
     def test_value_too_long_for_a_counter_uses_the_length_bound(self):
         longest = batch_module._COUNTER_MAX + 1
@@ -347,7 +364,7 @@ class TestFloorSoundness:
             batch_module, "_memo_edit_at_least",
             side_effect=batch_module._memo_edit_at_least,
         ) as kernel:
-            assert BatchMatcher(matcher).decisions([(e0, near), (e0, far)]) == [
+            assert decide(BatchMatcher(matcher), [(e0, near), (e0, far)]) == [
                 True, False,
             ]
         # The length gap alone ruled the second pair out.
@@ -360,28 +377,34 @@ class TestFloorSoundness:
 
 
 def scalar_resolve_block(
-    pairs, matcher, cost_model, charge_compare, on_duplicate, *,
+    members, runs, matcher, cost_model, charge_compare, on_duplicate, *,
     admit=None, stop=None, on_resolved=None, pair_range=None,
 ):
-    """The per-pair oracle ``resolve_block`` is differenced against: one
-    ``is_match`` — the definition, no short-circuit — per admitted pair,
-    no look-ahead."""
+    """The per-pair oracle ``resolve_block`` is differenced against: the
+    runs flattened to one pair at a time, the veto asked about each pair
+    on its own, one ``is_match`` — the definition, no short-circuit — per
+    admitted pair, no look-ahead."""
+    definition = matcher.matcher
     stats = ResolveStats()
     condition = stop if stop is not None else NeverStop()
     first, last = (0, None) if pair_range is None else pair_range
-    for position, (e1, e2) in enumerate(pairs):
+    positions = ((i, j) for lefts, rights in runs for i, j in zip(lefts, rights))
+    for position, (i, j) in enumerate(positions):
         if position < first:
             continue
         if last is not None and position >= last:
             break
-        verdict = admit(e1, e2) if admit is not None else None
+        verdict = admit([i], [j])[0] if admit is not None else None
         if verdict is not None:
             setattr(stats, verdict, getattr(stats, verdict) + 1)
             if verdict == "pruned" and condition.should_stop(stats, False):
                 return stats
             continue
-        charge_compare(cost_model.compare * matcher.comparison_cost_factor(e1, e2))
-        is_dup = matcher.is_match(e1, e2)
+        e1, e2 = members[i], members[j]
+        charge_compare(
+            cost_model.compare * definition.comparison_cost_factor(e1, e2)
+        )
+        is_dup = definition.is_match(e1, e2)
         stats.comparisons += 1
         if is_dup:
             stats.duplicates += 1
@@ -396,9 +419,19 @@ def scalar_resolve_block(
     return stats
 
 
-def _resolve(
-    entities, matcher, resolver=resolve_block, *, window=8, stop=None, admit=None
+def _pair_veto(members, verdict):
+    """A run veto asking ``verdict(e1, e2)`` about each pair."""
+    def admit(lefts, rights):
+        return [verdict(members[a], members[b]) for a, b in zip(lefts, rights)]
+
+    return admit
+
+
+def _resolve_runs(
+    members, runs, matcher, resolver=resolve_block, *,
+    stop=None, verdict=None, pair_range=None,
 ):
+    """Resolve materialized runs; everything the loop makes observable."""
     charged = []
     dups = []
     resolved = []
@@ -407,22 +440,35 @@ def _resolve(
         charged.append(cost)
         return cost
 
-    cost_model = CostModel()
     stats = resolver(
-        SortedNeighborHint().pair_stream(
-            entities, window, lambda e: block_sort_key(e, "title"), charge, cost_model
-        ),
-        matcher,
-        cost_model,
+        members,
+        iter(runs),
+        BatchMatcher(matcher),
+        CostModel(),
         charge,
         lambda a, b: dups.append((min(a.id, b.id), max(a.id, b.id))),
         on_resolved=lambda a, b, d: resolved.append(
             (min(a.id, b.id), max(a.id, b.id), d)
         ),
         stop=stop,
-        admit=admit,
+        admit=None if verdict is None else _pair_veto(members, verdict),
+        pair_range=pair_range,
     )
     return stats, dups, resolved, charged
+
+
+def _resolve(
+    entities, matcher, resolver=resolve_block, *, window=8, stop=None, verdict=None
+):
+    charged = []
+    members, runs = SortedNeighborHint().pair_stream(
+        entities, window, lambda e: block_sort_key(e, "title"),
+        charged.append, CostModel(),
+    )
+    stats, dups, resolved, compared = _resolve_runs(
+        members, list(runs), matcher, resolver, stop=stop, verdict=verdict
+    )
+    return stats, dups, resolved, charged + compared
 
 
 class TestResolveBlockBatching:
@@ -439,8 +485,6 @@ class TestResolveBlockBatching:
         assert scalar[1]  # found some duplicates, or the test is vacuous
 
     def test_stop_condition_fires_at_the_same_pair(self, books_small):
-        from repro.mechanisms import DistinctBudget
-
         entities = books_small.entities[:120]
         scalar = _resolve(
             entities, books_matcher(), scalar_resolve_block, stop=DistinctBudget(25)
@@ -452,15 +496,13 @@ class TestResolveBlockBatching:
     def test_admit_verdicts_are_counted_and_pruned_burns_the_budget(
         self, books_small, monkeypatch
     ):
-        from repro.mechanisms import DistinctBudget
-
         entities = books_small.entities[:120]
         verdicts = (None, "filtered", "pruned", "skipped")
 
-        def admit(e1, e2):
+        def verdict(e1, e2):
             return verdicts[(e1.id + e2.id) % 4]
 
-        unstopped = _resolve(entities, books_matcher(), admit=admit)[0]
+        unstopped = _resolve(entities, books_matcher(), verdict=verdict)[0]
         assert unstopped.exhausted
         assert min(
             unstopped.comparisons, unstopped.filtered,
@@ -469,12 +511,12 @@ class TestResolveBlockBatching:
 
         scalar = _resolve(
             entities, books_matcher(), scalar_resolve_block,
-            admit=admit, stop=DistinctBudget(25),
+            verdict=verdict, stop=DistinctBudget(25),
         )
         for width in (2, 64):
             monkeypatch.setattr(mechanisms_base, "BATCH_PAIRS", width)
             batched = _resolve(
-                entities, books_matcher(), admit=admit, stop=DistinctBudget(25)
+                entities, books_matcher(), verdict=verdict, stop=DistinctBudget(25)
             )
             assert batched == scalar
         stats = scalar[0]
@@ -491,8 +533,8 @@ class TestResolveBlockBatching:
             BatchMatcher(matcher, use_numpy=False)
         with pytest.raises(TypeError):
             resolve_block(
-                [], matcher, CostModel(), lambda cost: cost, lambda a, b: None,
-                pair_filter=lambda a, b: True,
+                [], [], BatchMatcher(matcher), CostModel(), lambda cost: cost,
+                lambda a, b: None, pair_filter=lambda a, b: True,
             )
 
     def test_src_never_imports_numpy(self):
@@ -504,10 +546,11 @@ class TestResolveBlockBatching:
             "from repro.data import make_books\n"
             "from repro.similarity import BatchMatcher, books_matcher\n"
             "entities = make_books(40, seed=2).entities\n"
-            "pairs = list(zip(entities, entities[1:]))\n"
             "matcher = books_matcher()\n"
-            "assert BatchMatcher(matcher).decisions(pairs) == "
-            "[matcher.is_match(a, b) for a, b in pairs]\n"
+            "batcher = BatchMatcher(matcher)\n"
+            "lefts, rights = range(39), range(1, 40)\n"
+            "assert batcher.decisions(batcher.rows(entities), lefts, rights) == "
+            "[matcher.is_match(entities[i], entities[i + 1]) for i in lefts]\n"
             "assert not any(name.split('.')[0] == 'numpy' and module is not None"
             " for name, module in sys.modules.items())\n"
         )
@@ -545,6 +588,140 @@ class TestResolveBlockBatching:
                 ):
                     callers[node.func.attr].add(path.relative_to(root).as_posix())
         assert callers == {"is_match": set(), "decisions": {"mechanisms/base.py"}}
+
+
+# ---------------------------------------------------------------------------
+# The run loop against the oracle, on every in-repo run stream
+# ---------------------------------------------------------------------------
+
+VERDICTS = (None, "filtered", "pruned", "skipped")
+FAMILIES = ("X", "Y", "Z")
+
+
+@st.composite
+def run_streams(draw, pool):
+    """A block of <= 30 books and one run stream over it: from an in-repo
+    mechanism, MR-SN's window, the delta candidates, or random runs."""
+    start = draw(st.integers(0, len(pool) - 1))
+    chosen = pool[start:start + draw(st.integers(0, 30))]
+    window = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(
+        ["psnm", "sn-hint", "full", "hierarchy", "mrsn", "delta", "random"]
+    ))
+    mechanisms = {
+        "psnm": PSNM(),
+        "sn-hint": SortedNeighborHint(),
+        "full": FullResolution(),
+        "hierarchy": HierarchyHint(leaf_size=draw(st.integers(2, 5))),
+    }
+    if kind in mechanisms:
+        members, runs = mechanisms[kind].pair_stream(
+            chosen, window, lambda e: block_sort_key(e, "title"),
+            lambda cost: cost, CostModel(),
+        )
+        return kind, members, list(runs)
+    if kind == "mrsn":
+        flags = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        ordered = list(zip(chosen, flags))
+        return kind, chosen, list(window_runs(ordered, window))
+    if kind == "delta":
+        family = draw(st.sampled_from(FAMILIES))
+        records = sorted(
+            (
+                (
+                    entity,
+                    dict(
+                        zip(FAMILIES, draw(st.lists(
+                            st.sampled_from(["a", "b", None]), min_size=3, max_size=3
+                        ))),
+                        **{family: "k"},
+                    ),
+                    draw(st.booleans()),
+                )
+                for entity in chosen
+            ),
+            key=lambda record: record[0].id,
+        )
+        bounds = sorted(draw(st.lists(st.integers(0, len(records)), min_size=2, max_size=2)))
+        runs = candidate_pairs(
+            records, bounds[0], bounds[1], family, FAMILIES, draw(st.integers(1, 3))
+        )
+        return kind, [entity for entity, _, _ in records], list(runs)
+    pairs = [
+        (j, i) if draw(st.booleans()) else (i, j)
+        for i in range(len(chosen)) for j in range(i + 1, len(chosen))
+    ]
+    pairs = draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]
+    runs = []
+    while pairs:
+        size = draw(st.integers(1, len(pairs)))
+        runs.append(([i for i, _ in pairs[:size]], [j for _, j in pairs[:size]]))
+        pairs = pairs[size:]
+    return kind, chosen, runs
+
+
+def _id_pairs(members, runs):
+    return [
+        (min(a.id, b.id), max(a.id, b.id)) for a, b in flatten_runs(members, runs)
+    ]
+
+
+class TestRunLoopMatchesOracle:
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_loop_equals_the_oracle_on_the_flattened_pairs(self, books_small, data):
+        pool = sorted(books_small.entities, key=lambda e: (e.get("title"), e.id))
+        kind, members, runs = data.draw(run_streams(pool))
+        ids = _id_pairs(members, runs)
+        # The contract a veto over a whole run rests on.
+        assert len(set(ids)) == len(ids), kind
+        table = data.draw(st.lists(st.sampled_from(VERDICTS), min_size=1, max_size=8))
+        verdict = (
+            (lambda e1, e2: table[(min(e1.id, e2.id) * 7 + max(e1.id, e2.id)) % len(table)])
+            if data.draw(st.booleans()) else None
+        )
+        pair_range = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(0, len(ids) + 2), min_size=2, max_size=2).map(
+                lambda bounds: tuple(sorted(bounds))
+            ),
+        ))
+        stops = {
+            "none": lambda: None,
+            "budget": lambda: DistinctBudget(budget),
+            "popcorn": lambda: PopcornCondition(popcorn),
+        }
+        stop = data.draw(st.sampled_from(sorted(stops)))
+        budget = data.draw(st.integers(0, 20))
+        popcorn = data.draw(st.sampled_from([0.1, 0.3, 0.5]))
+        width = data.draw(st.sampled_from([1, 2, 64]))
+        matcher = books_matcher()
+
+        scalar = _resolve_runs(
+            members, runs, matcher, scalar_resolve_block,
+            stop=stops[stop](), verdict=verdict, pair_range=pair_range,
+        )
+        with mock.patch.object(mechanisms_base, "BATCH_PAIRS", width):
+            batched = _resolve_runs(
+                members, runs, matcher,
+                stop=stops[stop](), verdict=verdict, pair_range=pair_range,
+            )
+        assert batched == scalar
+
+    @given(n=st.integers(0, 40), window=st.integers(1, 15))
+    def test_psnm_runs_flatten_to_the_distance_major_order(self, n, window):
+        entities = [Entity(id=i, attrs={"title": f"t{(i * 7) % 41:02d}"}) for i in range(n)]
+        members, runs = PSNM().pair_stream(
+            entities, window, lambda e: block_sort_key(e, "title"),
+            lambda cost: cost, CostModel(),
+        )
+        ordered = sorted(entities, key=lambda e: (block_sort_key(e, "title"), e.id))
+        assert members == ordered
+        assert flatten_runs(members, runs) == [
+            (ordered[i], ordered[i + distance])
+            for distance in range(1, min(window, n))
+            for i in range(n - distance)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.data import Dataset, Entity, make_citeseer
 from repro.evaluation import recall_curve
 from repro.mapreduce import Cluster, CostModel, MapReduceJob, Mapper, Reducer
 from repro.mechanisms import PSNM, SortedNeighborHint, resolve_block
-from repro.similarity import citeseer_matcher
+from repro.similarity import BatchMatcher, citeseer_matcher
 
 
 class _Echo(Mapper):
@@ -59,10 +59,10 @@ class TestEngineEdges:
 class TestMechanismEdges:
     def test_empty_block(self):
         stats = resolve_block(
-            PSNM().pair_stream(
+            *PSNM().pair_stream(
                 [], 5, lambda e: e.get("v"), lambda c: None, CostModel()
             ),
-            citeseer_matcher(),
+            BatchMatcher(citeseer_matcher()),
             CostModel(),
             lambda c: None,
             lambda a, b: None,
@@ -73,10 +73,10 @@ class TestMechanismEdges:
     def test_window_of_one_compares_nothing(self):
         entities = [Entity(id=i, attrs={"v": str(i)}) for i in range(5)]
         stats = resolve_block(
-            SortedNeighborHint().pair_stream(
+            *SortedNeighborHint().pair_stream(
                 entities, 1, lambda e: e.get("v"), lambda c: None, CostModel()
             ),
-            citeseer_matcher(),
+            BatchMatcher(citeseer_matcher()),
             CostModel(),
             lambda c: None,
             lambda a, b: None,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import flatten_runs
 from repro.data import Entity
 from repro.mapreduce import CostModel
 from repro.mechanisms import PSNM, HierarchyHint, window_pairs_count
@@ -16,10 +17,12 @@ def _sort_key(e):
 
 
 def _pairs(mechanism, entities, window):
-    stream = mechanism.pair_stream(
+    members, runs = mechanism.pair_stream(
         entities, window, _sort_key, lambda c: None, CostModel()
     )
-    return [(min(a.id, b.id), max(a.id, b.id)) for a, b in stream]
+    return [
+        (min(a.id, b.id), max(a.id, b.id)) for a, b in flatten_runs(members, runs)
+    ]
 
 
 class TestHierarchyHint:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import decide
 from repro.core import citeseer_config
 from repro.data import Entity, make_citeseer
 from repro.evaluation import ExperimentRun, RunSpec
@@ -112,7 +113,7 @@ class TestWeightedMatcher:
 
     def test_clear_cache(self):
         matcher = WeightedMatcher([AttributeRule("a", 1.0)], threshold=0.5, cache=True)
-        BatchMatcher(matcher).decisions([(_e(1, a="x"), _e(2, a="y"))])
+        decide(BatchMatcher(matcher), [(_e(1, a="x"), _e(2, a="y"))])
         assert matcher._cache
         matcher.clear_cache()
         assert not matcher._cache
@@ -237,7 +238,7 @@ class TestBoundedMatch:
                 if peers:
                     entity = next(e for e in dataset.entities if e.id == eid)
                     pairs.append((entity, peers[0]))
-            decisions = BatchMatcher(matcher).decisions(pairs)
+            decisions = decide(BatchMatcher(matcher), pairs)
             expected = [matcher.similarity(a, b) >= matcher.threshold for a, b in pairs]
             assert decisions == expected
             assert [matcher.is_match(a, b) for a, b in pairs] == expected

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import flatten_runs
 from repro.data import Entity
 from repro.mapreduce import CostModel
 from repro.mechanisms import (
@@ -18,6 +19,7 @@ from repro.mechanisms import (
     window_pairs_count,
 )
 from repro.mechanisms.base import ResolveStats
+from repro.similarity.batch import BatchMatcher
 from repro.similarity.matchers import AttributeRule, WeightedMatcher
 
 
@@ -31,10 +33,10 @@ def _sort_key(e):
 
 def _collect_stream(mechanism, entities, window):
     charged = []
-    stream = mechanism.pair_stream(
+    members, runs = mechanism.pair_stream(
         entities, window, _sort_key, charged.append, CostModel()
     )
-    return list(stream), charged
+    return flatten_runs(members, runs), charged
 
 
 class TestWindowPairsCount:
@@ -102,9 +104,11 @@ class TestPairStreams:
     def test_cost_charged_before_first_pair(self):
         entities = _entities("a", "b")
         charged = []
-        stream = PSNM().pair_stream(entities, 5, _sort_key, charged.append, CostModel())
-        next(stream)
+        members, runs = PSNM().pair_stream(
+            entities, 5, _sort_key, charged.append, CostModel()
+        )
         assert charged and charged[0] > 0
+        assert next(runs)
 
 
 class TestStopConditions:
@@ -150,14 +154,14 @@ class TestStopConditions:
 
 class TestResolveBlock:
     def _matcher(self):
-        return WeightedMatcher([AttributeRule("v", 1.0)], threshold=0.8)
+        return BatchMatcher(WeightedMatcher([AttributeRule("v", 1.0)], threshold=0.8))
 
     def test_finds_duplicates(self):
         entities = _entities("progressive er", "progressive eq", "zzzz completely")
         found = []
         charged = []
         stats = resolve_block(
-            PSNM().pair_stream(entities, 3, _sort_key, charged.append, CostModel()),
+            *PSNM().pair_stream(entities, 3, _sort_key, charged.append, CostModel()),
             self._matcher(),
             CostModel(),
             charged.append,
@@ -173,12 +177,12 @@ class TestResolveBlock:
         charged = []
         compared = []
         stats = resolve_block(
-            PSNM().pair_stream(entities, 2, _sort_key, charged.append, CostModel()),
+            *PSNM().pair_stream(entities, 2, _sort_key, charged.append, CostModel()),
             self._matcher(),
             CostModel(),
             compared.append,
             lambda a, b: None,
-            admit=lambda a, b: "skipped",
+            admit=lambda lefts, rights: ["skipped"] * len(lefts),
         )
         assert stats.skipped == 1
         assert stats.comparisons == 0
@@ -187,7 +191,7 @@ class TestResolveBlock:
     def test_stop_condition_halts_early(self):
         entities = _entities(*[f"x{i:02d}" for i in range(20)])
         stats = resolve_block(
-            PSNM().pair_stream(entities, 10, _sort_key, lambda c: None, CostModel()),
+            *PSNM().pair_stream(entities, 10, _sort_key, lambda c: None, CostModel()),
             self._matcher(),
             CostModel(),
             lambda c: None,
@@ -201,7 +205,7 @@ class TestResolveBlock:
         entities = _entities("aa", "ab", "zz")
         seen = []
         resolve_block(
-            FullResolution().pair_stream(
+            *FullResolution().pair_stream(
                 entities, 99, _sort_key, lambda c: None, CostModel()
             ),
             self._matcher(),

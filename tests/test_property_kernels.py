@@ -28,6 +28,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import decide
 from repro.data import Entity
 from repro.data.perturb import typo_delete, typo_insert, typo_substitute
 from repro.similarity import (
@@ -270,6 +271,6 @@ class TestThresholdPropagation:
             # floors sit closest to the actual similarities.
             v2 = [value[:-1] if value else value for value in v1]
         e1, e2 = _entity(0, v1), _entity(1, v2)
-        (bounded,) = BatchMatcher(matcher).decisions([(e1, e2)])
+        (bounded,) = decide(BatchMatcher(matcher), [(e1, e2)])
         unbounded = matcher.similarity(e1, e2) >= matcher.threshold
         assert bounded == unbounded == matcher.is_match(e1, e2)

@@ -1,9 +1,14 @@
 """Unit tests for dominance lists and SHOULD-RESOLVE (paper Figure 7)."""
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.redundancy import (
     build_dominance_list,
+    dominance_columns,
     missing_sentinel,
     should_resolve,
 )
@@ -121,3 +126,34 @@ class TestShouldResolve:
         # ...but a pair reaching outside X3_1 is resolved here.
         outsider = [dom_x2, 99]
         assert should_resolve(lst, outsider, index=1, num_families=2)
+
+
+class TestDominanceColumns:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                st.one_of(st.none(), st.integers(0, 3)),
+            ),
+            max_size=8,
+        ),
+        index=st.integers(1, 3),
+    )
+    def test_columns_veto_exactly_what_should_resolve_vetoes(self, rows, index):
+        # Entries drawn from a tiny range so lists collide often; a member
+        # is vetoed against another iff SHOULD-RESOLVE says so.
+        dom_lists = [
+            build_dominance_list(
+                entity_id=member,
+                own_index=index,
+                num_families=3,
+                family_trees=[None if tree == 0 else tree for tree in trees],
+                emitted_tree=9,
+                split_descendant=tail,
+            )
+            for member, (trees, tail) in enumerate(rows)
+        ]
+        columns = dominance_columns(dom_lists, index, 3)
+        for a, b in itertools.permutations(range(len(dom_lists)), 2):
+            vetoed = any(column[a] == column[b] for column in columns)
+            assert vetoed == (not should_resolve(dom_lists[a], dom_lists[b], index, 3))

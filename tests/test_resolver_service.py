@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import flatten_runs
 from repro.core import books_config, citeseer_config, skewed_config
 from repro.data import Entity, make_books, make_citeseer, make_skewed
 from repro.service import ResolverService
@@ -16,6 +17,7 @@ from repro.service.delta import (
     block_weight,
     candidate_pairs,
     plan_delta,
+    responsibility_veto,
     responsible_family,
 )
 from repro.service.resolver import SNAPSHOT_FORMAT, config_fingerprint
@@ -172,11 +174,22 @@ class TestDeltaPlanning:
 
             fresh = list(fresh_pairs(members, lo, hi))
             expected = [(a.id, b.id) for a, b in fresh if responsible((a, b)) == family]
-            yielded = list(candidate_pairs(members, lo, hi, family, order, min_matches))
+            entities = [entity for entity, _, _ in members]
+            runs = list(candidate_pairs(members, lo, hi, family, order, min_matches))
+            yielded = flatten_runs(entities, runs)
             scan = iter([(a.id, b.id) for a, b in fresh])
             assert all((a.id, b.id) in scan for a, b in yielded)  # a subsequence
+            assert all(responsible(pair) is not None for pair in yielded)
             assert [
                 (a.id, b.id) for a, b in yielded if responsible((a, b)) == family
+            ] == expected
+            # The reducer's veto over each run keeps exactly those.
+            veto = responsibility_veto(members, family, order, False)
+            assert [
+                (entities[i].id, entities[j].id)
+                for lefts, rights in runs
+                for i, j, verdict in zip(lefts, rights, veto(lefts, rights))
+                if verdict is None
             ] == expected
 
     def test_last_family_block_has_no_candidates_at_two_matches(self):
@@ -184,7 +197,8 @@ class TestDeltaPlanning:
             (Entity(i, {}), {"X": "x", "Y": "y", "Z": "z"}, True) for i in range(5)
         ]
         assert list(candidate_pairs(members, 0, 5, "Z", ("X", "Y", "Z"), 2)) == []
-        assert len(list(candidate_pairs(members, 0, 5, "Y", ("X", "Y", "Z"), 2))) == 10
+        runs = candidate_pairs(members, 0, 5, "Y", ("X", "Y", "Z"), 2)
+        assert sum(len(lefts) for lefts, _ in runs) == 10
 
     def test_slack_keeps_whole_blocks(self):
         affected = {("X", "aa"): [(1, True), (2, False), (3, False)]}

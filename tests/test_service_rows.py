@@ -55,6 +55,72 @@ class TestEntityFromRow:
             entity_from_row(row)
 
 
+class TestAttributeValues:
+    """``null`` is an absent attribute; lists and objects are refused."""
+
+    @pytest.mark.parametrize(
+        "row, attrs",
+        [
+            ({"id": 1, "title": None, "year": 1999}, {"year": "1999"}),
+            ({"id": 1, "attrs": {"title": None, "t": "x"}}, {"t": "x"}),
+            ({"id": 1, "t": "x", "n": 2.5, "b": True}, {"t": "x", "n": "2.5", "b": "True"}),
+            ({"id": 1, "t": ""}, {"t": ""}),
+        ],
+    )
+    def test_null_is_absent_and_scalars_convert(self, row, attrs):
+        assert entity_from_row(row).attrs == attrs
+
+    @pytest.mark.parametrize(
+        "row, key",
+        [
+            ({"id": 1, "title": ["a", "b"]}, "title"),
+            ({"id": 1, "attrs": {"venue": {"name": "x"}}}, "venue"),
+            ({"id": 1, "authors": []}, "authors"),
+        ],
+    )
+    def test_lists_and_objects_name_the_attribute(self, row, key):
+        with pytest.raises(ValueError, match=f"attribute '{key}' must be a string"):
+            entity_from_row(row)
+
+    @pytest.mark.parametrize(
+        "text", ['{"id": 1, "title": [1]}\n', '{"id": 2}\n{"id": 1, "attrs": {"title": {}}}\n']
+    )
+    def test_reader_prefixes_path_and_line(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        line = text.count("\n")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}:{line}: attribute 'title' must be")
+        ):
+            read_entity_rows(path)
+
+    @pytest.mark.parametrize("title", [None, "absent"])
+    def test_two_null_titled_books_are_not_duplicates(self, title):
+        # Read as the string "None", the two titles agree: 0.56 against a
+        # threshold of 0.46.  Absent, the books are what they are: 0.33.
+        from repro.core import books_config
+
+        shared = {"year": 1999, "language": "eng", "format": "paperback"}
+        rows = [
+            dict(shared, id=1, authors="Ann Lee", publisher="Penguin",
+                 isbn="0140449132", pages=224),
+            dict(shared, id=2, authors="Bob Fry", publisher="Harcourt",
+                 isbn="0156907399", pages=310),
+        ]
+        if title is None:
+            for row in rows:
+                row["title"] = None
+        books = [entity_from_row(row) for row in rows]
+        config = books_config()
+        # One agreeing family suffices here, so a shared title key alone
+        # would make the two books a candidate pair.
+        service = ResolverService(config, machines=2, min_family_matches=1)
+        receipt = service.submit(books)
+        assert service.pairs() == []
+        assert receipt.comparisons == 0
+        assert all("title" not in book.attrs for book in books)
+        assert config.matcher.similarity(*books) < config.matcher.threshold
+
+
 def _write(tmp_path, data, name="in.jsonl"):
     path = tmp_path / name
     if isinstance(data, bytes):
