@@ -419,7 +419,7 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="write per-phase counter snapshots (engine.*/driver.*/"
-        "matcher.*) as JSON",
+        "balance.*) as JSON",
     )
 
 

@@ -17,7 +17,6 @@ from .executors import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
-    register_task_stat_source,
 )
 from .faults import (
     FaultPlan,
@@ -49,7 +48,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "make_executor",
-    "register_task_stat_source",
     "DEFAULT_SERIAL_FLOOR",
     "BACKENDS",
     "FaultPlan",

@@ -20,11 +20,6 @@ class Counters:
       ``reduce_records``, ``reduce_retries``);
     * ``driver.*`` — ER-pipeline counters incremented inside tasks
       (``blocks_resolved``, ``duplicates``, ``stat_blocks``);
-    * ``matcher.*`` — similarity-layer statistics (``cache_hits``,
-      ``cache_misses``, ``cache_entries``); process-wide, surfaced via
-      :func:`repro.similarity.matchers.similarity_cache_counters` and
-      snapshotted by the metrics registry, never merged into job counters
-      (per-worker caches diverge across execution backends);
     * ``fault.*`` — fault-injection statistics per phase, incremented by
       the engine when a :class:`~repro.mapreduce.faults.FaultPlan` is
       attached (``{map,reduce}_failed_attempts``, ``_retries``,

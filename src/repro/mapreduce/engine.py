@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 from .clock import CostModel
 from .counters import Counters
 from .faults import FaultPlan, FaultScheduler, TaskSchedule
-from .executors import Executor, SerialExecutor, run_job_reset_hooks
+from .executors import Executor, SerialExecutor
 from .job import TRACE_CONFIG_KEY, MapReduceJob, split_input
 from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 
@@ -137,20 +137,15 @@ class Cluster:
         # Plain assignment, not setdefault: a job object may be reused
         # against clusters with and without a tracer.
         job.config[TRACE_CONFIG_KEY] = self.tracer is not None
-        # Reset process-global wall-clock caches (similarity memo et al.) so
-        # per-job `matcher.*` metrics describe this job, not every job the
-        # process ever ran; parallel workers run the same hooks at fork.
-        run_job_reset_hooks()
 
         counters = Counters()
-        # Wall-clock / IPC bookkeeping per phase.  Strictly observational
-        # and backend-dependent by nature, so it lives in the metrics
-        # registry (and the backend's own `stats`), never in job counters.
+        # Per-phase cost skew.  Strictly observational, so it lives in the
+        # metrics registry, never in job counters.
         aux = Counters()
         splits = split_input(records, n_map)
         wall_start = time.perf_counter()
         map_results, partitions = self._run_map_phase(
-            job, splits, n_red, start_time, counters, aux, plan,
+            job, splits, n_red, start_time, counters, plan,
         )
         map_wall = time.perf_counter() - wall_start
         map_phase_end = max((t.end_time for t in map_results), default=start_time)
@@ -162,7 +157,7 @@ class Cluster:
 
         wall_start = time.perf_counter()
         reduce_results, files = self._run_reduce_phase(
-            job, partitions, n_red, map_phase_end, counters, aux, plan,
+            job, partitions, n_red, map_phase_end, counters, plan,
         )
         reduce_wall = time.perf_counter() - wall_start
         end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
@@ -220,10 +215,10 @@ class Cluster:
         """Record one phase in the metrics registry (no-op without one).
 
         The snapshot carries the cumulative job counters plus two strictly
-        observational layers: the backend's per-phase performance
-        statistics (``driver.pool_forks``, ``driver.ipc_bytes``, …) and the
-        task-stat aggregates carried in payloads (``matcher.cache_hits``,
-        …).  Both are wall-clock facts that legitimately differ between
+        observational layers: the phase's cost skew (``balance.*``, see
+        :func:`_record_cost_skew`) and the backend's per-phase performance
+        statistics (``driver.pool_forks``, ``driver.ipc_bytes``, …).  The
+        latter are wall-clock facts that legitimately differ between
         backends, which is why they are surfaced here and never merged
         into the backend-identical job counters.
         """
@@ -245,12 +240,6 @@ class Cluster:
             wall_seconds=round(wall, 6),
         )
 
-    @staticmethod
-    def _collect_stat_deltas(aux: Counters, payload: Any) -> None:
-        """Fold a payload's per-task process statistics into ``aux``."""
-        for group, name, delta in payload.stat_deltas:
-            aux.increment(group, name, delta)
-
     def _run_map_phase(
         self,
         job: MapReduceJob,
@@ -258,7 +247,6 @@ class Cluster:
         n_red: int,
         start_time: float,
         counters: Counters,
-        aux: Counters,
         plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[List[KeyValue]]]:
         """Run all map tasks; return task results and per-reducer partitions.
@@ -277,7 +265,6 @@ class Cluster:
 
         for payload in payloads:
             counters.merge(payload.counters)
-            self._collect_stat_deltas(aux, payload)
             if job.combiner is not None:
                 counters.increment("engine", "combine_input", payload.combine_input)
                 counters.increment("engine", "combine_output", payload.combine_output)
@@ -467,7 +454,6 @@ class Cluster:
         n_red: int,
         phase_start: float,
         counters: Counters,
-        aux: Counters,
         plan: FaultPlan,
     ) -> tuple[List[TaskResult], List[OutputFile]]:
         """Run all reduce tasks; return task results and output files."""
@@ -482,7 +468,6 @@ class Cluster:
         for payload in payloads:
             task_id = payload.task_id
             counters.merge(payload.counters)
-            self._collect_stat_deltas(aux, payload)
             counters.increment("engine", "reduce_groups", payload.num_groups)
             counters.increment("engine", "reduce_records", payload.num_records)
             results.append(

@@ -84,17 +84,13 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import wire
 from .clock import CostModel
 from .counters import Counters
 from .job import MapReduceJob, TaskContext
 from .types import Event, KeyValue, OutputFile, SpanFragment
-
-#: Per-task statistic deltas: ``(group, name, delta)`` triples.
-StatDeltas = Tuple[Tuple[str, str, int], ...]
-
 
 @dataclass
 class MapTaskPayload:
@@ -112,12 +108,6 @@ class MapTaskPayload:
             has no combiner).
         spans: trace-span fragments recorded by the task (local time, like
             ``events``); empty unless the running cluster has a tracer.
-        stat_deltas: per-task deltas of registered process statistics (see
-            :func:`register_task_stat_source`) — e.g. the similarity-cache
-            hits/misses this task caused in whichever process ran it.
-            Wall-clock bookkeeping only: the engine routes them to the
-            metrics registry, never into job counters, because per-worker
-            cache state legitimately differs between backends.
         wall_ns: wall-clock nanoseconds the task body took in whichever
             process ran it (cost-model calibration input; never read by
             virtual time).
@@ -135,7 +125,6 @@ class MapTaskPayload:
     combine_input: int = 0
     combine_output: int = 0
     spans: List[SpanFragment] = field(default_factory=list)
-    stat_deltas: StatDeltas = ()
     wall_ns: int = 0
     charge_profile: Tuple[Tuple[str, float], ...] = ()
 
@@ -153,77 +142,8 @@ class ReduceTaskPayload:
     num_groups: int = 0
     num_records: int = 0
     spans: List[SpanFragment] = field(default_factory=list)
-    stat_deltas: StatDeltas = ()
     wall_ns: int = 0
     charge_profile: Tuple[Tuple[str, float], ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# Per-task process statistics (similarity-cache deltas et al.)
-# ---------------------------------------------------------------------------
-
-#: Registered statistic sources: group -> zero-arg callable returning the
-#: process-cumulative ``{name: value}`` snapshot for that group.
-_TASK_STAT_SOURCES: Dict[str, Callable[[], Mapping[str, int]]] = {}
-
-
-def register_task_stat_source(
-    group: str, source: Callable[[], Mapping[str, int]]
-) -> None:
-    """Register a process-wide statistic to be sampled around every task.
-
-    ``source()`` must return a cumulative ``{name: value}`` mapping; the
-    per-task *delta* rides back to the driver in the payload's
-    ``stat_deltas``, which is how worker-process cache statistics become
-    visible to the driver's metrics.  Registering the same group again
-    replaces the source (idempotent re-imports).
-    """
-    _TASK_STAT_SOURCES[group] = source
-
-
-def _stat_snapshot() -> Dict[Tuple[str, str], int]:
-    return {
-        (group, name): value
-        for group, source in _TASK_STAT_SOURCES.items()
-        for name, value in source().items()
-    }
-
-
-def _stat_deltas(before: Dict[Tuple[str, str], int]) -> StatDeltas:
-    after = _stat_snapshot()
-    return tuple(
-        (group, name, value - before.get((group, name), 0))
-        for (group, name), value in sorted(after.items())
-        if value != before.get((group, name), 0)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-job process-state reset hooks
-# ---------------------------------------------------------------------------
-
-#: Callables invoked at the start of every job — in the driver by the
-#: engine, and in every parallel worker when it starts.  Used to reset
-#: process-global wall-clock caches (the similarity memo) so their
-#: ``matcher.*`` counters describe one job instead of leaking across
-#: back-to-back runs in the same process.  Virtual time never reads these
-#: caches, so resetting them cannot change results.
-_JOB_RESET_HOOKS: List[Callable[[], None]] = []
-
-
-def register_job_reset_hook(hook: Callable[[], None]) -> None:
-    """Register ``hook`` to run at every job start (driver and workers).
-
-    Registering the same function again is a no-op (idempotent re-imports).
-    """
-    if hook not in _JOB_RESET_HOOKS:
-        _JOB_RESET_HOOKS.append(hook)
-
-
-def run_job_reset_hooks() -> None:
-    """Run every registered per-job reset hook (engine/worker startup)."""
-    for hook in _JOB_RESET_HOOKS:
-        hook()
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +158,6 @@ def compute_map_task(
     cost_model: CostModel,
 ) -> MapTaskPayload:
     """Run one map task to completion and return its payload."""
-    stats_before = _stat_snapshot()
     wall_start = time.perf_counter_ns()
     context = TaskContext(task_id, cost_model, job.config)
     mapper = job.mapper_factory()
@@ -263,7 +182,6 @@ def compute_map_task(
         combine_input=combine_input,
         combine_output=combine_output,
         spans=list(context.span_fragments),
-        stat_deltas=_stat_deltas(stats_before),
         wall_ns=time.perf_counter_ns() - wall_start,
         charge_profile=tuple(sorted(context.charge_profile.items())),
     )
@@ -292,7 +210,6 @@ def compute_reduce_task(
     """Run one reduce task (shuffle charge, sort, reduce calls) and return
     its payload.  Output-file close times stay task-local until the engine
     schedules the task and rebases them."""
-    stats_before = _stat_snapshot()
     wall_start = time.perf_counter_ns()
     context = TaskContext(task_id, cost_model, job.config, alpha=job.alpha)
     # Shuffle: pull records in, then sort groups by key.
@@ -318,7 +235,6 @@ def compute_reduce_task(
         num_groups=len(keys),
         num_records=len(items),
         spans=list(context.span_fragments),
-        stat_deltas=_stat_deltas(stats_before),
         wall_ns=time.perf_counter_ns() - wall_start,
         charge_profile=tuple(sorted(context.charge_profile.items())),
     )
@@ -510,7 +426,6 @@ class ParallelExecutor(Executor):
         pool = ProcessPoolExecutor(
             self.workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=run_job_reset_hooks,
         )
         # With the fork context every worker is forked inside the first
         # ``submit`` below, so the phase must be the global by then.
@@ -561,10 +476,6 @@ def make_executor(backend: str = "serial", workers: Optional[int] = None) -> Exe
 __all__ = [
     "MapTaskPayload",
     "ReduceTaskPayload",
-    "StatDeltas",
-    "register_task_stat_source",
-    "register_job_reset_hook",
-    "run_job_reset_hooks",
     "compute_map_task",
     "compute_reduce_task",
     "group_by_key",

@@ -302,7 +302,7 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
     snapshot (see ``Cluster._snapshot_phase``): task placement (fanned out
     vs kept inline under the serial floor), the wire-blob bytes that
     crossed the pool's queues, and wall-clock seconds per phase.  Footer
-    lines aggregate pool forks, worker idle time and matcher-cache traffic.
+    lines aggregate pool forks and worker idle time.
     """
     rows = []
     for snap in metrics.snapshots:
@@ -335,22 +335,10 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
 
     forks = sum(c.get("driver.pool_forks", 0) for _, _, c in rows)
     idle_ms = sum(c.get("driver.worker_idle_ms", 0) for _, _, c in rows)
-    # Matcher deltas accumulate across a job's phases, so per job only the
-    # last phase snapshot counts; sum those across jobs.
-    per_job: Dict[str, Tuple[int, int]] = {}
-    for scope, _, c in rows:
-        per_job[scope.rsplit("/", 1)[0]] = (
-            c.get("matcher.cache_hits", 0),
-            c.get("matcher.cache_misses", 0),
-        )
-    hits = sum(h for h, _ in per_job.values())
-    misses = sum(m for _, m in per_job.values())
     lines.append("-" * len(header))
     lines.append(f"pool forks: {forks}")
     if idle_ms:
         lines.append(f"workers idle: {idle_ms} ms total")
-    if hits or misses:
-        lines.append(f"matcher cache: {hits} hits / {misses} misses")
     return "\n".join(lines)
 
 

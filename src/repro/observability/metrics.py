@@ -3,19 +3,19 @@
 Hadoop prints its job counters once, at job end; diagnosing a progressive
 run needs them *per phase* (how much did the map side emit before the
 shuffle? how many comparisons did the reduce side actually pay for?) and
-across sources the job counters never see — notably the process-wide
-similarity-cache statistics of :mod:`repro.similarity.matchers`.
+from sources the job counters never see — the executor's wall-clock and
+IPC statistics, the balancer's report, the scheduler's.
 
 A :class:`MetricsRegistry` collects :class:`MetricsSnapshot` records, each
 a flattened ``{"group.name": value}`` view (see
 :meth:`repro.mapreduce.counters.Counters.as_flat_dict`) taken at a named
 point: the engine snapshots cumulative job counters at the end of each
 phase, and :class:`~repro.evaluation.experiment.ExperimentRun` adds a
-matcher-cache snapshot per run.
+balance snapshot per run.
 
-Counter values are deterministic across execution backends; the *matcher
-cache* snapshots are not (each worker process owns a cache), which is why
-cache statistics live here and never inside job counters.
+Counter values are deterministic across execution backends; the
+executor's ``driver.*`` statistics (pool forks, wire bytes, idle time)
+are not, which is why they live here and never inside job counters.
 """
 
 from __future__ import annotations

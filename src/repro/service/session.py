@@ -25,7 +25,6 @@ from ..mapreduce.clock import CostModel
 from ..mapreduce.engine import Cluster, JobResult
 from ..mapreduce.executors import make_executor
 from ..mapreduce.job import MapReduceJob
-from ..similarity.matchers import similarity_cache_counters
 
 #: Slots per machine of the paper's cluster (Section VI-A1).
 PAPER_MAP_SLOTS = 2
@@ -107,14 +106,6 @@ class ResolverSession:
                 },
                 strategy=result.balance.strategy,
             )
-        if spec.metrics is not None:
-            # Driver-process matcher statistics at run end.  The memo is
-            # reset at every job start (see the job reset hooks), so this
-            # snapshot is scoped to the run's final job — it no longer leaks
-            # traffic from earlier runs in the same process.  Per-phase
-            # worker deltas are already aggregated into the phase snapshots
-            # (task payloads carry them home) and remain the complete view.
-            spec.metrics.snapshot("matcher", similarity_cache_counters())
         curve = recall_curve(
             result.duplicate_events, spec.dataset, end_time=result.total_time
         )

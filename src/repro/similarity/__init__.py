@@ -14,10 +14,8 @@ from .matchers import (
     WeightedMatcher,
     books_matcher,
     citeseer_matcher,
-    clear_similarity_cache,
     linkage_matcher,
     people_matcher,
-    similarity_cache_counters,
 )
 from .tokens import jaccard, qgram_jaccard, qgrams, token_jaccard, word_tokens
 
@@ -38,8 +36,6 @@ __all__ = [
     "jaccard",
     "token_jaccard",
     "qgram_jaccard",
-    "similarity_cache_counters",
-    "clear_similarity_cache",
     "dp_cell_counters",
     "reset_dp_cell_counters",
     "BatchMatcher",

@@ -5,7 +5,7 @@ against the threshold, one pair per call.  Block resolution asks that
 question for *hundreds* of pairs over the *same few dozen* entities (an SN
 window of width ``w`` visits each entity in up to ``2(w-1)`` pairs), most
 of them nowhere near the threshold, so the definition pays for attribute
-lookups, truncation slices, memo keys and quadratic edit distances that
+lookups, truncation slices and quadratic edit distances that
 cannot change the answer.  :class:`BatchMatcher` is the one place in
 ``src/`` that knows how to skip them:
 
@@ -18,7 +18,7 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   :data:`_COMPARATOR_RANK` order, rule-major (outer loop over rules, inner
   loop over the pairs still alive), so a pair can be ruled out before it
   pays for a quadratic edit distance on a long attribute; the exact rules
-  come first and need neither memo nor kernel;
+  come first and need no kernel;
 * **upper-bound cutoff** — after each rule, the score so far plus the
   *credit* of every unevaluated rule is the most the pair can still reach;
   if that is below the threshold the pair is dead and leaves every later
@@ -63,9 +63,9 @@ random matchers, thresholds at the boundary included, and
 ``tests/test_property_kernels.py`` holds the credit to the true similarity
 on hostile text.
 
-What the kernel may legitimately change: wall-clock time and the memo
-hit/miss counters (a batch deduplicates identical value pairs before
-consulting the memo), both of which live outside virtual time.
+What the kernel may legitimately change: wall-clock time (a batch
+compares each distinct value pair of a rule once), which lives outside
+virtual time.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ from .matchers import (
     AttributeRule,
     WeightedMatcher,
     _BELOW_FLOOR,
-    _memo_compare,
-    _memo_edit_at_least,
+    _COMPARATOR_FUNCTIONS,
+    edit_at_least,
 )
 
 #: Comparators whose cost the cost model treats as negligible
@@ -360,8 +360,8 @@ class BatchMatcher:
     def _bounded_decisions(self, rows1: List[Row], rows2: List[Row]) -> List[bool]:
         """Rule-major bounded evaluation of one batch, in three passes.
 
-        1. **Exact rules**, every pair: equality needs no memo and no
-           kernel, and it fixes the score the other rules must make up.
+        1. **Exact rules**, every pair: equality needs no kernel, and it
+           fixes the score the other rules must make up.
         2. **Credits**, heaviest edit rule first: each alive pair trades
            the full weight of the rule for ``weight * _edit_upper_bound``
            and leaves ``alive`` — decided ``False`` — once score plus
@@ -376,8 +376,8 @@ class BatchMatcher:
 
         Pass 3 keeps its credits in the float sequence of the one-pass
         evaluation (credits summed in rule order, each evaluated rule's
-        subtracted in evaluation order), so its floors, its kernel calls
-        and its memo traffic are those of that evaluation.
+        subtracted in evaluation order), so its floors and its kernel calls
+        are those of that evaluation.
         """
         n = len(rows1)
         rules = self._rules
@@ -486,11 +486,12 @@ class BatchMatcher:
             remaining_after = self._weight_after[index]
             comparator = rule.comparator
             is_edit = comparator == "edit"
+            compare = _COMPARATOR_FUNCTIONS[comparator]
             column = uppers.get(index)
             scores = sims[index] = [None] * n
             # Within one rule, identical value pairs recur constantly in
             # sorted blocks; resolve them once per batch instead of once
-            # per pair (same value either way — only memo traffic differs).
+            # per pair.
             local: Dict[tuple, float] = {}
             next_alive = []
             for p in alive:
@@ -502,25 +503,19 @@ class BatchMatcher:
                     sim: Optional[float] = None
                 elif not v1 or not v2:
                     sim = 0.0
-                elif is_edit:
+                else:
                     floor = _rule_floor(
                         cutoff, weight, totals[p], weights[p],
                         credit_after, remaining_after,
-                    )
+                    ) if is_edit else 0.0
                     if floor > 0.0:
-                        sim = _memo_edit_at_least(v1, v2, floor)
+                        sim = edit_at_least(v1, v2, floor)
                         if sim == _BELOW_FLOOR:
                             continue
                     else:
                         sim = local.get((v1, v2))
                         if sim is None:
-                            sim = _memo_compare("edit", v1, v2)
-                            local[(v1, v2)] = sim
-                else:
-                    sim = local.get((v1, v2))
-                    if sim is None:
-                        sim = _memo_compare(comparator, v1, v2)
-                        local[(v1, v2)] = sim
+                            sim = local[(v1, v2)] = compare(v1, v2)
                 scores[p] = sim
                 credits[p] = credit_after
                 if sim is not None:

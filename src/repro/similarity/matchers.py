@@ -16,18 +16,17 @@ propagated into the edit kernel — is
 :class:`~repro.similarity.batch.BatchMatcher`, which every pair ``src/``
 decides goes through (``repro.mechanisms.base.resolve_block``);
 :meth:`WeightedMatcher.is_match` is what it must reproduce and what the
-tests hold it to.  The value-comparison memo (:func:`_memo_compare`,
-:func:`_memo_edit_at_least`) lives here because both share it.
+tests hold it to.  The bounded edit comparison (:func:`edit_at_least`)
+lives here beside the comparators both paths call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
-from ..mapreduce.executors import register_job_reset_hook, register_task_stat_source
 from .edit_distance import distance_budget, edit_similarity, levenshtein
 from .jaro import jaro_winkler
 from .tokens import qgram_jaccard, token_jaccard
@@ -47,119 +46,33 @@ _COMPARATOR_FUNCTIONS = {
 }
 
 
-#: Comparison memo: ``(comparator, v1, v2) -> similarity``.  A plain dict
-#: (not ``lru_cache``) so the threshold-propagating edit path can consult
-#: and populate the same memo as the exact path, and so hit/miss counts
-#: can be snapshotted cheaply by the per-task stat hook.
-_MEMO: Dict[Tuple[str, str, str], float] = {}
-
-#: Entry cap; the memo is dropped wholesale when it fills (values recur so
-#: heavily in blocked ER data that eviction policy barely matters).
-_MEMO_MAX = 1 << 20
-
-_MEMO_STATS = {"hits": 0, "misses": 0}
-
-#: Sentinel returned by :func:`_memo_edit_at_least` when the similarity is
+#: Sentinel returned by :func:`edit_at_least` when the similarity is
 #: provably below the requested floor (the exact value was never computed).
 _BELOW_FLOOR = -1.0
 
 
-def _memo_compare(comparator: str, v1: str, v2: str) -> float:
-    """Memoized attribute-value comparison.
-
-    Blocked data repeats attribute values constantly (every member of a
-    block shares its blocking key's attribute, SN windows slide one record
-    at a time), so ``(comparator, v1, v2)`` recurs across pairs, blocks and
-    runs.  The memo only skips *wall-clock* work: virtual cost is charged
-    from string lengths by :meth:`WeightedMatcher.comparison_cost_factor`,
-    which never consults the cache, so cached and uncached paths charge
-    identically.  Process-backend workers each hold their own copy (forked
-    warm, then diverging), which likewise cannot affect virtual time.
-    """
-    key = (comparator, v1, v2)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _MEMO_STATS["hits"] += 1
-        return cached
-    _MEMO_STATS["misses"] += 1
-    value = _COMPARATOR_FUNCTIONS[comparator](v1, v2)
-    if len(_MEMO) >= _MEMO_MAX:
-        _MEMO.clear()
-    _MEMO[key] = value
-    return value
-
-
-def _memo_edit_at_least(v1: str, v2: str, floor: float) -> float:
+def edit_at_least(v1: str, v2: str, floor: float) -> float:
     """Edit similarity when it can still matter, else :data:`_BELOW_FLOOR`.
 
     ``floor`` is the minimum similarity that could still influence the
     match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).  It becomes
     the kernel's bound through :func:`distance_budget`, whose truncation
     guarantees the sentinel is only ever returned for similarities
-    *strictly* below the floor.
-
-    Exact results are cached under the same key the unbounded path uses
-    (``1 - d/longest`` is the identical float expression
-    :func:`edit_similarity` evaluates); below-floor probes are *not*
-    cached, because the sentinel is relative to this call's floor.
+    *strictly* below the floor.  An exact result is the float
+    :func:`edit_similarity` returns: ``1 - d/longest``, the same expression.
     """
-    key = ("edit", v1, v2)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _MEMO_STATS["hits"] += 1
-        return cached
-    _MEMO_STATS["misses"] += 1
     longest = max(len(v1), len(v2))
     allowed = distance_budget(floor, longest)
     distance = levenshtein(v1, v2, max_distance=allowed)
     if distance > allowed:
         return _BELOW_FLOOR
-    value = 1.0 - distance / longest
-    if len(_MEMO) >= _MEMO_MAX:
-        _MEMO.clear()
-    _MEMO[key] = value
-    return value
+    return 1.0 - distance / longest
 
 
 def similarity_cache_counters() -> Counters:
-    """Cache-hit statistics as Hadoop-style counters (this process only),
-    under the ``matcher.*`` namespace."""
-    counters = Counters()
-    counters.increment("matcher", "cache_hits", _MEMO_STATS["hits"])
-    counters.increment("matcher", "cache_misses", _MEMO_STATS["misses"])
-    counters.increment("matcher", "cache_entries", len(_MEMO))
-    return counters
-
-
-def clear_similarity_cache() -> None:
-    """Drop the process-wide comparison memo (benchmark hygiene)."""
-    _MEMO.clear()
-    _MEMO_STATS["hits"] = 0
-    _MEMO_STATS["misses"] = 0
-
-
-def _matcher_stat_source() -> Dict[str, int]:
-    """Monotone cache statistics for per-task payload deltas.
-
-    Registered with the executor layer so process-backend workers ship the
-    hits/misses their task generated back to the driver, keeping serial
-    and parallel ``matcher.*`` metrics comparable.  ``cache_entries`` is
-    deliberately excluded: it is a level, not a counter, and deltas of it
-    would go negative on memo resets.
-    """
-    return {
-        "cache_hits": _MEMO_STATS["hits"],
-        "cache_misses": _MEMO_STATS["misses"],
-    }
-
-
-register_task_stat_source("matcher", _matcher_stat_source)
-
-# A fresh memo per job: without this, the process-wide memo leaks across
-# back-to-back ExperimentRuns in one process and the per-run `matcher.*`
-# counters mostly describe earlier runs' warm cache.  Purely wall-clock —
-# virtual costs never consult the memo.
-register_job_reset_hook(clear_similarity_cache)
+    """Empty counters.  Kept only because ``benchmarks/e2e/spans.py``
+    imports it; ROADMAP item 2 deletes both."""
+    return Counters()
 
 
 @dataclass(frozen=True)
@@ -209,7 +122,7 @@ class AttributeRule:
             return 0.0
         if self.comparator == "exact":
             return 1.0 if v1 == v2 else 0.0
-        return _memo_compare(self.comparator, v1, v2)
+        return _COMPARATOR_FUNCTIONS[self.comparator](v1, v2)
 
 
 class WeightedMatcher:
@@ -359,8 +272,6 @@ def linkage_matcher(threshold: float = 0.55, *, cache: bool = False) -> Weighted
 __all__ = [
     "AttributeRule",
     "WeightedMatcher",
-    "similarity_cache_counters",
-    "clear_similarity_cache",
     "citeseer_matcher",
     "books_matcher",
     "people_matcher",

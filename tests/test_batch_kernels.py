@@ -22,6 +22,7 @@ the golden books fixture.
 from __future__ import annotations
 
 import ast
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -193,7 +194,7 @@ class _Deaths:
     ``_edit_upper_bound`` calls than edit rules.  The cutoff is inline
     code, so it is recognised by what never ran: every rule that is not
     ``exact`` and has a value on both sides announces itself — an edit rule
-    through ``_rule_floor``, the others through ``_memo_compare`` — and a
+    through ``_rule_floor``, the others through their comparator — and a
     pair that met no other short-circuit yet never reached one of them was
     cut by the cutoff before it got there.
     """
@@ -202,11 +203,9 @@ class _Deaths:
         self.matcher = matcher
         self.real = {
             name: getattr(batch_module, name)
-            for name in (
-                "_rule_floor", "_edit_upper_bound",
-                "_memo_edit_at_least", "_memo_compare",
-            )
+            for name in ("_rule_floor", "_edit_upper_bound", "edit_at_least")
         }
+        self.comparators = dict(batch_module._COMPARATOR_FUNCTIONS)
         self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
         self.clear()
 
@@ -228,23 +227,31 @@ class _Deaths:
         self.uppers.append(upper)
         return upper
 
-    def _memo_edit_at_least(self, v1, v2, floor):
-        sim = self.real["_memo_edit_at_least"](v1, v2, floor)
+    def edit_at_least(self, v1, v2, floor):
+        sim = self.real["edit_at_least"](v1, v2, floor)
         self.kernel_calls += 1
         self.sentinel = self.sentinel or sim == batch_module._BELOW_FLOOR
         return sim
 
-    def _memo_compare(self, comparator, v1, v2):
-        if comparator == "edit":
-            self.kernel_calls += 1
-        else:
-            self.reached += 1
-        return self.real["_memo_compare"](comparator, v1, v2)
+    def _comparator(self, comparator):
+        real = self.comparators[comparator]
 
+        def spy(v1, v2):
+            if comparator == "edit":
+                self.kernel_calls += 1
+            else:
+                self.reached += 1
+            return real(v1, v2)
+
+        return spy
+
+    @contextlib.contextmanager
     def patched(self):
-        return mock.patch.multiple(
+        spies = {name: self._comparator(name) for name in self.comparators}
+        with mock.patch.multiple(
             batch_module, **{name: getattr(self, name) for name in self.real}
-        )
+        ), mock.patch.dict(batch_module._COMPARATOR_FUNCTIONS, spies):
+            yield
 
     def decide(self, e1, e2):
         """``(decision, short-circuits that fired)`` for the pair, decided
@@ -361,8 +368,8 @@ class TestFloorSoundness:
         e0 = Entity(id=0, attrs={"title": base})
         assert batch_module._signature(base) is None
         with mock.patch.object(
-            batch_module, "_memo_edit_at_least",
-            side_effect=batch_module._memo_edit_at_least,
+            batch_module, "edit_at_least",
+            side_effect=batch_module.edit_at_least,
         ) as kernel:
             assert decide(BatchMatcher(matcher), [(e0, near), (e0, far)]) == [
                 True, False,

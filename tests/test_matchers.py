@@ -13,8 +13,6 @@ from repro.similarity.matchers import (
     WeightedMatcher,
     books_matcher,
     citeseer_matcher,
-    clear_similarity_cache,
-    similarity_cache_counters,
 )
 
 
@@ -152,63 +150,6 @@ class TestPresets:
         assert len(matcher.rules) == 8
         comparators = {r.comparator for r in matcher.rules}
         assert comparators == {"edit", "exact"}
-
-
-class TestSimilarityMemoCache:
-    """The (comparator, v1, v2) memo skips wall-clock work only: scores and
-    charged virtual cost are identical with a cold or warm cache."""
-
-    def _pairs(self, n=30):
-        import random
-
-        from repro.data import make_books
-
-        dataset = make_books(200, seed=5)
-        rng = random.Random(9)
-        return [tuple(rng.sample(dataset.entities, 2)) for _ in range(n)]
-
-    def test_cached_and_uncached_scores_identical(self):
-        matcher = books_matcher()
-        pairs = self._pairs()
-        clear_similarity_cache()
-        cold = [matcher.similarity(a, b) for a, b in pairs]
-        warm = [matcher.similarity(a, b) for a, b in pairs]  # all memo hits
-        assert cold == warm
-        clear_similarity_cache()
-        recomputed = [matcher.similarity(a, b) for a, b in pairs]
-        assert recomputed == cold
-
-    def test_cached_and_uncached_cost_identical(self):
-        matcher = books_matcher()
-        pairs = self._pairs()
-        clear_similarity_cache()
-        cold = [matcher.comparison_cost_factor(a, b) for a, b in pairs]
-        for a, b in pairs:
-            matcher.similarity(a, b)  # warm the memo
-        warm = [matcher.comparison_cost_factor(a, b) for a, b in pairs]
-        assert cold == warm  # cost is derived from lengths, never the cache
-
-    def test_hit_counter_surfaced_through_counters(self):
-        clear_similarity_cache()
-        matcher = citeseer_matcher()
-        a, b = self._pairs(1)[0]
-        matcher.similarity(a, b)
-        before = similarity_cache_counters()
-        assert before.get("matcher", "cache_misses") > 0
-        matcher.similarity(a, b)
-        after = similarity_cache_counters()
-        assert after.get("matcher", "cache_hits") > before.get(
-            "matcher", "cache_hits"
-        )
-        assert after.get("matcher", "cache_misses") == before.get(
-            "matcher", "cache_misses"
-        )
-
-    def test_memo_keys_include_comparator(self):
-        edit = AttributeRule("t", weight=1.0, comparator="edit")
-        jw = AttributeRule("t", weight=1.0, comparator="jaro_winkler")
-        e1, e2 = _e(1, t="dixon"), _e(2, t="dicksonx")
-        assert edit.similarity(e1, e2) != jw.similarity(e1, e2)
 
 
 class TestBoundedMatch:

@@ -258,7 +258,10 @@ class TestEndToEndExport:
             f"{run.label}:progressive-blocking-statistics",
             f"{run.label}:progressive-resolution",
         }
-        # Per-phase engine snapshots plus the matcher snapshot.
+        # Per-phase engine snapshots of both jobs plus the balance snapshot.
         scopes = {s.scope for s in metrics.snapshots}
-        assert f"{run.label}:progressive-resolution/reduce" in scopes
-        assert f"{run.label}:matcher" in scopes
+        assert scopes == {
+            f"{run.label}:{job}/{phase}"
+            for job in ("progressive-blocking-statistics", "progressive-resolution")
+            for phase in ("map", "reduce")
+        } | {f"{run.label}:balance"}

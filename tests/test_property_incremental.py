@@ -23,7 +23,8 @@ _reference_cache = {}
 
 
 def reference():
-    """One-shot resolve of DATASET (computed once per process)."""
+    """One-shot resolve of DATASET (computed once per process, with a
+    matcher of its own: the oracle shares no decisions with the examples)."""
     if "service" not in _reference_cache:
         service = ResolverService(citeseer_config(), machines=MACHINES)
         service.submit(DATASET.entities)
@@ -54,9 +55,11 @@ def batch_partitions(draw, max_batches: int = 6, shuffle: bool = True):
     ]
 
 
-def run_batches(batches, **kwargs):
+def run_batches(batches, matcher, **kwargs):
+    """Serve ``batches`` with ``matcher``: the session's caching matcher, so
+    examples share its decisions instead of re-deciding every pair."""
     kwargs.setdefault("machines", MACHINES)
-    service = ResolverService(citeseer_config(), **kwargs)
+    service = ResolverService(citeseer_config(matcher=matcher), **kwargs)
     for batch in batches:
         service.submit(batch)
     return service
@@ -64,16 +67,18 @@ def run_batches(batches, **kwargs):
 
 @given(batches=batch_partitions())
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_random_partition_reproduces_the_one_shot_pair_set(batches):
-    service = run_batches(batches)
+def test_random_partition_reproduces_the_one_shot_pair_set(
+    shared_citeseer_matcher, batches
+):
+    service = run_batches(batches, shared_citeseer_matcher)
     assert service.found_pairs == reference().found_pairs
     assert service.total_comparisons == reference().total_comparisons
 
 
 @given(batches=batch_partitions())
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cluster_membership_is_partition_invariant(batches):
-    service = run_batches(batches)
+def test_cluster_membership_is_partition_invariant(shared_citeseer_matcher, batches):
+    service = run_batches(batches, shared_citeseer_matcher)
     assert service.clusters() == reference().clusters()
     # Spot-check the point query agrees with the bulk view.
     for cluster in service.clusters()[:5]:
@@ -82,8 +87,8 @@ def test_cluster_membership_is_partition_invariant(batches):
 
 @given(batches=batch_partitions())
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_pair_stream_is_monotone_and_receipts_tile_it(batches):
-    service = run_batches(batches)
+def test_pair_stream_is_monotone_and_receipts_tile_it(shared_citeseer_matcher, batches):
+    service = run_batches(batches, shared_citeseer_matcher)
     events = service.pairs()
     assert [e.seq for e in events] == list(range(1, len(events) + 1))
     assert [e.time for e in events] == sorted(e.time for e in events)
@@ -93,8 +98,8 @@ def test_pair_stream_is_monotone_and_receipts_tile_it(batches):
 
 @given(batches=batch_partitions(max_batches=3, shuffle=False))
 @settings(deadline=None, max_examples=8, suppress_health_check=[HealthCheck.too_slow])
-def test_backends_agree_on_random_partitions(batches):
-    serial = run_batches(batches)
-    process = run_batches(batches, backend="process", workers=2)
+def test_backends_agree_on_random_partitions(shared_citeseer_matcher, batches):
+    serial = run_batches(batches, shared_citeseer_matcher)
+    process = run_batches(batches, shared_citeseer_matcher, backend="process", workers=2)
     assert serial.found_pairs == process.found_pairs
     assert serial.clock == process.clock
