@@ -143,6 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--points", type=_COUNT, default=10, help="curve sample points")
     _add_backend_options(run)
+    _add_balance_option(run)
     _add_metablock_options(run)
     _add_fault_options(run)
     _add_observability_options(run)
@@ -163,6 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--points", type=_COUNT, default=10)
     compare.add_argument("--chart", action="store_true", help="ASCII chart output")
     _add_backend_options(compare)
+    _add_balance_option(compare)
     _add_metablock_options(compare)
     _add_fault_options(compare)
     _add_observability_options(compare)
@@ -292,6 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "as JSON",
     )
     _add_backend_options(calibrate)
+    _add_balance_option(calibrate)
     _add_metablock_options(calibrate)
     calibrate.set_defaults(handler=_command_calibrate, backend="process")
     for command in sub.choices.values():
@@ -323,6 +326,9 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for --backend process (default: CPU count)",
     )
+
+
+def _add_balance_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--balance",
         choices=BALANCE_STRATEGIES,
@@ -625,7 +631,6 @@ def _service_options(args: argparse.Namespace, tracer, metrics) -> dict:
     """The ResolverService keywords `serve` and `submit` share."""
     return dict(
         machines=args.machines,
-        balance=args.balance,
         min_family_matches=args.min_family_matches,
         backend=args.backend,
         workers=args.workers,

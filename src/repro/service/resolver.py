@@ -2,8 +2,8 @@
 
 A :class:`ResolverService` is a long-lived resolver.  Batches of entities
 arrive via :meth:`~ResolverService.submit`; each batch is blocked against
-the persistent forest, only the *affected* blocks re-enter resolution (as
-one delta MapReduce job on the session cluster), and the found-pair set
+the persistent forest, only its candidate pairs are resolved (as one
+delta MapReduce job on the session cluster), and the found-pair set
 and virtual clock persist across batches.  Consumers stream new pairs with
 :meth:`~ResolverService.pairs`, query live cluster membership with
 :meth:`~ResolverService.cluster_of`, and round-trip the whole service
@@ -31,7 +31,7 @@ from ..similarity.batch import BatchMatcher
 from .delta import build_delta_job, plan_delta
 from .rows import entity_from_row, json_int
 from .session import ResolverSession
-from .store import BlockRoute, EntityStore
+from .store import EntityStore
 
 #: Version tag of the snapshot wire format.
 SNAPSHOT_FORMAT = 1
@@ -87,10 +87,9 @@ class BatchReceipt:
     Attributes:
         batch: 1-based batch number.
         added: entities admitted from this batch.
-        affected_blocks: level-1 blocks containing at least one new entity
-            (only these re-entered resolution).
-        planned_pairs: candidate-pair upper bound the placement planned for.
-        comparisons: similarity decisions actually made.
+        affected_blocks: level-1 blocks holding at least one of the batch's
+            candidate pairs (only these re-entered resolution).
+        comparisons: similarity decisions made: the batch's candidate pairs.
         duplicates: new duplicate pairs found by this batch.
         pairs: those pairs, in discovery order.
         start_time / end_time: the batch's global virtual-time window.
@@ -101,7 +100,6 @@ class BatchReceipt:
     batch: int
     added: int
     affected_blocks: int
-    planned_pairs: int
     comparisons: int
     duplicates: int
     pairs: Tuple[Pair, ...]
@@ -119,10 +117,6 @@ class ResolverService:
             the blocking scheme and match function (Basic configs have no
             forest to keep warm and are rejected).
         machines: simulated cluster size for the delta jobs.
-        balance: placement strategy for affected blocks — ``"slack"``
-            (hash placement), or any sharding strategy (``"blocksplit"``,
-            ``"pairrange"``: shard oversized blocks, LPT placement — at
-            delta granularity they share one scheme).  Output-invariant.
         min_family_matches: key families that must agree before a pair is
             compared (clamped to the scheme's family count).
         backend / workers / executor / cost_model / tracer / metrics /
@@ -144,7 +138,6 @@ class ResolverService:
         config: ApproachConfig,
         *,
         machines: int = 4,
-        balance: str = "slack",
         min_family_matches: int = DEFAULT_MIN_FAMILY_MATCHES,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
@@ -173,7 +166,6 @@ class ResolverService:
             dataset=None,
             config=config,
             machines=machines,
-            balance=balance,
             label=label,
             cost_model=cost_model,
             backend=backend,
@@ -214,34 +206,41 @@ class ResolverService:
         annotated = [
             (entity, self.store.annotate(entity)) for entity in batch_entities
         ]
-        affected = self._affected_blocks(annotated)
+        plan = plan_delta(
+            self.store,
+            annotated,
+            self.config.scheme.family_order,
+            self.session.cluster.num_reduce_tasks,
+            min_matches=self.min_family_matches,
+            cross_source_only=self.config.mode == "linkage",
+        )
 
         start_time = self._clock
-        if not affected:
+        if not plan.units:
             self.store.admit(annotated, batch)
             self._batches = batch
             receipt = BatchReceipt(
                 batch=batch, added=len(batch_entities), affected_blocks=0,
-                planned_pairs=0, comparisons=0, duplicates=0, pairs=(),
+                comparisons=0, duplicates=0, pairs=(),
                 start_time=start_time, end_time=start_time,
                 first_seq=len(self._events) + 1, last_seq=len(self._events),
             )
             self._receipts.append(receipt)
             return receipt
 
-        plan = plan_delta(
-            affected, self.session.cluster.num_reduce_tasks, self.spec.balance
-        )
         job = build_delta_job(
             plan,
             self._batcher,
-            self.config.scheme.family_order,
-            min_family_matches=self.min_family_matches,
-            cross_source_only=self.config.mode == "linkage",
             alpha=self.config.alpha,
             name=f"delta-resolution-{batch}",
         )
-        records = self._delta_records(affected, annotated)
+        # Map input: every entity a pair names, once.  New ones are not in
+        # the store until the job has returned.
+        fresh = {entity.id: entity for entity in batch_entities}
+        records = [
+            fresh[entity_id] if entity_id in fresh else self.store.get(entity_id).entity
+            for entity_id in sorted(plan.routes)
+        ]
         result = self.session.run_job(job, records, start_time=start_time)
         # Nothing above mutated the service; from here on nothing raises.
         self.store.admit(annotated, batch)
@@ -269,7 +268,6 @@ class ResolverService:
             batch=batch,
             added=len(batch_entities),
             affected_blocks=plan.num_blocks,
-            planned_pairs=plan.total_planned,
             comparisons=comparisons,
             duplicates=len(new_pairs),
             pairs=tuple(new_pairs),
@@ -485,47 +483,6 @@ class ResolverService:
                     "immutable once admitted"
                 )
             seen.add(entity.id)
-
-    def _affected_blocks(
-        self, annotated: Sequence[Tuple[Entity, Dict[str, Optional[str]]]]
-    ) -> Dict[BlockRoute, List[Tuple[int, bool]]]:
-        """Blocks gaining a member this batch, with (id, is_new) rosters."""
-        new_by_route: Dict[BlockRoute, List[int]] = {}
-        for entity, keys in annotated:
-            for route in self.store.routes_of(keys):
-                new_by_route.setdefault(route, []).append(entity.id)
-        affected: Dict[BlockRoute, List[Tuple[int, bool]]] = {}
-        for route, new_ids in sorted(new_by_route.items()):
-            members = [(i, False) for i in self.store.members(route)]
-            members.extend((i, True) for i in new_ids)
-            if len(members) < 2:
-                continue
-            members.sort()
-            affected[route] = members
-        return affected
-
-    def _delta_records(
-        self,
-        affected: Dict[BlockRoute, List[Tuple[int, bool]]],
-        annotated: Sequence[Tuple[Entity, Dict[str, Optional[str]]]],
-    ) -> List[Any]:
-        """Map input: every member of an affected block, annotated, once.
-
-        New members come from ``annotated`` — they are not in the store
-        until the job has returned (see :meth:`submit`).
-        """
-        fresh = {entity.id: (entity, keys, True) for entity, keys in annotated}
-        wanted = {
-            entity_id for members in affected.values() for entity_id, _ in members
-        }
-        records = []
-        for entity_id in sorted(wanted):
-            record = fresh.get(entity_id)
-            if record is None:
-                stored = self.store.get(entity_id)
-                record = (stored.entity, stored.keys, False)
-            records.append(record)
-        return records
 
 
 def _parse_rows(snapshot: Dict[str, Any], section: str, parse) -> List[Any]:

@@ -3,10 +3,10 @@
 The store is the service's long-lived state: every entity ever submitted,
 annotated once with its level-1 blocking keys, plus an inverted index from
 ``(family, key)`` routes to the member ids of that block.  Submitting a
-batch asks the store two questions — *which blocks does this batch touch?*
-and *who already lives there?* — both answered from the index without
-re-scanning the corpus, which is what keeps the delta path proportional to
-the affected blocks rather than the store size.
+batch asks the store one question per new entity — *who already lives in
+its blocks?* — answered from the index without re-scanning the corpus,
+which is what keeps the delta path proportional to the blocks the batch
+touches rather than the store size.
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ class EntityStore:
             (family, key) for family, key in keys.items() if key is not None
         ]
 
-    def members(self, route: BlockRoute) -> List[int]:
-        """Ids currently filed under ``route`` (admission order)."""
-        return list(self._blocks.get(route, ()))
+    def members(self, route: BlockRoute) -> Sequence[int]:
+        """Ids currently filed under ``route`` (admission order): the
+        index's own list, not a copy."""
+        return self._blocks.get(route, ())
 
     def num_blocks(self) -> int:
         return len(self._blocks)

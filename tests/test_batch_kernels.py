@@ -54,7 +54,8 @@ from repro.mechanisms import (
     block_sort_key,
     resolve_block,
 )
-from repro.service.delta import candidate_pairs
+from repro.service.delta import plan_delta, unit_runs
+from repro.service.store import EntityStore
 from repro.similarity import (
     AttributeRule,
     BatchMatcher,
@@ -632,28 +633,30 @@ def run_streams(draw, pool):
         ordered = list(zip(chosen, flags))
         return kind, chosen, list(window_runs(ordered, window))
     if kind == "delta":
-        family = draw(st.sampled_from(FAMILIES))
-        records = sorted(
+        rows = [
             (
-                (
-                    entity,
-                    dict(
-                        zip(FAMILIES, draw(st.lists(
-                            st.sampled_from(["a", "b", None]), min_size=3, max_size=3
-                        ))),
-                        **{family: "k"},
-                    ),
-                    draw(st.booleans()),
-                )
-                for entity in chosen
-            ),
-            key=lambda record: record[0].id,
+                entity,
+                dict(zip(FAMILIES, draw(st.lists(
+                    st.sampled_from(["a", "b", None]), min_size=3, max_size=3
+                )))),
+                draw(st.booleans()),
+            )
+            for entity in chosen
+        ]
+        store = EntityStore(scheme=None)
+        store.admit([(entity, keys) for entity, keys, new in rows if not new], 1)
+        plan = plan_delta(
+            store, [(entity, keys) for entity, keys, new in rows if new], FAMILIES,
+            draw(st.integers(1, 4)), min_matches=draw(st.integers(1, 3)),
         )
-        bounds = sorted(draw(st.lists(st.integers(0, len(records)), min_size=2, max_size=2)))
-        runs = candidate_pairs(
-            records, bounds[0], bounds[1], family, FAMILIES, draw(st.integers(1, 3))
+        if not plan.units:
+            return kind, chosen, []
+        unit = draw(st.sampled_from(sorted(plan.units)))
+        members = sorted(
+            (entity for entity in chosen if unit in plan.routes.get(entity.id, ())),
+            key=lambda entity: entity.id,
         )
-        return kind, [entity for entity, _, _ in records], list(runs)
+        return kind, members, list(unit_runs(members, plan.units[unit]))
     pairs = [
         (j, i) if draw(st.booleans()) else (i, j)
         for i in range(len(chosen)) for j in range(i + 1, len(chosen))

@@ -175,6 +175,18 @@ class TestParser:
         assert caught.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["serve"], ["submit", "--snapshot", "state.json"]])
+    def test_balance_is_not_a_service_flag(self, command, capsys):
+        # Delta jobs place exact pair counts one way: nothing to choose.
+        with pytest.raises(SystemExit) as caught:
+            main(command + ["--balance", "slack"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "repro: error: unrecognized arguments: --balance slack"
+        ]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -192,6 +204,7 @@ class TestParser:
             ["run", "--size", "60", "--fault-rate", "2"],
             ["run", "--size", "60", "--straggler-rate", "1.5"],
             ["serve", "--straggler-factor", "0.5"],
+            ["run", "--size", "60", "--straggler-factor", "0.5"],
             ["run", "--size", "60", "--metablock-ratio", "0"],
             ["calibrate", "--metablock-ratio", "1.5"],
             ["run", "--size", "60", "--approach", "basic", "--threshold", "-1"],

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.data import make_citeseer
 
@@ -253,6 +258,48 @@ def test_hostile_input_exits_with_one_message(case, tmp_path, good_snapshot):
         main(argv)
     assert isinstance(exit_info.value.code, str)
     assert named in exit_info.value.code
+    assert (snap.read_bytes() if snap.exists() else None) == before
+
+
+#: Cases only a real ``python -m repro`` process shows — input on stdin,
+#: the exit status, stderr: (command, input bytes, what the one stderr
+#: line must name).
+_HOSTILE_PROCESS = {
+    "submit-non-integer-id": ("submit", b'{"id": "x1", "title": "a"}\n', "in.jsonl:1:"),
+    "submit-attrs-not-an-object": (
+        "submit", b'{"id": 900003, "attrs": [1, 2]}\n', "in.jsonl:1:",
+    ),
+    # A non-UTF-8 line on stdin is named as line 1 of "-".
+    "serve-non-utf8-byte-on-stdin": (
+        "serve", b'{"id": 900004, "title": "caf\xe9"}\n', "-:1:",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE_PROCESS))
+def test_hostile_input_fails_the_process_with_one_line(case, tmp_path, good_snapshot):
+    command, stream, named = _HOSTILE_PROCESS[case]
+    snap = tmp_path / "state.json"
+    if command == "serve":
+        argv = ["serve", "--input", "-", "--batch-size", "1", "--machines", "2",
+                "--snapshot-out", str(snap)]
+        stdin = stream
+    else:
+        source = tmp_path / "in.jsonl"
+        source.write_bytes(stream)
+        snap.write_text(good_snapshot)
+        argv = ["submit", "--snapshot", str(snap), "--input", str(source),
+                "--machines", "2"]
+        stdin = b""
+    before = snap.read_bytes() if snap.exists() else None
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], input=stdin, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    lines = done.stderr.decode("utf-8", "replace").splitlines()
+    assert done.returncode == 1, lines
+    assert len(lines) == 1 and named in lines[0], lines
     assert (snap.read_bytes() if snap.exists() else None) == before
 
 

@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import flatten_runs
-from repro.core import books_config, citeseer_config, skewed_config
-from repro.data import Entity, make_books, make_citeseer, make_skewed
+from repro.core import books_config, citeseer_config, linkage_config, skewed_config
+from repro.data import Entity, make_books, make_citeseer, make_linkage, make_skewed
 from repro.service import ResolverService
-from repro.service.delta import (
-    block_weight,
-    candidate_pairs,
-    plan_delta,
-    responsibility_veto,
-    responsible_family,
-)
+from repro.service import resolver as resolver_module
+from repro.service.delta import plan_delta, unit_size
 from repro.service.resolver import SNAPSHOT_FORMAT, config_fingerprint
 from repro.service.store import EntityStore, route_label
 
@@ -65,48 +58,120 @@ class TestEntityStore:
             store.admit(annotated, batch=2)
 
 
-def fresh_pairs(members, lo, hi):
-    """The oracle stream: the block's pairs with at least one new member,
-    anchors ``[lo, hi)``.
+def responsible_family(keys_a, keys_b, family_order, min_matches):
+    """The oracle of responsibility: the family whose block decides the
+    pair — the first (dominance order) where both entities share a
+    non-None key — or ``None`` when fewer than ``min_matches`` families
+    agree (not a candidate at all)."""
+    first = None
+    matches = 0
+    for family in family_order:
+        key = keys_a.get(family)
+        if key is None or key != keys_b.get(family):
+            continue
+        if first is None:
+            first = family
+        matches += 1
+        if matches >= min_matches:
+            return first
+    return None
 
-    ``members`` is sorted by id.  For anchor ``j``: every ``i < j`` when
-    ``j`` is new, else only the new ``i < j`` — anchor-major, ``i``
-    ascending, so :func:`block_weight` counts exactly what this yields.
-    This was the delta reducer's stream before it looked candidates up.
-    """
-    seen = []
-    seen_new = []
-    for j, (entity_j, _, new_j) in enumerate(members[:hi]):
-        if j >= lo:
-            for entity_i in seen if new_j else seen_new:
-                yield entity_i, entity_j
-        seen.append(entity_j)
-        if new_j:
-            seen_new.append(entity_j)
 
-
-def brute_force_fresh_pairs(members, lo, hi):
-    """The oracle: every ``j × i`` pair of the anchor range, old×old
-    discarded — the double loop the delta reducer used to run."""
-    pairs = []
-    for j in range(max(lo, 1), min(hi, len(members))):
-        entity_j, _, new_j = members[j]
-        for i in range(j):
-            entity_i, _, new_i = members[i]
-            if not (new_i or new_j):
+def brute_force_candidates(stored, batch, family_order, min_matches, cross_source_only):
+    """The oracle of a batch's work: every (anchor, partner) pair of a
+    batch entity with a stored or earlier batch entity, mapped to the
+    route of the block responsible for it — the double loop over the
+    whole store, with no key index."""
+    pairs = {}
+    for j, (entity, keys) in enumerate(batch):
+        for other, other_keys in list(stored) + batch[:j]:
+            if cross_source_only and entity.source == other.source:
                 continue
-            pairs.append((entity_i.id, entity_j.id))
+            family = responsible_family(keys, other_keys, family_order, min_matches)
+            if family is not None:
+                pairs[(entity.id, other.id)] = (family, keys[family])
     return pairs
 
 
-class TestDeltaPlanning:
-    def test_block_weight_counts_fresh_pairs(self):
-        # ids 1,3 old; 5,9 new: fresh pairs are every pair minus (1,3).
-        members = [(1, False), (3, False), (5, True), (9, True)]
-        weights = block_weight(members)
-        assert sum(weights) == 6 - 1
-        assert weights[0] == 0  # first anchor has no partners
+def plan_pairs(plan):
+    """``(anchor, partner) -> unit label`` over every unit of the plan;
+    a pair listed twice fails."""
+    where = {}
+    for unit, pairs in plan.units.items():
+        for anchor, partners in pairs:
+            for partner in partners:
+                assert (anchor, partner) not in where, (anchor, partner)
+                where[(anchor, partner)] = unit
+    return where
 
+
+def check_plan(plan, stored, batch, order, min_matches, cross_source_only, tasks):
+    """Everything the delta job relies on, against the oracles."""
+    expected = brute_force_candidates(stored, batch, order, min_matches, cross_source_only)
+    where = plan_pairs(plan)
+    # Exactly the candidate set, each pair in one unit of its responsible block.
+    assert set(where) == set(expected)
+    unit_block = {unit: block for block, units in plan.blocks.items() for unit in units}
+    assert set(unit_block) == set(plan.units)
+    for pair, unit in where.items():
+        assert unit_block[unit] == route_label(expected[pair])
+    # No routed unit is empty or above the fair share.
+    fair_share = -(-len(expected) // tasks)
+    sizes = {unit: unit_size(pairs) for unit, pairs in plan.units.items()}
+    assert all(1 <= size <= fair_share for size in sizes.values())
+    batch_order = {entity.id: index for index, (entity, _) in enumerate(batch)}
+    for block, units in plan.blocks.items():
+        block_pairs = [pair for pair, unit in where.items() if unit_block[unit] == block]
+        # Each unit lists anchors in batch order, partners ascending.
+        for unit in units:
+            anchors = [anchor for anchor, _ in plan.units[unit]]
+            assert anchors == sorted(anchors, key=batch_order.get)
+            assert all(partners == sorted(partners) for _, partners in plan.units[unit])
+        if len(units) == 1:
+            assert sizes[units[0]] == len(block_pairs)
+            continue
+        # Slices tile the block's pair list, read partner-major, in order,
+        # and are as near equal as whole pairs allow.
+        def partner_major(pairs):
+            return sorted(pairs, key=lambda pair: (pair[1], batch_order[pair[0]]))
+
+        tiled = [
+            pair for unit in units
+            for pair in partner_major(
+                (anchor, partner)
+                for anchor, partners in plan.units[unit] for partner in partners
+            )
+        ]
+        assert tiled == partner_major(block_pairs)
+        assert len(units) == -(-len(block_pairs) // fair_share)
+        assert max(sizes[u] for u in units) - min(sizes[u] for u in units) <= 1
+    # Placement: every unit on a task, heaviest first, greedy least-loaded.
+    assert sorted(plan.ranks.values()) == list(range(len(plan.units)))
+    by_rank = sorted(plan.units, key=plan.ranks.get)
+    assert [sizes[u] for u in by_rank] == sorted(sizes.values(), reverse=True)
+    loads = [0] * tasks
+    for unit, task in plan.assignment.items():
+        loads[task] += sizes[unit]
+    if plan.units:
+        assert max(loads) - min(loads) <= max(sizes.values())
+    # The mapper ships an entity exactly where a pair names it.
+    named = {}
+    for (anchor, partner), unit in where.items():
+        named.setdefault(anchor, set()).add(unit)
+        named.setdefault(partner, set()).add(unit)
+    assert {entity_id: set(units) for entity_id, units in plan.routes.items()} == named
+    assert plan.num_pairs == len(expected)
+
+
+ORDER = ("X", "Y", "Z")
+
+synthetic_entity = st.tuples(
+    st.lists(st.sampled_from(["a", "b", None]), min_size=3, max_size=3),
+    st.sampled_from(["a", "b"]),
+)
+
+
+class TestDeltaPlanning:
     def test_responsible_family_in_dominance_order(self):
         a = {"X": "ab", "Y": None, "Z": "zz"}
         b = {"X": "ab", "Y": "yy", "Z": "zz"}
@@ -124,106 +189,93 @@ class TestDeltaPlanning:
         assert responsible_family({"X": "ab"}, b, ("X", "Z"), 2) is None
 
     @given(
-        roster=st.lists(st.booleans(), max_size=12),
-        bounds=st.tuples(st.integers(0, 13), st.integers(0, 13)),
+        stored=st.lists(synthetic_entity, max_size=14),
+        batch=st.lists(synthetic_entity, max_size=10),
+        min_matches=st.integers(1, 3),
+        cross_source_only=st.booleans(),
+        tasks=st.integers(1, 6),
     )
-    def test_fresh_pairs_equal_the_double_loop(self, roster, bounds):
-        # Ties the reducer's generator to the planner's weights: same
-        # pairs as the old j × i scan, same order, block_weight many.
-        members = [
-            (Entity(3 * index + 1, {}), {}, is_new)
-            for index, is_new in enumerate(roster)
-        ]
-        lo, hi = min(bounds), max(bounds)
-        assert [
-            (a.id, b.id) for a, b in fresh_pairs(members, lo, hi)
-        ] == brute_force_fresh_pairs(members, lo, hi)
-        whole = list(fresh_pairs(members, 0, len(members)))
-        assert len(whole) == sum(
-            block_weight([(entity.id, is_new) for entity, _, is_new in members])
-        )
-
-    @given(
-        roster=st.lists(
-            st.tuples(
-                st.booleans(),
-                st.lists(st.sampled_from(["a", "b", None]), min_size=3, max_size=3),
-            ),
-            max_size=14,
-        ),
-        bounds=st.tuples(st.integers(0, 15), st.integers(0, 15)),
-    )
-    def test_candidate_pairs_are_the_responsible_fresh_pairs(self, roster, bounds):
-        # Every family as the block family, every min_matches, a random
-        # anchor range and the whole block: what the lookup yields and the
-        # reducer's admit keeps is exactly the fresh-pair scan filtered by
-        # responsibility, in the same order.
-        order = ("X", "Y", "Z")
-        for family, min_matches, (lo, hi) in itertools.product(
-            order, (1, 2, 3), ((min(bounds), max(bounds)), (0, len(roster)))
-        ):
-            members = [
-                (Entity(2 * index + 1, {}), dict(zip(order, codes), **{family: "k"}), is_new)
-                for index, (is_new, codes) in enumerate(roster)
+    def test_plan_is_the_brute_force_candidate_set(
+        self, stored, batch, min_matches, cross_source_only, tasks
+    ):
+        # Ids interleave, so a partner may be younger in id than its anchor.
+        def entities(rows, first):
+            return [
+                (Entity(first + 2 * index, {}, source), dict(zip(ORDER, codes)))
+                for index, (codes, source) in enumerate(rows)
             ]
-            keys_of = {entity.id: keys for entity, keys, _ in members}
 
-            def responsible(pair):
-                a, b = pair
-                return responsible_family(keys_of[a.id], keys_of[b.id], order, min_matches)
+        old, new = entities(stored, 1), entities(batch, 2)
+        store = EntityStore(scheme=None)
+        store.admit(old, batch=1)
+        plan = plan_delta(
+            store, new, ORDER, tasks,
+            min_matches=min_matches, cross_source_only=cross_source_only,
+        )
+        check_plan(plan, old, new, ORDER, min_matches, cross_source_only, tasks)
 
-            fresh = list(fresh_pairs(members, lo, hi))
-            expected = [(a.id, b.id) for a, b in fresh if responsible((a, b)) == family]
-            entities = [entity for entity, _, _ in members]
-            runs = list(candidate_pairs(members, lo, hi, family, order, min_matches))
-            yielded = flatten_runs(entities, runs)
-            scan = iter([(a.id, b.id) for a, b in fresh])
-            assert all((a.id, b.id) in scan for a, b in yielded)  # a subsequence
-            assert all(responsible(pair) is not None for pair in yielded)
-            assert [
-                (a.id, b.id) for a, b in yielded if responsible((a, b)) == family
-            ] == expected
-            # The reducer's veto over each run keeps exactly those.
-            veto = responsibility_veto(members, family, order, False)
-            assert [
-                (entities[i].id, entities[j].id)
-                for lefts, rights in runs
-                for i, j, verdict in zip(lefts, rights, veto(lefts, rights))
-                if verdict is None
-            ] == expected
+    @pytest.mark.parametrize("scenario", ["dirty", "linkage"])
+    @pytest.mark.parametrize("split", [(240,), (120, 120), (200, 1, 39), (60,) * 4])
+    def test_plans_of_real_batches_match_the_oracle(self, scenario, split):
+        make, configure = {
+            "dirty": (make_citeseer, citeseer_config),
+            "linkage": (make_linkage, linkage_config),
+        }[scenario]
+        config = configure()
+        order = config.scheme.family_order
+        store = EntityStore(config.scheme)
+        entities = make(sum(split), seed=5).entities
+        start = 0
+        for number, size in enumerate(split, 1):
+            batch = [(e, store.annotate(e)) for e in entities[start:start + size]]
+            stored = [(s.entity, s.keys) for s in store.stored()]
+            plan = plan_delta(
+                store, batch, order, 6,
+                min_matches=2, cross_source_only=scenario == "linkage",
+            )
+            check_plan(plan, stored, batch, order, 2, scenario == "linkage", 6)
+            store.admit(batch, number)
+            start += size
 
     def test_last_family_block_has_no_candidates_at_two_matches(self):
-        members = [
-            (Entity(i, {}), {"X": "x", "Y": "y", "Z": "z"}, True) for i in range(5)
+        batch = [
+            (Entity(i, {}), {"X": None, "Y": "y", "Z": "z"}) for i in range(5)
         ]
-        assert list(candidate_pairs(members, 0, 5, "Z", ("X", "Y", "Z"), 2)) == []
-        runs = candidate_pairs(members, 0, 5, "Y", ("X", "Y", "Z"), 2)
-        assert sum(len(lefts) for lefts, _ in runs) == 10
+        plan = plan_delta(EntityStore(scheme=None), batch, ORDER, 1, min_matches=2)
+        # Y and Z agree on every pair: Y, the first of them, decides all 10.
+        assert list(plan.blocks) == [route_label(("Y", "y"))]
+        assert plan.num_pairs == 10
 
-    def test_slack_keeps_whole_blocks(self):
-        affected = {("X", "aa"): [(1, True), (2, False), (3, False)]}
-        plan = plan_delta(affected, num_reduce_tasks=4, balance="slack")
-        label = route_label(("X", "aa"))
-        assert plan.routes[label] == (label,)
-        assert not plan.shards
-        assert plan.planned[label] == 2
+    def test_blocks_within_the_fair_share_stay_whole(self):
+        # Two blocks of two pairs on two tasks: the fair share is two.
+        store = EntityStore(scheme=None)
+        store.admit([(Entity(i, {}), {"X": key}) for i, key in
+                     ((2, "aa"), (3, "aa"), (5, "bb"), (6, "bb"))], 1)
+        batch = [(Entity(1, {}), {"X": "aa"}), (Entity(4, {}), {"X": "bb"})]
+        plan = plan_delta(store, batch, ("X",), 2, min_matches=1)
+        aa, bb = route_label(("X", "aa")), route_label(("X", "bb"))
+        assert plan.blocks == {aa: (aa,), bb: (bb,)}
+        assert plan.units == {aa: [(1, [2, 3])], bb: [(4, [5, 6])]}
+        assert plan.assignment == {aa: 0, bb: 1}
+        assert plan.routes == {1: [aa], 2: [aa], 3: [aa], 4: [bb], 5: [bb], 6: [bb]}
 
-    def test_blocksplit_shards_oversized_blocks(self):
-        big = [(i, True) for i in range(40)]
-        small = [(100, True), (101, False)]
-        affected = {("X", "big"): big, ("X", "sm"): small}
-        plan = plan_delta(affected, num_reduce_tasks=4, balance="blocksplit")
-        big_label = route_label(("X", "big"))
-        assert len(plan.routes[big_label]) > 1
-        # Shards tile the anchor range [1, 40) without overlap.
-        ranges = sorted(plan.shards[s] for s in plan.routes[big_label])
-        assert ranges[0][0] == 1 and ranges[-1][1] == 40
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo
-        # Shard loads add up to the whole block's load.
-        assert sum(plan.planned[s] for s in plan.routes[big_label]) == sum(
-            block_weight(big)
-        )
+    def test_oversized_blocks_are_sliced_along_partners(self):
+        # 4 anchors x 32 stored partners of the other source in one block,
+        # 4 tasks: each slice takes 8 of the partners with every anchor, so
+        # a stored entity is shipped to one slice only.
+        stored = [(Entity(i, {}, "b"), {"X": "k"}) for i in range(100, 132)]
+        batch = [(Entity(i, {}, "a"), {"X": "k"}) for i in range(4)]
+        store = EntityStore(scheme=None)
+        store.admit(stored, 1)
+        plan = plan_delta(store, batch, ("X",), 4, min_matches=1, cross_source_only=True)
+        slices = plan.blocks[route_label(("X", "k"))]
+        assert [plan.units[s] for s in slices] == [
+            [(anchor, list(range(lo, lo + 8))) for anchor in range(4)]
+            for lo in range(100, 132, 8)
+        ]
+        assert sorted(plan.assignment[s] for s in slices) == [0, 1, 2, 3]
+        assert all(len(plan.routes[i]) == 1 for i in range(100, 132))
+        check_plan(plan, stored, batch, ("X",), 1, True, 4)
 
 
 class TestSubmit:
@@ -237,6 +289,24 @@ class TestSubmit:
         assert receipt.duplicates == len(receipt.pairs)
         assert receipt.end_time > receipt.start_time == 0.0
         assert service.total_entities == 100
+
+    def test_receipts_compare_exactly_the_planned_pairs(
+        self, dataset, config, monkeypatch
+    ):
+        plans = []
+
+        def recording(*args, **kwargs):
+            plans.append(plan_delta(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(resolver_module, "plan_delta", recording)
+        service = make_service(config)
+        for start in range(0, 300, 75):
+            service.submit(dataset.entities[start : start + 75])
+        assert [r.comparisons for r in service.receipts] == [p.num_pairs for p in plans]
+        assert [r.affected_blocks for r in service.receipts] == [
+            p.num_blocks for p in plans
+        ]
 
     def test_virtual_time_chains_across_batches(self, dataset, config):
         service = make_service(config)
