@@ -799,11 +799,7 @@ def _command_sched(args: argparse.Namespace) -> int:
     for position, tenant in enumerate(tenants):
         scheduler.add_tenant(tenant, weight=float(position + 1))
         services[tenant] = ResolverService(
-            config,
-            machines=args.machines,
-            scheduler=scheduler,
-            tenant=tenant,
-            label=tenant,
+            config, machines=args.machines, label=tenant
         )
     trace = poisson_arrivals(
         seed=args.seed,
@@ -820,6 +816,7 @@ def _command_sched(args: argparse.Namespace) -> int:
         scheduler.submit_batch(
             services[arrival.tenant],
             batch,
+            tenant=arrival.tenant,
             arrival=arrival.time,
             lane=arrival.lane,
             label=f"job-{arrival.index}",

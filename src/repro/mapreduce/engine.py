@@ -24,7 +24,9 @@ whether the tasks ran serially or on a pool of worker processes.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence, Tuple,
+)
 
 from .clock import CostModel
 from .counters import Counters
@@ -32,6 +34,11 @@ from .faults import FaultPlan, FaultScheduler, TaskSchedule
 from .executors import Executor, SerialExecutor
 from .job import TRACE_CONFIG_KEY, MapReduceJob, split_input
 from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
+
+#: A phase's placement: its ``FaultScheduler`` and per-task schedules.
+Placement = Tuple[FaultScheduler, List[TaskSchedule]]
+#: A phase's request ``(kind, job_name, ready, place)``.
+PhaseRequest = Tuple[str, str, float, Callable[[Optional[List[float]], float], Placement]]
 
 if TYPE_CHECKING:  # observability depends on mapreduce, never the reverse
     from ..observability.metrics import MetricsRegistry
@@ -61,16 +68,6 @@ class Cluster:
             speculative execution into every job run on this cluster.
             Fault decisions replay from the seeded plan in the driver, so
             they are identical on every execution backend.
-        slot_broker: optional multi-tenant capacity broker (see
-            :mod:`repro.scheduling`), a callable
-            ``slot_broker(kind, job_name, ready, place) -> (fault_scheduler,
-            schedules)``.  When set, each phase is placed on a shared
-            pool instead of starting from idle slots — the broker decides
-            *when* the phase may start and *which* lane free-times it
-            inherits, and calls ``place(lane_free_times, start)`` to run
-            the phase's ``FaultScheduler``; task computation and placement
-            order are untouched.  ``None`` (the default) is the classic
-            one-job-owns-the-cluster timeline.
     """
 
     def __init__(
@@ -84,7 +81,6 @@ class Cluster:
         tracer: "Optional[Tracer]" = None,
         metrics: "Optional[MetricsRegistry]" = None,
         faults: Optional[FaultPlan] = None,
-        slot_broker: Optional[Any] = None,
     ) -> None:
         if machines <= 0:
             raise ValueError(f"machines must be positive, got {machines}")
@@ -96,7 +92,6 @@ class Cluster:
         self.tracer = tracer
         self.metrics = metrics
         self.faults = faults
-        self.slot_broker = slot_broker
 
     @property
     def num_map_tasks(self) -> int:
@@ -123,13 +118,42 @@ class Cluster:
 
         ``records`` is the logical input file; it is split contiguously
         across map tasks.  ``start_time`` lets callers chain jobs (Job 2
-        starts when Job 1 ends).
+        starts when Job 1 ends).  This cluster owns its timeline: every
+        phase starts on idle slots at its ready time.
+        """
+        steps = self.job_steps(
+            job, records, start_time=start_time,
+            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks,
+        )
+        placed = None
+        try:
+            while True:
+                _, _, ready, place = steps.send(placed)
+                placed = place(None, ready)
+        except StopIteration as done:
+            return done.value
 
-        Phases run on the cluster's executor and are placed under the
-        cluster's :class:`FaultPlan` (see :mod:`repro.mapreduce.faults`),
-        or an inert ``FaultPlan()`` when it has none.  A failed attempt
-        loses its partial work and the task re-executes from scratch —
-        results are identical, only the timeline stretches.
+    def job_steps(
+        self,
+        job: MapReduceJob,
+        records: Sequence[Any],
+        *,
+        start_time: float = 0.0,
+        num_map_tasks: Optional[int] = None,
+        num_reduce_tasks: Optional[int] = None,
+    ) -> Generator[PhaseRequest, Placement, JobResult]:
+        """:meth:`run_job` with placement left to the caller.
+
+        A generator: after computing each phase's payloads it yields the
+        phase's request ``(kind, job_name, ready, place)`` and expects
+        back the placement granted to it, which ``place(lane_free_times,
+        start)`` computes (``None`` lanes: the phase's own idle slots).
+        It returns the :class:`JobResult`.
+
+        Phases are placed under the cluster's :class:`FaultPlan`, or an
+        inert ``FaultPlan()`` when it has none.  A failed attempt loses
+        its partial work and the task re-executes from scratch — results
+        are identical, only the timeline stretches.
         """
         plan = self.faults if self.faults is not None else FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
@@ -139,31 +163,26 @@ class Cluster:
         job.config[TRACE_CONFIG_KEY] = self.tracer is not None
 
         counters = Counters()
-        # Per-phase cost skew.  Strictly observational, so it lives in the
-        # metrics registry, never in job counters.
-        aux = Counters()
         splits = split_input(records, n_map)
         wall_start = time.perf_counter()
-        map_results, partitions = self._run_map_phase(
+        map_results, partitions = yield from self._run_map_phase(
             job, splits, n_red, start_time, counters, plan,
         )
         map_wall = time.perf_counter() - wall_start
         map_phase_end = max((t.end_time for t in map_results), default=start_time)
-        _record_cost_skew(aux, "map", [t.cost for t in map_results])
         self._snapshot_phase(
-            f"{job.name}/map", counters, aux,
+            f"{job.name}/map", counters,
             tasks=len(map_results), phase_end=map_phase_end, wall=map_wall,
         )
 
         wall_start = time.perf_counter()
-        reduce_results, files = self._run_reduce_phase(
+        reduce_results, files = yield from self._run_reduce_phase(
             job, partitions, n_red, map_phase_end, counters, plan,
         )
         reduce_wall = time.perf_counter() - wall_start
         end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
-        _record_cost_skew(aux, "reduce", [t.cost for t in reduce_results])
         self._snapshot_phase(
-            f"{job.name}/reduce", counters, aux,
+            f"{job.name}/reduce", counters,
             tasks=len(reduce_results), phase_end=end_time, wall=reduce_wall,
         )
         if self.tracer is not None:
@@ -206,7 +225,6 @@ class Cluster:
         self,
         scope: str,
         counters: Counters,
-        aux: Counters,
         *,
         tasks: int,
         phase_end: float,
@@ -214,13 +232,11 @@ class Cluster:
     ) -> None:
         """Record one phase in the metrics registry (no-op without one).
 
-        The snapshot carries the cumulative job counters plus two strictly
-        observational layers: the phase's cost skew (``balance.*``, see
-        :func:`_record_cost_skew`) and the backend's per-phase performance
-        statistics (``driver.pool_forks``, ``driver.ipc_bytes``, …).  The
-        latter are wall-clock facts that legitimately differ between
-        backends, which is why they are surfaced here and never merged
-        into the backend-identical job counters.
+        The snapshot carries the cumulative job counters plus the
+        backend's per-phase performance statistics (``driver.pool_forks``,
+        ``driver.ipc_bytes``, …): wall-clock facts that legitimately differ
+        between backends, which is why they are surfaced here and never
+        merged into the backend-identical job counters.
         """
         perf = self.executor.drain_stats()
         if self.metrics is None:
@@ -229,8 +245,6 @@ class Cluster:
         for name, value in sorted(perf.items()):
             if value:
                 flat[f"driver.{name}"] = value
-        for (group, name), value in sorted(aux.items()):
-            flat[f"{group}.{name}"] = value
         self.metrics.snapshot(
             scope,
             flat,
@@ -248,7 +262,7 @@ class Cluster:
         start_time: float,
         counters: Counters,
         plan: FaultPlan,
-    ) -> tuple[List[TaskResult], List[List[KeyValue]]]:
+    ) -> Generator[PhaseRequest, Placement, Tuple[List[TaskResult], List[List[KeyValue]]]]:
         """Run all map tasks; return task results and per-reducer partitions.
 
         The backend computes the payloads (possibly on worker processes);
@@ -256,7 +270,7 @@ class Cluster:
         in task-id order, so the timeline never depends on the backend.
         """
         payloads = self.executor.run_map_phase(job, splits, self.cost_model)
-        schedules = self._place_phase(
+        schedules = yield from self._place_phase(
             plan, job, "map", self.machines * self.map_slots, start_time,
             payloads, counters,
         )
@@ -295,38 +309,26 @@ class Cluster:
         phase_start: float,
         payloads: Sequence[Any],
         counters: Counters,
-    ) -> List[TaskSchedule]:
-        """Place one phase's tasks on its slots under ``plan``.
+    ) -> Generator[PhaseRequest, Placement, List[TaskSchedule]]:
+        """Ask for one phase's placement under ``plan``; return its schedules.
 
-        Runs entirely in the driver on the payloads' virtual costs, so the
-        resulting timeline is identical on every execution backend.  Fault
-        statistics land in the ``fault.*`` counter namespace (only non-zero
-        values are recorded, so an inert plan leaves counters untouched).
-
-        Without a broker every slot is free at phase start.  With one, the
-        call may *block* until the multi-tenant scheduler dispatches this
-        phase; the broker then runs ``place`` on the shared lanes' current
-        free times from the grant time and commits the final per-slot free
-        times back, so the phase queues behind other tenants' commitments
-        and a per-job fault plan stretches only this job's phase on the
-        shared timeline.  Crash decisions key on task ids and attempt
-        ordinals — never on absolute times — so the *number* of injected
-        faults is identical to a solo run of the same plan.
+        Placement runs in the driver on the payloads' virtual costs, so the
+        timeline is identical on every execution backend.  Crash decisions
+        key on task ids and attempt ordinals, never on absolute times, so
+        shared lanes change when a phase runs but not how many faults it
+        meets.  Fault statistics land in the ``fault.*`` counter namespace
+        (only non-zero values are recorded, so an inert plan leaves
+        counters untouched).
         """
 
-        def place(lanes: Optional[List[float]], start: float):
+        def place(lanes: Optional[List[float]], start: float) -> Placement:
             scheduler = FaultScheduler(
                 plan, num_slots if lanes is None else len(lanes), start,
                 job=job.name, phase=phase, slot_free_times=lanes,
             )
             return scheduler, scheduler.run([p.cost for p in payloads])
 
-        if self.slot_broker is None:
-            scheduler, schedules = place(None, phase_start)
-        else:
-            scheduler, schedules = self.slot_broker(
-                phase, job.name, phase_start, place
-            )
+        scheduler, schedules = yield phase, job.name, phase_start, place
         stats = scheduler.stats
         for name, value in (
             ("failed_attempts", stats.failed_attempts),
@@ -455,10 +457,10 @@ class Cluster:
         phase_start: float,
         counters: Counters,
         plan: FaultPlan,
-    ) -> tuple[List[TaskResult], List[OutputFile]]:
+    ) -> Generator[PhaseRequest, Placement, Tuple[List[TaskResult], List[OutputFile]]]:
         """Run all reduce tasks; return task results and output files."""
         payloads = self.executor.run_reduce_phase(job, partitions, self.cost_model)
-        schedules = self._place_phase(
+        schedules = yield from self._place_phase(
             plan, job, "reduce", self.machines * self.reduce_slots,
             phase_start, payloads, counters,
         )
@@ -493,26 +495,6 @@ class Cluster:
                     )
             all_files.extend(payload.files)
         return results, all_files
-
-
-def _record_cost_skew(aux: Counters, phase: str, costs: Sequence[float]) -> None:
-    """Per-phase virtual-cost skew, surfaced as ``balance.*`` metrics.
-
-    Virtual task costs are backend-identical, so these aux values are
-    deterministic; they ride the metrics snapshots (like the rest of the
-    aux layer) because they are observational, not part of a job's logical
-    output.  Milli-scaled to stay integers like every other counter.
-    """
-    if not costs:
-        return
-    mean = sum(costs) / len(costs)
-    if mean <= 0:
-        return
-    peak = max(costs)
-    aux.increment("balance", f"{phase}_cost_max_milli", int(round(peak * 1000)))
-    aux.increment(
-        "balance", f"{phase}_cost_max_over_mean_milli", int(round(peak / mean * 1000))
-    )
 
 
 __all__ = ["Cluster"]

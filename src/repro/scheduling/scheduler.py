@@ -1,53 +1,41 @@
 """The multi-tenant job scheduler on the shared virtual timeline.
 
 :class:`JobScheduler` lifts the one-job-at-a-time :class:`Cluster` into a
-shared cluster serving many tenants.  Submissions — raw MapReduce jobs,
-one-shot :class:`RunSpec` experiments, or :class:`ResolverService`
-batches — pass admission control, queue, and then compete for map/reduce
-capacity on one :class:`~repro.scheduling.pool.SharedSlotPool` timeline.
+shared cluster serving many tenants.  Submissions — raw MapReduce jobs or
+:class:`ResolverService` batches — pass admission control, queue, and
+then compete for map/reduce capacity on one
+:class:`~repro.scheduling.pool.SharedSlotPool` timeline.
 
 Dispatch model
 --------------
 
-Each job runs its existing driver unchanged on its own worker thread; the
-driver blocks inside :meth:`Cluster._place_phase` at every phase boundary,
-which surfaces a *phase request* ``(job, kind, ready_time)`` to the
-scheduler's event loop.  The loop is strictly baton-passed: exactly one
-thread (the loop or a single job thread) executes at any moment, so the
-interleaving — and therefore every timestamp — is a pure function of the
-submitted trace.  That is the headline determinism guarantee: a fixed
-arrival trace yields bit-identical per-job outputs and virtual-time
-latencies on every execution backend.
+Every job is a generator, :meth:`Cluster.job_steps`: it computes a
+phase's task payloads, yields the phase's request ``(kind, job, ready,
+place)`` and waits for its placement.  One single-threaded event loop
+steps those generators.  Starting a job runs it to its first request;
+granting a request places the phase on the shared pool, charges the
+tenant and sends the placement back, which runs the job to its next
+request or to its end.  An error while a phase is placed or charged is
+thrown into that job's generator, so it ends that job and no other.
+Nothing runs concurrently, so every timestamp is a pure function of the
+submitted trace, on every execution backend.
 
-A pending request dispatches *lazily* at
-``dispatch = max(ready_time, first_free(kind))`` — granting earlier could
-not start work sooner, and granting later would idle a slot with runnable
-work (work conservation).  Ties between runnable requests break by:
-
-``policy="fair"``
-    priority lane first (``interactive`` preempts ``batch`` at phase
-    boundaries), then lowest tenant *virtual finish time* — classic
-    weighted fair queueing where a tenant's clock advances by
-    ``slot_seconds / weight`` whenever one of its phases is placed — then
-    submission order.
-``policy="fifo"``
-    submission order only (the bench baseline).
-
-Phases are the preemption points: a granted phase runs to completion
-(task placement is atomic), so an interactive job waits at most one
-in-flight phase per slot kind — never behind a *later* batch phase
-start.
+A request dispatches *lazily* at ``max(ready, first_free(kind))`` (work
+conservation).  Among the earliest, ``policy="fair"`` prefers the
+``interactive`` lane, then the tenant with the least weight-normalized
+service, then submission order; ``policy="fifo"`` uses submission order
+only.  Phases are the preemption points.  ``docs/scheduling.md`` has the
+fair-share math and the admission rules.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence
 
 from ..mapreduce.clock import CostModel
-from ..mapreduce.engine import Cluster, MapReduceJob
+from ..mapreduce.engine import Cluster, MapReduceJob, PhaseRequest
 from ..mapreduce.faults import FaultPlan
 from .admission import AdmissionPolicy, AdmissionReceipt
 from .pool import SharedSlotPool
@@ -80,13 +68,17 @@ class _TenantState:
         return self.submitted - self.completed - self.rejected
 
 
+#: A submission's work: a generator of phase requests that returns the
+#: job's result (see :meth:`Cluster.job_steps`).
+JobSteps = Generator[PhaseRequest, Any, Any]
+
+
 @dataclass
 class _PhaseRequest:
     handle: "JobHandle"
     kind: str
     ready: float
-    seq: int
-    dispatch: Optional[float] = None
+    place: Callable[..., Any]
 
 
 class JobHandle:
@@ -107,7 +99,7 @@ class JobHandle:
         arrival: float,
         estimated_cost: float,
         receipt: AdmissionReceipt,
-        body: Callable[["JobHandle"], Any],
+        body: Callable[["JobHandle"], JobSteps],
     ) -> None:
         self.seq = seq
         self.name = name
@@ -130,9 +122,8 @@ class JobHandle:
         self.slot_seconds = 0.0
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._body = body
-        self._go = threading.Event()
-        self._request_seq = 0
+        #: The job itself; nothing in it runs before the job starts.
+        self._steps = body(self)
 
     @property
     def latency(self) -> Optional[float]:
@@ -160,7 +151,7 @@ class JobScheduler:
         admission: optional :class:`AdmissionPolicy`; the default admits
             everything immediately.
         cost_model: cost model for clusters the scheduler builds itself
-            (``submit_job``); specs and services bring their own.
+            (``submit_job``); services bring their own.
         tracer: optional tracer receiving submit/reject instants and one
             ``sched-lease`` span per granted phase (track 1 = map lane,
             track 2 = reduce lane).
@@ -201,28 +192,19 @@ class JobScheduler:
         self._admission_fifo: List[JobHandle] = []
         self._pending: List[_PhaseRequest] = []
         self._service_tail: Dict[int, JobHandle] = {}
-        self._service_tenant: Dict[int, str] = {}
-        self._baton = threading.Event()
         self._ran = False
 
     # -- tenants -------------------------------------------------------
 
     def add_tenant(self, name: str, weight: float = 1.0) -> None:
         """Register a tenant with a fair-share ``weight`` (default 1)."""
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be > 0, got {weight}")
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(f"tenant weight must be a finite number > 0, got {weight}")
         state = self._tenants.get(name)
         if state is None:
             self._tenants[name] = _TenantState(name, weight)
         else:
             state.weight = weight
-
-    def _tenant(self, name: str) -> _TenantState:
-        state = self._tenants.get(name)
-        if state is None:
-            state = _TenantState(name)
-            self._tenants[name] = state
-        return state
 
     # -- submission ----------------------------------------------------
 
@@ -240,113 +222,64 @@ class JobScheduler:
         num_map_tasks: Optional[int] = None,
         num_reduce_tasks: Optional[int] = None,
     ) -> JobHandle:
-        """Submit one raw MapReduce job on a scheduler-built cluster."""
+        """Submit one raw MapReduce job on a scheduler-built cluster; its
+        result is the job's ``JobResult``."""
         records = list(records)
-        estimate = (
-            float(len(records)) if estimated_cost is None else float(estimated_cost)
-        )
 
-        def body(handle: JobHandle) -> Any:
+        def body(handle: JobHandle) -> JobSteps:
             cluster = Cluster(
                 self.machines,
                 map_slots=self.map_slots,
                 reduce_slots=self.reduce_slots,
                 cost_model=self.cost_model,
                 faults=faults,
-                slot_broker=partial(self._place, handle, tenant),
             )
-            return cluster.run_job(
+            return (yield from cluster.job_steps(
                 job,
                 records,
                 start_time=handle.floor,
                 num_map_tasks=num_map_tasks,
                 num_reduce_tasks=num_reduce_tasks,
-            )
+            ))
 
         return self._admit(
-            label or job.name, tenant, lane, arrival, estimate, body
+            label or job.name, tenant, lane, arrival,
+            len(records) if estimated_cost is None else estimated_cost, body,
         )
-
-    def submit_spec(
-        self,
-        spec: Any,
-        *,
-        tenant: str = "default",
-        lane: str = "batch",
-        arrival: float = 0.0,
-        label: Optional[str] = None,
-        estimated_cost: Optional[float] = None,
-    ) -> JobHandle:
-        """Submit one one-shot :class:`RunSpec` experiment run."""
-        if estimated_cost is None:
-            dataset = getattr(spec, "dataset", None)
-            estimate = float(len(dataset)) if dataset is not None else 0.0
-        else:
-            estimate = float(estimated_cost)
-
-        def body(handle: JobHandle) -> Any:
-            # Imported lazily: evaluation pulls in the full driver stack,
-            # and scheduling must stay importable on its own.
-            from ..evaluation.experiment import ExperimentRun
-
-            run = ExperimentRun(spec)
-            run.cluster.slot_broker = partial(self._place, handle, tenant)
-            return run.run()
-
-        resolved = getattr(spec, "resolved_label", None)
-        name = label or (resolved() if callable(resolved) else resolved) or "spec"
-        return self._admit(name, tenant, lane, arrival, estimate, body)
-
-    def adopt_service(self, service: Any, tenant: str = "service") -> None:
-        """Attach a :class:`ResolverService` to this scheduler.
-
-        Points the service's cluster at this scheduler's pool with no
-        job handle, so direct ``service.submit()`` calls place each phase
-        on the shared timeline at once, and records the service's
-        accounting tenant.  Called automatically when a service is
-        constructed with ``scheduler=``.
-        """
-        self._service_tenant[id(service)] = tenant
-        self._tenant(tenant)
-        service.session.cluster.slot_broker = partial(self._place, None, tenant)
 
     def submit_batch(
         self,
         service: Any,
         entities: Iterable[Any],
         *,
-        tenant: Optional[str] = None,
+        tenant: str = "service",
         lane: str = "interactive",
         arrival: float = 0.0,
         label: Optional[str] = None,
         estimated_cost: Optional[float] = None,
     ) -> JobHandle:
-        """Submit one :class:`ResolverService` batch.
+        """Submit one :class:`ResolverService` batch; its result is the
+        batch's :class:`~repro.service.resolver.BatchReceipt`.
 
-        Batches of the same service are causally chained: batch *N+1*
-        starts only after batch *N*'s virtual completion, because the
-        service's clock (and cluster state) advances batch by batch.
+        Batches of one service run in submission order, each after the
+        previous one ended.  A batch is prepared when it starts and
+        committed when its delta job ends, as :meth:`ResolverService.submit`
+        does, so one that fails leaves its service as it was.
         """
         entities = list(entities)
-        if tenant is None:
-            tenant = self._service_tenant.get(id(service), "service")
-        estimate = (
-            float(len(entities)) if estimated_cost is None else float(estimated_cost)
-        )
 
-        def body(handle: JobHandle) -> Any:
-            cluster = service.session.cluster
-            cluster.slot_broker = partial(self._place, handle, tenant)
-            try:
-                return service.submit(entities)
-            finally:
-                # Back to placing at once, so direct ``service.submit()``
-                # calls after the trace still work.
-                cluster.slot_broker = partial(self._place, None, tenant)
+        def body(handle: JobHandle) -> JobSteps:
+            prepared = service.prepare(entities)
+            result = None
+            if prepared.job is not None:
+                result = yield from service.session.cluster.job_steps(
+                    prepared.job, prepared.records, start_time=prepared.start_time
+                )
+            return service.commit(prepared, result)
 
         handle = self._admit(
-            label or f"batch-{len(self._handles)}",
-            tenant, lane, arrival, estimate, body,
+            label or f"batch-{len(self._handles)}", tenant, lane, arrival,
+            len(entities) if estimated_cost is None else estimated_cost, body,
         )
         if not handle.receipt.rejected:
             tail = self._service_tail.get(id(service))
@@ -362,7 +295,7 @@ class JobScheduler:
         lane: str,
         arrival: float,
         estimate: float,
-        body: Callable[[JobHandle], Any],
+        body: Callable[[JobHandle], JobSteps],
     ) -> JobHandle:
         if self._ran:
             raise RuntimeError(
@@ -370,14 +303,16 @@ class JobScheduler:
             )
         if lane not in _LANE_RANK:
             raise ValueError(f"unknown lane {lane!r}; use one of {LANES}")
-        if arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {arrival}")
-        state = self._tenant(tenant)
-        admitted_active = sum(
-            1
-            for h in self._handles
-            if h.receipt.admitted and h.state in ("pending", "running")
-        )
+        if not (math.isfinite(arrival) and arrival >= 0):
+            raise ValueError(f"arrival must be a finite number >= 0, got {arrival}")
+        estimate = float(estimate)
+        if not (math.isfinite(estimate) and estimate >= 0):
+            raise ValueError(
+                f"estimated_cost must be a finite number >= 0, got {estimate}"
+            )
+        state = self._tenants.setdefault(tenant, _TenantState(tenant))
+        # Nothing runs before run(), so every admitted job is active.
+        admitted_active = sum(h.receipt.admitted for h in self._handles)
         receipt = self.admission.decide(
             job=name,
             tenant=tenant,
@@ -428,7 +363,7 @@ class JobScheduler:
                 h
                 for h in self._not_started
                 if h.release is not None
-                and (h.depends_on is None or h.depends_on.state == "finished")
+                and (h.depends_on is None or h.depends_on.finished_at is not None)
             ]
             if not startable and not self._pending:
                 if self._not_started:
@@ -448,7 +383,10 @@ class JobScheduler:
                 # before an equal-time grant, because the new job may
                 # inject a request that ties (and then wins on policy).
                 if best is None or start_t <= best[1]:
-                    self._start_job(starter, start_t)
+                    self._not_started.remove(starter)
+                    starter.state = "running"
+                    starter.floor = max(starter.floor, start_t)
+                    self._resume(starter)
                     continue
             assert best is not None
             self._grant(*best)
@@ -466,24 +404,13 @@ class JobScheduler:
                     _LANE_RANK[request.handle.lane],
                     tenant.vtime,
                     request.handle.seq,
-                    request.seq,
                 )
             else:
-                key = (dispatch, request.handle.seq, request.seq)
+                key = (dispatch, request.handle.seq)
             scored.append((key, dispatch, request))
         scored.sort(key=lambda item: item[0])
         _, dispatch, request = scored[0]
         return request, dispatch
-
-    def _start_job(self, handle: JobHandle, start_t: float) -> None:
-        self._not_started.remove(handle)
-        handle.state = "running"
-        handle.floor = max(handle.floor, start_t)
-        threading.Thread(
-            target=self._thread_main, args=(handle,), daemon=True,
-            name=f"sched-{handle.name}",
-        ).start()
-        self._await_yield(handle)
 
     def _grant(self, request: _PhaseRequest, dispatch: float) -> None:
         handle = request.handle
@@ -513,97 +440,71 @@ class JobScheduler:
             }
         )
         self._pending.remove(request)
-        request.dispatch = dispatch
         if handle.started_at is None:
             handle.started_at = dispatch
         handle.grants += 1
         handle.wait_total += dispatch - request.ready
-        self._await_yield(handle)
+        try:
+            scheduler, schedules, busy, end = self.pool.place(
+                request.kind, dispatch, request.place
+            )
+            tenant = self._tenants[handle.tenant]
+            tenant.vtime += busy / tenant.weight
+            tenant.slot_seconds += busy
+            handle.slot_seconds += busy
+            handle.floor = max(handle.floor, end)
+            if self.tracer is not None:
+                self.tracer.record_span(
+                    f"{handle.name}/{request.kind}",
+                    "sched-lease",
+                    dispatch,
+                    end,
+                    job=handle.name,
+                    track=1 if request.kind == "map" else 2,
+                    tenant=handle.tenant,
+                    lane=handle.lane,
+                    wait=round(dispatch - request.ready, 9),
+                )
+        except Exception as exc:  # noqa: BLE001 - this job's error
+            self._resume(handle, error=exc)
+        else:
+            self._resume(handle, (scheduler, schedules))
 
-    def _finish_job(self, handle: JobHandle) -> None:
-        if handle.finished_at is not None:
+    def _resume(
+        self,
+        handle: JobHandle,
+        placed: Any = None,
+        *,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Run ``handle``'s job to its next phase request or to its end.
+
+        Sends ``placed`` (or throws ``error``) into the job's generator.
+        A yielded request joins the pending set.  A return or a raise ends
+        the job — the raise as the job's error, for :meth:`run` to report —
+        and releases the next job the admission policy queued.
+        """
+        try:
+            if error is None:
+                kind, _, ready, place = handle._steps.send(placed)
+            else:
+                kind, _, ready, place = handle._steps.throw(error)
+        except StopIteration as done:
+            handle.result = done.value
+            handle.state = "finished"
+        except Exception as exc:  # noqa: BLE001 - reported by run()
+            handle.error = exc
+            handle.state = "failed"
+        else:
+            self._pending.append(
+                _PhaseRequest(handle, kind, max(ready, handle.floor), place)
+            )
             return
         handle.finished_at = handle.floor
         self._tenants[handle.tenant].completed += 1
         if self._admission_fifo:
             released = self._admission_fifo.pop(0)
             released.release = max(released.arrival, handle.finished_at)
-
-    def _await_yield(self, handle: JobHandle) -> None:
-        """Let ``handle``'s thread run until it blocks or finishes."""
-        handle._go.set()
-        self._baton.wait()
-        self._baton.clear()
-        if handle.state in ("finished", "failed"):
-            self._finish_job(handle)
-
-    def _thread_main(self, handle: JobHandle) -> None:
-        handle._go.wait()
-        handle._go.clear()
-        try:
-            handle.result = handle._body(handle)
-            handle.state = "finished"
-        except BaseException as exc:  # noqa: BLE001 - reported by run()
-            handle.error = exc
-            handle.state = "failed"
-        finally:
-            self._baton.set()
-
-    # -- the engine-facing placement call ------------------------------
-
-    def _place(
-        self,
-        handle: Optional[JobHandle],
-        tenant: str,
-        kind: str,
-        job: str,
-        ready: float,
-        place: Callable[[List[float], float], tuple],
-    ) -> tuple:
-        """Place one phase on the shared pool: a ``Cluster.slot_broker``.
-
-        Bound to a job's ``handle`` and ``tenant`` with
-        :func:`functools.partial`; the engine supplies the rest (``job``
-        names the engine job, ``place`` runs its ``FaultScheduler``).
-        With a handle — on that job's thread, inside :meth:`run` — the
-        phase becomes a request to the event loop and this blocks until
-        the loop grants it; with ``handle=None`` (a direct
-        ``service.submit()`` on an adopted service) it is placed at
-        ``ready`` at once.  Either way the placement is committed and
-        charged to the tenant before this returns, on the calling thread,
-        so an accounting error ends as that job's error.
-        """
-        start = ready
-        if handle is not None:
-            request = _PhaseRequest(
-                handle, kind, max(ready, handle.floor), handle._request_seq
-            )
-            handle._request_seq += 1
-            self._pending.append(request)
-            self._baton.set()
-            handle._go.wait()
-            handle._go.clear()
-            start = request.dispatch
-        scheduler, schedules, busy, end = self.pool.place(kind, start, place)
-        usage = self._tenant(tenant)
-        usage.vtime += busy / usage.weight
-        usage.slot_seconds += busy
-        if handle is not None:
-            handle.slot_seconds += busy
-            handle.floor = max(handle.floor, end)
-            if self.tracer is not None:
-                self.tracer.record_span(
-                    f"{handle.name}/{kind}",
-                    "sched-lease",
-                    start,
-                    end,
-                    job=handle.name,
-                    track=1 if kind == "map" else 2,
-                    tenant=handle.tenant,
-                    lane=handle.lane,
-                    wait=round(start - request.ready, 9),
-                )
-        return scheduler, schedules
 
     # -- reporting -----------------------------------------------------
 

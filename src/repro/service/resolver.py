@@ -26,7 +26,8 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 from ..core.config import ApproachConfig
 from ..data.entity import Entity, Pair, pair_key
 from ..evaluation.clustering import UnionFind
-from ..mapreduce.job import stable_hash
+from ..mapreduce.job import MapReduceJob, stable_hash
+from ..mapreduce.types import JobResult
 from ..similarity.batch import BatchMatcher
 from .delta import build_delta_job, plan_delta
 from .rows import entity_from_row, json_int
@@ -109,6 +110,23 @@ class BatchReceipt:
     last_seq: int
 
 
+@dataclass(frozen=True)
+class PreparedBatch:
+    """A checked and planned batch that has not changed its service yet.
+
+    Built by :meth:`ResolverService.prepare`; ``job`` (``None`` when the
+    batch has no candidate pair) runs on ``records`` from ``start_time``,
+    and :meth:`ResolverService.commit` admits the batch with its result.
+    """
+
+    batch: int
+    annotated: List[Tuple[Entity, Dict[str, Optional[str]]]]
+    affected_blocks: int
+    start_time: float
+    job: Optional[MapReduceJob]
+    records: List[Entity]
+
+
 class ResolverService:
     """A long-lived incremental resolver over one approach configuration.
 
@@ -122,15 +140,9 @@ class ResolverService:
         backend / workers / executor / cost_model / tracer / metrics /
             faults: forwarded to the underlying session cluster, exactly
             as :class:`~repro.evaluation.experiment.RunSpec` takes them.
-        scheduler: optional
-            :class:`~repro.scheduling.scheduler.JobScheduler` this
-            service shares slots through.  The service is adopted under
-            ``tenant``; its delta jobs then place work on the
-            scheduler's shared timeline (immediately on direct
-            :meth:`submit` calls, or under fair-share dispatch when
-            batches go through ``scheduler.submit_batch``).
-        tenant: accounting tenant for scheduler slot usage (only
-            meaningful with ``scheduler``).
+
+    :meth:`~repro.scheduling.scheduler.JobScheduler.submit_batch` runs a
+    batch on a cluster shared with other tenants instead.
     """
 
     def __init__(
@@ -147,8 +159,6 @@ class ResolverService:
         metrics: Optional[Any] = None,
         faults: Optional[Any] = None,
         label: str = "service",
-        scheduler: Optional[Any] = None,
-        tenant: str = "service",
     ) -> None:
         if not isinstance(config, ApproachConfig):
             raise TypeError(
@@ -177,10 +187,6 @@ class ResolverService:
         )
         self.session = ResolverSession(self.spec)
         self.session.begin_run(label)
-        self.scheduler = scheduler
-        self.tenant = tenant
-        if scheduler is not None:
-            scheduler.adopt_service(self, tenant=tenant)
         self.store = EntityStore(config.scheme)
         self._events: List[PairEvent] = []
         self._found: Set[Pair] = set()
@@ -200,9 +206,19 @@ class ResolverService:
         store, batch counter, clock, pair stream and receipts are exactly
         as before the call, and the same batch can be submitted again.
         """
+        prepared = self.prepare(entities)
+        result = None
+        if prepared.job is not None:
+            result = self.session.run_job(
+                prepared.job, prepared.records, start_time=prepared.start_time
+            )
+        return self.commit(prepared, result)
+
+    def prepare(self, entities: Iterable[Entity]) -> PreparedBatch:
+        """The first half of :meth:`submit`: check, annotate and plan a
+        batch and build its delta job, without changing the service."""
         batch_entities = list(entities)
         self._check_batch(batch_entities)
-        batch = self._batches + 1
         annotated = [
             (entity, self.store.annotate(entity)) for entity in batch_entities
         ]
@@ -214,20 +230,9 @@ class ResolverService:
             min_matches=self.min_family_matches,
             cross_source_only=self.config.mode == "linkage",
         )
-
-        start_time = self._clock
+        batch = self._batches + 1
         if not plan.units:
-            self.store.admit(annotated, batch)
-            self._batches = batch
-            receipt = BatchReceipt(
-                batch=batch, added=len(batch_entities), affected_blocks=0,
-                comparisons=0, duplicates=0, pairs=(),
-                start_time=start_time, end_time=start_time,
-                first_seq=len(self._events) + 1, last_seq=len(self._events),
-            )
-            self._receipts.append(receipt)
-            return receipt
-
+            return PreparedBatch(batch, annotated, 0, self._clock, None, [])
         job = build_delta_job(
             plan,
             self._batcher,
@@ -235,44 +240,59 @@ class ResolverService:
             name=f"delta-resolution-{batch}",
         )
         # Map input: every entity a pair names, once.  New ones are not in
-        # the store until the job has returned.
+        # the store until the batch is committed.
         fresh = {entity.id: entity for entity in batch_entities}
         records = [
             fresh[entity_id] if entity_id in fresh else self.store.get(entity_id).entity
             for entity_id in sorted(plan.routes)
         ]
-        result = self.session.run_job(job, records, start_time=start_time)
-        # Nothing above mutated the service; from here on nothing raises.
-        self.store.admit(annotated, batch)
-        self._batches = batch
-        self._clock = result.end_time
+        return PreparedBatch(
+            batch, annotated, plan.num_blocks, self._clock, job, records
+        )
 
+    def commit(
+        self, prepared: PreparedBatch, result: Optional[JobResult]
+    ) -> BatchReceipt:
+        """The second half of :meth:`submit`: admit a prepared batch with
+        its delta job's ``result`` (``None`` when it had no job)."""
+        if prepared.batch != self._batches + 1:
+            raise ValueError(
+                f"batch {prepared.batch} was prepared against another state "
+                f"of this service (now at batch {self._batches}); prepare it again"
+            )
+        # Neither prepare() nor the job mutated the service; from here on
+        # nothing raises.
+        self.store.admit(prepared.annotated, prepared.batch)
+        self._batches = prepared.batch
         first_seq = len(self._events) + 1
         new_pairs: List[Pair] = []
-        for event in result.events:
-            if event.kind != "duplicate":
-                continue
-            pair = event.payload
-            if pair in self._found:
-                continue
-            self._found.add(pair)
-            self._clusters.union(*pair)
-            new_pairs.append(pair)
-            self._events.append(
-                PairEvent(seq=len(self._events) + 1, pair=pair,
-                          batch=batch, time=event.time)
-            )
-        comparisons = result.counters.get("service", "comparisons")
-        self._comparisons += comparisons
+        comparisons = 0
+        if result is not None:
+            self._clock = result.end_time
+            for event in result.events:
+                if event.kind != "duplicate":
+                    continue
+                pair = event.payload
+                if pair in self._found:
+                    continue
+                self._found.add(pair)
+                self._clusters.union(*pair)
+                new_pairs.append(pair)
+                self._events.append(
+                    PairEvent(seq=len(self._events) + 1, pair=pair,
+                              batch=prepared.batch, time=event.time)
+                )
+            comparisons = result.counters.get("service", "comparisons")
+            self._comparisons += comparisons
         receipt = BatchReceipt(
-            batch=batch,
-            added=len(batch_entities),
-            affected_blocks=plan.num_blocks,
+            batch=prepared.batch,
+            added=len(prepared.annotated),
+            affected_blocks=prepared.affected_blocks,
             comparisons=comparisons,
             duplicates=len(new_pairs),
             pairs=tuple(new_pairs),
-            start_time=start_time,
-            end_time=result.end_time,
+            start_time=prepared.start_time,
+            end_time=self._clock,
             first_seq=first_seq,
             last_seq=len(self._events),
         )
@@ -541,5 +561,6 @@ __all__ = [
     "config_fingerprint",
     "PairEvent",
     "BatchReceipt",
+    "PreparedBatch",
     "ResolverService",
 ]

@@ -371,6 +371,47 @@ class TestAdmissionProperties:
             assert outcome.started_at >= finishes[0]
 
 
+def _submit(**options):
+    def case():
+        scheduler = JobScheduler(machines=2)
+        scheduler.submit_job(_job("j"), _LINES, tenant="t", **options)
+        return scheduler
+    return case
+
+
+def _tenant(weight):
+    def case():
+        scheduler = JobScheduler(machines=2)
+        scheduler.add_tenant("t", weight)
+        return scheduler
+    return case
+
+
+_INVALID_INPUTS = {
+    "weight-zero": _tenant(0.0),
+    "weight-negative": _tenant(-1.0),
+    "weight-nan": _tenant(float("nan")),
+    "weight-inf": _tenant(float("inf")),
+    "arrival-negative": _submit(arrival=-1.0),
+    "arrival-nan": _submit(arrival=float("nan")),
+    "arrival-inf": _submit(arrival=float("inf")),
+    "cost-negative": _submit(estimated_cost=-1.0),
+    "cost-nan": _submit(estimated_cost=float("nan")),
+    "cost-inf": _submit(estimated_cost=float("inf")),
+    "unknown-lane": _submit(lane="urgent"),
+    "unknown-policy": lambda: JobScheduler(policy="lottery"),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("case", sorted(_INVALID_INPUTS))
+    def test_rejects_invalid_input_with_value_error(self, case):
+        """A weight, arrival or cost estimate that is not a finite number
+        in range, or an unknown lane or policy, raises ``ValueError``."""
+        with pytest.raises(ValueError):
+            _INVALID_INPUTS[case]()
+
+
 class _FailingLeaseTracer(Tracer):
     """A tracer whose sink fails on every scheduler lease span."""
 

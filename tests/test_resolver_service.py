@@ -394,6 +394,23 @@ class TestSubmit:
         assert service.total_comparisons == undisturbed.total_comparisons
         assert service.receipts == undisturbed.receipts
 
+    def test_commit_refuses_a_batch_prepared_against_an_older_state(
+        self, dataset, config
+    ):
+        """``prepare`` does not change the service, so two batches can be
+        prepared at once; only the first one committed may land."""
+        service = make_service(config)
+        first = service.prepare(dataset.entities[:100])
+        stale = service.prepare(dataset.entities[:100])
+        result = service.session.run_job(
+            first.job, first.records, start_time=first.start_time
+        )
+        service.commit(first, result)
+        before = (service.snapshot(), service.receipts)
+        with pytest.raises(ValueError, match="prepare it again"):
+            service.commit(stale, result)
+        assert (service.snapshot(), service.receipts) == before
+
     def test_delta_charges_are_tagged_for_calibration(
         self, dataset, config, monkeypatch
     ):
