@@ -20,7 +20,7 @@ placement — which is what Figures 8 and 10 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -77,11 +77,8 @@ class BasicMapper(Mapper):
         self._scheme = scheme
 
     def map(self, record: Entity, context: TaskContext) -> None:
-        keys: List[Optional[str]] = []
-        for family in self._scheme.family_order:
-            keys.append(self._scheme.main_function(family).key_of(record))
-        signature = tuple(keys)
-        for position, key in enumerate(keys):
+        signature = tuple(self._scheme.main_keys(record).values())
+        for position, key in enumerate(signature):
             if key is not None:
                 context.emit((position, key), (record, signature))
 
@@ -118,11 +115,7 @@ class BasicReducer(Reducer):
             [signature_of[entity.id] for entity in members], position, block_key
         )
 
-        found = 0
-
         def on_duplicate(e1: Entity, e2: Entity) -> None:
-            nonlocal found
-            found += 1
             context.counters.increment("driver", "duplicates")
             pair = pair_key(e1.id, e2.id)
             context.record_event("duplicate", pair)
@@ -133,12 +126,12 @@ class BasicReducer(Reducer):
             if config.popcorn_threshold is not None
             else None
         )
-        resolve_block(
+        stats = resolve_block(
             members,
             runs,
             self._batcher,
             context.cost_model,
-            context.charge,
+            partial(context.charge, category="compare"),
             on_duplicate,
             admit=admit,
             stop=stop,
@@ -149,7 +142,7 @@ class BasicReducer(Reducer):
                 f"resolve:{family}1:{block_key}", "block",
                 span_start, context.clock.now,
                 block=f"{family}1:{block_key}",
-                entities=len(members), duplicates=found,
+                entities=len(members), duplicates=stats.duplicates,
             )
 
 

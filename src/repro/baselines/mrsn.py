@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -141,7 +142,7 @@ class MrsnReducer(Reducer):
             window_runs(ordered, window),
             self._batcher,
             context.cost_model,
-            context.charge,
+            partial(context.charge, category="compare"),
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
         )
 

@@ -119,6 +119,18 @@ class BlockingScheme:
         """The level-1 function of ``family``."""
         return self.families[family][0]
 
+    def main_keys(self, entity: Entity) -> Dict[str, Optional[str]]:
+        """The entity's level-1 blocking key per family, in dominance order;
+        ``None`` where a family excludes it.  Job 1's annotation, the
+        service, meta-blocking, Basic and the estimators' dominance
+        signatures all take their level-1 keys from here; only the
+        reference blocker (:mod:`repro.blocking.blocker`) applies the
+        functions one level at a time."""
+        return {
+            family: functions[0].key_of(entity)
+            for family, functions in self.families.items()
+        }
+
     def sort_attribute(self, family: str) -> str:
         """Attribute the blocks of ``family`` are sorted on (the paper sorts
         each block by the attribute its blocking function is defined on)."""

@@ -331,11 +331,7 @@ def resolve_scheduled_block(
         x, y = e1.id, e2.id
         tree_resolved.add((x, y) if x < y else (y, x))
 
-    found = 0
-
     def on_duplicate(e1: Entity, e2: Entity) -> None:
-        nonlocal found
-        found += 1
         context.counters.increment("driver", "duplicates")
         pair = pair_key(e1.id, e2.id)
         context.record_event("duplicate", pair)
@@ -367,7 +363,7 @@ def resolve_scheduled_block(
     if trace:
         context.record_span(
             span_name, "block", span_start, context.clock.now,
-            block=block_uid, entities=len(members), duplicates=found,
+            block=block_uid, entities=len(members), duplicates=stats.duplicates,
         )
 
 

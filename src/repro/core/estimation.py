@@ -74,10 +74,8 @@ class LearnedEstimator(DuplicateEstimator):
         size = len(training)
         total_dups = 0.0
         total_pairs = 0.0
-        for family, forest in forests.items():
-            dominating = scheme.family_order[: scheme.index_of(family) - 1]
-            signatures = _main_key_signatures(training, scheme, dominating)
-            for block in forest.blocks():
+        for family, signatures in _main_key_signatures(training, scheme):
+            for block in forests[family].blocks():
                 dups, pairs = _covered_counts(block, true_pairs, signatures)
                 if pairs == 0:
                     continue
@@ -123,10 +121,8 @@ class OracleEstimator(DuplicateEstimator):
         """Count the covered true duplicate pairs of every block."""
         forests = build_forests(dataset, scheme)
         true_pairs = dataset.true_pairs
-        for family, forest in forests.items():
-            dominating = scheme.family_order[: scheme.index_of(family) - 1]
-            signatures = _main_key_signatures(dataset, scheme, dominating)
-            for block in forest.blocks():
+        for family, signatures in _main_key_signatures(dataset, scheme):
+            for block in forests[family].blocks():
                 dups, _ = _covered_counts(block, true_pairs, signatures)
                 self._dups[block.uid] = dups
         return self
@@ -148,12 +144,13 @@ class UniformEstimator(DuplicateEstimator):
         return self.probability * cov
 
 
-def _main_key_signatures(dataset: Dataset, scheme: BlockingScheme, dominating):
-    """Entity id -> tuple of main keys under the dominating families."""
-    mains = [scheme.main_function(f) for f in dominating]
-    return {
-        e.id: tuple(main.key_of(e) for main in mains) for e in dataset.entities
-    }
+def _main_key_signatures(dataset: Dataset, scheme: BlockingScheme):
+    """Yield, per family in dominance order, ``(family, entity id -> tuple
+    of main keys under the dominating families)``; every entity's keys
+    are computed once."""
+    keys = {e.id: tuple(scheme.main_keys(e).values()) for e in dataset.entities}
+    for rank, family in enumerate(scheme.family_order):
+        yield family, {eid: row[:rank] for eid, row in keys.items()}
 
 
 def _covered_counts(block: Block, true_pairs, signatures) -> Tuple[int, int]:

@@ -69,16 +69,14 @@ def level1_signatures(
     entities: Iterable[Entity], scheme: BlockingScheme
 ) -> Dict[int, Signature]:
     """Per entity id, its non-``None`` level-1 keys by family."""
-    mains = [(family, scheme.main_function(family)) for family in scheme.family_order]
-    signatures: Dict[int, Signature] = {}
-    for entity in entities:
-        sig: Signature = {}
-        for family, function in mains:
-            key = function.key_of(entity)
-            if key is not None:
-                sig[family] = key
-        signatures[entity.id] = sig
-    return signatures
+    return {
+        entity.id: {
+            family: key
+            for family, key in scheme.main_keys(entity).items()
+            if key is not None
+        }
+        for entity in entities
+    }
 
 
 def level1_blocks(
@@ -150,13 +148,8 @@ class WnpPruner:
     thresholds; :meth:`keep` recomputes the pair weight from the
     signatures (pure, deterministic) and retains the pair when either
     endpoint's threshold admits it.  Plain-dict state keeps the object
-    picklable for process backends and service snapshots.
-
-    A threshold is the exact mean of the entity's pair weights, rounded
-    once.  For ``cbs`` that is bit-identical to the previous release; for
-    ``js`` the previous release rounded after every addition, which
-    drifted a few ulp above or below the mean (up to 49 ulp measured on
-    ``make_linkage(1500)``) and so dropped pairs that tie with it.
+    picklable for process backends.  A threshold is the exact mean of the
+    entity's pair weights, rounded once.
     """
 
     def __init__(

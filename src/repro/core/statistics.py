@@ -3,8 +3,8 @@
 The job produces the two outputs the paper describes:
 
 1. an **annotated dataset** — each entity together with its main blocking
-   key values (emitted by the map phase), consumed by Job 2's mappers so
-   they need not recompute keys; and
+   key values, the records the map phase routes, consumed by Job 2's
+   mappers so they need not recompute keys; and
 2. **block statistics** — for every block of every tree: its size, its
    child blocks, and the overlap information needed to evaluate the
    inclusion–exclusion ``Uncov`` formula (the ``OLP`` values): a histogram
@@ -105,39 +105,14 @@ class DatasetStatistics:
 
 
 class AnnotateMapper(Mapper):
-    """Map phase: annotate each entity with its main keys and route it to
-    every main block containing it.
+    """Map phase: route each annotated entity to every main block named by
+    a non-``None`` key of its annotation.  Keys are computed (and masked)
+    once, by :func:`run_statistics_job`, before the job runs."""
 
-    ``pruned`` is an optional set of ``(entity id, family)`` memberships
-    dropped by a meta-blocking block-filtering pre-pass: a pruned key is
-    annotated as ``None``, so the membership disappears from the block
-    statistics *and* — because Job 2's mappers route from these same
-    annotations — from resolution routing, with no further plumbing.
-    """
-
-    def __init__(
-        self,
-        scheme: BlockingScheme,
-        pruned: Optional[FrozenSet[Tuple[int, str]]] = None,
-    ) -> None:
-        self._scheme = scheme
-        self._pruned = pruned
-
-    def map(self, record: Entity, context: TaskContext) -> None:
-        keys: Dict[str, Optional[str]] = {}
-        for family in self._scheme.family_order:
-            key = self._scheme.main_function(family).key_of(record)
-            if (
-                key is not None
-                and self._pruned is not None
-                and (record.id, family) in self._pruned
-            ):
-                key = None
-            keys[family] = key
-        annotated: AnnotatedEntity = (record, keys)
-        for family, key in keys.items():
+    def map(self, record: AnnotatedEntity, context: TaskContext) -> None:
+        for family, key in record[1].items():
             if key is not None:
-                context.emit((family, key), annotated)
+                context.emit((family, key), record)
 
 
 class BlockStatsReducer(Reducer):
@@ -253,34 +228,31 @@ def run_statistics_job(
 ) -> Tuple[List[AnnotatedEntity], DatasetStatistics, JobResult]:
     """Execute Job 1 and return (annotated dataset, statistics, job result).
 
-    ``pruned`` applies a block-filtering pre-pass (see
-    :class:`AnnotateMapper`): both the worker-side annotation and the
-    driver-side derivation below mask the dropped memberships, so the two
-    stay the same deterministic function of the input.
+    The annotated dataset is built once, here, in dataset order:
+    :meth:`~repro.blocking.functions.BlockingScheme.main_keys` per entity,
+    with every ``(entity id, family)`` membership in ``pruned`` (a
+    block-filtering pre-pass, see :mod:`repro.core.metablock`) masked to
+    ``None``.  That list is the job's map input, so a masked membership
+    disappears from the block statistics and — because Job 2 routes from
+    the same annotations — from resolution.  The returned list holds the
+    very records the job read, sorted by entity id.
     """
+
+    def annotate(entity: Entity) -> AnnotatedEntity:
+        keys = scheme.main_keys(entity)
+        if pruned:
+            for family in keys:
+                if (entity.id, family) in pruned:
+                    keys[family] = None
+        return entity, keys
+
+    annotated = [annotate(entity) for entity in dataset.entities]
     job = MapReduceJob(
-        mapper_factory=lambda: AnnotateMapper(scheme, pruned),
+        mapper_factory=AnnotateMapper,
         reducer_factory=lambda: BlockStatsReducer(scheme),
         name="progressive-blocking-statistics",
     )
-    result = cluster.run_job(job, dataset.entities, start_time=start_time)
-
-    def _key(entity: Entity, family: str) -> Optional[str]:
-        if pruned is not None and (entity.id, family) in pruned:
-            return None
-        return scheme.main_function(family).key_of(entity)
-
-    # The annotated dataset is a deterministic function of the input — the
-    # job charges its cost, but the driver derives it directly rather than
-    # collecting mapper side effects (which would be lost on a process
-    # backend, where mappers run in worker processes).
-    annotated: List[AnnotatedEntity] = [
-        (
-            entity,
-            {family: _key(entity, family) for family in scheme.family_order},
-        )
-        for entity in dataset.entities
-    ]
+    result = cluster.run_job(job, annotated, start_time=start_time)
     annotated.sort(key=lambda a: a[0].id)
     stats = DatasetStatistics.from_records(scheme, result.output)
     return annotated, stats, result

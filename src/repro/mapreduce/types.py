@@ -62,8 +62,8 @@ class TaskResult:
         events: timestamped events recorded by the task (global time).
         output: records written via ``context.write`` (reduce side) or
             emitted key-value pairs (map side, grouped by partition).
-        num_failed_attempts: attempts that crashed (or were injected as
-            legacy full-cost failures) before the task committed.
+        num_failed_attempts: attempts that crashed before the task
+            committed.
         speculative: True when the committing attempt was a speculative
             backup that beat the original (see
             :mod:`repro.mapreduce.faults`).

@@ -219,9 +219,7 @@ class ResolverService:
         batch and build its delta job, without changing the service."""
         batch_entities = list(entities)
         self._check_batch(batch_entities)
-        annotated = [
-            (entity, self.store.annotate(entity)) for entity in batch_entities
-        ]
+        annotated = [(e, self.config.scheme.main_keys(e)) for e in batch_entities]
         plan = plan_delta(
             self.store,
             annotated,
@@ -472,10 +470,7 @@ class ResolverService:
         for batch, entity in entities:
             by_batch.setdefault(batch, []).append(entity)
         for batch in sorted(by_batch):
-            annotated = [
-                (entity, service.store.annotate(entity))
-                for entity in by_batch[batch]
-            ]
+            annotated = [(e, config.scheme.main_keys(e)) for e in by_batch[batch]]
             service.store.admit(annotated, batch)
         service._events = events
         service._found = found

@@ -1,12 +1,14 @@
 """Persistent entity store with a blocking-key forest index.
 
 The store is the service's long-lived state: every entity ever submitted,
-annotated once with its level-1 blocking keys, plus an inverted index from
-``(family, key)`` routes to the member ids of that block.  Submitting a
-batch asks the store one question per new entity — *who already lives in
-its blocks?* — answered from the index without re-scanning the corpus,
-which is what keeps the delta path proportional to the blocks the batch
-touches rather than the store size.
+plus an inverted index from ``(family, key)`` routes to the member ids of
+that block.  An entity's level-1 keys are computed once, before admission
+(:meth:`~repro.blocking.functions.BlockingScheme.main_keys`), and live on
+only as its routes in the index.  Submitting a batch asks the store one
+question per new entity — *who already lives in its blocks?* — answered
+from the index without re-scanning the corpus, which is what keeps the
+delta path proportional to the blocks the batch touches rather than the
+store size.
 """
 
 from __future__ import annotations
@@ -30,18 +32,12 @@ def route_label(route: BlockRoute) -> str:
 
 
 class StoredEntity:
-    """One entity at rest: the record, its blocking keys, and its batch.
+    """One entity at rest: the record and the batch that admitted it."""
 
-    ``keys`` maps every family of the scheme to the entity's level-1
-    blocking key (``None`` where the family excludes it).  Keys are
-    computed exactly once, at admission — the forest never re-blocks.
-    """
+    __slots__ = ("entity", "batch")
 
-    __slots__ = ("entity", "keys", "batch")
-
-    def __init__(self, entity: Entity, keys: Dict[str, Optional[str]], batch: int):
+    def __init__(self, entity: Entity, batch: int):
         self.entity = entity
-        self.keys = keys
         self.batch = batch
 
 
@@ -68,13 +64,6 @@ class EntityStore:
     def stored(self) -> Iterable[StoredEntity]:
         return self._entities.values()
 
-    def annotate(self, entity: Entity) -> Dict[str, Optional[str]]:
-        """The entity's level-1 blocking key per family (None = excluded)."""
-        return {
-            family: self.scheme.main_function(family).key_of(entity)
-            for family in self.scheme.family_order
-        }
-
     def routes_of(self, keys: Dict[str, Optional[str]]) -> List[BlockRoute]:
         """The block routes a keyed entity belongs to."""
         return [
@@ -99,7 +88,7 @@ class EntityStore:
         for entity, keys in annotated:
             if entity.id in self._entities:
                 raise ValueError(f"entity id {entity.id} already admitted")
-            self._entities[entity.id] = StoredEntity(entity, keys, batch)
+            self._entities[entity.id] = StoredEntity(entity, batch)
             for route in self.routes_of(keys):
                 self._blocks.setdefault(route, []).append(entity.id)
 

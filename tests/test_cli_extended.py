@@ -1,6 +1,8 @@
 """Extended CLI tests: the profile subcommand, the people family, and
 budget-weighted scheduling through the public config API."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -23,6 +25,36 @@ class TestProfileCommand:
         code = main(["profile", "--dataset", str(out_path), "--family", "people"])
         assert code == 0
         assert "surname" in capsys.readouterr().out
+
+
+class TestBalanceAndMetablockCli:
+    @pytest.mark.parametrize("strategy", ["blocksplit", "pairrange"])
+    def test_skewed_balance_prints_its_plan(self, strategy, capsys):
+        code = main(
+            ["run", "--family", "skewed", "--size", "400", "--machines", "3",
+             "--balance", strategy]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"load balance — strategy '{strategy}'" in out
+        assert "split blocks:" in out
+
+    @pytest.mark.parametrize(
+        "size, flags, mode",
+        [
+            ("200", ["--metablock", "bf", "--metablock-ratio", "0.5"], "bf"),
+            ("1000", ["--metablock", "wnp"], "wnp"),
+        ],
+    )
+    def test_linkage_metablock_prints_its_pre_pass(self, size, flags, mode, capsys):
+        code = main(
+            ["run", "--family", "linkage", "--size", size, "--machines", "3", *flags]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "meta-blocking pre-pass" in out
+        assert re.search(rf"^  mode +{mode}$", out, re.MULTILINE)
+        assert "pair reduction" in out
 
 
 class TestPeopleFamilyCli:

@@ -49,6 +49,23 @@ class TestGenerateJsonl:
         assert "wrote 50" in capsys.readouterr().out
 
 
+    def test_linkage_round_trip_keeps_sources(self, tmp_path, capsys):
+        rows = tmp_path / "two_sources.jsonl"
+        state = tmp_path / "linkage_state.json"
+        assert main(
+            ["generate", "--family", "linkage", "--size", "200", "--out", str(rows)]
+        ) == 0
+        assert main(
+            ["serve", "--input", str(rows), "--batch-size", "50", "--machines", "2",
+             "--snapshot-out", str(state), "--family", "linkage"]
+        ) == 0
+        lines = rows.read_text().splitlines()
+        assert {json.loads(line).get("source") for line in lines} == {"a", "b"}
+        stored = json.loads(state.read_text())["entities"]
+        assert len(stored) == len(lines)
+        assert {entity.get("source") for entity in stored} == {"a", "b"}
+
+
 class TestServe:
     def test_streams_batches_and_snapshots(self, tmp_path, jsonl_file, entities, capsys):
         stream = jsonl_file("in.jsonl", entities)

@@ -10,11 +10,21 @@ from repro.blocking import (
     citeseer_scheme,
     prefix_function,
 )
-from repro.core import ProgressiveER, citeseer_config
-from repro.data import Dataset, Entity, make_citeseer
+from repro.core import ProgressiveER, books_config, citeseer_config
+from repro.core.statistics import run_statistics_job
+from repro.data import Dataset, Entity, make_books, make_citeseer
 from repro.evaluation import recall_curve
-from repro.mapreduce import Cluster, CostModel, MapReduceJob, Mapper, Reducer
+from repro.mapreduce import (
+    Cluster,
+    CostModel,
+    MapReduceJob,
+    Mapper,
+    ParallelExecutor,
+    Reducer,
+    SerialExecutor,
+)
 from repro.mechanisms import PSNM, SortedNeighborHint, resolve_block
+from repro.service import ResolverService
 from repro.similarity import BatchMatcher, citeseer_matcher
 
 
@@ -166,3 +176,80 @@ class TestBlockEdges:
         a.detach_child(b)
         assert b.root is b
         assert list(a.descendants()) == []
+
+
+def _job_fingerprint(job):
+    return (
+        job.start_time,
+        job.map_phase_end,
+        job.end_time,
+        tuple(
+            (t.cost, t.start_time, t.end_time)
+            for t in job.map_tasks + job.reduce_tasks
+        ),
+        tuple((e.time, e.kind, repr(e.payload)) for e in job.events),
+        tuple(sorted(job.counters.as_dict().items())),
+    )
+
+
+class TestKeylessEntities:
+    """Entities with only a ``year`` lack every attribute the books scheme
+    blocks on (title, authors, publisher): annotated all-``None``, they
+    join no block, so nothing routes, compares or pairs them."""
+
+    @pytest.fixture(scope="class")
+    def books(self):
+        base = make_books(300, seed=4)
+        first = max(e.id for e in base) + 1
+        keyless = [Entity(first + i, {"year": str(1990 + i)}) for i in range(4)]
+        clusters = dict(base.clusters)
+        top = max(clusters.values()) + 1
+        clusters.update({e.id: top + i for i, e in enumerate(keyless)})
+        return base, Dataset(base.entities + keyless, clusters), keyless
+
+    def test_annotated_all_none_and_absent_from_job1(self, books):
+        base, dataset, keyless = books
+        scheme = books_config().scheme
+        ids = {e.id for e in keyless}
+        annotated, stats, job1 = run_statistics_job(Cluster(3), dataset, scheme)
+        for entity, keys in annotated:
+            if entity.id in ids:
+                assert keys == dict.fromkeys(scheme.family_order)
+        assert not any(
+            value[0].id in ids for task in job1.map_tasks for _, value in task.output
+        )
+        _, without, _ = run_statistics_job(Cluster(3), base, scheme)
+        assert {uid: b.size for uid, b in stats.blocks.items()} == {
+            uid: b.size for uid, b in without.blocks.items()
+        }
+        assert stats.overlaps == without.overlaps
+
+    def test_never_routed_or_paired_and_backend_invariant(
+        self, books, shared_books_matcher
+    ):
+        _, dataset, keyless = books
+        ids = {e.id for e in keyless}
+        config = books_config(matcher=shared_books_matcher)
+        serial, process = (
+            ProgressiveER(config, Cluster(3, executor=executor)).run(dataset)
+            for executor in (SerialExecutor(), ParallelExecutor(2, serial_floor=0))
+        )
+        emitted = [value for task in serial.job2.map_tasks for _, value in task.output]
+        assert emitted and not any(entity.id in ids for entity, _ in emitted)
+        assert serial.found_pairs
+        assert not any(set(pair) & ids for pair in serial.found_pairs)
+        for job in ("job1", "job2"):
+            assert _job_fingerprint(getattr(serial, job)) == _job_fingerprint(
+                getattr(process, job)
+            )
+
+    def test_service_batch_of_keyless_entities_is_free(
+        self, books, shared_books_matcher
+    ):
+        base, _, keyless = books
+        service = ResolverService(books_config(matcher=shared_books_matcher), machines=2)
+        service.submit(base.entities)
+        receipt = service.submit(keyless)
+        assert (receipt.added, receipt.comparisons, receipt.affected_blocks) == (4, 0, 0)
+        for entity in keyless:
+            assert service.cluster_of(entity.id) == (entity.id,)

@@ -34,17 +34,16 @@ def make_service(config, **kwargs):
 
 class TestEntityStore:
     def test_annotate_covers_every_family(self, dataset, config):
-        store = EntityStore(config.scheme)
-        keys = store.annotate(dataset.entities[0])
+        keys = config.scheme.main_keys(dataset.entities[0])
         assert list(keys) == config.scheme.family_order
 
     def test_admit_files_members_per_route(self, config):
         store = EntityStore(config.scheme)
         entity = Entity(1, {"title": "Query Optimization", "venue": "VLDB"})
-        store.admit([(entity, store.annotate(entity))], batch=1)
+        keys = config.scheme.main_keys(entity)
+        store.admit([(entity, keys)], batch=1)
         assert 1 in store
         assert len(store) == 1
-        keys = store.get(1).keys
         for family, key in keys.items():
             if key is not None:
                 assert store.members((family, key)) == [1]
@@ -52,7 +51,7 @@ class TestEntityStore:
     def test_double_admission_rejected(self, config):
         store = EntityStore(config.scheme)
         entity = Entity(7, {"title": "t"})
-        annotated = [(entity, store.annotate(entity))]
+        annotated = [(entity, config.scheme.main_keys(entity))]
         store.admit(annotated, batch=1)
         with pytest.raises(ValueError, match="already admitted"):
             store.admit(annotated, batch=2)
@@ -223,12 +222,13 @@ class TestDeltaPlanning:
         }[scenario]
         config = configure()
         order = config.scheme.family_order
+        keys_of = config.scheme.main_keys
         store = EntityStore(config.scheme)
         entities = make(sum(split), seed=5).entities
         start = 0
         for number, size in enumerate(split, 1):
-            batch = [(e, store.annotate(e)) for e in entities[start:start + size]]
-            stored = [(s.entity, s.keys) for s in store.stored()]
+            batch = [(e, keys_of(e)) for e in entities[start:start + size]]
+            stored = [(s.entity, keys_of(s.entity)) for s in store.stored()]
             plan = plan_delta(
                 store, batch, order, 6,
                 min_matches=2, cross_source_only=scenario == "linkage",

@@ -1,8 +1,11 @@
 """Unit tests for the Job-1 statistics (progressive blocking + OLP data)."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from repro.blocking import build_forests, citeseer_scheme
+from repro.blocking import BlockingScheme, build_forests, citeseer_scheme
 from repro.core.statistics import (
     BlockRecord,
     DatasetStatistics,
@@ -31,6 +34,51 @@ class TestAnnotatedDataset:
         for entity, keys in annotated[:100]:
             for family in scheme.family_order:
                 assert keys[family] == scheme.main_function(family).key_of(entity)
+
+
+def counting_scheme(scheme):
+    """``scheme`` with every level-1 function wrapped to count its calls
+    per ``(family, entity id)``."""
+    calls = Counter()
+
+    def counted(function):
+        def key_of(entity):
+            calls[function.family, entity.id] += 1
+            return function.key_of(entity)
+
+        return dataclasses.replace(function, key_of=key_of)
+
+    families = {
+        family: [counted(functions[0]), *functions[1:]]
+        for family, functions in scheme.families.items()
+    }
+    return BlockingScheme(families), calls
+
+
+class TestAnnotatedOnce:
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+    def test_each_level1_function_runs_once_per_entity(self, citeseer_small, prune):
+        scheme, calls = counting_scheme(citeseer_scheme())
+        pruned = (
+            frozenset((e.id, "X") for e in citeseer_small.entities[::3])
+            if prune else None
+        )
+        annotated, _, _ = run_statistics_job(
+            Cluster(3), citeseer_small, scheme, pruned=pruned
+        )
+        assert calls == Counter(
+            {(f, e.id): 1 for f in scheme.family_order for e in citeseer_small}
+        )
+        for entity, keys in annotated:
+            if pruned and (entity.id, "X") in pruned:
+                assert keys["X"] is None
+
+    def test_job_routes_the_returned_records(self, stats_bundle):
+        _, _, annotated, _, job = stats_bundle
+        by_id = {record[0].id: record for record in annotated}
+        routed = [value for task in job.map_tasks for _, value in task.output]
+        assert routed
+        assert all(value is by_id[value[0].id] for value in routed)
 
 
 class TestStructuralAgreement:
