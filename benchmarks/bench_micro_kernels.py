@@ -284,7 +284,10 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
 
     credited = _run_decisions()
     # The old optimism: every unevaluated rule can still score 1.0.
-    monkeypatch.setattr(batch_module, "_edit_upper_bound", lambda *args: 1.0)
+    monkeypatch.setattr(
+        batch_module, "_edit_upper_bounds",
+        lambda rows1, rows2, slot: [1.0 for _ in rows1],
+    )
     optimistic = _run_decisions()
 
     call_ratio = optimistic[1] / max(credited[1], 1)
@@ -356,15 +359,54 @@ def test_batch_kernel_call_reduction(books_dataset, report):
     )
 
 
+def _call_counter():
+    """A ``sys.setprofile`` hook counting Python-level 'call' events, and
+    a wrapper that turns it on for the length of one method call."""
+    tally = {"calls": 0}
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            tally["calls"] += 1
+
+    def profiled(method):
+        def wrapper(*args, **kwargs):
+            sys.setprofile(profiler)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
+
+        return wrapper
+
+    return tally, profiled
+
+
+def _books_stream(n, batch):
+    """A small books stream: half the entities warm, the rest in batches."""
+    from repro.core import books_config
+    from repro.data import make_books
+    from repro.service import ResolverService
+
+    entities = make_books(n, seed=11).entities
+    service = ResolverService(books_config(), machines=4, backend="serial")
+    service.submit(entities[: n // 2])
+    for start in range(n // 2, n, batch):
+        service.submit(entities[start:start + batch])
+    return service
+
+
 def test_block_resolution_call_budget(report, monkeypatch):
-    """Job 2's reduce side must make at most 9 Python-level calls per
+    """Job 2's reduce side must make at most 3 Python-level calls per
     consumed stream position (compared + skipped + filtered + pruned).
 
-    Runs are vetoed a whole run at a time over per-block columns and the
-    kernel reads per-block rows, so a vetoed position costs no call and a
-    compared pair a handful.  Measured on Python 3.11: the entity-pair
-    loop made 1 048 948 calls (12.5 per position) for 84 092 positions;
-    the run loop makes about 440 000 (5.2).  Calls are counted with
+    Runs are vetoed a whole run at a time over per-block columns, the
+    kernel reads rows built once per entity and credits a batch a rule at
+    a time, and a decided piece is replayed in one step (one charge per
+    stretch between duplicates, one stop check, one ``on_resolved``), so a
+    vetoed position costs no call and a compared pair a few.  Measured on
+    Python 3.11: the entity-pair loop made 1 048 948 calls (12.5 per
+    position) for 84 092 positions; the run loop with a per-pair replay
+    about 440 000 (5.2); now about 186 000 (2.2).  Calls are counted with
     ``sys.setprofile`` 'call' events inside ``ResolutionReducer.cleanup``
     on the serial backend, so CPU speed cannot skew them.
     """
@@ -373,23 +415,8 @@ def test_block_resolution_call_budget(report, monkeypatch):
     from repro.data import make_books
     from repro.evaluation import ExperimentRun, RunSpec
 
-    calls = 0
+    tally, profiled = _call_counter()
     positions = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    cleanup = driver.ResolutionReducer.cleanup
-
-    def profiled_cleanup(self, context):
-        sys.setprofile(profiler)
-        try:
-            return cleanup(self, context)
-        finally:
-            sys.setprofile(None)
-
     resolve_block = driver.resolve_block
 
     def counted_resolve_block(*args, **kwargs):
@@ -398,17 +425,86 @@ def test_block_resolution_call_budget(report, monkeypatch):
         positions += stats.comparisons + stats.skipped + stats.filtered + stats.pruned
         return stats
 
-    monkeypatch.setattr(driver.ResolutionReducer, "cleanup", profiled_cleanup)
+    monkeypatch.setattr(
+        driver.ResolutionReducer, "cleanup", profiled(driver.ResolutionReducer.cleanup)
+    )
     monkeypatch.setattr(driver, "resolve_block", counted_resolve_block)
     spec = RunSpec(
         make_books(2000, seed=11), books_config(), machines=5,
         balance="slack", backend="serial",
     )
     ExperimentRun(spec).run()
-    per_position = calls / positions
+    per_position = tally["calls"] / positions
     report(
-        f"block resolution: {calls:,} Python calls for {positions:,} stream "
+        f"block resolution: {tally['calls']:,} Python calls for {positions:,} stream "
         f"positions ({per_position:.2f} per position)"
     )
     assert positions == 84_092
-    assert per_position <= 9.0, f"{per_position:.2f} calls per stream position"
+    assert per_position <= 3.0, f"{per_position:.2f} calls per stream position"
+
+
+def test_delta_resolution_call_budget(report, monkeypatch):
+    """The service's delta reducer must make at most 4 Python-level calls
+    per compared pair.  Measured on Python 3.11 over the 22 152 compared
+    pairs of a 1 200-book stream: 11.9 per pair with rows built per block
+    and a per-pair replay, 3.6 with rows built once per entity and a
+    decided piece replayed in one step.  Counted with ``sys.setprofile``
+    'call' events inside ``DeltaReducer.reduce`` on the serial backend."""
+    from repro.service import delta
+
+    tally, profiled = _call_counter()
+    compared = 0
+    resolve_block = delta.resolve_block
+
+    def counted_resolve_block(*args, **kwargs):
+        nonlocal compared
+        stats = resolve_block(*args, **kwargs)
+        compared += stats.comparisons
+        return stats
+
+    monkeypatch.setattr(delta.DeltaReducer, "reduce", profiled(delta.DeltaReducer.reduce))
+    monkeypatch.setattr(delta, "resolve_block", counted_resolve_block)
+    service = _books_stream(1200, 12)
+    per_pair = tally["calls"] / compared
+    report(
+        f"delta resolution: {tally['calls']:,} Python calls for {compared:,} "
+        f"compared pairs ({per_pair:.2f} per pair)"
+    )
+    assert compared == service.total_comparisons > 0
+    assert per_pair <= 4.0, f"{per_pair:.2f} calls per compared pair"
+
+
+def test_row_builds_once_per_entity(report, monkeypatch):
+    """A matcher builds an entity's kernel row at most once: over a whole
+    ``ResolverService`` stream (one matcher for the service's life), and
+    within each reduce task of a one-shot run (one matcher per task)."""
+    from repro.core import books_config
+    from repro.data import make_books
+    from repro.evaluation import ExperimentRun, RunSpec
+
+    built = []
+    build_row = BatchMatcher._build_row
+
+    def counted_build_row(self, entity):
+        # The matcher itself, not its id(): a finished task's matcher is
+        # freed and the next one may reuse its address.
+        built.append((self, entity.id))
+        return build_row(self, entity)
+
+    monkeypatch.setattr(BatchMatcher, "_build_row", counted_build_row)
+    service = _books_stream(1200, 12)
+    stream_builds = len(built)
+    assert 0 < stream_builds <= service.total_entities
+    assert len(set(built)) == stream_builds
+
+    built.clear()
+    ExperimentRun(RunSpec(
+        make_books(2000, seed=11), books_config(), machines=5, backend="serial",
+    )).run()
+    matchers = {matcher for matcher, _ in built}
+    report(
+        f"kernel rows: {stream_builds:,} built for a {service.total_entities:,}-entity "
+        f"stream; {len(built):,} for 2,000 books in {len(matchers)} reduce tasks"
+    )
+    assert len(matchers) > 1  # one matcher per reduce task
+    assert len(set(built)) == len(built)  # per task, no entity twice

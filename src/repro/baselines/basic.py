@@ -87,9 +87,10 @@ class BasicReducer(Reducer):
     """Resolve each block with M under the popcorn scheme, applying the
     smallest-key redundancy rule of [14]."""
 
-    def __init__(self, config: BasicConfig, batcher: BatchMatcher) -> None:
+    def __init__(self, config: BasicConfig) -> None:
         self._config = config
-        self._batcher = batcher
+        # One matcher per reduce task: its rows live as long as the task.
+        self._batcher = BatchMatcher(config.matcher)
 
     def reduce(
         self, key: BasicKey, values: Sequence[BasicValue], context: TaskContext
@@ -131,7 +132,7 @@ class BasicReducer(Reducer):
             runs,
             self._batcher,
             context.cost_model,
-            partial(context.charge, category="compare"),
+            partial(context.charge_each, category="compare"),
             on_duplicate,
             admit=admit,
             stop=stop,
@@ -222,10 +223,9 @@ class BasicER:
 
     def run(self, dataset: Dataset) -> BasicResult:
         """Run the single-job baseline on ``dataset``."""
-        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: BasicMapper(self.config.scheme),
-            reducer_factory=lambda: BasicReducer(self.config, batcher),
+            reducer_factory=lambda: BasicReducer(self.config),
             alpha=self.config.alpha,
             name="basic-er",
         )

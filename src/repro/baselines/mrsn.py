@@ -112,9 +112,10 @@ def window_runs(ordered: Sequence[Tuple[Entity, bool]], window: int) -> Iterator
 class MrsnReducer(Reducer):
     """Slide the SN window over the task's sorted range."""
 
-    def __init__(self, config: MrsnConfig, batcher: BatchMatcher) -> None:
+    def __init__(self, config: MrsnConfig) -> None:
         self._config = config
-        self._batcher = batcher
+        # One matcher per reduce task: its rows live as long as the task.
+        self._batcher = BatchMatcher(config.matcher)
         self._ordered: List[Tuple[Entity, bool]] = []
 
     def reduce(
@@ -142,7 +143,7 @@ class MrsnReducer(Reducer):
             window_runs(ordered, window),
             self._batcher,
             context.cost_model,
-            partial(context.charge, category="compare"),
+            partial(context.charge_each, category="compare"),
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
         )
 
@@ -187,10 +188,9 @@ class MultiPassMRSN:
     def _run_pass(self, dataset: Dataset, family: str, start_time: float) -> JobResult:
         sort_attribute = self.config.scheme.sort_attribute(family)
         boundaries, replicate = self._plan_partitions(dataset, sort_attribute)
-        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: MrsnMapper(sort_attribute, boundaries, replicate),
-            reducer_factory=lambda: MrsnReducer(self.config, batcher),
+            reducer_factory=lambda: MrsnReducer(self.config),
             partitioner=MrsnPartitioner(),
             # No α: a plain MR job writes one output file per reduce task,
             # readable only once the task finishes.

@@ -162,12 +162,12 @@ class ResolutionReducer(Reducer):
         self,
         schedule: ProgressiveSchedule,
         config: ApproachConfig,
-        batcher: BatchMatcher,
         pruner: Optional[WnpPruner] = None,
     ) -> None:
         self._schedule = schedule
         self._config = config
-        self._batcher = batcher
+        # One matcher per reduce task: its rows live as long as the task.
+        self._batcher = BatchMatcher(config.matcher)
         self._pruner = pruner
         self._buffered: Dict[str, List[RoutedEntity]] = {}
 
@@ -327,9 +327,13 @@ def resolve_scheduled_block(
             ]
         return verdicts
 
-    def on_resolved(e1: Entity, e2: Entity, is_dup: bool) -> None:
-        x, y = e1.id, e2.id
-        tree_resolved.add((x, y) if x < y else (y, x))
+    def on_resolved(
+        lefts: Sequence[int], rights: Sequence[int], decisions: Sequence[bool]
+    ) -> None:
+        tree_resolved.update([
+            (x, y) if x < y else (y, x)
+            for x, y in zip(map(ids.__getitem__, lefts), map(ids.__getitem__, rights))
+        ])
 
     def on_duplicate(e1: Entity, e2: Entity) -> None:
         context.counters.increment("driver", "duplicates")
@@ -343,7 +347,7 @@ def resolve_scheduled_block(
         runs,
         batcher,
         context.cost_model,
-        partial(context.charge, category="compare"),
+        partial(context.charge_each, category="compare"),
         on_duplicate,
         admit=admit,
         stop=stop,
@@ -590,12 +594,9 @@ class ProgressiveER:
         *,
         pruner: Optional[WnpPruner] = None,
     ) -> JobResult:
-        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
-            reducer_factory=lambda: ResolutionReducer(
-                schedule, self.config, batcher, pruner
-            ),
+            reducer_factory=lambda: ResolutionReducer(schedule, self.config, pruner),
             partitioner=SchedulePartitioner(schedule),
             alpha=self.config.alpha,
             name="progressive-resolution",

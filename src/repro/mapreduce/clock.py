@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from itertools import accumulate
+from typing import Any, List, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -126,15 +127,33 @@ class VirtualClock:
     _charges: int = field(default=0, repr=False)
 
     def charge(self, units: float) -> float:
-        """Advance the clock by ``units`` (must be non-negative).
+        """Advance the clock by ``units`` (finite and non-negative).
 
         Returns the new local time, which callers use to timestamp events.
         """
-        if units < 0:
-            raise ValueError(f"cannot charge negative cost: {units}")
+        if not 0.0 <= units < math.inf:
+            raise ValueError(f"a charge must be finite and >= 0, got {units!r}")
         self.now += units
         self._charges += 1
         return self.now
+
+    def charge_each(self, units: Sequence[float]) -> List[float]:
+        """Charge every entry of ``units`` in order; the local time after
+        each one.
+
+        The same additions in the same order as one :meth:`charge` per
+        entry, so the times are bit-identical to theirs.  Validated before
+        anything moves: a negative, NaN or infinite entry (or a sum that
+        overflows) raises ``ValueError`` and leaves the clock as it was.
+        """
+        times = list(accumulate(units, initial=self.now))
+        del times[0]
+        if times and not (0.0 <= min(units) and times[-1] < math.inf):
+            raise ValueError("every charge must be finite and >= 0")
+        if times:
+            self.now = times[-1]
+            self._charges += len(times)
+        return times
 
     @property
     def charge_count(self) -> int:

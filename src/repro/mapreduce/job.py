@@ -10,6 +10,9 @@ task).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import reduce
+from operator import add
 from typing import Any, Callable, List, Optional, Sequence
 
 from .clock import CostModel, VirtualClock
@@ -74,6 +77,29 @@ class TaskContext:
         if self._next_flush is not None and now >= self._next_flush:
             self._rotate_file(now)
         return now
+
+    def charge_each(self, units: Sequence[float], category: Optional[str] = None) -> float:
+        """:meth:`charge` every entry of ``units`` in order, in one call;
+        return the new local time.
+
+        Clock, ``charge_profile`` and output files end exactly as after one
+        :meth:`charge` per entry: the same float additions in the same
+        order, and each α-flush file closed at the running time that
+        crossed its flush point.
+        """
+        times = self.clock.charge_each(units)
+        if not times:
+            return self.clock.now
+        if category is not None:
+            profile = self.charge_profile
+            profile[category] = reduce(add, units, profile.get(category, 0.0))
+        flush = self._next_flush
+        if flush is not None and times[-1] >= flush:
+            crossed = bisect_left(times, flush)
+            while crossed < len(times):
+                self._rotate_file(times[crossed])
+                crossed = bisect_left(times, self._next_flush, crossed + 1)
+        return times[-1]
 
     def record_event(self, kind: str, payload: Any) -> None:
         """Record an event at the current local time.

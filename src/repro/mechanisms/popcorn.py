@@ -16,6 +16,7 @@ completion, like Basic F).
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 from .base import ResolveStats, StopCondition
 
@@ -37,6 +38,24 @@ class PopcornCondition(StopCondition):
             return False
         self._barren += 1
         return self._barren >= self.barren_limit
+
+    def first_stop(self, stats: ResolveStats, outcomes: Sequence[bool]) -> Optional[int]:
+        # Each barren stretch between duplicates adds to the count a
+        # duplicate resets; the check fires on the outcome that brings it
+        # to the limit (on the next barren one if it is there already).
+        start = 0
+        while start < len(outcomes):
+            try:
+                hit = outcomes.index(True, start)
+            except ValueError:
+                hit = len(outcomes)
+            needed = max(self.barren_limit - self._barren, 1)
+            if hit - start >= needed:
+                self._barren += needed
+                return start + needed - 1
+            self._barren = 0 if hit < len(outcomes) else self._barren + hit - start
+            start = hit + 1
+        return None
 
     def reset(self) -> None:
         """Re-arm the detector for the next block."""

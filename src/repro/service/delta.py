@@ -30,6 +30,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity, pair_key
@@ -194,14 +196,11 @@ def _slices(pairs: Sequence[AnchorPairs], size: int, parts: int) -> List[List[An
 def unit_runs(members: Sequence[Entity], pairs: Sequence[AnchorPairs]) -> Iterator[Run]:
     """A unit's pairs as one run per anchor over the positions of
     ``members`` (sorted by id), the lower id of each pair on the left."""
-    position = {entity.id: index for index, entity in enumerate(members)}
+    position = {entity.id: index for index, entity in enumerate(members)}.__getitem__
     for anchor, partners in pairs:
-        a = position[anchor]
-        others = [position[partner] for partner in partners]
-        yield (
-            [p if p < a else a for p in others],
-            [a if p < a else p for p in others],
-        )
+        a = position(anchor)
+        others = list(map(position, partners))
+        yield list(map(min, others, repeat(a))), list(map(max, others, repeat(a)))
 
 
 class DeltaMapper(Mapper):
@@ -239,7 +238,7 @@ class DeltaReducer(Reducer):
 
     def reduce(self, key: str, values: Sequence[Entity], context: TaskContext) -> None:
         context.charge(context.cost_model.read_record * len(values), "read")
-        members = sorted(values, key=lambda entity: entity.id)
+        members = sorted(values, key=attrgetter("id"))
 
         def on_duplicate(e1: Entity, e2: Entity) -> None:
             context.counters.increment("service", "duplicates")
@@ -254,7 +253,7 @@ class DeltaReducer(Reducer):
             unit_runs(members, self._units[key]),
             self._batcher,
             context.cost_model,
-            partial(context.charge, category="compare"),
+            partial(context.charge_each, category="compare"),
             on_duplicate,
         )
         context.counters.increment("service", "comparisons", stats.comparisons)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..blocking.functions import BlockingScheme
 from ..data.entity import Entity
 
 #: Separator between family and key in a block route.  Unit-separator keeps
@@ -44,8 +43,7 @@ class StoredEntity:
 class EntityStore:
     """All admitted entities plus the level-1 blocking forest over them."""
 
-    def __init__(self, scheme: BlockingScheme) -> None:
-        self.scheme = scheme
+    def __init__(self) -> None:
         self._entities: Dict[int, StoredEntity] = {}
         self._blocks: Dict[BlockRoute, List[int]] = {}
 

@@ -192,7 +192,7 @@ class _Deaths:
     Spies on the module-level names the kernel calls.  ``sentinel`` is read
     off the bounded kernel's return value.  ``credit``: the pair died while
     its edit credits were being computed, heaviest first — fewer
-    ``_edit_upper_bound`` calls than edit rules.  The cutoff is inline
+    ``_edit_upper_bounds`` results than edit rules.  The cutoff is inline
     code, so it is recognised by what never ran: every rule that is not
     ``exact`` and has a value on both sides announces itself — an edit rule
     through ``_rule_floor``, the others through their comparator — and a
@@ -204,7 +204,7 @@ class _Deaths:
         self.matcher = matcher
         self.real = {
             name: getattr(batch_module, name)
-            for name in ("_rule_floor", "_edit_upper_bound", "edit_at_least")
+            for name in ("_rule_floor", "_edit_upper_bounds", "edit_at_least")
         }
         self.comparators = dict(batch_module._COMPARATOR_FUNCTIONS)
         self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
@@ -223,10 +223,10 @@ class _Deaths:
         self.floors.append(floor)
         return floor
 
-    def _edit_upper_bound(self, *args):
-        upper = self.real["_edit_upper_bound"](*args)
-        self.uppers.append(upper)
-        return upper
+    def _edit_upper_bounds(self, *columns):
+        uppers = self.real["_edit_upper_bounds"](*columns)
+        self.uppers.extend(uppers)
+        return uppers
 
     def edit_at_least(self, v1, v2, floor):
         sim = self.real["edit_at_least"](v1, v2, floor)
@@ -410,7 +410,7 @@ def scalar_resolve_block(
             continue
         e1, e2 = members[i], members[j]
         charge_compare(
-            cost_model.compare * definition.comparison_cost_factor(e1, e2)
+            [cost_model.compare * definition.comparison_cost_factor(e1, e2)]
         )
         is_dup = definition.is_match(e1, e2)
         stats.comparisons += 1
@@ -420,7 +420,7 @@ def scalar_resolve_block(
         else:
             stats.distincts += 1
         if on_resolved is not None:
-            on_resolved(e1, e2, is_dup)
+            on_resolved([i], [j], [is_dup])
         if condition.should_stop(stats, is_dup):
             return stats
     stats.exhausted = True
@@ -444,20 +444,19 @@ def _resolve_runs(
     dups = []
     resolved = []
 
-    def charge(cost):
-        charged.append(cost)
-        return cost
+    def on_resolved(lefts, rights, decisions):
+        for i, j, d in zip(lefts, rights, decisions):
+            a, b = members[i], members[j]
+            resolved.append((min(a.id, b.id), max(a.id, b.id), d))
 
     stats = resolver(
         members,
         iter(runs),
         BatchMatcher(matcher),
         CostModel(),
-        charge,
+        charged.extend,
         lambda a, b: dups.append((min(a.id, b.id), max(a.id, b.id))),
-        on_resolved=lambda a, b, d: resolved.append(
-            (min(a.id, b.id), max(a.id, b.id), d)
-        ),
+        on_resolved=on_resolved,
         stop=stop,
         admit=None if verdict is None else _pair_veto(members, verdict),
         pair_range=pair_range,
@@ -643,7 +642,7 @@ def run_streams(draw, pool):
             )
             for entity in chosen
         ]
-        store = EntityStore(scheme=None)
+        store = EntityStore()
         store.admit([(entity, keys) for entity, keys, new in rows if not new], 1)
         plan = plan_delta(
             store, [(entity, keys) for entity, keys, new in rows if new], FAMILIES,

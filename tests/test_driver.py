@@ -84,16 +84,17 @@ class TestRedundancyFreedom:
         resolved = Counter()
         original = mechanisms_base.resolve_block
 
-        def counting(*args, **kwargs):
+        def counting(members, *args, **kwargs):
             inner = kwargs.get("on_resolved")
 
-            def wrapper(e1, e2, is_dup):
-                resolved[pair_key(e1.id, e2.id)] += 1
+            def wrapper(lefts, rights, decisions):
+                for i, j in zip(lefts, rights):
+                    resolved[pair_key(members[i].id, members[j].id)] += 1
                 if inner is not None:
-                    inner(e1, e2, is_dup)
+                    inner(lefts, rights, decisions)
 
             kwargs["on_resolved"] = wrapper
-            return original(*args, **kwargs)
+            return original(members, *args, **kwargs)
 
         driver_module.resolve_block = counting
         try:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inert_placements
@@ -34,6 +34,63 @@ class TestVirtualClock:
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().charge(-1.0)
+
+    @pytest.mark.parametrize("units", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_charge_rejected(self, units):
+        clock = VirtualClock()
+        clock.charge(1.5)
+        with pytest.raises(ValueError):
+            clock.charge(units)
+        with pytest.raises(ValueError):
+            clock.charge_each([2.0, units, 3.0])
+        assert (clock.now, clock.charge_count) == (1.5, 1)
+
+    def test_charge_each_rejects_a_negative_entry_before_moving(self):
+        clock = VirtualClock()
+        with pytest.raises(ValueError):
+            clock.charge_each([5.0, -1.0])
+        assert (clock.now, clock.charge_count) == (0.0, 0)
+
+    @given(st.lists(st.floats(0.0, 1e6), max_size=30))
+    def test_charge_each_is_one_charge_per_entry(self, units):
+        one_by_one = VirtualClock(now=0.1)
+        times = [one_by_one.charge(u) for u in units]
+        bulk = VirtualClock(now=0.1)
+        assert bulk.charge_each(units) == times
+        assert (bulk.now, bulk.charge_count) == (one_by_one.now, one_by_one.charge_count)
+
+
+class TestTaskContextChargeEach:
+    @settings(max_examples=200)
+    @given(
+        chunks=st.lists(
+            st.lists(st.floats(0.0, 50.0), max_size=12), max_size=8
+        ),
+        alpha=st.one_of(st.none(), st.floats(0.5, 40.0)),
+        category=st.sampled_from([None, "compare"]),
+    )
+    def test_bulk_charges_equal_single_charges(self, chunks, alpha, category):
+        """Clock, charge profile, and every α-flush file (its close time
+        and the records written before it) end as after one ``charge``
+        per entry."""
+        def run(bulk):
+            context = TaskContext(0, CostModel(), {}, alpha=alpha)
+            for number, chunk in enumerate(chunks):
+                if bulk:
+                    context.charge_each(chunk, category)
+                else:
+                    for units in chunk:
+                        context.charge(units, category)
+                context.write(number)
+            files = context.finalize_files()
+            return (
+                context.clock.now,
+                context.clock.charge_count,
+                context.charge_profile,
+                [(f.index, f.close_time, f.records) for f in files],
+            )
+
+        assert run(True) == run(False)
 
 
 class TestCostModel:

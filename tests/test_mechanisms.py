@@ -1,7 +1,7 @@
 """Unit tests for the progressive mechanisms and the resolution driver."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flatten_runs
@@ -152,6 +152,70 @@ class TestStopConditions:
         assert PopcornCondition(0.001).barren_limit == 1000
 
 
+#: A stream position as a stop condition sees it.
+OUTCOMES = st.sampled_from(["duplicate", "distinct", "pruned"])
+
+
+def _per_position_stop(condition, stats, positions):
+    """Feed ``positions`` to ``should_stop`` one at a time, updating
+    ``stats`` as :func:`resolve_block` does; the index it fired at."""
+    for index, kind in enumerate(positions):
+        if kind == "pruned":
+            stats.pruned += 1
+        else:
+            stats.comparisons += 1
+            if kind == "duplicate":
+                stats.duplicates += 1
+            else:
+                stats.distincts += 1
+        if condition.should_stop(stats, kind == "duplicate"):
+            return index
+    return None
+
+
+@st.composite
+def twin_conditions(draw):
+    """Two identical stop conditions of one kind, in the same state: a
+    popcorn detector has first seen a drawn history of positions."""
+    kind = draw(st.sampled_from(["budget", "popcorn", "never"]))
+    if kind == "budget":
+        threshold = draw(st.integers(0, 12))
+        return DistinctBudget(threshold), DistinctBudget(threshold)
+    if kind == "never":
+        return NeverStop(), NeverStop()
+    threshold = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    history = draw(st.lists(OUTCOMES, max_size=12))
+    twins = PopcornCondition(threshold), PopcornCondition(threshold)
+    for condition in twins:
+        _per_position_stop(condition, ResolveStats(), history)
+    return twins
+
+
+class TestFirstStop:
+    """``first_stop`` is the closed form of the per-position loop: the
+    same firing index, the same condition state left behind."""
+
+    @settings(max_examples=400)
+    @given(
+        twins=twin_conditions(),
+        before=st.builds(
+            ResolveStats,
+            comparisons=st.integers(0, 20),
+            distincts=st.integers(0, 10),
+            pruned=st.integers(0, 10),
+        ),
+        positions=st.lists(OUTCOMES, max_size=40),
+    )
+    def test_fires_where_the_per_position_loop_does(self, twins, before, positions):
+        scalar, closed = twins
+        expected = _per_position_stop(scalar, ResolveStats(**vars(before)), positions)
+        stats = ResolveStats(**vars(before))
+        fired = closed.first_stop(stats, [kind == "duplicate" for kind in positions])
+        assert fired == expected
+        assert vars(closed) == vars(scalar)
+        assert stats == before  # read, never written
+
+
 class TestResolveBlock:
     def _matcher(self):
         return BatchMatcher(WeightedMatcher([AttributeRule("v", 1.0)], threshold=0.8))
@@ -164,7 +228,7 @@ class TestResolveBlock:
             *PSNM().pair_stream(entities, 3, _sort_key, charged.append, CostModel()),
             self._matcher(),
             CostModel(),
-            charged.append,
+            charged.extend,
             lambda a, b: found.append((a.id, b.id)),
         )
         assert [tuple(sorted(p)) for p in found] == [(0, 1)]
@@ -180,7 +244,7 @@ class TestResolveBlock:
             *PSNM().pair_stream(entities, 2, _sort_key, charged.append, CostModel()),
             self._matcher(),
             CostModel(),
-            compared.append,
+            compared.extend,
             lambda a, b: None,
             admit=lambda lefts, rights: ["skipped"] * len(lefts),
         )
@@ -204,15 +268,20 @@ class TestResolveBlock:
     def test_on_resolved_observer_sees_every_comparison(self):
         entities = _entities("aa", "ab", "zz")
         seen = []
+        members, runs = FullResolution().pair_stream(
+            entities, 99, _sort_key, lambda c: None, CostModel()
+        )
         resolve_block(
-            *FullResolution().pair_stream(
-                entities, 99, _sort_key, lambda c: None, CostModel()
-            ),
+            members,
+            runs,
             self._matcher(),
             CostModel(),
             lambda c: None,
             lambda a, b: None,
-            on_resolved=lambda a, b, d: seen.append(((a.id, b.id), d)),
+            on_resolved=lambda lefts, rights, decisions: seen.extend(
+                ((members[i].id, members[j].id), d)
+                for i, j, d in zip(lefts, rights, decisions)
+            ),
         )
         assert len(seen) == 3
 
