@@ -9,7 +9,7 @@ case), and strings long enough that a column no longer fits one machine
 word.
 
 The credit ``BatchMatcher`` gives an edit rule it has not evaluated yet —
-``_edit_upper_bound``, from the two lengths and the bucketed character
+``_edit_upper_bounds``, from the two lengths and the bucketed character
 counts of ``_signature`` — must never fall below the rule's true
 similarity, as floats, whatever the text: astral code points, lone
 surrogates, combining marks, characters that share a bucket, values too
@@ -39,7 +39,7 @@ from repro.similarity import (
     levenshtein,
     reset_dp_cell_counters,
 )
-from repro.similarity.batch import _COUNTER_MAX, _edit_upper_bound, _signature
+from repro.similarity.batch import _COUNTER_MAX, _edit_upper_bounds, _signature
 from repro.similarity.edit_distance import _myers_dp, edit_similarity
 
 #: Unicode-heavy but collision-prone alphabet: small enough that random
@@ -174,7 +174,7 @@ hostile_text = st.text(alphabet=HOSTILE_ALPHABET, max_size=20)
 
 
 def _upper(a: str, b: str) -> float:
-    return _edit_upper_bound(len(a), len(b), _signature(a), _signature(b))
+    return _edit_upper_bounds([(len(a), _signature(a))], [(len(b), _signature(b))], 0)[0]
 
 
 class TestSignatureBound:
