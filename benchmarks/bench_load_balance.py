@@ -1,11 +1,11 @@
 """Load-balancing benchmark: reduce-phase makespan under data skew.
 
 The skewed workload concentrates most entities in one hub block, the
-failure mode the balance strategies target (Kolb et al.'s BlockSplit /
-PairRange setting).  Each strategy resolves the *same* duplicate pairs —
-the differential suite pins that — so the only question is virtual time:
+failure mode the ``pairrange`` balancer targets (Kolb et al.'s PairRange
+setting).  Each strategy resolves the *same* duplicate pairs — the
+differential suite pins that — so the only question is virtual time:
 
-* how much reduce-phase makespan does each strategy cut versus the
+* how much reduce-phase makespan does ``pairrange`` cut versus the
   untouched ``slack`` baseline, and
 * does the planned (estimate-based) improvement materialize in the
   simulated timeline?

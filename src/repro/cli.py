@@ -334,9 +334,8 @@ def _add_balance_option(parser: argparse.ArgumentParser) -> None:
         choices=BALANCE_STRATEGIES,
         default="slack",
         help="load-balancing post-pass over the progressive schedule: "
-        "`slack` (paper baseline), `blocksplit` (shard oversized root "
-        "blocks, LPT placement), `pairrange` (global PairRange: cut the "
-        "whole estimated pair stream into equal contiguous ranges, "
+        "`slack` (paper baseline) or `pairrange` (global PairRange: cut "
+        "the whole estimated pair stream into equal contiguous ranges, "
         "splitting blocks where cuts land); resolved output is identical "
         "across strategies",
     )

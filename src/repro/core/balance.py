@@ -4,53 +4,43 @@ The schedule generator places responsible trees on reduce tasks by maximum
 weighted slack (Figure 6), but a single oversized block can still dominate
 one task and flatten the progressive curve — the data-skew failure mode
 analyzed by Kolb, Thor & Rahm in *Load Balancing for MapReduce-based Entity
-Resolution* (BlockSplit / PairRange).  This module adds a post-pass over a
-generated :class:`~repro.core.schedule.ProgressiveSchedule`:
+Resolution*.  This module adds a post-pass over a generated
+:class:`~repro.core.schedule.ProgressiveSchedule`:
 
 * **skew detection** — per-task planned virtual loads from the Job-1
   estimates, summarized by Gini coefficient and max-over-mean ratio and
   surfaced as ``balance.*`` counters;
-* **``blocksplit``** — oversized *root* blocks are decomposed into
-  contiguous pair-range shards of their mechanism pair stream, then all
-  work units (whole trees, split-tree remainders, shards) are LPT-placed.
-  Only roots are ever sharded: a root is resolved to stream exhaustion
-  (``full=True``), so its output is independent of where the stream is
-  cut, while a non-root's :class:`~repro.mechanisms.base.DistinctBudget`
-  stop condition depends on stream order and must never be sharded;
 * **``pairrange``** — Kolb's *global* PairRange enumeration: the estimated
   pair stream of every full root block is laid out on one cumulative cost
   axis (canonical uid order), the axis is cut into ``num_tasks`` equal
   contiguous ranges, and any block a cut lands inside is split there into
   :class:`BlockShard` slices — so per-task loads are near-uniform no
-  matter how skewed individual blocks are, with no oversize threshold;
+  matter how skewed individual blocks are, with no oversize threshold.
+  Only roots are ever sharded: a root is resolved to stream exhaustion
+  (``full=True``), so its output is independent of where the stream is
+  cut, while a non-root's :class:`~repro.mechanisms.base.DistinctBudget`
+  stop condition depends on stream order and must never be sharded;
 * **``slack``** — the paper baseline: the schedule is left untouched and
   only the skew report is computed.
 
 Everything is derived from the schedule's deterministic estimates — no
-wall-clock input, no randomness beyond :func:`~repro.mapreduce.job.stable_hash`
-tie-breaking — so a balanced schedule is bit-identical across execution
-backends and under fault injection.
+wall-clock input and no randomness — so a balanced schedule is
+bit-identical across execution backends and under fault injection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..mapreduce.job import stable_hash
 from ..mechanisms.base import window_pairs_count
-from .schedule import ProgressiveSchedule, build_block_orders
+from .schedule import ProgressiveSchedule, build_block_orders, tree_costs
 
 #: Recognised placement strategies (CLI ``--balance`` / ``RunSpec.balance``).
-BALANCE_STRATEGIES = ("slack", "blocksplit", "pairrange")
+BALANCE_STRATEGIES = ("slack", "pairrange")
 
 #: Separator inside shard routing keys; never appears in block uids.
 SHARD_SEP = "\x1f"
-
-#: A tree is considered oversized when its root's estimated cost exceeds
-#: this multiple of the mean per-task load.
-OVERSIZE_FACTOR = 1.0
 
 _EPS = 1e-9
 
@@ -66,6 +56,7 @@ class BlockShard:
     every shard resolves the same pairs no matter which task, backend or
     faulty timeline executes it.
 
+    Only roots are sharded, so ``block_uid`` is also the shard's tree.
     Shard 0 stays on the tree's home reduce task (it reuses the tree's
     normal routing and the home task's per-tree resolved-pair skip);
     shards 1.. are routed under :attr:`key` to wherever placement put them.
@@ -73,9 +64,7 @@ class BlockShard:
 
     key: str
     block_uid: str
-    tree_uid: str
     index: int
-    num_shards: int
     start: int
     stop: int
     cost: float
@@ -191,31 +180,6 @@ def skew_report(schedule: ProgressiveSchedule) -> SkewReport:
     return SkewReport(loads=tuple(planned_loads(schedule)))
 
 
-def place_units(
-    units: Sequence[Tuple[str, float]], num_tasks: int
-) -> Dict[str, int]:
-    """LPT placement of ``(key, cost)`` work units over ``num_tasks``.
-
-    Deterministic and order-insensitive: units are processed by
-    non-increasing cost (key tie-break) onto the least-loaded task; load
-    ties rotate by ``stable_hash(key)`` so equal-cost streaks spread over
-    the tasks instead of piling onto task 0.
-    """
-    if num_tasks < 1:
-        raise ValueError(f"need at least one task, got {num_tasks}")
-    loads = [0.0] * num_tasks
-    assignment: Dict[str, int] = {}
-    for key, cost in sorted(units, key=lambda u: (-u[1], u[0])):
-        offset = stable_hash(key) % num_tasks
-        best = min(
-            range(num_tasks),
-            key=lambda t: (loads[t], (t - offset) % num_tasks),
-        )
-        assignment[key] = best
-        loads[best] += cost
-    return assignment
-
-
 def apply_balance(
     schedule: ProgressiveSchedule, *, strategy: str = "slack"
 ) -> BalancePlan:
@@ -235,9 +199,7 @@ def apply_balance(
     shards: Tuple[BlockShard, ...] = ()
     split_blocks: Tuple[str, ...] = ()
     moved = 0
-    if strategy == "blocksplit":
-        shards, split_blocks, moved = _apply_blocksplit(schedule)
-    elif strategy == "pairrange":
+    if strategy == "pairrange":
         shards, split_blocks, moved = _apply_pairrange(schedule)
     after = skew_report(schedule)
     return BalancePlan(
@@ -261,14 +223,6 @@ def _top_blocks(
         key=lambda item: (-item[1], item[0]),
     )
     return tuple(ranked[:limit])
-
-
-def _subtree_costs(schedule: ProgressiveSchedule) -> Dict[str, float]:
-    """Total estimated cost per tree."""
-    return {
-        uid: sum(schedule.estimates[b.uid].cost for b in root.subtree())
-        for uid, root in schedule.trees.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +252,8 @@ def _apply_pairrange(
     the contiguous axis interval ``[tree start, end of shard 0)``.
     """
     num_tasks = schedule.num_tasks
-    tree_costs = _subtree_costs(schedule)
-    total = sum(tree_costs.values())
+    costs = tree_costs(schedule.trees, schedule.estimates)
+    total = sum(costs.values())
     if total <= 0 or num_tasks < 1:
         return (), (), 0
     cuts = [total * t / num_tasks for t in range(1, num_tasks)]
@@ -316,14 +270,14 @@ def _apply_pairrange(
         root = schedule.trees[uid]
         estimate = schedule.estimates[uid]
         tree_start = axis
-        axis += tree_costs[uid]
+        axis += costs[uid]
         span = max(0.0, estimate.cost - estimate.cost_a)
         total_pairs = window_pairs_count(root.size, estimate.window)
         # Only full=True roots may be cut: their output is independent of
         # where the stream splits (resolved to exhaustion), while a
         # DistinctBudget stop depends on stream order.
         if not (estimate.full and total_pairs >= 2 and span > 0.0):
-            home_tasks[uid] = task_of(tree_start + tree_costs[uid] / 2.0)
+            home_tasks[uid] = task_of(tree_start + costs[uid] / 2.0)
             continue
         span_start = axis - span
         per_pair = span / total_pairs
@@ -334,30 +288,25 @@ def _apply_pairrange(
             if span_start + _EPS < cut < axis - _EPS
         })
         if not interior:
-            home_tasks[uid] = task_of(tree_start + tree_costs[uid] / 2.0)
+            home_tasks[uid] = task_of(tree_start + costs[uid] / 2.0)
             continue
         bounds = [0, *interior, total_pairs]
-        num_shards = len(bounds) - 1
-        shards = []
-        for index in range(num_shards):
-            start, stop = bounds[index], bounds[index + 1]
-            shards.append(
-                BlockShard(
-                    key=shard_key(uid, index),
-                    block_uid=uid,
-                    tree_uid=uid,
-                    index=index,
-                    num_shards=num_shards,
-                    start=start,
-                    stop=stop,
-                    cost=estimate.cost_a + per_pair * (stop - start),
-                )
+        shards = [
+            BlockShard(
+                key=shard_key(uid, index),
+                block_uid=uid,
+                index=index,
+                start=start,
+                stop=stop,
+                cost=estimate.cost_a + per_pair * (stop - start),
             )
+            for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        ]
         shards_of_tree[uid] = shards
         all_shards.extend(shards)
         home_end = span_start + per_pair * bounds[1]
         home_tasks[uid] = task_of((tree_start + home_end) / 2.0)
-        for index in range(1, num_shards):
+        for index in range(1, len(shards)):
             mid = span_start + per_pair * (bounds[index] + bounds[index + 1]) / 2.0
             shard_tasks[shards[index].key] = task_of(mid)
 
@@ -367,52 +316,6 @@ def _apply_pairrange(
     return tuple(all_shards), tuple(sorted(shards_of_tree)), moved
 
 
-# ---------------------------------------------------------------------------
-# blocksplit: shard oversized root blocks, LPT-place all units
-# ---------------------------------------------------------------------------
-
-
-def _apply_blocksplit(
-    schedule: ProgressiveSchedule,
-) -> Tuple[Tuple[BlockShard, ...], Tuple[str, ...], int]:
-    """Shard oversized roots and re-place every work unit with LPT."""
-    num_tasks = schedule.num_tasks
-    tree_costs = _subtree_costs(schedule)
-    total = sum(tree_costs.values())
-    mean_load = total / num_tasks if num_tasks else 0.0
-
-    units: List[Tuple[str, float]] = []
-    all_shards: List[BlockShard] = []
-    shards_of_tree: Dict[str, List[BlockShard]] = {}
-    for uid in sorted(schedule.trees):
-        root = schedule.trees[uid]
-        shards = _shard_root(schedule, uid, mean_load)
-        if shards is None:
-            units.append((uid, tree_costs[uid]))
-            continue
-        shards_of_tree[uid] = shards
-        all_shards.extend(shards)
-        # The home unit keeps the tree's children plus shard 0 of the root
-        # (children memberships are derived from the tree's buffered
-        # entities, so they cannot leave the home task).
-        home_cost = (tree_costs[uid] - schedule.estimates[uid].cost) + shards[0].cost
-        units.append((uid, home_cost))
-        units.extend((shard.key, shard.cost) for shard in shards[1:])
-
-    placement = place_units(units, num_tasks)
-    home_tasks = {uid: placement[uid] for uid in schedule.trees}
-    shard_tasks = {
-        shard.key: placement[shard.key]
-        for shards in shards_of_tree.values()
-        for shard in shards[1:]
-    }
-    moved = _install_placement(
-        schedule, home_tasks, shards_of_tree, shard_tasks, all_shards
-    )
-    split = tuple(sorted(shards_of_tree))
-    return tuple(all_shards), split, moved
-
-
 def _install_placement(
     schedule: ProgressiveSchedule,
     home_tasks: Dict[str, int],
@@ -420,10 +323,10 @@ def _install_placement(
     shard_tasks: Dict[str, int],
     all_shards: List[BlockShard],
 ) -> int:
-    """Write a placement back into the schedule (shared by ``blocksplit``
-    and global ``pairrange``): assignment, shard table, per-task block
-    orders with shard 0 spliced into the tree's home order and remote
-    shards leading their task.  Returns how many trees changed home task."""
+    """Write a ``pairrange`` placement back into the schedule: assignment,
+    shard table, per-task block orders with shard 0 spliced into the tree's
+    home order and remote shards leading their task.  Returns how many
+    trees changed home task."""
     num_tasks = schedule.num_tasks
     moved = 0
     new_assignment: Dict[str, int] = {}
@@ -457,48 +360,6 @@ def _install_placement(
         orders[task] = [shard.key for shard in shard_list] + orders[task]
     schedule.block_order = orders
     return moved
-
-
-def _shard_root(
-    schedule: ProgressiveSchedule, tree_uid: str, mean_load: float
-) -> Optional[List[BlockShard]]:
-    """Shards for one tree's root block, or ``None`` when it is not worth
-    splitting (root under the oversize threshold, or a trivial stream)."""
-    root = schedule.trees[tree_uid]
-    estimate = schedule.estimates[tree_uid]
-    if mean_load <= 0 or estimate.cost <= mean_load * OVERSIZE_FACTOR + _EPS:
-        return None
-    total_pairs = window_pairs_count(root.size, estimate.window)
-    if total_pairs < 2:
-        return None
-    num_shards = min(
-        schedule.num_tasks,
-        math.ceil(estimate.cost / mean_load),
-        total_pairs,
-    )
-    if num_shards <= 1:
-        return None
-    bounds = shard_bounds(total_pairs, num_shards)
-    # Every shard replays the mechanism's setup (sort / hint) on its copy
-    # of the block, so CostA is charged per shard; the comparison cost
-    # splits proportionally to the pair range.
-    per_pair = max(0.0, estimate.cost - estimate.cost_a) / total_pairs
-    shards: List[BlockShard] = []
-    for index in range(num_shards):
-        start, stop = bounds[index], bounds[index + 1]
-        shards.append(
-            BlockShard(
-                key=shard_key(tree_uid, index),
-                block_uid=tree_uid,
-                tree_uid=tree_uid,
-                index=index,
-                num_shards=num_shards,
-                start=start,
-                stop=stop,
-                cost=estimate.cost_a + per_pair * (stop - start),
-            )
-        )
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +401,6 @@ __all__ = [
     "apply_balance",
     "planned_loads",
     "skew_report",
-    "place_units",
     "shard_bounds",
     "shard_key",
     "format_balance_summary",

@@ -55,7 +55,7 @@ class ResolutionMapper(Mapper):
 
     When a balance pass sharded a tree's root block, every *remote* shard
     (index >= 1) gets its own copy of the tree's entities under the shard
-    routing key — the BlockSplit replication cost, charged like any other
+    routing key — the shard replication cost, charged like any other
     emission.  Shard 0 rides the tree's normal emission.
     """
 
@@ -65,7 +65,7 @@ class ResolutionMapper(Mapper):
         routes: Dict[str, List[str]] = {}
         for shard in schedule.shards.values():
             if shard.index > 0:
-                routes.setdefault(shard.tree_uid, []).append(shard.key)
+                routes.setdefault(shard.block_uid, []).append(shard.key)
         self._shard_routes: Dict[str, Tuple[str, ...]] = {
             uid: tuple(sorted(keys)) for uid, keys in routes.items()
         }
@@ -270,7 +270,7 @@ def resolve_scheduled_block(
     dominance entry SHOULD-RESOLVE compares — position against position.
 
     ``pair_range`` restricts the resolution to a slice of the raw pair
-    stream — a balance shard of an oversized root.  Only roots are ever
+    stream — a ``pairrange`` shard of a root block.  Only roots are ever
     sharded, and roots run to exhaustion (no stream-order-dependent stop
     condition), so shard output is independent of placement.
 
@@ -417,8 +417,8 @@ class ProgressiveER:
             (Section VI-B2's comparison).
         seed: seed for training-sample selection and cost-factor sampling.
         balance: post-pass placement strategy — ``"slack"`` (the paper
-            baseline: schedule untouched), ``"blocksplit"`` or the global
-            ``"pairrange"`` (see :mod:`repro.core.balance`).
+            baseline: schedule untouched) or the global ``"pairrange"``
+            (see :mod:`repro.core.balance`).
         metablock: meta-blocking pre-pass between blocking and
             scheduling — ``"off"``, ``"bf"`` (block filtering) or
             ``"wnp"`` (weighted node pruning); knobs on the config

@@ -25,7 +25,7 @@ tree schedulers compared in Section VI-B2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..blocking.blocks import Block
 
@@ -65,8 +65,8 @@ class ProgressiveSchedule:
         generation_cost: virtual cost charged per Job-2 map task for
             generating this schedule.
         shards: routing key -> :class:`~repro.core.balance.BlockShard` for
-            pair-range shards of oversized root blocks; empty unless a
-            non-``slack`` balance strategy split something (see
+            pair-range shards of root blocks; empty unless the
+            ``pairrange`` balance strategy split something (see
             :func:`repro.core.balance.apply_balance`).
     """
 
@@ -160,7 +160,9 @@ def generate_schedule(
     }
 
     if strategy == "lpt":
-        assignment = _partition_lpt(trees, model, num_tasks)
+        assignment = place_units(
+            tree_costs(trees, model.estimates).items(), num_tasks
+        )
     else:
         assignment = _partition_by_slack(trees, vc, weights, widths, num_tasks)
     tracker.sorted_items(len(trees))
@@ -491,22 +493,35 @@ def _partition_by_slack(
     return assignment
 
 
-def _partition_lpt(
-    trees: Dict[str, Block], model: EstimationModel, num_tasks: int
-) -> Dict[str, int]:
-    """Longest Processing Time: total-cost order, least-loaded task first
-    (the Section VI-B2 baseline scheduler)."""
-    totals = {
-        uid: sum(model.estimates[b.uid].cost for b in root.subtree())
+def tree_costs(
+    trees: Dict[str, Block], estimates: Dict[str, BlockEstimate]
+) -> Dict[str, float]:
+    """Total estimated cost per tree."""
+    return {
+        uid: sum(estimates[b.uid].cost for b in root.subtree())
         for uid, root in trees.items()
     }
-    order = sorted(trees, key=lambda uid: (-totals[uid], uid))
-    load = [0.0] * num_tasks
+
+
+def place_units(
+    units: Iterable[Tuple[str, float]], num_tasks: int
+) -> Dict[str, int]:
+    """Longest Processing Time: ``(key, cost)`` units by non-increasing
+    cost (key tie-break), each onto the least-loaded task, the lowest
+    index on a tie.
+
+    Serves the Section VI-B2 baseline scheduler and the delta planner.
+    Insensitive to the order of ``units``; the returned dict lists the
+    keys in placement order.
+    """
+    if num_tasks < 1:
+        raise ValueError(f"need at least one task, got {num_tasks}")
+    loads = [0.0] * num_tasks
     assignment: Dict[str, int] = {}
-    for uid in order:
-        best = min(range(num_tasks), key=lambda t: (load[t], t))
-        assignment[uid] = best
-        load[best] += totals[uid]
+    for key, cost in sorted(units, key=lambda u: (-u[1], u[0])):
+        best = loads.index(min(loads))
+        assignment[key] = best
+        loads[best] += cost
     return assignment
 
 
@@ -608,4 +623,6 @@ __all__ = [
     "ProgressiveSchedule",
     "generate_schedule",
     "build_block_orders",
+    "place_units",
+    "tree_costs",
 ]

@@ -67,9 +67,8 @@ class RunSpec:
         strategy: tree scheduler for the progressive approach — ``"ours"``,
             ``"nosplit"`` or ``"lpt"`` (ignored by Basic).
         balance: load-balancing post-pass for the progressive approach —
-            ``"slack"`` (paper baseline, schedule untouched),
-            ``"blocksplit"`` or the global ``"pairrange"`` (ignored by
-            Basic; see :mod:`repro.core.balance`).
+            ``"slack"`` (paper baseline, schedule untouched) or the global
+            ``"pairrange"`` (ignored by Basic; see :mod:`repro.core.balance`).
         seed: seed for training-sample and cost-factor sampling.
         label: run label for reports and traces (default: derived).
         cost_model: virtual-time cost model (default: :class:`CostModel`).

@@ -334,8 +334,8 @@ def resolve_block(
             resolved pairs so parents skip work done in children).
         pair_range: optional ``(start, stop)`` half-open slice of the
             stream's positions, counted across runs — only pairs at those
-            positions are considered (load-balancing shards of oversized
-            root blocks).  Positions outside the range are free: no veto,
+            positions are considered (load-balancing shards of root
+            blocks).  Positions outside the range are free: no veto,
             no charge, no stats.
 
     Returns:

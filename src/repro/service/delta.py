@@ -15,8 +15,9 @@ every pair is decided exactly once, in the batch of its younger member.
 
 The job then only executes the plan.  Only blocks that hold a pair are
 routed; a block above the batch's fair share is cut into slices along its
-partners, and the units are placed longest-first onto the least-loaded
-reduce task by exact count and run heaviest first.  Map
+partners, and the units are placed onto reduce tasks by exact pair count
+with :func:`~repro.core.schedule.place_units` and run in that LPT order,
+most pairs first.  Map
 ships each entity to the units whose pairs name it, and reduce feeds a
 unit's pairs to :func:`~repro.mechanisms.base.resolve_block` — the same
 collect → decide → replay loop Job 2 runs — with no veto.  The job runs
@@ -34,6 +35,8 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.balance import shard_bounds
+from ..core.schedule import place_units
 from ..data.entity import Entity, pair_key
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mechanisms.base import Run, resolve_block
@@ -55,8 +58,8 @@ class DeltaPlan:
         units: unit label -> its pairs as per-anchor partner lists, in the
             order they are compared.
         assignment: unit label -> reduce task index.
-        ranks: unit label -> processing priority (0 = first): the most
-            pairs first, the progressive ordering.
+        ranks: unit label -> processing priority (0 = first): LPT order,
+            most pairs first.
         routes: entity id -> the unit labels whose pairs name it.
     """
 
@@ -133,8 +136,9 @@ def plan_delta(
 
     plan = DeltaPlan()
     loads: Dict[str, int] = {}
+    tasks = max(1, num_reduce_tasks)
     total = sum(unit_size(pairs) for pairs in blocks.values())
-    fair_share = max(1, math.ceil(total / max(1, num_reduce_tasks)))
+    fair_share = max(1, math.ceil(total / tasks))
     for route, pairs in blocks.items():
         label = route_label(route)
         size = unit_size(pairs)
@@ -150,12 +154,8 @@ def plan_delta(
         plan.units.update(pieces)
         loads.update((unit, unit_size(piece)) for unit, piece in pieces.items())
 
-    # Longest-processing-time placement onto the least-loaded task.
-    task_load = [0] * max(1, num_reduce_tasks)
-    for rank, unit in enumerate(sorted(loads, key=lambda unit: (-loads[unit], unit))):
-        task = min(range(len(task_load)), key=lambda t: (task_load[t], t))
-        task_load[task] += loads[unit]
-        plan.assignment[unit] = task
+    plan.assignment = place_units(loads.items(), tasks)
+    for rank, unit in enumerate(plan.assignment):
         plan.ranks[unit] = rank
         named = {anchor for anchor, _ in plan.units[unit]}
         for _, partners in plan.units[unit]:
@@ -178,7 +178,7 @@ def _slices(pairs: Sequence[AnchorPairs], size: int, parts: int) -> List[List[An
     for index, (_, partners) in enumerate(pairs):
         for partner in partners:
             columns.setdefault(partner, []).append(index)
-    ends = [size * k // parts for k in range(1, parts + 1)]
+    ends = shard_bounds(size, parts)[1:]
     slices: List[List[List[int]]] = [[[] for _ in pairs] for _ in ends]
     done, part = 0, 0
     for partner in sorted(columns):

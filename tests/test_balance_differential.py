@@ -15,11 +15,10 @@ skewed workload (one hub block holding most of the dataset) and asserts:
   the whole point — but the curve must end at the same recall, and each
   strategy's own curve must be reproducible bit-for-bit).
 
-The grid also pins the non-vacuousness of the tentpole: ``blocksplit``
-must actually shard the hub block and beat ``slack``'s reduce-phase
-makespan on this workload, and the global ``pairrange`` must shard the
-hub too and beat whole-tree placement (``slack``, which cannot split a
-block).
+The grid also pins the non-vacuousness of the balancer: the global
+``pairrange`` must actually shard the hub block, resolve its shards, and
+beat whole-tree placement (``slack``, which cannot split a block) on this
+workload.
 """
 
 from __future__ import annotations
@@ -131,28 +130,10 @@ class TestDifferentialOracle:
 
 
 class TestBlocksplitEffectiveness:
-    def test_blocksplit_shards_the_hub(self, grid):
-        plan = grid[("blocksplit", "serial", "clean")].result.balance
-        assert plan.shards, "skewed workload did not trigger any split"
-        assert plan.split_blocks
-        covered = {shard.block_uid for shard in plan.shards}
-        assert covered == set(plan.split_blocks)
-
-    def test_blocksplit_beats_slack_makespan(self, grid):
-        slack = grid[("slack", "serial", "clean")]
-        blocksplit = grid[("blocksplit", "serial", "clean")]
-
-        def reduce_span(run):
-            job2 = run.result.job2
-            return job2.end_time - job2.map_phase_end
-
-        assert reduce_span(blocksplit) < reduce_span(slack)
-        plan = blocksplit.result.balance
-        assert plan.after.max < plan.before.max
-        assert plan.after.max_over_mean < plan.before.max_over_mean
+    """Shards run and every strategy reports its plan in the counters."""
 
     def test_shards_are_actually_resolved(self, grid):
-        counters = grid[("blocksplit", "serial", "clean")].result.job2.counters
+        counters = grid[("pairrange", "serial", "clean")].result.job2.counters
         flat = counters.as_flat_dict()
         assert flat.get("driver.shards_resolved", 0) > 0
 
@@ -202,7 +183,7 @@ class TestGlobalPairrangeEffectiveness:
 
 class TestScheduleIntegrity:
     def test_shard_keys_never_collide_with_block_uids(self, grid):
-        schedule = grid[("blocksplit", "serial", "clean")].result.schedule
+        schedule = grid[("pairrange", "serial", "clean")].result.schedule
         for key, shard in schedule.shards.items():
             assert SHARD_SEP in key
             assert key not in schedule.tree_of_block

@@ -15,7 +15,7 @@ the hot path never falls back to per-pair ``is_match`` /
 kernel; the run-loop property holds the loop to the oracle on every
 in-repo run stream, random vetoes, ranges, stops and widths; and the
 end-to-end differential pins found-pair sets and progressive curves
-across {definition, kernel} × {serial, process} × {slack, blocksplit} on
+across {definition, kernel} × {serial, process} × {slack, pairrange} on
 the golden books fixture.
 """
 
@@ -749,7 +749,7 @@ def _fingerprint(run):
 
 
 class TestEndToEndDifferential:
-    @pytest.mark.parametrize("balance", ["slack", "blocksplit"])
+    @pytest.mark.parametrize("balance", ["slack", "pairrange"])
     def test_scalar_batch_serial_process_identical(
         self, books_small, balance, monkeypatch
     ):

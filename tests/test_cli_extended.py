@@ -28,7 +28,7 @@ class TestProfileCommand:
 
 
 class TestBalanceAndMetablockCli:
-    @pytest.mark.parametrize("strategy", ["blocksplit", "pairrange"])
+    @pytest.mark.parametrize("strategy", ["pairrange"])
     def test_skewed_balance_prints_its_plan(self, strategy, capsys):
         code = main(
             ["run", "--family", "skewed", "--size", "400", "--machines", "3",

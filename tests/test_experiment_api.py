@@ -116,14 +116,14 @@ class TestRunSpecValidation:
     """Incoherent specs fail at construction with actionable messages."""
 
     def test_valid_spec_passes_and_chains(self, citeseer_cfg):
-        spec = RunSpec(None, citeseer_cfg, machines=3, balance="blocksplit")
+        spec = RunSpec(None, citeseer_cfg, machines=3, balance="pairrange")
         assert spec.validate() is spec
 
     def test_unknown_balance_rejected(self, citeseer_cfg):
         # "pairrange-tree" was a strategy once; now it is a typo like any other.
         for name in ("roundrobin", "pairrange-tree"):
             with pytest.raises(
-                ValueError, match=f"balance.*'{name}'.*slack.*blocksplit.*'pairrange'\\)"
+                ValueError, match=f"balance.*'{name}'.*\\('slack', 'pairrange'\\)"
             ):
                 RunSpec(None, citeseer_cfg, balance=name)
 

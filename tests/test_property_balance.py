@@ -5,11 +5,10 @@ their invariants are checked directly on synthetic inputs:
 
 * shard bounds always partition the pair space ``[0, total_pairs)``
   exactly — no pair lost, none compared twice;
-* LPT placement is deterministic and insensitive to the order its work
-  units are presented in;
-* on an adversarial single-giant-block workload, ``blocksplit`` never has
-  a worse planned makespan than the untouched ``slack`` baseline, and it
-  actually shards the giant.
+* LPT placement is deterministic, insensitive to the order its work
+  units are presented in, and breaks load ties by the lowest task index;
+* the global ``pairrange`` cuts tile each split block's pair space and
+  keep every task within one unit of the mean load.
 
 Seeds are pinned (``@seed``) so CI failures replay locally; the profile
 machinery in ``conftest.py`` additionally derandomizes under
@@ -24,13 +23,13 @@ from hypothesis import strategies as st
 
 from repro.blocking.blocks import Block
 from repro.core.balance import (
+    BALANCE_STRATEGIES,
     apply_balance,
-    place_units,
     shard_bounds,
     skew_report,
 )
 from repro.core.estimation import BlockEstimate
-from repro.core.schedule import ProgressiveSchedule, build_block_orders
+from repro.core.schedule import ProgressiveSchedule, build_block_orders, place_units
 from repro.mechanisms.base import window_pairs_count
 
 _WINDOW = 10
@@ -107,8 +106,22 @@ def test_place_units_respects_lpt_bound(units, num_tasks):
     assert max(loads) <= total / num_tasks + heaviest + 1e-6
 
 
+@seed(20260807)
+@given(
+    keys=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=12, unique=True),
+    cost=st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False),
+    shuffle_seed=st.integers(0, 2**16),
+)
+def test_place_units_breaks_load_ties_by_lowest_task(keys, cost, shuffle_seed):
+    """k equal units onto k empty tasks: unit i in key order lands on task i."""
+    units = [(key, cost) for key in keys]
+    random.Random(shuffle_seed).shuffle(units)
+    assignment = place_units(units, len(keys))
+    assert [assignment[key] for key in sorted(keys)] == list(range(len(keys)))
+
+
 # ---------------------------------------------------------------------------
-# blocksplit vs slack on adversarial single-giant workloads
+# Toy schedules of childless root blocks
 # ---------------------------------------------------------------------------
 
 
@@ -139,13 +152,9 @@ def _toy_schedule(sizes, num_tasks):
             util=1.0 / cost,
             full=True,
         )
-    order = sorted(trees, key=lambda u: (-estimates[u].cost, u))
-    loads = [0.0] * num_tasks
-    assignment = {}
-    for uid in order:
-        task = min(range(num_tasks), key=lambda t: (loads[t], t))
-        assignment[uid] = task
-        loads[task] += estimates[uid].cost
+    assignment = place_units(
+        [(uid, estimates[uid].cost) for uid in trees], num_tasks
+    )
     return ProgressiveSchedule(
         num_tasks=num_tasks,
         trees=trees,
@@ -161,61 +170,6 @@ def _toy_schedule(sizes, num_tasks):
         generation_cost=0.0,
         blocks=dict(trees),
     )
-
-
-def _giant_size_for(small_sizes, num_tasks):
-    """A block size whose pair count dwarfs the rest: the giant alone must
-    exceed twice the post-split mean load, so splitting provably wins."""
-    small_pairs = sum(window_pairs_count(n, _WINDOW) for n in small_sizes)
-    target = max(2 * small_pairs + 4 * num_tasks, 50)
-    size = _WINDOW
-    while window_pairs_count(size, _WINDOW) < target:
-        size *= 2
-    return size
-
-
-@seed(20260807)
-@settings(max_examples=40, deadline=None)
-@given(
-    small_sizes=st.lists(st.integers(2, 12), min_size=0, max_size=12),
-    num_tasks=st.integers(3, 8),
-)
-def test_blocksplit_never_loses_to_slack_on_giant_blocks(small_sizes, num_tasks):
-    sizes = list(small_sizes) + [_giant_size_for(small_sizes, num_tasks)]
-    slack_schedule = _toy_schedule(sizes, num_tasks)
-    split_schedule = copy.deepcopy(slack_schedule)
-
-    slack_plan = apply_balance(slack_schedule, strategy="slack")
-    split_plan = apply_balance(split_schedule, strategy="blocksplit")
-
-    assert split_plan.shards, "the giant block was not sharded"
-    assert split_plan.after.max <= slack_plan.after.max + 1e-6
-    assert split_plan.after.max_over_mean <= slack_plan.after.max_over_mean + 1e-6
-
-    # The shards of each split root tile its pair stream exactly.
-    by_block = {}
-    for shard in split_plan.shards:
-        by_block.setdefault(shard.block_uid, []).append(shard)
-    for uid, shards in by_block.items():
-        shards.sort(key=lambda s: s.index)
-        root = split_schedule.trees[uid]
-        total = window_pairs_count(root.size, split_schedule.estimates[uid].window)
-        assert shards[0].start == 0
-        assert shards[-1].stop == total
-        for left, right in zip(shards, shards[1:]):
-            assert left.stop == right.start
-
-    # The rewritten schedule stays well-formed: every order entry is a
-    # known block or shard, each shard appears exactly once, and the skew
-    # report matches the block orders.
-    entries = [e for order in split_schedule.block_order for e in order]
-    assert len(entries) == len(set(entries))
-    known = set(split_schedule.tree_of_block) | set(split_schedule.shards)
-    home_replaced = {s.key for s in split_plan.shards if s.index == 0}
-    assert set(entries) == (known - set(by_block)) | home_replaced | {
-        s.key for s in split_plan.shards if s.index > 0
-    }
-    assert skew_report(split_schedule) == split_plan.after
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +203,12 @@ def test_global_pairrange_cuts_tile_pair_space(sizes, num_tasks):
             assert left.stop == right.start
         assert all(s.stop > s.start for s in shards)
     # The rewritten schedule stays well-formed: no order entry is
-    # duplicated and the skew report matches the block orders.
+    # duplicated, every split root is replaced by all of its shards, and
+    # the skew report matches the block orders.
     entries = [e for order in schedule.block_order for e in order]
     assert len(entries) == len(set(entries))
+    known = set(schedule.tree_of_block) | set(schedule.shards)
+    assert set(entries) == known - set(by_block)
     assert skew_report(schedule) == plan.after
 
 
@@ -293,7 +250,7 @@ def test_global_pairrange_load_bound(sizes, num_tasks):
     num_tasks=st.integers(1, 8),
 )
 def test_apply_balance_is_deterministic(sizes, num_tasks):
-    for strategy in ("blocksplit", "pairrange"):
+    for strategy in BALANCE_STRATEGIES:
         first = _toy_schedule(sizes, num_tasks)
         second = copy.deepcopy(first)
         plan_a = apply_balance(first, strategy=strategy)
