@@ -3,24 +3,19 @@
 Beyond the recall curve, an operator wants to know *why* a run behaves the
 way it does: was the cluster busy, did one reduce task straggle, which
 blocking keys caused skew?  This example profiles the dataset, runs the
-pipeline, and prints the diagnostics: an ASCII recall chart, reduce-task
-utilization, a Gantt view, and the schedule's shape.
+pipeline on traced clusters, and prints the diagnostics: an ASCII recall
+chart, the schedule's shape, and the trace summary (per-phase skew and a
+per-task Gantt with block and duplicate counts).
 
 Run:  python examples/cluster_diagnostics.py
 """
 
-from repro import Cluster, ProgressiveER, make_citeseer
+from repro import Cluster, ProgressiveER, Tracer, make_citeseer
 from repro.core import citeseer_config
 from repro.similarity import citeseer_matcher
 from repro.data import format_profile, profile_dataset, suggest_blocking_order
-from repro.evaluation import (
-    RunResult,
-    ascii_chart,
-    ascii_gantt,
-    load_imbalance,
-    recall_curve,
-    reduce_utilization,
-)
+from repro.evaluation import RunResult, ascii_chart, recall_curve
+from repro.observability import format_trace_summary
 
 MACHINES = 6
 
@@ -37,11 +32,14 @@ def main() -> None:
           " > ".join(suggest_blocking_order(profile)), "\n")
 
     # 2. Run the pipeline (ours vs the NoSplit variant, to see why the
-    #    split mechanism matters for utilization).
+    #    split mechanism matters for utilization).  One tracer records
+    #    both runs, each under its own label.
+    tracer = Tracer()
     results = {}
     for strategy in ("ours", "nosplit"):
+        tracer.begin_run(strategy)
         approach = ProgressiveER(
-            citeseer_config(matcher=matcher), Cluster(MACHINES),
+            citeseer_config(matcher=matcher), Cluster(MACHINES, tracer=tracer),
             strategy=strategy,
         )
         results[strategy] = approach.run(dataset)
@@ -63,20 +61,15 @@ def main() -> None:
 
     # 3. Scheduling diagnostics.
     for name, result in results.items():
-        job = result.job2
         print(
             f"{name:8s} trees={result.schedule.num_trees:4d} "
             f"blocks={result.schedule.num_blocks:4d} "
-            f"reduce utilization={reduce_utilization(job):.2f} "
-            f"imbalance={load_imbalance(job):.2f} "
-            f"total={job.end_time:,.0f}"
+            f"total={result.job2.end_time:,.0f}"
         )
 
-    # 4. Gantt of the winner's resolution job (reduce rows only, abridged).
-    gantt = ascii_gantt(results["ours"].job2, width=56)
-    reduce_rows = [ln for ln in gantt.splitlines() if "reduce" in ln or "=" in ln]
-    print("\nours — reduce-task timeline:")
-    print("\n".join(reduce_rows))
+    # 4. Per-phase skew and the per-task Gantt of every traced job.
+    print()
+    print(format_trace_summary(tracer, width=56))
 
 
 if __name__ == "__main__":

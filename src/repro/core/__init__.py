@@ -24,10 +24,8 @@ from .config import (
     LevelPolicy,
     books_config,
     citeseer_config,
-    exponential_weights,
     linear_weights,
     linkage_config,
-    make_budget_weighting,
     people_config,
     skewed_config,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "skewed_config",
     "linkage_config",
     "linear_weights",
-    "exponential_weights",
-    "make_budget_weighting",
     "ProgressiveER",
     "ProgressiveResult",
     "METABLOCK_MODES",

@@ -81,32 +81,6 @@ def linear_weights(index: int, total: int) -> float:
     return (total - index) / total
 
 
-def exponential_weights(index: int, total: int) -> float:
-    """``W(c_i)`` halving with each interval — emphasizes the earliest cost
-    intervals more strongly than :func:`linear_weights`."""
-    return 0.5**index
-
-
-def make_budget_weighting(budget_fraction: float) -> WeightingFunction:
-    """``W`` for budget-constrained cleaning (the extended report's [17]
-    budget-optimized variant): intervals within the first
-    ``budget_fraction`` of the cost vector weigh 1, everything after the
-    budget weighs ~0 — the schedule then maximizes quality *within* the
-    budget rather than overall progressiveness.
-
-    A tiny tail weight keeps ``W`` strictly positive so post-budget work is
-    still ordered sensibly if the run is allowed to continue.
-    """
-    if not 0.0 < budget_fraction <= 1.0:
-        raise ValueError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
-
-    def weighting(index: int, total: int) -> float:
-        cutoff = budget_fraction * total
-        return 1.0 if index < cutoff else 1e-3
-
-    return weighting
-
-
 @dataclass
 class ApproachConfig:
     """Full configuration of the parallel progressive approach.
@@ -265,8 +239,6 @@ __all__ = [
     "ApproachConfig",
     "WeightingFunction",
     "linear_weights",
-    "exponential_weights",
-    "make_budget_weighting",
     "citeseer_config",
     "books_config",
     "people_config",

@@ -64,19 +64,8 @@ def compute_coverage(stats: DatasetStatistics) -> Dict[str, int]:
     return coverage
 
 
-def shared_entities(histogram: OverlapHistogram, family_position: int, key: str) -> int:
-    """``OLP``-style marginal: entities of the block whose main key under
-    the dominating family at ``family_position`` equals ``key``."""
-    total = 0
-    for signature, count in histogram.items():
-        if signature[family_position] == key:
-            total += count
-    return total
-
-
 __all__ = [
     "uncovered_pairs",
     "covered_pairs",
     "compute_coverage",
-    "shared_entities",
 ]

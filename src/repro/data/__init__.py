@@ -8,7 +8,6 @@ from .entity import (
     Entity,
     Pair,
     cross_pairs_count,
-    entity_pair_key,
     pair_key,
     pairs_count,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Entity",
     "Pair",
     "pair_key",
-    "entity_pair_key",
     "pairs_count",
     "cross_pairs_count",
     "Dataset",

@@ -59,11 +59,6 @@ def pair_key(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def entity_pair_key(e1: Entity, e2: Entity) -> Pair:
-    """Canonical pair key of two entities."""
-    return pair_key(e1.id, e2.id)
-
-
 def pairs_count(n: int) -> int:
     """``Pairs(n) = n * (n - 1) / 2`` — number of unordered pairs (paper IV-A)."""
     if n < 0:
@@ -86,7 +81,6 @@ __all__ = [
     "Entity",
     "Pair",
     "pair_key",
-    "entity_pair_key",
     "pairs_count",
     "cross_pairs_count",
 ]

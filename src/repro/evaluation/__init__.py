@@ -11,7 +11,6 @@ from .experiment import (
 )
 from .metrics import (
     RecallCurve,
-    pair_precision,
     quality,
     recall_curve,
     recall_speedup,
@@ -21,13 +20,6 @@ from .reporting import (
     format_fault_summary,
     format_final_summary,
     format_table,
-)
-from .timeline import (
-    TaskSpan,
-    ascii_gantt,
-    job_spans,
-    load_imbalance,
-    reduce_utilization,
 )
 
 __all__ = [
@@ -41,15 +33,9 @@ __all__ = [
     "recall_curve",
     "quality",
     "recall_speedup",
-    "pair_precision",
     "format_table",
     "format_curves",
     "format_final_summary",
     "format_fault_summary",
     "ascii_chart",
-    "TaskSpan",
-    "job_spans",
-    "reduce_utilization",
-    "load_imbalance",
-    "ascii_gantt",
 ]

@@ -145,18 +145,9 @@ def recall_speedup(
     return t_ref / t_cand
 
 
-def pair_precision(found: Set[Pair], dataset: Dataset) -> float:
-    """Fraction of reported pairs that are true duplicates."""
-    if not found:
-        return 1.0
-    true_pairs = dataset.true_pairs
-    return sum(1 for pair in found if pair in true_pairs) / len(found)
-
-
 __all__ = [
     "RecallCurve",
     "recall_curve",
     "quality",
     "recall_speedup",
-    "pair_precision",
 ]

@@ -28,7 +28,6 @@ from .faults import (
 )
 from .io import file_timeline, results_available_at
 from .job import (
-    Combiner,
     MapReduceJob,
     Mapper,
     Partitioner,
@@ -57,7 +56,6 @@ __all__ = [
     "SpeculationConfig",
     "TaskSchedule",
     "MapReduceJob",
-    "Combiner",
     "Mapper",
     "Reducer",
     "Partitioner",

@@ -11,7 +11,7 @@ so curves are comparable across approaches and machines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, List, Mapping, Sequence
 
@@ -124,7 +124,6 @@ class VirtualClock:
     """
 
     now: float = 0.0
-    _charges: int = field(default=0, repr=False)
 
     def charge(self, units: float) -> float:
         """Advance the clock by ``units`` (finite and non-negative).
@@ -134,7 +133,6 @@ class VirtualClock:
         if not 0.0 <= units < math.inf:
             raise ValueError(f"a charge must be finite and >= 0, got {units!r}")
         self.now += units
-        self._charges += 1
         return self.now
 
     def charge_each(self, units: Sequence[float]) -> List[float]:
@@ -152,10 +150,4 @@ class VirtualClock:
             raise ValueError("every charge must be finite and >= 0")
         if times:
             self.now = times[-1]
-            self._charges += len(times)
         return times
-
-    @property
-    def charge_count(self) -> int:
-        """Number of individual charges applied (diagnostic)."""
-        return self._charges

@@ -16,8 +16,7 @@ class Counters:
 
     * ``engine.*`` — framework bookkeeping incremented by the engine
       itself (``map_records``, ``map_emitted``, ``map_retries``,
-      ``combine_input``, ``combine_output``, ``reduce_groups``,
-      ``reduce_records``, ``reduce_retries``);
+      ``reduce_groups``, ``reduce_records``, ``reduce_retries``);
     * ``driver.*`` — ER-pipeline counters incremented inside tasks
       (``blocks_resolved``, ``duplicates``, ``stat_blocks``);
     * ``fault.*`` — fault-injection statistics per phase, incremented by

@@ -32,7 +32,7 @@ from .clock import CostModel
 from .counters import Counters
 from .faults import FaultPlan, FaultScheduler, TaskSchedule
 from .executors import Executor, SerialExecutor
-from .job import TRACE_CONFIG_KEY, MapReduceJob, split_input
+from .job import MapReduceJob, split_input
 from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 
 #: A phase's placement: its ``FaultScheduler`` and per-task schedules.
@@ -158,9 +158,9 @@ class Cluster:
         plan = self.faults if self.faults is not None else FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
-        # Plain assignment, not setdefault: a job object may be reused
-        # against clusters with and without a tracer.
-        job.config[TRACE_CONFIG_KEY] = self.tracer is not None
+        # Set on every run: a job object may be reused against clusters
+        # with and without a tracer.
+        job.trace = self.tracer is not None
 
         counters = Counters()
         splits = split_input(records, n_map)
@@ -279,9 +279,6 @@ class Cluster:
 
         for payload in payloads:
             counters.merge(payload.counters)
-            if job.combiner is not None:
-                counters.increment("engine", "combine_input", payload.combine_input)
-                counters.increment("engine", "combine_output", payload.combine_output)
             counters.increment("engine", "map_records", payload.num_records)
             counters.increment("engine", "map_emitted", len(payload.emitted))
             results.append(

@@ -101,11 +101,9 @@ class MapTaskPayload:
         cost: total virtual cost the task accumulated.
         events: events recorded by the task (local time; the engine rebases
             them to global time once the task is scheduled on a slot).
-        emitted: the task's intermediate key-value pairs, post-combiner.
+        emitted: the task's intermediate key-value pairs.
         counters: counters the task incremented.
         num_records: input records the task consumed.
-        combine_input / combine_output: combiner fold sizes (0 when the job
-            has no combiner).
         spans: trace-span fragments recorded by the task (local time, like
             ``events``); empty unless the running cluster has a tracer.
         wall_ns: wall-clock nanoseconds the task body took in whichever
@@ -122,8 +120,6 @@ class MapTaskPayload:
     emitted: List[KeyValue]
     counters: Counters
     num_records: int
-    combine_input: int = 0
-    combine_output: int = 0
     spans: List[SpanFragment] = field(default_factory=list)
     wall_ns: int = 0
     charge_profile: Tuple[Tuple[str, float], ...] = ()
@@ -159,46 +155,24 @@ def compute_map_task(
 ) -> MapTaskPayload:
     """Run one map task to completion and return its payload."""
     wall_start = time.perf_counter_ns()
-    context = TaskContext(task_id, cost_model, job.config)
+    context = TaskContext(task_id, cost_model, trace=job.trace)
     mapper = job.mapper_factory()
     mapper.setup(context)
     for record in split:
         context.charge(cost_model.read_record, "read")
         mapper.map(record, context)
     mapper.cleanup(context)
-    emitted = context.emitted
-    combine_input = combine_output = 0
-    if job.combiner is not None:
-        combine_input = len(emitted)
-        emitted = _apply_combiner(job, emitted, context)
-        combine_output = len(emitted)
     return MapTaskPayload(
         task_id=task_id,
         cost=context.clock.now,
         events=list(context.emitted_events),
-        emitted=emitted,
+        emitted=context.emitted,
         counters=context.counters,
         num_records=len(split),
-        combine_input=combine_input,
-        combine_output=combine_output,
         spans=list(context.span_fragments),
         wall_ns=time.perf_counter_ns() - wall_start,
         charge_profile=tuple(sorted(context.charge_profile.items())),
     )
-
-
-def _apply_combiner(
-    job: MapReduceJob, emitted: List[KeyValue], context: TaskContext
-) -> List[KeyValue]:
-    """Fold a map task's output through the job's combiner."""
-    assert job.combiner is not None
-    context.charge(context.cost_model.sort_cost(len(emitted)), "sort")
-    groups = group_by_key(emitted)
-    combined: List[KeyValue] = []
-    for key, values in groups.items():
-        for value in job.combiner.combine(key, values):
-            combined.append((key, value))
-    return combined
 
 
 def compute_reduce_task(
@@ -211,7 +185,7 @@ def compute_reduce_task(
     its payload.  Output-file close times stay task-local until the engine
     schedules the task and rebases them."""
     wall_start = time.perf_counter_ns()
-    context = TaskContext(task_id, cost_model, job.config, alpha=job.alpha)
+    context = TaskContext(task_id, cost_model, alpha=job.alpha, trace=job.trace)
     # Shuffle: pull records in, then sort groups by key.
     context.charge(cost_model.shuffle_record * len(items), "shuffle")
     groups = group_by_key(items)

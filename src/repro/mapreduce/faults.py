@@ -113,10 +113,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
+        if not 0.0 <= self.backoff_base < math.inf:
+            raise ValueError(
+                f"backoff_base must be finite and >= 0, got {self.backoff_base}"
+            )
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(
+                f"backoff_factor must be finite and >= 1, got {self.backoff_factor}"
+            )
 
     def backoff(self, failures: int) -> float:
         """Virtual-time delay before the retry following failure number
@@ -141,9 +145,10 @@ class SpeculationConfig:
     threshold: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.threshold <= 1.0:
+        if not 1.0 < self.threshold < math.inf:
             raise ValueError(
-                f"speculation threshold must exceed 1.0, got {self.threshold}"
+                f"speculation threshold must be finite and exceed 1.0, "
+                f"got {self.threshold}"
             )
 
 
@@ -186,9 +191,10 @@ class FaultPlan:
             raise ValueError(
                 f"straggler_rate must be in [0, 1], got {self.straggler_rate}"
             )
-        if self.straggler_factor < 1.0:
+        if not 1.0 <= self.straggler_factor < math.inf:
             raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
+                f"straggler_factor must be finite and >= 1, "
+                f"got {self.straggler_factor}"
             )
         if self.blacklist_after is not None and self.blacklist_after < 1:
             raise ValueError(
@@ -199,9 +205,9 @@ class FaultPlan:
                 self, "slot_slowdowns", tuple(sorted(self.slot_slowdowns.items()))
             )
         for slot, factor in self.slot_slowdowns:
-            if factor < 1.0:
+            if not 1.0 <= factor < math.inf:
                 raise ValueError(
-                    f"slot {slot} slowdown must be >= 1, got {factor}"
+                    f"slot {slot} slowdown must be finite and >= 1, got {factor}"
                 )
 
     # -- hash-derived decisions ----------------------------------------
@@ -235,17 +241,6 @@ class FaultPlan:
         if self._unit("straggler", slot) < self.straggler_rate:
             return self.straggler_factor
         return 1.0
-
-    @property
-    def is_inert(self) -> bool:
-        """True when scheduling through this plan cannot differ from a
-        fault-free run (no crashes, no slowdowns, no speculation)."""
-        return (
-            self.fault_rate == 0.0
-            and not self.slot_slowdowns
-            and (self.straggler_rate == 0.0 or self.straggler_factor == 1.0)
-            and not self.speculation.enabled
-        )
 
 
 # ---------------------------------------------------------------------------

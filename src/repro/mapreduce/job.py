@@ -17,12 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from .clock import CostModel, VirtualClock
 from .counters import Counters
-from .types import Config, Event, KeyValue, OutputFile, SpanFragment
-
-#: Job-config key the engine sets when a tracer is attached; task contexts
-#: record span fragments only when it is truthy, so tracing stays zero-cost
-#: when disabled.
-TRACE_CONFIG_KEY = "observability.trace"
+from .types import Event, KeyValue, OutputFile, SpanFragment
 
 
 class TaskContext:
@@ -31,26 +26,25 @@ class TaskContext:
     Provides cost charging, event recording, counters, and (reduce side)
     incremental output.  ``alpha`` enables the paper's "new output file every
     α units of cost" behaviour; ``alpha = None`` keeps a single file closed
-    at task end.
+    at task end.  ``trace`` turns span recording on (see :meth:`record_span`).
     """
 
     def __init__(
         self,
         task_id: int,
         cost_model: CostModel,
-        config: Config,
         *,
         alpha: Optional[float] = None,
+        trace: bool = False,
     ) -> None:
         self.task_id = task_id
         self.cost_model = cost_model
-        self.config = config
         self.clock = VirtualClock()
         self.counters = Counters()
         self.emitted: List[KeyValue] = []
         self.written: List[Any] = []
         self.span_fragments: List[SpanFragment] = []
-        self._trace_enabled = bool(config.get(TRACE_CONFIG_KEY)) if config else False
+        self._trace_enabled = trace
         self._alpha = alpha
         self._files: List[OutputFile] = []
         self._current_file = OutputFile(task_id=task_id, index=0, close_time=0.0)
@@ -211,20 +205,6 @@ class Reducer:
         """Called once after the last group."""
 
 
-class Combiner:
-    """Map-side pre-aggregation (Hadoop's combiner).
-
-    Applied to each map task's output before the shuffle: values of equal
-    keys emitted by one task are folded into fewer values, cutting shuffle
-    volume.  Like Hadoop, the framework may apply it zero or more times, so
-    a combiner must be associative and produce values the reducer accepts.
-    """
-
-    def combine(self, key: Any, values: Sequence[Any]) -> List[Any]:
-        """Fold one task-local key group; return the replacement values."""
-        raise NotImplementedError
-
-
 class Partitioner:
     """Maps an intermediate key to a reduce-task index."""
 
@@ -257,12 +237,13 @@ class MapReduceJob:
         reducer_factory: zero-arg callable returning a fresh
             :class:`Reducer` per reduce task.
         partitioner: routes intermediate keys to reduce tasks.
-        combiner: optional map-side pre-aggregation.
         key_sort: optional sort key applied to each reduce task's groups
             (Hadoop sorts by key; jobs may override the comparator).
-        config: arbitrary job configuration visible to all tasks.
         alpha: incremental-output flush period for reduce tasks (cost units).
         name: label used in diagnostics.
+        trace: whether tasks record span fragments; the engine sets it to
+            whether the running cluster has a tracer, so tracing stays
+            zero-cost when disabled.
     """
 
     def __init__(
@@ -271,20 +252,17 @@ class MapReduceJob:
         reducer_factory: Callable[[], Reducer],
         *,
         partitioner: Optional[Partitioner] = None,
-        combiner: Optional[Combiner] = None,
         key_sort: Optional[Callable[[Any], Any]] = None,
-        config: Optional[Config] = None,
         alpha: Optional[float] = None,
         name: str = "job",
     ) -> None:
         self.mapper_factory = mapper_factory
         self.reducer_factory = reducer_factory
         self.partitioner = partitioner if partitioner is not None else Partitioner()
-        self.combiner = combiner
         self.key_sort = key_sort
-        self.config = dict(config) if config else {}
         self.alpha = alpha
         self.name = name
+        self.trace = False
 
 
 def split_input(records: Sequence[Any], num_splits: int) -> List[List[Any]]:
@@ -308,7 +286,6 @@ def split_input(records: Sequence[Any], num_splits: int) -> List[List[Any]]:
 
 
 __all__ = [
-    "TRACE_CONFIG_KEY",
     "TaskContext",
     "Mapper",
     "Reducer",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -142,7 +142,6 @@ Key = Any
 Value = Any
 KeyValue = Tuple[Key, Value]
 Partition = List[KeyValue]
-Config = Dict[str, Any]
 
 from .counters import Counters  # noqa: E402  (re-export for type reference)
 
@@ -156,6 +155,5 @@ __all__ = [
     "Value",
     "KeyValue",
     "Partition",
-    "Config",
     "Counters",
 ]

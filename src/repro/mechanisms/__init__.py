@@ -1,4 +1,4 @@
-"""Progressive mechanisms M: SN + hint, PSNM, popcorn stopping, exhaustive."""
+"""Progressive mechanisms M: SN + hint, PSNM, popcorn stopping."""
 
 from .base import (
     BATCH_PAIRS,
@@ -11,8 +11,6 @@ from .base import (
     resolve_block,
     window_pairs_count,
 )
-from .full import FullResolution
-from .hierarchy import HierarchyHint
 from .popcorn import PopcornCondition
 from .psnm import PSNM
 from .sorted_neighbor import SortedNeighborHint
@@ -28,8 +26,6 @@ __all__ = [
     "window_pairs_count",
     "SortedNeighborHint",
     "PSNM",
-    "FullResolution",
-    "HierarchyHint",
     "PopcornCondition",
     "BATCH_PAIRS",
 ]

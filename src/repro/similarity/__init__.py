@@ -4,7 +4,6 @@ from .batch import BatchMatcher, batch_kernel_counters
 from .edit_distance import (
     dp_cell_counters,
     edit_similarity,
-    edit_similarity_at_least,
     levenshtein,
     reset_dp_cell_counters,
 )
@@ -22,7 +21,6 @@ from .tokens import jaccard, qgram_jaccard, qgrams, token_jaccard, word_tokens
 __all__ = [
     "levenshtein",
     "edit_similarity",
-    "edit_similarity_at_least",
     "jaro",
     "jaro_winkler",
     "AttributeRule",

@@ -144,18 +144,9 @@ def edit_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def edit_similarity_at_least(a: str, b: str, threshold: float) -> bool:
-    """Whether ``edit_similarity(a, b) >= threshold``, with early exit."""
-    if not a and not b:
-        return True
-    allowed = distance_budget(threshold, max(len(a), len(b)))
-    return levenshtein(a, b, max_distance=allowed) <= allowed
-
-
 __all__ = [
     "levenshtein",
     "edit_similarity",
-    "edit_similarity_at_least",
     "distance_budget",
     "dp_cell_counters",
     "reset_dp_cell_counters",

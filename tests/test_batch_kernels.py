@@ -45,8 +45,6 @@ from repro.baselines.mrsn import window_runs
 from repro.mechanisms import (
     PSNM,
     DistinctBudget,
-    FullResolution,
-    HierarchyHint,
     NeverStop,
     PopcornCondition,
     ResolveStats,
@@ -613,13 +611,11 @@ def run_streams(draw, pool):
     chosen = pool[start:start + draw(st.integers(0, 30))]
     window = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(
-        ["psnm", "sn-hint", "full", "hierarchy", "mrsn", "delta", "random"]
+        ["psnm", "sn-hint", "mrsn", "delta", "random"]
     ))
     mechanisms = {
         "psnm": PSNM(),
         "sn-hint": SortedNeighborHint(),
-        "full": FullResolution(),
-        "hierarchy": HierarchyHint(leaf_size=draw(st.integers(2, 5))),
     }
     if kind in mechanisms:
         members, runs = mechanisms[kind].pair_stream(

@@ -1,13 +1,10 @@
-"""Extended CLI tests: the profile subcommand, the people family, and
-budget-weighted scheduling through the public config API."""
+"""Extended CLI tests: the profile subcommand and the people family."""
 
 import re
 
 import pytest
 
 from repro.cli import main
-from repro.core import ProgressiveER, citeseer_config, make_budget_weighting
-from repro.mapreduce import Cluster
 
 
 class TestProfileCommand:
@@ -81,49 +78,3 @@ class TestPeopleFamilyCli:
             ]
         )
         assert code == 0
-
-
-class TestBudgetWeighting:
-    def test_budget_weighted_run_is_valid(
-        self, citeseer_small, shared_citeseer_matcher
-    ):
-        """[17]'s budget-optimized variant: a step weighting produces a
-        well-formed schedule and a complete run."""
-        config = citeseer_config(
-            matcher=shared_citeseer_matcher,
-            weighting=make_budget_weighting(0.4),
-        )
-        result = ProgressiveER(config, Cluster(2)).run(citeseer_small)
-        assert result.found_pairs
-        weights = result.schedule.weights
-        assert all(
-            weights[i] >= weights[i + 1] - 1e-12 for i in range(len(weights) - 1)
-        )
-
-    def test_budget_weighting_front_loads(
-        self, citeseer_small, shared_citeseer_matcher
-    ):
-        """At the budget point, the budget-weighted schedule is at least as
-        good as the default one (it optimizes exactly that point)."""
-        from repro.evaluation import recall_curve
-
-        runs = {}
-        for name, weighting in (
-            ("linear", None),
-            ("budget", make_budget_weighting(0.35)),
-        ):
-            kwargs = {"matcher": shared_citeseer_matcher}
-            if weighting is not None:
-                kwargs["weighting"] = weighting
-            config = citeseer_config(**kwargs)
-            result = ProgressiveER(config, Cluster(2)).run(citeseer_small)
-            runs[name] = recall_curve(
-                result.duplicate_events, citeseer_small, end_time=result.total_time
-            )
-        # Tolerant comparison: the schedules rarely differ much at small
-        # scale, but the budget run must not be dramatically worse early.
-        budget_point = min(c.end_time for c in runs.values()) * 0.35
-        assert (
-            runs["budget"].recall_at(budget_point)
-            >= runs["linear"].recall_at(budget_point) - 0.1
-        )

@@ -8,9 +8,7 @@ from repro.core.config import (
     LevelPolicy,
     books_config,
     citeseer_config,
-    exponential_weights,
     linear_weights,
-    make_budget_weighting,
 )
 
 
@@ -51,23 +49,6 @@ class TestWeightingFunctions:
         assert values[0] == 1.0
         assert values == sorted(values, reverse=True)
         assert all(0 < v <= 1 for v in values)
-
-    def test_exponential_halves(self):
-        assert exponential_weights(0, 5) == 1.0
-        assert exponential_weights(1, 5) == 0.5
-        assert exponential_weights(3, 5) == 0.125
-
-    def test_budget_weighting_step(self):
-        weighting = make_budget_weighting(0.5)
-        values = [weighting(i, 10) for i in range(10)]
-        assert values[:5] == [1.0] * 5
-        assert all(v < 0.01 for v in values[5:])
-
-    def test_budget_weighting_validation(self):
-        with pytest.raises(ValueError):
-            make_budget_weighting(0.0)
-        with pytest.raises(ValueError):
-            make_budget_weighting(1.5)
 
 
 class TestApproachConfig:

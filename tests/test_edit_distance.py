@@ -9,11 +9,12 @@ from test_property_kernels import reference_distance
 from repro.similarity.edit_distance import (
     _myers_dp,
     edit_similarity,
-    edit_similarity_at_least,
     levenshtein,
 )
+from repro.similarity.matchers import edit_at_least
 
 words = st.text(alphabet="abcdef ", min_size=0, max_size=40)
+nonempty_words = st.text(alphabet="abcdef ", min_size=1, max_size=40)
 long_words = st.text(alphabet="abcdefghij ", min_size=50, max_size=150)
 
 
@@ -104,9 +105,13 @@ class TestEditSimilarity:
     def test_range(self, a, b):
         assert 0.0 <= edit_similarity(a, b) <= 1.0
 
-    @given(words, words, st.floats(0.01, 1.0))
+    @given(nonempty_words, nonempty_words, st.floats(0.01, 1.0))
     @settings(max_examples=80)
-    def test_threshold_check_agrees_with_similarity(self, a, b, threshold):
-        assert edit_similarity_at_least(a, b, threshold) == (
-            edit_similarity(a, b) >= threshold - 1e-12
-        )
+    def test_threshold_check_agrees_with_similarity(self, a, b, floor):
+        """The bounded check is the exact similarity, or the sentinel only
+        for similarities strictly below ``floor``."""
+        result = edit_at_least(a, b, floor)
+        if result == -1.0:
+            assert edit_similarity(a, b) < floor
+        else:
+            assert result == edit_similarity(a, b)

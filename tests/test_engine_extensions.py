@@ -1,5 +1,5 @@
-"""Tests for the engine's combiner support, failure injection, and the
-placement path's cost validation."""
+"""Tests for the engine's failure injection and the placement path's cost
+validation."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from conftest import inert_scheduler
 from repro.mapreduce import (
     Cluster,
-    Combiner,
     FaultPlan,
     FaultScheduler,
     MapReduceJob,
@@ -29,43 +28,8 @@ class _SumReducer(Reducer):
         context.write((key, sum(values)))
 
 
-class _SumCombiner(Combiner):
-    def combine(self, key, values):
-        return [sum(values)]
-
-
-def _job(combiner=None):
-    return MapReduceJob(
-        _WordMapper, _SumReducer, combiner=combiner, name="wordcount"
-    )
-
-
-class TestCombiner:
-    def test_results_unchanged(self):
-        lines = ["a b a a", "b c a", "a a"] * 4
-        plain = Cluster(2).run_job(_job(), lines)
-        combined = Cluster(2).run_job(_job(_SumCombiner()), lines)
-        assert sorted(plain.output) == sorted(combined.output)
-
-    def test_shuffle_volume_reduced(self):
-        lines = ["a a a a a a a a"] * 8
-        plain = Cluster(2).run_job(_job(), lines)
-        combined = Cluster(2).run_job(_job(_SumCombiner()), lines)
-        assert combined.counters.get("engine", "map_emitted") < plain.counters.get(
-            "engine", "map_emitted"
-        )
-        assert combined.counters.get(
-            "engine", "combine_output"
-        ) < combined.counters.get("engine", "combine_input")
-
-    def test_combiner_may_expand_values(self):
-        class Splitter(Combiner):
-            def combine(self, key, values):
-                return [sum(values), 0]  # associative: the 0s are harmless
-
-        lines = ["x x", "x"]
-        result = Cluster(1).run_job(_job(Splitter()), lines)
-        assert dict(result.output) == {"x": 3}
+def _job():
+    return MapReduceJob(_WordMapper, _SumReducer, name="wordcount")
 
 
 class TestSlotPoolCostGuard:

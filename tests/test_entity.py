@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.data.entity import Entity, entity_pair_key, pair_key, pairs_count
+from repro.data.entity import Entity, pair_key, pairs_count
 
 
 class TestEntity:
@@ -40,10 +40,6 @@ class TestPairKey:
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError):
             pair_key(4, 4)
-
-    def test_entity_pair_key(self):
-        e1, e2 = Entity(id=9, attrs={}), Entity(id=2, attrs={})
-        assert entity_pair_key(e1, e2) == (2, 9)
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     def test_symmetric(self, a, b):

@@ -5,7 +5,7 @@ The execution backend only decides *where* per-task computations run; the
 engine replays the resulting payloads through its slot pool in task-id
 order.  These tests pin the contract on paper-shaped workloads: a FIG8-scale
 ours-versus-Basic comparison and a small FIG9 scheduler sweep, both seeded,
-plus targeted engine-level jobs (combiner, failures, empty input).
+plus targeted engine-level jobs (word count, failures, empty input).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from repro.evaluation import ExperimentRun, RunSpec, sample_times
 from repro.mapreduce import (
     Cluster,
-    Combiner,
     FaultPlan,
     MapReduceJob,
     Mapper,
@@ -126,11 +125,6 @@ class _SumReducer(Reducer):
         context.write((key, sum(values)))
 
 
-class _SumCombiner(Combiner):
-    def combine(self, key, values):
-        return [sum(values)]
-
-
 _LINES = [
     "the quick brown fox",
     "jumps over the lazy dog",
@@ -140,21 +134,15 @@ _LINES = [
 ] * 4
 
 
-def _wordcount_job(combiner=False):
-    return MapReduceJob(
-        _WordMapper,
-        _SumReducer,
-        combiner=_SumCombiner() if combiner else None,
-        alpha=1.0,
-    )
+def _wordcount_job():
+    return MapReduceJob(_WordMapper, _SumReducer, alpha=1.0)
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("combiner", [False, True])
-    def test_wordcount_parity(self, combiner):
-        serial = Cluster(3).run_job(_wordcount_job(combiner), _LINES)
+    def test_wordcount_parity(self):
+        serial = Cluster(3).run_job(_wordcount_job(), _LINES)
         process = Cluster(3, executor=ParallelExecutor(WORKERS)).run_job(
-            _wordcount_job(combiner), _LINES
+            _wordcount_job(), _LINES
         )
         assert job_fingerprint(serial) == job_fingerprint(process)
 

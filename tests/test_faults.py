@@ -8,6 +8,8 @@ byte-identity, result invariance, ``fault.*`` counters, the abort path).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.mapreduce import (
@@ -45,10 +47,16 @@ class TestValidation:
             RetryPolicy(backoff_base=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RetryPolicy(backoff_base=value)
+            with pytest.raises(ValueError):
+                RetryPolicy(backoff_factor=value)
 
     def test_speculation_threshold_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            SpeculationConfig(threshold=1.0)
+        for threshold in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SpeculationConfig(threshold=threshold)
         assert SpeculationConfig(threshold=1.01).threshold == 1.01
 
     @pytest.mark.parametrize(
@@ -60,6 +68,10 @@ class TestValidation:
             {"straggler_factor": 0.5},
             {"blacklist_after": 0},
             {"slot_slowdowns": {0: 0.5}},
+            {"straggler_factor": math.nan, "straggler_rate": 1.0},
+            {"straggler_factor": math.inf},
+            {"slot_slowdowns": {0: math.nan}},
+            {"slot_slowdowns": {0: math.inf}},
         ],
     )
     def test_fault_plan_rejects_bad_values(self, kwargs):
@@ -70,16 +82,6 @@ class TestValidation:
         plan = FaultPlan(slot_slowdowns={3: 2.0, 1: 4.0})
         assert plan.slot_slowdowns == ((1, 4.0), (3, 2.0))
         hash(plan)  # frozen dataclass stays hashable after conversion
-
-    def test_default_plan_is_inert(self):
-        assert FaultPlan().is_inert
-        assert not FaultPlan(fault_rate=0.1).is_inert
-        assert not FaultPlan(slot_slowdowns={0: 2.0}).is_inert
-        assert not FaultPlan(
-            speculation=SpeculationConfig(enabled=True)
-        ).is_inert
-        # A straggler rate with factor 1 cannot change anything.
-        assert FaultPlan(straggler_rate=0.5, straggler_factor=1.0).is_inert
 
 
 class TestDraws:

@@ -10,7 +10,6 @@ from repro.mapreduce import CostModel
 from repro.mechanisms import (
     PSNM,
     DistinctBudget,
-    FullResolution,
     NeverStop,
     PopcornCondition,
     SortedNeighborHint,
@@ -92,8 +91,9 @@ class TestPairStreams:
         assert sn > ps  # the materialized hint costs extra
 
     def test_full_resolution_yields_all_pairs(self):
+        """A window of at least the block size streams every pair."""
         entities = _entities("a", "b", "c", "d")
-        pairs, _ = _collect_stream(FullResolution(), entities, window=2)
+        pairs, _ = _collect_stream(PSNM(), entities, window=4)
         assert len(pairs) == 6
 
     def test_stream_respects_window(self):
@@ -268,7 +268,7 @@ class TestResolveBlock:
     def test_on_resolved_observer_sees_every_comparison(self):
         entities = _entities("aa", "ab", "zz")
         seen = []
-        members, runs = FullResolution().pair_stream(
+        members, runs = PSNM().pair_stream(
             entities, 99, _sort_key, lambda c: None, CostModel()
         )
         resolve_block(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.data import Dataset, Entity
 from repro.evaluation.metrics import (
     RecallCurve,
-    pair_precision,
     quality,
     recall_curve,
     recall_speedup,
@@ -144,12 +143,3 @@ class TestSpeedup:
         slow = self._curve([10.0])
         fast = self._curve([5.0, 6.0])
         assert recall_speedup(slow, fast, 0.5) is None
-
-
-class TestPrecision:
-    def test_precision(self):
-        ds = _dataset()
-        assert pair_precision({(0, 1), (0, 2)}, ds) == pytest.approx(0.5)
-
-    def test_empty_found_is_perfect(self):
-        assert pair_precision(set(), _dataset()) == 1.0

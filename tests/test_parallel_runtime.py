@@ -57,8 +57,6 @@ def _sample_map_payload() -> MapTaskPayload:
         emitted=[("alpha", 1), ("beta", 2)],
         counters=counters,
         num_records=7,
-        combine_input=4,
-        combine_output=2,
         spans=[SpanFragment(name="map[3]", category="task", start=0.0, end=12.5, args=(("phase", "map"),))],
     )
 
@@ -105,8 +103,6 @@ class TestWireFormat:
         decoded = wire.decode_map_payload(wire.encode_map_payload(payload))
         assert _payload_fields(decoded) == _payload_fields(payload)
         assert decoded.emitted == payload.emitted
-        assert decoded.combine_input == payload.combine_input
-        assert decoded.combine_output == payload.combine_output
 
     def test_reduce_payload_round_trip(self):
         payload = _sample_reduce_payload()

@@ -23,7 +23,6 @@ from repro.data.entity import Entity
 from repro.core.responsibility import (
     compute_coverage,
     covered_pairs,
-    shared_entities,
     uncovered_pairs,
 )
 from repro.core.statistics import run_statistics_job
@@ -150,14 +149,6 @@ class TestCoverage:
         for uid, block in stats.blocks.items():
             if block.family == "X":
                 assert coverage[uid] == pairs_count(block.size)
-
-
-class TestSharedEntities:
-    def test_marginal_count(self):
-        histogram = {("a", "p"): 2, ("a", "q"): 3, ("b", "p"): 4}
-        assert shared_entities(histogram, 0, "a") == 5
-        assert shared_entities(histogram, 1, "p") == 6
-        assert shared_entities(histogram, 0, "zz") == 0
 
 
 def _two_family_scheme(order=("X", "Y")):
