@@ -26,7 +26,6 @@ from repro.similarity import (
     books_matcher,
     citeseer_matcher,
     dp_cell_counters,
-    jaro_winkler,
     levenshtein,
     reset_dp_cell_counters,
 )
@@ -67,17 +66,6 @@ def test_levenshtein_throughput(benchmark, length):
 
     total = benchmark(kernel)
     assert total > 0
-
-
-def test_jaro_winkler_throughput(benchmark):
-    rng = random.Random(1)
-    pairs = [(_random_string(rng, 20), _random_string(rng, 20)) for _ in range(100)]
-
-    def kernel():
-        return sum(jaro_winkler(a, b) for a, b in pairs)
-
-    total = benchmark(kernel)
-    assert total >= 0
 
 
 def test_matcher_throughput(benchmark, citeseer_dataset):

@@ -28,7 +28,7 @@ from ..core.driver import _first_discoveries
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
-from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext
+from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext, check_alpha
 from ..mapreduce.types import Event, JobResult
 from ..mechanisms.base import (
     Admit,
@@ -59,7 +59,7 @@ class BasicConfig:
         window: SN window size ``w`` (the paper compares 5 and 15).
         popcorn_threshold: popcorn stopping threshold; ``None`` disables
             the stopping condition entirely ("Basic F").
-        alpha: incremental-output flush period.
+        alpha: incremental-output flush period (finite and positive).
     """
 
     scheme: BlockingScheme
@@ -68,6 +68,9 @@ class BasicConfig:
     window: int = 15
     popcorn_threshold: Optional[float] = None
     alpha: float = 200.0
+
+    def __post_init__(self) -> None:
+        check_alpha(self.alpha)
 
 
 class BasicMapper(Mapper):

@@ -2,7 +2,7 @@
 progressive blocker (paper Sections II-A and III-A)."""
 
 from .blocker import build_forest, build_forests, group_by_key
-from .blocks import Block, Forest, tree_of
+from .blocks import Block, Forest
 from .functions import (
     BlockingFunction,
     BlockingScheme,
@@ -16,7 +16,6 @@ from .functions import (
 __all__ = [
     "Block",
     "Forest",
-    "tree_of",
     "BlockingFunction",
     "BlockingScheme",
     "prefix_function",

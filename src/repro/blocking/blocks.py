@@ -152,9 +152,4 @@ class Forest:
         return len(self.roots)
 
 
-def tree_of(block: Block) -> Block:
-    """``TreeOf(X^k_l)``: the root of the tree a block currently belongs to."""
-    return block.root
-
-
-__all__ = ["Block", "Forest", "tree_of"]
+__all__ = ["Block", "Forest"]

@@ -3,15 +3,14 @@
 Bundles everything Section VI-A fixes per dataset: the blocking scheme
 (Table II), the match function, the progressive mechanism M, the per-level
 window sizes ``w``, termination thresholds ``Th`` and fraction values
-``Frac`` (Section VI-A5), plus the schedule-generation knobs (cost vector
-``C``, weighting function ``W``, split batch size ``b``) and the
-incremental-output period α.
+``Frac`` (Section VI-A5), plus the schedule's interval weighting function
+``W`` and the incremental-output period α.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable
 
 from ..blocking.blocks import Block
 from ..blocking.functions import (
@@ -22,6 +21,7 @@ from ..blocking.functions import (
     people_scheme,
     prefix_function,
 )
+from ..mapreduce.job import check_alpha
 from ..mechanisms.base import Mechanism
 from ..mechanisms.psnm import PSNM
 from ..mechanisms.sorted_neighbor import SortedNeighborHint
@@ -90,12 +90,9 @@ class ApproachConfig:
         matcher: the resolve/match function.
         mechanism: progressive mechanism M for resolving blocks.
         levels: per-level window / Frac / Th policy.
-        cost_vector: sampled cost values ``C`` (per reduce task); ``None``
-            derives |C| equal intervals from the estimated total cost.
-        num_intervals: |C| when the cost vector is derived automatically.
         weighting: ``W(.)`` over cost-interval indices.
-        split_batch: ``b`` — overflowed trees split per iteration.
-        alpha: reduce-side incremental output period (cost units).
+        alpha: reduce-side incremental output period (cost units, finite
+            and positive).
         train_fraction: fraction of the dataset sampled (with ground truth)
             to fit the duplicate-probability model of Section VI-A4.
         estimator: override for the duplicate estimator ("learned",
@@ -111,32 +108,22 @@ class ApproachConfig:
         metablock_ratio: block-filtering retention ratio ``r`` — under
             ``--metablock bf`` each entity keeps its ``ceil(r * k)``
             smallest level-1 blocks (Papadakis et al.'s Block Filtering).
-        metablock_weighting: edge-weighting scheme for ``--metablock wnp``
-            (weighted node pruning): ``"cbs"`` (common blocks) or ``"js"``
-            (Jaccard over the entities' key sets).
     """
 
     scheme: BlockingScheme
     matcher: WeightedMatcher
     mechanism: Mechanism
     levels: LevelPolicy = field(default_factory=LevelPolicy)
-    cost_vector: Optional[List[float]] = None
-    num_intervals: int = 10
     weighting: WeightingFunction = linear_weights
-    split_batch: int = 4
     alpha: float = 200.0
     train_fraction: float = 0.1
     estimator: str = "learned"
     redundancy_free: bool = True
     mode: str = "dirty"
     metablock_ratio: float = 0.8
-    metablock_weighting: str = "cbs"
 
     def __post_init__(self) -> None:
-        if self.num_intervals < 1:
-            raise ValueError("num_intervals must be at least 1")
-        if self.split_batch < 1:
-            raise ValueError("split_batch must be at least 1")
+        check_alpha(self.alpha)
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction must be in (0, 1]")
         if self.estimator not in ("learned", "oracle", "uniform"):
@@ -145,10 +132,6 @@ class ApproachConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.metablock_ratio <= 1.0:
             raise ValueError("metablock_ratio must be in (0, 1]")
-        if self.metablock_weighting not in ("cbs", "js"):
-            raise ValueError(
-                f"unknown metablock_weighting {self.metablock_weighting!r}"
-            )
 
 
 def citeseer_config(**overrides) -> ApproachConfig:

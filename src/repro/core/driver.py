@@ -421,9 +421,8 @@ class ProgressiveER:
             (see :mod:`repro.core.balance`).
         metablock: meta-blocking pre-pass between blocking and
             scheduling — ``"off"``, ``"bf"`` (block filtering) or
-            ``"wnp"`` (weighted node pruning); knobs on the config
-            (``metablock_ratio`` / ``metablock_weighting``).  See
-            :mod:`repro.core.metablock`.
+            ``"wnp"`` (weighted node pruning); ``bf``'s ratio is the
+            config's ``metablock_ratio``.  See :mod:`repro.core.metablock`.
     """
 
     def __init__(
@@ -455,7 +454,6 @@ class ProgressiveER:
                 self.config.scheme,
                 self.metablock,
                 ratio=self.config.metablock_ratio,
-                weighting=self.config.metablock_weighting,
             )
         annotated, stats, job1 = run_statistics_job(
             self.cluster,

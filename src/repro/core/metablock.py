@@ -19,9 +19,9 @@ refine rather than add co-occurrence evidence):
   removed *at annotation time*, so Job 1's statistics, the schedule and
   Job 2's routing all see the shrunken blocks — no per-pair veto needed.
 * **Weighted node pruning** (``wnp``): every co-occurring pair is weighed
-  (``cbs`` — common level-1 blocks — or ``js`` — Jaccard over the key
-  sets), each entity's retention threshold is the mean weight of its
-  incident pairs, and a pair survives if *either* endpoint retains it
+  by its common level-1 blocks (``cbs``), each entity's retention
+  threshold is the mean weight of its incident pairs, and a pair survives
+  if *either* endpoint retains it
   (weight >= min of the endpoint thresholds, ties kept).  The blocks are
   untouched; the decision ships to Job 2's reducers as a picklable
   :class:`WnpPruner` consulted per pair at zero virtual cost.
@@ -31,27 +31,24 @@ pre-pass is bit-identical across serial and process backends and under
 fault injection.
 
 **Cost.**  The blocking graph stays implicit.  A pair whose only common
-block is this one weighs 1 (``cbs``) or ``1/(l_i + l_j - 1)`` (``js``,
-``l`` the signature lengths), so a block of ``k`` members books all its
-``k(k-1)/2`` pairs in closed form from its per-length member counts and
-enumerates only the pairs that share a second block, found by grouping
-its members on every other family's key.  With ``F`` families the
-pre-pass costs ``O(sum k*F^2 + multi-block pairs)`` — never more than
-enumerating every pair once per common block — and holds nothing whose
-size grows with the number of pairs.
+block is this one weighs 1, so a block of ``k`` members books ``k - 1``
+per member in closed form and enumerates only the pairs that share a
+second block, found by grouping its members on every other family's key.
+With ``F`` families the pre-pass costs ``O(sum k*F^2 + multi-block
+pairs)`` — never more than enumerating every pair once per common block —
+and holds nothing whose size grows with the number of pairs.
 
-**Exact sums, ties kept.**  Weights are accumulated as integers (scaled
-by ``lcm(1..2F-1)``, every possible ``js`` denominator) and each
-threshold is that exact mean rounded to a float once.  Weight and mean
-are rationals with small denominators, so the rounded values compare as
-the exact ones do: a pair that weighs exactly its endpoint's mean (every
-pair of four full-signature entities sharing one block, say) is kept.
+**Exact sums, ties kept.**  Weights are integers, so their sums are
+exact and each threshold is that exact mean rounded to a float once.  A
+weight and a mean of small integers compare after rounding as the exact
+values do: a pair that weighs exactly its endpoint's mean (any pair of
+an entity whose incident pairs all weigh the same, say) is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, lcm
+from math import ceil
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -92,21 +89,13 @@ def level1_blocks(
     return blocks
 
 
-def pair_weight(sig_i: Signature, sig_j: Signature, weighting: str) -> float:
-    """Meta-blocking edge weight of a pair from its level-1 signatures.
-
-    ``cbs``: number of level-1 blocks the pair co-occurs in.  ``js``:
-    Jaccard similarity of the two entities' block sets.  Both are exact
-    rationals of small integers, so recomputing the weight worker-side
-    from the shipped signatures is bit-identical to the driver's pass.
+def pair_weight(sig_i: Signature, sig_j: Signature) -> float:
+    """Meta-blocking edge weight of a pair from its level-1 signatures:
+    the number of level-1 blocks the pair co-occurs in (``cbs``).  A small
+    integer, so recomputing it worker-side from the shipped signatures is
+    bit-identical to the driver's pass.
     """
-    common = sum(1 for family, key in sig_i.items() if sig_j.get(family) == key)
-    if weighting == "cbs":
-        return float(common)
-    if weighting == "js":
-        union = len(sig_i) + len(sig_j) - common
-        return common / union if union else 0.0
-    raise ValueError(f"unknown metablock weighting {weighting!r}")
+    return float(sum(1 for family, key in sig_i.items() if sig_j.get(family) == key))
 
 
 def block_filter(
@@ -156,11 +145,9 @@ class WnpPruner:
         self,
         signatures: Dict[int, Signature],
         thresholds: Dict[int, float],
-        weighting: str,
     ) -> None:
         self.signatures = signatures
         self.thresholds = thresholds
-        self.weighting = weighting
 
     def keep(self, e1: Entity, e2: Entity) -> bool:
         """Whether the pair survives pruning (ties kept)."""
@@ -173,7 +160,7 @@ class WnpPruner:
         if th_i is None or th_j is None:
             # An endpoint that never weighed a pair imposes no bound.
             return True
-        return pair_weight(sig_i, sig_j, self.weighting) >= min(th_i, th_j)
+        return pair_weight(sig_i, sig_j) >= min(th_i, th_j)
 
 
 @dataclass
@@ -182,8 +169,6 @@ class MetablockPlan:
 
     Attributes:
         mode: ``"bf"`` or ``"wnp"`` (``"off"`` runs build no plan).
-        weighting: edge-weighting scheme (``wnp`` only; recorded for
-            reports either way).
         ratio: block-filtering retention ratio (``bf`` only).
         pruned: ``(entity id, family)`` memberships dropped by ``bf``
             (empty for ``wnp`` — its blocks are untouched).
@@ -198,7 +183,6 @@ class MetablockPlan:
     """
 
     mode: str
-    weighting: str
     ratio: float
     pruned: FrozenSet[Tuple[int, str]] = frozenset()
     pruner: Optional[WnpPruner] = None
@@ -269,8 +253,7 @@ def _coded_signatures(
     blocks: Dict[Tuple[str, str], List[int]],
     family_order: Sequence[str],
 ) -> Dict[int, Tuple[int, ...]]:
-    """Per entity id, its signature as ints: one block number per family,
-    then the signature's length.
+    """Per entity id, its signature as ints: one block number per family.
 
     A missing key gets a negative number no other entity has, so two
     entities share family ``h``'s block iff their codes are equal at ``h``.
@@ -278,11 +261,8 @@ def _coded_signatures(
     number = {block_key: n for n, block_key in enumerate(blocks)}
     return {
         eid: tuple(
-            [
-                number[(family, sig[family])] if family in sig else -1 - n
-                for family in family_order
-            ]
-            + [len(sig)]
+            number[(family, sig[family])] if family in sig else -1 - n
+            for family in family_order
         )
         for n, (eid, sig) in enumerate(signatures.items())
     }
@@ -290,18 +270,17 @@ def _coded_signatures(
 
 def _multi_block_pairs(
     members: List[int], family: int, coded: Dict[int, Tuple[int, ...]]
-) -> Iterable[Tuple[int, int, int, int, bool]]:
+) -> Iterable[Tuple[int, int, int, bool]]:
     """The pairs of one level-1 block that share another block as well.
 
     Found by grouping the block's members on every other family's key, so
     the pairs whose only common block is this one are never visited.  A
     pair that shares several other families is reported from the first.
-    Yields ``(a, b, memberships, common, first)``: the two ids, the sum of
-    their signature lengths, the number of blocks they share, and whether
-    this block is the first of those in family order — the one that
-    weighs the pair, so each pair counts exactly once.
+    Yields ``(a, b, common, first)``: the two ids, the number of blocks
+    they share, and whether this block is the first of those in family
+    order — the one that weighs the pair, so each pair counts exactly once.
     """
-    others = [h for h in range(len(coded[members[0]]) - 1) if h != family]
+    others = [h for h in range(len(coded[members[0]])) if h != family]
     for position, h in enumerate(others):
         earlier, later = others[:position], others[position + 1 :]
         groups: Dict[int, List[int]] = {}
@@ -323,73 +302,40 @@ def _multi_block_pairs(
                         for g in later:
                             if code_a[g] == code_b[g]:
                                 common += 1
-                        yield a, b, code_a[-1] + code_b[-1], common, family < h
-
-
-def _exact_weights(families: int, weighting: str) -> Tuple[int, List[List[int]]]:
-    """``(scale, table)`` with ``table[common][union] * 1/scale`` the weight
-    of a pair sharing ``common`` of the ``union`` level-1 blocks it is in.
-
-    ``scale`` is the least common multiple of every possible ``union``, so
-    each entry — and hence every sum of weights — is an exact integer.
-    """
-    unions = range(1, 2 * families)
-    if weighting == "cbs":
-        return 1, [[common] * (2 * families) for common in range(families + 1)]
-    if weighting == "js":
-        scale = lcm(*unions)
-        return scale, [
-            [0] + [common * scale // union for union in unions]
-            for common in range(families + 1)
-        ]
-    raise ValueError(f"unknown metablock weighting {weighting!r}")
+                        yield a, b, common, family < h
 
 
 def _node_sums(
     blocks: Dict[Tuple[str, str], List[int]],
     coded: Dict[int, Tuple[int, ...]],
     rank: Dict[str, int],
-    exact: List[List[int]],
 ) -> Tuple[Dict[int, int], Dict[int, int], int]:
-    """Per entity, the sum of ``exact[common][union]`` over its distinct
-    incident pairs and their number; and the number of distinct pairs.
+    """Per entity, the summed weight of its distinct incident pairs and
+    their number; and the number of distinct pairs.
 
-    Every block first books all its pairs in closed form, as if it were
-    each one's only common block (so only the signature lengths matter);
-    the multi-block pairs are then enumerated and corrected: re-weighed in
-    their first common block, taken back out in every other.
+    Every block first books all its pairs as if it were each one's only
+    common block (weight 1, so ``k - 1`` per member); the multi-block
+    pairs are then enumerated and corrected: re-weighed in their first
+    common block, taken back out in every other.
     """
     sums = dict.fromkeys(coded, 0)
     counts = dict.fromkeys(coded, 0)
     distinct = 0
-    single = exact[1]
     for (family, _), members in blocks.items():
         if len(members) < 2:
             continue
         distinct += pairs_count(len(members))
-        sizes: Dict[int, int] = {}
+        others = len(members) - 1
         for eid in members:
-            length = coded[eid][-1]
-            sizes[length] = sizes.get(length, 0) + 1
-        # What a member of length la sums over the k - 1 others.
-        booked = {
-            la: sum(n * single[la + lb - 1] for lb, n in sizes.items())
-            - single[2 * la - 1]
-            for la in sizes
-        }
-        for eid in members:
-            sums[eid] += booked[coded[eid][-1]]
-            counts[eid] += len(members) - 1
-        for a, b, memberships, common, first in _multi_block_pairs(
-            members, rank[family], coded
-        ):
+            sums[eid] += others
+            counts[eid] += others
+        for a, b, common, first in _multi_block_pairs(members, rank[family], coded):
             if first:
-                delta = exact[common][memberships - common] - single[memberships - 1]
-                sums[a] += delta
-                sums[b] += delta
+                sums[a] += common - 1
+                sums[b] += common - 1
             else:
-                sums[a] -= single[memberships - 1]
-                sums[b] -= single[memberships - 1]
+                sums[a] -= 1
+                sums[b] -= 1
                 counts[a] -= 1
                 counts[b] -= 1
                 distinct -= 1
@@ -402,19 +348,17 @@ def build_metablock_plan(
     mode: str,
     *,
     ratio: float = 0.8,
-    weighting: str = "cbs",
 ) -> MetablockPlan:
     """Run the selected pre-pass over the dataset's level-1 blocks."""
     if mode not in METABLOCK_MODES or mode == "off":
         raise ValueError(f"no metablock plan to build for mode {mode!r}")
     families = scheme.family_order
     rank = {family: index for index, family in enumerate(families)}
-    scale, exact = _exact_weights(len(families), weighting)
     signatures = level1_signatures(entities, scheme)
     blocks = level1_blocks(signatures, families)
     coded = _coded_signatures(signatures, blocks, families)
     memberships_total = sum(len(members) for members in blocks.values())
-    sums, counts, pairs_total = _node_sums(blocks, coded, rank, exact)
+    sums, counts, pairs_total = _node_sums(blocks, coded, rank)
 
     if mode == "bf":
         pruned = block_filter(signatures, scheme, ratio)
@@ -426,58 +370,37 @@ def build_metablock_plan(
         kept_coded = _coded_signatures(filtered, kept_blocks, families)
         return MetablockPlan(
             mode=mode,
-            weighting=weighting,
             ratio=ratio,
             pruned=pruned,
             memberships_total=memberships_total,
             memberships_kept=memberships_total - len(pruned),
             pairs_total=pairs_total,
-            pairs_kept=_node_sums(kept_blocks, kept_coded, rank, exact)[2],
+            pairs_kept=_node_sums(kept_blocks, kept_coded, rank)[2],
         )
 
     # -- wnp ------------------------------------------------------------
-    thresholds = {
-        eid: sums[eid] / (scale * counts[eid]) for eid in sums if counts[eid]
-    }
-    weights = [[value / scale for value in row] for row in exact]
-    single = weights[1]
+    thresholds = {eid: sums[eid] / counts[eid] for eid in sums if counts[eid]}
     keep_ratios: Dict[Tuple[str, str], float] = {}
     pairs_kept = 0
     for (family, key), members in blocks.items():
         total = pairs_count(len(members))
         if total == 0:
             continue
-        # A single-block pair is dropped iff both thresholds exceed its
-        # weight, which the two signature lengths fix: count, per length
-        # la, the members above the weight of a pair with a length-lb one.
-        lengths = {coded[eid][-1] for eid in members}
-        above = dict.fromkeys(((la, lb) for la in lengths for lb in lengths), 0)
-        for eid in members:
-            la = coded[eid][-1]
-            for lb in lengths:
-                if thresholds[eid] > single[la + lb - 1]:
-                    above[la, lb] += 1
-        dropped = sum(
-            pairs_count(n) if la == lb else n * above[lb, la]
-            for (la, lb), n in above.items()
-            if la <= lb
-        )
-        kept = total - dropped
+        # A single-block pair weighs 1, so it is dropped iff both its
+        # endpoints' thresholds exceed 1.
+        kept = total - pairs_count(sum(thresholds[eid] > 1.0 for eid in members))
         pairs_kept += kept
-        for a, b, memberships, common, first in _multi_block_pairs(
-            members, rank[family], coded
-        ):
+        for a, b, common, first in _multi_block_pairs(members, rank[family], coded):
             bound = min(thresholds[a], thresholds[b])
-            as_single = single[memberships - 1] >= bound
-            retained = weights[common][memberships - common] >= bound
+            as_single = 1.0 >= bound
+            retained = float(common) >= bound
             kept += retained - as_single
             pairs_kept += (retained and first) - as_single
         keep_ratios[(family, key)] = kept / total
     return MetablockPlan(
         mode=mode,
-        weighting=weighting,
         ratio=ratio,
-        pruner=WnpPruner(signatures, thresholds, weighting),
+        pruner=WnpPruner(signatures, thresholds),
         keep_ratios=keep_ratios,
         memberships_total=memberships_total,
         memberships_kept=memberships_total,
@@ -490,7 +413,6 @@ def format_metablock_summary(plan: MetablockPlan) -> str:
     """Human-readable pruning summary table for reports and the CLI."""
     rows = [
         ("mode", plan.mode),
-        ("weighting", plan.weighting if plan.mode == "wnp" else "-"),
         ("ratio", f"{plan.ratio:.2f}" if plan.mode == "bf" else "-"),
         ("memberships", f"{plan.memberships_kept}/{plan.memberships_total}"),
         ("candidate pairs", f"{plan.pairs_kept}/{plan.pairs_total}"),

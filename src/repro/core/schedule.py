@@ -38,6 +38,11 @@ from .responsibility import compute_coverage
 from .statistics import DatasetStatistics
 
 _EPS = 1e-9
+#: ``|C|``: the number of equal cost intervals the per-task share of the
+#: estimated total cost is cut into.
+NUM_INTERVALS = 10
+#: ``b``: overflowed trees split per iteration of the Figure-6 loop.
+SPLIT_BATCH = 4
 _MAX_SPLIT_ITERATIONS = 100
 _MAX_ELIMINATION_PASSES = 10
 
@@ -144,14 +149,14 @@ def generate_schedule(
 
     if strategy == "ours":
         cost_vector, weights = _split_overflowed_trees(
-            trees, model, config, num_tasks, cost_vector, weights, tracker
+            trees, model, num_tasks, cost_vector, weights, tracker
         )
 
     blocks = _all_blocks(trees)
     sl = _utility_sorted(blocks, model.estimates)
     tracker.sorted_items(len(sl))
     buckets, cost_vector, weights = _bucketize(
-        sl, model, cost_vector, weights, num_tasks, config
+        sl, model, cost_vector, weights, num_tasks
     )
     widths = _bucket_widths(cost_vector)
     vc = {
@@ -253,22 +258,13 @@ def _derive_cost_vector(
     config: ApproachConfig,
     num_tasks: int,
 ) -> Tuple[List[float], List[float]]:
-    """The cost vector ``C`` (per reduce task) and its weights ``W``.
-
-    A user-supplied vector is respected; otherwise ``num_intervals`` equal
-    intervals spanning the estimated per-task share of the total cost.
+    """The cost vector ``C`` (per reduce task) and its weights ``W``:
+    :data:`NUM_INTERVALS` equal intervals spanning the estimated per-task
+    share of the total cost.
     """
-    if config.cost_vector is not None:
-        vector = list(config.cost_vector)
-        if vector != sorted(vector) or any(c <= 0 for c in vector):
-            raise ValueError("cost_vector must be positive and increasing")
-    else:
-        total = sum(
-            model.estimates[b.uid].cost for b in _all_blocks(trees)
-        )
-        per_task = max(total / num_tasks, 1.0)
-        k = config.num_intervals
-        vector = [per_task * (i + 1) / k for i in range(k)]
+    total = sum(model.estimates[b.uid].cost for b in _all_blocks(trees))
+    per_task = max(total / num_tasks, 1.0)
+    vector = [per_task * (i + 1) / NUM_INTERVALS for i in range(NUM_INTERVALS)]
     weights = [config.weighting(i, len(vector)) for i in range(len(vector))]
     return vector, weights
 
@@ -279,7 +275,6 @@ def _bucketize(
     cost_vector: List[float],
     weights: List[float],
     num_tasks: int,
-    config: ApproachConfig,
 ) -> Tuple[Dict[str, int], List[float], List[float]]:
     """Assign every block in ``SL`` to its cost bucket.
 
@@ -334,7 +329,6 @@ def _subtree_vc(
 def _split_overflowed_trees(
     trees: Dict[str, Block],
     model: EstimationModel,
-    config: ApproachConfig,
     num_tasks: int,
     cost_vector: List[float],
     weights: List[float],
@@ -352,13 +346,13 @@ def _split_overflowed_trees(
         sl = _utility_sorted(blocks, model.estimates)
         tracker.sorted_items(len(sl))
         buckets, cost_vector, weights = _bucketize(
-            sl, model, cost_vector, weights, num_tasks, config
+            sl, model, cost_vector, weights, num_tasks
         )
         widths = _bucket_widths(cost_vector)
         overflowed = _identify_trees(trees, buckets, model, widths, unsplittable)
         if not overflowed:
             break
-        for tree_uid in overflowed[: config.split_batch]:
+        for tree_uid in overflowed[:SPLIT_BATCH]:
             split_any = _split_tree(
                 trees[tree_uid], trees, model, buckets, widths, len(cost_vector)
             )

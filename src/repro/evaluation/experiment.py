@@ -84,8 +84,8 @@ class RunSpec:
             backend-independent; ``None`` (the default) runs fault-free.
         metablock: meta-blocking pre-pass for the progressive approach —
             ``"off"`` (default), ``"bf"`` (block filtering) or ``"wnp"``
-            (weighted node pruning); knobs live on the config
-            (``metablock_ratio`` / ``metablock_weighting``).  Rejected for
+            (weighted node pruning); ``bf``'s ratio lives on the config
+            (``metablock_ratio``).  Rejected for
             Basic runs — the baseline has no schedule to prune.
     """
 

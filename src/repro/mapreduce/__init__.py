@@ -26,7 +26,7 @@ from .faults import (
     SpeculationConfig,
     TaskSchedule,
 )
-from .io import file_timeline, results_available_at
+from .io import results_available_at
 from .job import (
     MapReduceJob,
     Mapper,
@@ -67,5 +67,4 @@ __all__ = [
     "OutputFile",
     "TaskResult",
     "results_available_at",
-    "file_timeline",
 ]

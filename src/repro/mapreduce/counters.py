@@ -23,8 +23,7 @@ class Counters:
       the engine when a :class:`~repro.mapreduce.faults.FaultPlan` is
       attached (``{map,reduce}_failed_attempts``, ``_retries``,
       ``_speculative_launched``, ``_speculative_wins``,
-      ``_speculative_failed``, ``_killed_attempts``,
-      ``_blacklisted_slots``).  Only non-zero values are ever recorded,
+      ``_speculative_failed``, ``_killed_attempts``).  Only non-zero values are ever recorded,
       so a fault-free run carries no ``fault.*`` keys at all.
 
     Jobs may add their own groups freely; the namespaces above are

@@ -334,7 +334,6 @@ class Cluster:
             ("speculative_wins", stats.speculative_wins),
             ("speculative_failed", stats.speculative_failed),
             ("killed_attempts", stats.killed_attempts),
-            ("blacklisted_slots", stats.blacklisted_slots),
         ):
             if value:
                 counters.increment("fault", f"{phase}_{name}", value)

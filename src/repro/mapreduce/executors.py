@@ -349,9 +349,6 @@ class ParallelExecutor(Executor):
         self.serial_floor = serial_floor
         self._can_fork = "fork" in multiprocessing.get_all_start_methods()
         self._phase_stats: Dict[str, int] = {}
-        #: Cumulative statistics across every job this executor ran
-        #: (never drained; benches read this directly).
-        self.stats: Dict[str, int] = {}
 
     def drain_stats(self) -> Dict[str, int]:
         drained = self._phase_stats
@@ -360,7 +357,6 @@ class ParallelExecutor(Executor):
 
     def _count(self, name: str, amount: int) -> None:
         self._phase_stats[name] = self._phase_stats.get(name, 0) + amount
-        self.stats[name] = self.stats.get(name, 0) + amount
 
     # -- phase execution -----------------------------------------------
 

@@ -8,8 +8,8 @@ This module is the engine's placement path and its fault model:
 
 * :class:`FaultPlan` — a **seeded, deterministic** description of what goes
   wrong: per-attempt crash decisions (an attempt crashes at a fraction of
-  its cost, so the partial work is lost), per-slot straggler slowdown
-  multipliers, and slot blacklisting after ``K`` failures;
+  its cost, so the partial work is lost) and per-slot straggler slowdown
+  multipliers;
 * :class:`RetryPolicy` — how the framework reacts: a maximum attempt count,
   exponential backoff in *virtual* time, and :class:`JobAbortedError` when
   a task exhausts its attempts;
@@ -164,9 +164,6 @@ class FaultPlan:
         slot_slowdowns: explicit per-slot overrides (``{slot: factor}``),
             taking precedence over the seeded straggler draw — used by
             benchmarks and tests that need a known-slow slot.
-        blacklist_after: blacklist a slot after this many failures on it
-            (``None`` disables).  The last usable slot is never
-            blacklisted, so a phase can always finish.
         retry: the framework's :class:`RetryPolicy`.
         speculation: the framework's :class:`SpeculationConfig`.
 
@@ -180,7 +177,6 @@ class FaultPlan:
     straggler_rate: float = 0.0
     straggler_factor: float = 1.0
     slot_slowdowns: Union[Tuple[Tuple[int, float], ...], Mapping[int, float]] = ()
-    blacklist_after: Optional[int] = None
     retry: RetryPolicy = RetryPolicy()
     speculation: SpeculationConfig = SpeculationConfig()
 
@@ -195,10 +191,6 @@ class FaultPlan:
             raise ValueError(
                 f"straggler_factor must be finite and >= 1, "
                 f"got {self.straggler_factor}"
-            )
-        if self.blacklist_after is not None and self.blacklist_after < 1:
-            raise ValueError(
-                f"blacklist_after must be >= 1, got {self.blacklist_after}"
             )
         if isinstance(self.slot_slowdowns, Mapping):
             object.__setattr__(
@@ -292,14 +284,12 @@ class TaskSchedule:
 class _Slot:
     """Mutable slot state during one phase simulation."""
 
-    __slots__ = ("index", "free_at", "slowdown", "failures", "blacklisted")
+    __slots__ = ("index", "free_at", "slowdown")
 
     def __init__(self, index: int, free_at: float, slowdown: float) -> None:
         self.index = index
         self.free_at = free_at
         self.slowdown = slowdown
-        self.failures = 0
-        self.blacklisted = False
 
 
 class _Attempt:
@@ -331,7 +321,6 @@ class FaultStats:
     speculative_wins: int = 0
     speculative_failed: int = 0
     killed_attempts: int = 0
-    blacklisted_slots: int = 0
     retries: int = 0
 
 
@@ -340,10 +329,9 @@ class FaultScheduler:
 
     A deterministic discrete-event simulation: tasks become *ready* (at
     phase start, or after a failure plus backoff), ready tasks are placed
-    on the earliest-free non-blacklisted slot (ties break by task id, then
-    slot index), and attempt completions drive retries, blacklisting and
-    speculation.  All decisions replay from the plan; nothing is random at
-    simulation time.
+    on the earliest-free slot (ties break by task id, then slot index),
+    and attempt completions drive retries and speculation.  All decisions
+    replay from the plan; nothing is random at simulation time.
     """
 
     def __init__(
@@ -453,11 +441,8 @@ class FaultScheduler:
     # -- internals -----------------------------------------------------
 
     def _best_slot(self) -> _Slot:
-        """The earliest-free non-blacklisted slot (ties by slot index)."""
-        return min(
-            (s for s in self._slots if not s.blacklisted),
-            key=lambda s: (s.free_at, s.index),
-        )
+        """The earliest-free slot (ties by slot index)."""
+        return min(self._slots, key=lambda s: (s.free_at, s.index))
 
     def _commit(
         self, task_id: int, ready_time: float, slot: _Slot, *, speculative: bool
@@ -520,7 +505,6 @@ class FaultScheduler:
         self.stats.failed_attempts += 1
         if attempt.speculative:
             self.stats.speculative_failed += 1
-        self._register_slot_failure(self._slots[attempt.slot])
         self._failed[task_id] += 1
         if live:
             # The surviving attempt (original or backup) carries on; a
@@ -567,16 +551,6 @@ class FaultScheduler:
                 slot.free_at = attempt.end
             self.stats.killed_attempts += 1
         live.clear()
-
-    def _register_slot_failure(self, slot: _Slot) -> None:
-        slot.failures += 1
-        threshold = self._plan.blacklist_after
-        if threshold is None or slot.blacklisted or slot.failures < threshold:
-            return
-        usable = sum(1 for s in self._slots if not s.blacklisted)
-        if usable > 1:  # never blacklist the last slot standing
-            slot.blacklisted = True
-            self.stats.blacklisted_slots += 1
 
     def _speculate(self) -> None:
         """Launch backups for running attempts that look like stragglers."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from .types import JobResult, OutputFile
+from .types import JobResult
 
 
 def results_available_at(job: JobResult, time: float) -> List[Any]:
@@ -25,9 +25,4 @@ def results_available_at(job: JobResult, time: float) -> List[Any]:
     return merged
 
 
-def file_timeline(job: JobResult) -> List[OutputFile]:
-    """All output files ordered by the time they became readable."""
-    return sorted(job.output_files, key=lambda f: (f.close_time, f.task_id, f.index))
-
-
-__all__ = ["results_available_at", "file_timeline"]
+__all__ = ["results_available_at"]

@@ -10,6 +10,7 @@ task).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from functools import reduce
 from operator import add
@@ -18,6 +19,17 @@ from typing import Any, Callable, List, Optional, Sequence
 from .clock import CostModel, VirtualClock
 from .counters import Counters
 from .types import Event, KeyValue, OutputFile, SpanFragment
+
+
+def check_alpha(alpha: Optional[float]) -> None:
+    """Reject an output period that is not ``None`` or finite and positive.
+
+    A reduce task opens its next file once ``alpha`` units have passed; a
+    period of zero or less never moves the next flush past the current
+    time, and NaN never flushes at all.
+    """
+    if alpha is not None and not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be None or finite and positive, got {alpha}")
 
 
 class TaskContext:
@@ -239,7 +251,8 @@ class MapReduceJob:
         partitioner: routes intermediate keys to reduce tasks.
         key_sort: optional sort key applied to each reduce task's groups
             (Hadoop sorts by key; jobs may override the comparator).
-        alpha: incremental-output flush period for reduce tasks (cost units).
+        alpha: incremental-output flush period for reduce tasks (cost
+            units; ``None`` or finite and positive).
         name: label used in diagnostics.
         trace: whether tasks record span fragments; the engine sets it to
             whether the running cluster has a tracer, so tracing stays
@@ -260,6 +273,7 @@ class MapReduceJob:
         self.reducer_factory = reducer_factory
         self.partitioner = partitioner if partitioner is not None else Partitioner()
         self.key_sort = key_sort
+        check_alpha(alpha)
         self.alpha = alpha
         self.name = name
         self.trace = False
@@ -293,4 +307,5 @@ __all__ = [
     "MapReduceJob",
     "split_input",
     "stable_hash",
+    "check_alpha",
 ]

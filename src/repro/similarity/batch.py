@@ -17,11 +17,10 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   is one block's view of the matcher's table).  Rows live as long as the
   matcher, and its owner picks that: one reduce task for Job 2, Basic
   and MR-SN, the service's lifetime for delta jobs;
-* **cheapest comparator first** — rules are evaluated in
-  :data:`_COMPARATOR_RANK` order, rule-major (outer loop over rules, inner
-  loop over the pairs still alive), so a pair can be ruled out before it
-  pays for a quadratic edit distance on a long attribute; the exact rules
-  come first and need no kernel;
+* **exact rules first** — the exact rules, then the edit rules, each in
+  rule order, rule-major (outer loop over rules, inner loop over the pairs
+  still alive), so a pair can be ruled out before it pays for a quadratic
+  edit distance on a long attribute; the exact rules need no kernel;
 * **upper-bound cutoff** — after each rule, the score so far plus the
   *credit* of every unevaluated rule is the most the pair can still reach;
   if that is below the threshold the pair is dead and leaves every later
@@ -82,23 +81,9 @@ from .matchers import (
     AttributeRule,
     WeightedMatcher,
     _BELOW_FLOOR,
-    _COMPARATOR_FUNCTIONS,
     edit_at_least,
 )
-
-#: Comparators whose cost the cost model treats as negligible
-#: (mirrors the tuple in ``WeightedMatcher.comparison_cost_factor``).
-_CHEAP_COMPARATORS = ("exact", "token_jaccard", "qgram")
-
-#: Relative wall-clock cost rank per comparator: rules are evaluated
-#: cheapest first so the short-circuits fire before the expensive ones run.
-_COMPARATOR_RANK = {
-    "exact": 0,
-    "token_jaccard": 1,
-    "qgram": 1,
-    "jaro_winkler": 2,
-    "edit": 3,  # quadratic in string length
-}
+from .edit_distance import edit_similarity
 
 _STATS = {"batches": 0, "pairs": 0}
 
@@ -217,8 +202,8 @@ def _rule_floor(
 #: One entity's kernel row, one flat tuple: first, per rule, its
 #: (truncated) value, so ``row[rule index]`` is that rule's value; then,
 #: per edit rule in rule order, the value's length and its character-count
-#: signature; then the summed length of its quadratic-rule values, which is
-#: all a cost factor reads; last, the entity the row was built from.
+#: signature; then the summed length of its edit-rule values, which is all
+#: a cost factor reads; last, the entity the row was built from.
 Row = tuple
 
 
@@ -293,23 +278,15 @@ class BatchMatcher:
         self.matcher = matcher
         rules = matcher.rules
         self._rules: List[AttributeRule] = rules
-        # Cheapest comparators first, stable on the original order.
-        self._eval_order = sorted(
-            range(len(rules)),
-            key=lambda i: (_COMPARATOR_RANK[rules[i].comparator], i),
-        )
-        #: The exact rules (they lead the evaluation order) and the rules
-        #: scored after them.
+        #: The evaluation order: the exact rules, then the edit rules, each
+        #: in rule order.
         self._exact_indices = tuple(
-            i for i in self._eval_order if rules[i].comparator == "exact"
+            i for i, rule in enumerate(rules) if rule.comparator == "exact"
         )
-        self._scored_order = tuple(
-            i for i in self._eval_order if rules[i].comparator != "exact"
-        )
-        self._scored_weight = sum(rules[i].weight for i in self._scored_order)
         self._edit_indices = tuple(
             i for i, rule in enumerate(rules) if rule.comparator == "edit"
         )
+        self._edit_weight = sum(rules[i].weight for i in self._edit_indices)
         #: Edit rules in the order their credits are computed — heaviest
         #: first, so a hopeless pair dies on the fewest bounds — each with
         #: where its length and signature sit in a row.
@@ -321,23 +298,17 @@ class BatchMatcher:
         #: (the cutoff's denominator; exactly 0.0 after the last).
         self._weight_after: Dict[int, float] = {}
         later = 0.0
-        for index in reversed(self._eval_order):
+        for index in reversed(self._exact_indices + self._edit_indices):
             self._weight_after[index] = later
             later += rules[index].weight
-        #: What the non-edit rules are credited before they are evaluated.
-        self._cheap_weight = sum(
-            rule.weight for rule in rules if rule.comparator != "edit"
-        )
+        #: What the exact rules are credited before they are evaluated.
+        self._exact_weight = sum(rules[i].weight for i in self._exact_indices)
         self._threshold = matcher.threshold
         #: What the upper bound is compared against; the margin gives
         #: float reordering noise no chance to cut a pair that the exact
         #: original-order sum would accept.
         self._cutoff = matcher.threshold - 1e-9
-        self._quad_indices = tuple(
-            i for i, rule in enumerate(rules)
-            if rule.comparator not in _CHEAP_COMPARATORS
-        )
-        self._cost_denominator = len(self._quad_indices) * REFERENCE_LENGTH
+        self._cost_denominator = len(self._edit_indices) * REFERENCE_LENGTH
         #: Per rule, the attribute a row reads and its truncation.
         self._fields = [(rule.attribute, rule.max_chars) for rule in rules]
         #: entity id -> row and value -> signature, for the matcher's
@@ -354,7 +325,7 @@ class BatchMatcher:
     def _build_row(self, entity: Entity) -> Row:
         get = entity.attrs.get
         row = [get(attribute, "")[:max_chars] for attribute, max_chars in self._fields]
-        quad = sum(map(len, map(row.__getitem__, self._quad_indices)))
+        edit_chars = sum(map(len, map(row.__getitem__, self._edit_indices)))
         known = self._signatures
         for index in self._edit_indices:
             value = row[index]
@@ -362,7 +333,7 @@ class BatchMatcher:
             if signature is None:
                 signature = known[value] = _signature(value)
             row += (len(value), signature)
-        row += (quad, entity)
+        row += (edit_chars, entity)
         return tuple(row)
 
     # -- decisions ------------------------------------------------------
@@ -414,7 +385,7 @@ class BatchMatcher:
            credit, over the full weight of everything evaluated or still
            to come, falls below the cutoff.  A pair that dies here never
            pays for the bounds of its lighter rules.
-        3. **Scored rules**, cheapest first: every pair still alive trades
+        3. **Edit rules**, in rule order: every pair still alive trades
            a rule's credit for its score and dies when the same bound falls
            below the cutoff or, inside an edit rule, when the bounded
            kernel answers with its below-floor sentinel for the floor
@@ -452,11 +423,11 @@ class BatchMatcher:
 
         alive = list(range(n))
         sims: Dict[int, List[Optional[float]]] = {}
-        if self._scored_order:
-            scored_weight = self._scored_weight
+        if self._edit_indices:
+            edit_weight = self._edit_weight
             # Score plus credit, and the cutoff times the bound's weight.
-            reach = [total + scored_weight for total in totals]
-            needed = [cutoff * (weight + scored_weight) for weight in weights]
+            reach = [total + edit_weight for total in totals]
+            needed = [cutoff * (weight + edit_weight) for weight in weights]
             alive = [p for p in alive if reach[p] >= needed[p]]
             uppers: Dict[int, List[float]] = {}
             for index, slot in self._credit_slots:
@@ -475,7 +446,7 @@ class BatchMatcher:
                     next_alive.append(p)
                 alive = next_alive
             if alive:
-                credits = [self._cheap_weight] * n
+                credits = [self._exact_weight] * n
                 for index in self._edit_indices:
                     weight = rules[index].weight
                     column = uppers[index]
@@ -484,7 +455,7 @@ class BatchMatcher:
                 for index, weight in exact_rules:
                     for p in alive:
                         credits[p] -= weight
-                alive = self._scored_pass(
+                alive = self._edit_pass(
                     values1, values2, alive, sims, totals, weights, credits, uppers
                 )
 
@@ -514,21 +485,17 @@ class BatchMatcher:
             out[p] = exact_total / exact_weight >= threshold
         return out
 
-    def _scored_pass(self, values1, values2, alive, sims, totals, weights, credits, uppers):
+    def _edit_pass(self, values1, values2, alive, sims, totals, weights, credits, uppers):
         """Pass 3 of :meth:`_bounded_decisions`; returns the survivors."""
         rules = self._rules
         cutoff = self._cutoff
         n = len(values1)
-        for index in self._scored_order:
+        for index in self._edit_indices:
             if not alive:
                 break
-            rule = rules[index]
-            weight = rule.weight
+            weight = rules[index].weight
             remaining_after = self._weight_after[index]
-            comparator = rule.comparator
-            is_edit = comparator == "edit"
-            compare = _COMPARATOR_FUNCTIONS[comparator]
-            column = uppers.get(index)
+            column = uppers[index]
             scores = sims[index] = [None] * n
             # Within one rule, identical value pairs recur constantly in
             # sorted blocks; resolve them once per batch instead of once
@@ -538,8 +505,7 @@ class BatchMatcher:
             for p in alive:
                 v1 = values1[p][index]
                 v2 = values2[p][index]
-                upper = 1.0 if column is None else column[p]
-                credit_after = credits[p] - weight * upper
+                credit_after = credits[p] - weight * column[p]
                 if not v1 and not v2:
                     sim: Optional[float] = None
                 elif not v1 or not v2:
@@ -548,7 +514,7 @@ class BatchMatcher:
                     floor = _rule_floor(
                         cutoff, weight, totals[p], weights[p],
                         credit_after, remaining_after,
-                    ) if is_edit else 0.0
+                    )
                     if floor > 0.0:
                         sim = edit_at_least(v1, v2, floor)
                         if sim == _BELOW_FLOOR:
@@ -556,7 +522,7 @@ class BatchMatcher:
                     else:
                         sim = local.get((v1, v2))
                         if sim is None:
-                            sim = local[(v1, v2)] = compare(v1, v2)
+                            sim = local[(v1, v2)] = edit_similarity(v1, v2)
                 scores[p] = sim
                 credits[p] = credit_after
                 if sim is not None:
@@ -582,15 +548,15 @@ class BatchMatcher:
         """``[matcher.comparison_cost_factor(members[i], members[j]) ...]``.
 
         The same floats as the per-pair method: it sums ``(len(v1) +
-        len(v2)) / 2.0`` over the quadratic rules, which is exact for
-        integer lengths, so one ``(quad1 + quad2) / 2.0`` of the rows'
-        summed lengths is that sum; then it divides by ``quadratic_rules *
+        len(v2)) / 2.0`` over the edit rules, which is exact for integer
+        lengths, so one ``(chars1 + chars2) / 2.0`` of the rows' summed
+        lengths is that sum; then it divides by ``edit rules *
         REFERENCE_LENGTH`` and clamps.
         """
-        if not self._quad_indices:
+        if not self._edit_indices:
             return [MIN_COST_FACTOR] * len(lefts)
         denominator = self._cost_denominator
-        # ``row[-2]``: the row's summed quadratic-rule length.
+        # ``row[-2]``: the row's summed edit-rule length.
         factors = [
             (row1[-2] + row2[-2]) / 2.0 / denominator
             for row1, row2 in zip(rows.fetch(lefts), rows.fetch(rights))

@@ -4,32 +4,31 @@ Section VI-A2: "we applied similarity functions on multiple individual
 attributes and then used the weighted summation of the attribute
 similarities to decide whether the two entities co-refer or not."
 :class:`WeightedMatcher` is exactly that and nothing else: per-attribute
-comparator choice (edit distance, exact, Jaro-Winkler, token/q-gram
-Jaccard), optional value truncation (the paper compares only the first
-≤ 350 abstract characters), the weighted sum of :meth:`similarity`, the
-threshold test of :meth:`is_match`, and a cost hook so the simulator can
-charge longer comparisons more.
+comparator choice (edit distance or exact match, the two the paper's
+match functions use), optional value truncation (the paper compares only
+the first ≤ 350 abstract characters), the weighted sum of
+:meth:`similarity`, the threshold test of :meth:`is_match`, and a cost
+hook so the simulator can charge longer comparisons more.
 
 Nothing here short-circuits.  The one bounded implementation of the same
-decision — cheapest comparator first, upper-bound cutoff, threshold
-propagated into the edit kernel — is
+decision — exact rules first, upper-bound cutoff, threshold propagated
+into the edit kernel — is
 :class:`~repro.similarity.batch.BatchMatcher`, which every pair ``src/``
 decides goes through (``repro.mechanisms.base.resolve_block``);
 :meth:`WeightedMatcher.is_match` is what it must reproduce and what the
 tests hold it to.  The bounded edit comparison (:func:`edit_at_least`)
-lives here beside the comparators both paths call.
+lives here beside the rules both paths evaluate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
 from .edit_distance import distance_budget, edit_similarity, levenshtein
-from .jaro import jaro_winkler
-from .tokens import qgram_jaccard, token_jaccard
 
 #: Attribute length (characters) that costs exactly one comparison unit.
 REFERENCE_LENGTH = 40.0
@@ -37,14 +36,6 @@ REFERENCE_LENGTH = 40.0
 #: Lower clamp on the per-pair cost factor: even trivial comparisons incur
 #: dispatch/serialization overhead.
 MIN_COST_FACTOR = 0.2
-
-_COMPARATOR_FUNCTIONS = {
-    "edit": edit_similarity,
-    "jaro_winkler": jaro_winkler,
-    "token_jaccard": token_jaccard,
-    "qgram": qgram_jaccard,
-}
-
 
 #: Sentinel returned by :func:`edit_at_least` when the similarity is
 #: provably below the requested floor (the exact value was never computed).
@@ -82,11 +73,9 @@ class AttributeRule:
     Attributes:
         attribute: attribute name.
         weight: relative weight of this attribute's similarity.
-        comparator: ``"edit"``, ``"exact"``, ``"jaro_winkler"``,
-            ``"token_jaccard"`` (word sets, order-insensitive) or
-            ``"qgram"`` (2-gram sets, near-linear in length).
+        comparator: ``"edit"`` (edit-distance similarity) or ``"exact"``.
         max_chars: compare only the first ``max_chars`` characters
-            (``None`` = whole value).
+            (``None`` = whole value, else at least 1).
     """
 
     attribute: str
@@ -95,11 +84,12 @@ class AttributeRule:
     max_chars: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        valid = ("edit", "exact", "jaro_winkler", "token_jaccard", "qgram")
-        if self.comparator not in valid:
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"weight must be finite and positive, got {self.weight}")
+        if self.comparator not in ("edit", "exact"):
             raise ValueError(f"unknown comparator {self.comparator!r}")
+        if self.max_chars is not None and self.max_chars < 1:
+            raise ValueError(f"max_chars must be at least 1, got {self.max_chars}")
 
     def values(self, e1: Entity, e2: Entity) -> Tuple[str, str]:
         """The (possibly truncated) attribute values to compare."""
@@ -122,7 +112,7 @@ class AttributeRule:
             return 0.0
         if self.comparator == "exact":
             return 1.0 if v1 == v2 else 0.0
-        return _COMPARATOR_FUNCTIONS[self.comparator](v1, v2)
+        return edit_similarity(v1, v2)
 
 
 class WeightedMatcher:
@@ -190,7 +180,7 @@ class WeightedMatcher:
         chars = 0.0
         quadratic_rules = 0
         for rule in self.rules:
-            if rule.comparator in ("exact", "token_jaccard", "qgram"):
+            if rule.comparator == "exact":
                 continue
             v1, v2 = rule.values(e1, e2)
             chars += (len(v1) + len(v2)) / 2.0

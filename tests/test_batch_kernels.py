@@ -4,7 +4,7 @@
 decision; ``WeightedMatcher.is_match`` — the full weighted sum against the
 threshold — is its definition and the oracle here.  Nothing is allowed to
 drift: the property suite holds kernel ≡ definition on random matcher
-configurations (every comparator, truncation, missing/empty attributes,
+configurations (both comparators, truncation, missing/empty attributes,
 cached and uncached) and random entity batches, and checks the soundness
 of the per-rule floor with thresholds drawn at the boundary; the
 ``resolve_block`` differential pins the full driver loop — stats,
@@ -64,7 +64,7 @@ from repro.similarity import (
 
 ALPHABET = "abcdé日本語🙂 "
 _ATTRS = ("title", "venue", "year")
-_COMPARATORS = ("edit", "exact", "jaro_winkler", "token_jaccard", "qgram")
+_COMPARATORS = ("edit", "exact")
 
 rule_strategy = st.tuples(
     st.sampled_from(_ATTRS),
@@ -191,9 +191,8 @@ class _Deaths:
     off the bounded kernel's return value.  ``credit``: the pair died while
     its edit credits were being computed, heaviest first — fewer
     ``_edit_upper_bounds`` results than edit rules.  The cutoff is inline
-    code, so it is recognised by what never ran: every rule that is not
-    ``exact`` and has a value on both sides announces itself — an edit rule
-    through ``_rule_floor``, the others through their comparator — and a
+    code, so it is recognised by what never ran: every edit rule that has
+    a value on both sides announces itself through ``_rule_floor``, and a
     pair that met no other short-circuit yet never reached one of them was
     cut by the cutoff before it got there.
     """
@@ -202,9 +201,10 @@ class _Deaths:
         self.matcher = matcher
         self.real = {
             name: getattr(batch_module, name)
-            for name in ("_rule_floor", "_edit_upper_bounds", "edit_at_least")
+            for name in (
+                "_rule_floor", "_edit_upper_bounds", "edit_at_least", "edit_similarity"
+            )
         }
-        self.comparators = dict(batch_module._COMPARATOR_FUNCTIONS)
         self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
         self.clear()
 
@@ -232,24 +232,15 @@ class _Deaths:
         self.sentinel = self.sentinel or sim == batch_module._BELOW_FLOOR
         return sim
 
-    def _comparator(self, comparator):
-        real = self.comparators[comparator]
-
-        def spy(v1, v2):
-            if comparator == "edit":
-                self.kernel_calls += 1
-            else:
-                self.reached += 1
-            return real(v1, v2)
-
-        return spy
+    def edit_similarity(self, v1, v2):
+        self.kernel_calls += 1
+        return self.real["edit_similarity"](v1, v2)
 
     @contextlib.contextmanager
     def patched(self):
-        spies = {name: self._comparator(name) for name in self.comparators}
         with mock.patch.multiple(
             batch_module, **{name: getattr(self, name) for name in self.real}
-        ), mock.patch.dict(batch_module._COMPARATOR_FUNCTIONS, spies):
+        ):
             yield
 
     def decide(self, e1, e2):
@@ -270,7 +261,7 @@ class _Deaths:
         announced = sum(
             1
             for rule in self.matcher.rules
-            if rule.comparator != "exact" and all(rule.values(e1, e2))
+            if rule.comparator == "edit" and all(rule.values(e1, e2))
         )
         if not kinds and self.reached < announced:
             kinds.add("cutoff")

@@ -11,7 +11,6 @@ from repro.blocking import (
     citeseer_scheme,
     group_by_key,
     prefix_function,
-    tree_of,
 )
 from repro.data import Dataset, Entity
 
@@ -113,7 +112,7 @@ class TestBlock:
         assert root.is_root and not root.is_leaf
         assert left.is_leaf and not left.is_root
         assert left.root is root
-        assert tree_of(right) is root
+        assert right.root is root
         assert list(root.descendants()) == [left, right]
 
     def test_bottom_up_order(self):

@@ -1,8 +1,12 @@
 """Unit tests for the approach configuration and weighting functions."""
 
+import math
+
 import pytest
 
+from repro.baselines.basic import BasicConfig
 from repro.blocking import Block, citeseer_scheme
+from repro.mapreduce import MapReduceJob, Mapper, Reducer
 from repro.core.config import (
     ApproachConfig,
     LevelPolicy,
@@ -70,10 +74,6 @@ class TestApproachConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            citeseer_config(num_intervals=0)
-        with pytest.raises(ValueError):
-            citeseer_config(split_batch=0)
-        with pytest.raises(ValueError):
             citeseer_config(train_fraction=0.0)
         with pytest.raises(ValueError):
             citeseer_config(estimator="magic")
@@ -86,3 +86,33 @@ class TestApproachConfig:
     def test_redundancy_toggle_default_on(self):
         assert citeseer_config().redundancy_free is True
         assert citeseer_config(redundancy_free=False).redundancy_free is False
+
+
+def _basic_config(alpha):
+    config = citeseer_config()
+    return BasicConfig(config.scheme, config.matcher, config.mechanism, alpha=alpha)
+
+
+class TestAlphaValidation:
+    """A reduce task opens a new output file every α cost units: α of zero
+    or less never moves the next flush past the current time (the task
+    loops forever), and NaN never flushes at all."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda alpha: MapReduceJob(Mapper, Reducer, alpha=alpha),
+            lambda alpha: citeseer_config(alpha=alpha),
+            _basic_config,
+        ],
+        ids=["job", "approach", "basic"],
+    )
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, build, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            build(alpha)
+
+    def test_accepts_none_and_a_positive_period(self):
+        assert MapReduceJob(Mapper, Reducer, alpha=None).alpha is None
+        assert citeseer_config(alpha=0.5).alpha == 0.5
+        assert _basic_config(200.0).alpha == 200.0

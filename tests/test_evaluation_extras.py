@@ -9,7 +9,6 @@ from repro.mapreduce import (
     MapReduceJob,
     Mapper,
     Reducer,
-    file_timeline,
     results_available_at,
 )
 from repro.mapreduce.types import Event
@@ -27,6 +26,11 @@ class _Writer(Reducer):
             context.write(value)
 
 
+def _timeline(job):
+    """Output files in the order they became readable."""
+    return sorted(job.output_files, key=lambda f: (f.close_time, f.task_id, f.index))
+
+
 @pytest.fixture()
 def flushing_job():
     job = MapReduceJob(_Identity, _Writer, alpha=3.0)
@@ -35,12 +39,14 @@ def flushing_job():
 
 class TestIoHelpers:
     def test_file_timeline_sorted(self, flushing_job):
-        files = file_timeline(flushing_job)
-        closes = [f.close_time for f in files]
-        assert closes == sorted(closes)
+        """Merged output lists records file by file, in close order."""
+        files = _timeline(flushing_job)
+        assert len(files) > 2
+        merged = results_available_at(flushing_job, flushing_job.end_time)
+        assert merged == [record for f in files for record in f.records]
 
     def test_nothing_available_before_first_close(self, flushing_job):
-        first_close = file_timeline(flushing_job)[0].close_time
+        first_close = _timeline(flushing_job)[0].close_time
         assert results_available_at(flushing_job, first_close - 1e-6) == []
 
     def test_everything_available_at_end(self, flushing_job):
@@ -50,7 +56,7 @@ class TestIoHelpers:
     def test_availability_strictly_after_write_time(self, flushing_job):
         """A record is not visible until its file closes — the consumer
         semantics of Section III-B."""
-        files = file_timeline(flushing_job)
+        files = _timeline(flushing_job)
         total = 0
         for f in files:
             visible = results_available_at(flushing_job, f.close_time)

@@ -66,7 +66,7 @@ class TestValidation:
             {"fault_rate": 1.5},
             {"straggler_rate": 2.0},
             {"straggler_factor": 0.5},
-            {"blacklist_after": 0},
+            {"fault_rate": math.nan},
             {"slot_slowdowns": {0: 0.5}},
             {"straggler_factor": math.nan, "straggler_rate": 1.0},
             {"straggler_factor": math.inf},
@@ -202,18 +202,6 @@ class TestFaultScheduler:
             _schedules(plan, [1.0, 1.0])
         assert err.value.attempts == 3
         assert err.value.phase == "map"
-
-    def test_blacklist_never_removes_last_slot(self):
-        plan = FaultPlan(
-            seed=0, fault_rate=1.0, blacklist_after=1,
-            retry=RetryPolicy(max_attempts=4),
-        )
-        scheduler = FaultScheduler(plan, 2, 0.0, job="j", phase="map")
-        with pytest.raises(JobAbortedError):
-            scheduler.run([1.0])
-        # First failure blacklists slot 0; later failures land on slot 1,
-        # which survives as the last slot standing.
-        assert scheduler.stats.blacklisted_slots == 1
 
     def test_speculation_rescues_straggler_slot(self):
         costs = [5.0, 1.0, 1.0]

@@ -1,12 +1,14 @@
 """Unit tests for the weighted-sum resolve/match function."""
 
+import math
+
 import pytest
 
 from conftest import decide
 from repro.core import citeseer_config
 from repro.data import Entity, make_citeseer
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.similarity.batch import _COMPARATOR_RANK, BatchMatcher
+from repro.similarity.batch import BatchMatcher
 from repro.similarity.matchers import (
     MIN_COST_FACTOR,
     AttributeRule,
@@ -22,10 +24,19 @@ def _e(eid, **attrs):
 
 class TestAttributeRule:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AttributeRule("a", weight=0.0)
-        with pytest.raises(ValueError):
-            AttributeRule("a", weight=1.0, comparator="bogus")
+        # A NaN or infinite weight turns every similarity into NaN, so no
+        # pair could ever match.
+        for weight in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                AttributeRule("a", weight=weight)
+        for comparator in ("bogus", "jaro_winkler", "token_jaccard", "qgram"):
+            with pytest.raises(ValueError):
+                AttributeRule("a", weight=1.0, comparator=comparator)
+        # ``-1`` would drop the last character instead of truncating.
+        for max_chars in (0, -1):
+            with pytest.raises(ValueError):
+                AttributeRule("a", weight=1.0, max_chars=max_chars)
+        assert AttributeRule("a", weight=1.0, max_chars=1).max_chars == 1
 
     def test_exact_comparator(self):
         rule = AttributeRule("year", weight=1.0, comparator="exact")
@@ -44,12 +55,6 @@ class TestAttributeRule:
     def test_one_missing_scores_zero(self):
         rule = AttributeRule("t", weight=1.0)
         assert rule.similarity(_e(1, t="x"), _e(2)) == 0.0
-
-    def test_jaro_winkler_comparator(self):
-        rule = AttributeRule("t", weight=1.0, comparator="jaro_winkler")
-        assert rule.similarity(_e(1, t="martha"), _e(2, t="marhta")) == pytest.approx(
-            0.961111, abs=1e-5
-        )
 
 
 class TestWeightedMatcher:
@@ -187,7 +192,14 @@ class TestBoundedMatch:
 
     def test_evaluation_order_is_cheapest_first(self):
         matcher = books_matcher()
-        order = BatchMatcher(matcher)._eval_order
-        assert sorted(order) == list(range(len(matcher.rules)))
-        ranks = [_COMPARATOR_RANK[matcher.rules[index].comparator] for index in order]
-        assert ranks == sorted(ranks)
+        batcher = BatchMatcher(matcher)
+        # The exact rules, then the edit rules, each in rule order.
+        by_kind = {
+            kind: tuple(
+                i for i, rule in enumerate(matcher.rules) if rule.comparator == kind
+            )
+            for kind in ("exact", "edit")
+        }
+        assert by_kind["exact"] and by_kind["edit"]
+        assert batcher._exact_indices == by_kind["exact"]
+        assert batcher._edit_indices == by_kind["edit"]

@@ -164,6 +164,18 @@ def _job():
     return MapReduceJob(_WordMapper, _SumReducer, alpha=1.0)
 
 
+def _driver_totals(snapshots):
+    """The executor's ``driver.*`` statistics summed over phase
+    ``snapshots``, by bare name."""
+    totals = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.counters:
+            if name.startswith("driver."):
+                name = name[len("driver."):]
+                totals[name] = totals.get(name, 0) + value
+    return totals
+
+
 def _assert_nothing_left_behind():
     """What every ``run_job`` must leave, returning or raising."""
     assert executors._ACTIVE_PHASE is None
@@ -173,49 +185,55 @@ def _assert_nothing_left_behind():
 class TestPoolLifecycle:
     def test_forced_fan_out_matches_serial(self):
         serial = Cluster(3).run_job(_job(), _LINES)
+        metrics = MetricsRegistry()
         executor = ParallelExecutor(2, serial_floor=0.0)
-        parallel = Cluster(3, executor=executor).run_job(_job(), _LINES)
+        parallel = Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(parallel)
-        assert executor.stats["pool_forks"] == 2  # map + reduce
-        assert executor.stats["tasks_fanned"] > 0
-        assert executor.stats.get("tasks_inline", 0) == 0
-        assert executor.stats["ipc_bytes"] > 0
-        assert executor.stats["worker_idle_ms"] >= 0
+        stats = _driver_totals(metrics.snapshots)
+        assert stats["pool_forks"] == 2  # map + reduce
+        assert stats["tasks_fanned"] > 0
+        assert stats.get("tasks_inline", 0) == 0
+        assert stats["ipc_bytes"] > 0
+        assert stats.get("worker_idle_ms", 0) >= 0
         _assert_nothing_left_behind()
 
     def test_one_fork_per_fanned_out_phase(self):
+        metrics = MetricsRegistry()
         executor = ParallelExecutor(2, serial_floor=0.0)
-        cluster = Cluster(3, executor=executor)
+        cluster = Cluster(3, executor=executor, metrics=metrics)
         jobs = 3
         for _ in range(jobs):
             cluster.run_job(_job(), _LINES)
-        assert executor.stats["pool_forks"] == 2 * jobs
+        assert _driver_totals(metrics.snapshots)["pool_forks"] == 2 * jobs
         # A phase with a single task stays inline and forks nothing.
         cluster.run_job(_job(), _LINES, num_reduce_tasks=1)
-        assert executor.stats["pool_forks"] == 2 * jobs + 1
+        assert _driver_totals(metrics.snapshots)["pool_forks"] == 2 * jobs + 1
         _assert_nothing_left_behind()
 
     def test_serial_floor_keeps_small_phases_inline(self):
+        metrics = MetricsRegistry()
         executor = ParallelExecutor(2, serial_floor=1e9)
         serial = Cluster(3).run_job(_job(), _LINES)
-        inline = Cluster(3, executor=executor).run_job(_job(), _LINES)
+        inline = Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(inline)
-        assert executor.stats.get("pool_forks", 0) == 0
-        assert executor.stats.get("tasks_fanned", 0) == 0
-        assert executor.stats["tasks_inline"] > 0
+        stats = _driver_totals(metrics.snapshots)
+        assert stats.get("pool_forks", 0) == 0
+        assert stats.get("tasks_fanned", 0) == 0
+        assert stats["tasks_inline"] > 0
 
     def test_below_floor_job_never_forks(self):
+        metrics = MetricsRegistry()
         executor = ParallelExecutor(2, serial_floor=1e9)
-        Cluster(2, executor=executor).run_job(_job(), _LINES[:4])
-        assert executor.stats.get("pool_forks", 0) == 0
+        Cluster(2, executor=executor, metrics=metrics).run_job(_job(), _LINES[:4])
+        assert _driver_totals(metrics.snapshots).get("pool_forks", 0) == 0
 
     def test_drain_stats_resets_phase_window(self):
+        metrics = MetricsRegistry()
         executor = ParallelExecutor(2, serial_floor=0.0)
-        Cluster(3, executor=executor).run_job(_job(), _LINES)
-        executor.drain_stats()  # engine already drained per phase
+        Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
+        # The engine drained every phase into the registry.
         assert executor.drain_stats() == {}
-        # Cumulative view survives draining.
-        assert executor.stats["pool_forks"] == 2
+        assert _driver_totals(metrics.snapshots)["pool_forks"] == 2
 
 
 _DRIVER_PID = os.getpid()
@@ -324,10 +342,10 @@ class TestDriverMetrics:
             return metrics.snapshots
 
         serial = snapshots(SerialExecutor())
-        parallel_executor = ParallelExecutor(2, serial_floor=0.0)
-        parallel = snapshots(parallel_executor)
-        assert parallel_executor.stats["pool_forks"] > 0
-        measured = {f"driver.{name}" for name in parallel_executor.stats}
+        parallel = snapshots(ParallelExecutor(2, serial_floor=0.0))
+        totals = _driver_totals(parallel)
+        assert totals["pool_forks"] > 0
+        measured = {f"driver.{name}" for name in totals}
 
         def observed(snaps):
             return [

@@ -8,7 +8,7 @@ Three properties pin the determinism contract of
    decisions replay from the seeded plan in the driver, never from
    wall-clock time).
 2. **Monotonicity** — on a single wave of uniform slots (no stragglers,
-   no speculation, no blacklisting), makespan is monotone non-decreasing
+   no speculation), makespan is monotone non-decreasing
    in the fault rate: the failure-decision key includes the task's prior
    failure count, so failure sets are nested as the rate grows.
 3. **Zero-rate identity** — any inert plan (rate 0, no slowdowns, no
@@ -47,7 +47,6 @@ fault_plans = st.builds(
     fault_rate=st.floats(min_value=0.0, max_value=0.4),
     straggler_rate=st.floats(min_value=0.0, max_value=0.5),
     straggler_factor=st.floats(min_value=1.0, max_value=4.0),
-    blacklist_after=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
     retry=st.builds(
         RetryPolicy,
         max_attempts=st.just(1000),

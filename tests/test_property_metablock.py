@@ -8,8 +8,7 @@ contracts are checked directly on synthetic workloads:
 * both schemes are deterministic and insensitive to the order entities
   are presented in (the property that makes serial and process backends
   agree bit-for-bit);
-* ``pair_weight`` is symmetric in its arguments, ``cbs`` counts whole
-  blocks, ``js`` stays within [0, 1];
+* ``pair_weight`` is symmetric in its arguments and counts whole blocks;
 * the ``wnp`` veto is symmetric, keeps ties (weight exactly at the
   threshold), matches its own definition pair by pair, and survives a
   pickle round-trip unchanged — so a pruner shipped to a worker process
@@ -34,14 +33,12 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from repro.blocking.functions import BlockingScheme, prefix_function
 from repro.core.config import linkage_config
 from repro.core.metablock import (
-    WnpPruner,
     block_filter,
     build_metablock_plan,
     candidate_pairs,
@@ -139,7 +136,7 @@ _workloads = st.one_of(
 )
 
 
-def reference_plan(entities, scheme, mode, *, weighting="cbs", ratio=0.8):
+def reference_plan(entities, scheme, mode, *, ratio=0.8):
     """The pre-pass by brute force: every pair enumerated, weights and
     means as exact rationals, each threshold rounded to a float once."""
     sigs = level1_signatures(entities, scheme)
@@ -166,10 +163,7 @@ def reference_plan(entities, scheme, mode, *, weighting="cbs", ratio=0.8):
         )
 
     def weight(a, b):
-        common = sum(1 for f, k in sigs[a].items() if sigs[b].get(f) == k)
-        if weighting == "cbs":
-            return Fraction(common)
-        return Fraction(common, len(sigs[a]) + len(sigs[b]) - common)
+        return Fraction(sum(1 for f, k in sigs[a].items() if sigs[b].get(f) == k))
 
     incident = {}
     for a, b in universe:
@@ -203,11 +197,11 @@ def _counts(plan):
 
 
 @seed(20260809)
-@given(workload=_workloads, weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_plan_equals_the_exact_reference(workload, weighting):
+@given(workload=_workloads)
+def test_wnp_plan_equals_the_exact_reference(workload):
     entities, scheme = workload
-    plan = build_metablock_plan(entities, scheme, "wnp", weighting=weighting)
-    exact = reference_plan(entities, scheme, "wnp", weighting=weighting)
+    plan = build_metablock_plan(entities, scheme, "wnp")
+    exact = reference_plan(entities, scheme, "wnp")
     assert plan.pruner.thresholds == exact.thresholds
     assert plan.keep_ratios == exact.keep_ratios
     assert _counts(plan) == _counts(exact)
@@ -278,22 +272,15 @@ def test_bf_ratio_one_is_a_no_op(entities):
 @seed(20260809)
 @given(sig_a=signatures(), sig_b=signatures())
 def test_pair_weight_is_symmetric(sig_a, sig_b):
-    for weighting in ("cbs", "js"):
-        assert pair_weight(sig_a, sig_b, weighting) == pair_weight(
-            sig_b, sig_a, weighting
-        )
+    assert pair_weight(sig_a, sig_b) == pair_weight(sig_b, sig_a)
 
 
 @seed(20260809)
 @given(sig_a=signatures(), sig_b=signatures())
 def test_pair_weight_ranges(sig_a, sig_b):
-    cbs = pair_weight(sig_a, sig_b, "cbs")
+    cbs = pair_weight(sig_a, sig_b)
     assert cbs == int(cbs)
     assert 0 <= cbs <= min(len(sig_a), len(sig_b), SCHEME.num_families)
-    js = pair_weight(sig_a, sig_b, "js")
-    assert 0.0 <= js <= 1.0
-    # The two weightings agree on which pairs share no block at all.
-    assert (cbs == 0) == (js == 0.0 or not sig_a or not sig_b)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +289,9 @@ def test_pair_weight_ranges(sig_a, sig_b):
 
 
 @seed(20260809)
-@given(entities=entity_sets(), weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_veto_is_symmetric(entities, weighting):
-    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
+@given(entities=entity_sets())
+def test_wnp_veto_is_symmetric(entities):
+    plan = build_metablock_plan(entities, SCHEME, "wnp")
     for a in entities:
         for b in entities:
             if a.id < b.id:
@@ -312,13 +299,13 @@ def test_wnp_veto_is_symmetric(entities, weighting):
 
 
 @seed(20260809)
-@given(workload=_workloads, weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_keeps_ties_and_matches_its_definition(workload, weighting):
+@given(workload=_workloads)
+def test_wnp_keeps_ties_and_matches_its_definition(workload):
     """``keep`` compares rounded floats; the definition is over exact
     rationals, where a pair weighing exactly the smaller mean is a tie."""
     entities, scheme = workload
-    plan = build_metablock_plan(entities, scheme, "wnp", weighting=weighting)
-    exact = reference_plan(entities, scheme, "wnp", weighting=weighting)
+    plan = build_metablock_plan(entities, scheme, "wnp")
+    exact = reference_plan(entities, scheme, "wnp")
     by_id = {e.id: e for e in entities}
     for a_id, b_id in candidate_pairs(entities, scheme):
         assert plan.pruner.keep(by_id[a_id], by_id[b_id]) == (
@@ -326,19 +313,15 @@ def test_wnp_keeps_ties_and_matches_its_definition(workload, weighting):
         )
 
 
-@pytest.mark.parametrize("weighting", ["cbs", "js"])
-def test_wnp_keeps_a_block_of_equal_weights(weighting):
+def test_wnp_keeps_a_block_of_equal_weights():
     """Four full signatures sharing one X block and nothing else: every
-    pair weighs the same, so every threshold ties with every weight.  A
-    running float sum of ``js``'s three 1/5s gives 0.20000000000000004 and
-    drops all six pairs."""
+    pair weighs the same, so every threshold ties with every weight."""
     entities = [
         Entity(eid, {"x": "a", "y": "abcd"[eid], "z": "abcd"[eid]})
         for eid in range(4)
     ]
-    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
-    weight = {"cbs": 1.0, "js": 0.2}[weighting]
-    assert plan.pruner.thresholds == dict.fromkeys(range(4), weight)
+    plan = build_metablock_plan(entities, SCHEME, "wnp")
+    assert plan.pruner.thresholds == dict.fromkeys(range(4), 1.0)
     assert (plan.pairs_total, plan.pairs_kept) == (6, 6)
     assert plan.keep_ratios == {("X", "a"): 1.0}
     assert all(plan.pruner.keep(a, b) for a, b in combinations(entities, 2))
@@ -359,9 +342,9 @@ def test_wnp_plan_holds_nothing_per_pair():
 
 
 @seed(20260809)
-@given(entities=entity_sets(), weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_plan_counts_match_the_pair_oracle(entities, weighting):
-    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
+@given(entities=entity_sets())
+def test_wnp_plan_counts_match_the_pair_oracle(entities):
+    plan = build_metablock_plan(entities, SCHEME, "wnp")
     universe = candidate_pairs(entities, SCHEME)
     surviving = candidate_pairs(entities, SCHEME, pruner=plan.pruner)
     assert plan.pairs_total == len(universe)
@@ -372,24 +355,23 @@ def test_wnp_plan_counts_match_the_pair_oracle(entities, weighting):
 @seed(20260809)
 @given(
     entities=entity_sets(),
-    weighting=st.sampled_from(["cbs", "js"]),
     shuffle_seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_wnp_is_order_insensitive(entities, weighting, shuffle_seed):
+def test_wnp_is_order_insensitive(entities, shuffle_seed):
     shuffled = entities[:]
     random.Random(shuffle_seed).shuffle(shuffled)
-    plan_a = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
-    plan_b = build_metablock_plan(shuffled, SCHEME, "wnp", weighting=weighting)
+    plan_a = build_metablock_plan(entities, SCHEME, "wnp")
+    plan_b = build_metablock_plan(shuffled, SCHEME, "wnp")
     assert plan_a.pruner.thresholds == plan_b.pruner.thresholds
     assert plan_a.pairs_kept == plan_b.pairs_kept
     assert plan_a.keep_ratios == plan_b.keep_ratios
 
 
 @seed(20260809)
-@given(entities=entity_sets(), weighting=st.sampled_from(["cbs", "js"]))
-def test_wnp_pruner_survives_pickling(entities, weighting):
+@given(entities=entity_sets())
+def test_wnp_pruner_survives_pickling(entities):
     """A pruner shipped to a worker process decides pairs identically."""
-    plan = build_metablock_plan(entities, SCHEME, "wnp", weighting=weighting)
+    plan = build_metablock_plan(entities, SCHEME, "wnp")
     clone = pickle.loads(pickle.dumps(plan.pruner))
     for a in entities:
         for b in entities:
@@ -408,7 +390,7 @@ def test_candidate_pairs_come_from_shared_blocks(entities):
     sigs = level1_signatures(entities, SCHEME)
     pairs = candidate_pairs(entities, SCHEME)
     for a_id, b_id in pairs:
-        assert pair_weight(sigs[a_id], sigs[b_id], "cbs") >= 1
+        assert pair_weight(sigs[a_id], sigs[b_id]) >= 1
     # And completeness: every co-blocked pair is in the universe.
     for members in level1_blocks(sigs, SCHEME.family_order).values():
         for i in range(len(members)):

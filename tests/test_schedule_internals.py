@@ -44,7 +44,7 @@ class TestFigureFiveExample:
         sl = _utility_sorted(blocks, model.estimates)
         assert [b.uid for b in sl] == [b.uid for b in blocks]  # planted order
         buckets, vector, weights = _bucketize(
-            sl, model, [10.0, 20.0, 30.0], [1.0, 0.6, 0.3], 3, citeseer_config()
+            sl, model, [10.0, 20.0, 30.0], [1.0, 0.6, 0.3], 3
         )
         for i in range(6):
             assert buckets[blocks[i].uid] == 0
@@ -61,7 +61,7 @@ class TestBucketize:
         model = _model_with_costs(blocks, costs)
         sl = _utility_sorted(blocks, model.estimates)
         buckets, vector, weights = _bucketize(
-            sl, model, [10.0, 20.0], [1.0, 0.5], 1, citeseer_config()
+            sl, model, [10.0, 20.0], [1.0, 0.5], 1
         )
         # Total cost 150 >> c2 * r = 20: the vector must have been extended.
         assert len(vector) > 2
@@ -74,7 +74,7 @@ class TestBucketize:
         blocks = [_block("only")]
         model = _model_with_costs(blocks, [1.0])
         buckets, _, _ = _bucketize(
-            blocks, model, [10.0], [1.0], 2, citeseer_config()
+            blocks, model, [10.0], [1.0], 2
         )
         assert buckets["X1:only"] == 0
 
