@@ -4,7 +4,7 @@ Everything in the pipeline is pluggable: this example builds the paper's
 Table I toy people dataset by hand, defines the paper's X1 (name-prefix)
 and Y1 (state) blocking functions plus a sub-blocking function, a custom
 weighted matcher, and runs both the progressive pipeline and the Basic
-baseline on it — then round-trips the dataset through CSV.
+baseline on it — then round-trips the dataset through JSONL entity rows.
 
 Run:  python examples/custom_dataset.py
 """
@@ -25,6 +25,7 @@ from repro import (
     prefix_function,
 )
 from repro.core import ApproachConfig, LevelPolicy
+from repro.data.rows import read_dataset, write_dataset
 
 
 def build_people() -> Dataset:
@@ -86,11 +87,12 @@ def main() -> None:
     basic_result = BasicER(basic, Cluster(machines=2)).run(dataset)
     print("basic found:          ", sorted(basic_result.found_pairs))
 
-    # CSV round trip for persistence.
+    # JSONL round trip for persistence: one entity row per line, with its
+    # ground-truth cluster (what `repro generate` writes, `--dataset` reads).
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "people.csv"
-        dataset.to_csv(path)
-        reloaded = Dataset.from_csv(path, name="toy-people")
+        path = Path(tmp) / "people.jsonl"
+        write_dataset(dataset, str(path))
+        reloaded = read_dataset(str(path), name="toy-people")
         assert reloaded.true_pairs == dataset.true_pairs
         print(f"\nround-tripped {len(reloaded)} records through {path.name}")
 

@@ -2,7 +2,7 @@
 
 Subcommands cover the common workflows:
 
-* ``generate`` — write a synthetic dataset (with ground truth) to CSV or JSONL;
+* ``generate`` — write a synthetic dataset (with ground truth) as JSONL rows;
 * ``run`` — resolve a dataset with one approach and print its recall curve;
 * ``compare`` — our approach versus the Basic baseline side by side;
 * ``serve`` — stream a JSONL entity file through the incremental
@@ -15,14 +15,13 @@ Subcommands cover the common workflows:
 
 Examples::
 
-    python -m repro generate --family citeseer --size 2000 --out ds.csv
-    python -m repro run --dataset ds.csv --family citeseer --machines 10
+    python -m repro generate --family citeseer --size 2000 --out ds.jsonl
+    python -m repro run --dataset ds.jsonl --family citeseer --machines 10
     python -m repro run --family books --size 3000 --approach lpt
     python -m repro compare --family citeseer --size 1500 --threshold 0.01
     python -m repro run --family citeseer --size 1000 --trace trace.json --skew
     python -m repro compare --family books --size 800 --metrics metrics.json
     python -m repro run --family citeseer --size 1000 --fault-rate 0.1 --speculative
-    python -m repro generate --family citeseer --size 900 --out ds.jsonl
     python -m repro serve --input ds.jsonl --batch-size 300 --snapshot-out state.json
     python -m repro submit --snapshot state.json --input more.jsonl --print-pairs
     python -m repro calibrate --family citeseer --size 800 --out calibration.json
@@ -51,6 +50,7 @@ from .core import (
 )
 from .data import Dataset, make_books, make_citeseer, make_linkage, make_people, make_skewed
 from .data.profile import format_profile, profile_dataset, suggest_blocking_order
+from .data.rows import batch_rows, read_dataset, read_entity_rows, write_dataset
 from .evaluation import (
     ExperimentRun,
     RunSpec,
@@ -64,7 +64,6 @@ from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
 from .mechanisms import PSNM, SortedNeighborHint
 from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
 from .service import ResolverService
-from .service.rows import batch_rows, read_entity_rows
 from .observability import (
     MetricsRegistry,
     Tracer,
@@ -73,7 +72,6 @@ from .observability import (
     format_sched_report,
     format_trace_summary,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 
 _FAMILIES = ("citeseer", "books", "people", "skewed", "linkage")
@@ -115,15 +113,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic dataset to CSV/JSONL")
+    gen = sub.add_parser("generate", help="write a synthetic dataset as JSONL rows")
     gen.set_defaults(handler=_command_generate)
     gen.add_argument("--family", choices=_FAMILIES, default="citeseer")
     gen.add_argument("--size", type=_COUNT, default=2000)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument(
         "--out", required=True,
-        help="output path (.jsonl writes one entity object per line for "
-        "`serve`/`submit`; anything else writes CSV)",
+        help="output path: one JSON entity row per line, with its "
+        "ground-truth `cluster` (read by `--dataset`, `serve` and `submit`)",
     )
 
     run = sub.add_parser("run", help="resolve a dataset progressively")
@@ -308,7 +306,11 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=_FAMILIES, default="citeseer")
     parser.add_argument("--size", type=_COUNT, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--dataset", default=None, help="CSV written by `generate`")
+    parser.add_argument(
+        "--dataset", default=None,
+        help="JSONL entity rows, as `generate` writes them (`run` and "
+        "`compare` need each row's `cluster` ground truth)",
+    )
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
@@ -415,9 +417,8 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write a trace of the run(s): Chrome trace_event JSON "
-        "(open in chrome://tracing or ui.perfetto.dev), or a JSONL "
-        "event log when PATH ends in .jsonl",
+        help="write a trace of the run(s) as Chrome trace_event JSON "
+        "(open in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
         "--metrics",
@@ -455,10 +456,7 @@ def _observers(args: argparse.Namespace):
 
 def _write_observations(args: argparse.Namespace, tracer, metrics) -> None:
     if tracer is not None and args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            write_trace_jsonl(tracer, args.trace)
-        else:
-            write_chrome_trace(tracer, args.trace)
+        write_chrome_trace(tracer, args.trace)
         print(f"trace written to {args.trace}", file=sys.stderr)
     if metrics is not None and args.metrics is not None:
         metrics.write_json(args.metrics)
@@ -487,10 +485,18 @@ _CONFIGS = {
 }
 
 
-def _load_dataset(args: argparse.Namespace) -> Dataset:
-    if args.dataset is not None:
-        return Dataset.from_csv(args.dataset, name=args.family)
-    return _MAKERS[args.family](args.size, seed=args.seed)
+def _load_dataset(args: argparse.Namespace, *, truth: bool = True) -> Dataset:
+    """The --dataset file, or the synthetic dataset; with ``truth`` the
+    file's rows must carry ground truth, since recall is measured on it."""
+    if args.dataset is None:
+        return _MAKERS[args.family](args.size, seed=args.seed)
+    dataset = _or_exit(read_dataset, args.dataset, args.family)
+    if truth and not dataset.has_ground_truth:
+        raise SystemExit(
+            f"{args.dataset}: no row has a 'cluster' field; `{args.command}` "
+            "measures recall against that ground truth"
+        )
+    return dataset
 
 
 def _progressive_config(family: str, args: argparse.Namespace):
@@ -514,15 +520,7 @@ def _basic_config(family: str, window: int, threshold: Optional[float]) -> Basic
 
 def _command_generate(args: argparse.Namespace) -> int:
     dataset = _MAKERS[args.family](args.size, seed=args.seed)
-    if args.out.endswith(".jsonl"):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for entity in dataset.entities:
-                row = {"id": entity.id, **entity.attrs}
-                if entity.source is not None:
-                    row["source"] = entity.source
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-    else:
-        dataset.to_csv(args.out)
+    write_dataset(dataset, args.out)
     print(
         f"wrote {len(dataset)} {args.family} entities "
         f"({dataset.num_true_pairs} duplicate pairs) to {args.out}"
@@ -639,10 +637,10 @@ def _service_options(args: argparse.Namespace, tracer, metrics) -> dict:
     )
 
 
-def _read_rows(path: str, taken=()):
-    """The input's entity rows, or exit with the reader's one-line error."""
+def _or_exit(read, *args):
+    """``read(*args)``, or exit with the reader's one-line error."""
     try:
-        return read_entity_rows(path, taken)
+        return read(*args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -683,7 +681,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     service = ResolverService(
         _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
     )
-    for batch in batch_rows(_read_rows(args.input), args.batch_size):
+    for batch in batch_rows(_or_exit(read_entity_rows, args.input), args.batch_size):
         receipt = service.submit(batch)
         _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
@@ -703,7 +701,7 @@ def _command_submit(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise SystemExit(f"{args.snapshot}: not a usable snapshot: {exc}")
     receipt = service.submit(
-        [entity for _, entity in _read_rows(args.input, service.store)]
+        [row.entity for row in _or_exit(read_entity_rows, args.input, service.store)]
     )
     _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
@@ -715,7 +713,7 @@ def _command_submit(args: argparse.Namespace) -> int:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, truth=False)
     profile = profile_dataset(dataset)
     print(format_profile(profile))
     order = suggest_blocking_order(profile)

@@ -49,6 +49,19 @@ class LevelPolicy:
     leaf_frac: float = 0.8
     mid_frac: float = 0.9
 
+    def __post_init__(self) -> None:
+        # Below 2 a window holds no pair (window_pairs_count is 0): the
+        # run would silently find nothing, as Basic's --window floor says.
+        for name in ("root_window", "mid_window", "leaf_window"):
+            window = getattr(self, name)
+            if isinstance(window, bool) or not isinstance(window, int) or window < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {window!r}")
+        for name in ("leaf_frac", "mid_frac"):
+            frac = getattr(self, name)
+            # Written so that NaN fails the comparison and is rejected too.
+            if not 0.0 < frac <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {frac!r}")
+
     def window_of(self, block: Block) -> int:
         """``w`` for a block, by its current tree position."""
         if block.is_root:

@@ -28,7 +28,7 @@ from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, cross_pairs_count, pair_key, pairs_count
 from ..mapreduce.engine import Cluster
-from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
+from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
 from ..mechanisms.base import DistinctBudget, block_sort_key, resolve_block, shared_values
 from ..similarity.batch import BatchMatcher
@@ -135,22 +135,6 @@ class ResolutionMapper(Mapper):
             # One key per level: the entity's own, computed once.
             chain.extend(by_key.get(functions[level - 1].key_of(entity), ()))
         return chain
-
-
-class SchedulePartitioner(Partitioner):
-    """Route each tree to the reduce task the tree schedule assigned."""
-
-    def __init__(self, schedule: ProgressiveSchedule) -> None:
-        self._schedule = schedule
-
-    def partition(self, key: str, num_reduce_tasks: int) -> int:
-        try:
-            return self._schedule.assignment[key]
-        except KeyError:
-            raise ValueError(
-                f"tree {key!r} has no reduce-task assignment in the "
-                "schedule; Job-2 mappers must only emit scheduled tree uids"
-            ) from None
 
 
 class ResolutionReducer(Reducer):
@@ -595,7 +579,7 @@ class ProgressiveER:
         job = MapReduceJob(
             mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
             reducer_factory=lambda: ResolutionReducer(schedule, self.config, pruner),
-            partitioner=SchedulePartitioner(schedule),
+            partitioner=AssignmentPartitioner(schedule.assignment),
             alpha=self.config.alpha,
             name="progressive-resolution",
         )
@@ -618,7 +602,6 @@ def _first_discoveries(events: Sequence[Event]) -> List[Event]:
 
 __all__ = [
     "ResolutionMapper",
-    "SchedulePartitioner",
     "ResolutionReducer",
     "resolve_scheduled_block",
     "ProgressiveER",

@@ -2,15 +2,14 @@
 
 A :class:`Dataset` bundles the entities with the ground-truth clustering
 used by the evaluation (duplicate recall needs the true duplicate-pair set
-``N`` from Equation 1).
+``N`` from Equation 1).  On disk a dataset is JSONL entity rows
+(:mod:`repro.data.rows`), each row's ``cluster`` its ground truth.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from .entity import Entity, Pair, pair_key
@@ -93,52 +92,6 @@ class Dataset:
             for name in e.attrs:
                 seen.setdefault(name)
         return list(seen)
-
-    # -- persistence -------------------------------------------------------
-
-    def to_csv(self, path: Path | str) -> None:
-        """Write the dataset (and cluster ids, when present) to a CSV file.
-
-        Multi-source datasets (any entity with a ``source`` tag) get an
-        extra ``source`` column ahead of the attribute columns so the tag
-        round-trips through :meth:`from_csv`.
-        """
-        path = Path(path)
-        columns = self.attributes()
-        tagged = any(e.source is not None for e in self.entities)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            fixed = ["id", "cluster", "source"] if tagged else ["id", "cluster"]
-            writer.writerow([*fixed, *columns])
-            for e in self.entities:
-                cluster = self.clusters.get(e.id, "")
-                row = [e.id, cluster]
-                if tagged:
-                    row.append(e.source or "")
-                writer.writerow([*row, *[e.get(c) for c in columns]])
-
-    @classmethod
-    def from_csv(cls, path: Path | str, name: str = "dataset") -> "Dataset":
-        """Load a dataset previously written by :meth:`to_csv`."""
-        path = Path(path)
-        entities: List[Entity] = []
-        clusters: Dict[int, int] = {}
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["id", "cluster"]:
-                raise ValueError(f"unrecognized dataset CSV header: {header[:2]}")
-            tagged = header[2:3] == ["source"]
-            skip = 3 if tagged else 2
-            columns = header[skip:]
-            for row in reader:
-                eid = int(row[0])
-                if row[1] != "":
-                    clusters[eid] = int(row[1])
-                source = (row[2] or None) if tagged else None
-                attrs = {c: v for c, v in zip(columns, row[skip:]) if v != ""}
-                entities.append(Entity(id=eid, attrs=attrs, source=source))
-        return cls(entities=entities, clusters=clusters, name=name)
 
     def sample(self, fraction: float, *, seed: int = 0) -> "Dataset":
         """A reproducible random subsample, keeping ground truth consistent.

@@ -31,6 +31,7 @@ from .job import (
     MapReduceJob,
     Mapper,
     Partitioner,
+    AssignmentPartitioner,
     Reducer,
     TaskContext,
     split_input,
@@ -59,6 +60,7 @@ __all__ = [
     "Mapper",
     "Reducer",
     "Partitioner",
+    "AssignmentPartitioner",
     "TaskContext",
     "split_input",
     "stable_hash",

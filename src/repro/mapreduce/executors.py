@@ -83,6 +83,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -404,10 +405,14 @@ class ParallelExecutor(Executor):
             self._count("pool_forks", 1)
             self._count("tasks_fanned", num_tasks)
             wall_start = time.perf_counter_ns()
-            futures = {
-                pool.submit(_run_task, task_id): task_id
-                for task_id in range(num_tasks)
-            }
+            futures = {}
+            for task_id in range(num_tasks):
+                try:
+                    futures[pool.submit(_run_task, task_id)] = task_id
+                except BrokenProcessPool as error:  # a worker died already
+                    raise RuntimeError(
+                        f"parallel worker failed before task {task_id} was submitted"
+                    ) from error
             payloads = []
             for future in as_completed(futures):
                 try:

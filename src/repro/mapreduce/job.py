@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from functools import reduce
 from operator import add
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .clock import CostModel, VirtualClock
 from .counters import Counters
@@ -225,6 +225,23 @@ class Partitioner:
         return stable_hash(key) % num_reduce_tasks
 
 
+class AssignmentPartitioner(Partitioner):
+    """Route each key to the reduce task a plan assigned it.
+
+    An index outside the job's task range (a plan made for another cluster)
+    is returned as is; the engine's range check refuses it.
+    """
+
+    def __init__(self, assignment: Dict[Any, int]) -> None:
+        self._assignment = assignment
+
+    def partition(self, key: Any, num_reduce_tasks: int) -> int:
+        try:
+            return self._assignment[key]
+        except KeyError:
+            raise ValueError(f"key {key!r} has no reduce-task assignment") from None
+
+
 def stable_hash(key: Any) -> int:
     """A deterministic, process-independent hash for partitioning.
 
@@ -304,6 +321,7 @@ __all__ = [
     "Mapper",
     "Reducer",
     "Partitioner",
+    "AssignmentPartitioner",
     "MapReduceJob",
     "split_input",
     "stable_hash",

@@ -5,9 +5,10 @@ The paper's second mechanism (used for OL-Books): PSNM from
 blocking attribute, but instead of materializing a pair hint it *iterates*
 the window: first all rank-distance-1 neighbours across the whole sorted
 list, then distance 2, and so on up to ``w - 1`` — progressively widening
-the neighbourhood.  The pair order is identical to the SN hint's; the
-difference is the cost profile: no pair list is built or sorted, so
-``CostA`` is just the entity sort.
+the neighbourhood.  This is the SN hint's pair order too, and
+:class:`~repro.mechanisms.sorted_neighbor.SortedNeighborHint` reuses this
+stream; the difference is the cost profile: no pair list is built or
+sorted, so ``CostA`` is just the entity sort.
 """
 
 from __future__ import annotations

@@ -7,45 +7,25 @@ attribute; the hint materializes every pair at rank distance < w and orders
 the pairs by non-decreasing distance, so the most-likely duplicates (closest
 neighbours) are resolved first.
 
-Cost profile (``CostA``): sorting the entities **plus** generating and
-sorting the explicit pair list — the hint is what makes this mechanism more
-expensive per block than PSNM (Section VI-A3 / [17]).
+That is exactly the order :class:`~repro.mechanisms.psnm.PSNM` walks, so
+the pair stream is PSNM's; only the cost profile differs.  ``CostA`` is
+sorting the entities **plus** generating and sorting the explicit pair
+list — the hint is what makes this mechanism more expensive per block than
+PSNM (Section VI-A3 / [17]).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
-
-from ..data.entity import Entity
 from ..mapreduce.clock import CostModel
-from .base import ChargeFn, Mechanism, Run, SortKey, window_pairs_count
+from .base import window_pairs_count
+from .psnm import PSNM
 
 
-class SortedNeighborHint(Mechanism):
-    """SN + sorted-pairs hint: materialized, distance-ordered pair list."""
+class SortedNeighborHint(PSNM):
+    """SN + sorted-pairs hint: PSNM's distance-ordered pairs, charged as a
+    materialized, sorted pair list."""
 
     name = "sn-hint"
-
-    def pair_stream(
-        self,
-        entities: Sequence[Entity],
-        window: int,
-        sort_key: SortKey,
-        charge: ChargeFn,
-        cost_model: CostModel,
-    ) -> Tuple[List[Entity], Iterator[Run]]:
-        """Sort the block and build the hint: one run per rank distance."""
-        charge(self.additional_cost(len(entities), window, cost_model))
-        ordered = sorted(entities, key=lambda e: (sort_key(e), e.id))
-        # The hint: all pairs with distance < window, ordered by distance
-        # (ties broken by position for determinism).  Materialized up front,
-        # exactly like the sorted-list-of-pairs hint in the paper.
-        n = len(ordered)
-        hint: List[Run] = [
-            (range(n - distance), range(distance, n))
-            for distance in range(1, min(window, n))
-        ]
-        return ordered, iter(hint)
 
     def additional_cost(self, n: int, window: int, cost_model: CostModel) -> float:
         """``CostA``: entity sort + hint generation/sort over window pairs."""

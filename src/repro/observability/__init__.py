@@ -16,10 +16,8 @@ from .export import (
     format_perf_report,
     format_sched_report,
     format_trace_summary,
-    trace_records,
     validate_chrome_trace,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from .metrics import MetricsRegistry, MetricsSnapshot
 from .tracing import SCHEDULER_TRACK, Instant, Span, Tracer
@@ -36,8 +34,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "validate_chrome_trace",
-    "trace_records",
-    "write_trace_jsonl",
     "format_trace_summary",
     "format_calibration_report",
     "format_perf_report",

@@ -1,6 +1,6 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, JSONL, terminal summary.
+"""Trace exporters: Chrome ``trace_event`` JSON and a terminal summary.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :func:`write_chrome_trace` — the Chrome/Perfetto ``trace_event`` array
   (https://ui.perfetto.dev loads it directly).  Each ``(run, job)`` pair
@@ -8,8 +8,6 @@ Three consumers, three formats:
   every slot becomes a named *thread* carrying ``X`` (complete) events for
   task attempts and per-block resolutions, plus ``i`` instants for
   incremental output-file flushes.
-* :func:`write_trace_jsonl` — one JSON object per span/instant, in
-  recording order, for ad-hoc ``jq``-style analysis.
 * :func:`format_trace_summary` — a terminal per-task Gantt with the skew
   statistics that matter for MR-based ER (Kolb et al.: per-task skew is
   the dominant effect): per-phase makespan, max/mean task cost, and per
@@ -22,7 +20,7 @@ Virtual time has no unit, so the Chrome export scales one cost unit to
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .tracing import SCHEDULER_TRACK, Instant, Span, Tracer
 
@@ -166,46 +164,6 @@ def validate_chrome_trace(events: object) -> None:
     unbalanced = {lane: d for lane, d in depth.items() if d != 0}
     if unbalanced:
         raise ValueError(f"unclosed B events on lanes {sorted(unbalanced)}")
-
-
-# ---------------------------------------------------------------------------
-# JSONL
-# ---------------------------------------------------------------------------
-
-
-def trace_records(tracer: Tracer) -> Iterable[Dict[str, Any]]:
-    """Spans then instants as plain dicts, in recording order."""
-    for span in tracer.spans:
-        yield {
-            "type": "span",
-            "name": span.name,
-            "category": span.category,
-            "start": span.start,
-            "end": span.end,
-            "job": span.job,
-            "run": span.run,
-            "track": span.track,
-            "args": dict(span.args),
-        }
-    for instant in tracer.instants:
-        yield {
-            "type": "instant",
-            "name": instant.name,
-            "category": instant.category,
-            "time": instant.time,
-            "job": instant.job,
-            "run": instant.run,
-            "track": instant.track,
-            "args": dict(instant.args),
-        }
-
-
-def write_trace_jsonl(tracer: Tracer, path: str) -> None:
-    """Write one JSON object per span/instant to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in trace_records(tracer):
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +412,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "validate_chrome_trace",
-    "trace_records",
-    "write_trace_jsonl",
     "format_trace_summary",
     "format_calibration_report",
     "format_perf_report",

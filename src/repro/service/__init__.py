@@ -9,7 +9,6 @@ driver seam it shares with the one-shot
 
 from .delta import (
     DeltaMapper,
-    DeltaPartitioner,
     DeltaPlan,
     DeltaReducer,
     build_delta_job,
@@ -32,7 +31,6 @@ __all__ = [
     "EntityStore",
     "DeltaPlan",
     "DeltaMapper",
-    "DeltaPartitioner",
     "DeltaReducer",
     "plan_delta",
     "build_delta_job",

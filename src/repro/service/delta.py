@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.balance import shard_bounds
 from ..core.schedule import place_units
 from ..data.entity import Entity, pair_key
-from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
+from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
 from ..mechanisms.base import Run, resolve_block
 from ..similarity.batch import BatchMatcher
 from .store import ROUTE_SEP, BlockRoute, EntityStore, route_label
@@ -215,19 +215,6 @@ class DeltaMapper(Mapper):
             context.emit(unit, record)
 
 
-class DeltaPartitioner(Partitioner):
-    """Route unit labels to the tasks the plan assigned."""
-
-    def __init__(self, assignment: Dict[str, int]) -> None:
-        self._assignment = assignment
-
-    def partition(self, key: str, num_reduce_tasks: int) -> int:
-        try:
-            return self._assignment[key] % num_reduce_tasks
-        except KeyError:
-            raise ValueError(f"key {key!r} is not in the delta plan") from None
-
-
 class DeltaReducer(Reducer):
     """Decide one unit: its pairs through
     :func:`~repro.mechanisms.base.resolve_block`, duplicates reported."""
@@ -282,7 +269,7 @@ def build_delta_job(
     return MapReduceJob(
         mapper_factory=lambda: DeltaMapper(plan.routes),
         reducer_factory=lambda: DeltaReducer(batcher, plan.units),
-        partitioner=DeltaPartitioner(dict(plan.assignment)),
+        partitioner=AssignmentPartitioner(plan.assignment),
         key_sort=lambda label: (ranks[label], label),
         alpha=alpha,
         name=name,
@@ -296,7 +283,6 @@ __all__ = [
     "plan_delta",
     "unit_runs",
     "DeltaMapper",
-    "DeltaPartitioner",
     "DeltaReducer",
     "build_delta_job",
 ]

@@ -25,12 +25,12 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..core.config import ApproachConfig
 from ..data.entity import Entity, Pair, pair_key
+from ..data.rows import entity_from_row, entity_row, json_int
 from ..evaluation.clustering import UnionFind
 from ..mapreduce.job import MapReduceJob, stable_hash
 from ..mapreduce.types import JobResult
 from ..similarity.batch import BatchMatcher
 from .delta import build_delta_job, plan_delta
-from .rows import entity_from_row, json_int
 from .session import ResolverSession
 from .store import EntityStore
 
@@ -371,15 +371,7 @@ class ResolverService:
             "clock": self._clock,
             "batches": self._batches,
             "comparisons": self._comparisons,
-            "entities": [
-                {
-                    "id": s.entity.id,
-                    "attrs": dict(s.entity.attrs),
-                    "source": s.entity.source,
-                    "batch": s.batch,
-                }
-                for s in stored
-            ],
+            "entities": [entity_row(s.entity, batch=s.batch) for s in stored],
             "events": [
                 {"seq": e.seq, "pair": list(e.pair), "batch": e.batch, "time": e.time}
                 for e in self._events
@@ -397,7 +389,7 @@ class ResolverService:
         travel in the snapshot.  (Snapshots written before the per-pair
         ``"decisions"`` ledger was dropped still restore: the key is
         ignored, nothing ever read it.)  Entity rows are read by
-        :func:`~repro.service.rows.entity_from_row`, the parser `serve`
+        :func:`~repro.data.rows.entity_from_row`, the parser `serve`
         input goes through.  Anything that is not a complete snapshot of
         this format raises ``ValueError`` naming the section (and row
         index) that cannot be parsed — and so does a snapshot that

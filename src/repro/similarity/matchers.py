@@ -143,6 +143,10 @@ class WeightedMatcher:
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self.rules: List[AttributeRule] = list(rules)
+        # Finite weights can still overflow their sum (two of 1e308), and
+        # an infinite total turns every similarity into NaN.
+        if not math.isfinite(sum(rule.weight for rule in self.rules)):
+            raise ValueError("the rule weights must have a finite sum")
         self.threshold = threshold
         self._cache: Optional[dict] = {} if cache else None
 

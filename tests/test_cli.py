@@ -6,26 +6,28 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.data import Dataset
+from repro.data import make_citeseer
+from repro.data.rows import read_dataset
 
 
 class TestGenerate:
-    def test_writes_csv(self, tmp_path, capsys):
-        out = tmp_path / "ds.csv"
+    def test_writes_rows(self, tmp_path, capsys):
+        out = tmp_path / "ds.jsonl"
         code = main(
             ["generate", "--family", "citeseer", "--size", "120", "--out", str(out)]
         )
         assert code == 0
-        assert out.exists()
-        loaded = Dataset.from_csv(out)
-        assert len(loaded) == 120
-        assert loaded.has_ground_truth
+        loaded = read_dataset(str(out))
+        original = make_citeseer(120, seed=7)
+        assert loaded.entities == original.entities
+        assert [e.attrs for e in loaded] == [e.attrs for e in original]
+        assert loaded.clusters == original.clusters
         assert "wrote 120" in capsys.readouterr().out
 
     def test_books_family(self, tmp_path):
-        out = tmp_path / "books.csv"
+        out = tmp_path / "books.jsonl"
         assert main(["generate", "--family", "books", "--size", "80", "--out", str(out)]) == 0
-        assert len(Dataset.from_csv(out)) == 80
+        assert len(read_dataset(str(out))) == 80
 
 
 class TestRun:
@@ -48,13 +50,20 @@ class TestRun:
         assert code == 0
         assert "basic[0.05]" in capsys.readouterr().out
 
-    def test_run_from_csv(self, tmp_path, capsys):
-        out = tmp_path / "ds.csv"
+    def test_run_from_rows(self, tmp_path, capsys):
+        # A generated file runs exactly like the dataset it was written from.
+        out = tmp_path / "ds.jsonl"
         main(["generate", "--family", "citeseer", "--size", "250", "--out", str(out)])
+        capsys.readouterr()
         code = main(
             ["run", "--dataset", str(out), "--family", "citeseer", "--machines", "2"]
         )
         assert code == 0
+        from_file = capsys.readouterr().out.splitlines()
+        main(["run", "--family", "citeseer", "--size", "250", "--machines", "2"])
+        generated = capsys.readouterr().out.splitlines()
+        assert from_file[0] != generated[0]  # the title names the dataset
+        assert from_file[1:] == generated[1:]
 
     @pytest.mark.parametrize("approach", ["nosplit", "lpt"])
     def test_scheduler_variants(self, approach, capsys):
@@ -65,6 +74,50 @@ class TestRun:
             ]
         )
         assert code == 0
+
+
+#: ``--dataset`` files the reader refuses: (file bytes, the line it names).
+_BAD_DATASETS = {
+    "non-integer-id": (b'{"id": "x", "attrs": {}, "cluster": 0}\n', 1),
+    "repeated-id": (b'{"id": 1, "cluster": 0}\n{"id": 1, "cluster": 0}\n', 2),
+    "non-integer-cluster": (b'{"id": 1, "cluster": 0}\n{"id": 2, "cluster": "c"}\n', 2),
+    "non-utf8-line": (b'{"id": 1, "cluster": 0}\n{"id": 2, "title": "caf\xe9"}\n', 2),
+}
+
+
+class TestDatasetFile:
+    """A bad ``--dataset`` file ends in one ``path:line:`` message."""
+
+    @pytest.mark.parametrize("command", ["run", "compare", "profile"])
+    @pytest.mark.parametrize("case", sorted(_BAD_DATASETS))
+    def test_bad_file_exits_with_one_line(self, case, command, tmp_path):
+        data, line = _BAD_DATASETS[case]
+        path = tmp_path / "ds.jsonl"
+        path.write_bytes(data)
+        argv = [command, "--dataset", str(path)]
+        if command != "profile":
+            argv += ["--machines", "2"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        message = caught.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"{path}:{line}: ")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_recall_needs_cluster_fields(self, command, tmp_path):
+        path = tmp_path / "flat.jsonl"
+        path.write_text('{"id": 1, "title": "a"}\n{"id": 2, "title": "b"}\n')
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--dataset", str(path), "--machines", "2"])
+        message = caught.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"{path}: no row has a 'cluster' field")
+
+    def test_profile_needs_no_ground_truth(self, tmp_path, capsys):
+        path = tmp_path / "flat.jsonl"
+        path.write_text('{"id": 1, "title": "a"}\n{"id": 2, "title": "b"}\n')
+        assert main(["profile", "--dataset", str(path)]) == 0
+        assert "title" in capsys.readouterr().out
 
 
 class TestCompare:
@@ -197,7 +250,7 @@ class TestParser:
             ["sched", "--max-active", "0"],
             ["sched", "--jobs", "0"],
             ["run", "--size", "60", "--points", "0"],
-            ["generate", "--size", "0", "--out", "never-written.csv"],
+            ["generate", "--size", "0", "--out", "never-written.jsonl"],
             # A window below 2 compares nothing: Basic would report recall 0.
             ["run", "--size", "60", "--approach", "basic", "--window", "0"],
             ["compare", "--size", "60", "--window", "0"],

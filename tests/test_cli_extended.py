@@ -16,8 +16,8 @@ class TestProfileCommand:
         assert "title.sub(0, 2)" in out
         assert "suggested dominance order" in out
 
-    def test_profile_from_csv(self, tmp_path, capsys):
-        out_path = tmp_path / "ds.csv"
+    def test_profile_from_rows(self, tmp_path, capsys):
+        out_path = tmp_path / "ds.jsonl"
         main(["generate", "--family", "people", "--size", "200", "--out", str(out_path)])
         code = main(["profile", "--dataset", str(out_path), "--family", "people"])
         assert code == 0
@@ -56,7 +56,7 @@ class TestBalanceAndMetablockCli:
 
 class TestPeopleFamilyCli:
     def test_generate_people(self, tmp_path):
-        out_path = tmp_path / "people.csv"
+        out_path = tmp_path / "people.jsonl"
         code = main(
             ["generate", "--family", "people", "--size", "150", "--out", str(out_path)]
         )

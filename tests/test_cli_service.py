@@ -44,8 +44,13 @@ class TestGenerateJsonl:
         ) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 50
-        row = json.loads(lines[0])
-        assert "id" in row and "title" in row
+        # Nested rows whatever the extension: attributes under `attrs`,
+        # the ground truth in `cluster`.
+        dataset = make_citeseer(50, seed=7)
+        rows = [json.loads(line) for line in lines]
+        assert [row["attrs"] for row in rows] == [e.attrs for e in dataset]
+        assert [row["cluster"] for row in rows] == [dataset.clusters[e.id] for e in dataset]
+        assert list(rows[0]) == ["id", "attrs", "source", "cluster"]
         assert "wrote 50" in capsys.readouterr().out
 
 

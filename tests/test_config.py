@@ -46,6 +46,28 @@ class TestLevelPolicy:
         policy = LevelPolicy()
         assert policy.threshold_of(_block(2, size=37)) == 37
 
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize("name", ["root_window", "mid_window", "leaf_window"])
+    def test_window_below_two_rejected(self, name, window):
+        # A window below 2 holds no pair: the run would find nothing.
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 2"):
+            LevelPolicy(**{name: window})
+
+    def test_window_zero_rejected_through_the_config(self):
+        with pytest.raises(ValueError, match="root_window"):
+            citeseer_config(
+                levels=LevelPolicy(root_window=0, mid_window=0, leaf_window=0)
+            )
+
+    @pytest.mark.parametrize("frac", [0.0, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["leaf_frac", "mid_frac"])
+    def test_frac_outside_unit_interval_rejected(self, name, frac):
+        with pytest.raises(ValueError, match=rf"{name} must be in \(0, 1\]"):
+            LevelPolicy(**{name: frac})
+
+    def test_frac_of_one_accepted(self):
+        assert LevelPolicy(leaf_frac=1.0, mid_frac=1.0).frac_of(_block(2)) == 1.0
+
 
 class TestWeightingFunctions:
     def test_linear_decreasing(self):

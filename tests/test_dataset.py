@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.data import Dataset, Entity, pair_key
+from repro.data.rows import read_dataset, write_dataset
 
 
 def _dataset():
@@ -69,13 +70,14 @@ class TestGroundTruth:
         assert ds.num_true_pairs == 0
 
 
-class TestCsvRoundTrip:
+class TestRowsRoundTrip:
     def test_round_trip(self, tmp_path):
         ds = _dataset()
-        path = tmp_path / "ds.csv"
-        ds.to_csv(path)
-        loaded = Dataset.from_csv(path, name="t")
+        path = str(tmp_path / "ds.jsonl")
+        write_dataset(ds, path)
+        loaded = read_dataset(path, name="t")
         assert len(loaded) == len(ds)
+        assert loaded.clusters == ds.clusters
         assert loaded.true_pairs == ds.true_pairs
         for e in ds:
             assert loaded.entity(e.id).attrs == e.attrs
@@ -88,17 +90,32 @@ class TestCsvRoundTrip:
             ],
             clusters={0: 0, 1: 0},
         )
-        path = tmp_path / "ds.csv"
-        ds.to_csv(path)
-        loaded = Dataset.from_csv(path)
+        path = str(tmp_path / "ds.jsonl")
+        write_dataset(ds, path)
+        loaded = read_dataset(path)
         assert loaded.entity(0).attrs == {"a": "x"}
         assert loaded.entity(1).attrs == {"b": "y"}
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ValueError):
-            Dataset.from_csv(path)
+    def test_bad_cluster_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": 1, "cluster": 0}\n{"id": 2, "cluster": "x"}\n')
+        with pytest.raises(ValueError, match=f"{path}:2: 'cluster' must be an integer"):
+            read_dataset(str(path))
+
+    def test_rows_without_cluster_have_no_ground_truth(self, tmp_path):
+        path = tmp_path / "flat.jsonl"
+        path.write_text('{"id": 1, "name": "a"}\n{"id": 2, "name": "b"}\n')
+        loaded = read_dataset(str(path))
+        assert len(loaded) == 2 and not loaded.has_ground_truth
+
+    def test_sources_survive(self, tmp_path):
+        ds = Dataset(
+            entities=[Entity(id=0, attrs={"a": "x"}, source="a"), Entity(id=1, attrs={})],
+            clusters={0: 0, 1: 0},
+        )
+        path = str(tmp_path / "ds.jsonl")
+        write_dataset(ds, path)
+        assert [e.source for e in read_dataset(path)] == ["a", None]
 
 
 class TestSample:

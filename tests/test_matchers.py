@@ -63,6 +63,11 @@ class TestWeightedMatcher:
             WeightedMatcher([], threshold=0.5)
         with pytest.raises(ValueError):
             WeightedMatcher([AttributeRule("a", 1.0)], threshold=0.0)
+        # Each weight is finite, but their sum overflows to inf and every
+        # similarity would be NaN: no pair could ever match.
+        heavy = [AttributeRule(name, 1e308, comparator="exact") for name in "ab"]
+        with pytest.raises(ValueError, match="finite sum"):
+            WeightedMatcher(heavy, threshold=0.5)
 
     def test_weighted_sum(self):
         matcher = WeightedMatcher(

@@ -16,10 +16,8 @@ from repro.observability import (
     Tracer,
     chrome_trace_events,
     format_trace_summary,
-    trace_records,
     validate_chrome_trace,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 
 
@@ -147,23 +145,6 @@ class TestChromeValidation:
         event = {"name": "x", "ph": "B", "pid": 0, "tid": 0, "ts": 0.0}
         with pytest.raises(ValueError, match="unclosed"):
             validate_chrome_trace([event])
-
-
-class TestJsonlExport:
-    def test_records_cover_spans_then_instants(self):
-        records = list(trace_records(_sample_tracer()))
-        assert [r["type"] for r in records] == ["span"] * 6 + ["instant"]
-        assert records[0]["name"] == "wordcount"
-        assert records[-1]["name"] == "flush-0.0"
-        assert all(r["run"] == "demo" for r in records)
-
-    def test_write_jsonl_round_trips(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(_sample_tracer(), str(path))
-        lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == list(
-            trace_records(_sample_tracer())
-        )
 
 
 class TestTraceSummary:

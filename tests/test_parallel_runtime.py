@@ -296,6 +296,28 @@ class TestWorkerFailures:
         assert job_fingerprint(clean) == job_fingerprint(serial)
         _assert_nothing_left_behind()
 
+    def test_worker_death_during_submission_is_the_same_error(self, monkeypatch):
+        # A worker can die while tasks are still being submitted; the pool
+        # then refuses the next submit instead of failing a future.
+        from concurrent.futures import ProcessPoolExecutor
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking(pool, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return submit(pool, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking)
+        cluster = Cluster(3, executor=ParallelExecutor(2, serial_floor=0.0))
+        with _deadline(10):
+            with pytest.raises(RuntimeError, match="parallel worker.* failed") as caught:
+                cluster.run_job(_job(), _LINES)
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        _assert_nothing_left_behind()
+
     def test_task_exception_names_task_and_carries_worker_traceback(self):
         serial = Cluster(3).run_job(_job(), _LINES)
         task_id = next(

@@ -1,4 +1,4 @@
-"""The entity-row parser and JSONL reader, tested without the CLI."""
+"""The entity-row parser, writer and JSONL reader, tested without the CLI."""
 
 from __future__ import annotations
 
@@ -11,7 +11,14 @@ import pytest
 from repro.core import citeseer_config
 from repro.data import Entity
 from repro.service import ResolverService
-from repro.service.rows import batch_rows, entity_from_row, json_int, read_entity_rows
+from repro.data.rows import (
+    Row,
+    batch_rows,
+    entity_from_row,
+    entity_row,
+    json_int,
+    read_entity_rows,
+)
 
 
 class TestJsonInt:
@@ -41,6 +48,9 @@ class TestEntityFromRow:
     def test_null_attrs_means_flat(self):
         assert entity_from_row({"id": 1, "attrs": None, "t": "x"}).attrs == {"t": "x"}
 
+    def test_cluster_is_not_an_attribute(self):
+        assert entity_from_row({"id": 1, "t": "x", "cluster": 4}).attrs == {"t": "x"}
+
     @pytest.mark.parametrize(
         "row, named",
         [
@@ -53,6 +63,20 @@ class TestEntityFromRow:
     def test_malformed_rows_raise_value_error(self, row, named):
         with pytest.raises(ValueError, match=named):
             entity_from_row(row)
+
+
+class TestEntityRow:
+    def test_round_trips_through_the_parser(self):
+        entity = Entity(5, {"title": "t", "year": "1999"}, source="b")
+        row = entity_row(entity, batch=2, cluster=9)
+        assert list(row) == ["id", "attrs", "source", "batch", "cluster"]
+        parsed = entity_from_row(json.loads(json.dumps(row)))
+        assert (parsed.id, parsed.attrs, parsed.source) == (5, entity.attrs, "b")
+
+    def test_absent_batch_and_cluster_are_left_out(self):
+        assert entity_row(Entity(1, {"t": "x"})) == {
+            "id": 1, "attrs": {"t": "x"}, "source": None
+        }
 
 
 class TestAttributeValues:
@@ -137,8 +161,14 @@ class TestReadEntityRows:
             '{"id": 1, "title": "a"}\n\n{"id": "2", "attrs": {"title": "b"}, "batch": 5}\n',
         )
         rows = read_entity_rows(path)
-        assert [(batch, entity.id) for batch, entity in rows] == [(None, 1), (5, 2)]
-        assert rows[1][1].attrs == {"title": "b"}
+        assert [(row.batch, row.entity.id) for row in rows] == [(None, 1), (5, 2)]
+        assert rows[1].entity.attrs == {"title": "b"}
+
+    def test_cluster_field(self, tmp_path):
+        path = _write(
+            tmp_path, '{"id": 1, "cluster": 3}\n{"id": 2, "cluster": "4"}\n{"id": 5}\n'
+        )
+        assert [row.cluster for row in read_entity_rows(path)] == [3, 4, None]
 
     @pytest.mark.parametrize(
         "text, named",
@@ -148,6 +178,7 @@ class TestReadEntityRows:
             ('[1]\n', ":1: each line must be an object"),
             ('{"id": 1.5}\n', ":1: 'id' must be an integer"),
             ('{"id": 1, "batch": "soon"}\n', ":1: 'batch' must be an integer"),
+            ('{"id": 1, "cluster": 1.5}\n', ":1: 'cluster' must be an integer"),
             ('{"id": 1, "attrs": 5}\n', ":1: 'attrs' must be an object"),
             ('{"id": 1}\n{"id": 1}\n', ":2: entity id 1 already appears on line 1"),
             (b'{"id": 1}\n{"id": 2, "t": "caf\xe9"}\n', ":2: not valid UTF-8"),
@@ -171,16 +202,18 @@ class TestReadEntityRows:
     def test_dash_reads_stdin(self, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b'{"id": 4, "t": "x"}\n'))
         monkeypatch.setattr("sys.stdin", stdin)
-        assert [entity.id for _, entity in read_entity_rows("-")] == [4]
+        assert [row.entity.id for row in read_entity_rows("-")] == [4]
 
 
 class TestBatchRows:
     def test_chunks_without_batch_fields(self):
-        rows = [(None, Entity(i)) for i in range(5)]
+        rows = [Row(Entity(i), None, None) for i in range(5)]
         assert [[e.id for e in b] for b in batch_rows(rows, 2)] == [[0, 1], [2, 3], [4]]
 
     def test_explicit_batches_group_ascending(self):
-        rows = [(3, Entity(0)), (None, Entity(1)), (1, Entity(2)), (3, Entity(3))]
+        rows = [
+            Row(Entity(i), batch, None) for i, batch in enumerate([3, None, 1, 3])
+        ]
         assert [[e.id for e in b] for b in batch_rows(rows, 100)] == [[1], [2], [0, 3]]
 
 
