@@ -20,7 +20,6 @@ from .blocking import BlockingScheme, books_scheme, citeseer_scheme, prefix_func
 from .core import ProgressiveER, books_config, citeseer_config
 from .data import Dataset, Entity, make_books, make_citeseer
 from .evaluation import ExperimentRun, RunSpec, recall_curve, transitive_closure
-from .scheduling import AdmissionPolicy, JobScheduler
 from .service import ResolverService
 from .observability import MetricsRegistry, Tracer, write_chrome_trace
 from .mapreduce import Cluster
@@ -63,9 +62,6 @@ __all__ = [
     "transitive_closure",
     # service
     "ResolverService",
-    # scheduling
-    "JobScheduler",
-    "AdmissionPolicy",
     # observability
     "Tracer",
     "MetricsRegistry",

@@ -8,8 +8,6 @@ Subcommands cover the common workflows:
 * ``serve`` — stream a JSONL entity file through the incremental
   :class:`~repro.service.resolver.ResolverService` in batches;
 * ``submit`` — add one more batch to a saved service snapshot;
-* ``sched`` — multi-tenant scheduler demo: Poisson arrivals of resolver
-  batches from weighted tenants competing for shared slots;
 * ``calibrate`` — fit the virtual cost model's constants to this host's
   wall clock and print the error band of the fit.
 
@@ -62,14 +60,12 @@ from .evaluation import (
 from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
 from .mechanisms import PSNM, SortedNeighborHint
-from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
 from .service import ResolverService
 from .observability import (
     MetricsRegistry,
     Tracer,
     format_calibration_report,
     format_perf_report,
-    format_sched_report,
     format_trace_summary,
     write_chrome_trace,
 )
@@ -233,45 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_options(submit)
     _add_observability_options(submit)
     _add_report_options(submit)
-
-    sched = sub.add_parser(
-        "sched",
-        help="multi-tenant scheduler demo: Poisson arrivals of resolver "
-        "batches competing for shared slots",
-    )
-    sched.set_defaults(handler=_command_sched)
-    sched.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    sched.add_argument("--size", type=_COUNT, default=240, help="total entities")
-    sched.add_argument("--seed", type=int, default=7)
-    sched.add_argument("--jobs", type=_COUNT, default=9, help="arrivals to draw")
-    sched.add_argument(
-        "--rate", type=_ranged(float, 0, above=True), default=0.02,
-        help="Poisson arrival rate (jobs per virtual time unit)",
-    )
-    sched.add_argument("--machines", type=_COUNT, default=4)
-    sched.add_argument("--policy", choices=("fair", "fifo"), default="fair")
-    sched.add_argument(
-        "--tenants", type=_COUNT, default=3,
-        help="number of tenants (weights 1..N, one service each)",
-    )
-    sched.add_argument(
-        "--interactive-fraction", type=_PROBABILITY, default=0.3,
-        help="probability an arrival lands in the interactive lane",
-    )
-    sched.add_argument(
-        "--max-queued", type=_COUNT, default=None,
-        help="per-tenant cap on unfinished submissions (admission control)",
-    )
-    sched.add_argument(
-        "--max-active", type=_COUNT, default=None,
-        help="cluster-wide cap on concurrently running jobs",
-    )
-    sched.add_argument(
-        "--report-out", metavar="PATH", default=None,
-        help="write the scheduler report (outcomes, tenants, percentiles) "
-        "as JSON",
-    )
-    _add_observability_options(sched)
 
     calibrate = sub.add_parser(
         "calibrate",
@@ -682,7 +639,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
     )
     for batch in batch_rows(_or_exit(read_entity_rows, args.input), args.batch_size):
-        receipt = service.submit(batch)
+        receipt = _or_exit(service.submit, batch)
         _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
     _write_service_snapshot(service, args.snapshot_out)
@@ -700,8 +657,9 @@ def _command_submit(args: argparse.Namespace) -> int:
         )
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise SystemExit(f"{args.snapshot}: not a usable snapshot: {exc}")
-    receipt = service.submit(
-        [row.entity for row in _or_exit(read_entity_rows, args.input, service.store)]
+    receipt = _or_exit(
+        service.submit,
+        [row.entity for row in _or_exit(read_entity_rows, args.input, service.store)],
     )
     _print_receipt(receipt, args.print_pairs)
     _print_service_summary(service)
@@ -766,67 +724,6 @@ def _command_calibrate(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
         print(f"calibration report written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _command_sched(args: argparse.Namespace) -> int:
-    """Drive the multi-tenant scheduler over a seeded Poisson trace.
-
-    Builds one :class:`~repro.service.ResolverService` per tenant
-    (weights 1..N), slices the synthetic dataset into one batch per
-    arrival, and submits each batch at its drawn arrival time and lane.
-    Everything is virtual time, so the same seed reproduces the same
-    report on every machine and backend.
-    """
-    dataset = _MAKERS[args.family](args.size, seed=args.seed)
-    config = _CONFIGS[args.family]()
-    tracer, metrics = _observers(args)
-
-    tenants = [f"tenant-{i}" for i in range(args.tenants)]
-    scheduler = JobScheduler(
-        machines=args.machines,
-        policy=args.policy,
-        admission=AdmissionPolicy(
-            max_queued=args.max_queued, max_active=args.max_active
-        ),
-        tracer=tracer,
-        metrics=metrics,
-    )
-    services = {}
-    for position, tenant in enumerate(tenants):
-        scheduler.add_tenant(tenant, weight=float(position + 1))
-        services[tenant] = ResolverService(
-            config, machines=args.machines, label=tenant
-        )
-    trace = poisson_arrivals(
-        seed=args.seed,
-        rate=args.rate,
-        count=args.jobs,
-        tenants=tenants,
-        interactive_fraction=args.interactive_fraction,
-    )
-    chunk = max(1, len(dataset) // args.jobs)
-    for arrival in trace:
-        batch = dataset.entities[arrival.index * chunk:(arrival.index + 1) * chunk]
-        if not batch:
-            break
-        scheduler.submit_batch(
-            services[arrival.tenant],
-            batch,
-            tenant=arrival.tenant,
-            arrival=arrival.time,
-            lane=arrival.lane,
-            label=f"job-{arrival.index}",
-        )
-    report = scheduler.run()
-    print(format_sched_report(report))
-    total_pairs = sum(len(s.found_pairs) for s in services.values())
-    print(f"\n{total_pairs} pairs found across {len(services)} tenant services")
-    if args.report_out is not None:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report_out}", file=sys.stderr)
-    _write_observations(args, tracer, metrics)
     return 0
 
 

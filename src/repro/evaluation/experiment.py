@@ -157,6 +157,19 @@ class RunSpec:
                 f"metablock={self.metablock!r} needs the progressive "
                 "approach; the Basic baseline has no schedule to prune"
             )
+        if (
+            isinstance(self.config, ApproachConfig)
+            and self.config.mode == "linkage"
+            and self.dataset is not None
+        ):
+            # Linkage compares only across sources: with fewer than two
+            # there is no pair to compare, and the run would find nothing.
+            sources = {e.source for e in self.dataset.entities} - {None}
+            if len(sources) < 2:
+                problems.append(
+                    f"linkage mode compares only across sources, but the "
+                    f"dataset has {len(sources)} distinct source tag(s)"
+                )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             problems.append(
                 f"faults must be a FaultPlan or None, got "

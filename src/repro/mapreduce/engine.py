@@ -38,7 +38,7 @@ from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 #: A phase's placement: its ``FaultScheduler`` and per-task schedules.
 Placement = Tuple[FaultScheduler, List[TaskSchedule]]
 #: A phase's request ``(kind, job_name, ready, place)``.
-PhaseRequest = Tuple[str, str, float, Callable[[Optional[List[float]], float], Placement]]
+PhaseRequest = Tuple[str, str, float, Callable[[float], Placement]]
 
 if TYPE_CHECKING:  # observability depends on mapreduce, never the reverse
     from ..observability.metrics import MetricsRegistry
@@ -129,7 +129,7 @@ class Cluster:
         try:
             while True:
                 _, _, ready, place = steps.send(placed)
-                placed = place(None, ready)
+                placed = place(ready)
         except StopIteration as done:
             return done.value
 
@@ -146,9 +146,8 @@ class Cluster:
 
         A generator: after computing each phase's payloads it yields the
         phase's request ``(kind, job_name, ready, place)`` and expects
-        back the placement granted to it, which ``place(lane_free_times,
-        start)`` computes (``None`` lanes: the phase's own idle slots).
-        It returns the :class:`JobResult`.
+        back the placement granted to it, which ``place(start)`` computes
+        on the phase's own idle slots.  It returns the :class:`JobResult`.
 
         Phases are placed under the cluster's :class:`FaultPlan`, or an
         inert ``FaultPlan()`` when it has none.  A failed attempt loses
@@ -312,16 +311,15 @@ class Cluster:
         Placement runs in the driver on the payloads' virtual costs, so the
         timeline is identical on every execution backend.  Crash decisions
         key on task ids and attempt ordinals, never on absolute times, so
-        shared lanes change when a phase runs but not how many faults it
-        meets.  Fault statistics land in the ``fault.*`` counter namespace
-        (only non-zero values are recorded, so an inert plan leaves
-        counters untouched).
+        the start a caller grants changes when a phase runs but not how
+        many faults it meets.  Fault statistics land in the ``fault.*``
+        counter namespace (only non-zero values are recorded, so an inert
+        plan leaves counters untouched).
         """
 
-        def place(lanes: Optional[List[float]], start: float) -> Placement:
+        def place(start: float) -> Placement:
             scheduler = FaultScheduler(
-                plan, num_slots if lanes is None else len(lanes), start,
-                job=job.name, phase=phase, slot_free_times=lanes,
+                plan, num_slots, start, job=job.name, phase=phase
             )
             return scheduler, scheduler.run([p.cost for p in payloads])
 

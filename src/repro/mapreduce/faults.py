@@ -342,32 +342,15 @@ class FaultScheduler:
         *,
         job: str,
         phase: str,
-        slot_free_times: Optional[Sequence[float]] = None,
     ) -> None:
         if num_slots <= 0:
             raise ValueError(f"need at least one slot, got {num_slots}")
-        if slot_free_times is not None and len(slot_free_times) != num_slots:
-            raise ValueError(
-                f"slot_free_times has {len(slot_free_times)} entries for "
-                f"{num_slots} slots"
-            )
         self._plan = plan
         self._job = job
         self._phase = phase
         self._ready_time = ready_time
-        # ``slot_free_times`` lets a shared-capacity pool hand this phase
-        # slots that are still busy with earlier work (multi-tenant
-        # scheduling): tasks stay ready at ``ready_time`` but each slot
-        # only accepts attempts once its prior commitment drains.  The
-        # default — every slot free at phase start — is the classic
-        # single-job cluster.
         self._slots = [
-            _Slot(
-                index,
-                ready_time if slot_free_times is None
-                else max(ready_time, slot_free_times[index]),
-                plan.slot_slowdown(index),
-            )
+            _Slot(index, ready_time, plan.slot_slowdown(index))
             for index in range(num_slots)
         ]
         self.stats = FaultStats()
@@ -428,15 +411,6 @@ class FaultScheduler:
             )
             for t in range(n)
         ]
-
-    @property
-    def final_free_times(self) -> List[float]:
-        """Per-slot times at which the simulated phase releases each slot.
-
-        Only meaningful after :meth:`run`; a shared-capacity pool uses it
-        to return leased slots to the common timeline.
-        """
-        return [slot.free_at for slot in self._slots]
 
     # -- internals -----------------------------------------------------
 

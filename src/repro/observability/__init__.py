@@ -14,7 +14,6 @@ from .export import (
     chrome_trace_events,
     format_calibration_report,
     format_perf_report,
-    format_sched_report,
     format_trace_summary,
     validate_chrome_trace,
     write_chrome_trace,
@@ -37,5 +36,4 @@ __all__ = [
     "format_trace_summary",
     "format_calibration_report",
     "format_perf_report",
-    "format_sched_report",
 ]

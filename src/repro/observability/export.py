@@ -20,7 +20,7 @@ Virtual time has no unit, so the Chrome export scales one cost unit to
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .tracing import SCHEDULER_TRACK, Instant, Span, Tracer
 
@@ -300,59 +300,6 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
     return "\n".join(lines)
 
 
-def format_sched_report(report: Any) -> str:
-    """Human-readable summary of a scheduler trace.
-
-    Takes a :class:`~repro.scheduling.report.SchedulerReport`: one row
-    per submission (decision, lane, arrival → start → finish, wait and
-    latency in virtual time), then per-tenant fair-share usage and the
-    per-lane p50/p99 latency footer the bench asserts on.
-    """
-    lines: List[str] = [f"policy: {report.policy}"]
-    name_width = max(
-        [len("job")] + [len(o.job) for o in report.outcomes]
-    )
-    header = (
-        f"{'job':<{name_width}}  {'tenant':<10} {'lane':<11} "
-        f"{'decision':<8} {'arrival':>9} {'start':>9} {'finish':>10} "
-        f"{'wait':>8} {'latency':>9} {'slot-s':>9}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for o in report.outcomes:
-        def cell(value: Optional[float], width: int = 9) -> str:
-            return f"{'-':>{width}}" if value is None else f"{value:>{width}.2f}"
-
-        lines.append(
-            f"{o.job:<{name_width}}  {o.tenant:<10} {o.lane:<11} "
-            f"{o.decision:<8} {o.arrival:>9.2f} {cell(o.started_at)} "
-            f"{cell(o.finished_at, 10)} {o.wait_total:>8.2f} "
-            f"{cell(o.latency)} {o.slot_seconds:>9.2f}"
-        )
-    lines.append("")
-    for tenant in report.tenants:
-        lines.append(
-            f"tenant {tenant.name}: weight {tenant.weight:g}, "
-            f"{tenant.slot_seconds:.2f} slot-seconds "
-            f"(vtime {tenant.vtime:.2f}), "
-            f"{tenant.completed}/{tenant.submitted} completed, "
-            f"{tenant.rejected} rejected"
-        )
-    for lane in ("interactive", "batch"):
-        pct = report.latency_percentiles(lane=lane)
-        if pct is not None:
-            lines.append(
-                f"{lane} latency: p50 {pct['p50']:.2f}, p99 {pct['p99']:.2f}"
-            )
-    lines.append(
-        f"makespan {report.makespan:.2f}, "
-        f"busy map {report.busy.get('map', 0.0):.2f} / "
-        f"reduce {report.busy.get('reduce', 0.0):.2f}, "
-        f"peak queue depth {report.queue_depth_peak}"
-    )
-    return "\n".join(lines)
-
-
 def format_calibration_report(report: Dict[str, Any]) -> str:
     """Human-readable summary of a cost-model calibration report.
 
@@ -415,5 +362,4 @@ __all__ = [
     "format_trace_summary",
     "format_calibration_report",
     "format_perf_report",
-    "format_sched_report",
 ]

@@ -4,7 +4,7 @@ Hadoop prints its job counters once, at job end; diagnosing a progressive
 run needs them *per phase* (how much did the map side emit before the
 shuffle? how many comparisons did the reduce side actually pay for?) and
 from sources the job counters never see — the executor's wall-clock and
-IPC statistics, the balancer's report, the scheduler's.
+IPC statistics, the balancer's report.
 
 A :class:`MetricsRegistry` collects :class:`MetricsSnapshot` records, each
 a flattened ``{"group.name": value}`` view (see

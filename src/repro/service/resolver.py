@@ -27,8 +27,7 @@ from ..core.config import ApproachConfig
 from ..data.entity import Entity, Pair, pair_key
 from ..data.rows import entity_from_row, entity_row, json_int
 from ..evaluation.clustering import UnionFind
-from ..mapreduce.job import MapReduceJob, stable_hash
-from ..mapreduce.types import JobResult
+from ..mapreduce.job import stable_hash
 from ..similarity.batch import BatchMatcher
 from .delta import build_delta_job, plan_delta
 from .session import ResolverSession
@@ -110,23 +109,6 @@ class BatchReceipt:
     last_seq: int
 
 
-@dataclass(frozen=True)
-class PreparedBatch:
-    """A checked and planned batch that has not changed its service yet.
-
-    Built by :meth:`ResolverService.prepare`; ``job`` (``None`` when the
-    batch has no candidate pair) runs on ``records`` from ``start_time``,
-    and :meth:`ResolverService.commit` admits the batch with its result.
-    """
-
-    batch: int
-    annotated: List[Tuple[Entity, Dict[str, Optional[str]]]]
-    affected_blocks: int
-    start_time: float
-    job: Optional[MapReduceJob]
-    records: List[Entity]
-
-
 class ResolverService:
     """A long-lived incremental resolver over one approach configuration.
 
@@ -140,9 +122,6 @@ class ResolverService:
         backend / workers / executor / cost_model / tracer / metrics /
             faults: forwarded to the underlying session cluster, exactly
             as :class:`~repro.evaluation.experiment.RunSpec` takes them.
-
-    :meth:`~repro.scheduling.scheduler.JobScheduler.submit_batch` runs a
-    batch on a cluster shared with other tenants instead.
     """
 
     def __init__(
@@ -211,17 +190,6 @@ class ResolverService:
         store, batch counter, clock, pair stream and receipts are exactly
         as before the call, and the same batch can be submitted again.
         """
-        prepared = self.prepare(entities)
-        result = None
-        if prepared.job is not None:
-            result = self.session.run_job(
-                prepared.job, prepared.records, start_time=prepared.start_time
-            )
-        return self.commit(prepared, result)
-
-    def prepare(self, entities: Iterable[Entity]) -> PreparedBatch:
-        """The first half of :meth:`submit`: check, annotate and plan a
-        batch and build its delta job, without changing the service."""
         batch_entities = list(entities)
         self._check_batch(batch_entities)
         annotated = [(e, self.config.scheme.main_keys(e)) for e in batch_entities]
@@ -234,39 +202,27 @@ class ResolverService:
             cross_source_only=self.config.mode == "linkage",
         )
         batch = self._batches + 1
-        if not plan.units:
-            return PreparedBatch(batch, annotated, 0, self._clock, None, [])
-        job = build_delta_job(
-            plan,
-            self._batcher,
-            alpha=self.config.alpha,
-            name=f"delta-resolution-{batch}",
-        )
-        # Map input: every entity a pair names, once.  New ones are not in
-        # the store until the batch is committed.
-        fresh = {entity.id: entity for entity in batch_entities}
-        records = [
-            fresh[entity_id] if entity_id in fresh else self.store.get(entity_id).entity
-            for entity_id in sorted(plan.routes)
-        ]
-        return PreparedBatch(
-            batch, annotated, plan.num_blocks, self._clock, job, records
-        )
-
-    def commit(
-        self, prepared: PreparedBatch, result: Optional[JobResult]
-    ) -> BatchReceipt:
-        """The second half of :meth:`submit`: admit a prepared batch with
-        its delta job's ``result`` (``None`` when it had no job)."""
-        if prepared.batch != self._batches + 1:
-            raise ValueError(
-                f"batch {prepared.batch} was prepared against another state "
-                f"of this service (now at batch {self._batches}); prepare it again"
+        start_time = self._clock
+        result = None
+        if plan.units:
+            job = build_delta_job(
+                plan,
+                self._batcher,
+                alpha=self.config.alpha,
+                name=f"delta-resolution-{batch}",
             )
-        # Neither prepare() nor the job mutated the service; from here on
-        # nothing raises.
-        self.store.admit(prepared.annotated, prepared.batch)
-        self._batches = prepared.batch
+            # Map input: every entity a pair names, once.  New ones are not
+            # in the store until the batch is admitted below.
+            fresh = {entity.id: entity for entity in batch_entities}
+            records = [
+                fresh[entity_id] if entity_id in fresh
+                else self.store.get(entity_id).entity
+                for entity_id in sorted(plan.routes)
+            ]
+            result = self.session.run_job(job, records, start_time=start_time)
+        # Nothing above mutated the service; from here on nothing raises.
+        self.store.admit(annotated, batch)
+        self._batches = batch
         first_seq = len(self._events) + 1
         new_pairs: List[Pair] = []
         comparisons = 0
@@ -283,18 +239,18 @@ class ResolverService:
                 new_pairs.append(pair)
                 self._events.append(
                     PairEvent(seq=len(self._events) + 1, pair=pair,
-                              batch=prepared.batch, time=event.time)
+                              batch=batch, time=event.time)
                 )
             comparisons = result.counters.get("service", "comparisons")
             self._comparisons += comparisons
         receipt = BatchReceipt(
-            batch=prepared.batch,
-            added=len(prepared.annotated),
-            affected_blocks=prepared.affected_blocks,
+            batch=batch,
+            added=len(annotated),
+            affected_blocks=plan.num_blocks,
             comparisons=comparisons,
             duplicates=len(new_pairs),
             pairs=tuple(new_pairs),
-            start_time=prepared.start_time,
+            start_time=start_time,
             end_time=self._clock,
             first_seq=first_seq,
             last_seq=len(self._events),
@@ -482,6 +438,7 @@ class ResolverService:
 
     def _check_batch(self, batch_entities: Sequence[Entity]) -> None:
         seen: Set[int] = set()
+        linkage = self.config.mode == "linkage"
         for entity in batch_entities:
             if not isinstance(entity, Entity):
                 raise TypeError(
@@ -489,6 +446,11 @@ class ResolverService:
                 )
             if entity.id in seen:
                 raise ValueError(f"batch contains entity id {entity.id} twice")
+            if linkage and entity.source is None:
+                raise ValueError(
+                    f"entity id {entity.id} has no source; linkage mode "
+                    "compares only across sources"
+                )
             if entity.id in self.store:
                 raise ValueError(
                     f"entity id {entity.id} was already submitted; ids are "
@@ -553,6 +515,5 @@ __all__ = [
     "config_fingerprint",
     "PairEvent",
     "BatchReceipt",
-    "PreparedBatch",
     "ResolverService",
 ]

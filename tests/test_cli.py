@@ -218,8 +218,6 @@ class TestParser:
             ["serve", "--metablock", "wnp"],
             ["serve", "--metablock-ratio", "0.3"],
             ["submit", "--snapshot", "state.json", "--metablock", "bf"],
-            ["sched", "--skew"],
-            ["sched", "--perf-report"],
         ],
     )
     def test_flags_a_command_would_ignore_are_usage_errors(self, argv, capsys):
@@ -243,12 +241,6 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sched", "--tenants", "0"],
-            ["sched", "--rate", "0"],
-            ["sched", "--interactive-fraction", "2"],
-            ["sched", "--machines", "0"],
-            ["sched", "--max-active", "0"],
-            ["sched", "--jobs", "0"],
             ["run", "--size", "60", "--points", "0"],
             ["generate", "--size", "0", "--out", "never-written.jsonl"],
             # A window below 2 compares nothing: Basic would report recall 0.
@@ -282,6 +274,38 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_linkage_over_one_source_is_a_usage_error(self, tmp_path, capsys):
+        books = tmp_path / "books.jsonl"
+        main(["generate", "--family", "books", "--size", "60", "--out", str(books)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as caught:
+            main(["compare", "--dataset", str(books), "--family", "linkage",
+                  "--machines", "2"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "repro: error: invalid RunSpec: linkage mode compares only across "
+            "sources, but the dataset has 0 distinct source tag(s)"
+        ]
+        assert "Traceback" not in err
+
+    def test_sched_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["sched"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'sched'" in err
+        assert "Traceback" not in err
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == 0
+        assert (
+            "{generate,run,compare,profile,serve,submit,calibrate}"
+            in capsys.readouterr().out
+        )
 
     def test_generate_requires_out(self):
         with pytest.raises(SystemExit):

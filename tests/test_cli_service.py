@@ -325,6 +325,17 @@ def test_hostile_input_fails_the_process_with_one_line(case, tmp_path, good_snap
     assert (snap.read_bytes() if snap.exists() else None) == before
 
 
+def test_serve_linkage_over_sourceless_rows_exits_with_one_message(tmp_path):
+    source = tmp_path / "in.jsonl"
+    source.write_text(_GOOD)
+    snap = tmp_path / "state.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--family", "linkage", "--input", str(source),
+              "--machines", "2", "--snapshot-out", str(snap)])
+    assert "entity id 9001 has no source" in exit_info.value.code
+    assert not snap.exists()
+
+
 def _set_row(section, key, value):
     def mutate(text):
         snapshot = json.loads(text)

@@ -50,10 +50,11 @@ class TestSlotPoolCostGuard:
     def test_zero_cost_task_is_a_zero_length_attempt(self):
         """Empty input splits produce zero-cost map tasks (like Hadoop on
         an empty split): they occupy a placement but no time."""
-        scheduler = inert_scheduler(1, 3.0)
-        win = scheduler.run([0.0])[0].winning
+        empty, after = inert_scheduler(1, 3.0).run([0.0, 1.0])
+        win = empty.winning
         assert (win.start, win.end, win.slot) == (3.0, 3.0, 0)
-        assert scheduler.final_free_times == [3.0]
+        # The slot is free again at once: the next task starts at 3.0.
+        assert (after.winning.start, after.winning.end) == (3.0, 4.0)
 
     def test_rejected_cost_leaves_pool_state_intact(self):
         scheduler = inert_scheduler(1, 0.0)

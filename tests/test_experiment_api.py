@@ -160,6 +160,15 @@ class TestRunSpecValidation:
             RunSpec(None, citeseer_cfg, faults="chaos")
         RunSpec(None, citeseer_cfg, faults=FaultPlan(seed=0))  # real plan OK
 
+    def test_linkage_without_two_sources_rejected(self):
+        from repro.core import linkage_config
+        from repro.data import make_books, make_linkage
+
+        with pytest.raises(ValueError, match="linkage mode.*0 distinct source"):
+            RunSpec(make_books(60, seed=1), linkage_config())
+        RunSpec(make_linkage(60, seed=1), linkage_config())  # two sources OK
+        RunSpec(None, linkage_config())  # a session spec has no dataset yet
+
     def test_all_problems_reported_at_once(self, citeseer_cfg):
         with pytest.raises(ValueError) as excinfo:
             RunSpec(None, citeseer_cfg, machines=0, balance="nope", workers=-1)

@@ -332,6 +332,13 @@ class TestSubmit:
         with pytest.raises(TypeError, match="Entity"):
             service.submit([{"id": 1, "title": "a dict"}])
 
+    def test_sourceless_entity_rejected_in_linkage_mode(self):
+        service = make_service(linkage_config())
+        batch = make_books(50, seed=1).entities
+        with pytest.raises(ValueError, match=f"entity id {batch[0].id} has no source"):
+            service.submit(batch)
+        assert service.stats()["batches"] == 0 and len(service.store) == 0
+
     def test_basic_config_rejected(self, dataset, config):
         from repro.baselines import BasicConfig
         from repro.mechanisms import PSNM
@@ -456,23 +463,6 @@ class TestSubmit:
         unedited.submit(existing)
         assert unedited.submit(original).comparisons == expected.comparisons
         assert unedited.found_pairs != fresh.found_pairs
-
-    def test_commit_refuses_a_batch_prepared_against_an_older_state(
-        self, dataset, config
-    ):
-        """``prepare`` does not change the service, so two batches can be
-        prepared at once; only the first one committed may land."""
-        service = make_service(config)
-        first = service.prepare(dataset.entities[:100])
-        stale = service.prepare(dataset.entities[:100])
-        result = service.session.run_job(
-            first.job, first.records, start_time=first.start_time
-        )
-        service.commit(first, result)
-        before = (service.snapshot(), service.receipts)
-        with pytest.raises(ValueError, match="prepare it again"):
-            service.commit(stale, result)
-        assert (service.snapshot(), service.receipts) == before
 
     def test_delta_charges_are_tagged_for_calibration(
         self, dataset, config, monkeypatch
