@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import books_scheme
 from repro.core import books_config
 from repro.evaluation import (
     ExperimentRun,
@@ -23,7 +22,6 @@ from repro.evaluation import (
     format_curves,
     sample_times,
 )
-from repro.mechanisms import PSNM
 
 pytestmark = pytest.mark.bench
 
@@ -59,9 +57,7 @@ def test_fig10(benchmark, machines, books_dataset, books_cached_matcher, report)
         ]
         for threshold in THRESHOLDS:
             config = BasicConfig(
-                scheme=books_scheme(),
-                matcher=books_cached_matcher,
-                mechanism=PSNM(),
+                books_config(matcher=books_cached_matcher),
                 window=15,
                 popcorn_threshold=threshold,
             )
@@ -122,9 +118,7 @@ def test_fig10_gap_grows_with_theta(
                 ).run()
             ]
             config = BasicConfig(
-                scheme=books_scheme(),
-                matcher=books_cached_matcher,
-                mechanism=PSNM(),
+                books_config(matcher=books_cached_matcher),
                 window=15,
                 popcorn_threshold=0.0005,
             )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import citeseer_scheme
 from repro.core import citeseer_config
 from repro.evaluation import (
     ExperimentRun,
@@ -25,7 +24,6 @@ from repro.evaluation import (
     format_final_summary,
     sample_times,
 )
-from repro.mechanisms import SortedNeighborHint
 
 pytestmark = pytest.mark.bench
 
@@ -36,16 +34,6 @@ SUBFIGURES = {
     "fig8-middle (w=15, fine thresholds)": (15, [None, 0.007, 0.004, 0.001, 0.00001]),
     "fig8-right (w=5, best thresholds)": (5, [None, 0.07, 0.01, 0.007]),
 }
-
-
-def _basic_config(matcher, window, threshold):
-    return BasicConfig(
-        scheme=citeseer_scheme(),
-        matcher=matcher,
-        mechanism=SortedNeighborHint(),
-        window=window,
-        popcorn_threshold=threshold,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +52,11 @@ def test_fig8(benchmark, subfigure, citeseer_dataset, citeseer_cached_matcher, o
         runs = [ours_run]
         for threshold in thresholds:
             label = f"Basic {'F' if threshold is None else threshold} (w={window})"
-            config = _basic_config(citeseer_cached_matcher, window, threshold)
+            config = BasicConfig(
+                citeseer_config(matcher=citeseer_cached_matcher),
+                window=window,
+                popcorn_threshold=threshold,
+            )
             runs.append(
                 ExperimentRun(
                     RunSpec(citeseer_dataset, config, machines=MACHINES, label=label)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import people_scheme
 from repro.core import people_config
 from repro.data import make_people
 from repro.evaluation import (
@@ -24,7 +23,6 @@ from repro.evaluation import (
     format_curves,
     sample_times,
 )
-from repro.mechanisms import PSNM
 from repro.similarity.matchers import people_matcher
 
 pytestmark = pytest.mark.bench
@@ -59,9 +57,7 @@ def test_people_generalization(
         ]
         for threshold in (None, 0.01):
             config = BasicConfig(
-                scheme=people_scheme(),
-                matcher=people_cached_matcher,
-                mechanism=PSNM(),
+                people_config(matcher=people_cached_matcher),
                 window=15,
                 popcorn_threshold=threshold,
             )

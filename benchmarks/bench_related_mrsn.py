@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import MrsnConfig, MultiPassMRSN
-from repro.blocking import citeseer_scheme
 from repro.core import citeseer_config
 from repro.evaluation import (
     ExperimentRun,
@@ -45,9 +44,7 @@ def test_related_mrsn(benchmark, citeseer_dataset, citeseer_cached_matcher, repo
                 label="Our Approach",
             )
         ).run()
-        config = MrsnConfig(
-            scheme=citeseer_scheme(), matcher=citeseer_cached_matcher, window=15
-        )
+        config = MrsnConfig(citeseer_config(matcher=citeseer_cached_matcher), window=15)
         mrsn_result = MultiPassMRSN(config, Cluster(MACHINES)).run(
             citeseer_dataset
         )

@@ -12,9 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import citeseer_scheme
+from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table
-from repro.mechanisms import SortedNeighborHint
 
 pytestmark = pytest.mark.bench
 
@@ -28,9 +27,7 @@ def test_table3(benchmark, citeseer_dataset, citeseer_cached_matcher, report):
         for window in (5, 15):
             for threshold in THRESHOLDS:
                 config = BasicConfig(
-                    scheme=citeseer_scheme(),
-                    matcher=citeseer_cached_matcher,
-                    mechanism=SortedNeighborHint(),
+                    citeseer_config(matcher=citeseer_cached_matcher),
                     window=window,
                     popcorn_threshold=threshold,
                 )

@@ -13,7 +13,7 @@ buys — plus what the same budgets buy with the Basic baseline.
 Run:  python examples/books_budget.py
 """
 
-from repro import BasicConfig, PSNM, books_scheme, make_books
+from repro import BasicConfig, make_books
 from repro.core import books_config
 from repro.core.config import linear_weights
 from repro.evaluation import ExperimentRun, RunSpec, quality
@@ -38,11 +38,7 @@ def main() -> None:
         RunSpec(
             dataset,
             BasicConfig(
-                scheme=books_scheme(),
-                matcher=matcher,
-                mechanism=PSNM(),
-                window=15,
-                popcorn_threshold=0.0005,
+                books_config(matcher=matcher), window=15, popcorn_threshold=0.0005
             ),
             machines=MACHINES,
             label="basic",

@@ -14,7 +14,7 @@ strategy has reached at a series of checkpoints.
 Run:  python examples/citeseer_progressive.py
 """
 
-from repro import BasicConfig, SortedNeighborHint, citeseer_scheme, make_citeseer
+from repro import BasicConfig, make_citeseer
 from repro.core import citeseer_config
 from repro.evaluation import (
     ExperimentRun,
@@ -45,12 +45,9 @@ def main() -> None:
         ).run()
     ]
     for threshold, label in ((0.04, "basic 0.04"), (0.001, "basic 0.001"), (None, "basic F")):
+        # Basic runs the family's mechanism, matcher and blocking functions.
         config = BasicConfig(
-            scheme=citeseer_scheme(),
-            matcher=matcher,
-            mechanism=SortedNeighborHint(),
-            window=15,
-            popcorn_threshold=threshold,
+            citeseer_config(matcher=matcher), window=15, popcorn_threshold=threshold
         )
         runs.append(
             ExperimentRun(

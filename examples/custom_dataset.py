@@ -79,9 +79,9 @@ def main() -> None:
     found_true = result.found_pairs & dataset.true_pairs
     print(f"recall: {len(found_true)}/{dataset.num_true_pairs}")
 
-    # The Basic baseline runs on the same custom pieces.
-    basic = BasicConfig(scheme=scheme, matcher=matcher,
-                        mechanism=SortedNeighborHint(), window=8)
+    # The Basic baseline runs on the same custom pieces: it reads the
+    # scheme, matcher, mechanism, α and mode from the same config.
+    basic = BasicConfig(config, window=8)
     from repro import BasicER
 
     basic_result = BasicER(basic, Cluster(machines=2)).run(dataset)

@@ -24,22 +24,16 @@ from functools import cached_property, partial
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
+from ..core.config import ApproachConfig, check_window
 from ..core.driver import _first_discoveries
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
-from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext, check_alpha
+from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import (
-    Admit,
-    Mechanism,
-    block_sort_key,
-    resolve_block,
-    shared_values,
-)
+from ..mechanisms.base import block_sort_key, column_veto, resolve_block
 from ..mechanisms.popcorn import PopcornCondition
 from ..similarity.batch import BatchMatcher
-from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (family index, blocking key value); map value: the entity plus
 #: its main keys under every family (needed for the [14] redundancy rule).
@@ -52,25 +46,23 @@ class BasicConfig:
     """Configuration of the Basic baseline.
 
     Attributes:
-        scheme: blocking scheme; only the main (level-1) functions are used
-            — Basic has no progressive blocking.
-        matcher: the resolve/match function.
-        mechanism: progressive mechanism M applied per block.
-        window: SN window size ``w`` (the paper compares 5 and 15).
-        popcorn_threshold: popcorn stopping threshold; ``None`` disables
-            the stopping condition entirely ("Basic F").
-        alpha: incremental-output flush period (finite and positive).
+        approach: the family's configuration; Basic reads its scheme (only
+            the main, level-1 functions — Basic has no progressive
+            blocking), matcher, mechanism M, α and mode.
+        window: SN window size ``w`` (the paper compares 5 and 15), an
+            integer >= 2.
+        popcorn_threshold: popcorn stopping threshold in (0, 1); ``None``
+            disables the stopping condition entirely ("Basic F").
     """
 
-    scheme: BlockingScheme
-    matcher: WeightedMatcher
-    mechanism: Mechanism
+    approach: ApproachConfig
     window: int = 15
     popcorn_threshold: Optional[float] = None
-    alpha: float = 200.0
 
     def __post_init__(self) -> None:
-        check_alpha(self.alpha)
+        check_window("window", self.window)
+        if self.popcorn_threshold is not None:
+            PopcornCondition(self.popcorn_threshold)  # rejects one outside (0, 1), NaN too
 
 
 class BasicMapper(Mapper):
@@ -93,7 +85,7 @@ class BasicReducer(Reducer):
     def __init__(self, config: BasicConfig) -> None:
         self._config = config
         # One matcher per reduce task: its rows live as long as the task.
-        self._batcher = BatchMatcher(config.matcher)
+        self._batcher = BatchMatcher(config.approach.matcher)
 
     def reduce(
         self, key: BasicKey, values: Sequence[BasicValue], context: TaskContext
@@ -102,12 +94,13 @@ class BasicReducer(Reducer):
             return
         position, block_key = key
         config = self._config
-        family = config.scheme.family_order[position]
-        sort_attribute = config.scheme.sort_attribute(family)
+        approach = config.approach
+        family = approach.scheme.family_order[position]
+        sort_attribute = approach.scheme.sort_attribute(family)
 
         trace = context.tracing
         span_start = context.clock.now if trace else 0.0
-        members, runs = config.mechanism.pair_stream(
+        members, runs = approach.mechanism.pair_stream(
             [entity for entity, _ in values],
             config.window,
             lambda e: block_sort_key(e, sort_attribute),
@@ -115,8 +108,12 @@ class BasicReducer(Reducer):
             context.cost_model,
         )
         signature_of = {entity.id: signature for entity, signature in values}
-        admit = smallest_key_veto(
-            [signature_of[entity.id] for entity in members], position, block_key
+        admit = column_veto(
+            members,
+            smallest_key_columns(
+                [signature_of[entity.id] for entity in members], position, block_key
+            ),
+            cross_source_only=approach.mode == "linkage",
         )
 
         def on_duplicate(e1: Entity, e2: Entity) -> None:
@@ -150,11 +147,11 @@ class BasicReducer(Reducer):
             )
 
 
-def smallest_key_veto(
+def smallest_key_columns(
     signatures: Sequence[Tuple[Optional[str], ...]], position: int, block_key: str
-) -> Admit:
-    """[14]'s rule over a run: ``"skipped"`` where
-    :func:`_is_smallest_common_block` is false.
+) -> List[List[object]]:
+    """[14]'s rule as skip columns: a pair of the block shares a value in
+    one of them iff another common block has a smaller key.
 
     ``signatures`` are the block members' main keys, in member order.  A
     pair of this block shares its key here, so it is skipped iff it also
@@ -164,7 +161,7 @@ def smallest_key_veto(
     or sorts after this block's.
     """
     here = (block_key, position)
-    columns = [
+    return [
         [
             signature[other]
             if signature[other] is not None and (signature[other], other) < here
@@ -174,28 +171,6 @@ def smallest_key_veto(
         for other in range(len(signatures[0]) if signatures else 0)
         if other != position
     ]
-
-    def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
-        return ["skipped" if s else None for s in shared_values(columns, lefts, rights)]
-
-    return admit
-
-
-def _is_smallest_common_block(
-    sig1: Tuple[Optional[str], ...],
-    sig2: Tuple[Optional[str], ...],
-    position: int,
-) -> bool:
-    """[14]'s rule: resolve the pair only in the common block whose
-    (key value, function position) is smallest."""
-    best: Optional[Tuple[str, int]] = None
-    for index, (k1, k2) in enumerate(zip(sig1, sig2)):
-        if k1 is None or k1 != k2:
-            continue
-        candidate = (k1, index)
-        if best is None or candidate < best:
-            best = candidate
-    return best is not None and best[1] == position and best[0] == sig1[position]
 
 
 @dataclass
@@ -227,9 +202,9 @@ class BasicER:
     def run(self, dataset: Dataset) -> BasicResult:
         """Run the single-job baseline on ``dataset``."""
         job = MapReduceJob(
-            mapper_factory=lambda: BasicMapper(self.config.scheme),
+            mapper_factory=lambda: BasicMapper(self.config.approach.scheme),
             reducer_factory=lambda: BasicReducer(self.config),
-            alpha=self.config.alpha,
+            alpha=self.config.approach.alpha,
             name="basic-er",
         )
         result = self.cluster.run_job(job, dataset.entities)
@@ -243,5 +218,5 @@ __all__ = [
     "BasicResult",
     "BasicMapper",
     "BasicReducer",
-    "smallest_key_veto",
+    "smallest_key_columns",
 ]

@@ -33,15 +33,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, List, Sequence, Set, Tuple
 
-from ..blocking.functions import BlockingScheme
+from ..core.config import ApproachConfig, check_window
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import Run, block_sort_key, resolve_block
+from ..mechanisms.base import Run, block_sort_key, column_veto, resolve_block
 from ..similarity.batch import BatchMatcher
-from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (partition index, sort key, replica flag); the replica flag
 #: sorts replicas *before* the partition's own records so they prepend.
@@ -53,16 +52,18 @@ class MrsnConfig:
     """Configuration of the multi-pass MR-SN baseline.
 
     Attributes:
-        scheme: blocking scheme; each family's *main* function defines one
+        approach: the family's configuration; MR-SN reads its matcher, its
+            mode and its scheme, each family's *main* function defining one
             pass's sorting attribute (sub-functions are not used — SN has
             no notion of block hierarchies).
-        matcher: the resolve/match function.
-        window: SN window size ``w``.
+        window: SN window size ``w``, an integer >= 2.
     """
 
-    scheme: BlockingScheme
-    matcher: WeightedMatcher
+    approach: ApproachConfig
     window: int = 15
+
+    def __post_init__(self) -> None:
+        check_window("window", self.window)
 
 
 class MrsnMapper(Mapper):
@@ -115,7 +116,7 @@ class MrsnReducer(Reducer):
     def __init__(self, config: MrsnConfig) -> None:
         self._config = config
         # One matcher per reduce task: its rows live as long as the task.
-        self._batcher = BatchMatcher(config.matcher)
+        self._batcher = BatchMatcher(config.approach.matcher)
         self._ordered: List[Tuple[Entity, bool]] = []
 
     def reduce(
@@ -138,13 +139,16 @@ class MrsnReducer(Reducer):
         # Plain MR jobs commit reducer output only when the task completes
         # — no incremental α-flushing here, so a pair becomes *available*
         # at task end (see MrsnResult's availability semantics).
+        members = [entity for entity, _ in ordered]
+        linkage = self._config.approach.mode == "linkage"
         resolve_block(
-            [entity for entity, _ in ordered],
+            members,
             window_runs(ordered, window),
             self._batcher,
             context.cost_model,
             partial(context.charge_each, category="compare"),
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
+            admit=column_veto(members, (), cross_source_only=True) if linkage else None,
         )
 
 
@@ -176,7 +180,7 @@ class MultiPassMRSN:
         """Run every pass; pass p + 1 starts when pass p ends."""
         jobs: List[JobResult] = []
         start_time = 0.0
-        for family in self.config.scheme.family_order:
+        for family in self.config.approach.scheme.family_order:
             job_result = self._run_pass(dataset, family, start_time)
             jobs.append(job_result)
             start_time = job_result.end_time
@@ -186,7 +190,7 @@ class MultiPassMRSN:
     # ------------------------------------------------------------------
 
     def _run_pass(self, dataset: Dataset, family: str, start_time: float) -> JobResult:
-        sort_attribute = self.config.scheme.sort_attribute(family)
+        sort_attribute = self.config.approach.scheme.sort_attribute(family)
         boundaries, replicate = self._plan_partitions(dataset, sort_attribute)
         job = MapReduceJob(
             mapper_factory=lambda: MrsnMapper(sort_attribute, boundaries, replicate),

@@ -59,7 +59,6 @@ from .evaluation import (
 )
 from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
-from .mechanisms import PSNM, SortedNeighborHint
 from .service import ResolverService
 from .observability import (
     MetricsRegistry,
@@ -464,15 +463,7 @@ def _progressive_config(family: str, args: argparse.Namespace):
 
 
 def _basic_config(family: str, window: int, threshold: Optional[float]) -> BasicConfig:
-    config = _CONFIGS[family]()
-    mechanism = SortedNeighborHint() if family == "citeseer" else PSNM()
-    return BasicConfig(
-        scheme=config.scheme,
-        matcher=config.matcher,
-        mechanism=mechanism,
-        window=window,
-        popcorn_threshold=threshold,
-    )
+    return BasicConfig(_CONFIGS[family](), window=window, popcorn_threshold=threshold)
 
 
 def _command_generate(args: argparse.Namespace) -> int:

@@ -34,6 +34,13 @@ from ..similarity.matchers import (
 )
 
 
+def check_window(name: str, window: object) -> None:
+    """Reject a window that is no integer >= 2: it holds no pair, so the
+    run would silently find nothing."""
+    if isinstance(window, bool) or not isinstance(window, int) or window < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {window!r}")
+
+
 @dataclass(frozen=True)
 class LevelPolicy:
     """Per-block-level parameters (Section VI-A5).
@@ -50,12 +57,8 @@ class LevelPolicy:
     mid_frac: float = 0.9
 
     def __post_init__(self) -> None:
-        # Below 2 a window holds no pair (window_pairs_count is 0): the
-        # run would silently find nothing, as Basic's --window floor says.
         for name in ("root_window", "mid_window", "leaf_window"):
-            window = getattr(self, name)
-            if isinstance(window, bool) or not isinstance(window, int) or window < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {window!r}")
+            check_window(name, getattr(self, name))
         for name in ("leaf_frac", "mid_frac"):
             frac = getattr(self, name)
             # Written so that NaN fails the comparison and is rejected too.

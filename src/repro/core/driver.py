@@ -30,7 +30,7 @@ from ..data.entity import Entity, Pair, cross_pairs_count, pair_key, pairs_count
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import DistinctBudget, block_sort_key, resolve_block, shared_values
+from ..mechanisms.base import DistinctBudget, block_sort_key, column_veto, resolve_block
 from ..similarity.batch import BatchMatcher
 from .config import ApproachConfig
 from .metablock import METABLOCK_MODES, MetablockPlan, WnpPruner, build_metablock_plan
@@ -250,8 +250,10 @@ def resolve_scheduled_block(
     :func:`~repro.mechanisms.base.resolve_block`); ``"skipped"`` for a
     pair already resolved in a descendant of the same tree or one the
     dominance lists make another tree responsible for (SHOULD-RESOLVE).
-    It reads per-block columns — sources, ids, and one column per
-    dominance entry SHOULD-RESOLVE compares — position against position.
+    It starts from :func:`~repro.mechanisms.base.column_veto` over the
+    sources and one column per dominance entry SHOULD-RESOLVE compares —
+    the veto Basic and MR-SN resolve their blocks with too — and layers
+    the tree's resolved set and the pruner on top.
 
     ``pair_range`` restricts the resolution to a slice of the raw pair
     stream — a ``pairrange`` shard of a root block.  Only roots are ever
@@ -286,22 +288,16 @@ def resolve_scheduled_block(
         config.scheme.index_of(block.family),
         config.scheme.num_families,
     ) if config.redundancy_free else []
-    sources = [entity.source for entity in members] if config.mode == "linkage" else None
+    veto = column_veto(members, columns, cross_source_only=config.mode == "linkage")
 
     def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
-        skip = shared_values(columns, lefts, rights)
+        verdicts = veto(lefts, rights)
         if tree_resolved:
-            skip = [
-                s or ((x, y) if x < y else (y, x)) in tree_resolved
-                for s, x, y in zip(
-                    skip, map(ids.__getitem__, lefts), map(ids.__getitem__, rights)
-                )
-            ]
-        verdicts = ["skipped" if s else None for s in skip]
-        if sources is not None:
             verdicts = [
-                "filtered" if sources[a] == sources[b] else v
-                for v, a, b in zip(verdicts, lefts, rights)
+                v or ("skipped" if ((x, y) if x < y else (y, x)) in tree_resolved else None)
+                for v, x, y in zip(
+                    verdicts, map(ids.__getitem__, lefts), map(ids.__getitem__, rights)
+                )
             ]
         if pruner is not None:
             keep = pruner.keep

@@ -157,9 +157,10 @@ class RunSpec:
                 f"metablock={self.metablock!r} needs the progressive "
                 "approach; the Basic baseline has no schedule to prune"
             )
+        approach = self.config.approach if self.is_basic else self.config
         if (
-            isinstance(self.config, ApproachConfig)
-            and self.config.mode == "linkage"
+            isinstance(approach, ApproachConfig)
+            and approach.mode == "linkage"
             and self.dataset is not None
         ):
             # Linkage compares only across sources: with fewer than two

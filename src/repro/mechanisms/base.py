@@ -267,15 +267,31 @@ def window_pairs_count(n: int, window: int) -> int:
     return dmax * n - dmax * (dmax + 1) // 2
 
 
-def shared_values(
-    columns: Sequence[Sequence[object]], lefts: Sequence[int], rights: Sequence[int]
-) -> List[bool]:
-    """Per position of a run: whether some column holds the same value at
-    both of its member positions — the shape of every in-repo veto."""
-    shared = [False] * len(lefts)
-    for column in columns:
-        shared = [s or column[a] == column[b] for s, a, b in zip(shared, lefts, rights)]
-    return shared
+def column_veto(
+    members: Sequence[Entity],
+    skip_columns: Sequence[Sequence[object]],
+    *,
+    cross_source_only: bool = False,
+) -> Admit:
+    """The veto Job 2, Basic and MR-SN start from.  Per position of a run:
+    ``"filtered"`` when ``cross_source_only`` and both members share a
+    ``source`` (linkage compares only across sources), else ``"skipped"``
+    when a skip column holds one value at both member positions (another
+    block is responsible), else ``None``."""
+    sources = [entity.source for entity in members] if cross_source_only else None
+
+    def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
+        skip = [False] * len(lefts)
+        for column in skip_columns:
+            skip = [s or column[a] == column[b] for s, a, b in zip(skip, lefts, rights)]
+        if sources is None:
+            return ["skipped" if s else None for s in skip]
+        return [
+            "filtered" if sources[a] == sources[b] else "skipped" if s else None
+            for s, a, b in zip(skip, lefts, rights)
+        ]
+
+    return admit
 
 
 def resolve_block(
@@ -465,7 +481,7 @@ __all__ = [
     "ResolvedCallback",
     "DistinctBudget",
     "resolve_block",
-    "shared_values",
+    "column_veto",
     "window_pairs_count",
     "SortKey",
     "Run",

@@ -62,7 +62,7 @@ def edit_at_least(v1: str, v2: str, floor: float) -> float:
 
 def similarity_cache_counters() -> Counters:
     """Empty counters.  Kept only because ``benchmarks/e2e/spans.py``
-    imports it; ROADMAP item 2 deletes both."""
+    imports it; ROADMAP item 1(a) deletes both."""
     return Counters()
 
 

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.baselines import BasicConfig
-from repro.blocking import books_scheme, citeseer_scheme
-from repro.core import books_config, citeseer_config
+from repro.core import citeseer_config
 from repro.data import Dataset, Entity, make_books, make_citeseer
-from repro.mapreduce import Cluster, CostModel, FaultPlan, FaultScheduler
-from repro.mechanisms import PSNM, SortedNeighborHint
+from repro.mapreduce import FaultPlan, FaultScheduler
 from repro.similarity import books_matcher, citeseer_matcher
 
 # Hypothesis profiles: "dev" explores freely; "ci" is fully deterministic
@@ -65,32 +63,15 @@ def shared_books_matcher():
 
 
 @pytest.fixture()
-def small_cluster() -> Cluster:
-    """A 3-machine cluster (6 map / 6 reduce slots)."""
-    return Cluster(3)
-
-
-@pytest.fixture()
 def citeseer_cfg(shared_citeseer_matcher):
     """Paper CiteSeerX configuration with the shared caching matcher."""
     return citeseer_config(matcher=shared_citeseer_matcher)
 
 
 @pytest.fixture()
-def books_cfg(shared_books_matcher):
-    """Paper OL-Books configuration with the shared caching matcher."""
-    return books_config(matcher=shared_books_matcher)
-
-
-@pytest.fixture()
 def basic_cfg(shared_citeseer_matcher):
     """Basic-baseline configuration for citeseer data (Basic F, w=15)."""
-    return BasicConfig(
-        scheme=citeseer_scheme(),
-        matcher=shared_citeseer_matcher,
-        mechanism=SortedNeighborHint(),
-        window=15,
-    )
+    return BasicConfig(citeseer_config(matcher=shared_citeseer_matcher), window=15)
 
 
 class ScanSlotPool:

@@ -7,11 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines import BasicConfig, BasicER
-from repro.baselines.basic import _is_smallest_common_block, smallest_key_veto
-from repro.blocking import citeseer_scheme
+from repro.baselines.basic import smallest_key_columns
+from repro.core import citeseer_config
 from repro.mapreduce import Cluster
-from repro.evaluation import recall_curve
-from repro.mechanisms import SortedNeighborHint
+from repro.mechanisms.base import column_veto
+
+
+def _is_smallest_common_block(sig1, sig2, position):
+    """[14]'s rule, the definition the skip columns are held to: resolve
+    the pair only in the common block whose (key value, function position)
+    is smallest."""
+    best = None
+    for index, (k1, k2) in enumerate(zip(sig1, sig2)):
+        if k1 is None or k1 != k2:
+            continue
+        candidate = (k1, index)
+        if best is None or candidate < best:
+            best = candidate
+    return best is not None and best[1] == position and best[0] == sig1[position]
 
 
 class TestSmallestCommonBlockRule:
@@ -57,7 +70,8 @@ class TestSmallestCommonBlockRule:
         ]
         pairs = list(itertools.permutations(range(len(signatures)), 2))
         lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
-        verdicts = smallest_key_veto(signatures, position, block_key)(lefts, rights)
+        columns = smallest_key_columns(signatures, position, block_key)
+        verdicts = column_veto(signatures, columns)(lefts, rights)
         assert verdicts == [
             None
             if _is_smallest_common_block(signatures[a], signatures[b], position)
@@ -73,11 +87,7 @@ def basic_runs(request):
     runs = {}
     for threshold in (None, 0.1, 0.01):
         config = BasicConfig(
-            scheme=citeseer_scheme(),
-            matcher=matcher,
-            mechanism=SortedNeighborHint(),
-            window=15,
-            popcorn_threshold=threshold,
+            citeseer_config(matcher=matcher), window=15, popcorn_threshold=threshold
         )
         runs[threshold] = BasicER(config, Cluster(3)).run(dataset)
     return dataset, runs
@@ -126,10 +136,7 @@ class TestBasicEndToEnd:
         results = {}
         for window in (5, 15):
             config = BasicConfig(
-                scheme=citeseer_scheme(),
-                matcher=shared_citeseer_matcher,
-                mechanism=SortedNeighborHint(),
-                window=window,
+                citeseer_config(matcher=shared_citeseer_matcher), window=window
             )
             results[window] = BasicER(config, Cluster(3)).run(citeseer_small)
         assert results[5].total_time < results[15].total_time

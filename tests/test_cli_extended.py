@@ -78,3 +78,16 @@ class TestPeopleFamilyCli:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("family", ["citeseer", "books", "people", "skewed", "linkage"])
+    def test_basic_runs_the_family_config(self, family):
+        # Basic's rows of `run`/`compare` take mechanism, matcher, scheme
+        # and mode from the family's config: linkage runs the SN hint and
+        # compares across sources only, as ours does.
+        from repro.cli import _CONFIGS, _basic_config
+
+        basic = _basic_config(family, 5, 0.05).approach
+        config = _CONFIGS[family]()
+        assert basic.mechanism.name == config.mechanism.name
+        assert basic.mode == config.mode
+        assert basic.scheme.family_order == config.scheme.family_order

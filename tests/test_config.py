@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.baselines.basic import BasicConfig
+from repro.baselines import BasicConfig, MrsnConfig
 from repro.blocking import Block, citeseer_scheme
 from repro.mapreduce import MapReduceJob, Mapper, Reducer
 from repro.core.config import (
@@ -110,11 +110,6 @@ class TestApproachConfig:
         assert citeseer_config(redundancy_free=False).redundancy_free is False
 
 
-def _basic_config(alpha):
-    config = citeseer_config()
-    return BasicConfig(config.scheme, config.matcher, config.mechanism, alpha=alpha)
-
-
 class TestAlphaValidation:
     """A reduce task opens a new output file every α cost units: α of zero
     or less never moves the next flush past the current time (the task
@@ -126,9 +121,8 @@ class TestAlphaValidation:
         [
             lambda alpha: MapReduceJob(Mapper, Reducer, alpha=alpha),
             lambda alpha: citeseer_config(alpha=alpha),
-            _basic_config,
         ],
-        ids=["job", "approach", "basic"],
+        ids=["job", "approach"],
     )
     def test_rejects_a_period_that_is_not_finite_and_positive(self, build, alpha):
         with pytest.raises(ValueError, match="alpha"):
@@ -137,4 +131,34 @@ class TestAlphaValidation:
     def test_accepts_none_and_a_positive_period(self):
         assert MapReduceJob(Mapper, Reducer, alpha=None).alpha is None
         assert citeseer_config(alpha=0.5).alpha == 0.5
-        assert _basic_config(200.0).alpha == 200.0
+
+
+class TestBaselineConfigs:
+    """Basic and MR-SN take scheme, matcher, mechanism, α and mode from
+    the family's ApproachConfig (which validates them) and check their own
+    knobs at construction: a window below 2 holds no pair, so the run
+    would end at recall 0.0, and a popcorn threshold outside (0, 1) would
+    fail only inside a reduce task."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: BasicConfig(citeseer_config(), window=0), "window"),
+            (lambda: BasicConfig(citeseer_config(), window=1), "window"),
+            (lambda: BasicConfig(citeseer_config(), window=2.5), "window"),
+            (lambda: BasicConfig(citeseer_config(), window=True), "window"),
+            (lambda: MrsnConfig(citeseer_config(), window=1), "window"),
+            (lambda: BasicConfig(citeseer_config(), popcorn_threshold=0.0), "popcorn"),
+            (lambda: BasicConfig(citeseer_config(), popcorn_threshold=1.0), "popcorn"),
+            (lambda: BasicConfig(citeseer_config(), popcorn_threshold=1.5), "popcorn"),
+            (lambda: BasicConfig(citeseer_config(), popcorn_threshold=math.nan), "popcorn"),
+        ],
+        ids=[
+            "basic-window-0", "basic-window-1", "basic-window-float",
+            "basic-window-bool", "mrsn-window-1", "popcorn-0", "popcorn-1",
+            "popcorn-1.5", "popcorn-nan",
+        ],
+    )
+    def test_rejects_a_knob_out_of_range(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()

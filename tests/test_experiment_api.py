@@ -169,6 +169,16 @@ class TestRunSpecValidation:
         RunSpec(make_linkage(60, seed=1), linkage_config())  # two sources OK
         RunSpec(None, linkage_config())  # a session spec has no dataset yet
 
+    def test_basic_linkage_without_two_sources_rejected(self):
+        from repro.baselines import BasicConfig
+        from repro.core import linkage_config
+        from repro.data import make_books, make_linkage
+
+        basic = BasicConfig(linkage_config())
+        with pytest.raises(ValueError, match="linkage mode.*0 distinct source"):
+            RunSpec(make_books(60, seed=1), basic)
+        RunSpec(make_linkage(60, seed=1), basic)
+
     def test_all_problems_reported_at_once(self, citeseer_cfg):
         with pytest.raises(ValueError) as excinfo:
             RunSpec(None, citeseer_cfg, machines=0, balance="nope", workers=-1)

@@ -4,8 +4,7 @@ scale (small datasets, few machines) plus end-to-end clustering."""
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import books_scheme, citeseer_scheme
-from repro.core import ProgressiveER, books_config
+from repro.core import ProgressiveER, books_config, citeseer_config
 from repro.evaluation import (
     ExperimentRun,
     RunSpec,
@@ -15,27 +14,19 @@ from repro.evaluation import (
 )
 from repro.core.config import linear_weights
 from repro.mapreduce import Cluster
-from repro.mechanisms import PSNM, SortedNeighborHint
 
 
 @pytest.fixture(scope="module")
 def headline_runs(request):
     dataset = request.getfixturevalue("citeseer_medium")
     matcher = request.getfixturevalue("shared_citeseer_matcher")
-    from repro.core import citeseer_config
-
     ours = ExperimentRun(
         RunSpec(dataset, citeseer_config(matcher=matcher), machines=4, label="ours")
     ).run()
     basic = ExperimentRun(
         RunSpec(
             dataset,
-            BasicConfig(
-                scheme=citeseer_scheme(),
-                matcher=matcher,
-                mechanism=SortedNeighborHint(),
-                window=15,
-            ),
+            BasicConfig(citeseer_config(matcher=matcher), window=15),
             machines=4,
             label="basicF",
         )
@@ -86,9 +77,7 @@ class TestBooksPipeline:
 
     def test_books_basic_psnm(self, books_small, shared_books_matcher):
         config = BasicConfig(
-            scheme=books_scheme(),
-            matcher=shared_books_matcher,
-            mechanism=PSNM(),
+            books_config(matcher=shared_books_matcher),
             window=15,
             popcorn_threshold=0.005,
         )

@@ -6,18 +6,17 @@ import pytest
 
 from repro.baselines import MrsnConfig, MultiPassMRSN
 from repro.baselines.mrsn import MrsnReducer
-from repro.blocking import books_scheme, citeseer_scheme
+from repro.core import books_config, citeseer_config
 from repro.data import make_books, make_citeseer
 from repro.mapreduce import Cluster
 from repro.evaluation import recall_curve
-from repro.similarity import books_matcher, citeseer_matcher
 
 
 @pytest.fixture(scope="module")
 def mrsn_runs(request):
     dataset = request.getfixturevalue("citeseer_small")
     matcher = request.getfixturevalue("shared_citeseer_matcher")
-    config = MrsnConfig(scheme=citeseer_scheme(), matcher=matcher, window=15)
+    config = MrsnConfig(citeseer_config(matcher=matcher), window=15)
     return dataset, {
         machines: MultiPassMRSN(config, Cluster(machines)).run(dataset)
         for machines in (1, 3)
@@ -88,15 +87,15 @@ class TestPinnedTimeline:
     the shared loop must move no charge, event or task boundary."""
 
     @pytest.mark.parametrize(
-        "make, size, scheme, matcher, total_time, pairs, digest",
+        "make, size, config, total_time, pairs, digest",
         [
             (
-                make_citeseer, 600, citeseer_scheme, citeseer_matcher,
+                make_citeseer, 600, citeseer_config,
                 5221.058684301415, 339,
                 "9ec58b5bd8681e7514ea2274d2b6f541ebd2f6005500bf31434eca9c2841125d",
             ),
             (
-                make_books, 1500, books_scheme, books_matcher,
+                make_books, 1500, books_config,
                 4387.239901581293, 817,
                 "a5b905e215cf68ce5b6d14864645e802e1c7d00cbe61e8c87f418fff0880f476",
             ),
@@ -104,10 +103,11 @@ class TestPinnedTimeline:
         ids=["citeseer", "books"],
     )
     def test_bit_identical_to_the_private_loop(
-        self, make, size, scheme, matcher, total_time, pairs, digest
+        self, make, size, config, total_time, pairs, digest
     ):
-        config = MrsnConfig(scheme=scheme(), matcher=matcher(), window=10)
-        result = MultiPassMRSN(config, Cluster(3)).run(make(size, seed=3))
+        result = MultiPassMRSN(MrsnConfig(config(), window=10), Cluster(3)).run(
+            make(size, seed=3)
+        )
         assert result.total_time == total_time
         assert len(result.found_pairs) == pairs
         assert _digest(result) == digest
@@ -125,9 +125,7 @@ class TestPinnedTimeline:
 
         monkeypatch.setattr(MrsnReducer, "cleanup", recording_cleanup)
         dataset = make_citeseer(300, seed=5)
-        config = MrsnConfig(
-            scheme=citeseer_scheme(), matcher=citeseer_matcher(), window=6
-        )
+        config = MrsnConfig(citeseer_config(), window=6)
         narrow = MultiPassMRSN(config, _TwoReduceTasks(3)).run(dataset)
         assert any(len(ids) > len(set(ids)) for ids in tasks)
         reference = MultiPassMRSN(config, Cluster(1)).run(dataset)
@@ -142,9 +140,7 @@ class TestPinnedTimeline:
 
 class TestScaling:
     def test_more_machines_not_slower(self, citeseer_small, shared_citeseer_matcher):
-        config = MrsnConfig(
-            scheme=citeseer_scheme(), matcher=shared_citeseer_matcher, window=10
-        )
+        config = MrsnConfig(citeseer_config(matcher=shared_citeseer_matcher), window=10)
         slow = MultiPassMRSN(config, Cluster(1)).run(citeseer_small)
         fast = MultiPassMRSN(config, Cluster(6)).run(citeseer_small)
         assert fast.total_time <= slow.total_time
@@ -155,11 +151,9 @@ class TestScaling:
         """The related-work claim (Section VII): fixed parallel SN has no
         prioritization; our approach finds duplicates at a higher early
         rate even though MRSN's final recall can be competitive."""
-        from repro.core import ProgressiveER, citeseer_config
+        from repro.core import ProgressiveER
 
-        config = MrsnConfig(
-            scheme=citeseer_scheme(), matcher=shared_citeseer_matcher, window=15
-        )
+        config = MrsnConfig(citeseer_config(matcher=shared_citeseer_matcher), window=15)
         mrsn = MultiPassMRSN(config, Cluster(4)).run(citeseer_medium)
         ours = ProgressiveER(
             citeseer_config(matcher=shared_citeseer_matcher), Cluster(4)

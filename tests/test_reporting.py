@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import BasicConfig
-from repro.blocking import citeseer_scheme
+from repro.core import citeseer_config
 from repro.evaluation import (
     ExperimentRun,
     RunSpec,
@@ -12,7 +12,6 @@ from repro.evaluation import (
     format_table,
     sample_times,
 )
-from repro.mechanisms import SortedNeighborHint
 
 
 class TestFormatTable:
@@ -55,9 +54,7 @@ class TestHarness:
         self, citeseer_small, shared_citeseer_matcher
     ):
         config = BasicConfig(
-            scheme=citeseer_scheme(),
-            matcher=shared_citeseer_matcher,
-            mechanism=SortedNeighborHint(),
+            citeseer_config(matcher=shared_citeseer_matcher),
             window=15,
             popcorn_threshold=0.1,
         )

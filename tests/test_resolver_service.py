@@ -341,11 +341,8 @@ class TestSubmit:
 
     def test_basic_config_rejected(self, dataset, config):
         from repro.baselines import BasicConfig
-        from repro.mechanisms import PSNM
 
-        basic = BasicConfig(
-            scheme=config.scheme, matcher=config.matcher, mechanism=PSNM()
-        )
+        basic = BasicConfig(config)
         with pytest.raises(TypeError, match="ApproachConfig"):
             ResolverService(basic)
 

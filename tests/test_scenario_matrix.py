@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import BasicConfig, MrsnConfig, MultiPassMRSN
 from repro.core import books_config, linkage_config
 from repro.data import make_books, make_linkage
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.mapreduce import FaultPlan, RetryPolicy, SpeculationConfig
+from repro.mapreduce import Cluster, FaultPlan, RetryPolicy, SpeculationConfig
 from repro.similarity import books_matcher, linkage_matcher
 
 MACHINES = 3
@@ -211,6 +212,31 @@ class TestLinkagePurity:
             ("linkage", "off", "serial", "slack", "clean")
         ].result.job2.counters.as_flat_dict()
         assert flat.get("resolve.pairs_filtered", 0) > 0
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda ds, config: ExperimentRun(RunSpec(ds, config, machines=MACHINES)).run(),
+            lambda ds, config: ExperimentRun(
+                RunSpec(ds, BasicConfig(config), machines=MACHINES)
+            ).run(),
+            lambda ds, config: ExperimentRun(
+                RunSpec(ds, BasicConfig(config, popcorn_threshold=0.01), machines=MACHINES)
+            ).run(),
+            lambda ds, config: MultiPassMRSN(MrsnConfig(config), Cluster(MACHINES)).run(ds),
+        ],
+        ids=["ours", "basic-F", "basic-0.01", "mrsn"],
+    )
+    def test_every_approach_reports_only_cross_source_pairs(self, run):
+        # One pair universe: the baselines read the mode from the same
+        # config as ours.  On this dataset the matcher accepts same-source
+        # pairs the baselines' windows meet: a Basic F or MR-SN run that
+        # ignored the mode would report 9 of them.
+        dataset = make_linkage(600, seed=1)
+        found = run(dataset, linkage_config(matcher=linkage_matcher(cache=True))).found_pairs
+        source_of = {e.id: e.source for e in dataset.entities}
+        assert found
+        assert all(source_of[a] != source_of[b] for a, b in found)
 
 
 class TestMetablockContainment:
