@@ -111,7 +111,7 @@ def test_schedule_generation_throughput(benchmark, citeseer_dataset):
         model = EstimationModel(
             config, CostModel(), UniformEstimator(0.05), len(citeseer_dataset)
         )
-        return generate_schedule(stats, model, config, 20, strategy="ours")
+        return generate_schedule(stats, model, 20, strategy="ours")
 
     schedule = benchmark.pedantic(kernel, setup=fresh_stats, rounds=3, iterations=1)
     assert schedule.num_blocks > 0

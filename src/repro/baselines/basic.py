@@ -137,6 +137,8 @@ class BasicReducer(Reducer):
             admit=admit,
             stop=stop,
         )
+        if stats.filtered:
+            context.counters.increment("resolve", "pairs_filtered", stats.filtered)
         context.counters.increment("driver", "blocks_resolved")
         if trace:
             context.record_span(

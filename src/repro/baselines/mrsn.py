@@ -141,7 +141,7 @@ class MrsnReducer(Reducer):
         # at task end (see MrsnResult's availability semantics).
         members = [entity for entity, _ in ordered]
         linkage = self._config.approach.mode == "linkage"
-        resolve_block(
+        stats = resolve_block(
             members,
             window_runs(ordered, window),
             self._batcher,
@@ -150,6 +150,8 @@ class MrsnReducer(Reducer):
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
             admit=column_veto(members, (), cross_source_only=True) if linkage else None,
         )
+        if stats.filtered:
+            context.counters.increment("resolve", "pairs_filtered", stats.filtered)
 
 
 @dataclass

@@ -16,12 +16,14 @@ Pruning rules:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
 
 from ..data.dataset import Dataset
 from ..data.entity import Entity
 from .blocks import Block, Forest
 from .functions import BlockingFunction, BlockingScheme
+
+M = TypeVar("M")
 
 
 def group_by_key(
@@ -49,40 +51,54 @@ def build_forest(dataset: Dataset, scheme: BlockingScheme, family: str) -> Fores
         if len(ids) < 2:
             continue
         root = Block(family=family, level=1, key=key, entity_ids=tuple(ids))
-        _subdivide(root, dataset, functions, level_index=1)
+        _subdivide(root, dataset, functions)
         roots.append(root)
     return Forest(family=family, roots=roots)
 
 
-def _subdivide(
-    parent: Block,
-    dataset: Dataset,
+def sub_blocks(
+    members: Sequence[M],
     functions: Sequence[BlockingFunction],
-    level_index: int,
-) -> None:
-    """Recursively attach child blocks produced by the next sub-function."""
-    if level_index >= len(functions):
-        return
-    function = functions[level_index]
-    members = [dataset.entity(eid) for eid in parent.entity_ids]
-    groups = group_by_key(members, function)
-    for key in sorted(groups):
-        ids = sorted(groups[key])
-        if len(ids) < 2:
+    level: int,
+    entity_of: Callable[[M], Entity] = lambda member: member,
+) -> Iterator[Tuple[int, str, List[M]]]:
+    """Yield ``(level, key, members)`` for each child of a level-``level``
+    block holding ``members``, in key order.
+
+    The next sub-function groups the members by key (``None`` keys drop
+    out) and singleton groups are dropped.  A level whose key keeps every
+    member together is skipped, so deeper functions still get a chance to
+    split the block.  ``entity_of`` maps a member to the entity the
+    functions key on.
+    """
+    for function in functions[level:]:  # functions[level].level == level + 1
+        groups: Dict[str, List[M]] = {}
+        for member in members:
+            key = function.key_of(entity_of(member))
+            if key is not None:
+                groups.setdefault(key, []).append(member)
+        if any(len(group) == len(members) for group in groups.values()):
             continue
-        if len(ids) == parent.size:
-            # The sub-key failed to subdivide; recurse *through* this level
-            # so deeper functions still get a chance to split the block.
-            _subdivide(parent, dataset, functions, level_index + 1)
-            return
+        for key in sorted(groups):
+            if len(groups[key]) >= 2:
+                yield function.level, key, groups[key]
+        return
+
+
+def _subdivide(
+    parent: Block, dataset: Dataset, functions: Sequence[BlockingFunction]
+) -> None:
+    """Recursively attach the parent's child blocks."""
+    members = [dataset.entity(eid) for eid in parent.entity_ids]
+    for level, key, group in sub_blocks(members, functions, parent.level):
         child = Block(
             family=parent.family,
-            level=function.level,
+            level=level,
             key=key,
-            entity_ids=tuple(ids),
+            entity_ids=tuple(sorted(entity.id for entity in group)),
         )
         parent.add_child(child)
-        _subdivide(child, dataset, functions, level_index + 1)
+        _subdivide(child, dataset, functions)
 
 
 def build_forests(dataset: Dataset, scheme: BlockingScheme) -> Dict[str, Forest]:
@@ -90,4 +106,4 @@ def build_forests(dataset: Dataset, scheme: BlockingScheme) -> Dict[str, Forest]
     return {family: build_forest(dataset, scheme, family) for family in scheme.family_order}
 
 
-__all__ = ["group_by_key", "build_forest", "build_forests"]
+__all__ = ["group_by_key", "sub_blocks", "build_forest", "build_forests"]

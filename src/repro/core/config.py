@@ -3,14 +3,13 @@
 Bundles everything Section VI-A fixes per dataset: the blocking scheme
 (Table II), the match function, the progressive mechanism M, the per-level
 window sizes ``w``, termination thresholds ``Th`` and fraction values
-``Frac`` (Section VI-A5), plus the schedule's interval weighting function
-``W`` and the incremental-output period α.
+``Frac`` (Section VI-A5) and the incremental-output period α, plus the
+schedule's fixed interval weighting ``W`` (:func:`linear_weights`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..blocking.blocks import Block
 from ..blocking.functions import (
@@ -88,9 +87,6 @@ class LevelPolicy:
         return block.size
 
 
-WeightingFunction = Callable[[int, int], float]
-
-
 def linear_weights(index: int, total: int) -> float:
     """``W(c_i)`` decreasing linearly from 1 to 1/total (paper: any
     non-increasing weights in [0, 1])."""
@@ -106,7 +102,6 @@ class ApproachConfig:
         matcher: the resolve/match function.
         mechanism: progressive mechanism M for resolving blocks.
         levels: per-level window / Frac / Th policy.
-        weighting: ``W(.)`` over cost-interval indices.
         alpha: reduce-side incremental output period (cost units, finite
             and positive).
         train_fraction: fraction of the dataset sampled (with ground truth)
@@ -130,7 +125,6 @@ class ApproachConfig:
     matcher: WeightedMatcher
     mechanism: Mechanism
     levels: LevelPolicy = field(default_factory=LevelPolicy)
-    weighting: WeightingFunction = linear_weights
     alpha: float = 200.0
     train_fraction: float = 0.1
     estimator: str = "learned"
@@ -236,7 +230,6 @@ def linkage_config(**overrides) -> ApproachConfig:
 __all__ = [
     "LevelPolicy",
     "ApproachConfig",
-    "WeightingFunction",
     "linear_weights",
     "citeseer_config",
     "books_config",

@@ -453,7 +453,6 @@ class ProgressiveER:
         schedule = generate_schedule(
             stats,
             model,
-            self.config,
             self.cluster.num_reduce_tasks,
             strategy=self.strategy,
         )

@@ -32,7 +32,7 @@ from ..blocking.blocks import Block
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (balance imports us)
     from .balance import BlockShard
 from ..mapreduce.clock import CostModel
-from .config import ApproachConfig
+from .config import linear_weights
 from .estimation import BlockEstimate, EstimationModel
 from .responsibility import compute_coverage
 from .statistics import DatasetStatistics
@@ -117,7 +117,6 @@ class _CostTracker:
 def generate_schedule(
     stats: DatasetStatistics,
     model: EstimationModel,
-    config: ApproachConfig,
     num_tasks: int,
     *,
     strategy: str = "ours",
@@ -145,7 +144,7 @@ def generate_schedule(
     _eliminate_blocks(roots, model, coverage, tracker)
 
     trees: Dict[str, Block] = {root.uid: root for root in roots}
-    cost_vector, weights = _derive_cost_vector(trees, model, config, num_tasks)
+    cost_vector, weights = _derive_cost_vector(trees, model, num_tasks)
 
     if strategy == "ours":
         cost_vector, weights = _split_overflowed_trees(
@@ -255,17 +254,17 @@ def _utility_sorted(
 def _derive_cost_vector(
     trees: Dict[str, Block],
     model: EstimationModel,
-    config: ApproachConfig,
     num_tasks: int,
 ) -> Tuple[List[float], List[float]]:
-    """The cost vector ``C`` (per reduce task) and its weights ``W``:
-    :data:`NUM_INTERVALS` equal intervals spanning the estimated per-task
-    share of the total cost.
+    """The cost vector ``C`` (per reduce task) and its weights ``W``
+    (:func:`~repro.core.config.linear_weights`): :data:`NUM_INTERVALS`
+    equal intervals spanning the estimated per-task share of the total
+    cost.
     """
     total = sum(model.estimates[b.uid].cost for b in _all_blocks(trees))
     per_task = max(total / num_tasks, 1.0)
     vector = [per_task * (i + 1) / NUM_INTERVALS for i in range(NUM_INTERVALS)]
-    weights = [config.weighting(i, len(vector)) for i in range(len(vector))]
+    weights = [linear_weights(i, len(vector)) for i in range(len(vector))]
     return vector, weights
 
 

@@ -19,8 +19,10 @@ the paper's actual implementation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..blocking.blocker import sub_blocks
 from ..blocking.blocks import Block
 from ..blocking.functions import BlockingFunction, BlockingScheme
 from ..data.dataset import Dataset
@@ -172,49 +174,11 @@ class BlockStatsReducer(Reducer):
         )
         context.counters.increment("driver", "stat_blocks")
         context.charge(context.cost_model.stat_record * len(members))
-        self._emit_children(family, level, key, uid, members, dominating, functions, context)
-
-    def _emit_children(
-        self,
-        family: str,
-        level: int,
-        key: str,
-        uid: str,
-        members: List[AnnotatedEntity],
-        dominating: Sequence[str],
-        functions: Sequence[BlockingFunction],
-        context: TaskContext,
-    ) -> None:
-        """Subdivide with the next sub-function (same pruning as the blocker)."""
-        next_index = level  # functions[level] has .level == level + 1
-        if next_index >= len(functions):
-            return
-        function = functions[next_index]
-        groups: Dict[str, List[AnnotatedEntity]] = {}
-        for annotated in members:
-            sub_key = function.key_of(annotated[0])
-            if sub_key is None:
-                continue
-            groups.setdefault(sub_key, []).append(annotated)
-        for sub_key in sorted(groups):
-            group = groups[sub_key]
-            if len(group) < 2:
-                continue
-            if len(group) == len(members):
-                # Sub-key failed to subdivide; skip through to deeper levels.
-                self._emit_children(
-                    family, function.level, key, uid, members, dominating, functions, context
-                )
-                return
+        for sub_level, sub_key, group in sub_blocks(
+            members, functions, level, itemgetter(0)
+        ):
             self._emit_block(
-                family,
-                function.level,
-                sub_key,
-                group,
-                uid,
-                dominating,
-                functions,
-                context,
+                family, sub_level, sub_key, group, uid, dominating, functions, context
             )
 
 

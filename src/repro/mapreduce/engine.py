@@ -5,8 +5,9 @@ and two concurrent reduce tasks per machine*, block size tuned so the number
 of map tasks equals the number of map slots, and speculative execution
 disabled.  :class:`Cluster` reproduces exactly that static-slot model:
 
-* a job's map tasks are scheduled onto ``machines * map_slots`` slots in
-  waves (earliest-free-slot first, deterministic tie-break by slot index);
+* a job's map tasks are scheduled onto ``machines * SLOTS_PER_MACHINE``
+  slots in waves (earliest-free-slot first, deterministic tie-break by
+  slot index);
 * the reduce phase begins only after the last map task finishes (Hadoop
   cannot invoke ``reduce()`` before the shuffle completes);
 * each reduce task is charged shuffle cost proportional to the records it
@@ -24,21 +25,18 @@ whether the tasks ran serially or on a pool of worker processes.
 from __future__ import annotations
 
 import time
-from typing import (
-    TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from .clock import CostModel
 from .counters import Counters
-from .faults import FaultPlan, FaultScheduler, TaskSchedule
+from .faults import AttemptSpan, FaultPlan, FaultScheduler, TaskSchedule
 from .executors import Executor, SerialExecutor
 from .job import MapReduceJob, split_input
 from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 
-#: A phase's placement: its ``FaultScheduler`` and per-task schedules.
-Placement = Tuple[FaultScheduler, List[TaskSchedule]]
-#: A phase's request ``(kind, job_name, ready, place)``.
-PhaseRequest = Tuple[str, str, float, Callable[[float], Placement]]
+#: Concurrent map tasks, and concurrent reduce tasks, per machine: the
+#: paper's Hadoop 1.2.1 cluster runs two of each (Section VI-A1).
+SLOTS_PER_MACHINE = 2
 
 if TYPE_CHECKING:  # observability depends on mapreduce, never the reverse
     from ..observability.metrics import MetricsRegistry
@@ -49,9 +47,8 @@ class Cluster:
     """A simulated Hadoop cluster.
 
     Args:
-        machines: number of worker machines (μ in the paper).
-        map_slots: concurrent map tasks per machine (paper: 2).
-        reduce_slots: concurrent reduce tasks per machine (paper: 2).
+        machines: number of worker machines (μ in the paper), each with
+            :data:`SLOTS_PER_MACHINE` map and reduce slots.
         cost_model: unit costs charged to every task clock.
         executor: execution backend running the per-task computations
             (default: :class:`~repro.mapreduce.executors.SerialExecutor`).
@@ -70,12 +67,13 @@ class Cluster:
             they are identical on every execution backend.
     """
 
+    map_slots = SLOTS_PER_MACHINE
+    reduce_slots = SLOTS_PER_MACHINE
+
     def __init__(
         self,
         machines: int,
         *,
-        map_slots: int = 2,
-        reduce_slots: int = 2,
         cost_model: Optional[CostModel] = None,
         executor: Optional[Executor] = None,
         tracer: "Optional[Tracer]" = None,
@@ -85,8 +83,6 @@ class Cluster:
         if machines <= 0:
             raise ValueError(f"machines must be positive, got {machines}")
         self.machines = machines
-        self.map_slots = map_slots
-        self.reduce_slots = reduce_slots
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.executor = executor if executor is not None else SerialExecutor()
         self.tracer = tracer
@@ -118,36 +114,7 @@ class Cluster:
 
         ``records`` is the logical input file; it is split contiguously
         across map tasks.  ``start_time`` lets callers chain jobs (Job 2
-        starts when Job 1 ends).  This cluster owns its timeline: every
-        phase starts on idle slots at its ready time.
-        """
-        steps = self.job_steps(
-            job, records, start_time=start_time,
-            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks,
-        )
-        placed = None
-        try:
-            while True:
-                _, _, ready, place = steps.send(placed)
-                placed = place(ready)
-        except StopIteration as done:
-            return done.value
-
-    def job_steps(
-        self,
-        job: MapReduceJob,
-        records: Sequence[Any],
-        *,
-        start_time: float = 0.0,
-        num_map_tasks: Optional[int] = None,
-        num_reduce_tasks: Optional[int] = None,
-    ) -> Generator[PhaseRequest, Placement, JobResult]:
-        """:meth:`run_job` with placement left to the caller.
-
-        A generator: after computing each phase's payloads it yields the
-        phase's request ``(kind, job_name, ready, place)`` and expects
-        back the placement granted to it, which ``place(start)`` computes
-        on the phase's own idle slots.  It returns the :class:`JobResult`.
+        starts when Job 1 ends).
 
         Phases are placed under the cluster's :class:`FaultPlan`, or an
         inert ``FaultPlan()`` when it has none.  A failed attempt loses
@@ -164,7 +131,7 @@ class Cluster:
         counters = Counters()
         splits = split_input(records, n_map)
         wall_start = time.perf_counter()
-        map_results, partitions = yield from self._run_map_phase(
+        map_results, partitions = self._run_map_phase(
             job, splits, n_red, start_time, counters, plan,
         )
         map_wall = time.perf_counter() - wall_start
@@ -175,8 +142,8 @@ class Cluster:
         )
 
         wall_start = time.perf_counter()
-        reduce_results, files = yield from self._run_reduce_phase(
-            job, partitions, n_red, map_phase_end, counters, plan,
+        reduce_results, files = self._run_reduce_phase(
+            job, partitions, map_phase_end, counters, plan,
         )
         reduce_wall = time.perf_counter() - wall_start
         end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
@@ -261,17 +228,12 @@ class Cluster:
         start_time: float,
         counters: Counters,
         plan: FaultPlan,
-    ) -> Generator[PhaseRequest, Placement, Tuple[List[TaskResult], List[List[KeyValue]]]]:
-        """Run all map tasks; return task results and per-reducer partitions.
-
-        The backend computes the payloads (possibly on worker processes);
-        scheduling, counter aggregation and partitioning replay them here,
-        in task-id order, so the timeline never depends on the backend.
-        """
+    ) -> Tuple[List[TaskResult], List[List[KeyValue]]]:
+        """Run all map tasks; return task results and per-reducer
+        partitions, built in task-id order whatever the backend."""
         payloads = self.executor.run_map_phase(job, splits, self.cost_model)
-        schedules = yield from self._place_phase(
-            plan, job, "map", self.machines * self.map_slots, start_time,
-            payloads, counters,
+        schedules = self._place_phase(
+            plan, job, "map", start_time, payloads, counters
         )
         partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
         results: List[TaskResult] = []
@@ -280,12 +242,11 @@ class Cluster:
             counters.merge(payload.counters)
             counters.increment("engine", "map_records", payload.num_records)
             counters.increment("engine", "map_emitted", len(payload.emitted))
-            results.append(
-                self._replay_task(
-                    job, "map", plan, payload, schedules[payload.task_id],
-                    counters, payload.emitted,
-                )
+            result, _, _ = self._replay_task(
+                job, "map", plan, payload, schedules[payload.task_id],
+                counters, payload.emitted,
             )
+            results.append(result)
             for key, value in payload.emitted:
                 idx = job.partitioner.partition(key, n_red)
                 if not 0 <= idx < n_red:
@@ -301,38 +262,27 @@ class Cluster:
         plan: FaultPlan,
         job: MapReduceJob,
         phase: str,
-        num_slots: int,
         phase_start: float,
         payloads: Sequence[Any],
         counters: Counters,
-    ) -> Generator[PhaseRequest, Placement, List[TaskSchedule]]:
-        """Ask for one phase's placement under ``plan``; return its schedules.
+    ) -> List[TaskSchedule]:
+        """Place one phase's tasks on the cluster's idle slots from
+        ``phase_start`` under ``plan``; return the per-task schedules.
 
-        Placement runs in the driver on the payloads' virtual costs, so the
-        timeline is identical on every execution backend.  Crash decisions
-        key on task ids and attempt ordinals, never on absolute times, so
-        the start a caller grants changes when a phase runs but not how
+        The scheduler runs in the driver on the payloads' virtual costs,
+        so the timeline is identical on every execution backend.  Crash
+        decisions key on task ids and attempt ordinals, never on absolute
+        times, so ``phase_start`` changes when a phase runs but not how
         many faults it meets.  Fault statistics land in the ``fault.*``
         counter namespace (only non-zero values are recorded, so an inert
         plan leaves counters untouched).
         """
-
-        def place(start: float) -> Placement:
-            scheduler = FaultScheduler(
-                plan, num_slots, start, job=job.name, phase=phase
-            )
-            return scheduler, scheduler.run([p.cost for p in payloads])
-
-        scheduler, schedules = yield phase, job.name, phase_start, place
-        stats = scheduler.stats
-        for name, value in (
-            ("failed_attempts", stats.failed_attempts),
-            ("retries", stats.retries),
-            ("speculative_launched", stats.speculative_launched),
-            ("speculative_wins", stats.speculative_wins),
-            ("speculative_failed", stats.speculative_failed),
-            ("killed_attempts", stats.killed_attempts),
-        ):
+        scheduler = FaultScheduler(
+            plan, self.machines * SLOTS_PER_MACHINE, phase_start,
+            job=job.name, phase=phase,
+        )
+        schedules = scheduler.run([p.cost for p in payloads])
+        for name, value in vars(scheduler.stats).items():
             if value:
                 counters.increment("fault", f"{phase}_{name}", value)
         return schedules
@@ -346,8 +296,10 @@ class Cluster:
         sched: TaskSchedule,
         counters: Counters,
         output: List[Any],
-    ) -> TaskResult:
-        """Rebase one payload onto its placement (shared by both phases).
+    ) -> Tuple[TaskResult, AttemptSpan, float]:
+        """Rebase one payload onto its placement (shared by both phases);
+        return the task's result, its winning attempt and that attempt's
+        slot slowdown.
 
         Task-local event times are shifted to the winning attempt's start
         and stretched by its slot's slowdown (exactly 1.0 on a healthy
@@ -360,7 +312,7 @@ class Cluster:
         )
         counters.increment("engine", f"{phase}_retries", retries)
         self._trace_task(job, phase, payload, sched, stretch)
-        return TaskResult(
+        result = TaskResult(
             task_id=payload.task_id,
             cost=payload.cost,
             start_time=sched.attempts[0].start,
@@ -379,6 +331,7 @@ class Cluster:
             wall_ns=payload.wall_ns,
             charge_profile=payload.charge_profile,
         )
+        return result, win, stretch
 
     def _trace_task(
         self,
@@ -447,16 +400,14 @@ class Cluster:
         self,
         job: MapReduceJob,
         partitions: List[List[KeyValue]],
-        n_red: int,
         phase_start: float,
         counters: Counters,
         plan: FaultPlan,
-    ) -> Generator[PhaseRequest, Placement, Tuple[List[TaskResult], List[OutputFile]]]:
+    ) -> Tuple[List[TaskResult], List[OutputFile]]:
         """Run all reduce tasks; return task results and output files."""
         payloads = self.executor.run_reduce_phase(job, partitions, self.cost_model)
-        schedules = yield from self._place_phase(
-            plan, job, "reduce", self.machines * self.reduce_slots,
-            phase_start, payloads, counters,
+        schedules = self._place_phase(
+            plan, job, "reduce", phase_start, payloads, counters
         )
         results: List[TaskResult] = []
         all_files: List[OutputFile] = []
@@ -466,14 +417,11 @@ class Cluster:
             counters.merge(payload.counters)
             counters.increment("engine", "reduce_groups", payload.num_groups)
             counters.increment("engine", "reduce_records", payload.num_records)
-            results.append(
-                self._replay_task(
-                    job, "reduce", plan, payload, schedules[task_id],
-                    counters, payload.written,
-                )
+            result, win, stretch = self._replay_task(
+                job, "reduce", plan, payload, schedules[task_id],
+                counters, payload.written,
             )
-            win = schedules[task_id].winning
-            stretch = plan.slot_slowdown(win.slot)
+            results.append(result)
             for f in payload.files:
                 # Rebase the task-local close time like the task's events.
                 f.close_time = win.start + f.close_time * stretch
@@ -491,4 +439,4 @@ class Cluster:
         return results, all_files
 
 
-__all__ = ["Cluster"]
+__all__ = ["SLOTS_PER_MACHINE", "Cluster"]

@@ -55,13 +55,13 @@ class TaskContext:
         self.counters = Counters()
         self.emitted: List[KeyValue] = []
         self.written: List[Any] = []
+        self.emitted_events: List[Event] = []
         self.span_fragments: List[SpanFragment] = []
         self._trace_enabled = trace
         self._alpha = alpha
         self._files: List[OutputFile] = []
         self._current_file = OutputFile(task_id=task_id, index=0, close_time=0.0)
         self._next_flush = alpha if alpha is not None else None
-        self._start_time = 0.0  # set by the engine before running
         #: Virtual cost per charge category ("compare", "emit", "shuffle",
         #: "sort", "read"); untagged charges are the calibration residual.
         self.charge_profile: dict = {}
@@ -113,12 +113,6 @@ class TaskContext:
         The engine rebases event times to global time after the task ran.
         """
         self.emitted_events.append(Event(time=self.clock.now, kind=kind, payload=payload))
-
-    @property
-    def emitted_events(self) -> List[Event]:
-        if not hasattr(self, "_events"):
-            self._events: List[Event] = []
-        return self._events
 
     # -- tracing -----------------------------------------------------------
 

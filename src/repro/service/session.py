@@ -22,13 +22,12 @@ from typing import Any, Sequence
 from ..baselines.basic import BasicER
 from ..core.driver import ProgressiveER
 from ..mapreduce.clock import CostModel
-from ..mapreduce.engine import Cluster, JobResult
+from ..mapreduce.engine import SLOTS_PER_MACHINE, Cluster, JobResult
 from ..mapreduce.executors import make_executor
 from ..mapreduce.job import MapReduceJob
 
 #: Slots per machine of the paper's cluster (Section VI-A1).
-PAPER_MAP_SLOTS = 2
-PAPER_REDUCE_SLOTS = 2
+PAPER_MAP_SLOTS = PAPER_REDUCE_SLOTS = SLOTS_PER_MACHINE
 
 
 def build_cluster(spec: "RunSpec") -> Cluster:
@@ -38,8 +37,6 @@ def build_cluster(spec: "RunSpec") -> Cluster:
         executor = make_executor(spec.backend, spec.workers)
     return Cluster(
         spec.machines,
-        map_slots=PAPER_MAP_SLOTS,
-        reduce_slots=PAPER_REDUCE_SLOTS,
         cost_model=spec.cost_model if spec.cost_model is not None else CostModel(),
         executor=executor,
         tracer=spec.tracer,

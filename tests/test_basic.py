@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines import BasicConfig, BasicER
+from repro.baselines import BasicConfig, BasicER, MrsnConfig, MultiPassMRSN
 from repro.baselines.basic import smallest_key_columns
-from repro.core import citeseer_config
+from repro.core import citeseer_config, linkage_config
+from repro.data import make_linkage
 from repro.mapreduce import Cluster
 from repro.mechanisms.base import column_veto
 
@@ -141,3 +142,28 @@ class TestBasicEndToEnd:
             results[window] = BasicER(config, Cluster(3)).run(citeseer_small)
         assert results[5].total_time < results[15].total_time
         assert len(results[5].found_pairs) <= len(results[15].found_pairs)
+
+
+def _pairs_filtered(baseline, dataset, config):
+    """Every job's ``resolve.pairs_filtered`` counter, where one is set."""
+    if baseline == "basic":
+        jobs = [BasicER(BasicConfig(config), Cluster(3)).run(dataset).job]
+    else:
+        jobs = MultiPassMRSN(MrsnConfig(config), Cluster(3)).run(dataset).jobs
+    flats = [job.counters.as_flat_dict() for job in jobs]
+    return [flat["resolve.pairs_filtered"] for flat in flats if "resolve.pairs_filtered" in flat]
+
+
+@pytest.mark.parametrize("baseline", ["basic", "mrsn"])
+class TestFilteredCounter:
+    """The baselines count the same-source pairs their column veto
+    filters under the counter Job 2 uses."""
+
+    def test_linkage_run_counts_filtered_pairs(self, baseline):
+        assert sum(_pairs_filtered(baseline, make_linkage(600, seed=1), linkage_config())) > 0
+
+    def test_dirty_run_has_no_filtered_counter(
+        self, baseline, citeseer_small, shared_citeseer_matcher
+    ):
+        config = citeseer_config(matcher=shared_citeseer_matcher)
+        assert _pairs_filtered(baseline, citeseer_small, config) == []

@@ -114,7 +114,7 @@ def _annotated_and_schedule(dataset, config):
     annotated, stats, _ = run_statistics_job(cluster, dataset, config.scheme)
     model = EstimationModel(config, CostModel(), UniformEstimator(0.05), len(dataset))
     schedule = generate_schedule(
-        stats, model, config, cluster.num_reduce_tasks, strategy="ours"
+        stats, model, cluster.num_reduce_tasks, strategy="ours"
     )
     return annotated, schedule
 

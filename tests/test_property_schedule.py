@@ -82,7 +82,7 @@ def test_schedule_invariants_on_random_forests(stats, num_tasks, strategy, prob)
     model = EstimationModel(
         config, CostModel(), UniformEstimator(prob), dataset_size
     )
-    schedule = generate_schedule(stats, model, config, num_tasks, strategy=strategy)
+    schedule = generate_schedule(stats, model, num_tasks, strategy=strategy)
 
     # 1. Every tree assigned exactly once, to a valid task.
     assert set(schedule.assignment) == set(schedule.trees)

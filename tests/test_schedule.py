@@ -23,7 +23,7 @@ def _make_schedule(dataset, stats, num_tasks=6, strategy="ours", probability=0.1
     model = EstimationModel(
         config, CostModel(), UniformEstimator(probability), len(dataset)
     )
-    return generate_schedule(stats, model, config, num_tasks, strategy=strategy)
+    return generate_schedule(stats, model, num_tasks, strategy=strategy)
 
 
 @pytest.fixture(scope="module")
