@@ -183,7 +183,7 @@ def test_bound_never_slows_the_kernel(report):
     def _columns(kernel):
         reset_dp_cell_counters()
         results = [kernel(a, b) for a, b in pairs]
-        return results, sum(dp_cell_counters().values())
+        return results, dp_cell_counters()["myers"]
 
     exact, unbounded_columns = _columns(levenshtein)
     clamped, bounded_columns = _columns(bounded)
@@ -217,7 +217,7 @@ def test_threshold_propagation_reduces_kernel_work(books_dataset, report):
     def _run_decisions():
         reset_dp_cell_counters()
         decisions = _decide(BatchMatcher(matcher), pairs)
-        return decisions, sum(dp_cell_counters().values())
+        return decisions, dp_cell_counters()["myers"]
 
     propagated_decisions, propagated_columns = _run_decisions()
     original_floor = batch_module._rule_floor
@@ -252,15 +252,17 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
         for j in range(i + 1, min(i + 8, len(ordered)))
     ]
     batches = [pairs[k:k + 64] for k in range(0, len(pairs), 64)]
-    real_levenshtein = matchers_module.levenshtein
+    real_levenshtein_many = matchers_module.levenshtein_many
     calls = 0
 
-    def counting_levenshtein(*args, **kwargs):
+    def counting_levenshtein_many(triples):
+        # One bounded kernel call per triple, packed or not.
         nonlocal calls
-        calls += 1
-        return real_levenshtein(*args, **kwargs)
+        triples = list(triples)
+        calls += len(triples)
+        return real_levenshtein_many(triples)
 
-    monkeypatch.setattr(matchers_module, "levenshtein", counting_levenshtein)
+    monkeypatch.setattr(matchers_module, "levenshtein_many", counting_levenshtein_many)
 
     def _run_decisions():
         nonlocal calls
@@ -289,6 +291,68 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
     assert any(credited[0]) and not all(credited[0])
     assert call_ratio >= 10.0, f"credit bound only cut kernel calls {call_ratio:.1f}x"
     assert column_ratio >= 7.0, f"credit bound only cut DP columns {column_ratio:.1f}x"
+
+
+def test_packed_kernel_cuts_column_steps(citeseer_dataset, report, monkeypatch):
+    """Deciding a batch's survivors of one edit rule in one packed column
+    loop must take ≥3x fewer Myers loop iterations than deciding them one
+    pair at a time, for identical answers.
+
+    The groups are the ones ``BatchMatcher`` hands the bounded kernel on
+    sorted-neighbour pairs of the largest citeseer main block, 64 pairs a
+    batch.  Steps, not seconds: one per column of a per-pair call, one per
+    column of a whole packed group, so the count repeats exactly.
+    """
+    from repro.mechanisms import block_sort_key
+    from repro.similarity import edit_distance
+
+    forests = build_forests(citeseer_dataset, citeseer_scheme())
+    block = max(
+        (root for forest in forests.values() for root in forest),
+        key=lambda root: root.size,
+    )
+    by_id = {entity.id: entity for entity in citeseer_dataset.entities}
+    members = sorted(
+        (by_id[i] for i in block.entity_ids[:400]),
+        key=lambda entity: block_sort_key(entity, "title"),
+    )
+    pairs = [
+        (members[i], members[j])
+        for i in range(len(members))
+        for j in range(i + 1, min(i + 6, len(members)))
+    ]
+    groups = []
+    real_levenshtein_many = matchers_module.levenshtein_many
+
+    def recording_levenshtein_many(triples):
+        triples = list(triples)
+        groups.append(triples)
+        return real_levenshtein_many(triples)
+
+    monkeypatch.setattr(matchers_module, "levenshtein_many", recording_levenshtein_many)
+    batcher = BatchMatcher(citeseer_matcher())
+    for k in range(0, len(pairs), 64):
+        _decide(batcher, pairs[k:k + 64])
+
+    reset_dp_cell_counters()
+    pairwise = [
+        [levenshtein(a, b, max_distance=bound) for a, b, bound in group]
+        for group in groups
+    ]
+    pairwise_steps = dp_cell_counters()["steps"]
+    reset_dp_cell_counters()
+    packed = [edit_distance.levenshtein_many(group) for group in groups]
+    packed_steps = dp_cell_counters()["steps"]
+
+    ratio = pairwise_steps / max(packed_steps, 1)
+    report(
+        f"packed kernel on {sum(map(len, groups)):,} bounded pairs in "
+        f"{len(groups):,} groups: Myers steps {pairwise_steps:,} per pair -> "
+        f"{packed_steps:,} packed ({ratio:.1f}x)"
+    )
+    assert packed == pairwise
+    assert max(map(len, groups)) >= edit_distance._PACK_MIN
+    assert ratio >= 3.0, f"packing only cut Myers steps {ratio:.1f}x"
 
 
 def test_batch_kernel_call_reduction(books_dataset, report):

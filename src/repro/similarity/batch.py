@@ -26,9 +26,12 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   if that is below the threshold the pair is dead and leaves every later
   rule;
 * **threshold propagation** — for edit rules :func:`_rule_floor` turns the
-  same bound into the minimum similarity the rule must reach, and the edit
-  kernel is called with the matching distance bound so it stops its column
-  loop the moment the pair is dead;
+  same bound into the minimum similarity the rule must reach, and the
+  rule's pairs with a floor go to the edit kernel in one call
+  (:func:`~repro.similarity.matchers.edits_at_least`), each with the
+  matching distance bound.  The kernel decides them in one packed Myers
+  column loop, or per pair when only a few survive its cheap exits, and
+  either way a pair leaves the loop once its bound proves it dead;
 * **bounded credit** — an unevaluated edit rule is not credited a perfect
   1.0 but :func:`_edit_upper_bounds`: what the two lengths and the two
   character-count signatures still allow (the length and count filters of
@@ -81,7 +84,7 @@ from .matchers import (
     AttributeRule,
     WeightedMatcher,
     _BELOW_FLOOR,
-    edit_at_least,
+    edits_at_least,
 )
 from .edit_distance import edit_similarity
 
@@ -486,7 +489,14 @@ class BatchMatcher:
         return out
 
     def _edit_pass(self, values1, values2, alive, sims, totals, weights, credits, uppers):
-        """Pass 3 of :meth:`_bounded_decisions`; returns the survivors."""
+        """Pass 3 of :meth:`_bounded_decisions`; returns the survivors.
+
+        Per edit rule, in three steps: every alive pair trades the rule's
+        credit for its floor, or for its similarity when no floor binds
+        (pairs are independent, so the order does not matter); the pairs
+        with a floor above zero go to the bounded kernel in one call; the
+        answers are applied in pair order.
+        """
         rules = self._rules
         cutoff = self._cutoff
         n = len(values1)
@@ -501,31 +511,42 @@ class BatchMatcher:
             # sorted blocks; resolve them once per batch instead of once
             # per pair.
             local: Dict[tuple, float] = {}
-            next_alive = []
+            bounded: List[int] = []
+            firsts: List[str] = []
+            seconds: List[str] = []
+            floors: List[float] = []
             for p in alive:
                 v1 = values1[p][index]
                 v2 = values2[p][index]
-                credit_after = credits[p] - weight * column[p]
+                credit_after = credits[p] = credits[p] - weight * column[p]
                 if not v1 and not v2:
-                    sim: Optional[float] = None
-                elif not v1 or not v2:
-                    sim = 0.0
+                    continue  # the score stays None
+                if not v1 or not v2:
+                    scores[p] = 0.0
+                    continue
+                floor = _rule_floor(
+                    cutoff, weight, totals[p], weights[p],
+                    credit_after, remaining_after,
+                )
+                if floor > 0.0:
+                    bounded.append(p)
+                    firsts.append(v1)
+                    seconds.append(v2)
+                    floors.append(floor)
                 else:
-                    floor = _rule_floor(
-                        cutoff, weight, totals[p], weights[p],
-                        credit_after, remaining_after,
-                    )
-                    if floor > 0.0:
-                        sim = edit_at_least(v1, v2, floor)
-                        if sim == _BELOW_FLOOR:
-                            continue
-                    else:
-                        sim = local.get((v1, v2))
-                        if sim is None:
-                            sim = local[(v1, v2)] = edit_similarity(v1, v2)
-                scores[p] = sim
-                credits[p] = credit_after
+                    sim = local.get((v1, v2))
+                    if sim is None:
+                        sim = local[(v1, v2)] = edit_similarity(v1, v2)
+                    scores[p] = sim
+            if bounded:
+                for p, sim in zip(bounded, edits_at_least(firsts, seconds, floors)):
+                    scores[p] = sim
+            next_alive = []
+            for p in alive:
+                sim = scores[p]
                 if sim is not None:
+                    if sim == _BELOW_FLOOR:
+                        continue
                     totals[p] += weight * sim
                     weights[p] += weight
                 bound_weight = weights[p] + remaining_after
@@ -533,7 +554,7 @@ class BatchMatcher:
                     continue  # every evaluated rule missing on both sides
                 if (
                     remaining_after > 0.0
-                    and (totals[p] + credit_after) / bound_weight < cutoff
+                    and (totals[p] + credits[p]) / bound_weight < cutoff
                 ):
                     continue  # upper bound too low
                 next_alive.append(p)

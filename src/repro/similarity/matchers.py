@@ -16,8 +16,9 @@ into the edit kernel — is
 :class:`~repro.similarity.batch.BatchMatcher`, which every pair ``src/``
 decides goes through (``repro.mechanisms.base.resolve_block``);
 :meth:`WeightedMatcher.is_match` is what it must reproduce and what the
-tests hold it to.  The bounded edit comparison (:func:`edit_at_least`)
-lives here beside the rules both paths evaluate.
+tests hold it to.  The bounded edit comparison (:func:`edits_at_least`,
+a batch's pairs of one rule at a time) lives here beside the rules both
+paths evaluate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
-from .edit_distance import distance_budget, edit_similarity, levenshtein
+from .edit_distance import (
+    distance_budget,
+    edit_similarity,
+    levenshtein,
+    levenshtein_many,
+)
 
 #: Attribute length (characters) that costs exactly one comparison unit.
 REFERENCE_LENGTH = 40.0
@@ -37,27 +43,36 @@ REFERENCE_LENGTH = 40.0
 #: dispatch/serialization overhead.
 MIN_COST_FACTOR = 0.2
 
-#: Sentinel returned by :func:`edit_at_least` when the similarity is
+#: Sentinel returned by :func:`edits_at_least` when the similarity is
 #: provably below the requested floor (the exact value was never computed).
 _BELOW_FLOOR = -1.0
 
 
-def edit_at_least(v1: str, v2: str, floor: float) -> float:
-    """Edit similarity when it can still matter, else :data:`_BELOW_FLOOR`.
+def edits_at_least(
+    values1: Sequence[str], values2: Sequence[str], floors: Sequence[float]
+) -> List[float]:
+    """Per pair of the three columns, the edit similarity of ``v1`` and
+    ``v2`` when it can still matter, else :data:`_BELOW_FLOOR`.
 
     ``floor`` is the minimum similarity that could still influence the
-    match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).  It becomes
-    the kernel's bound through :func:`distance_budget`, whose truncation
-    guarantees the sentinel is only ever returned for similarities
-    *strictly* below the floor.  An exact result is the float
-    :func:`edit_similarity` returns: ``1 - d/longest``, the same expression.
+    match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).
+    It becomes the kernel's bound through :func:`distance_budget`, whose
+    truncation guarantees the sentinel is only ever returned for
+    similarities *strictly* below the floor.  An exact result is the float
+    :func:`edit_similarity` returns: ``1 - d/longest``, the same
+    expression.  The distances are decided together by
+    :func:`levenshtein_many` (one packed column loop when enough pairs
+    survive its cheap exits).
     """
-    longest = max(len(v1), len(v2))
-    allowed = distance_budget(floor, longest)
-    distance = levenshtein(v1, v2, max_distance=allowed)
-    if distance > allowed:
-        return _BELOW_FLOOR
-    return 1.0 - distance / longest
+    longests = list(map(max, map(len, values1), map(len, values2)))
+    budgets = list(map(distance_budget, floors, longests))
+    distances = levenshtein_many(zip(values1, values2, budgets))
+    # A loop, not a comprehension: it runs once per rule and batch, and the
+    # perf-smoke call budgets count every Python frame.
+    out = []
+    for distance, allowed, longest in zip(distances, budgets, longests):
+        out.append(_BELOW_FLOOR if distance > allowed else 1.0 - distance / longest)
+    return out
 
 
 def similarity_cache_counters() -> Counters:
@@ -264,6 +279,9 @@ def linkage_matcher(threshold: float = 0.55, *, cache: bool = False) -> Weighted
 
 
 __all__ = [
+    # Re-exported only because ``benchmarks/e2e/spans.py`` wraps
+    # ``matchers.levenshtein``; ROADMAP item 1(a) retargets that wrapper.
+    "levenshtein",
     "AttributeRule",
     "WeightedMatcher",
     "citeseer_matcher",

@@ -202,7 +202,7 @@ class _Deaths:
         self.real = {
             name: getattr(batch_module, name)
             for name in (
-                "_rule_floor", "_edit_upper_bounds", "edit_at_least", "edit_similarity"
+                "_rule_floor", "_edit_upper_bounds", "edits_at_least", "edit_similarity"
             )
         }
         self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
@@ -226,11 +226,11 @@ class _Deaths:
         self.uppers.extend(uppers)
         return uppers
 
-    def edit_at_least(self, v1, v2, floor):
-        sim = self.real["edit_at_least"](v1, v2, floor)
-        self.kernel_calls += 1
-        self.sentinel = self.sentinel or sim == batch_module._BELOW_FLOOR
-        return sim
+    def edits_at_least(self, values1, values2, floors):
+        sims = self.real["edits_at_least"](values1, values2, floors)
+        self.kernel_calls += len(sims)
+        self.sentinel = self.sentinel or batch_module._BELOW_FLOOR in sims
+        return sims
 
     def edit_similarity(self, v1, v2):
         self.kernel_calls += 1
@@ -358,14 +358,14 @@ class TestFloorSoundness:
         e0 = Entity(id=0, attrs={"title": base})
         assert batch_module._signature(base) is None
         with mock.patch.object(
-            batch_module, "edit_at_least",
-            side_effect=batch_module.edit_at_least,
+            batch_module, "edits_at_least",
+            side_effect=batch_module.edits_at_least,
         ) as kernel:
             assert decide(BatchMatcher(matcher), [(e0, near), (e0, far)]) == [
                 True, False,
             ]
         # The length gap alone ruled the second pair out.
-        assert kernel.call_count == 1
+        assert sum(len(call.args[2]) for call in kernel.call_args_list) == 1
 
 
 # ---------------------------------------------------------------------------

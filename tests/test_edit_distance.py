@@ -11,7 +11,7 @@ from repro.similarity.edit_distance import (
     edit_similarity,
     levenshtein,
 )
-from repro.similarity.matchers import edit_at_least
+from repro.similarity.matchers import edits_at_least
 
 words = st.text(alphabet="abcdef ", min_size=0, max_size=40)
 nonempty_words = st.text(alphabet="abcdef ", min_size=1, max_size=40)
@@ -110,7 +110,7 @@ class TestEditSimilarity:
     def test_threshold_check_agrees_with_similarity(self, a, b, floor):
         """The bounded check is the exact similarity, or the sentinel only
         for similarities strictly below ``floor``."""
-        result = edit_at_least(a, b, floor)
+        (result,) = edits_at_least([a], [b], [floor])
         if result == -1.0:
             assert edit_similarity(a, b) < floor
         else:

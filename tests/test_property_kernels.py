@@ -1,12 +1,15 @@
-"""Property tests for the edit-distance kernel and threshold propagation.
+"""Property tests for the edit-distance kernels and threshold propagation.
 
-One kernel answers every distance query — Myers' bit-parallel column loop
-with Ukkonen's cutoff, behind the cheap exits of
-:func:`repro.similarity.edit_distance.levenshtein`.  It must agree with the
+Two kernels answer distance queries, both Myers' bit-parallel column loop
+with Ukkonen's cutoff behind the same cheap exits: per pair
+(:func:`repro.similarity.edit_distance.levenshtein`, used by the
+definition and by groups too small to pack) and packed
+(:func:`~repro.similarity.edit_distance.levenshtein_many`, one column loop
+for a batch's survivors of one edit rule).  Both must agree with the
 textbook DP on arbitrary unicode inputs, bounded or not: empty strings,
 bounds that land exactly on the true distance (the cutoff's boundary
-case), and strings long enough that a column no longer fits one machine
-word.
+case), strings long enough that a column no longer fits one machine word,
+and, for the packed kernel, groups whose shared word runs past 1.5 kbit.
 
 The credit ``BatchMatcher`` gives an edit rule it has not evaluated yet —
 ``_edit_upper_bounds``, from the two lengths and the bucketed character
@@ -24,6 +27,7 @@ must equal the unbounded weighted-sum decision ``is_match`` defines.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,8 +43,9 @@ from repro.similarity import (
     levenshtein,
     reset_dp_cell_counters,
 )
+from repro.similarity import edit_distance
 from repro.similarity.batch import _COUNTER_MAX, _edit_upper_bounds, _signature
-from repro.similarity.edit_distance import _myers_dp, edit_similarity
+from repro.similarity.edit_distance import _myers_dp, edit_similarity, levenshtein_many
 
 #: Unicode-heavy but collision-prone alphabet: small enough that random
 #: strings share substrings (exercising the prefix/suffix stripping and
@@ -161,6 +166,94 @@ class TestBoundedKernelOnLongStrings:
 
 
 # ---------------------------------------------------------------------------
+# The packed kernel: one column loop for a whole group
+# ---------------------------------------------------------------------------
+
+
+def packed(triples):
+    """``levenshtein_many`` with every group packed, however small."""
+    with mock.patch.object(edit_distance, "_PACK_MIN", 1):
+        return levenshtein_many(triples)
+
+
+@st.composite
+def packed_groups(draw, core):
+    """1-40 ``(a, b, bound, distance)``: unrelated, equal, one side empty,
+    or sharing a prefix and a suffix; bounds at the true distance ± 1, or
+    anywhere."""
+    group = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        shape = draw(st.sampled_from(("unrelated", "equal", "empty", "affixed")))
+        a = draw(core)
+        if shape == "equal":
+            b = a
+        elif shape == "empty":
+            b = ""
+        elif shape == "affixed":
+            prefix, suffix = draw(short_text), draw(short_text)
+            a, b = prefix + a + suffix, prefix + draw(core) + suffix
+        else:
+            b = draw(core)
+        if draw(st.booleans()):
+            a, b = b, a
+        distance = reference_distance(a, b)
+        if draw(st.integers(min_value=0, max_value=4)):
+            bound = max(0, distance + draw(st.integers(min_value=-1, max_value=1)))
+        else:
+            bound = draw(st.integers(min_value=0, max_value=len(a) + len(b) + 2))
+        group.append((a, b, bound, distance))
+    return group
+
+
+#: Values that cross the 64-bit word on their own; a large group of them
+#: packs past 1.5 kbit (the fixed sixty-pair test below always does).
+word_text = st.text(alphabet=ALPHABET, min_size=55, max_size=75)
+
+
+class TestPackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(group=packed_groups(short_text))
+    def test_equals_the_reference_clamped_at_each_bound(self, group):
+        answers = packed([(a, b, bound) for a, b, bound, _ in group])
+        assert answers == [min(d, bound + 1) for _, _, bound, d in group]
+
+    @settings(max_examples=15, deadline=None)
+    @given(group=packed_groups(word_text))
+    def test_values_past_one_machine_word(self, group):
+        answers = packed([(a, b, bound) for a, b, bound, _ in group])
+        assert answers == [min(d, bound + 1) for _, _, bound, d in group]
+
+    def test_a_pack_past_three_kbit_of_mixed_lengths(self):
+        # Sixty pairs of 1-150 characters, half of them near-duplicates, in
+        # one 3.7 kbit word: segments retire at many different columns, by
+        # the cutoff and by the end of their text, from the middle of the
+        # word and from its top.
+        rng = random.Random(44)
+        triples = []
+        for _ in range(60):
+            a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 150)))
+            b = _mutated(a, rng.randint(0, 8), rng) if rng.random() < 0.5 else (
+                "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 150)))
+            )
+            true = reference_distance(a, b)
+            triples.append((a, b, max(0, true + rng.choice((-1, 0, 1, 40)))))
+        expected = [min(reference_distance(a, b), k + 1) for a, b, k in triples]
+        assert packed(triples) == expected
+        assert levenshtein_many(triples) == expected
+
+    def test_small_groups_run_the_per_pair_kernel(self):
+        triples = [("kitten", "sitting", 5), ("flaw", "lawn", 0)]
+        reset_dp_cell_counters()
+        assert levenshtein_many(triples) == [3, 1]
+        counters = dp_cell_counters()
+        assert counters["steps"] == counters["myers"] > 0
+        reset_dp_cell_counters()
+        assert packed(triples) == [3, 1]
+        # One loop for both pairs: fewer steps than the columns they visit.
+        assert 0 < dp_cell_counters()["steps"] < dp_cell_counters()["myers"]
+
+
+# ---------------------------------------------------------------------------
 # The character-count credit is an upper bound on the edit similarity
 # ---------------------------------------------------------------------------
 
@@ -274,3 +367,25 @@ class TestThresholdPropagation:
         (bounded,) = decide(BatchMatcher(matcher), [(e1, e2)])
         unbounded = matcher.similarity(e1, e2) >= matcher.threshold
         assert bounded == unbounded == matcher.is_match(e1, e2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        matcher=matcher_configs(),
+        values=st.lists(entity_values, min_size=2, max_size=8),
+        mutate=st.booleans(),
+    )
+    def test_every_group_packed_equals_is_match(self, matcher, values, mutate):
+        # Every pair of a handful of entities in one batch, and every group
+        # the edit kernel gets packed: the packed kernel decides as
+        # ``is_match`` does.
+        if mutate:
+            # Near-duplicates of the first entity, each a little shorter.
+            values = [
+                [value[: len(value) - i % 4] for value in values[0]]
+                for i in range(len(values))
+            ]
+        entities = [_entity(i, v) for i, v in enumerate(values)]
+        pairs = [(e1, e2) for i, e1 in enumerate(entities) for e2 in entities[i + 1:]]
+        with mock.patch.object(edit_distance, "_PACK_MIN", 1):
+            decisions = decide(BatchMatcher(matcher), pairs)
+        assert decisions == [matcher.is_match(e1, e2) for e1, e2 in pairs]
