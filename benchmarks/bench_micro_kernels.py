@@ -241,8 +241,10 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
     character counts allow — not a perfect 1.0 — must cut edit-kernel calls
     and DP columns several-fold on sorted-neighbour book pairs, for
     identical decisions.  Counts, not seconds: they repeat exactly.
-    Measured 17.0x calls, 15.4x columns here; the floors below (10x, 7x)
-    leave room for a change in the pairs that reach the kernel.
+    Measured 19.1x calls, 13.8x columns here; the floors below (10x, 7x)
+    leave room for a change in the pairs that reach the kernel.  A call is
+    a triple whose bound can bind: pairs with a floor of 0 or below share
+    the kernel call, under a bound no distance exceeds.
     """
     matcher = books_matcher()
     ordered = sorted(books_dataset.entities, key=lambda e: e.get("title"))[:1500]
@@ -256,10 +258,11 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
     calls = 0
 
     def counting_levenshtein_many(triples):
-        # One bounded kernel call per triple, packed or not.
+        # One bounded kernel call per triple whose bound can bind, packed or
+        # not; a floor of 0 or below gives a bound no distance exceeds.
         nonlocal calls
         triples = list(triples)
-        calls += len(triples)
+        calls += sum(bound < max(len(a), len(b)) for a, b, bound in triples)
         return real_levenshtein_many(triples)
 
     monkeypatch.setattr(matchers_module, "levenshtein_many", counting_levenshtein_many)
@@ -284,7 +287,7 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
     column_ratio = optimistic[2] / max(credited[2], 1)
     report(
         f"credit bound on {len(pairs):,} sorted-neighbour book pairs: "
-        f"levenshtein calls {optimistic[1]:,} -> {credited[1]:,} ({call_ratio:.1f}x), "
+        f"bounded kernel calls {optimistic[1]:,} -> {credited[1]:,} ({call_ratio:.1f}x), "
         f"DP columns {optimistic[2]:,} -> {credited[2]:,} ({column_ratio:.1f}x)"
     )
     assert credited[0] == optimistic[0]
@@ -300,8 +303,10 @@ def test_packed_kernel_cuts_column_steps(citeseer_dataset, report, monkeypatch):
 
     The groups are the ones ``BatchMatcher`` hands the bounded kernel on
     sorted-neighbour pairs of the largest citeseer main block, 64 pairs a
-    batch.  Steps, not seconds: one per column of a per-pair call, one per
-    column of a whole packed group, so the count repeats exactly.
+    batch: every distinct value pair one rule compares in a batch, floors
+    of 0 or below included.  Steps, not seconds: one per column of a
+    per-pair call, one per column of a whole packed group, so the count
+    repeats exactly.  Measured 2 165 pairs in 94 groups, 14.8x.
     """
     from repro.mechanisms import block_sort_key
     from repro.similarity import edit_distance
@@ -346,7 +351,7 @@ def test_packed_kernel_cuts_column_steps(citeseer_dataset, report, monkeypatch):
 
     ratio = pairwise_steps / max(packed_steps, 1)
     report(
-        f"packed kernel on {sum(map(len, groups)):,} bounded pairs in "
+        f"packed kernel on {sum(map(len, groups)):,} value pairs in "
         f"{len(groups):,} groups: Myers steps {pairwise_steps:,} per pair -> "
         f"{packed_steps:,} packed ({ratio:.1f}x)"
     )

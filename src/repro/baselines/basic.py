@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..core.config import ApproachConfig, check_window
-from ..core.driver import _first_discoveries
+from ..core.driver import first_discoveries
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
@@ -210,7 +210,7 @@ class BasicER:
             name="basic-er",
         )
         result = self.cluster.run_job(job, dataset.entities)
-        events = _first_discoveries(result.events)
+        events = first_discoveries(result.events)
         return BasicResult(dataset=dataset, job=result, duplicate_events=events)
 
 

@@ -34,6 +34,7 @@ from functools import partial
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from ..core.config import ApproachConfig, check_window
+from ..core.driver import first_discoveries
 from ..data.dataset import Dataset
 from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
@@ -186,7 +187,17 @@ class MultiPassMRSN:
             job_result = self._run_pass(dataset, family, start_time)
             jobs.append(job_result)
             start_time = job_result.end_time
-        events = _first_discoveries(jobs)
+        # A pair is available once the output file holding it closes, at
+        # its reduce task's end: fixed parallel ER, as the paper has it.
+        available = sorted(
+            (output_file.close_time, pair)
+            for job in jobs
+            for output_file in job.output_files
+            for pair in output_file.records
+        )
+        events = first_discoveries(
+            [Event(time=time, kind="duplicate", payload=pair) for time, pair in available]
+        )
         return MrsnResult(dataset=dataset, jobs=jobs, duplicate_events=events)
 
     # ------------------------------------------------------------------
@@ -227,28 +238,6 @@ class MultiPassMRSN:
             for position in range(max(0, cut - self.config.window + 1), cut):
                 replicate.add(ordered[position].id)
         return boundaries, replicate
-
-
-def _first_discoveries(jobs: Sequence[JobResult]) -> List[Event]:
-    """Merge all passes' results, first *availability* per pair.
-
-    A pair's availability time is the close time of the output file that
-    contains it — i.e. its reduce task's end.  This is the semantics the
-    paper ascribes to fixed parallel ER algorithms: results only exist
-    once tasks run to completion.
-    """
-    seen: Set[Pair] = set()
-    merged: List[Event] = []
-    availabilities: List[Tuple[float, Pair]] = []
-    for job in jobs:
-        for output_file in job.output_files:
-            for pair in output_file.records:
-                availabilities.append((output_file.close_time, pair))
-    for time, pair in sorted(availabilities):
-        if pair not in seen:
-            seen.add(pair)
-            merged.append(Event(time=time, kind="duplicate", payload=pair))
-    return merged
 
 
 __all__ = ["MrsnConfig", "MultiPassMRSN", "MrsnResult", "window_runs"]

@@ -481,7 +481,7 @@ class ProgressiveER:
         if mb_plan is not None:
             for name, value in mb_plan.counter_items().items():
                 job2.counters.increment("metablock", name, value)
-        events = _first_discoveries(job2.events)
+        events = first_discoveries(job2.events)
         return ProgressiveResult(
             dataset=dataset,
             stats=stats,
@@ -581,8 +581,10 @@ class ProgressiveER:
         return self.cluster.run_job(job, list(annotated), start_time=start_time)
 
 
-def _first_discoveries(events: Sequence[Event]) -> List[Event]:
-    """Keep only the first event per duplicate pair, in time order."""
+def first_discoveries(events: Sequence[Event]) -> List[Event]:
+    """Keep only the first event per duplicate pair, in time order (a
+    stable sort: events at one time keep their input order).  Basic and
+    MR-SN merge their results through it too."""
     seen: Set[Pair] = set()
     result: List[Event] = []
     for event in sorted(
@@ -601,4 +603,5 @@ __all__ = [
     "resolve_scheduled_block",
     "ProgressiveER",
     "ProgressiveResult",
+    "first_discoveries",
 ]

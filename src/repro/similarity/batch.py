@@ -26,12 +26,14 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   if that is below the threshold the pair is dead and leaves every later
   rule;
 * **threshold propagation** — for edit rules :func:`_rule_floor` turns the
-  same bound into the minimum similarity the rule must reach, and the
-  rule's pairs with a floor go to the edit kernel in one call
-  (:func:`~repro.similarity.matchers.edits_at_least`), each with the
-  matching distance bound.  The kernel decides them in one packed Myers
-  column loop, or per pair when only a few survive its cheap exits, and
-  either way a pair leaves the loop once its bound proves it dead;
+  same bound into the minimum similarity the rule must reach, and every
+  pair of the rule with a value on both sides goes to the edit kernel in
+  one call (:func:`~repro.similarity.matchers.edits_at_least`), each with
+  the matching distance bound; a floor of 0 or below bounds nothing and
+  gets the exact distance.  The kernel decides each distinct value pair
+  once, in one packed Myers column loop, or per pair when only a few
+  survive its cheap exits, and either way a pair leaves the loop once its
+  bound proves it dead;
 * **bounded credit** — an unevaluated edit rule is not credited a perfect
   1.0 but :func:`_edit_upper_bounds`: what the two lengths and the two
   character-count signatures still allow (the length and count filters of
@@ -86,7 +88,6 @@ from .matchers import (
     _BELOW_FLOOR,
     edits_at_least,
 )
-from .edit_distance import edit_similarity
 
 _STATS = {"batches": 0, "pairs": 0}
 
@@ -492,10 +493,10 @@ class BatchMatcher:
         """Pass 3 of :meth:`_bounded_decisions`; returns the survivors.
 
         Per edit rule, in three steps: every alive pair trades the rule's
-        credit for its floor, or for its similarity when no floor binds
-        (pairs are independent, so the order does not matter); the pairs
-        with a floor above zero go to the bounded kernel in one call; the
-        answers are applied in pair order.
+        credit for its floor (pairs are independent, so the order does not
+        matter); every pair with a value on both sides goes to the bounded
+        kernel in one call, whatever the sign of its floor; the answers are
+        applied in pair order.
         """
         rules = self._rules
         cutoff = self._cutoff
@@ -507,11 +508,7 @@ class BatchMatcher:
             remaining_after = self._weight_after[index]
             column = uppers[index]
             scores = sims[index] = [None] * n
-            # Within one rule, identical value pairs recur constantly in
-            # sorted blocks; resolve them once per batch instead of once
-            # per pair.
-            local: Dict[tuple, float] = {}
-            bounded: List[int] = []
+            compared: List[int] = []
             firsts: List[str] = []
             seconds: List[str] = []
             floors: List[float] = []
@@ -524,22 +521,15 @@ class BatchMatcher:
                 if not v1 or not v2:
                     scores[p] = 0.0
                     continue
-                floor = _rule_floor(
+                compared.append(p)
+                firsts.append(v1)
+                seconds.append(v2)
+                floors.append(_rule_floor(
                     cutoff, weight, totals[p], weights[p],
                     credit_after, remaining_after,
-                )
-                if floor > 0.0:
-                    bounded.append(p)
-                    firsts.append(v1)
-                    seconds.append(v2)
-                    floors.append(floor)
-                else:
-                    sim = local.get((v1, v2))
-                    if sim is None:
-                        sim = local[(v1, v2)] = edit_similarity(v1, v2)
-                    scores[p] = sim
-            if bounded:
-                for p, sim in zip(bounded, edits_at_least(firsts, seconds, floors)):
+                ))
+            if compared:
+                for p, sim in zip(compared, edits_at_least(firsts, seconds, floors)):
                     scores[p] = sim
             next_alive = []
             for p in alive:

@@ -16,14 +16,13 @@ kernels:
   left the answer is final and the loop stops.  An unbounded call is the
   same loop under a bound no distance can exceed, so passing a bound never
   makes a call slower.  This kernel serves the definition
-  (``WeightedMatcher``), unbounded similarities, and groups too small to
-  pack.
+  (``WeightedMatcher``) and groups too small to pack.
 * **Packed Myers** (:func:`levenshtein_many`) — one column loop for a
-  whole group of ``(a, b, bound)`` triples: in ``BatchMatcher``, the
-  bounded survivors of one edit rule in one batch.  A Myers column step
-  costs about the same on a Python int of a few thousand bits as on one
-  of sixty, so the group's patterns share one word, one segment each, and
-  a column step advances all of them at once.  Each segment keeps its own
+  whole group of ``(a, b, bound)`` triples: in ``BatchMatcher``, each
+  distinct value pair one edit rule compares in one batch.  A Myers column
+  step costs about the same on a Python int of a few thousand bits as on
+  one of sixty, so the group's patterns share one word, one segment each,
+  and a column step advances all of them at once.  Each segment keeps its own
   Ukkonen slack in its guard bits, so a segment the cutoff rules out, or
   whose text has ended, leaves the word.  It pays from :data:`_PACK_MIN`
   survivors on.

@@ -16,16 +16,17 @@ into the edit kernel — is
 :class:`~repro.similarity.batch.BatchMatcher`, which every pair ``src/``
 decides goes through (``repro.mechanisms.base.resolve_block``);
 :meth:`WeightedMatcher.is_match` is what it must reproduce and what the
-tests hold it to.  The bounded edit comparison (:func:`edits_at_least`,
-a batch's pairs of one rule at a time) lives here beside the rules both
-paths evaluate.
+tests hold it to.  The bounded edit comparison (:func:`edits_at_least`:
+one call per rule and batch decides every pair it compares) lives here
+beside the rules both paths evaluate; the per-pair :func:`edit_similarity`
+serves only the definition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
@@ -56,21 +57,32 @@ def edits_at_least(
 
     ``floor`` is the minimum similarity that could still influence the
     match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).
-    It becomes the kernel's bound through :func:`distance_budget`, whose
+    It becomes the pair's bound through :func:`distance_budget`, whose
     truncation guarantees the sentinel is only ever returned for
-    similarities *strictly* below the floor.  An exact result is the float
-    :func:`edit_similarity` returns: ``1 - d/longest``, the same
-    expression.  The distances are decided together by
-    :func:`levenshtein_many` (one packed column loop when enough pairs
-    survive its cheap exits).
+    similarities *strictly* below the floor; a floor of 0 or below gives a
+    bound no distance exceeds.  A result is the float
+    :func:`edit_similarity` returns: ``1 - d/longest``, the same expression.
+
+    One :func:`levenshtein_many` call decides each distinct ``(v1, v2)``
+    once, under the loosest bound any of its pairs asks for: its answer,
+    ``min(d, loosest + 1)``, exceeds a pair's own bound exactly when ``d``
+    does.
     """
     longests = list(map(max, map(len, values1), map(len, values2)))
     budgets = list(map(distance_budget, floors, longests))
-    distances = levenshtein_many(zip(values1, values2, budgets))
-    # A loop, not a comprehension: it runs once per rule and batch, and the
+    loosest: Dict[Tuple[str, str], int] = {}
+    # Loops, not comprehensions: they run once per rule and batch, and the
     # perf-smoke call budgets count every Python frame.
+    for pair, budget in zip(zip(values1, values2), budgets):
+        if budget > loosest.setdefault(pair, budget):
+            loosest[pair] = budget
+    triples = []
+    for (v1, v2), budget in loosest.items():
+        triples.append((v1, v2, budget))
+    distances = dict(zip(loosest, levenshtein_many(triples)))
     out = []
-    for distance, allowed, longest in zip(distances, budgets, longests):
+    for pair, allowed, longest in zip(zip(values1, values2), budgets, longests):
+        distance = distances[pair]
         out.append(_BELOW_FLOOR if distance > allowed else 1.0 - distance / longest)
     return out
 
@@ -210,7 +222,7 @@ class WeightedMatcher:
         return max(MIN_COST_FACTOR, factor)
 
 
-def citeseer_matcher(threshold: float = 0.54, *, cache: bool = False) -> WeightedMatcher:
+def citeseer_matcher(*, cache: bool = False) -> WeightedMatcher:
     """The paper's CiteSeerX match function: edit distance on title,
     abstract (first ≤ 350 chars) and venue."""
     return WeightedMatcher(
@@ -219,12 +231,12 @@ def citeseer_matcher(threshold: float = 0.54, *, cache: bool = False) -> Weighte
             AttributeRule("abstract", weight=0.3, comparator="edit", max_chars=350),
             AttributeRule("venue", weight=0.2, comparator="edit"),
         ],
-        threshold=threshold,
+        threshold=0.54,
         cache=cache,
     )
 
 
-def books_matcher(threshold: float = 0.46, *, cache: bool = False) -> WeightedMatcher:
+def books_matcher(*, cache: bool = False) -> WeightedMatcher:
     """The paper's OL-Books match function: eight attributes compared with
     edit distance or exact matching."""
     return WeightedMatcher(
@@ -238,12 +250,12 @@ def books_matcher(threshold: float = 0.46, *, cache: bool = False) -> WeightedMa
             AttributeRule("language", weight=0.05, comparator="exact"),
             AttributeRule("format", weight=0.04, comparator="exact"),
         ],
-        threshold=threshold,
+        threshold=0.46,
         cache=cache,
     )
 
 
-def people_matcher(threshold: float = 0.62, *, cache: bool = False) -> WeightedMatcher:
+def people_matcher(*, cache: bool = False) -> WeightedMatcher:
     """Match function for census-style person records: edit distance on
     the name/address fields, exact matching on the categorical ones."""
     return WeightedMatcher(
@@ -257,12 +269,12 @@ def people_matcher(threshold: float = 0.62, *, cache: bool = False) -> WeightedM
             AttributeRule("birth_year", weight=0.08, comparator="exact"),
             AttributeRule("phone", weight=0.06, comparator="exact"),
         ],
-        threshold=threshold,
+        threshold=0.62,
         cache=cache,
     )
 
 
-def linkage_matcher(threshold: float = 0.55, *, cache: bool = False) -> WeightedMatcher:
+def linkage_matcher(*, cache: bool = False) -> WeightedMatcher:
     """Match function for clean-clean linkage: only the attributes *shared*
     by the two source schemas are comparable (title / authors / year), so
     the weights concentrate there — edit distance on the free-text fields,
@@ -273,7 +285,7 @@ def linkage_matcher(threshold: float = 0.55, *, cache: bool = False) -> Weighted
             AttributeRule("authors", weight=0.30, comparator="edit"),
             AttributeRule("year", weight=0.15, comparator="exact"),
         ],
-        threshold=threshold,
+        threshold=0.55,
         cache=cache,
     )
 

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 import repro.core.driver as driver
 import repro.mechanisms.base as mechanisms_base
 import repro.similarity.batch as batch_module
+import repro.similarity.matchers as matchers_module
 from conftest import decide, flatten_runs, index_pairs
 from repro.core import books_config
 from repro.data import Entity
@@ -201,9 +202,7 @@ class _Deaths:
         self.matcher = matcher
         self.real = {
             name: getattr(batch_module, name)
-            for name in (
-                "_rule_floor", "_edit_upper_bounds", "edits_at_least", "edit_similarity"
-            )
+            for name in ("_rule_floor", "_edit_upper_bounds", "edits_at_least")
         }
         self.edit_rules = sum(rule.comparator == "edit" for rule in matcher.rules)
         self.clear()
@@ -231,10 +230,6 @@ class _Deaths:
         self.kernel_calls += len(sims)
         self.sentinel = self.sentinel or batch_module._BELOW_FLOOR in sims
         return sims
-
-    def edit_similarity(self, v1, v2):
-        self.kernel_calls += 1
-        return self.real["edit_similarity"](v1, v2)
 
     @contextlib.contextmanager
     def patched(self):
@@ -366,6 +361,77 @@ class TestFloorSoundness:
             ]
         # The length gap alone ruled the second pair out.
         assert sum(len(call.args[2]) for call in kernel.call_args_list) == 1
+
+
+class TestOneKernelCallPerValuePair:
+    """A batch sends each rule's compared pairs to the bounded kernel in
+    one call, whatever their floors, and the kernel decides each distinct
+    value pair of that call once, under the loosest bound it was asked
+    for, while every pair is answered against its own bound."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _recorded():
+        groups = []
+        real = matchers_module.levenshtein_many
+
+        def recording(triples):
+            triples = list(triples)
+            groups.append(triples)
+            return real(triples)
+
+        with mock.patch.object(matchers_module, "levenshtein_many", recording):
+            yield groups
+
+    def test_a_repeated_value_pair_reaches_the_kernel_once(self):
+        matcher = WeightedMatcher([AttributeRule("title", 1.0, "edit")], 0.8)
+        titles = ["abcdefghij", "abcdefghix", "abcdefghij", "abcdefghix"]
+        a, b, c, d = (Entity(id=i, attrs={"title": t}) for i, t in enumerate(titles))
+        pairs = [(a, b), (c, d), (a, d), (c, b)]
+        with self._recorded() as groups:
+            decisions = decide(BatchMatcher(matcher), pairs)
+        assert decisions == [matcher.is_match(e1, e2) for e1, e2 in pairs] == [True] * 4
+        # One floor above 0 for all four pairs: one call, one triple.
+        assert [[triple[:2] for triple in group] for group in groups] == [
+            [("abcdefghij", "abcdefghix")]
+        ]
+
+    def test_mixed_floors_share_the_loosest_budget(self):
+        # The exact rules leave the first pair no floor to reach (all three
+        # agree) and the second one a floor of 0.5 (one disagrees).
+        rules = [
+            AttributeRule("title", 0.4, "edit"),
+            AttributeRule("year", 0.2, "exact"),
+            AttributeRule("pages", 0.2, "exact"),
+            AttributeRule("isbn", 0.2, "exact"),
+        ]
+        matcher = WeightedMatcher(rules, 0.6)
+        common = {"year": "1999", "pages": "120", "isbn": "x1"}
+        a = Entity(id=1, attrs={"title": "abcdefghij", **common})
+        b = Entity(id=2, attrs={"title": "abcdefghix", **common})
+        c = Entity(id=3, attrs={"title": "abcdefghij", **common})
+        d = Entity(id=4, attrs={"title": "abcdefghix", **common, "isbn": "x2"})
+        pairs = [(a, b), (c, d)]
+        with self._recorded() as groups:
+            decisions = decide(BatchMatcher(matcher), pairs)
+        assert decisions == [matcher.is_match(e1, e2) for e1, e2 in pairs] == [True, True]
+        # Budgets 10 (the whole length: the exact distance) and 5, merged.
+        assert groups == [[("abcdefghij", "abcdefghix", 10)]]
+
+    def test_each_pair_is_answered_against_its_own_floor(self):
+        values1 = ["abcdefghij"] * 4 + ["kitten"]
+        values2 = ["abcdefghix"] * 4 + ["sitting"]
+        floors = [0.95, -0.2, 0.5, 0.85, 0.0]
+        with self._recorded() as groups:
+            merged = matchers_module.edits_at_least(values1, values2, floors)
+        alone = [
+            matchers_module.edits_at_least([v1], [v2], [floor])[0]
+            for v1, v2, floor in zip(values1, values2, floors)
+        ]
+        assert merged == alone == [
+            batch_module._BELOW_FLOOR, 0.9, 0.9, 0.9, 1.0 - 3 / 7,
+        ]
+        assert groups[0] == [("abcdefghij", "abcdefghix", 12), ("kitten", "sitting", 7)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ event deduplication, and cost-factor sampling."""
 
 import pytest
 
-from repro.core.driver import ProgressiveER, ResolutionMapper, _first_discoveries
+from repro.core.driver import ProgressiveER, ResolutionMapper, first_discoveries
 from repro.core import books_config, citeseer_config
 from repro.core.config import linkage_config
 from repro.core.estimation import EstimationModel, UniformEstimator
@@ -22,11 +22,11 @@ class TestFirstDiscoveries:
             Event(time=3.0, kind="duplicate", payload=(3, 4)),
             Event(time=9.0, kind="other", payload=(5, 6)),
         ]
-        kept = _first_discoveries(events)
+        kept = first_discoveries(events)
         assert [(e.time, e.payload) for e in kept] == [(2.0, (1, 2)), (3.0, (3, 4))]
 
     def test_empty(self):
-        assert _first_discoveries([]) == []
+        assert first_discoveries([]) == []
 
 
 class TestCostFactorSampling:

@@ -5,8 +5,8 @@ with Ukkonen's cutoff behind the same cheap exits: per pair
 (:func:`repro.similarity.edit_distance.levenshtein`, used by the
 definition and by groups too small to pack) and packed
 (:func:`~repro.similarity.edit_distance.levenshtein_many`, one column loop
-for a batch's survivors of one edit rule).  Both must agree with the
-textbook DP on arbitrary unicode inputs, bounded or not: empty strings,
+for the value pairs a batch compares on one edit rule).  Both must agree
+with the textbook DP on arbitrary unicode inputs, bounded or not: empty strings,
 bounds that land exactly on the true distance (the cutoff's boundary
 case), strings long enough that a column no longer fits one machine word,
 and, for the packed kernel, groups whose shared word runs past 1.5 kbit.
@@ -19,9 +19,11 @@ surrogates, combining marks, characters that share a bucket, values too
 long for a counter.
 
 Threshold propagation (``BatchMatcher`` deriving a per-rule similarity
-floor and bounding the edit kernel with it) is a pure optimization: on
-random matcher configurations and entity pairs, the propagated decision
-must equal the unbounded weighted-sum decision ``is_match`` defines.
+floor and bounding the edit kernel with it) is a pure optimization, and
+so is deciding a value pair that repeats in a batch once, under the
+loosest bound its pairs ask for: on random matcher configurations and
+entity pairs, the propagated decision must equal the unbounded
+weighted-sum decision ``is_match`` defines.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -387,5 +390,30 @@ class TestThresholdPropagation:
         entities = [_entity(i, v) for i, v in enumerate(values)]
         pairs = [(e1, e2) for i, e1 in enumerate(entities) for e2 in entities[i + 1:]]
         with mock.patch.object(edit_distance, "_PACK_MIN", 1):
+            decisions = decide(BatchMatcher(matcher), pairs)
+        assert decisions == [matcher.is_match(e1, e2) for e1, e2 in pairs]
+
+    @pytest.mark.parametrize("pack_min", [1, edit_distance._PACK_MIN])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        matcher=matcher_configs(),
+        base=st.text(alphabet=ALPHABET, min_size=4, max_size=20),
+        picks=st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+            min_size=2, max_size=8,
+        ),
+    )
+    def test_repeated_value_pairs_under_mixed_floors_equal_is_match(
+        self, pack_min, matcher, base, picks
+    ):
+        # Every value is one of three near-duplicates, so one batch repeats
+        # value pairs under the floors the entities' other values set: the
+        # kernel decides each once, under the loosest bound, and must still
+        # answer every pair as ``is_match`` does.
+        pool = (base, base[:-1], base + "é")
+        values = [[pool[k] for k in pick] for pick in picks]
+        entities = [_entity(i, v) for i, v in enumerate(values)]
+        pairs = [(e1, e2) for e1 in entities for e2 in entities if e1 is not e2]
+        with mock.patch.object(edit_distance, "_PACK_MIN", pack_min):
             decisions = decide(BatchMatcher(matcher), pairs)
         assert decisions == [matcher.is_match(e1, e2) for e1, e2 in pairs]
