@@ -19,7 +19,7 @@ Examples::
     python -m repro compare --family citeseer --size 1500 --threshold 0.01
     python -m repro run --family citeseer --size 1000 --trace trace.json --skew
     python -m repro compare --family books --size 800 --metrics metrics.json
-    python -m repro run --family citeseer --size 1000 --fault-rate 0.1 --speculative
+    python -m repro run --family citeseer --size 1000 --fault-rate 0.1 --skew
     python -m repro serve --input ds.jsonl --batch-size 300 --snapshot-out state.json
     python -m repro submit --snapshot state.json --input more.jsonl --print-pairs
     python -m repro calibrate --family citeseer --size 800 --out calibration.json
@@ -58,7 +58,7 @@ from .evaluation import (
     sample_times,
 )
 from .evaluation.charts import ascii_chart
-from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
+from .mapreduce import BACKENDS, FaultPlan
 from .service import ResolverService
 from .observability import (
     MetricsRegistry,
@@ -335,37 +335,12 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
         help="probability that any task attempt crashes partway and is "
         "retried (0 disables fault injection)",
     )
-    parser.add_argument(
-        "--straggler-rate",
-        type=_PROBABILITY,
-        default=0.0,
-        help="probability that a slot is a straggler",
-    )
-    parser.add_argument(
-        "--straggler-factor",
-        type=_ranged(float, 1),
-        default=3.0,
-        help="cost multiplier of a straggler slot (default: 3)",
-    )
-    parser.add_argument(
-        "--speculative",
-        action="store_true",
-        help="enable Hadoop-style speculative execution (backup attempts "
-        "for straggling tasks; first finisher wins)",
-    )
 
 
 def _fault_plan(args: argparse.Namespace) -> FaultPlan:
     """The seeded FaultPlan the CLI flags describe (inert at the defaults,
     which places tasks exactly as a run with no plan does)."""
-    return FaultPlan(
-        seed=args.fault_seed,
-        fault_rate=args.fault_rate,
-        straggler_rate=args.straggler_rate,
-        straggler_factor=args.straggler_factor,
-        retry=RetryPolicy(),
-        speculation=SpeculationConfig(enabled=args.speculative),
-    )
+    return FaultPlan(seed=args.fault_seed, fault_rate=args.fault_rate)
 
 
 def _add_observability_options(parser: argparse.ArgumentParser) -> None:

@@ -79,8 +79,8 @@ class RunSpec:
         tracer: record spans of this run (shared tracers accumulate).
         metrics: snapshot counters per phase (shared registries accumulate).
         faults: optional :class:`~repro.mapreduce.faults.FaultPlan`
-            injecting seeded crashes, stragglers and speculative execution
-            into every job of the run.  Deterministic and
+            injecting seeded crashes and retries into every job of the
+            run.  Deterministic and
             backend-independent; ``None`` (the default) runs fault-free.
         metablock: meta-blocking pre-pass for the progressive approach —
             ``"off"`` (default), ``"bf"`` (block filtering) or ``"wnp"``

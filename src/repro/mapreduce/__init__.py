@@ -23,7 +23,6 @@ from .faults import (
     FaultScheduler,
     JobAbortedError,
     RetryPolicy,
-    SpeculationConfig,
     TaskSchedule,
 )
 from .io import results_available_at
@@ -54,7 +53,6 @@ __all__ = [
     "FaultScheduler",
     "JobAbortedError",
     "RetryPolicy",
-    "SpeculationConfig",
     "TaskSchedule",
     "MapReduceJob",
     "Mapper",

@@ -21,10 +21,9 @@ class Counters:
       (``blocks_resolved``, ``duplicates``, ``stat_blocks``);
     * ``fault.*`` — fault-injection statistics per phase, incremented by
       the engine when a :class:`~repro.mapreduce.faults.FaultPlan` is
-      attached (``{map,reduce}_failed_attempts``, ``_retries``,
-      ``_speculative_launched``, ``_speculative_wins``,
-      ``_speculative_failed``, ``_killed_attempts``).  Only non-zero values are ever recorded,
-      so a fault-free run carries no ``fault.*`` keys at all.
+      attached (``{map,reduce}_failed_attempts``, ``_retries``).  Only
+      non-zero values are ever recorded, so a fault-free run carries no
+      ``fault.*`` keys at all.
 
     Jobs may add their own groups freely; the namespaces above are
     reserved for the framework.

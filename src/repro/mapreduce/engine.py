@@ -61,10 +61,9 @@ class Cluster:
             :class:`~repro.observability.metrics.MetricsRegistry` receiving
             cumulative counter snapshots at the end of each phase.
         faults: optional :class:`~repro.mapreduce.faults.FaultPlan`
-            injecting seeded crashes, stragglers and (optionally)
-            speculative execution into every job run on this cluster.
-            Fault decisions replay from the seeded plan in the driver, so
-            they are identical on every execution backend.
+            injecting seeded crashes and retries into every job run on
+            this cluster.  Fault decisions replay from the seeded plan in
+            the driver, so they are identical on every execution backend.
     """
 
     map_slots = SLOTS_PER_MACHINE
@@ -242,8 +241,8 @@ class Cluster:
             counters.merge(payload.counters)
             counters.increment("engine", "map_records", payload.num_records)
             counters.increment("engine", "map_emitted", len(payload.emitted))
-            result, _, _ = self._replay_task(
-                job, "map", plan, payload, schedules[payload.task_id],
+            result, _ = self._replay_task(
+                job, "map", payload, schedules[payload.task_id],
                 counters, payload.emitted,
             )
             results.append(result)
@@ -291,47 +290,34 @@ class Cluster:
         self,
         job: MapReduceJob,
         phase: str,
-        plan: FaultPlan,
         payload: Any,
         sched: TaskSchedule,
         counters: Counters,
         output: List[Any],
-    ) -> Tuple[TaskResult, AttemptSpan, float]:
+    ) -> Tuple[TaskResult, AttemptSpan]:
         """Rebase one payload onto its placement (shared by both phases);
-        return the task's result, its winning attempt and that attempt's
-        slot slowdown.
+        return the task's result and its winning attempt.
 
-        Task-local event times are shifted to the winning attempt's start
-        and stretched by its slot's slowdown (exactly 1.0 on a healthy
-        slot).
+        Task-local event times are shifted to the winning attempt's start.
         """
         win = sched.winning
-        stretch = plan.slot_slowdown(win.slot)
-        retries = sum(
-            1 for a in sched.attempts if a.outcome == "failed" and not a.speculative
-        )
-        counters.increment("engine", f"{phase}_retries", retries)
-        self._trace_task(job, phase, payload, sched, stretch)
+        counters.increment("engine", f"{phase}_retries", sched.num_failed)
+        self._trace_task(job, phase, payload, sched)
         result = TaskResult(
             task_id=payload.task_id,
             cost=payload.cost,
             start_time=sched.attempts[0].start,
             end_time=win.end,
             events=[
-                Event(
-                    time=win.start + e.time * stretch,
-                    kind=e.kind,
-                    payload=e.payload,
-                )
+                Event(time=win.start + e.time, kind=e.kind, payload=e.payload)
                 for e in payload.events
             ],
             output=output,
             num_failed_attempts=sched.num_failed,
-            speculative=win.speculative,
             wall_ns=payload.wall_ns,
             charge_profile=payload.charge_profile,
         )
-        return result, win, stretch
+        return result, win
 
     def _trace_task(
         self,
@@ -339,12 +325,11 @@ class Cluster:
         phase: str,
         payload: Any,
         sched: TaskSchedule,
-        stretch: float,
     ) -> None:
-        """Record one placed task: every failed/killed attempt, the
-        winning attempt as the task span, and the task-local span fragments
-        rebased — and stretched by the winning slot's slowdown — to global
-        time.  Retry/speculation markers are added only when present."""
+        """Record one placed task: every failed attempt, the winning
+        attempt as the task span, and the task-local span fragments
+        rebased to global time.  Retry markers are added only when
+        present."""
         trace = self.tracer
         if trace is None:
             return
@@ -353,9 +338,6 @@ class Cluster:
         for att in sched.attempts:
             if att.outcome == "success":
                 continue
-            extra: dict = {att.outcome: True}
-            if att.speculative:
-                extra["speculative"] = True
             trace.record_span(
                 f"{phase}-{task_id}/attempt-{att.attempt}",
                 "attempt",
@@ -365,13 +347,11 @@ class Cluster:
                 track=att.slot + 1,  # track 0 belongs to job/phase spans
                 task=task_id,
                 phase=phase,
-                **extra,
+                failed=True,
             )
         extra = {}
         if win.attempt > 0:
             extra["attempt"] = win.attempt
-        if win.speculative:
-            extra["speculative"] = True
         trace.record_span(
             f"{phase}-{task_id}",
             "task",
@@ -389,8 +369,8 @@ class Cluster:
             trace.record_span(
                 fragment.name,
                 fragment.category,
-                win.start + fragment.start * stretch,
-                win.start + fragment.end * stretch,
+                win.start + fragment.start,
+                win.start + fragment.end,
                 job=job.name,
                 track=win.slot + 1,
                 **dict(fragment.args),
@@ -417,14 +397,14 @@ class Cluster:
             counters.merge(payload.counters)
             counters.increment("engine", "reduce_groups", payload.num_groups)
             counters.increment("engine", "reduce_records", payload.num_records)
-            result, win, stretch = self._replay_task(
-                job, "reduce", plan, payload, schedules[task_id],
+            result, win = self._replay_task(
+                job, "reduce", payload, schedules[task_id],
                 counters, payload.written,
             )
             results.append(result)
             for f in payload.files:
                 # Rebase the task-local close time like the task's events.
-                f.close_time = win.start + f.close_time * stretch
+                f.close_time = win.start + f.close_time
                 if self.tracer is not None:
                     self.tracer.record_instant(
                         f"flush-{task_id}.{f.index}",

@@ -60,7 +60,7 @@ difference, which is why those statistics live in the metrics registry and
 never inside job counters.
 
 Fault injection keeps the contract for free: every fault decision (seeded
-crashes, straggler slowdowns, speculation — see
+crashes and their retries — see
 :mod:`repro.mapreduce.faults`) is made *in the driver* from the plan's seed
 and the payloads' virtual costs, never inside a worker and never from
 wall-clock time, so a faulty run is just as backend-independent as a clean

@@ -1,31 +1,25 @@
-"""Seeded fault injection, retries, and speculative execution.
+"""Seeded fault injection and retries.
 
-The paper's progressive schedule is only valuable if the cluster keeps
-maximizing the early-duplicate rate *while tasks fail and straggle* — skew
-and node slowdown are the dominant real-world hazards for MapReduce-based
-ER (Kolb et al., "Load Balancing for MapReduce-based Entity Resolution").
-This module is the engine's placement path and its fault model:
+The paper runs on Hadoop and relies on its fault handling: a task attempt
+that dies is retried until it succeeds or exhausts its budget.  This
+module is the engine's placement path and that fault model:
 
 * :class:`FaultPlan` — a **seeded, deterministic** description of what goes
   wrong: per-attempt crash decisions (an attempt crashes at a fraction of
-  its cost, so the partial work is lost) and per-slot straggler slowdown
-  multipliers;
+  its cost, so the partial work is lost);
 * :class:`RetryPolicy` — how the framework reacts: a maximum attempt count,
   exponential backoff in *virtual* time, and :class:`JobAbortedError` when
-  a task exhausts its attempts;
-* :class:`SpeculationConfig` — Hadoop-style speculative execution: when a
-  slot is idle and a running attempt's projected duration exceeds
-  ``threshold ×`` the median attempt duration seen so far, a backup attempt
-  is launched on the idle slot.  The first attempt to finish wins; the
-  loser is killed and its slot reclaimed.
+  a task exhausts its attempts.
+
+A task has at most one live attempt: the next one is placed only after
+the previous one crashed.
 
 Determinism contract
 --------------------
 Every fault decision is a pure function of the plan's seed and a stable
-identifier — ``(job name, phase, task id, attempt ordinal)`` for crashes,
-``slot index`` for stragglers — hashed through
-:func:`~repro.mapreduce.job.stable_hash`.  Nothing depends on wall-clock
-time, iteration order, or the execution backend: the
+identifier — ``(job name, phase, task id, attempt ordinal)`` — hashed
+through :func:`~repro.mapreduce.job.stable_hash`.  Nothing depends on
+wall-clock time, iteration order, or the execution backend: the
 :class:`FaultScheduler` runs in the driver process on the per-task costs
 the backend computed, so serial and process backends stay **bit-for-bit
 identical** under any plan (pinned by ``tests/test_property_faults.py``).
@@ -51,13 +45,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .job import stable_hash
 
 #: Crash points are drawn uniformly from this fraction range of the
-#: attempt's effective cost — an attempt never dies instantly at 0 nor
-#: "almost finishes" at 1, keeping partial-cost loss visible in timelines.
+#: attempt's cost — an attempt never dies instantly at 0 nor "almost
+#: finishes" at 1, keeping partial-cost loss visible in timelines.
 MIN_CRASH_FRACTION = 0.05
 MAX_CRASH_FRACTION = 0.95
 
@@ -97,9 +91,9 @@ class RetryPolicy:
     """How the framework reacts to a failed attempt.
 
     Attributes:
-        max_attempts: total attempts a task may consume (failed speculative
-            attempts count too, like Hadoop's ``mapred.map.max.attempts``).
-            Exhaustion raises :class:`JobAbortedError`.
+        max_attempts: total attempts a task may consume, like Hadoop's
+            ``mapred.map.max.attempts``.  Exhaustion raises
+            :class:`JobAbortedError`.
         backoff_base: virtual-time delay before the first retry; ``0``
             retries immediately.
         backoff_factor: multiplier applied per additional failure
@@ -131,76 +125,25 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class SpeculationConfig:
-    """Hadoop-style speculative execution.
-
-    When enabled, an idle slot may run a backup of a task whose running
-    attempt's projected duration exceeds ``threshold ×`` the median
-    duration of all attempts placed so far in the phase.  At most one
-    backup per task is ever launched; the first finisher wins and the
-    loser is killed (counted as wasted work).
-    """
-
-    enabled: bool = False
-    threshold: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not 1.0 < self.threshold < math.inf:
-            raise ValueError(
-                f"speculation threshold must be finite and exceed 1.0, "
-                f"got {self.threshold}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, deterministic description of everything that goes wrong.
+    """A seeded, deterministic description of which attempts crash.
 
     Attributes:
         seed: root of every hash-derived decision below.
         fault_rate: probability that any given task attempt crashes.
-        straggler_rate: probability that any given slot is a straggler.
-        straggler_factor: cost multiplier of a straggler slot (>= 1).
-        slot_slowdowns: explicit per-slot overrides (``{slot: factor}``),
-            taking precedence over the seeded straggler draw — used by
-            benchmarks and tests that need a known-slow slot.
         retry: the framework's :class:`RetryPolicy`.
-        speculation: the framework's :class:`SpeculationConfig`.
 
-    A default-constructed plan is inert: no crashes, no stragglers, no
-    speculation — the engine places every phase of a job that has no
-    plan through one.
+    A default-constructed plan is inert: no attempt crashes — the engine
+    places every phase of a job that has no plan through one.
     """
 
     seed: int = 0
     fault_rate: float = 0.0
-    straggler_rate: float = 0.0
-    straggler_factor: float = 1.0
-    slot_slowdowns: Union[Tuple[Tuple[int, float], ...], Mapping[int, float]] = ()
     retry: RetryPolicy = RetryPolicy()
-    speculation: SpeculationConfig = SpeculationConfig()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
-        if not 0.0 <= self.straggler_rate <= 1.0:
-            raise ValueError(
-                f"straggler_rate must be in [0, 1], got {self.straggler_rate}"
-            )
-        if not 1.0 <= self.straggler_factor < math.inf:
-            raise ValueError(
-                f"straggler_factor must be finite and >= 1, "
-                f"got {self.straggler_factor}"
-            )
-        if isinstance(self.slot_slowdowns, Mapping):
-            object.__setattr__(
-                self, "slot_slowdowns", tuple(sorted(self.slot_slowdowns.items()))
-            )
-        for slot, factor in self.slot_slowdowns:
-            if not 1.0 <= factor < math.inf:
-                raise ValueError(
-                    f"slot {slot} slowdown must be finite and >= 1, got {factor}"
-                )
 
     # -- hash-derived decisions ----------------------------------------
 
@@ -219,20 +162,9 @@ class FaultPlan:
         return self._unit("fail", job, phase, task_id, attempt) < self.fault_rate
 
     def crash_fraction(self, job: str, phase: str, task_id: int, attempt: int) -> float:
-        """Fraction of the attempt's effective cost burned before the crash."""
+        """Fraction of the attempt's cost burned before the crash."""
         u = self._unit("crash", job, phase, task_id, attempt)
         return MIN_CRASH_FRACTION + (MAX_CRASH_FRACTION - MIN_CRASH_FRACTION) * u
-
-    def slot_slowdown(self, slot: int) -> float:
-        """Cost multiplier of ``slot`` (1.0 for a healthy slot)."""
-        for index, factor in self.slot_slowdowns:
-            if index == slot:
-                return factor
-        if self.straggler_rate <= 0.0 or self.straggler_factor == 1.0:
-            return 1.0
-        if self._unit("straggler", slot) < self.straggler_rate:
-            return self.straggler_factor
-        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +176,8 @@ class FaultPlan:
 class AttemptSpan:
     """One placed task attempt, in global virtual time.
 
-    ``outcome`` is ``"success"`` (the winning attempt), ``"failed"`` (it
-    crashed at ``end``, losing the partial work) or ``"killed"`` (a
-    speculation loser, terminated at the winner's finish time).
+    ``outcome`` is ``"success"`` (the winning attempt) or ``"failed"`` (it
+    crashed at ``end``, losing the partial work).
     """
 
     attempt: int
@@ -254,7 +185,6 @@ class AttemptSpan:
     start: float
     end: float
     outcome: str
-    speculative: bool = False
 
     @property
     def duration(self) -> float:
@@ -281,57 +211,23 @@ class TaskSchedule:
         return sum(1 for span in self.attempts if span.outcome == "failed")
 
 
-class _Slot:
-    """Mutable slot state during one phase simulation."""
-
-    __slots__ = ("index", "free_at", "slowdown")
-
-    def __init__(self, index: int, free_at: float, slowdown: float) -> None:
-        self.index = index
-        self.free_at = free_at
-        self.slowdown = slowdown
-
-
-class _Attempt:
-    """Mutable running-attempt record (becomes an :class:`AttemptSpan`)."""
-
-    __slots__ = ("task_id", "attempt", "slot", "start", "end", "fails", "speculative", "killed")
-
-    def __init__(self, task_id, attempt, slot, start, end, fails, speculative):
-        self.task_id = task_id
-        self.attempt = attempt
-        self.slot = slot
-        self.start = start
-        self.end = end
-        self.fails = fails
-        self.speculative = speculative
-        self.killed = False
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 @dataclass
 class FaultStats:
     """What one phase simulation observed (feeds ``fault.*`` counters)."""
 
     failed_attempts: int = 0
-    speculative_launched: int = 0
-    speculative_wins: int = 0
-    speculative_failed: int = 0
-    killed_attempts: int = 0
     retries: int = 0
 
 
 class FaultScheduler:
     """Places one phase's tasks on slots under a :class:`FaultPlan`.
 
-    A deterministic discrete-event simulation: tasks become *ready* (at
-    phase start, or after a failure plus backoff), ready tasks are placed
-    on the earliest-free slot (ties break by task id, then slot index),
-    and attempt completions drive retries and speculation.  All decisions
-    replay from the plan; nothing is random at simulation time.
+    A deterministic discrete-event simulation over a ready heap and a
+    finish heap: tasks become *ready* (at phase start, or after a failure
+    plus backoff), ready tasks are placed on the earliest-free slot (ties
+    break by task id, then slot index), and a crashed attempt's completion
+    makes its task ready again.  All decisions replay from the plan;
+    nothing is random at simulation time.
     """
 
     def __init__(
@@ -349,13 +245,8 @@ class FaultScheduler:
         self._job = job
         self._phase = phase
         self._ready_time = ready_time
-        self._slots = [
-            _Slot(index, ready_time, plan.slot_slowdown(index))
-            for index in range(num_slots)
-        ]
+        self._free_at = [ready_time] * num_slots
         self.stats = FaultStats()
-
-    # -- public API ----------------------------------------------------
 
     def run(self, costs: Sequence[float]) -> List[TaskSchedule]:
         """Simulate the phase; returns one :class:`TaskSchedule` per task.
@@ -371,186 +262,53 @@ class FaultScheduler:
         for cost in costs:
             if not math.isfinite(cost) or cost < 0:
                 raise ValueError(f"task cost must be finite and >= 0, got {cost}")
+        plan, job, phase, free_at = self._plan, self._job, self._phase, self._free_at
         n = len(costs)
-        self._costs = list(costs)
-        self._ready: List[Tuple[float, int]] = [
-            (self._ready_time, task_id) for task_id in range(n)
-        ]
-        heapq.heapify(self._ready)
-        self._finishes: List[Tuple[float, int, _Attempt]] = []
-        self._seq = 0
-        self._live: Dict[int, List[_Attempt]] = {t: [] for t in range(n)}
-        self._spans: List[List[AttemptSpan]] = [[] for _ in range(n)]
-        self._failed: List[int] = [0] * n
-        self._attempt_ids: List[int] = [0] * n
-        self._done: List[Optional[_Attempt]] = [None] * n
-        self._had_backup: Set[int] = set()
-        self._durations: List[float] = []
+        # Sorted, hence already a heap.
+        ready = [(self._ready_time, task_id) for task_id in range(n)]
+        # (end, placement sequence, task id, slot, start, crashes?)
+        finishes: List[Tuple[float, int, int, int, float, bool]] = []
+        spans: List[List[AttemptSpan]] = [[] for _ in range(n)]
+        # A task's prior failures are also its next attempt's ordinal.
+        failed = [0] * n
+        seq = 0
 
-        while self._ready or self._finishes:
-            if not self._ready and self._plan.speculation.enabled:
-                self._speculate()
-            if self._ready:
-                ready_time, task_id = self._ready[0]
-                slot = self._best_slot()
-                launch_at = max(ready_time, slot.free_at)
-                if self._finishes and self._finishes[0][0] <= launch_at:
-                    self._process_finish()
-                else:
-                    heapq.heappop(self._ready)
-                    self._commit(task_id, ready_time, slot, speculative=False)
-            else:
-                self._process_finish()
+        while ready or finishes:
+            if ready:
+                ready_time, task_id = ready[0]
+                slot = min(range(len(free_at)), key=free_at.__getitem__)
+                start = max(ready_time, free_at[slot])
+                if not finishes or finishes[0][0] > start:
+                    heapq.heappop(ready)
+                    ordinal = failed[task_id]
+                    duration = costs[task_id]
+                    fails = plan.attempt_fails(job, phase, task_id, ordinal)
+                    if fails:
+                        duration *= plan.crash_fraction(job, phase, task_id, ordinal)
+                    free_at[slot] = start + duration
+                    seq += 1
+                    heapq.heappush(
+                        finishes, (free_at[slot], seq, task_id, slot, start, fails)
+                    )
+                    continue
+            end, _, task_id, slot, start, fails = heapq.heappop(finishes)
+            outcome = "failed" if fails else "success"
+            spans[task_id].append(
+                AttemptSpan(failed[task_id], slot, start, end, outcome)
+            )
+            if not fails:
+                continue
+            self.stats.failed_attempts += 1
+            failed[task_id] += 1
+            if failed[task_id] >= plan.retry.max_attempts:
+                raise JobAbortedError(phase, task_id, failed[task_id])
+            self.stats.retries += 1
+            delay = plan.retry.backoff(failed[task_id])
+            heapq.heappush(ready, (end + delay, task_id))
 
         return [
-            TaskSchedule(
-                task_id=t,
-                attempts=tuple(
-                    sorted(self._spans[t], key=lambda a: (a.start, a.attempt))
-                ),
-            )
-            for t in range(n)
+            TaskSchedule(task_id=t, attempts=tuple(spans[t])) for t in range(n)
         ]
-
-    # -- internals -----------------------------------------------------
-
-    def _best_slot(self) -> _Slot:
-        """The earliest-free slot (ties by slot index)."""
-        return min(self._slots, key=lambda s: (s.free_at, s.index))
-
-    def _commit(
-        self, task_id: int, ready_time: float, slot: _Slot, *, speculative: bool
-    ) -> None:
-        """Place one attempt of ``task_id`` on ``slot``."""
-        start = max(ready_time, slot.free_at)
-        effective = self._costs[task_id] * slot.slowdown
-        if speculative:
-            fails = self._plan.attempt_fails(self._job, self._phase, task_id, -1)
-            fraction = self._plan.crash_fraction(self._job, self._phase, task_id, -1)
-        else:
-            ordinal = self._failed[task_id]
-            fails = self._plan.attempt_fails(self._job, self._phase, task_id, ordinal)
-            fraction = self._plan.crash_fraction(self._job, self._phase, task_id, ordinal)
-        duration = effective * fraction if fails else effective
-        attempt = _Attempt(
-            task_id,
-            self._attempt_ids[task_id],
-            slot.index,
-            start,
-            start + duration,
-            fails,
-            speculative,
-        )
-        self._attempt_ids[task_id] += 1
-        slot.free_at = attempt.end
-        self._live[task_id].append(attempt)
-        self._durations.append(duration)
-        self._seq += 1
-        heapq.heappush(self._finishes, (attempt.end, self._seq, attempt))
-        if speculative:
-            self._had_backup.add(task_id)
-            self.stats.speculative_launched += 1
-
-    def _process_finish(self) -> None:
-        """Consume the earliest attempt completion."""
-        _, _, attempt = heapq.heappop(self._finishes)
-        if attempt.killed:
-            return  # lazily deleted: the race was lost earlier
-        task_id = attempt.task_id
-        live = self._live[task_id]
-        live.remove(attempt)
-        if attempt.fails:
-            self._on_failure(attempt, live)
-        else:
-            self._on_success(attempt, live)
-
-    def _on_failure(self, attempt: _Attempt, live: List[_Attempt]) -> None:
-        task_id = attempt.task_id
-        self._spans[task_id].append(
-            AttemptSpan(
-                attempt.attempt,
-                attempt.slot,
-                attempt.start,
-                attempt.end,
-                "failed",
-                attempt.speculative,
-            )
-        )
-        self.stats.failed_attempts += 1
-        if attempt.speculative:
-            self.stats.speculative_failed += 1
-        self._failed[task_id] += 1
-        if live:
-            # The surviving attempt (original or backup) carries on; a
-            # promoted backup is simply the one attempt left running.
-            return
-        if self._failed[task_id] >= self._plan.retry.max_attempts:
-            raise JobAbortedError(self._phase, task_id, self._failed[task_id])
-        delay = self._plan.retry.backoff(self._failed[task_id])
-        self.stats.retries += 1
-        heapq.heappush(self._ready, (attempt.end + delay, task_id))
-
-    def _on_success(self, attempt: _Attempt, live: List[_Attempt]) -> None:
-        task_id = attempt.task_id
-        self._done[task_id] = attempt
-        self._spans[task_id].append(
-            AttemptSpan(
-                attempt.attempt,
-                attempt.slot,
-                attempt.start,
-                attempt.end,
-                "success",
-                attempt.speculative,
-            )
-        )
-        if attempt.speculative:
-            self.stats.speculative_wins += 1
-        for loser in live:
-            # First finisher wins: the loser dies at the winner's finish
-            # time and, unless a later attempt was already committed
-            # behind it, its slot is reclaimed immediately.
-            loser.killed = True
-            self._spans[task_id].append(
-                AttemptSpan(
-                    loser.attempt,
-                    loser.slot,
-                    loser.start,
-                    attempt.end,
-                    "killed",
-                    loser.speculative,
-                )
-            )
-            slot = self._slots[loser.slot]
-            if slot.free_at == loser.end:
-                slot.free_at = attempt.end
-            self.stats.killed_attempts += 1
-        live.clear()
-
-    def _speculate(self) -> None:
-        """Launch backups for running attempts that look like stragglers."""
-        if not self._durations:
-            return
-        ordered = sorted(self._durations)
-        median = ordered[(len(ordered) - 1) // 2]
-        threshold = self._plan.speculation.threshold * median
-        for task_id in sorted(self._live):
-            live = self._live[task_id]
-            if (
-                len(live) != 1
-                or task_id in self._had_backup
-                or self._done[task_id] is not None
-            ):
-                continue
-            attempt = live[0]
-            if attempt.duration <= threshold:
-                continue
-            slot = self._best_slot()
-            # A backup only makes sense on a slot that frees before the
-            # suspect attempt would finish (its own slot never qualifies:
-            # it is busy until attempt.end).
-            if slot.free_at >= attempt.end:
-                continue
-            self._commit(task_id, slot.free_at, slot, speculative=True)
 
 
 __all__ = [
@@ -558,7 +316,6 @@ __all__ = [
     "MAX_CRASH_FRACTION",
     "JobAbortedError",
     "RetryPolicy",
-    "SpeculationConfig",
     "FaultPlan",
     "AttemptSpan",
     "TaskSchedule",

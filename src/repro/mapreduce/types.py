@@ -64,9 +64,6 @@ class TaskResult:
             emitted key-value pairs (map side, grouped by partition).
         num_failed_attempts: attempts that crashed before the task
             committed.
-        speculative: True when the committing attempt was a speculative
-            backup that beat the original (see
-            :mod:`repro.mapreduce.faults`).
         wall_ns: wall-clock nanoseconds the committing attempt's task body
             took in whichever process ran it.  Observability only —
             excluded from equality so backend-parity fingerprints and
@@ -85,7 +82,6 @@ class TaskResult:
     events: List[Event] = field(default_factory=list)
     output: List[Any] = field(default_factory=list)
     num_failed_attempts: int = 0
-    speculative: bool = False
     wall_ns: int = field(default=0, compare=False)
     charge_profile: Tuple[Tuple[str, float], ...] = ()
 

@@ -214,18 +214,11 @@ def format_trace_summary(tracer: Tracer, *, width: int = 48) -> str:
                 f"makespan {max(s.end for s in phase_tasks) - lo:,.1f}  "
                 f"skew {skew:.2f} (max {max(costs):,.1f} / mean {mean:,.1f})"
             )
-            phase_attempts = [s for s in attempts if s.arg("phase") == phase]
-            if phase_attempts:
-                # Fault-injection line: only rendered when retries or
-                # speculation actually happened, so fault-free output is
-                # unchanged.
-                failed = sum(1 for s in phase_attempts if s.arg("failed"))
-                killed = sum(1 for s in phase_attempts if s.arg("killed"))
-                spec = sum(1 for s in phase_attempts if s.arg("speculative"))
-                lines.append(
-                    f"         {len(phase_attempts):3d} extra attempts  "
-                    f"{failed} failed, {killed} killed, {spec} speculative"
-                )
+            failed = sum(1 for s in attempts if s.arg("phase") == phase)
+            if failed:
+                # Fault-injection line: only rendered when retries actually
+                # happened, so fault-free output is unchanged.
+                lines.append(f"         {failed:3d} failed attempts")
             for span in phase_tasks:
                 task = span.arg("task", 0)
                 start = int((span.start - lo) / horizon * width)
@@ -239,8 +232,6 @@ def format_trace_summary(tracer: Tracer, *, width: int = 48) -> str:
                     )
                 if span.arg("attempt"):
                     annotation += f"  attempt {span.arg('attempt')}"
-                if span.arg("speculative"):
-                    annotation += "  speculative"
                 lines.append(f"    {phase}[{task:3d}] |{bar}|{annotation}")
     return "\n".join(lines) if lines else "(empty trace)"
 

@@ -13,11 +13,10 @@ of spans over the **virtual** timeline the engine already computes:
 * **task / attempt** spans come from
   :class:`~repro.mapreduce.faults.FaultScheduler` placements (one span per
   attempt, failed attempts included), carrying the slot index so a viewer
-  lays tasks out one row per slot.  Each non-winning attempt is an
-  ``"attempt"`` span flagged ``failed=True`` or ``killed=True`` (plus
-  ``speculative=True`` for backups) and the winning attempt is the
-  ``"task"`` span, annotated with its attempt ordinal / speculative flag
-  only when non-default — so a fault-free run carries no fault markers;
+  lays tasks out one row per slot.  Each crashed attempt is an
+  ``"attempt"`` span flagged ``failed=True`` and the winning attempt is
+  the ``"task"`` span, annotated with its attempt ordinal only when it is
+  a retry — so a fault-free run carries no fault markers;
 * **block / setup** spans are recorded *inside* tasks as
   :class:`~repro.mapreduce.types.SpanFragment` objects in task-local time
   and rebased by the engine — they travel in the task payload, so the

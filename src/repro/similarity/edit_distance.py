@@ -303,12 +303,18 @@ def _packed_myers(pairs: List[Tuple[int, int, str, str, int]]) -> List[int]:
 def distance_budget(floor: float, longest: int) -> int:
     """Largest edit distance that keeps ``1 - d / longest >= floor``.
 
-    Truncation makes the bound safe to test strictly: any distance
-    ``d > budget`` satisfies ``d >= budget + 1 > (1 - floor) * longest`` and
-    therefore ``1 - d / longest < floor`` — a bounded call that overflows
-    the budget is genuinely below the floor.
+    Truncating ``(1 - floor) * longest`` can land one below that distance
+    in floats: ``(1 - 0.9) * 10`` is ``0.9999999999999998``, yet
+    ``1 - 1 / 10 >= 0.9``.  So the truncated budget is raised by one when
+    the next distance still passes the float test :func:`edit_similarity`'s
+    expression answers.  Any distance ``d > budget`` is then genuinely
+    below the floor, and a bounded call that overflows the budget may be
+    reported as such.
     """
-    return int((1.0 - floor) * longest)
+    budget = int((1.0 - floor) * longest)
+    if longest and 1.0 - (budget + 1) / longest >= floor:
+        budget += 1
+    return budget
 
 
 def edit_similarity(a: str, b: str) -> float:

@@ -57,8 +57,8 @@ def edits_at_least(
 
     ``floor`` is the minimum similarity that could still influence the
     match decision (see ``_rule_floor`` in :mod:`repro.similarity.batch`).
-    It becomes the pair's bound through :func:`distance_budget`, whose
-    truncation guarantees the sentinel is only ever returned for
+    It becomes the pair's bound through :func:`distance_budget`, which
+    guarantees the sentinel is only ever returned for
     similarities *strictly* below the floor; a floor of 0 or below gives a
     bound no distance exceeds.  A result is the float
     :func:`edit_similarity` returns: ``1 - d/longest``, the same expression.

@@ -30,7 +30,7 @@ from repro.core.balance import BALANCE_STRATEGIES, SHARD_SEP
 from repro.core.driver import ProgressiveER
 from repro.data.skewed import make_skewed
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.mapreduce import Cluster, FaultPlan, RetryPolicy, SpeculationConfig
+from repro.mapreduce import Cluster, FaultPlan, RetryPolicy
 from repro.similarity import citeseer_matcher
 
 MACHINES = 3  # 6 reduce tasks
@@ -40,10 +40,7 @@ FAULT_PLANS = {
     "faulty": FaultPlan(
         seed=99,
         fault_rate=0.15,
-        straggler_rate=0.2,
-        straggler_factor=2.5,
         retry=RetryPolicy(),
-        speculation=SpeculationConfig(enabled=True),
     ),
 }
 

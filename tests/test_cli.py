@@ -75,6 +75,15 @@ class TestRun:
         )
         assert code == 0
 
+    def test_inert_fault_plan_prints_what_no_plan_prints(self, capsys):
+        # One placement path: a zero-rate plan places tasks exactly like
+        # the default plan, whatever its seed.
+        argv = ["run", "--family", "citeseer", "--size", "300", "--machines", "4"]
+        assert main(argv) == 0
+        no_plan = capsys.readouterr().out
+        assert main(argv + ["--fault-rate", "0", "--fault-seed", "3"]) == 0
+        assert capsys.readouterr().out == no_plan
+
 
 #: ``--dataset`` files the reader refuses: (file bytes, the line it names).
 _BAD_DATASETS = {
@@ -247,9 +256,9 @@ class TestParser:
             ["run", "--size", "60", "--approach", "basic", "--window", "0"],
             ["compare", "--size", "60", "--window", "0"],
             ["run", "--size", "60", "--fault-rate", "2"],
-            ["run", "--size", "60", "--straggler-rate", "1.5"],
-            ["serve", "--straggler-factor", "0.5"],
-            ["run", "--size", "60", "--straggler-factor", "0.5"],
+            ["compare", "--size", "60", "--fault-rate", "-0.1"],
+            ["serve", "--fault-rate", "1.5"],
+            ["submit", "--snapshot", "state.json", "--fault-rate", "2"],
             ["run", "--size", "60", "--metablock-ratio", "0"],
             ["calibrate", "--metablock-ratio", "1.5"],
             ["run", "--size", "60", "--approach", "basic", "--threshold", "-1"],

@@ -8,6 +8,7 @@ from test_property_kernels import reference_distance
 
 from repro.similarity.edit_distance import (
     _myers_dp,
+    distance_budget,
     edit_similarity,
     levenshtein,
 )
@@ -16,6 +17,19 @@ from repro.similarity.matchers import edits_at_least
 words = st.text(alphabet="abcdef ", min_size=0, max_size=40)
 nonempty_words = st.text(alphabet="abcdef ", min_size=1, max_size=40)
 long_words = st.text(alphabet="abcdefghij ", min_size=50, max_size=150)
+
+
+@st.composite
+def near_pairs(draw):
+    """A word and a copy with up to three characters replaced: pairs whose
+    distance is small, where most exact-floor budgets are decided."""
+    a = draw(nonempty_words)
+    b = list(a)
+    for index, char in draw(
+        st.lists(st.tuples(st.integers(0, 39), st.sampled_from("abcdef ")), max_size=3)
+    ):
+        b[index % len(b)] = char
+    return a, "".join(b)
 
 
 class TestKnownDistances:
@@ -115,3 +129,25 @@ class TestEditSimilarity:
             assert edit_similarity(a, b) < floor
         else:
             assert result == edit_similarity(a, b)
+
+    def test_similarity_exactly_at_the_floor_is_not_the_sentinel(self):
+        # (1 - 0.9) * 10 is 0.9999999999999998 in floats, yet 1 - 1/10 == 0.9.
+        assert edits_at_least(["abcdefghij"], ["abcdefghix"], [0.9]) == [0.9]
+        assert distance_budget(0.9, 10) == 1
+        assert distance_budget(0.9, 0) == 0  # two empty values: nothing to edit
+
+    @given(st.one_of(st.tuples(nonempty_words, nonempty_words), near_pairs()))
+    @settings(max_examples=80)
+    def test_floor_at_a_reachable_similarity_is_exact(self, pair):
+        """Floors set to each similarity ``1 - k/longest`` a pair of these
+        lengths can reach: the sentinel comes back exactly when the pair's
+        own similarity is below the floor, never at it."""
+        a, b = pair
+        longest = max(len(a), len(b))
+        distance = levenshtein(a, b)
+        floors = [1.0 - k / longest for k in range(longest + 1)]
+        results = edits_at_least([a] * len(floors), [b] * len(floors), floors)
+        similarity = edit_similarity(a, b)
+        assert results == [
+            similarity if k >= distance else -1.0 for k in range(longest + 1)
+        ]

@@ -22,7 +22,6 @@ from repro.mapreduce import (
     Reducer,
     RetryPolicy,
     SerialExecutor,
-    SpeculationConfig,
     make_executor,
 )
 
@@ -169,14 +168,11 @@ class TestFaultParity:
     """Seeded fault plans decide everything in the driver, so they cannot
     distinguish backends — faulty runs stay bit-identical."""
 
-    #: Crashes + seeded stragglers + speculation + backoff, all at once.
+    #: Crashes + retries with backoff.
     PLAN = FaultPlan(
         seed=11,
         fault_rate=0.25,
-        straggler_rate=0.3,
-        straggler_factor=2.0,
         retry=RetryPolicy(max_attempts=50, backoff_base=0.25),
-        speculation=SpeculationConfig(enabled=True, threshold=1.5),
     )
 
     def test_wordcount_fault_parity(self):

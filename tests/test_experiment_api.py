@@ -139,13 +139,28 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="workers must be a positive"):
             RunSpec(None, citeseer_cfg, backend="process", workers=0)
 
-    def test_removed_options_are_type_errors(self, citeseer_cfg):
+    def test_removed_options_are_type_errors(self, citeseer_cfg, capsys):
+        import repro.mapreduce
+        from repro.cli import main
         from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer
 
         with pytest.raises(TypeError):
             RunSpec(None, citeseer_cfg, batch_pairs=1)
         with pytest.raises(TypeError):
             Cluster(2).run_job(MapReduceJob(Mapper, Reducer), [], map_failures={})
+        # Speculation and straggler slots are gone; crash-and-retry stays.
+        for removed in (
+            {"straggler_rate": 0.2},
+            {"slot_slowdowns": {0: 2.0}},
+            {"speculation": None},
+        ):
+            with pytest.raises(TypeError):
+                FaultPlan(**removed)
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--size", "60", "--speculative"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not hasattr(repro.mapreduce, "SpeculationConfig")
 
     def test_nonpositive_machines_rejected(self, citeseer_cfg):
         with pytest.raises(ValueError, match="machines must be a positive"):

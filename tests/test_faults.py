@@ -1,8 +1,7 @@
 """Unit tests for the seeded fault-injection subsystem.
 
 Covers :mod:`repro.mapreduce.faults` in isolation (plan validation, draw
-determinism, the discrete-event scheduler's retry / blacklist /
-speculation behaviour) and its integration with the engine (zero-plan
+determinism, the discrete-event scheduler's retry behaviour) and its integration with the engine (zero-plan
 byte-identity, result invariance, ``fault.*`` counters, the abort path).
 """
 
@@ -17,11 +16,7 @@ from repro.mapreduce import (
     FaultPlan,
     FaultScheduler,
     JobAbortedError,
-    MapReduceJob,
-    Mapper,
-    Reducer,
     RetryPolicy,
-    SpeculationConfig,
 )
 from repro.mapreduce.faults import (
     MAX_CRASH_FRACTION,
@@ -53,36 +48,19 @@ class TestValidation:
             with pytest.raises(ValueError):
                 RetryPolicy(backoff_factor=value)
 
-    def test_speculation_threshold_must_exceed_one(self):
-        for threshold in (1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                SpeculationConfig(threshold=threshold)
-        assert SpeculationConfig(threshold=1.01).threshold == 1.01
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"fault_rate": -0.1},
             {"fault_rate": 1.5},
-            {"straggler_rate": 2.0},
-            {"straggler_factor": 0.5},
             {"fault_rate": math.nan},
-            {"slot_slowdowns": {0: 0.5}},
-            {"straggler_factor": math.nan, "straggler_rate": 1.0},
-            {"straggler_factor": math.inf},
-            {"slot_slowdowns": {0: math.nan}},
-            {"slot_slowdowns": {0: math.inf}},
+            {"fault_rate": math.inf},
+            {"fault_rate": -math.inf},
         ],
     )
     def test_fault_plan_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FaultPlan(**kwargs)
-
-    def test_slot_slowdowns_mapping_normalized_and_hashable(self):
-        plan = FaultPlan(slot_slowdowns={3: 2.0, 1: 4.0})
-        assert plan.slot_slowdowns == ((1, 4.0), (3, 2.0))
-        hash(plan)  # frozen dataclass stays hashable after conversion
-
 
 class TestDraws:
     def test_draws_are_deterministic(self):
@@ -122,14 +100,6 @@ class TestDraws:
             fraction = plan.crash_fraction("j", "map", task, 0)
             assert MIN_CRASH_FRACTION <= fraction <= MAX_CRASH_FRACTION
 
-    def test_slot_slowdown_override_beats_seeded_draw(self):
-        plan = FaultPlan(
-            seed=2, straggler_rate=1.0, straggler_factor=5.0,
-            slot_slowdowns={0: 2.0},
-        )
-        assert plan.slot_slowdown(0) == 2.0
-        assert plan.slot_slowdown(1) == 5.0  # rate 1.0: every slot straggles
-
     def test_backoff_is_exponential(self):
         policy = RetryPolicy(backoff_base=2.0, backoff_factor=3.0)
         assert policy.backoff(1) == 2.0
@@ -158,7 +128,7 @@ class TestFaultScheduler:
             assert len(sched.attempts) == 1
             win = sched.winning
             assert (win.start, win.end, win.slot) == (start, end, slot)
-            assert win.outcome == "success" and not win.speculative
+            assert win.outcome == "success"
 
     def test_crash_loses_partial_cost_then_retries(self):
         plan = FaultPlan(seed=3, fault_rate=0.5, retry=RetryPolicy(max_attempts=50))
@@ -171,7 +141,7 @@ class TestFaultScheduler:
                 if span.outcome == "failed":
                     failed_any = True
                     # Partial-cost loss: the crashed attempt is strictly
-                    # shorter than the full (unslowed) cost.
+                    # shorter than the full cost.
                     assert 0 < span.duration < 4.0
                     assert (
                         MIN_CRASH_FRACTION * 4.0
@@ -202,54 +172,6 @@ class TestFaultScheduler:
             _schedules(plan, [1.0, 1.0])
         assert err.value.attempts == 3
         assert err.value.phase == "map"
-
-    def test_speculation_rescues_straggler_slot(self):
-        costs = [5.0, 1.0, 1.0]
-        slow = FaultPlan(slot_slowdowns={0: 10.0})
-        spec = FaultPlan(
-            slot_slowdowns={0: 10.0},
-            speculation=SpeculationConfig(enabled=True, threshold=1.5),
-        )
-        plain = _schedules(slow, costs)
-        rescued = _schedules(spec, costs)
-        # Without speculation task 0 is stuck on the slow slot: 5 * 10.
-        assert max(s.winning.end for s in plain) == 50.0
-        # With it, a backup on the healthy slot (free at t=2) finishes at 7.
-        assert max(s.winning.end for s in rescued) == 7.0
-        win = rescued[0].winning
-        assert win.speculative and win.slot == 1
-        killed = [a for a in rescued[0].attempts if a.outcome == "killed"]
-        assert len(killed) == 1 and killed[0].slot == 0
-        # The loser dies at the winner's finish time, freeing its slot.
-        assert killed[0].end == 7.0
-
-    def test_speculation_stats_recorded(self):
-        spec = FaultPlan(
-            slot_slowdowns={0: 10.0},
-            speculation=SpeculationConfig(enabled=True, threshold=1.5),
-        )
-        scheduler = FaultScheduler(spec, 2, 0.0, job="j", phase="map")
-        scheduler.run([5.0, 1.0, 1.0])
-        stats = scheduler.stats
-        assert stats.speculative_launched == 1
-        assert stats.speculative_wins == 1
-        assert stats.killed_attempts == 1
-        assert stats.failed_attempts == 0
-
-    def test_at_most_one_backup_per_task(self):
-        spec = FaultPlan(
-            slot_slowdowns={0: 100.0},
-            speculation=SpeculationConfig(enabled=True, threshold=1.5),
-        )
-        scheduler = FaultScheduler(spec, 4, 0.0, job="j", phase="map")
-        schedules = scheduler.run([5.0, 1.0, 1.0, 1.0])
-        backups = [
-            a
-            for s in schedules
-            for a in s.attempts
-            if a.speculative
-        ]
-        assert len(backups) == 1
 
     def test_empty_phase_is_a_noop(self):
         assert _schedules(FaultPlan(fault_rate=0.5), []) == []
@@ -310,42 +232,8 @@ class TestEngineIntegration:
             "fault.map_failed_attempts", 0
         ) + flat.get("fault.reduce_failed_attempts", 0)
 
-    def test_speculative_win_reaches_task_result(self):
-        plan = FaultPlan(
-            slot_slowdowns={0: 10.0},
-            speculation=SpeculationConfig(enabled=True, threshold=1.5),
-        )
-        result = Cluster(1, faults=plan).run_job(_wordcount_job(), _LINES)
-        assert any(
-            t.speculative for t in result.map_tasks + result.reduce_tasks
-        )
-
     def test_abort_propagates_from_engine(self):
         plan = FaultPlan(seed=0, fault_rate=1.0)
         with pytest.raises(JobAbortedError):
             Cluster(2, faults=plan).run_job(_wordcount_job(), _LINES)
 
-    def test_straggler_stretches_events_and_files(self):
-        class TickReducer(Reducer):
-            def reduce(self, key, values, context):
-                context.charge(5.0)
-                context.record_event("tick", key)
-                context.write(key)
-
-        class Identity(Mapper):
-            def map(self, record, context):
-                context.emit(record, 1)
-
-        def job():
-            return MapReduceJob(Identity, TickReducer, alpha=2.0)
-
-        clean = Cluster(1).run_job(job(), ["a"], num_reduce_tasks=1)
-        slowed = Cluster(
-            1, faults=FaultPlan(slot_slowdowns={0: 4.0})
-        ).run_job(job(), ["a"], num_reduce_tasks=1)
-        clean_tick = next(e for e in clean.events if e.kind == "tick")
-        slow_tick = next(e for e in slowed.events if e.kind == "tick")
-        assert slow_tick.time > clean_tick.time
-        assert min(f.close_time for f in slowed.output_files) > min(
-            f.close_time for f in clean.output_files
-        )

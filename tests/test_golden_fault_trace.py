@@ -1,7 +1,7 @@
 """Golden-trace regression test for a fixed-seed faulty run.
 
-A small wordcount job runs under a pinned :class:`FaultPlan` (crashes +
-straggler slot + speculation) and its exported Chrome trace is reduced to
+A small wordcount job runs under a pinned :class:`FaultPlan` (crashes
+retried with backoff) and its exported Chrome trace is reduced to
 a *shape*: event names, categories, phase letters, track assignments and
 fault annotations — everything except timestamps, which are a separate
 concern (pinned numerically by the parity suites).  The shape is stored in
@@ -25,19 +25,16 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     RetryPolicy,
-    SpeculationConfig,
 )
 from repro.observability import Tracer, chrome_trace_events
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_fault_trace.json"
 
-#: The pinned scenario: moderate crash rate, one slow slot, speculation on.
+#: The pinned scenario: moderate crash rate, retries with backoff.
 GOLDEN_PLAN = FaultPlan(
     seed=2024,
     fault_rate=0.25,
-    slot_slowdowns={0: 6.0},
     retry=RetryPolicy(max_attempts=20, backoff_base=0.5),
-    speculation=SpeculationConfig(enabled=True, threshold=1.5),
 )
 
 _LINES = [
@@ -83,7 +80,7 @@ def build_golden_shape() -> dict:
         }
         if "cat" in event:
             shape["cat"] = event["cat"]
-        for marker in ("failed", "killed", "speculative", "attempt"):
+        for marker in ("failed", "attempt"):
             if args.get(marker):
                 shape[marker] = args[marker]
         events.append(shape)
@@ -115,6 +112,7 @@ def test_golden_scenario_actually_exercises_faults():
         "fault.reduce_failed_attempts", 0
     ) > 0
     assert any(e.get("failed") for e in shape["events"])
+    assert any(e.get("cat") == "task" and e.get("attempt") for e in shape["events"])
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import citeseer_config, linkage_config
 from repro.data import make_citeseer, make_linkage
-from repro.mapreduce import FaultPlan, RetryPolicy, SpeculationConfig
+from repro.mapreduce import FaultPlan, RetryPolicy
 from repro.service import ResolverService
 
 MACHINES = 3
@@ -66,10 +66,7 @@ def fault_plan():
     return FaultPlan(
         seed=5,
         fault_rate=0.15,
-        straggler_rate=0.2,
-        straggler_factor=3.0,
         retry=RetryPolicy(),
-        speculation=SpeculationConfig(enabled=True),
     )
 
 

@@ -36,7 +36,7 @@ from repro.baselines import BasicConfig, MrsnConfig, MultiPassMRSN
 from repro.core import books_config, linkage_config
 from repro.data import make_books, make_linkage
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.mapreduce import Cluster, FaultPlan, RetryPolicy, SpeculationConfig
+from repro.mapreduce import Cluster, FaultPlan, RetryPolicy
 from repro.similarity import books_matcher, linkage_matcher
 
 MACHINES = 3
@@ -49,10 +49,7 @@ FAULT_PLANS = {
     "faulty": FaultPlan(
         seed=23,
         fault_rate=0.15,
-        straggler_rate=0.2,
-        straggler_factor=2.5,
         retry=RetryPolicy(),
-        speculation=SpeculationConfig(enabled=True),
     ),
 }
 

@@ -22,7 +22,6 @@ from repro.mapreduce import (
     ParallelExecutor,
     RetryPolicy,
     SerialExecutor,
-    SpeculationConfig,
 )
 from repro.observability import MetricsRegistry, Tracer
 
@@ -118,9 +117,7 @@ class TestFaultTraceParity:
     PLAN = FaultPlan(
         seed=11,
         fault_rate=0.25,
-        slot_slowdowns={1: 3.0},
         retry=RetryPolicy(max_attempts=50, backoff_base=0.25),
-        speculation=SpeculationConfig(enabled=True, threshold=1.5),
     )
 
     def _spans(self, faults, executor=None):
@@ -153,34 +150,26 @@ class TestFaultTraceParity:
         attempts = [s for s in tracer.spans if s.category == "attempt"]
         assert attempts, "the pinned plan must produce extra attempts"
         for span in attempts:
-            assert span.arg("failed") or span.arg("killed")
+            assert span.arg("failed")
         flat = result.counters.as_flat_dict()
-        failed_spans = sum(1 for s in attempts if s.arg("failed"))
-        killed_spans = sum(1 for s in attempts if s.arg("killed"))
-        assert failed_spans == flat.get("fault.map_failed_attempts", 0) + flat.get(
+        assert len(attempts) == flat.get("fault.map_failed_attempts", 0) + flat.get(
             "fault.reduce_failed_attempts", 0
         )
-        assert killed_spans == flat.get("fault.map_killed_attempts", 0) + flat.get(
-            "fault.reduce_killed_attempts", 0
-        )
 
-    def test_speculative_winner_flagged_on_task_span(self):
-        plan = FaultPlan(
-            slot_slowdowns={0: 10.0},
-            speculation=SpeculationConfig(enabled=True, threshold=1.5),
-        )
-        tracer, result = self._spans(plan)
-        spec_tasks = [
-            s
+    def test_retried_winner_flagged_on_task_span(self):
+        tracer, result = self._spans(self.PLAN)
+        retried_spans = sorted(
+            (s.arg("phase"), s.arg("task"), s.arg("attempt"))
             for s in tracer.spans
-            if s.category == "task" and s.arg("speculative")
-        ]
-        spec_results = [
-            t
-            for t in result.map_tasks + result.reduce_tasks
-            if t.speculative
-        ]
-        assert len(spec_tasks) == len(spec_results) > 0
+            if s.category == "task" and s.arg("attempt")
+        )
+        retried_results = sorted(
+            (phase, t.task_id, t.num_failed_attempts)
+            for phase, tasks in (("map", result.map_tasks), ("reduce", result.reduce_tasks))
+            for t in tasks
+            if t.num_failed_attempts
+        )
+        assert retried_spans == retried_results != []
 
 
 class TestSpanCoverage:
