@@ -257,13 +257,13 @@ def test_credit_bound_reduces_kernel_calls(books_dataset, report, monkeypatch):
     real_levenshtein_many = matchers_module.levenshtein_many
     calls = 0
 
-    def counting_levenshtein_many(triples):
+    def counting_levenshtein_many(triples, patterns=None):
         # One bounded kernel call per triple whose bound can bind, packed or
         # not; a floor of 0 or below gives a bound no distance exceeds.
         nonlocal calls
         triples = list(triples)
         calls += sum(bound < max(len(a), len(b)) for a, b, bound in triples)
-        return real_levenshtein_many(triples)
+        return real_levenshtein_many(triples, patterns)
 
     monkeypatch.setattr(matchers_module, "levenshtein_many", counting_levenshtein_many)
 
@@ -329,10 +329,10 @@ def test_packed_kernel_cuts_column_steps(citeseer_dataset, report, monkeypatch):
     groups = []
     real_levenshtein_many = matchers_module.levenshtein_many
 
-    def recording_levenshtein_many(triples):
+    def recording_levenshtein_many(triples, patterns=None):
         triples = list(triples)
         groups.append(triples)
-        return real_levenshtein_many(triples)
+        return real_levenshtein_many(triples, patterns)
 
     monkeypatch.setattr(matchers_module, "levenshtein_many", recording_levenshtein_many)
     batcher = BatchMatcher(citeseer_matcher())
@@ -534,7 +534,8 @@ def test_delta_resolution_call_budget(report, monkeypatch):
 def test_row_builds_once_per_entity(report, monkeypatch):
     """A matcher builds an entity's kernel row at most once: over a whole
     ``ResolverService`` stream (one matcher for the service's life), and
-    within each reduce task of a one-shot run (one matcher per task)."""
+    over each job of a one-shot run (one matcher per job, shared by its
+    reduce tasks), so at most one row per entity per job."""
     from repro.core import books_config
     from repro.data import make_books
     from repro.evaluation import ExperimentRun, RunSpec
@@ -561,7 +562,7 @@ def test_row_builds_once_per_entity(report, monkeypatch):
     matchers = {matcher for matcher, _ in built}
     report(
         f"kernel rows: {stream_builds:,} built for a {service.total_entities:,}-entity "
-        f"stream; {len(built):,} for 2,000 books in {len(matchers)} reduce tasks"
+        f"stream; {len(built):,} for 2,000 books by {len(matchers)} matcher"
     )
-    assert len(matchers) > 1  # one matcher per reduce task
-    assert len(set(built)) == len(built)  # per task, no entity twice
+    assert len(matchers) == 1  # one matcher for the resolution job
+    assert len(set(built)) == len(built) <= 2000  # no entity twice

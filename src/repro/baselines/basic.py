@@ -82,10 +82,10 @@ class BasicReducer(Reducer):
     """Resolve each block with M under the popcorn scheme, applying the
     smallest-key redundancy rule of [14]."""
 
-    def __init__(self, config: BasicConfig) -> None:
+    def __init__(self, config: BasicConfig, batcher: BatchMatcher) -> None:
         self._config = config
-        # One matcher per reduce task: its rows live as long as the task.
-        self._batcher = BatchMatcher(config.approach.matcher)
+        # The job's matcher, shared by every reduce task of the job.
+        self._batcher = batcher
 
     def reduce(
         self, key: BasicKey, values: Sequence[BasicValue], context: TaskContext
@@ -203,9 +203,10 @@ class BasicER:
 
     def run(self, dataset: Dataset) -> BasicResult:
         """Run the single-job baseline on ``dataset``."""
+        batcher = BatchMatcher(self.config.approach.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: BasicMapper(self.config.approach.scheme),
-            reducer_factory=lambda: BasicReducer(self.config),
+            reducer_factory=lambda: BasicReducer(self.config, batcher),
             alpha=self.config.approach.alpha,
             name="basic-er",
         )

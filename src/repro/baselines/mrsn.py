@@ -114,10 +114,10 @@ def window_runs(ordered: Sequence[Tuple[Entity, bool]], window: int) -> Iterator
 class MrsnReducer(Reducer):
     """Slide the SN window over the task's sorted range."""
 
-    def __init__(self, config: MrsnConfig) -> None:
+    def __init__(self, config: MrsnConfig, batcher: BatchMatcher) -> None:
         self._config = config
-        # One matcher per reduce task: its rows live as long as the task.
-        self._batcher = BatchMatcher(config.approach.matcher)
+        # The job's matcher, shared by every reduce task of the job.
+        self._batcher = batcher
         self._ordered: List[Tuple[Entity, bool]] = []
 
     def reduce(
@@ -205,9 +205,10 @@ class MultiPassMRSN:
     def _run_pass(self, dataset: Dataset, family: str, start_time: float) -> JobResult:
         sort_attribute = self.config.approach.scheme.sort_attribute(family)
         boundaries, replicate = self._plan_partitions(dataset, sort_attribute)
+        batcher = BatchMatcher(self.config.approach.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: MrsnMapper(sort_attribute, boundaries, replicate),
-            reducer_factory=lambda: MrsnReducer(self.config),
+            reducer_factory=lambda: MrsnReducer(self.config, batcher),
             partitioner=MrsnPartitioner(),
             # No α: a plain MR job writes one output file per reduce task,
             # readable only once the task finishes.

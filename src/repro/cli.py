@@ -58,7 +58,7 @@ from .evaluation import (
     sample_times,
 )
 from .evaluation.charts import ascii_chart
-from .mapreduce import BACKENDS, FaultPlan
+from .mapreduce import BACKENDS, FaultPlan, JobAbortedError
 from .service import ResolverService
 from .observability import (
     MetricsRegistry,
@@ -699,6 +699,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except JobAbortedError as error:
+        # A task that exhausted its retry budget ends the run the way a
+        # bad input file does: one line, exit 1.
+        print(f"repro: {error}", file=sys.stderr)
+        return 1
     except ValueError as error:
         # Option combinations only RunSpec.validate() can judge are usage
         # errors like any other: one line and exit 2, not a traceback.

@@ -140,18 +140,19 @@ class ResolutionMapper(Mapper):
 class ResolutionReducer(Reducer):
     """Job-2 reducer: buffer the task's trees, then resolve its blocks in
     block-schedule order (the shuffle delivers all groups before reduce
-    work can begin in Hadoop, so buffering adds no delay)."""
+    work can begin in Hadoop, so buffering adds no delay).  ``batcher`` is
+    the job's matcher, shared by every reduce task of the job."""
 
     def __init__(
         self,
         schedule: ProgressiveSchedule,
         config: ApproachConfig,
+        batcher: BatchMatcher,
         pruner: Optional[WnpPruner] = None,
     ) -> None:
         self._schedule = schedule
         self._config = config
-        # One matcher per reduce task: its rows live as long as the task.
-        self._batcher = BatchMatcher(config.matcher)
+        self._batcher = batcher
         self._pruner = pruner
         self._buffered: Dict[str, List[RoutedEntity]] = {}
 
@@ -571,9 +572,14 @@ class ProgressiveER:
         *,
         pruner: Optional[WnpPruner] = None,
     ) -> JobResult:
+        # One matcher per job: an entity's row serves every reduce task
+        # (every pairrange shard of a hub block) that meets it.
+        batcher = BatchMatcher(self.config.matcher)
         job = MapReduceJob(
             mapper_factory=lambda: ResolutionMapper(schedule, self.config.scheme),
-            reducer_factory=lambda: ResolutionReducer(schedule, self.config, pruner),
+            reducer_factory=lambda: ResolutionReducer(
+                schedule, self.config, batcher, pruner
+            ),
             partitioner=AssignmentPartitioner(schedule.assignment),
             alpha=self.config.alpha,
             name="progressive-resolution",

@@ -41,6 +41,10 @@ Both phases go through :meth:`ParallelExecutor._run_phase`:
   phases.
 * **stats** — ``ipc_bytes`` counts the result blobs and ``worker_idle_ms``
   is workers × phase wall minus the task wall time the payloads report.
+* **imported on first use** — :mod:`multiprocessing` and
+  :mod:`concurrent.futures` are imported by the first fanned-out phase,
+  not with this module, so a serial run (and ``import repro``) never
+  loads them.
 * **failures are errors, not hangs** — a task that raises, or a worker
   that dies, reaches the driver through the pool's futures
   (``BrokenProcessPool`` for a dead worker) and is re-raised as a
@@ -50,8 +54,10 @@ Both phases go through :meth:`ParallelExecutor._run_phase`:
 Determinism contract
 --------------------
 Both backends produce **bit-for-bit identical** job results: the payload of
-a task depends only on the task's inputs (tasks never share mutable state —
-each gets a fresh mapper/reducer from its factory), floating-point virtual
+a task depends only on the task's inputs (each task gets a fresh
+mapper/reducer from its factory; what a job's tasks do share, like the
+kernel rows of a job's ``BatchMatcher``, is a cache of pure functions of
+the entities and changes only wall-clock time), floating-point virtual
 costs are computed by the same pure Python code in either process, the wire
 encoding is lossless, and the driver consumes payloads in task-id order
 regardless of the order workers finish in.  Wall-clock time — and the
@@ -78,12 +84,9 @@ be picklable.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -348,7 +351,9 @@ class ParallelExecutor(Executor):
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers if workers is not None else visible_cpus()
         self.serial_floor = serial_floor
-        self._can_fork = "fork" in multiprocessing.get_all_start_methods()
+        # The platforms with ``os.fork`` are those whose ``multiprocessing``
+        # offers the fork start method; asking it would import it.
+        self._can_fork = hasattr(os, "fork")
         self._phase_stats: Dict[str, int] = {}
 
     def drain_stats(self) -> Dict[str, int]:
@@ -394,6 +399,12 @@ class ParallelExecutor(Executor):
                 compute(job, items, task_id, cost_model)
                 for task_id, items in enumerate(inputs)
             ]
+        # Imported here, on the first fan-out, so a run that never fans out
+        # (every serial one) never loads them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = ProcessPoolExecutor(
             self.workers,
             mp_context=multiprocessing.get_context("fork"),

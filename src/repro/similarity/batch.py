@@ -15,8 +15,8 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   factor reads form its *row*, built at most once per matcher and reused
   by every pair of every block that touches the entity (:class:`BlockRows`
   is one block's view of the matcher's table).  Rows live as long as the
-  matcher, and its owner picks that: one reduce task for Job 2, Basic
-  and MR-SN, the service's lifetime for delta jobs;
+  matcher, and its owner picks that: one job for Job 2, Basic and MR-SN,
+  the service's lifetime for delta jobs;
 * **exact rules first** — the exact rules, then the edit rules, each in
   rule order, rule-major (outer loop over rules, inner loop over the pairs
   still alive), so a pair can be ruled out before it pays for a quadratic
@@ -33,7 +33,9 @@ cannot change the answer.  :class:`BatchMatcher` is the one place in
   gets the exact distance.  The kernel decides each distinct value pair
   once, in one packed Myers column loop, or per pair when only a few
   survive its cheap exits, and either way a pair leaves the loop once its
-  bound proves it dead;
+  bound proves it dead.  The packed loop's pattern masks are built once
+  per block: the block's :class:`BlockRows` caches them for every batch
+  and rule of the block;
 * **bounded credit** — an unevaluated edit rule is not credited a perfect
   1.0 but :func:`_edit_upper_bounds`: what the two lengths and the two
   character-count signatures still allow (the length and count filters of
@@ -80,6 +82,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..data.entity import Entity
+from .edit_distance import Patterns
 from .matchers import (
     MIN_COST_FACTOR,
     REFERENCE_LENGTH,
@@ -213,7 +216,7 @@ Row = tuple
 
 class BlockRows:
     """One block's kernel rows by member position: a view over the
-    :class:`BatchMatcher`'s row table.
+    :class:`BatchMatcher`'s row table, and the block's pattern-mask cache.
 
     Made by :meth:`BatchMatcher.rows` and kept for one block's resolution.
     A position is resolved to its row on first use: looked up in the
@@ -222,13 +225,21 @@ class BlockRows:
     up, so a member costs one table lookup per block however many pairs
     touch it, and a member whose every pair is vetoed never gets a row.
     The rows themselves belong to the matcher and outlive the view.
+
+    ``patterns`` holds the byte masks the packed edit kernel builds for a
+    pattern, keyed by (value, segment size)
+    (:func:`~repro.similarity.edit_distance.levenshtein_many`): a member's
+    value keys the same entry in every batch and rule of the block, so its
+    masks are built once per block and segment size, and freed with the
+    view.
     """
 
-    __slots__ = ("members", "rows", "_table", "_build")
+    __slots__ = ("members", "rows", "patterns", "_table", "_build")
 
     def __init__(self, members: Sequence[Entity], table, build) -> None:
         self.members = members
         self.rows: List[Optional[Row]] = [None] * len(members)
+        self.patterns: Patterns = {}
         self._table = table
         self._build = build
 
@@ -267,12 +278,15 @@ class BatchMatcher:
     was built from (the identity rule the pair cache in :meth:`decisions`
     applies too), so an id that comes back as a new object with other
     values gets a fresh row.  The owner of the matcher therefore sets how
-    long rows live and so the memory they hold: Job 2's, Basic's and
-    MR-SN's reducers make one per reduce task, and
+    long rows live and so the memory they hold: Job 2, Basic and MR-SN
+    make one per job and hand it to every reduce task of the job, so in a
+    serial run an entity's row is built once per job, and
     :class:`~repro.service.resolver.ResolverService` keeps one for its own
     lifetime, shared by every delta job it runs.  Rows built inside a
-    forked worker process die with the worker: under the process backend a
-    service's table is filled only by the tasks that run inline.
+    forked worker process die with the worker: under the process backend
+    each worker fills its own copy of the table, and the driver's copy
+    (a service's, say) only by the tasks that run inline.  Pattern masks
+    live shorter, for one block (see :class:`BlockRows`).
 
     Args:
         matcher: the matcher whose ``is_match`` decisions are reproduced.
@@ -353,7 +367,9 @@ class BatchMatcher:
         _STATS["pairs"] += len(lefts)
         cache = self.matcher._cache
         if cache is None:
-            return self._bounded_decisions(rows.fetch(lefts), rows.fetch(rights))
+            return self._bounded_decisions(
+                rows.fetch(lefts), rows.fetch(rights), rows.patterns
+            )
         # The matcher's pair cache holds decisions; a hit answers only for
         # the two entity objects it was decided on.  Misses are bounded too.
         members = rows.members
@@ -372,14 +388,19 @@ class BatchMatcher:
             decided = self._bounded_decisions(
                 rows.fetch([lefts[p] for p, _, _ in misses]),
                 rows.fetch([rights[p] for p, _, _ in misses]),
+                rows.patterns,
             )
             for (p, low, high), decision in zip(misses, decided):
                 cache[(low.id, high.id)] = (low, high, decision)
                 out[p] = decision
         return out
 
-    def _bounded_decisions(self, rows1: List[Row], rows2: List[Row]) -> List[bool]:
-        """Rule-major bounded evaluation of one batch, in three passes.
+    def _bounded_decisions(
+        self, rows1: List[Row], rows2: List[Row], patterns: Patterns
+    ) -> List[bool]:
+        """Rule-major bounded evaluation of one batch, in three passes;
+        ``patterns`` is the block's pattern-mask cache (see
+        :class:`BlockRows`).
 
         1. **Exact rules**, every pair: equality needs no kernel, and it
            fixes the score the other rules must make up.
@@ -460,7 +481,8 @@ class BatchMatcher:
                     for p in alive:
                         credits[p] -= weight
                 alive = self._edit_pass(
-                    values1, values2, alive, sims, totals, weights, credits, uppers
+                    values1, values2, alive, sims, totals, weights, credits, uppers,
+                    patterns,
                 )
 
         out = [False] * n
@@ -489,7 +511,9 @@ class BatchMatcher:
             out[p] = exact_total / exact_weight >= threshold
         return out
 
-    def _edit_pass(self, values1, values2, alive, sims, totals, weights, credits, uppers):
+    def _edit_pass(
+        self, values1, values2, alive, sims, totals, weights, credits, uppers, patterns
+    ):
         """Pass 3 of :meth:`_bounded_decisions`; returns the survivors.
 
         Per edit rule, in three steps: every alive pair trades the rule's
@@ -529,7 +553,8 @@ class BatchMatcher:
                     credit_after, remaining_after,
                 ))
             if compared:
-                for p, sim in zip(compared, edits_at_least(firsts, seconds, floors)):
+                answers = edits_at_least(firsts, seconds, floors, patterns)
+                for p, sim in zip(compared, answers):
                     scores[p] = sim
             next_alive = []
             for p in alive:

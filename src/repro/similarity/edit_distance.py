@@ -2,11 +2,11 @@
 
 The paper's match function compares attribute values with edit distance
 (Levenshtein, Section VI-A2).  Every query, bounded or not, first goes
-through the same **cheap exits** (:func:`_cheap_exits`): equal strings, the
-common prefix and suffix (duplicates share long runs; neither affects the
-distance), an empty side and a length gap already larger than the
-caller's bound never reach a DP.  What survives goes to one of two
-kernels:
+through the same **cheap exits** (:func:`_cheap_exits`): equal strings,
+and pairs that, less their common prefix and suffix (duplicates share
+long runs; neither affects the distance), have an empty side or a length
+gap already larger than the caller's bound, never reach a DP.  What
+survives goes to one of two kernels:
 
 * **Per-pair Myers with Ukkonen's cutoff** (:func:`levenshtein`, JACM
   1999) — a whole DP column lives in one Python integer, so each
@@ -25,7 +25,11 @@ kernels:
   and a column step advances all of them at once.  Each segment keeps its own
   Ukkonen slack in its guard bits, so a segment the cutoff rules out, or
   whose text has ended, leaves the word.  It pays from :data:`_PACK_MIN`
-  survivors on.
+  survivors on.  It runs the survivors on their *whole* values, not the
+  stripped ones the cheap exits leave (a common prefix or suffix changes
+  no distance), so a value's pattern masks depend on the value and its
+  segment size alone: the caller may pass one cache of them to many
+  calls, and ``BatchMatcher`` keeps one per block (see ``BlockRows``).
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ _PACK_MIN = 8
 #: How often, in columns, the packed kernel looks for segments its cutoff
 #: has ruled out.
 _CHECK_EVERY = 16
+
+#: The packed kernel's pattern-mask cache: (pattern, segment size) -> per
+#: character, its positions in the pattern as ``size`` little-endian bytes.
+Patterns = Dict[Tuple[str, int], Dict[str, bytes]]
 
 #: Cumulative kernel work.  ``myers``: DP columns each pair actually
 #: visited (a call that exits early books only the columns it got through,
@@ -79,29 +87,39 @@ def levenshtein(a: str, b: str, *, max_distance: Optional[int] = None) -> int:
     return distance
 
 
-def levenshtein_many(triples: Iterable[Tuple[str, str, int]]) -> List[int]:
+def levenshtein_many(
+    triples: Iterable[Tuple[str, str, int]], patterns: Optional[Patterns] = None
+) -> List[int]:
     """``[levenshtein(a, b, max_distance=bound) for a, b, bound in
     triples]``: each answer is ``min(distance, bound + 1)``.
 
     Every triple takes the cheap exits on its own; the survivors run the
-    packed kernel together, or the per-pair one when fewer than
-    :data:`_PACK_MIN` are left.
+    packed kernel together, on their whole values, or the per-pair one,
+    on their stripped values, when fewer than :data:`_PACK_MIN` are left.
+    ``patterns`` is the packed kernel's cache of pattern masks
+    (:data:`Patterns`); pass the same dict to calls that meet the same
+    values, or nothing for a cache that lives for this call only.
     """
     out: List[int] = []
-    pending: List[Tuple[int, int, str, str, int]] = []
+    survivors: List[Tuple[int, str, str, str, str, int]] = []
     for a, b, bound in triples:
-        distance, a, b = _cheap_exits(a, b, bound)
+        distance, short_a, short_b = _cheap_exits(a, b, bound)
         if distance is None:
-            pending.append((max(len(a), len(b)), len(out), a, b, bound))
+            survivors.append((len(out), a, b, short_a, short_b, bound))
             distance = 0
         out.append(distance)
-    if len(pending) < _PACK_MIN:
-        for _, k, a, b, bound in pending:
+    if len(survivors) < _PACK_MIN:
+        for k, _, _, a, b, bound in survivors:
             out[k] = _myers_dp(a, b, bound)
         return out
     # Longest texts first (see _packed_myers); positions break ties.
-    pending.sort(reverse=True)
-    for (_, k, _, _, _), distance in zip(pending, _packed_myers(pending)):
+    pending = sorted(
+        [(max(len(a), len(b)), k, a, b, bound) for k, a, b, _, _, bound in survivors],
+        reverse=True,
+    )
+    for (_, k, _, _, _), distance in zip(
+        pending, _packed_myers(pending, {} if patterns is None else patterns)
+    ):
         out[k] = distance
     return out
 
@@ -191,10 +209,14 @@ def _myers_dp(a: str, b: str, bound: Optional[int] = None) -> int:
     return bound - slack if slack >= 0 else bound + 1
 
 
-def _packed_myers(pairs: List[Tuple[int, int, str, str, int]]) -> List[int]:
+def _packed_myers(
+    pairs: List[Tuple[int, int, str, str, int]], patterns: Patterns
+) -> List[int]:
     """``min(distance, bound + 1)`` for every ``(_, _, a, b, bound)`` of
     ``pairs`` (both strings non-empty, longest text first), in one Myers
-    column loop with Ukkonen's cutoff.
+    column loop with Ukkonen's cutoff.  ``patterns`` caches each pattern's
+    byte masks by (pattern, segment size) for this call and any other the
+    caller passes it to.
 
     Each pair's shorter string, its *pattern*, is one segment of the
     pattern word; above it sit zero guard bits up to a byte boundary, at
@@ -225,7 +247,6 @@ def _packed_myers(pairs: List[Tuple[int, int, str, str, int]]) -> List[int]:
     text that has ended contributes no bytes, which is why the segments
     above it must have ended too.
     """
-    masks: Dict[Tuple[str, int], Dict[str, bytes]] = {}
     columns = []
     segments = []
     ends: Dict[int, List[int]] = {}
@@ -248,10 +269,10 @@ def _packed_myers(pairs: List[Tuple[int, int, str, str, int]]) -> List[int]:
         slack += sentinel + ((bound + len(b) - len(a)) << top)
         ends.setdefault(len(b), []).append(len(segments))
         segments.append((segment, top, sentinel, len(b), bound))
-        peq = masks.get((a, size))
+        peq = patterns.get((a, size))
         if peq is None:
             bits = _pattern_masks(a)
-            peq = masks[(a, size)] = dict(zip(
+            peq = patterns[(a, size)] = dict(zip(
                 bits, map(int.to_bytes, bits.values(), repeat(size), repeat("little"))
             ))
         columns.append(map(peq.get, b, repeat(bytes(size))))

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..data.entity import Entity
 from ..mapreduce.counters import Counters
 from .edit_distance import (
+    Patterns,
     distance_budget,
     edit_similarity,
     levenshtein,
@@ -50,7 +51,10 @@ _BELOW_FLOOR = -1.0
 
 
 def edits_at_least(
-    values1: Sequence[str], values2: Sequence[str], floors: Sequence[float]
+    values1: Sequence[str],
+    values2: Sequence[str],
+    floors: Sequence[float],
+    patterns: Optional[Patterns] = None,
 ) -> List[float]:
     """Per pair of the three columns, the edit similarity of ``v1`` and
     ``v2`` when it can still matter, else :data:`_BELOW_FLOOR`.
@@ -66,7 +70,8 @@ def edits_at_least(
     One :func:`levenshtein_many` call decides each distinct ``(v1, v2)``
     once, under the loosest bound any of its pairs asks for: its answer,
     ``min(d, loosest + 1)``, exceeds a pair's own bound exactly when ``d``
-    does.
+    does.  ``patterns`` is the packed kernel's pattern-mask cache, passed
+    through to :func:`levenshtein_many`.
     """
     longests = list(map(max, map(len, values1), map(len, values2)))
     budgets = list(map(distance_budget, floors, longests))
@@ -79,7 +84,7 @@ def edits_at_least(
     triples = []
     for (v1, v2), budget in loosest.items():
         triples.append((v1, v2, budget))
-    distances = dict(zip(loosest, levenshtein_many(triples)))
+    distances = dict(zip(loosest, levenshtein_many(triples, patterns)))
     out = []
     for pair, allowed, longest in zip(zip(values1, values2), budgets, longests):
         distance = distances[pair]

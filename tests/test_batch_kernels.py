@@ -38,8 +38,8 @@ import repro.mechanisms.base as mechanisms_base
 import repro.similarity.batch as batch_module
 import repro.similarity.matchers as matchers_module
 from conftest import decide, flatten_runs, index_pairs
-from repro.core import books_config
-from repro.data import Entity
+from repro.core import books_config, skewed_config
+from repro.data import Entity, make_skewed
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import CostModel
 from repro.baselines.mrsn import window_runs
@@ -225,8 +225,8 @@ class _Deaths:
         self.uppers.extend(uppers)
         return uppers
 
-    def edits_at_least(self, values1, values2, floors):
-        sims = self.real["edits_at_least"](values1, values2, floors)
+    def edits_at_least(self, values1, values2, floors, patterns=None):
+        sims = self.real["edits_at_least"](values1, values2, floors, patterns)
         self.kernel_calls += len(sims)
         self.sentinel = self.sentinel or batch_module._BELOW_FLOOR in sims
         return sims
@@ -375,10 +375,10 @@ class TestOneKernelCallPerValuePair:
         groups = []
         real = matchers_module.levenshtein_many
 
-        def recording(triples):
+        def recording(triples, patterns=None):
             triples = list(triples)
             groups.append(triples)
-            return real(triples)
+            return real(triples, patterns)
 
         with mock.patch.object(matchers_module, "levenshtein_many", recording):
             yield groups
@@ -799,6 +799,26 @@ def _fingerprint(run):
         tuple(run.curve.times),
         tuple(run.curve.recalls),
     )
+
+
+class TestRowsLiveForAJob:
+    def test_a_pairrange_run_builds_each_row_at_most_once(self, monkeypatch):
+        # Every pairrange shard of the hub block sends the hub's members to
+        # another reduce task; one matcher per job builds their rows once.
+        dataset = make_skewed(400, hub_fraction=0.6)
+        built = []
+        build_row = BatchMatcher._build_row
+
+        def counted_build_row(self, entity):
+            built.append(entity.id)
+            return build_row(self, entity)
+
+        monkeypatch.setattr(BatchMatcher, "_build_row", counted_build_row)
+        ExperimentRun(RunSpec(
+            dataset, skewed_config(), machines=5, balance="pairrange", backend="serial",
+        )).run()
+        assert 0 < len(built) <= len(dataset)
+        assert len(set(built)) == len(built)
 
 
 class TestEndToEndDifferential:

@@ -84,6 +84,20 @@ class TestRun:
         assert main(argv + ["--fault-rate", "0", "--fault-seed", "3"]) == 0
         assert capsys.readouterr().out == no_plan
 
+    def test_aborted_job_is_one_line_not_a_traceback(self, capsys):
+        # Half the attempts crash: a reduce task runs out of retries.
+        argv = [
+            "run", "--family", "books", "--size", "600", "--machines", "4",
+            "--fault-rate", "0.5", "--fault-seed", "8",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == (
+            "repro: reduce task 2 failed 4 attempts (retry budget exhausted); "
+            "job aborted\n"
+        )
+
 
 #: ``--dataset`` files the reader refuses: (file bytes, the line it names).
 _BAD_DATASETS = {

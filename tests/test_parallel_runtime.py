@@ -8,7 +8,8 @@ and compact, a job must fork one pool per fanned-out phase and leave
 neither a child process nor the phase global behind, small phases must
 stay in-process, a task that raises or a worker that dies must end in
 an error (never a hang) with the executor still usable, and phase
-metrics must not depend on the backend beyond what the executor measured.
+metrics must not depend on the backend beyond what the executor measured,
+and importing the package must not load the pool's modules.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
@@ -234,6 +237,21 @@ class TestPoolLifecycle:
         # The engine drained every phase into the registry.
         assert executor.drain_stats() == {}
         assert _driver_totals(metrics.snapshots)["pool_forks"] == 2
+
+    def test_import_loads_no_pool_machinery(self):
+        # The pool's modules are imported on the first fan-out, so
+        # ``import repro`` (and every serial run) loads neither.
+        probe = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, env=env, timeout=60,
+        )
+        assert done.stdout == "[]\n"
 
 
 _DRIVER_PID = os.getpid()

@@ -10,6 +10,8 @@ with the textbook DP on arbitrary unicode inputs, bounded or not: empty strings,
 bounds that land exactly on the true distance (the cutoff's boundary
 case), strings long enough that a column no longer fits one machine word,
 and, for the packed kernel, groups whose shared word runs past 1.5 kbit.
+The packed kernel's pattern-mask cache may serve many calls, as a block's
+does: the answers must stay those of the per-pair kernel.
 
 The credit ``BatchMatcher`` gives an edit rule it has not evaluated yet —
 ``_edit_upper_bounds``, from the two lengths and the bucketed character
@@ -254,6 +256,64 @@ class TestPackedKernel:
         assert packed(triples) == [3, 1]
         # One loop for both pairs: fewer steps than the columns they visit.
         assert 0 < dp_cell_counters()["steps"] < dp_cell_counters()["myers"]
+
+
+#: ``ALPHABET`` (astral ``🙂`` included) plus lone surrogates.
+cache_core = st.text(alphabet=ALPHABET + "\ud83d\ude42", min_size=1, max_size=12)
+cache_affix = st.text(alphabet=ALPHABET + "\ud83d\ude42", min_size=24, max_size=90)
+
+
+@st.composite
+def block_values(draw):
+    """One block's worth of values: bare cores of up to 12 characters,
+    and cores inside one long shared prefix and suffix, so a pattern meets
+    texts of very different lengths and so more than one segment size."""
+    prefix, suffix = draw(cache_affix), draw(cache_affix)
+    return [
+        prefix + core + suffix if draw(st.booleans()) else core
+        for core in draw(st.lists(cache_core, min_size=2, max_size=8))
+    ]
+
+
+class TestSharedPatternCache:
+    """The packed kernel runs whole values, so one cache of pattern masks
+    keyed by (value, segment size) may serve every call of a block."""
+
+    @pytest.mark.parametrize("pack_min", [1, edit_distance._PACK_MIN])
+    @settings(max_examples=60, deadline=None)
+    @given(values=block_values(), data=st.data())
+    def test_one_cache_across_calls_equals_levenshtein(self, pack_min, values, data):
+        patterns = {}
+        pick = st.sampled_from(values)
+        with mock.patch.object(edit_distance, "_PACK_MIN", pack_min):
+            for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+                triples = []
+                for _ in range(data.draw(st.integers(min_value=1, max_value=20))):
+                    a, b = data.draw(pick), data.draw(pick)
+                    if data.draw(st.booleans()):
+                        # At the true distance, or one either side.
+                        delta = data.draw(st.integers(min_value=-1, max_value=1))
+                        bound = max(0, levenshtein(a, b) + delta)
+                    else:
+                        bound = data.draw(st.integers(min_value=0, max_value=200))
+                    triples.append((a, b, bound))
+                assert levenshtein_many(triples, patterns) == [
+                    levenshtein(a, b, max_distance=k) for a, b, k in triples
+                ]
+
+    def test_a_value_meeting_short_and_long_texts_gets_two_segment_sizes(self):
+        affix = "🙂" * 40 + "\ud83d"
+        value = "abcdéfghij"
+        short = ["abcdéfghix", "xbcdéfghij", "abcdé日ghij", "abc"]
+        long = [affix + "abcd" + affix, affix + "日本語" + affix]
+        triples = [(value, text, len(value) + len(text)) for text in short + long]
+        patterns = {}
+        expected = [reference_distance(a, b) for a, b, _ in triples]
+        with mock.patch.object(edit_distance, "_PACK_MIN", 1):
+            assert levenshtein_many(triples, patterns) == expected
+            # A second call reads the masks the first one built.
+            assert levenshtein_many(triples[::-1], patterns) == expected[::-1]
+        assert len({size for pattern, size in patterns if pattern == value}) == 2
 
 
 # ---------------------------------------------------------------------------
