@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .baselines import BasicConfig
 from .core import (
@@ -69,7 +69,14 @@ from .observability import (
     write_chrome_trace,
 )
 
-_FAMILIES = ("citeseer", "books", "people", "skewed", "linkage")
+#: Each family's synthetic-dataset maker and approach configuration.
+_FAMILIES = {
+    "citeseer": (make_citeseer, citeseer_config),
+    "books": (make_books, books_config),
+    "people": (make_people, people_config),
+    "skewed": (make_skewed, skewed_config),
+    "linkage": (make_linkage, linkage_config),
+}
 
 
 def _ranged(kind, low, high=None, *, above=False, below=False):
@@ -110,43 +117,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset as JSONL rows")
     gen.set_defaults(handler=_command_generate)
-    gen.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    gen.add_argument("--size", type=_COUNT, default=2000)
-    gen.add_argument("--seed", type=int, default=7)
+    _add_synthetic_options(gen, size=2000)
     gen.add_argument(
         "--out", required=True,
         help="output path: one JSON entity row per line, with its "
         "ground-truth `cluster` (read by `--dataset`, `serve` and `submit`)",
     )
 
-    run = sub.add_parser("run", help="resolve a dataset progressively")
-    run.set_defaults(handler=_command_run)
-    _add_dataset_options(run)
+    run = _add_resolve_command(sub, "run", "resolve a dataset progressively")
     run.add_argument(
         "--approach",
         choices=("ours", "nosplit", "lpt", "basic"),
         default="ours",
     )
-    run.add_argument("--machines", type=_COUNT, default=10)
     run.add_argument(
-        "--window", type=_ranged(int, 2), default=15, help="Basic's SN window"
+        "--threshold", type=_POPCORN, default=None,
+        help="Basic's popcorn threshold (needs --approach basic)",
     )
-    run.add_argument(
-        "--threshold", type=_POPCORN, default=None, help="Basic's popcorn threshold"
-    )
-    run.add_argument("--points", type=_COUNT, default=10, help="curve sample points")
-    _add_backend_options(run)
-    _add_balance_option(run)
-    _add_metablock_options(run)
-    _add_fault_options(run)
-    _add_observability_options(run)
-    _add_report_options(run)
 
-    compare = sub.add_parser("compare", help="ours vs the Basic baseline")
-    compare.set_defaults(handler=_command_compare)
-    _add_dataset_options(compare)
-    compare.add_argument("--machines", type=_COUNT, default=10)
-    compare.add_argument("--window", type=_ranged(int, 2), default=15)
+    compare = _add_resolve_command(sub, "compare", "ours vs the Basic baseline")
     compare.add_argument(
         "--threshold",
         type=_POPCORN,
@@ -154,14 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="thresholds",
         help="popcorn threshold (repeatable); Basic F always included",
     )
-    compare.add_argument("--points", type=_COUNT, default=10)
     compare.add_argument("--chart", action="store_true", help="ASCII chart output")
-    _add_backend_options(compare)
-    _add_balance_option(compare)
-    _add_metablock_options(compare)
-    _add_fault_options(compare)
-    _add_observability_options(compare)
-    _add_report_options(compare)
 
     profile = sub.add_parser(
         "profile", help="profile a dataset's attributes and blocking keys"
@@ -169,73 +151,34 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(handler=_command_profile)
     _add_dataset_options(profile)
 
-    serve = sub.add_parser(
-        "serve",
-        help="stream a JSONL entity file through the incremental resolver",
-    )
-    serve.set_defaults(handler=_command_serve)
-    serve.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    serve.add_argument(
-        "--input", default="-",
-        help="JSONL entity stream, one {id, attrs...} object per line "
-        "('-' reads stdin; `generate --out x.jsonl` writes this format)",
+    serve = _add_service_command(
+        sub, "serve", _command_serve,
+        "stream a JSONL entity file through the incremental resolver",
+        snapshot_out="write the final service snapshot as JSON (feed to `submit`)",
     )
     serve.add_argument(
         "--batch-size", type=_COUNT, default=200,
         help="entities per submitted batch (a `batch` field in the input "
         "overrides this grouping)",
     )
-    serve.add_argument("--machines", type=_COUNT, default=4)
-    serve.add_argument(
-        "--min-family-matches", type=_COUNT, default=2,
-        help="key families that must agree before a pair is compared "
-        "(clamped to the scheme's family count)",
-    )
-    serve.add_argument(
-        "--snapshot-out", metavar="PATH", default=None,
-        help="write the final service snapshot as JSON (feed to `submit`)",
-    )
-    serve.add_argument(
-        "--print-pairs", action="store_true",
-        help="print every newly found pair as it is discovered",
-    )
-    _add_backend_options(serve)
-    _add_fault_options(serve)
-    _add_observability_options(serve)
-    _add_report_options(serve)
 
-    submit = sub.add_parser(
-        "submit",
-        help="submit one more batch to a saved resolver-service snapshot",
+    submit = _add_service_command(
+        sub, "submit", _command_submit,
+        "submit one more batch to a saved resolver-service snapshot",
+        snapshot_out="where to write the updated snapshot (default: overwrite "
+        "--snapshot)",
     )
-    submit.set_defaults(handler=_command_submit)
-    submit.add_argument("--family", choices=_FAMILIES, default="citeseer")
     submit.add_argument(
         "--snapshot", required=True, metavar="PATH",
         help="service snapshot written by `serve --snapshot-out` (or a "
         "previous `submit`)",
     )
-    submit.add_argument("--input", default="-", help="JSONL batch to submit")
-    submit.add_argument("--machines", type=_COUNT, default=4)
-    submit.add_argument("--min-family-matches", type=_COUNT, default=2)
-    submit.add_argument(
-        "--snapshot-out", metavar="PATH", default=None,
-        help="where to write the updated snapshot (default: overwrite "
-        "--snapshot)",
-    )
-    submit.add_argument("--print-pairs", action="store_true")
-    _add_backend_options(submit)
-    _add_fault_options(submit)
-    _add_observability_options(submit)
-    _add_report_options(submit)
 
     calibrate = sub.add_parser(
         "calibrate",
         help="fit the cost model's virtual-unit prices to real wall clock",
     )
-    calibrate.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    calibrate.add_argument("--size", type=_COUNT, default=800)
-    calibrate.add_argument("--seed", type=int, default=7)
+    _add_synthetic_options(calibrate, size=800)
     calibrate.add_argument("--machines", type=_COUNT, default=4)
     calibrate.add_argument(
         "--repeats", type=_COUNT, default=1,
@@ -248,8 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "as JSON",
     )
     _add_backend_options(calibrate)
-    _add_balance_option(calibrate)
-    _add_metablock_options(calibrate)
+    _add_schedule_options(calibrate)
     calibrate.set_defaults(handler=_command_calibrate, backend="process")
     for command in sub.choices.values():
         # A bad value propagates to the top-level parser, so every usage
@@ -258,15 +200,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
+def _add_synthetic_options(parser: argparse.ArgumentParser, *, size: int) -> None:
     parser.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    parser.add_argument("--size", type=_COUNT, default=2000)
+    parser.add_argument("--size", type=_COUNT, default=size)
     parser.add_argument("--seed", type=int, default=7)
+
+
+def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
+    _add_synthetic_options(parser, size=2000)
     parser.add_argument(
         "--dataset", default=None,
         help="JSONL entity rows, as `generate` writes them (`run` and "
         "`compare` need each row's `cluster` ground truth)",
     )
+
+
+def _add_resolve_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A `run` or `compare` parser with the options the two share."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(handler=_command_resolve)
+    _add_dataset_options(parser)
+    parser.add_argument("--machines", type=_COUNT, default=10)
+    parser.add_argument(
+        "--window", type=_ranged(int, 2), default=None,
+        help="Basic's SN window (default 15)",
+    )
+    parser.add_argument("--points", type=_COUNT, default=10, help="curve sample points")
+    _add_backend_options(parser)
+    _add_schedule_options(parser)
+    _add_run_observers(parser)
+    return parser
+
+
+def _add_service_command(
+    sub, name: str, handler, summary: str, *, snapshot_out: str
+) -> argparse.ArgumentParser:
+    """A `serve` or `submit` parser with the options the two share."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--family", choices=_FAMILIES, default="citeseer")
+    parser.add_argument(
+        "--input", default="-",
+        help="JSONL entity stream, one {id, attrs...} object per line "
+        "('-' reads stdin; `generate --out x.jsonl` writes this format)",
+    )
+    parser.add_argument("--machines", type=_COUNT, default=4)
+    parser.add_argument(
+        "--min-family-matches", type=_COUNT, default=2,
+        help="key families that must agree before a pair is compared "
+        "(clamped to the scheme's family count)",
+    )
+    parser.add_argument(
+        "--snapshot-out", metavar="PATH", default=None, help=snapshot_out
+    )
+    parser.add_argument(
+        "--print-pairs", action="store_true",
+        help="print every newly found pair as it is discovered",
+    )
+    _add_backend_options(parser)
+    _add_run_observers(parser)
+    return parser
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
@@ -286,7 +279,9 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_balance_option(parser: argparse.ArgumentParser) -> None:
+def _add_schedule_options(parser: argparse.ArgumentParser) -> None:
+    """The progressive schedule's balance post-pass and meta-blocking
+    pre-pass."""
     parser.add_argument(
         "--balance",
         choices=BALANCE_STRATEGIES,
@@ -297,13 +292,10 @@ def _add_balance_option(parser: argparse.ArgumentParser) -> None:
         "splitting blocks where cuts land); resolved output is identical "
         "across strategies",
     )
-
-
-def _add_metablock_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metablock",
         choices=METABLOCK_MODES,
-        default="off",
+        default=None,
         help="meta-blocking pre-pass between blocking and scheduling: "
         "`off` (default), `bf` (block filtering: each entity keeps its "
         "--metablock-ratio smallest level-1 blocks), `wnp` (weighted "
@@ -321,7 +313,8 @@ def _add_metablock_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_observers(parser: argparse.ArgumentParser) -> None:
+    """Fault injection, trace and metrics files, and the printed reports."""
     parser.add_argument(
         "--fault-seed",
         type=int,
@@ -335,15 +328,6 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
         help="probability that any task attempt crashes partway and is "
         "retried (0 disables fault injection)",
     )
-
-
-def _fault_plan(args: argparse.Namespace) -> FaultPlan:
-    """The seeded FaultPlan the CLI flags describe (inert at the defaults,
-    which places tasks exactly as a run with no plan does)."""
-    return FaultPlan(seed=args.fault_seed, fault_rate=args.fault_rate)
-
-
-def _add_observability_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -358,9 +342,6 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         help="write per-phase counter snapshots (engine.*/driver.*/"
         "balance.*) as JSON",
     )
-
-
-def _add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--skew",
         action="store_true",
@@ -376,11 +357,33 @@ def _add_report_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _ignored_flag(args: argparse.Namespace) -> Optional[str]:
+    """Why a flag given to ``args.command`` would change nothing, or None."""
+    if args.command == "run":
+        if args.approach == "basic":
+            dests = ("metablock", "metablock_ratio")
+            why = "Basic has no schedule to prune"
+        else:
+            dests, why = ("window", "threshold"), "it sets up the Basic baseline"
+        for dest in dests:
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                return f"{flag} is not read by --approach {args.approach}: {why}"
+    if getattr(args, "metablock_ratio", None) is not None and args.metablock != "bf":
+        return "--metablock-ratio is block filtering's ratio; it needs --metablock bf"
+    return None
+
+
+def _fault_plan(args: argparse.Namespace) -> FaultPlan:
+    """The seeded FaultPlan the CLI flags describe (inert at the defaults,
+    which places tasks exactly as a run with no plan does)."""
+    return FaultPlan(seed=args.fault_seed, fault_rate=args.fault_rate)
+
+
 def _observers(args: argparse.Namespace):
     """(tracer, metrics) from the CLI flags; None when not requested."""
-    want_trace = args.trace is not None or getattr(args, "skew", False)
-    tracer = Tracer() if want_trace else None
-    want_metrics = args.metrics is not None or getattr(args, "perf_report", False)
+    tracer = Tracer() if args.trace is not None or args.skew else None
+    want_metrics = args.metrics is not None or args.perf_report
     metrics = MetricsRegistry() if want_metrics else None
     return tracer, metrics
 
@@ -392,35 +395,29 @@ def _write_observations(args: argparse.Namespace, tracer, metrics) -> None:
     if metrics is not None and args.metrics is not None:
         metrics.write_json(args.metrics)
         print(f"metrics written to {args.metrics}", file=sys.stderr)
-    if tracer is not None and getattr(args, "skew", False):
+    if tracer is not None and args.skew:
         print()
         print(format_trace_summary(tracer))
-    if metrics is not None and getattr(args, "perf_report", False):
+    if metrics is not None and args.perf_report:
         print()
         print(format_perf_report(metrics))
 
 
-_MAKERS = {
-    "citeseer": make_citeseer,
-    "books": make_books,
-    "people": make_people,
-    "skewed": make_skewed,
-    "linkage": make_linkage,
-}
-_CONFIGS = {
-    "citeseer": citeseer_config,
-    "books": books_config,
-    "people": people_config,
-    "skewed": skewed_config,
-    "linkage": linkage_config,
-}
+def _synthetic(args: argparse.Namespace) -> Dataset:
+    make_dataset, _ = _FAMILIES[args.family]
+    return make_dataset(args.size, seed=args.seed)
+
+
+def _family_config(args: argparse.Namespace, **overrides):
+    _, make_config = _FAMILIES[args.family]
+    return make_config(**overrides)
 
 
 def _load_dataset(args: argparse.Namespace, *, truth: bool = True) -> Dataset:
     """The --dataset file, or the synthetic dataset; with ``truth`` the
     file's rows must carry ground truth, since recall is measured on it."""
     if args.dataset is None:
-        return _MAKERS[args.family](args.size, seed=args.seed)
+        return _synthetic(args)
     dataset = _or_exit(read_dataset, args.dataset, args.family)
     if truth and not dataset.has_ground_truth:
         raise SystemExit(
@@ -430,19 +427,19 @@ def _load_dataset(args: argparse.Namespace, *, truth: bool = True) -> Dataset:
     return dataset
 
 
-def _progressive_config(family: str, args: argparse.Namespace):
-    overrides = {}
-    if args.metablock_ratio is not None:
-        overrides["metablock_ratio"] = args.metablock_ratio
-    return _CONFIGS[family](**overrides)
+def _progressive_config(args: argparse.Namespace):
+    if args.metablock_ratio is None:
+        return _family_config(args)
+    return _family_config(args, metablock_ratio=args.metablock_ratio)
 
 
-def _basic_config(family: str, window: int, threshold: Optional[float]) -> BasicConfig:
-    return BasicConfig(_CONFIGS[family](), window=window, popcorn_threshold=threshold)
+def _basic_config(args: argparse.Namespace, threshold: Optional[float]) -> BasicConfig:
+    window = {} if args.window is None else {"window": args.window}
+    return BasicConfig(_family_config(args), popcorn_threshold=threshold, **window)
 
 
 def _command_generate(args: argparse.Namespace) -> int:
-    dataset = _MAKERS[args.family](args.size, seed=args.seed)
+    dataset = _synthetic(args)
     write_dataset(dataset, args.out)
     print(
         f"wrote {len(dataset)} {args.family} entities "
@@ -451,98 +448,64 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
+def _run_spec(args: argparse.Namespace, config, **options) -> RunSpec:
     """A RunSpec wired from the shared CLI options."""
-    metablock = args.metablock
-    if isinstance(config, BasicConfig):
-        # The baseline has no schedule to prune; RunSpec.validate rejects
-        # the combination, so the flag silently stays off for Basic runs.
-        metablock = "off"
     return RunSpec(
-        dataset=overrides.pop("dataset"),
         config=config,
         machines=args.machines,
-        balance=getattr(args, "balance", "slack"),
-        backend=getattr(args, "backend", None),
-        workers=getattr(args, "workers", None),
+        balance=args.balance,
+        backend=args.backend,
+        workers=args.workers,
         faults=_fault_plan(args) if hasattr(args, "fault_rate") else None,
-        metablock=metablock,
-        **overrides,
+        # `compare` runs the baseline next to a pruned ours: it has no
+        # schedule to prune.
+        metablock="off" if isinstance(config, BasicConfig) else args.metablock or "off",
+        **options,
     )
 
 
-def _command_run(args: argparse.Namespace) -> int:
+def _command_resolve(args: argparse.Namespace) -> int:
+    """`run` prints one approach's recall curve; `compare` prints ours next
+    to Basic F and Basic under each --threshold."""
     dataset = _load_dataset(args)
     tracer, metrics = _observers(args)
-    if args.approach == "basic":
-        config = _basic_config(args.family, args.window, args.threshold)
-        spec = _run_spec(args, config, dataset=dataset, tracer=tracer, metrics=metrics)
+    if args.command == "compare":
+        variants = [(_progressive_config(args), {"label": "ours"})] + [
+            (_basic_config(args, threshold), {})
+            for threshold in [None, *(args.thresholds or [])]
+        ]
+    elif args.approach == "basic":
+        variants = [(_basic_config(args, args.threshold), {})]
     else:
-        spec = _run_spec(
-            args,
-            _progressive_config(args.family, args),
-            dataset=dataset,
-            strategy=args.approach,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    run = ExperimentRun(spec).run()
-    times = sample_times(run.total_time, points=args.points)
-    print(format_curves([run], times, title=f"{run.label} on {dataset.name}"))
-    print()
-    print(format_final_summary([run]))
-    faults = format_fault_summary([run])
-    if faults:
-        print()
-        print(faults)
-    plan = getattr(run.result, "balance", None)
-    if plan is not None and (args.balance != "slack" or args.skew):
-        print()
-        print(format_balance_summary(plan))
-    mb_plan = getattr(run.result, "metablock", None)
-    if mb_plan is not None:
-        print()
-        print(format_metablock_summary(mb_plan))
-    _write_observations(args, tracer, metrics)
-    return 0
-
-
-def _command_compare(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
-    tracer, metrics = _observers(args)
+        variants = [(_progressive_config(args), {"strategy": args.approach})]
     specs = [
         _run_spec(
-            args,
-            _progressive_config(args.family, args),
-            dataset=dataset,
-            label="ours",
-            tracer=tracer,
-            metrics=metrics,
+            args, config, dataset=dataset, tracer=tracer, metrics=metrics, **options
         )
+        for config, options in variants
     ]
-    thresholds: List[Optional[float]] = [None] + list(args.thresholds or [])
-    for threshold in thresholds:
-        config = _basic_config(args.family, args.window, threshold)
-        specs.append(
-            _run_spec(args, config, dataset=dataset, tracer=tracer, metrics=metrics)
-        )
     runs = [ExperimentRun(spec).run() for spec in specs]
     horizon = runs[0].total_time
-    if args.chart:
-        print(ascii_chart(runs, horizon=horizon, title=f"recall vs time — {dataset.name}"))
+    if args.command == "run":
+        title = f"{runs[0].label} on {dataset.name}"
     else:
-        print(
-            format_curves(
-                runs, sample_times(horizon, points=args.points),
-                title=f"recall vs time — {dataset.name}",
-            )
-        )
-    print()
-    print(format_final_summary(runs))
-    faults = format_fault_summary(runs)
-    if faults:
+        title = f"recall vs time — {dataset.name}"
+    if getattr(args, "chart", False):
+        print(ascii_chart(runs, horizon=horizon, title=title))
+    else:
+        times = sample_times(horizon, points=args.points)
+        print(format_curves(runs, times, title=title))
+    sections = [format_final_summary(runs), format_fault_summary(runs)]
+    if args.command == "run":
+        plan = getattr(runs[0].result, "balance", None)
+        if plan is not None and (args.balance != "slack" or args.skew):
+            sections.append(format_balance_summary(plan))
+        mb_plan = getattr(runs[0].result, "metablock", None)
+        if mb_plan is not None:
+            sections.append(format_metablock_summary(mb_plan))
+    for section in filter(None, sections):
         print()
-        print(faults)
+        print(section)
     _write_observations(args, tracer, metrics)
     return 0
 
@@ -602,7 +565,7 @@ def _write_service_snapshot(service, path: Optional[str]) -> None:
 def _command_serve(args: argparse.Namespace) -> int:
     tracer, metrics = _observers(args)
     service = ResolverService(
-        _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
+        _family_config(args), **_service_options(args, tracer, metrics)
     )
     for batch in batch_rows(_or_exit(read_entity_rows, args.input), args.batch_size):
         receipt = _or_exit(service.submit, batch)
@@ -619,7 +582,7 @@ def _command_submit(args: argparse.Namespace) -> int:
         with open(args.snapshot, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
         service = ResolverService.restore(
-            snapshot, _CONFIGS[args.family](), **_service_options(args, tracer, metrics)
+            snapshot, _family_config(args), **_service_options(args, tracer, metrics)
         )
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise SystemExit(f"{args.snapshot}: not a usable snapshot: {exc}")
@@ -659,8 +622,8 @@ def _command_calibrate(args: argparse.Namespace) -> int:
     """
     from .core import calibration_report, fit_cost_model, task_samples
 
-    dataset = _MAKERS[args.family](args.size, seed=args.seed)
-    config = _progressive_config(args.family, args)
+    dataset = _synthetic(args)
+    config = _progressive_config(args)
     samples = []
     for _ in range(args.repeats):
         experiment = ExperimentRun(_run_spec(args, config, dataset=dataset))
@@ -697,6 +660,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    ignored = _ignored_flag(args)
+    if ignored is not None:
+        parser.error(ignored)
     try:
         return args.handler(args)
     except JobAbortedError as error:

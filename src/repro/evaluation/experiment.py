@@ -17,13 +17,13 @@ tracer — each run is labeled via ``begin_run``.
 ``ExperimentRun`` is a thin one-shot wrapper over the
 :class:`~repro.service.session.ResolverSession` seam — the same driver
 path the incremental :class:`~repro.service.resolver.ResolverService`
-uses, so batch experiments and streaming sessions share executor pools,
+uses, so batch experiments and streaming sessions share executor backends,
 balance strategies, fault plans and tracer plumbing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Set, Union
 
@@ -35,7 +35,7 @@ from ..core.metablock import METABLOCK_MODES
 from ..data.dataset import Dataset
 from ..data.entity import Pair
 from ..mapreduce.clock import CostModel
-from ..mapreduce.executors import BACKENDS, Executor
+from ..mapreduce.executors import BACKENDS
 from ..mapreduce.faults import FaultPlan
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Tracer
@@ -72,10 +72,9 @@ class RunSpec:
         seed: seed for training-sample and cost-factor sampling.
         label: run label for reports and traces (default: derived).
         cost_model: virtual-time cost model (default: :class:`CostModel`).
-        backend: execution-backend name (``"serial"`` / ``"process"``),
-            used when ``executor`` is not given.
+        backend: execution-backend name, ``"serial"`` (the default) or
+            ``"process"``.
         workers: worker processes for the ``process`` backend.
-        executor: explicit executor instance (overrides ``backend``).
         tracer: record spans of this run (shared tracers accumulate).
         metrics: snapshot counters per phase (shared registries accumulate).
         faults: optional :class:`~repro.mapreduce.faults.FaultPlan`
@@ -97,9 +96,8 @@ class RunSpec:
     seed: int = 0
     label: Optional[str] = None
     cost_model: Optional[CostModel] = None
-    backend: Optional[str] = None
+    backend: str = "serial"
     workers: Optional[int] = None
-    executor: Optional[Executor] = None
     tracer: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
@@ -135,10 +133,9 @@ class RunSpec:
                 f"unknown balance strategy {self.balance!r}; pick one of "
                 f"{BALANCE_STRATEGIES}"
             )
-        if self.backend is not None and self.backend not in BACKENDS:
+        if self.backend not in BACKENDS:
             problems.append(
-                f"unknown backend {self.backend!r}; pick one of {BACKENDS} "
-                "(or pass an explicit executor)"
+                f"unknown backend {self.backend!r}; pick one of {BACKENDS}"
             )
         if self.workers is not None and (
             not isinstance(self.workers, int) or self.workers < 1
@@ -195,10 +192,6 @@ class RunSpec:
         if self.metablock != "off":
             return f"ours[{self.strategy}+{self.metablock}]"
         return f"ours[{self.strategy}]"
-
-    def with_label(self, label: str) -> "RunSpec":
-        """A copy of this spec under another label."""
-        return replace(self, label=label)
 
 
 @dataclass

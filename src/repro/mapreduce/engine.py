@@ -106,14 +106,13 @@ class Cluster:
         records: Sequence[Any],
         *,
         start_time: float = 0.0,
-        num_map_tasks: Optional[int] = None,
         num_reduce_tasks: Optional[int] = None,
     ) -> JobResult:
         """Execute one MapReduce job and return its :class:`JobResult`.
 
         ``records`` is the logical input file; it is split contiguously
-        across map tasks.  ``start_time`` lets callers chain jobs (Job 2
-        starts when Job 1 ends).
+        across :attr:`num_map_tasks` map tasks.  ``start_time`` lets
+        callers chain jobs (Job 2 starts when Job 1 ends).
 
         Phases are placed under the cluster's :class:`FaultPlan`, or an
         inert ``FaultPlan()`` when it has none.  A failed attempt loses
@@ -121,14 +120,13 @@ class Cluster:
         are identical, only the timeline stretches.
         """
         plan = self.faults if self.faults is not None else FaultPlan()
-        n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
         # Set on every run: a job object may be reused against clusters
         # with and without a tracer.
         job.trace = self.tracer is not None
 
         counters = Counters()
-        splits = split_input(records, n_map)
+        splits = split_input(records, self.num_map_tasks)
         wall_start = time.perf_counter()
         map_results, partitions = self._run_map_phase(
             job, splits, n_red, start_time, counters, plan,

@@ -27,8 +27,8 @@ Parallel runtime design
 Both phases go through :meth:`ParallelExecutor._run_phase`:
 
 * **adaptive serial fallback** — a phase whose estimated virtual cost is
-  below :attr:`ParallelExecutor.serial_floor` runs in-process: the
-  dispatch overhead would exceed the fanned-out compute.
+  below :data:`DEFAULT_SERIAL_FLOOR` runs in-process: the dispatch
+  overhead would exceed the fanned-out compute.
 * **inputs are inherited, never shipped** — a fanned-out phase stashes its
   job (full of lambdas and schedule objects, so never picklable), its
   inputs (map splits or reduce partitions) and the cost model in one
@@ -321,6 +321,8 @@ def visible_cpus() -> int:
 #: while one virtual cost unit corresponds to one reference-length pair
 #: comparison (~10 µs of real work in this simulator), so phases cheaper
 #: than a few hundred units lose more to IPC than fan-out can recover.
+#: Read when each phase starts, so a test can patch it (0 forces fan-out
+#: whenever possible).
 DEFAULT_SERIAL_FLOOR = 256.0
 
 
@@ -331,8 +333,6 @@ class ParallelExecutor(Executor):
 
     Args:
         workers: worker processes (default: visible CPU count).
-        serial_floor: phases with estimated virtual cost below this run
-            in-process (0 forces fan-out whenever possible).
 
     When process parallelism cannot help — no ``fork`` support, a single
     worker, or a phase with fewer than two tasks — tasks run in-process,
@@ -341,16 +341,10 @@ class ParallelExecutor(Executor):
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        serial_floor: float = DEFAULT_SERIAL_FLOOR,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers if workers is not None else visible_cpus()
-        self.serial_floor = serial_floor
         # The platforms with ``os.fork`` are those whose ``multiprocessing``
         # offers the fork start method; asking it would import it.
         self._can_fork = hasattr(os, "fork")
@@ -385,7 +379,7 @@ class ParallelExecutor(Executor):
             self._can_fork
             and self.workers >= 2
             and num_tasks >= 2
-            and estimated_cost >= self.serial_floor
+            and estimated_cost >= DEFAULT_SERIAL_FLOOR
         )
 
     def _run_phase(self, compute, job, inputs, cost_model, estimate):

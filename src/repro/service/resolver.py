@@ -119,9 +119,9 @@ class ResolverService:
         machines: simulated cluster size for the delta jobs.
         min_family_matches: key families that must agree before a pair is
             compared (clamped to the scheme's family count).
-        backend / workers / executor / cost_model / tracer / metrics /
-            faults: forwarded to the underlying session cluster, exactly
-            as :class:`~repro.evaluation.experiment.RunSpec` takes them.
+        backend / workers / tracer / metrics / faults: forwarded to the
+            underlying session cluster, exactly as
+            :class:`~repro.evaluation.experiment.RunSpec` takes them.
     """
 
     def __init__(
@@ -130,14 +130,11 @@ class ResolverService:
         *,
         machines: int = 4,
         min_family_matches: int = DEFAULT_MIN_FAMILY_MATCHES,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         workers: Optional[int] = None,
-        executor: Optional[Any] = None,
-        cost_model: Optional[Any] = None,
         tracer: Optional[Any] = None,
         metrics: Optional[Any] = None,
         faults: Optional[Any] = None,
-        label: str = "service",
     ) -> None:
         if not isinstance(config, ApproachConfig):
             raise TypeError(
@@ -160,17 +157,15 @@ class ResolverService:
             dataset=None,
             config=config,
             machines=machines,
-            label=label,
-            cost_model=cost_model,
+            label="service",
             backend=backend,
             workers=workers,
-            executor=executor,
             tracer=tracer,
             metrics=metrics,
             faults=faults,
         )
         self.session = ResolverSession(self.spec)
-        self.session.begin_run(label)
+        self.session.begin_run(self.spec.label)
         self.store = EntityStore()
         self._events: List[PairEvent] = []
         self._found: Set[Pair] = set()

@@ -21,7 +21,6 @@ from typing import Any, Sequence
 
 from ..baselines.basic import BasicER
 from ..core.driver import ProgressiveER
-from ..mapreduce.clock import CostModel
 from ..mapreduce.engine import SLOTS_PER_MACHINE, Cluster, JobResult
 from ..mapreduce.executors import make_executor
 from ..mapreduce.job import MapReduceJob
@@ -32,13 +31,10 @@ PAPER_MAP_SLOTS = PAPER_REDUCE_SLOTS = SLOTS_PER_MACHINE
 
 def build_cluster(spec: "RunSpec") -> Cluster:
     """A paper-shaped cluster configured from the spec."""
-    executor = spec.executor
-    if executor is None and spec.backend is not None:
-        executor = make_executor(spec.backend, spec.workers)
     return Cluster(
         spec.machines,
-        cost_model=spec.cost_model if spec.cost_model is not None else CostModel(),
-        executor=executor,
+        cost_model=spec.cost_model,
+        executor=make_executor(spec.backend, spec.workers),
         tracer=spec.tracer,
         metrics=spec.metrics,
         faults=spec.faults,

@@ -182,11 +182,6 @@ class WeightedMatcher:
         self.threshold = threshold
         self._cache: Optional[dict] = {} if cache else None
 
-    def clear_cache(self) -> None:
-        """Drop all memoized decisions."""
-        if self._cache is not None:
-            self._cache.clear()
-
     def similarity(self, e1: Entity, e2: Entity) -> float:
         """Weighted similarity in [0, 1]; attributes missing on both sides
         are excluded and the remaining weights re-normalized."""

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import math
 import os
 
 import pytest
@@ -84,6 +85,43 @@ class TestRun:
         assert main(argv + ["--fault-rate", "0", "--fault-seed", "3"]) == 0
         assert capsys.readouterr().out == no_plan
 
+    def test_process_backend_prints_what_serial_prints_and_forks(self, capsys):
+        # Virtual time only, so both backends print the same bytes; the
+        # pool-fork count shows the process run did not stay inline.
+        argv = ["run", "--family", "books", "--size", "1500", "--machines", "4"]
+        assert main(argv + ["--backend", "serial"]) == 0
+        serial = capsys.readouterr().out
+        argv += ["--backend", "process", "--workers", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert main(argv + ["--perf-report"]) == 0
+        forks = [
+            int(line.split(": ")[1])
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("pool forks: ")
+        ]
+        assert len(forks) == 1 and forks[0] >= 1
+
+    def test_faulty_traced_run_writes_a_valid_trace(self, tmp_path, capsys):
+        from repro.observability import validate_chrome_trace
+
+        trace, metrics = tmp_path / "trace.json", tmp_path / "metrics.json"
+        argv = [
+            "run", "--family", "citeseer", "--size", "300", "--machines", "4",
+            "--fault-rate", "0.1", "--skew",
+            "--trace", str(trace), "--metrics", str(metrics),
+        ]
+        assert main(argv) == 0
+        assert "fault injection" in capsys.readouterr().out
+        events = json.loads(trace.read_text())
+        validate_chrome_trace(events)
+        assert {"X", "B", "E", "M"} <= {e["ph"] for e in events}
+        assert any(e["name"] == "schedule-generation" for e in events)
+        scopes = {s["scope"] for s in json.loads(metrics.read_text())["snapshots"]}
+        for job in ("progressive-blocking-statistics", "progressive-resolution"):
+            for phase in ("map", "reduce"):
+                assert any(scope.endswith(f":{job}/{phase}") for scope in scopes)
+
     def test_aborted_job_is_one_line_not_a_traceback(self, capsys):
         # Half the attempts crash: a reduce task runs out of retries.
         argv = [
@@ -157,6 +195,15 @@ class TestCompare:
         assert "basic[F]" in out
         assert "basic[0.05]" in out
 
+    def test_linkage_runs_ours_and_basic(self, capsys):
+        # Basic reads the mode from linkage_config(), so its rows compare
+        # the same cross-source pair universe as ours.
+        argv = ["compare", "--family", "linkage", "--size", "600", "--machines", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ours" in out
+        assert "basic[F]" in out
+
     def test_chart_output(self, capsys):
         code = main(
             [
@@ -189,6 +236,11 @@ class TestCalibrate:
         assert report["samples_used"] > 0
         assert report["workload"]["family"] == "citeseer"
         assert all(v >= 0.0 for v in report["seconds_per_unit"].values())
+        assert math.isfinite(report["residual_rms_seconds"])
+        assert math.isfinite(report["median_ape"])
+        assert isinstance(report["cpus_visible"], int)
+        assert isinstance(report["parallelism_limited"], bool)
+        assert "error_band" in report
 
     def test_reports_the_workers_the_executor_ran(self, monkeypatch, tmp_path, capsys):
         # More CPUs installed than the affinity mask allows: the process
@@ -234,7 +286,76 @@ class TestCalibrate:
         assert all(spec.config.metablock_ratio == 0.5 for spec in specs)
 
 
+#: Every subcommand's flags besides -h/--help.  A flag leaves a command
+#: only by an edit here.
+_FLAGS = {
+    "generate": "--family --size --seed --out",
+    "run": "--family --size --seed --dataset --approach --machines --window "
+    "--threshold --points --backend --workers --balance --metablock "
+    "--metablock-ratio --fault-seed --fault-rate --trace --metrics --skew "
+    "--perf-report",
+    "compare": "--family --size --seed --dataset --machines --window "
+    "--threshold --points --chart --backend --workers --balance --metablock "
+    "--metablock-ratio --fault-seed --fault-rate --trace --metrics --skew "
+    "--perf-report",
+    "profile": "--family --size --seed --dataset",
+    "serve": "--family --input --batch-size --machines --min-family-matches "
+    "--snapshot-out --print-pairs --backend --workers --fault-seed "
+    "--fault-rate --trace --metrics --skew --perf-report",
+    "submit": "--family --snapshot --input --machines --min-family-matches "
+    "--snapshot-out --print-pairs --backend --workers --fault-seed "
+    "--fault-rate --trace --metrics --skew --perf-report",
+    "calibrate": "--family --size --seed --machines --repeats --out --backend "
+    "--workers --balance --metablock --metablock-ratio",
+}
+
+
 class TestParser:
+    def test_every_subcommand_keeps_its_flag_set(self):
+        from repro.cli import _build_parser
+
+        def flags(parser):
+            return sorted(f for action in parser._actions for f in action.option_strings)
+
+        parser = _build_parser()
+        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+        assert flags(parser) == ["--help", "-h"]
+        assert {name: flags(command) for name, command in commands.items()} == {
+            name: sorted(names.split() + ["-h", "--help"])
+            for name, names in _FLAGS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--size", "60", "--window", "3"], "--window"),
+            (["run", "--size", "60", "--threshold", "0.5"], "--threshold"),
+            (["run", "--size", "60", "--approach", "lpt", "--threshold", "0.5"],
+             "--threshold"),
+            (["run", "--size", "60", "--approach", "basic", "--metablock", "bf"],
+             "--metablock"),
+            (["run", "--size", "60", "--approach", "basic", "--metablock", "off"],
+             "--metablock"),
+            (["run", "--size", "60", "--approach", "basic",
+              "--metablock-ratio", "0.5"], "--metablock-ratio"),
+            (["run", "--size", "60", "--metablock-ratio", "0.5"], "--metablock-ratio"),
+            (["run", "--size", "60", "--metablock", "wnp", "--metablock-ratio", "0.5"],
+             "--metablock-ratio"),
+            (["compare", "--size", "60", "--metablock-ratio", "0.5"],
+             "--metablock-ratio"),
+            (["calibrate", "--size", "60", "--metablock-ratio", "0.5"],
+             "--metablock-ratio"),
+        ],
+    )
+    def test_flags_the_approach_would_ignore_are_usage_errors(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"repro: error: {flag} ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

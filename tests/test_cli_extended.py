@@ -84,10 +84,13 @@ class TestPeopleFamilyCli:
         # Basic's rows of `run`/`compare` take mechanism, matcher, scheme
         # and mode from the family's config: linkage runs the SN hint and
         # compares across sources only, as ours does.
-        from repro.cli import _CONFIGS, _basic_config
+        from argparse import Namespace
 
-        basic = _basic_config(family, 5, 0.05).approach
-        config = _CONFIGS[family]()
+        from repro.cli import _FAMILIES, _basic_config
+
+        basic = _basic_config(Namespace(family=family, window=5), 0.05).approach
+        _, make_config = _FAMILIES[family]
+        config = make_config()
         assert basic.mechanism.name == config.mechanism.name
         assert basic.mode == config.mode
         assert basic.scheme.family_order == config.scheme.family_order

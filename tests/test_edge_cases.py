@@ -22,6 +22,7 @@ from repro.mapreduce import (
     ParallelExecutor,
     Reducer,
     SerialExecutor,
+    executors,
 )
 from repro.mechanisms import PSNM, SortedNeighborHint, resolve_block
 from repro.service import ResolverService
@@ -47,12 +48,6 @@ class TestEngineEdges:
     def test_single_record(self):
         result = Cluster(3).run_job(MapReduceJob(_Echo, _Collect), ["only"])
         assert result.output == [("only", 1)]
-
-    def test_explicit_map_task_override(self):
-        result = Cluster(1).run_job(
-            MapReduceJob(_Echo, _Collect), list("abcdef"), num_map_tasks=3
-        )
-        assert len(result.map_tasks) == 3
 
     def test_one_reduce_task(self):
         result = Cluster(2).run_job(
@@ -225,14 +220,15 @@ class TestKeylessEntities:
         assert stats.overlaps == without.overlaps
 
     def test_never_routed_or_paired_and_backend_invariant(
-        self, books, shared_books_matcher
+        self, books, shared_books_matcher, monkeypatch
     ):
         _, dataset, keyless = books
         ids = {e.id for e in keyless}
         config = books_config(matcher=shared_books_matcher)
+        monkeypatch.setattr(executors, "DEFAULT_SERIAL_FLOOR", 0)
         serial, process = (
             ProgressiveER(config, Cluster(3, executor=executor)).run(dataset)
-            for executor in (SerialExecutor(), ParallelExecutor(2, serial_floor=0))
+            for executor in (SerialExecutor(), ParallelExecutor(2))
         )
         emitted = [value for task in serial.job2.map_tasks for _, value in task.output]
         assert emitted and not any(entity.id in ids for entity, _ in emitted)

@@ -21,7 +21,6 @@ from repro.mapreduce import (
     ParallelExecutor,
     Reducer,
     RetryPolicy,
-    SerialExecutor,
     make_executor,
 )
 
@@ -67,24 +66,24 @@ def run_fingerprint(run):
 class TestPaperWorkloadParity:
     def test_fig8_scale_progressive_parity(self, citeseer_small, citeseer_cfg):
         serial = ExperimentRun(
-            RunSpec(citeseer_small, citeseer_cfg, machines=10, executor=SerialExecutor())
+            RunSpec(citeseer_small, citeseer_cfg, machines=10, backend="serial")
         ).run()
         process = ExperimentRun(
             RunSpec(
                 citeseer_small, citeseer_cfg, machines=10,
-                executor=ParallelExecutor(WORKERS),
+                backend="process", workers=WORKERS,
             )
         ).run()
         assert run_fingerprint(serial) == run_fingerprint(process)
 
     def test_fig8_scale_basic_parity(self, citeseer_small, basic_cfg):
         serial = ExperimentRun(
-            RunSpec(citeseer_small, basic_cfg, machines=10, executor=SerialExecutor())
+            RunSpec(citeseer_small, basic_cfg, machines=10, backend="serial")
         ).run()
         process = ExperimentRun(
             RunSpec(
                 citeseer_small, basic_cfg, machines=10,
-                executor=ParallelExecutor(WORKERS),
+                backend="process", workers=WORKERS,
             )
         ).run()
         assert run_fingerprint(serial) == run_fingerprint(process)
@@ -94,13 +93,13 @@ class TestPaperWorkloadParity:
         serial = ExperimentRun(
             RunSpec(
                 citeseer_small, citeseer_cfg, machines=6,
-                strategy=strategy, executor=SerialExecutor(),
+                strategy=strategy, backend="serial",
             )
         ).run()
         process = ExperimentRun(
             RunSpec(
                 citeseer_small, citeseer_cfg, machines=6,
-                strategy=strategy, executor=ParallelExecutor(WORKERS),
+                strategy=strategy, backend="process", workers=WORKERS,
             )
         ).run()
         assert run_fingerprint(serial) == run_fingerprint(process)
@@ -189,13 +188,13 @@ class TestFaultParity:
         serial = ExperimentRun(
             RunSpec(
                 citeseer_small, citeseer_cfg, machines=6,
-                executor=SerialExecutor(), faults=plan,
+                backend="serial", faults=plan,
             )
         ).run()
         process = ExperimentRun(
             RunSpec(
                 citeseer_small, citeseer_cfg, machines=6,
-                executor=ParallelExecutor(WORKERS), faults=plan,
+                backend="process", workers=WORKERS, faults=plan,
             )
         ).run()
         assert run_fingerprint(serial) == run_fingerprint(process)

@@ -26,13 +26,6 @@ class TestRunSpec:
         spec = RunSpec(None, citeseer_cfg, label="fig8")
         assert spec.resolved_label() == "fig8"
 
-    def test_with_label_copies(self, citeseer_cfg):
-        spec = RunSpec(None, citeseer_cfg, machines=7)
-        relabeled = spec.with_label("other")
-        assert relabeled.label == "other"
-        assert relabeled.machines == 7
-        assert spec.label is None  # original untouched
-
 
 class TestExperimentRun:
     def test_cluster_is_paper_shaped(self, citeseer_small, citeseer_cfg):
@@ -48,15 +41,6 @@ class TestExperimentRun:
         )
         assert experiment.cluster.executor.name == "process"
         assert experiment.cluster.executor.workers == 2
-
-    def test_explicit_executor_wins_over_backend(self, citeseer_small, citeseer_cfg):
-        experiment = ExperimentRun(
-            RunSpec(
-                citeseer_small, citeseer_cfg,
-                backend="process", executor=SerialExecutor(),
-            )
-        )
-        assert experiment.cluster.executor.name == "serial"
 
     def test_progressive_run_result_shape(self, citeseer_small, citeseer_cfg):
         run = ExperimentRun(RunSpec(citeseer_small, citeseer_cfg, machines=3)).run()
@@ -142,12 +126,33 @@ class TestRunSpecValidation:
     def test_removed_options_are_type_errors(self, citeseer_cfg, capsys):
         import repro.mapreduce
         from repro.cli import main
-        from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer
+        from repro.mapreduce import (
+            Cluster,
+            MapReduceJob,
+            Mapper,
+            ParallelExecutor,
+            Reducer,
+        )
+        from repro.service import ResolverService
+        from repro.similarity import WeightedMatcher
 
+        for removed in ({"batch_pairs": 1}, {"executor": SerialExecutor()}):
+            with pytest.raises(TypeError):
+                RunSpec(None, citeseer_cfg, **removed)
+        for removed in (
+            {"executor": SerialExecutor()},
+            {"cost_model": None},
+            {"label": "service"},
+        ):
+            with pytest.raises(TypeError):
+                ResolverService(citeseer_cfg, **removed)
         with pytest.raises(TypeError):
-            RunSpec(None, citeseer_cfg, batch_pairs=1)
-        with pytest.raises(TypeError):
-            Cluster(2).run_job(MapReduceJob(Mapper, Reducer), [], map_failures={})
+            ParallelExecutor(2, serial_floor=0.0)
+        for removed in ({"map_failures": {}}, {"num_map_tasks": 3}):
+            with pytest.raises(TypeError):
+                Cluster(2).run_job(MapReduceJob(Mapper, Reducer), [], **removed)
+        assert not hasattr(RunSpec, "with_label")
+        assert not hasattr(WeightedMatcher, "clear_cache")
         # Speculation and straggler slots are gone; crash-and-retry stays.
         for removed in (
             {"straggler_rate": 0.2},

@@ -119,13 +119,6 @@ class TestWeightedMatcher:
         second = make_citeseer(250, seed=7)
         assert found(second, shared, 3) == found(second, citeseer_matcher(cache=True), 3)
 
-    def test_clear_cache(self):
-        matcher = WeightedMatcher([AttributeRule("a", 1.0)], threshold=0.5, cache=True)
-        decide(BatchMatcher(matcher), [(_e(1, a="x"), _e(2, a="y"))])
-        assert matcher._cache
-        matcher.clear_cache()
-        assert not matcher._cache
-
 
 class TestCostFactor:
     def test_reference_length_costs_one(self):

@@ -35,7 +35,6 @@ from repro.mapreduce import (
     Mapper,
     ParallelExecutor,
     Reducer,
-    SerialExecutor,
 )
 from repro.mapreduce import executors, wire
 from repro.mapreduce.executors import MapTaskPayload, ReduceTaskPayload
@@ -179,6 +178,18 @@ def _driver_totals(snapshots):
     return totals
 
 
+@pytest.fixture
+def fan_out_always(monkeypatch):
+    """Every phase with two tasks or more fans out, however cheap."""
+    monkeypatch.setattr(executors, "DEFAULT_SERIAL_FLOOR", 0.0)
+
+
+@pytest.fixture
+def fan_out_never(monkeypatch):
+    """Every phase stays below the serial floor and runs inline."""
+    monkeypatch.setattr(executors, "DEFAULT_SERIAL_FLOOR", 1e9)
+
+
 def _assert_nothing_left_behind():
     """What every ``run_job`` must leave, returning or raising."""
     assert executors._ACTIVE_PHASE is None
@@ -186,10 +197,10 @@ def _assert_nothing_left_behind():
 
 
 class TestPoolLifecycle:
-    def test_forced_fan_out_matches_serial(self):
+    def test_forced_fan_out_matches_serial(self, fan_out_always):
         serial = Cluster(3).run_job(_job(), _LINES)
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         parallel = Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(parallel)
         stats = _driver_totals(metrics.snapshots)
@@ -200,9 +211,9 @@ class TestPoolLifecycle:
         assert stats.get("worker_idle_ms", 0) >= 0
         _assert_nothing_left_behind()
 
-    def test_one_fork_per_fanned_out_phase(self):
+    def test_one_fork_per_fanned_out_phase(self, fan_out_always):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         cluster = Cluster(3, executor=executor, metrics=metrics)
         jobs = 3
         for _ in range(jobs):
@@ -213,9 +224,9 @@ class TestPoolLifecycle:
         assert _driver_totals(metrics.snapshots)["pool_forks"] == 2 * jobs + 1
         _assert_nothing_left_behind()
 
-    def test_serial_floor_keeps_small_phases_inline(self):
+    def test_serial_floor_keeps_small_phases_inline(self, fan_out_never):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=1e9)
+        executor = ParallelExecutor(2)
         serial = Cluster(3).run_job(_job(), _LINES)
         inline = Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         assert job_fingerprint(serial) == job_fingerprint(inline)
@@ -224,15 +235,15 @@ class TestPoolLifecycle:
         assert stats.get("tasks_fanned", 0) == 0
         assert stats["tasks_inline"] > 0
 
-    def test_below_floor_job_never_forks(self):
+    def test_below_floor_job_never_forks(self, fan_out_never):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=1e9)
+        executor = ParallelExecutor(2)
         Cluster(2, executor=executor, metrics=metrics).run_job(_job(), _LINES[:4])
         assert _driver_totals(metrics.snapshots).get("pool_forks", 0) == 0
 
-    def test_drain_stats_resets_phase_window(self):
+    def test_drain_stats_resets_phase_window(self, fan_out_always):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         # The engine drained every phase into the registry.
         assert executor.drain_stats() == {}
@@ -297,9 +308,9 @@ def _shm_listing():
 
 
 class TestWorkerFailures:
-    def test_killed_worker_is_an_error_not_a_hang(self):
+    def test_killed_worker_is_an_error_not_a_hang(self, fan_out_always):
         serial = Cluster(3).run_job(_job(), _LINES)
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         cluster = Cluster(3, executor=executor)
         shm_before = _shm_listing()
         with _deadline(10):
@@ -314,7 +325,9 @@ class TestWorkerFailures:
         assert job_fingerprint(clean) == job_fingerprint(serial)
         _assert_nothing_left_behind()
 
-    def test_worker_death_during_submission_is_the_same_error(self, monkeypatch):
+    def test_worker_death_during_submission_is_the_same_error(
+        self, fan_out_always, monkeypatch
+    ):
         # A worker can die while tasks are still being submitted; the pool
         # then refuses the next submit instead of failing a future.
         from concurrent.futures import ProcessPoolExecutor
@@ -329,20 +342,20 @@ class TestWorkerFailures:
             return submit(pool, *args)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking)
-        cluster = Cluster(3, executor=ParallelExecutor(2, serial_floor=0.0))
+        cluster = Cluster(3, executor=ParallelExecutor(2))
         with _deadline(10):
             with pytest.raises(RuntimeError, match="parallel worker.* failed") as caught:
                 cluster.run_job(_job(), _LINES)
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
         _assert_nothing_left_behind()
 
-    def test_task_exception_names_task_and_carries_worker_traceback(self):
+    def test_task_exception_names_task_and_carries_worker_traceback(self, fan_out_always):
         serial = Cluster(3).run_job(_job(), _LINES)
         task_id = next(
             t.task_id for t in serial.reduce_tasks
             if any(key == "gamma" for key, _ in t.output)
         )
-        cluster = Cluster(3, executor=ParallelExecutor(2, serial_floor=0.0))
+        cluster = Cluster(3, executor=ParallelExecutor(2))
         with _deadline(10):
             with pytest.raises(RuntimeError) as caught:
                 cluster.run_job(
@@ -366,23 +379,23 @@ class TestWorkerFailures:
 
 
 class TestDriverMetrics:
-    def test_phase_metrics_are_backend_invariant(self, citeseer_small):
+    def test_phase_metrics_are_backend_invariant(self, fan_out_always, citeseer_small):
         # Tasks share no process state, so apart from what the executor
         # itself measured (its `driver.*` wall-clock/IPC statistics) every
         # phase snapshot is a pure function of the run.  A fresh (uncached)
         # matcher per run keeps a pair cache from spanning the two.
-        def snapshots(executor):
+        def snapshots(backend):
             metrics = MetricsRegistry()
             ExperimentRun(
                 RunSpec(
                     citeseer_small, citeseer_config(), machines=4,
-                    executor=executor, metrics=metrics,
+                    backend=backend, workers=2, metrics=metrics,
                 )
             ).run()
             return metrics.snapshots
 
-        serial = snapshots(SerialExecutor())
-        parallel = snapshots(ParallelExecutor(2, serial_floor=0.0))
+        serial = snapshots("serial")
+        parallel = snapshots("process")
         totals = _driver_totals(parallel)
         assert totals["pool_forks"] > 0
         measured = {f"driver.{name}" for name in totals}
@@ -396,9 +409,9 @@ class TestDriverMetrics:
         assert [s.scope for s in serial if s.scope.endswith("/reduce")]
         assert observed(parallel) == observed(serial)
 
-    def test_phase_snapshots_carry_driver_counters_and_wall(self):
+    def test_phase_snapshots_carry_driver_counters_and_wall(self, fan_out_always):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         cluster = Cluster(3, executor=executor, metrics=metrics)
         cluster.run_job(_job(), _LINES)
         by_scope = {s.scope: s for s in metrics.snapshots}
@@ -412,9 +425,9 @@ class TestDriverMetrics:
             assert extra["backend"] == "process"
             assert extra["wall_seconds"] >= 0.0
 
-    def test_perf_report_renders_phase_table(self):
+    def test_perf_report_renders_phase_table(self, fan_out_always):
         metrics = MetricsRegistry()
-        executor = ParallelExecutor(2, serial_floor=0.0)
+        executor = ParallelExecutor(2)
         Cluster(3, executor=executor, metrics=metrics).run_job(_job(), _LINES)
         report = format_perf_report(metrics)
         header = report.splitlines()[0].split()

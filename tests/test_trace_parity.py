@@ -21,7 +21,6 @@ from repro.mapreduce import (
     FaultPlan,
     ParallelExecutor,
     RetryPolicy,
-    SerialExecutor,
 )
 from repro.observability import MetricsRegistry, Tracer
 
@@ -34,12 +33,13 @@ from test_executor_parity import (
 )
 
 
-def _run(dataset, config, *, executor, tracer=None, metrics=None, machines=10):
+def _run(dataset, config, *, backend, tracer=None, metrics=None, machines=10):
     spec = RunSpec(
         dataset,
         config,
         machines=machines,
-        executor=executor,
+        backend=backend,
+        workers=WORKERS,
         tracer=tracer,
         metrics=metrics,
     )
@@ -51,16 +51,11 @@ class TestTracingDoesNotPerturbVirtualTime:
     def test_progressive_traced_equals_untraced(
         self, citeseer_small, citeseer_cfg, backend
     ):
-        def executor():
-            return (
-                SerialExecutor() if backend == "serial" else ParallelExecutor(WORKERS)
-            )
-
-        plain = _run(citeseer_small, citeseer_cfg, executor=executor())
+        plain = _run(citeseer_small, citeseer_cfg, backend=backend)
         traced = _run(
             citeseer_small,
             citeseer_cfg,
-            executor=executor(),
+            backend=backend,
             tracer=Tracer(),
             metrics=MetricsRegistry(),
         )
@@ -69,11 +64,11 @@ class TestTracingDoesNotPerturbVirtualTime:
         assert len(traced.metrics) > 0
 
     def test_basic_traced_equals_untraced(self, citeseer_small, basic_cfg):
-        plain = _run(citeseer_small, basic_cfg, executor=SerialExecutor())
+        plain = _run(citeseer_small, basic_cfg, backend="serial")
         traced = _run(
             citeseer_small,
             basic_cfg,
-            executor=SerialExecutor(),
+            backend="serial",
             tracer=Tracer(),
             metrics=MetricsRegistry(),
         )
@@ -84,12 +79,12 @@ class TestTracingDoesNotPerturbVirtualTime:
 class TestCrossBackendTraceParity:
     def test_progressive_span_sets_identical(self, citeseer_small, citeseer_cfg):
         serial = _run(
-            citeseer_small, citeseer_cfg, executor=SerialExecutor(), tracer=Tracer()
+            citeseer_small, citeseer_cfg, backend="serial", tracer=Tracer()
         )
         process = _run(
             citeseer_small,
             citeseer_cfg,
-            executor=ParallelExecutor(WORKERS),
+            backend="process",
             tracer=Tracer(),
         )
         assert serial.tracer.span_set() == process.tracer.span_set()
@@ -98,12 +93,12 @@ class TestCrossBackendTraceParity:
 
     def test_basic_span_sets_identical(self, citeseer_small, basic_cfg):
         serial = _run(
-            citeseer_small, basic_cfg, executor=SerialExecutor(), tracer=Tracer()
+            citeseer_small, basic_cfg, backend="serial", tracer=Tracer()
         )
         process = _run(
             citeseer_small,
             basic_cfg,
-            executor=ParallelExecutor(WORKERS),
+            backend="process",
             tracer=Tracer(),
         )
         assert serial.tracer.span_set() == process.tracer.span_set()
@@ -183,7 +178,7 @@ class TestSpanCoverage:
         run = _run(
             citeseer_small,
             citeseer_config(matcher=shared_citeseer_matcher),
-            executor=SerialExecutor(),
+            backend="serial",
             tracer=tracer,
             machines=3,
         )
