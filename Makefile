@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e -q
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; python $$ex > /dev/null || exit 1; done; echo "all examples OK"

@@ -12,13 +12,9 @@ Expected shape: deeper blocking yields a larger early-recall area; depth 0
 
 from __future__ import annotations
 
-import pytest
-
 from repro.blocking import BlockingScheme, prefix_function
 from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table
-
-pytestmark = pytest.mark.bench
 
 MACHINES = 10
 
@@ -42,9 +38,7 @@ def _scheme_with_depth(depth: int) -> BlockingScheme:
     return BlockingScheme(families=families)
 
 
-def test_blocking_depth_ablation(
-    benchmark, citeseer_dataset, citeseer_cached_matcher, report
-):
+def test_blocking_depth_ablation(citeseer_dataset, citeseer_cached_matcher, report):
     def run_ablation():
         runs = {}
         for depth in (0, 1, 2):
@@ -59,7 +53,7 @@ def test_blocking_depth_ablation(
             ).run()
         return runs
 
-    runs = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    runs = run_ablation()
     horizon = min(run.total_time for run in runs.values())
     rows = [
         [
@@ -84,4 +78,3 @@ def test_blocking_depth_ablation(
     # WHEN pairs surface, the root full-resolution still catches them.
     finals = [run.final_recall for run in runs.values()]
     assert max(finals) - min(finals) < 0.08
-    benchmark.extra_info["auc_by_depth"] = {d: round(v, 4) for d, v in auc.items()}

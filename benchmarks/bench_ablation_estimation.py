@@ -15,19 +15,13 @@ converge to the same final recall (estimation only reorders work).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table
-
-pytestmark = pytest.mark.bench
 
 MACHINES = 10
 
 
-def test_estimation_ablation(
-    benchmark, citeseer_dataset, citeseer_cached_matcher, report
-):
+def test_estimation_ablation(citeseer_dataset, citeseer_cached_matcher, report):
     def run_ablation():
         runs = {}
         for kind in ("oracle", "learned", "uniform"):
@@ -39,7 +33,7 @@ def test_estimation_ablation(
             ).run()
         return runs
 
-    runs = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    runs = run_ablation()
     horizon = min(run.total_time for run in runs.values())
     auc = {kind: run.curve.area_under(horizon) for kind, run in runs.items()}
     rows = [
@@ -58,4 +52,3 @@ def test_estimation_ablation(
     assert auc["learned"] >= auc["uniform"] - 0.03, "learned should lead uniform"
     finals = [run.final_recall for run in runs.values()]
     assert max(finals) - min(finals) < 0.05, "estimation only reorders work"
-    benchmark.extra_info["auc"] = {k: round(v, 4) for k, v in auc.items()}

@@ -13,19 +13,13 @@ that trade for the large cost saving.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table
-
-pytestmark = pytest.mark.bench
 
 MACHINES = 10
 
 
-def test_redundancy_ablation(
-    benchmark, citeseer_dataset, citeseer_cached_matcher, report
-):
+def test_redundancy_ablation(citeseer_dataset, citeseer_cached_matcher, report):
     def run_ablation():
         runs = {}
         for redundancy_free in (True, False):
@@ -38,7 +32,7 @@ def test_redundancy_ablation(
             ).run()
         return runs
 
-    runs = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    runs = run_ablation()
     rows = [
         [
             run.label,
@@ -64,9 +58,3 @@ def test_redundancy_ablation(
     # so its final recall can sit slightly above — but never far below.
     assert redundant.final_recall >= free.final_recall - 0.02
     assert free.final_recall >= redundant.final_recall - 0.10
-    benchmark.extra_info["time_saved_fraction"] = round(
-        1.0 - free.total_time / redundant.total_time, 4
-    )
-    benchmark.extra_info["recall_trade"] = round(
-        redundant.final_recall - free.final_recall, 4
-    )

@@ -12,24 +12,16 @@ below that sum.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import ProgressiveER, citeseer_config
 from repro.mapreduce import Cluster
 from repro.evaluation import format_table
 
-pytestmark = pytest.mark.bench
-
 MACHINES = 10
 
 
-def test_routing_ablation(benchmark, citeseer_dataset, citeseer_cached_matcher, report):
+def test_routing_ablation(citeseer_dataset, citeseer_cached_matcher, report):
     config = citeseer_config(matcher=citeseer_cached_matcher)
-    result = benchmark.pedantic(
-        lambda: ProgressiveER(config, Cluster(MACHINES)).run(citeseer_dataset),
-        rounds=1,
-        iterations=1,
-    )
+    result = ProgressiveER(config, Cluster(MACHINES)).run(citeseer_dataset)
     per_tree = result.job2.counters.get("engine", "map_emitted")
     per_block = sum(block.size for block in result.schedule.blocks.values())
     report(
@@ -41,4 +33,3 @@ def test_routing_ablation(benchmark, citeseer_dataset, citeseer_cached_matcher, 
     )
 
     assert 0 < per_tree < per_block, "per-block routing must ship more records"
-    benchmark.extra_info["shuffle_saving"] = round(1.0 - per_tree / per_block, 4)

@@ -18,10 +18,6 @@ from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import FaultPlan, RetryPolicy
 
-import pytest
-
-pytestmark = pytest.mark.bench
-
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_tolerance.json"
 
 MACHINES = 10

@@ -23,8 +23,6 @@ from repro.evaluation import (
     sample_times,
 )
 
-pytestmark = pytest.mark.bench
-
 MACHINE_COUNTS = [12, 6, 3]  # decreasing machines = increasing θ
 THRESHOLDS = [0.0005, 0.005, 0.05]
 
@@ -41,7 +39,7 @@ def _gap_area(runs, horizon):
 
 
 @pytest.mark.parametrize("machines", MACHINE_COUNTS)
-def test_fig10(benchmark, machines, books_dataset, books_cached_matcher, report):
+def test_fig10(machines, books_dataset, books_cached_matcher, report):
     theta = len(books_dataset) // machines
 
     def run_subfigure():
@@ -71,7 +69,7 @@ def test_fig10(benchmark, machines, books_dataset, books_cached_matcher, report)
             )
         return runs
 
-    runs = benchmark.pedantic(run_subfigure, rounds=1, iterations=1)
+    runs = run_subfigure()
     # Anchor the x-range on our approach's run (the paper's sub-figures
     # span roughly that range); earlier-ending Basic curves flatline.
     horizon = runs[0].total_time
@@ -94,13 +92,9 @@ def test_fig10(benchmark, machines, books_dataset, books_cached_matcher, report)
         )
         assert wins >= len(late) - 1, f"ours must dominate {basic.label} late"
     assert ours.final_recall >= max(b.final_recall for b in basics) - 0.02
-    benchmark.extra_info["theta"] = theta
-    benchmark.extra_info["mean_lead"] = round(_gap_area(runs, horizon), 4)
 
 
-def test_fig10_gap_grows_with_theta(
-    benchmark, books_dataset, books_cached_matcher, report
-):
+def test_fig10_gap_grows_with_theta(books_dataset, books_cached_matcher, report):
     """The paper's summary claim: the ours-versus-Basic gap widens as θ
     (entities per machine) increases."""
 
@@ -130,7 +124,7 @@ def test_fig10_gap_grows_with_theta(
             leads[machines] = _gap_area(runs, runs[0].total_time)
         return leads
 
-    leads = benchmark.pedantic(measure, rounds=1, iterations=1)
+    leads = measure()
     report(
         "fig10 summary — mean recall lead of ours over Basic 0.0005:\n"
         + "\n".join(

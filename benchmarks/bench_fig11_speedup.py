@@ -12,39 +12,35 @@ the cluster.
 The sweep runs on the serial backend by default; set ``BENCH_BACKEND=process``
 (and optionally ``BENCH_WORKERS=n``) to drive it through the process pool —
 the curves are bit-identical either way, only wall-clock changes.  Worker
-counts are clamped to the CPU affinity mask and both values are recorded.
+counts are clamped to the CPU affinity mask.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.core import books_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table, recall_speedup
-
-pytestmark = pytest.mark.bench
 
 MACHINE_COUNTS = [5, 10, 15, 20, 25]
 RECALL_LEVELS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def _bench_backend():
-    """(backend, requested workers, effective workers) from the env,
-    with the worker count clamped to the CPU affinity mask."""
+    """(backend, workers) from the env, with the worker count clamped to
+    the CPU affinity mask."""
     backend = os.environ.get("BENCH_BACKEND", "serial")
     requested = int(os.environ.get("BENCH_WORKERS", "4"))
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return backend, requested, max(1, min(requested, cpus))
+    return backend, max(1, min(requested, cpus))
 
 
-def test_fig11(benchmark, books_dataset, books_cached_matcher, report):
+def test_fig11(books_dataset, books_cached_matcher, report):
     config = books_config(matcher=books_cached_matcher)
-    backend, requested_workers, workers = _bench_backend()
+    backend, workers = _bench_backend()
 
     def run_sweep():
         return {
@@ -60,7 +56,7 @@ def test_fig11(benchmark, books_dataset, books_cached_matcher, report):
             for machines in MACHINE_COUNTS
         }
 
-    curves = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    curves = run_sweep()
     base = curves[MACHINE_COUNTS[0]]
     # Only recall levels every run actually reaches are comparable (the
     # matcher ceiling caps final recall just above 0.9 at this scale).
@@ -94,7 +90,3 @@ def test_fig11(benchmark, books_dataset, books_cached_matcher, report):
     # Adding machines helps at high recall.
     mid = speedups[(highest_level, 15)]
     assert mid is not None and mid > 1.0
-    benchmark.extra_info["speedup_high_recall_max_machines"] = round(high, 3)
-    benchmark.extra_info["backend"] = backend
-    benchmark.extra_info["workers_requested"] = requested_workers
-    benchmark.extra_info["workers"] = workers

@@ -18,13 +18,11 @@ import pytest
 from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_curves, sample_times
 
-pytestmark = pytest.mark.bench
-
 MACHINE_COUNTS = [10, 15, 20]
 
 
 @pytest.mark.parametrize("machines", MACHINE_COUNTS)
-def test_fig9(benchmark, machines, citeseer_dataset, citeseer_cached_matcher, report):
+def test_fig9(machines, citeseer_dataset, citeseer_cached_matcher, report):
     config = citeseer_config(matcher=citeseer_cached_matcher)
 
     def run_subfigure():
@@ -45,7 +43,7 @@ def test_fig9(benchmark, machines, citeseer_dataset, citeseer_cached_matcher, re
             )
         }
 
-    runs = benchmark.pedantic(run_subfigure, rounds=1, iterations=1)
+    runs = run_subfigure()
     horizon = min(run.total_time for run in runs.values())
     times = sample_times(horizon, points=10)
     report(
@@ -69,8 +67,3 @@ def test_fig9(benchmark, machines, citeseer_dataset, citeseer_cached_matcher, re
         assert wins >= len(late) - 1, f"ours must not trail {name}"
     # The split mechanism buys a strictly earlier finish than NoSplit.
     assert ours.total_time <= runs["nosplit"].total_time + 1e-6
-    benchmark.extra_info["aur_ours"] = round(ours.curve.area_under(horizon), 4)
-    benchmark.extra_info["aur_nosplit"] = round(
-        runs["nosplit"].curve.area_under(horizon), 4
-    )
-    benchmark.extra_info["aur_lpt"] = round(runs["lpt"].curve.area_under(horizon), 4)

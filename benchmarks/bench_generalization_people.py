@@ -25,8 +25,6 @@ from repro.evaluation import (
 )
 from repro.similarity.matchers import people_matcher
 
-pytestmark = pytest.mark.bench
-
 MACHINES = 10
 SCALE = 2500
 
@@ -41,9 +39,7 @@ def people_cached_matcher():
     return people_matcher(cache=True)
 
 
-def test_people_generalization(
-    benchmark, people_dataset, people_cached_matcher, report
-):
+def test_people_generalization(people_dataset, people_cached_matcher, report):
     def run_comparison():
         runs = [
             ExperimentRun(
@@ -69,7 +65,7 @@ def test_people_generalization(
             )
         return runs
 
-    runs = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+    runs = run_comparison()
     horizon = runs[0].total_time
     times = sample_times(horizon, points=10)
     report(
@@ -86,5 +82,3 @@ def test_people_generalization(
     )
     assert wins >= len(late) - 1
     assert ours.final_recall >= basic_f.final_recall - 0.02
-    benchmark.extra_info["final_ours"] = round(ours.final_recall, 4)
-    benchmark.extra_info["final_basic_f"] = round(basic_f.final_recall, 4)

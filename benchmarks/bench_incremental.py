@@ -26,12 +26,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.core import citeseer_config
 from repro.service import ResolverService
-
-pytestmark = pytest.mark.bench
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
 

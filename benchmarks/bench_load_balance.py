@@ -20,13 +20,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.core import skewed_config
 from repro.core.balance import BALANCE_STRATEGIES
 from repro.evaluation import ExperimentRun, RunSpec
-
-pytestmark = pytest.mark.bench
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_load_balance.json"
 
@@ -39,9 +35,7 @@ def _reduce_span(run):
     return job2.end_time - job2.map_phase_end
 
 
-def test_load_balance_bench(
-    skewed_dataset, skewed_cached_matcher, calibrated_seconds, report
-):
+def test_load_balance_bench(skewed_dataset, skewed_cached_matcher, report):
     runs = {}
     for strategy in BALANCE_STRATEGIES:
         spec = RunSpec(
@@ -72,15 +66,6 @@ def test_load_balance_bench(
             "shards": len(plan.shards),
             "moved_trees": plan.moved_trees,
         }
-        if calibrated_seconds is not None:
-            # The same makespans restated in this host's estimated wall
-            # seconds (fitted compare price from BENCH_calibration.json).
-            entries[strategy]["reduce_makespan_calibrated_s"] = calibrated_seconds(
-                _reduce_span(run)
-            )
-            entries[strategy]["total_time_calibrated_s"] = calibrated_seconds(
-                run.total_time
-            )
 
     slack_span = entries["slack"]["reduce_makespan"]
     speedups = {
@@ -106,11 +91,6 @@ def test_load_balance_bench(
         "best_strategy": best_strategy,
         "acceptance_speedup": ACCEPT_SPEEDUP,
     }
-    if calibrated_seconds is not None:
-        payload["calibration"] = {
-            "seconds_per_compare_unit": calibrated_seconds.seconds_per_compare_unit,
-            "source": "BENCH_calibration.json",
-        }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = [f"load balancing (skewed, {MACHINES} machines)"]

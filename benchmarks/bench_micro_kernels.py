@@ -1,8 +1,9 @@
-"""Microbenchmarks for the hot kernels under everything else.
+"""Regression guards for the hot kernels under everything else.
 
-Not a paper artifact — a regression guard for the implementation: pair
-comparisons dominate real runtime, blocking and schedule generation
-dominate the per-run setup.
+Not a paper artifact: each test asserts a ratio or a count of the
+implementation (Myers against the scalar DP, DP columns, Myers steps,
+Python-level calls, kernel rows built), never an absolute time.
+``benchmarks/e2e`` is the wall-clock tool.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ import random
 import sys
 import time
 
-import pytest
-
 from repro.blocking import build_forests, citeseer_scheme
-from repro.core.config import citeseer_config
-from repro.core.estimation import EstimationModel, UniformEstimator
-from repro.core.schedule import generate_schedule
-from repro.core.statistics import run_statistics_job
-from repro.mapreduce import Cluster, CostModel
 import repro.similarity.batch as batch_module
 import repro.similarity.matchers as matchers_module
 from repro.similarity import (
@@ -51,75 +45,6 @@ def _decide(batcher, pairs):
 
 def _random_string(rng, length):
     return "".join(rng.choice("abcdefghij ") for _ in range(length))
-
-
-@pytest.mark.parametrize("length", [20, 60, 150])
-def test_levenshtein_throughput(benchmark, length):
-    rng = random.Random(0)
-    pairs = [
-        (_random_string(rng, length), _random_string(rng, length))
-        for _ in range(50)
-    ]
-
-    def kernel():
-        return sum(levenshtein(a, b) for a, b in pairs)
-
-    total = benchmark(kernel)
-    assert total > 0
-
-
-def test_matcher_throughput(benchmark, citeseer_dataset):
-    matcher = citeseer_matcher()  # uncached: measure the bounded kernel
-    rng = random.Random(2)
-    pairs = [tuple(rng.sample(citeseer_dataset.entities, 2)) for _ in range(40)]
-
-    def kernel():
-        return sum(_decide(BatchMatcher(matcher), pairs))
-
-    benchmark(kernel)
-
-
-def test_blocking_throughput(benchmark, citeseer_dataset):
-    scheme = citeseer_scheme()
-    forests = benchmark(build_forests, citeseer_dataset, scheme)
-    assert sum(f.num_blocks for f in forests.values()) > 0
-
-
-def test_statistics_job_throughput(benchmark, citeseer_dataset):
-    scheme = citeseer_scheme()
-    cluster = Cluster(10)
-
-    def kernel():
-        return run_statistics_job(cluster, citeseer_dataset, scheme)
-
-    _, stats, _ = benchmark(kernel)
-    assert stats.num_blocks > 0
-
-
-def test_schedule_generation_throughput(benchmark, citeseer_dataset):
-    scheme = citeseer_scheme()
-    cluster = Cluster(10)
-    config = citeseer_config()
-
-    def fresh_stats():
-        # generate_schedule mutates the statistics trees (elimination and
-        # splits), so every round gets a fresh copy.
-        _, stats, _ = run_statistics_job(cluster, citeseer_dataset, scheme)
-        return (stats,), {}
-
-    def kernel(stats):
-        model = EstimationModel(
-            config, CostModel(), UniformEstimator(0.05), len(citeseer_dataset)
-        )
-        return generate_schedule(stats, model, 20, strategy="ours")
-
-    schedule = benchmark.pedantic(kernel, setup=fresh_stats, rounds=3, iterations=1)
-    assert schedule.num_blocks > 0
-
-
-# ---------------------------------------------------------------------------
-# Perf smoke: kernel crossover and threshold propagation (CI-asserted)
-# ---------------------------------------------------------------------------
 
 
 def _scalar_dp(a, b):

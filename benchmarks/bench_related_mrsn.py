@@ -15,8 +15,6 @@ not endpoints.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import MrsnConfig, MultiPassMRSN
 from repro.core import citeseer_config
 from repro.evaluation import (
@@ -29,12 +27,10 @@ from repro.evaluation import (
 )
 from repro.mapreduce import Cluster
 
-pytestmark = pytest.mark.bench
-
 MACHINES = 10
 
 
-def test_related_mrsn(benchmark, citeseer_dataset, citeseer_cached_matcher, report):
+def test_related_mrsn(citeseer_dataset, citeseer_cached_matcher, report):
     def run_comparison():
         ours = ExperimentRun(
             RunSpec(
@@ -59,7 +55,7 @@ def test_related_mrsn(benchmark, citeseer_dataset, citeseer_cached_matcher, repo
         )
         return ours, mrsn
 
-    ours, mrsn = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+    ours, mrsn = run_comparison()
     horizon = max(ours.total_time, mrsn.total_time)
     times = sample_times(horizon, points=10)
     report(
@@ -77,5 +73,3 @@ def test_related_mrsn(benchmark, citeseer_dataset, citeseer_cached_matcher, repo
     earliest_mrsn = mrsn.curve.times[0] if mrsn.curve.times else float("inf")
     earliest_ours = ours.curve.times[0]
     assert earliest_ours < earliest_mrsn
-    benchmark.extra_info["auc_ours"] = round(ours.curve.area_under(common), 4)
-    benchmark.extra_info["auc_mrsn"] = round(mrsn.curve.area_under(common), 4)

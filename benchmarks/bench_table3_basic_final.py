@@ -15,13 +15,11 @@ from repro.baselines import BasicConfig
 from repro.core import citeseer_config
 from repro.evaluation import ExperimentRun, RunSpec, format_table
 
-pytestmark = pytest.mark.bench
-
 MACHINES = 10
 THRESHOLDS = [0.1, 0.07, 0.04, 0.01, 0.007, 0.004, 0.001, 0.00001, None]
 
 
-def test_table3(benchmark, citeseer_dataset, citeseer_cached_matcher, report):
+def test_table3(citeseer_dataset, citeseer_cached_matcher, report):
     def run_table():
         results = {}
         for window in (5, 15):
@@ -36,7 +34,7 @@ def test_table3(benchmark, citeseer_dataset, citeseer_cached_matcher, report):
                 ).run()
         return results
 
-    results = benchmark.pedantic(run_table, rounds=1, iterations=1)
+    results = run_table()
 
     rows = []
     for threshold in THRESHOLDS:

@@ -6,38 +6,21 @@ caches are session-scoped: the first run of a dataset pays for the real
 similarity computations, subsequent runs hit the per-pair cache, so a
 whole figure's sweep stays fast while remaining bit-for-bit deterministic.
 
-Reports are printed straight to the terminal (bypassing capture) so
-``pytest benchmarks/ --benchmark-only`` shows the paper-style tables.
+Every bench is an ordinary test.  Reports are printed straight to the
+terminal (bypassing capture), so
+
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e -q
+
+runs them all and shows the paper-style tables.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.data import Dataset, make_books, make_citeseer, make_skewed
 from repro.similarity import books_matcher, citeseer_matcher
 
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``bench``-marked full-pipeline benchmarks unless opted in.
-
-    Opt in with ``RUN_BENCH=1`` (an env var rather than a CLI option:
-    ``pytest_addoption`` is only honored in the rootdir conftest, and this
-    one must keep working when benchmarks are collected from the repo
-    root).  Micro-kernel tests stay unmarked and always run.
-    """
-    if os.environ.get("RUN_BENCH") == "1":
-        return
-    skip = pytest.mark.skip(
-        reason="full-pipeline benchmark; set RUN_BENCH=1 to run"
-    )
-    for item in items:
-        if "bench" in item.keywords:
-            item.add_marker(skip)
 
 #: Benchmark workload scales.  The paper runs 1.5M/30M entities on a
 #: 25-machine Hadoop cluster; the simulator reproduces the curve shapes at
@@ -81,39 +64,6 @@ def skewed_cached_matcher():
     """One caching matcher per session for the skewed workload (the
     skewed family reuses the citeseer similarity functions)."""
     return citeseer_matcher(cache=True)
-
-
-#: The calibration artifact the ``calibrate`` benchmark writes; its
-#: fitted compare price converts virtual makespans to estimated seconds.
-CALIBRATION_PATH = Path(__file__).resolve().parent.parent / "BENCH_calibration.json"
-
-
-@pytest.fixture(scope="session")
-def calibrated_seconds():
-    """``virtual units -> estimated wall seconds`` on the calibrated host.
-
-    One virtual unit is one compare of reference length, so the fitted
-    ``seconds_per_op.compare`` price from ``BENCH_calibration.json``
-    converts any virtual duration to this host's estimated real seconds.
-    Returns ``None`` when no calibration artifact exists (benchmarks then
-    report virtual units only), so the bench suite never depends on the
-    calibration bench having run first.
-    """
-    if not CALIBRATION_PATH.exists():
-        return None
-    compare_s = (
-        json.loads(CALIBRATION_PATH.read_text())
-        .get("seconds_per_op", {})
-        .get("compare", 0.0)
-    )
-    if compare_s <= 0.0:
-        return None
-
-    def convert(virtual_units: float) -> float:
-        return virtual_units * compare_s
-
-    convert.seconds_per_compare_unit = compare_s
-    return convert
 
 
 @pytest.fixture()

@@ -371,6 +371,8 @@ def _ignored_flag(args: argparse.Namespace) -> Optional[str]:
                 return f"{flag} is not read by --approach {args.approach}: {why}"
     if getattr(args, "metablock_ratio", None) is not None and args.metablock != "bf":
         return "--metablock-ratio is block filtering's ratio; it needs --metablock bf"
+    if getattr(args, "workers", None) is not None and args.backend != "process":
+        return "--workers sizes the process pool; it needs --backend process"
     return None
 
 

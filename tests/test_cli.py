@@ -345,6 +345,13 @@ class TestParser:
              "--metablock-ratio"),
             (["calibrate", "--size", "60", "--metablock-ratio", "0.5"],
              "--metablock-ratio"),
+            # The serial backend runs no worker pool.
+            (["run", "--size", "60", "--workers", "3"], "--workers"),
+            (["compare", "--size", "60", "--workers", "3"], "--workers"),
+            (["serve", "--workers", "2"], "--workers"),
+            (["submit", "--snapshot", "state.json", "--workers", "2"], "--workers"),
+            (["calibrate", "--size", "60", "--backend", "serial", "--workers", "2"],
+             "--workers"),
         ],
     )
     def test_flags_the_approach_would_ignore_are_usage_errors(self, argv, flag, capsys):

@@ -24,6 +24,9 @@ everything that already exists:
   carries the pruning summary in its Job 2 counters.  ``wnp`` — whose
   subset property is structural (pruned pairs consume DistinctBudget) —
   is pinned on serial cells on top of the grid.
+* **Why ``bf`` can add pairs.**  At 600 books ``bf`` finds pairs ``off``
+  does not; with every root resolved whole it finds none, so the fixed
+  root window adds them, not the filter.
 
 Grid sizes are deliberately small; scale lives in the benchmarks.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BasicConfig, MrsnConfig, MultiPassMRSN
-from repro.core import books_config, linkage_config
+from repro.core import LevelPolicy, books_config, linkage_config
 from repro.data import make_books, make_linkage
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import Cluster, FaultPlan, RetryPolicy
@@ -277,3 +280,31 @@ class TestMetablockContainment:
     def test_metablock_runs_are_labeled(self, grid):
         assert grid[("dirty", "bf", "serial", "slack", "clean")].label == "ours[ours+bf]"
         assert grid[("dirty", "off", "serial", "slack", "clean")].label == "ours[ours]"
+
+
+class TestBlockFilteringAddsNoPairsOfItsOwn:
+    """Block filtering drops each entity from its largest level-1 block.
+    The shrunk block sorts the kept members closer together, so a fixed
+    root window of 15 reaches neighbours it did not reach in the whole
+    block: that is where ``bf``'s extra pairs come from.  A root window as
+    wide as the dataset resolves every root whole, and the extra pairs
+    are gone."""
+
+    @staticmethod
+    def _pairs_only_bf_finds(**overrides):
+        dataset = make_books(600, seed=11)
+        config = books_config(metablock_ratio=BF_RATIO, **overrides)
+        off, bf = (
+            ExperimentRun(
+                RunSpec(dataset, config, machines=MACHINES, metablock=mode)
+            ).run().found_pairs
+            for mode in ("off", "bf")
+        )
+        return bf - off
+
+    def test_the_fixed_root_window_lets_bf_find_pairs_off_does_not(self):
+        assert len(self._pairs_only_bf_finds()) == 2
+
+    def test_with_every_root_resolved_whole_bf_finds_none(self):
+        whole_roots = LevelPolicy(root_window=600, leaf_frac=0.85, mid_frac=0.95)
+        assert self._pairs_only_bf_finds(levels=whole_roots) == set()
