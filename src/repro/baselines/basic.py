@@ -20,7 +20,7 @@ placement — which is what Figures 8 and 10 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -132,7 +132,7 @@ class BasicReducer(Reducer):
             runs,
             self._batcher,
             context.cost_model,
-            partial(context.charge_each, category="compare"),
+            context.charge_each,
             on_duplicate,
             admit=admit,
             stop=stop,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from ..core.config import ApproachConfig, check_window
@@ -147,7 +146,7 @@ class MrsnReducer(Reducer):
             window_runs(ordered, window),
             self._batcher,
             context.cost_model,
-            partial(context.charge_each, category="compare"),
+            context.charge_each,
             lambda e1, e2: context.write(pair_key(e1.id, e2.id)),
             admit=column_veto(members, (), cross_source_only=True) if linkage else None,
         )

@@ -5,11 +5,10 @@ Subcommands cover the common workflows:
 * ``generate`` — write a synthetic dataset (with ground truth) as JSONL rows;
 * ``run`` — resolve a dataset with one approach and print its recall curve;
 * ``compare`` — our approach versus the Basic baseline side by side;
+* ``profile`` — profile a dataset's attributes and suggest a blocking order;
 * ``serve`` — stream a JSONL entity file through the incremental
   :class:`~repro.service.resolver.ResolverService` in batches;
-* ``submit`` — add one more batch to a saved service snapshot;
-* ``calibrate`` — fit the virtual cost model's constants to this host's
-  wall clock and print the error band of the fit.
+* ``submit`` — add one more batch to a saved service snapshot.
 
 Examples::
 
@@ -22,7 +21,6 @@ Examples::
     python -m repro run --family citeseer --size 1000 --fault-rate 0.1 --skew
     python -m repro serve --input ds.jsonl --batch-size 300 --snapshot-out state.json
     python -m repro submit --snapshot state.json --input more.jsonl --print-pairs
-    python -m repro calibrate --family citeseer --size 800 --out calibration.json
     python -m repro run --family linkage --size 1200 --machines 6
     python -m repro run --family books --size 1500 --metablock bf --metablock-ratio 0.5
 """
@@ -63,7 +61,6 @@ from .service import ResolverService
 from .observability import (
     MetricsRegistry,
     Tracer,
-    format_calibration_report,
     format_perf_report,
     format_trace_summary,
     write_chrome_trace,
@@ -117,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset as JSONL rows")
     gen.set_defaults(handler=_command_generate)
-    _add_synthetic_options(gen, size=2000)
+    _add_synthetic_options(gen)
     gen.add_argument(
         "--out", required=True,
         help="output path: one JSON entity row per line, with its "
@@ -174,25 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "previous `submit`)",
     )
 
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="fit the cost model's virtual-unit prices to real wall clock",
-    )
-    _add_synthetic_options(calibrate, size=800)
-    calibrate.add_argument("--machines", type=_COUNT, default=4)
-    calibrate.add_argument(
-        "--repeats", type=_COUNT, default=1,
-        help="run the workload this many times and fit over all tasks "
-        "(more samples, steadier fit)",
-    )
-    calibrate.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the calibration report (fitted constants, error band) "
-        "as JSON",
-    )
-    _add_backend_options(calibrate)
-    _add_schedule_options(calibrate)
-    calibrate.set_defaults(handler=_command_calibrate, backend="process")
     for command in sub.choices.values():
         # A bad value propagates to the top-level parser, so every usage
         # error reads `repro: error: …`.
@@ -200,14 +178,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_synthetic_options(parser: argparse.ArgumentParser, *, size: int) -> None:
+def _add_synthetic_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=_FAMILIES, default="citeseer")
-    parser.add_argument("--size", type=_COUNT, default=size)
+    parser.add_argument("--size", type=_COUNT, default=2000)
     parser.add_argument("--seed", type=int, default=7)
 
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
-    _add_synthetic_options(parser, size=2000)
+    _add_synthetic_options(parser)
     parser.add_argument(
         "--dataset", default=None,
         help="JSONL entity rows, as `generate` writes them (`run` and "
@@ -609,52 +587,6 @@ def _command_profile(args: argparse.Namespace) -> int:
     if order:
         print()
         print("suggested dominance order: " + " > ".join(order))
-    return 0
-
-
-def _command_calibrate(args: argparse.Namespace) -> int:
-    """Fit the cost model's virtual-unit prices to this host's wall clock.
-
-    Runs the progressive approach on a synthetic workload (the process
-    backend by default, so tasks execute in real worker processes), pools
-    every task's recorded wall time and charge profile, and fits
-    seconds-per-virtual-unit prices by least squares.  The printed report
-    includes the fitted CostModel ratios this machine implies and the
-    median-APE error band; nothing feeds back into virtual time.
-    """
-    from .core import calibration_report, fit_cost_model, task_samples
-
-    dataset = _synthetic(args)
-    config = _progressive_config(args)
-    samples = []
-    for _ in range(args.repeats):
-        experiment = ExperimentRun(_run_spec(args, config, dataset=dataset))
-        run = experiment.run()
-        samples.extend(task_samples([run.result.job1, run.result.job2]))
-    try:
-        fit = fit_cost_model(samples)
-    except ValueError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 2
-    report = calibration_report(
-        fit,
-        workload={
-            "family": args.family,
-            "size": args.size,
-            "seed": args.seed,
-            "machines": args.machines,
-            "repeats": args.repeats,
-        },
-        # What the executor ran: the serial one has no workers, the process
-        # one defaults to the CPUs its affinity mask allows.
-        workers=getattr(experiment.cluster.executor, "workers", 1),
-        backend=args.backend,
-    )
-    print(format_calibration_report(report))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"calibration report written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -12,13 +12,6 @@ from .balance import (
     planned_loads,
     skew_report,
 )
-from .calibration import (
-    CalibrationFit,
-    TaskSample,
-    calibration_report,
-    fit_cost_model,
-    task_samples,
-)
 from .config import (
     ApproachConfig,
     LevelPolicy,
@@ -69,11 +62,6 @@ __all__ = [
     "format_balance_summary",
     "planned_loads",
     "skew_report",
-    "CalibrationFit",
-    "TaskSample",
-    "calibration_report",
-    "fit_cost_model",
-    "task_samples",
     "ApproachConfig",
     "LevelPolicy",
     "citeseer_config",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
@@ -159,7 +159,7 @@ class ResolutionReducer(Reducer):
     def reduce(
         self, key: str, values: Sequence[RoutedEntity], context: TaskContext
     ) -> None:
-        context.charge(context.cost_model.read_record * len(values), "read")
+        context.charge(context.cost_model.read_record * len(values))
         self._buffered[key] = list(values)
 
     def cleanup(self, context: TaskContext) -> None:
@@ -328,7 +328,7 @@ def resolve_scheduled_block(
         runs,
         batcher,
         context.cost_model,
-        partial(context.charge_each, category="compare"),
+        context.charge_each,
         on_duplicate,
         admit=admit,
         stop=stop,

@@ -4,8 +4,8 @@ The paper evaluates progressiveness as *duplicate recall versus execution
 time* on a real Hadoop cluster.  This reproduction replaces wall-clock time
 with deterministic virtual time: every task owns a :class:`VirtualClock`
 that is charged through an explicit :class:`CostModel`.  One cost unit is
-calibrated to one resolve/match invocation on strings of reference length,
-so curves are comparable across approaches and machines.
+one resolve/match invocation on strings of reference length, so curves
+are comparable across approaches and machines.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, List, Mapping, Sequence
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -58,61 +58,6 @@ class CostModel:
         if n <= 1:
             return 0.0
         return self.sort_item * n * math.log2(n)
-
-    @classmethod
-    def from_calibration(cls, fit: Any, *, base: "CostModel" = None) -> "CostModel":
-        """A cost model whose ratios match a calibrated host.
-
-        ``fit`` may be a :class:`~repro.core.calibration.CalibrationFit`
-        (anything with a ``seconds_per_unit`` mapping), a calibration
-        report dict (as written by ``repro calibrate --out`` — the
-        ``fitted_constants`` key is unwrapped), or the fitted-constants
-        mapping itself (category -> price relative to ``compare``).
-
-        Each per-op cost of ``base`` (default: the stock :class:`CostModel`)
-        is scaled by its category's fitted constant, so the returned model
-        prices operations in compare units *as this machine actually runs
-        them*: one virtual unit of the result is worth one real compare,
-        and category ratios track measured wall clock instead of the stock
-        guesses.  ``compare`` stays the 1.0 reference; the untagged
-        ``other`` constant scales the bookkeeping costs (hint setup,
-        schedule generation, statistics) that the fit could not attribute
-        to a tagged category; the per-task ``task`` intercept has no
-        per-op counterpart and is ignored.
-        """
-        constants: Mapping[str, float]
-        per_unit = getattr(fit, "seconds_per_unit", None)
-        if per_unit is not None:
-            compare_price = per_unit.get("compare", 0.0)
-            if compare_price <= 0.0:
-                raise ValueError(
-                    "calibration fit has no positive compare price; "
-                    "run a workload with comparisons first"
-                )
-            constants = {
-                cat: price / compare_price for cat, price in per_unit.items()
-            }
-        elif isinstance(fit, Mapping):
-            constants = fit.get("fitted_constants", fit)
-        else:
-            raise TypeError(
-                "from_calibration wants a CalibrationFit, a calibration "
-                f"report dict, or a fitted-constants mapping, got "
-                f"{type(fit).__name__}"
-            )
-        base = base if base is not None else cls()
-        scale = lambda cat, default=0.0: float(constants.get(cat, default))
-        other = scale("other", 1.0)
-        return cls(
-            compare=base.compare * scale("compare", 1.0),
-            read_record=base.read_record * scale("read"),
-            emit_pair=base.emit_pair * scale("emit"),
-            shuffle_record=base.shuffle_record * scale("shuffle"),
-            sort_item=base.sort_item * scale("sort"),
-            hint_setup=base.hint_setup * other,
-            schedule_block=base.schedule_block * other,
-            stat_record=base.stat_record * other,
-        )
 
 
 @dataclass

@@ -313,7 +313,6 @@ class Cluster:
             output=output,
             num_failed_attempts=sched.num_failed,
             wall_ns=payload.wall_ns,
-            charge_profile=payload.charge_profile,
         )
         return result, win
 

@@ -88,7 +88,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import wire
 from .clock import CostModel
@@ -111,11 +111,9 @@ class MapTaskPayload:
         spans: trace-span fragments recorded by the task (local time, like
             ``events``); empty unless the running cluster has a tracer.
         wall_ns: wall-clock nanoseconds the task body took in whichever
-            process ran it (cost-model calibration input; never read by
-            virtual time).
-        charge_profile: sorted ``(category, units)`` pairs of the task's
-            tagged virtual charges (see ``TaskContext.charge``); the
-            untagged remainder is ``cost - sum(units)``.
+            process ran it; :class:`ParallelExecutor` sums it into
+            ``worker_idle_ms`` and the engine copies it to
+            ``TaskResult.wall_ns``.  Never read by virtual time.
     """
 
     task_id: int
@@ -126,7 +124,6 @@ class MapTaskPayload:
     num_records: int
     spans: List[SpanFragment] = field(default_factory=list)
     wall_ns: int = 0
-    charge_profile: Tuple[Tuple[str, float], ...] = ()
 
 
 @dataclass
@@ -143,7 +140,6 @@ class ReduceTaskPayload:
     num_records: int = 0
     spans: List[SpanFragment] = field(default_factory=list)
     wall_ns: int = 0
-    charge_profile: Tuple[Tuple[str, float], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +159,7 @@ def compute_map_task(
     mapper = job.mapper_factory()
     mapper.setup(context)
     for record in split:
-        context.charge(cost_model.read_record, "read")
+        context.charge(cost_model.read_record)
         mapper.map(record, context)
     mapper.cleanup(context)
     return MapTaskPayload(
@@ -175,7 +171,6 @@ def compute_map_task(
         num_records=len(split),
         spans=list(context.span_fragments),
         wall_ns=time.perf_counter_ns() - wall_start,
-        charge_profile=tuple(sorted(context.charge_profile.items())),
     )
 
 
@@ -191,12 +186,12 @@ def compute_reduce_task(
     wall_start = time.perf_counter_ns()
     context = TaskContext(task_id, cost_model, alpha=job.alpha, trace=job.trace)
     # Shuffle: pull records in, then sort groups by key.
-    context.charge(cost_model.shuffle_record * len(items), "shuffle")
+    context.charge(cost_model.shuffle_record * len(items))
     groups = group_by_key(items)
     keys = list(groups.keys())
     sort_key = job.key_sort
     keys.sort(key=sort_key if sort_key is not None else default_group_key)
-    context.charge(cost_model.sort_cost(len(items)), "sort")
+    context.charge(cost_model.sort_cost(len(items)))
 
     reducer = job.reducer_factory()
     reducer.setup(context)
@@ -214,7 +209,6 @@ def compute_reduce_task(
         num_records=len(items),
         spans=list(context.span_fragments),
         wall_ns=time.perf_counter_ns() - wall_start,
-        charge_profile=tuple(sorted(context.charge_profile.items())),
     )
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import reduce
-from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .clock import CostModel, VirtualClock
@@ -62,43 +60,27 @@ class TaskContext:
         self._files: List[OutputFile] = []
         self._current_file = OutputFile(task_id=task_id, index=0, close_time=0.0)
         self._next_flush = alpha if alpha is not None else None
-        #: Virtual cost per charge category ("compare", "emit", "shuffle",
-        #: "sort", "read"); untagged charges are the calibration residual.
-        self.charge_profile: dict = {}
 
     # -- cost & events ---------------------------------------------------
 
-    def charge(self, units: float, category: Optional[str] = None) -> float:
-        """Charge ``units`` of cost and return the new local time.
-
-        ``category`` tags the charge for cost-model calibration (see
-        :mod:`repro.core.calibration`); it never affects the clock, events
-        or counters, so tagged and untagged runs are bit-identical.
-        """
+    def charge(self, units: float) -> float:
+        """Charge ``units`` of cost and return the new local time."""
         now = self.clock.charge(units)
-        if category is not None:
-            self.charge_profile[category] = (
-                self.charge_profile.get(category, 0.0) + units
-            )
         if self._next_flush is not None and now >= self._next_flush:
             self._rotate_file(now)
         return now
 
-    def charge_each(self, units: Sequence[float], category: Optional[str] = None) -> float:
+    def charge_each(self, units: Sequence[float]) -> float:
         """:meth:`charge` every entry of ``units`` in order, in one call;
         return the new local time.
 
-        Clock, ``charge_profile`` and output files end exactly as after one
-        :meth:`charge` per entry: the same float additions in the same
-        order, and each α-flush file closed at the running time that
-        crossed its flush point.
+        Clock and output files end exactly as after one :meth:`charge` per
+        entry: the same float additions in the same order, and each α-flush
+        file closed at the running time that crossed its flush point.
         """
         times = self.clock.charge_each(units)
         if not times:
             return self.clock.now
-        if category is not None:
-            profile = self.charge_profile
-            profile[category] = reduce(add, units, profile.get(category, 0.0))
         flush = self._next_flush
         if flush is not None and times[-1] >= flush:
             crossed = bisect_left(times, flush)
@@ -153,7 +135,7 @@ class TaskContext:
 
     def emit(self, key: Any, value: Any) -> None:
         """Emit an intermediate key-value pair (map side)."""
-        self.charge(self.cost_model.emit_pair, "emit")
+        self.charge(self.cost_model.emit_pair)
         self.emitted.append((key, value))
 
     # -- reduce-side output -----------------------------------------------

@@ -65,14 +65,10 @@ class TaskResult:
         num_failed_attempts: attempts that crashed before the task
             committed.
         wall_ns: wall-clock nanoseconds the committing attempt's task body
-            took in whichever process ran it.  Observability only —
+            took in whichever process ran it, read by the wall-clock
+            benchmark's ``executors.task_busy_s``.  Observability only —
             excluded from equality so backend-parity fingerprints and
             result comparisons ignore it; never folded into counters.
-        charge_profile: sorted ``(category, units)`` pairs of the task's
-            tagged virtual charges ("compare", "emit", "shuffle", "sort",
-            "read"); the untagged remainder is ``cost - sum(units)``.
-            Deterministic (derived from virtual charging), used together
-            with ``wall_ns`` by :mod:`repro.core.calibration`.
     """
 
     task_id: int
@@ -83,7 +79,6 @@ class TaskResult:
     output: List[Any] = field(default_factory=list)
     num_failed_attempts: int = 0
     wall_ns: int = field(default=0, compare=False)
-    charge_profile: Tuple[Tuple[str, float], ...] = ()
 
 
 @dataclass

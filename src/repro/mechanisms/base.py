@@ -328,8 +328,8 @@ def resolve_block(
         cost_model: unit costs.
         charge_compare: task-clock charging callback taking a sequence
             of per-pair comparison costs to charge in order — callers pass
-            ``TaskContext.charge_each`` tagged ``"compare"`` for cost-model
-            calibration.
+            ``TaskContext.charge_each``, whose clock times the duplicate
+            events and closes the α-flush files.
         on_duplicate: called for every pair declared duplicate, once the
             clock has been charged up to and including that pair.
         admit: optional veto over a run, ``admit(lefts, rights)``: one

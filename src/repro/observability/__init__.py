@@ -12,7 +12,6 @@ from .export import (
     CHROME_PHASES,
     TS_SCALE,
     chrome_trace_events,
-    format_calibration_report,
     format_perf_report,
     format_trace_summary,
     validate_chrome_trace,
@@ -34,6 +33,5 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "format_trace_summary",
-    "format_calibration_report",
     "format_perf_report",
 ]

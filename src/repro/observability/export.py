@@ -291,59 +291,6 @@ def format_perf_report(metrics: "MetricsRegistry") -> str:
     return "\n".join(lines)
 
 
-def format_calibration_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary of a cost-model calibration report.
-
-    Takes the dict produced by
-    :func:`~repro.core.calibration.calibration_report`: fitted real-seconds
-    prices per virtual unit and per operation, the CostModel ratios this
-    machine implies, and the error band of the fit.
-    """
-    lines: List[str] = [
-        f"cost-model calibration — backend {report.get('backend', '?')}, "
-        f"{report.get('workers', 1)} workers, "
-        f"{report.get('cpus_visible', '?')} visible CPUs"
-    ]
-    if report.get("parallelism_limited"):
-        lines.append(
-            "  WARNING: fewer visible CPUs than workers — queueing inflates "
-            "per-task wall time; treat fitted prices as upper bounds"
-        )
-    workload = report.get("workload") or {}
-    if workload:
-        desc = ", ".join(f"{k}={v}" for k, v in sorted(workload.items()))
-        lines.append(f"workload: {desc}")
-    lines.append("")
-    header = f"{'category':<10} {'s/unit':>12} {'s/op':>12} {'fitted const':>13}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    per_unit = report.get("seconds_per_unit", {})
-    per_op = report.get("seconds_per_op", {})
-    constants = report.get("fitted_constants", {})
-    op_key = {"compare": "compare", "emit": "emit", "shuffle": "shuffle",
-              "read": "read", "sort": "sort_item"}
-    for category in ("compare", "emit", "shuffle", "sort", "read", "other",
-                     "task"):
-        price = per_unit.get(category, 0.0)
-        op = per_op.get(op_key.get(category, ""), None)
-        op_cell = f"{op:>12.3e}" if op is not None else f"{'-':>12}"
-        lines.append(
-            f"{category:<10} {price:>12.3e} {op_cell} "
-            f"{constants.get(category, 0.0):>13.4f}"
-        )
-    lines.append("")
-    lines.append(
-        f"fit: {report.get('samples_used', 0)} tasks sampled, "
-        f"{report.get('samples_scored', 0)} scored, "
-        f"median APE {report.get('median_ape', float('nan')) * 100.0:.1f}%, "
-        f"residual RMS {report.get('residual_rms_seconds', 0.0):.3e} s"
-    )
-    band = report.get("error_band")
-    if band:
-        lines.append(band)
-    return "\n".join(lines)
-
-
 __all__ = [
     "TS_SCALE",
     "CHROME_PHASES",
@@ -351,6 +298,5 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "format_trace_summary",
-    "format_calibration_report",
     "format_perf_report",
 ]

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -224,7 +223,7 @@ class DeltaReducer(Reducer):
         self._units = units
 
     def reduce(self, key: str, values: Sequence[Entity], context: TaskContext) -> None:
-        context.charge(context.cost_model.read_record * len(values), "read")
+        context.charge(context.cost_model.read_record * len(values))
         members = sorted(values, key=attrgetter("id"))
 
         def on_duplicate(e1: Entity, e2: Entity) -> None:
@@ -240,7 +239,7 @@ class DeltaReducer(Reducer):
             unit_runs(members, self._units[key]),
             self._batcher,
             context.cost_model,
-            partial(context.charge_each, category="compare"),
+            context.charge_each,
             on_duplicate,
         )
         context.counters.increment("service", "comparisons", stats.comparisons)

@@ -128,11 +128,6 @@ class TestBasicEndToEnd:
         found = runs[None].found_pairs
         assert len(found & dataset.true_pairs) / len(found) > 0.9
 
-    def test_comparison_charges_are_tagged_for_calibration(self, basic_runs):
-        _, runs = basic_runs
-        profiles = [dict(task.charge_profile) for task in runs[None].job.reduce_tasks]
-        assert any(profile.get("compare", 0.0) > 0.0 for profile in profiles)
-
     def test_smaller_window_is_cheaper(self, citeseer_small, shared_citeseer_matcher):
         results = {}
         for window in (5, 15):

@@ -1,8 +1,6 @@
 """Unit tests for the command-line interface."""
 
 import json
-import math
-import os
 
 import pytest
 
@@ -136,6 +134,28 @@ class TestRun:
             "job aborted\n"
         )
 
+    def test_metablock_ratio_reaches_the_workload(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        specs = []
+
+        class RecordingRun(cli.ExperimentRun):
+            def __init__(self, spec):
+                specs.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(cli, "ExperimentRun", RecordingRun)
+        code = main(
+            [
+                "run", "--family", "citeseer", "--size", "200", "--machines", "2",
+                "--metablock", "bf", "--metablock-ratio", "0.5",
+            ]
+        )
+        assert code == 0
+        assert specs, "run ran no workload"
+        assert all(spec.metablock == "bf" for spec in specs)
+        assert all(spec.config.metablock_ratio == 0.5 for spec in specs)
+
 
 #: ``--dataset`` files the reader refuses: (file bytes, the line it names).
 _BAD_DATASETS = {
@@ -217,75 +237,6 @@ class TestCompare:
         assert "recall vs time" in out
 
 
-class TestCalibrate:
-    def test_fit_and_report(self, tmp_path, capsys):
-        out = tmp_path / "calibration.json"
-        code = main(
-            [
-                "calibrate", "--family", "citeseer", "--size", "200",
-                "--machines", "2", "--backend", "serial", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "cost-model calibration" in text
-        assert "median APE" in text
-        report = json.loads(out.read_text())
-        assert report["format"] == 1
-        assert report["backend"] == "serial"
-        assert report["samples_used"] > 0
-        assert report["workload"]["family"] == "citeseer"
-        assert all(v >= 0.0 for v in report["seconds_per_unit"].values())
-        assert math.isfinite(report["residual_rms_seconds"])
-        assert math.isfinite(report["median_ape"])
-        assert isinstance(report["cpus_visible"], int)
-        assert isinstance(report["parallelism_limited"], bool)
-        assert "error_band" in report
-
-    def test_reports_the_workers_the_executor_ran(self, monkeypatch, tmp_path, capsys):
-        # More CPUs installed than the affinity mask allows: the process
-        # executor runs one worker per allowed CPU, and the report says so.
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        out = tmp_path / "calibration.json"
-        code = main(
-            [
-                "calibrate", "--family", "citeseer", "--size", "200",
-                "--machines", "2", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["backend"] == "process"
-        assert report["workers"] == 2
-        assert report["cpus_visible"] == 2
-        assert report["parallelism_limited"] is False
-        assert "WARNING" not in capsys.readouterr().out
-
-    def test_metablock_ratio_reaches_the_workload(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        specs = []
-
-        class RecordingRun(cli.ExperimentRun):
-            def __init__(self, spec):
-                specs.append(spec)
-                super().__init__(spec)
-
-        monkeypatch.setattr(cli, "ExperimentRun", RecordingRun)
-        code = main(
-            [
-                "calibrate", "--family", "citeseer", "--size", "200",
-                "--machines", "2", "--backend", "serial",
-                "--metablock", "bf", "--metablock-ratio", "0.5",
-            ]
-        )
-        assert code == 0
-        assert specs, "calibrate ran no workload"
-        assert all(spec.metablock == "bf" for spec in specs)
-        assert all(spec.config.metablock_ratio == 0.5 for spec in specs)
-
-
 #: Every subcommand's flags besides -h/--help.  A flag leaves a command
 #: only by an edit here.
 _FLAGS = {
@@ -305,8 +256,6 @@ _FLAGS = {
     "submit": "--family --snapshot --input --machines --min-family-matches "
     "--snapshot-out --print-pairs --backend --workers --fault-seed "
     "--fault-rate --trace --metrics --skew --perf-report",
-    "calibrate": "--family --size --seed --machines --repeats --out --backend "
-    "--workers --balance --metablock --metablock-ratio",
 }
 
 
@@ -343,14 +292,14 @@ class TestParser:
              "--metablock-ratio"),
             (["compare", "--size", "60", "--metablock-ratio", "0.5"],
              "--metablock-ratio"),
-            (["calibrate", "--size", "60", "--metablock-ratio", "0.5"],
-             "--metablock-ratio"),
+            (["compare", "--size", "60", "--metablock", "wnp",
+              "--metablock-ratio", "0.5"], "--metablock-ratio"),
             # The serial backend runs no worker pool.
             (["run", "--size", "60", "--workers", "3"], "--workers"),
             (["compare", "--size", "60", "--workers", "3"], "--workers"),
             (["serve", "--workers", "2"], "--workers"),
             (["submit", "--snapshot", "state.json", "--workers", "2"], "--workers"),
-            (["calibrate", "--size", "60", "--backend", "serial", "--workers", "2"],
+            (["run", "--size", "60", "--backend", "serial", "--workers", "2"],
              "--workers"),
         ],
     )
@@ -402,14 +351,14 @@ class TestParser:
             ["serve", "--fault-rate", "1.5"],
             ["submit", "--snapshot", "state.json", "--fault-rate", "2"],
             ["run", "--size", "60", "--metablock-ratio", "0"],
-            ["calibrate", "--metablock-ratio", "1.5"],
+            ["compare", "--size", "60", "--metablock-ratio", "1.5"],
             ["run", "--size", "60", "--approach", "basic", "--threshold", "-1"],
             ["compare", "--size", "60", "--threshold", "1.5"],
             # The popcorn threshold's interval is open at both ends.
             ["compare", "--size", "60", "--threshold", "1"],
             ["run", "--size", "60", "--approach", "basic", "--threshold", "0"],
             ["serve", "--batch-size", "0"],
-            ["calibrate", "--repeats", "0"],
+            ["run", "--size", "60", "--machines", "0"],
             ["serve", "--min-family-matches", "0"],
             ["submit", "--snapshot", "state.json", "--min-family-matches", "0"],
         ],
@@ -441,12 +390,13 @@ class TestParser:
         ]
         assert "Traceback" not in err
 
-    def test_sched_is_not_a_command(self, capsys):
+    @pytest.mark.parametrize("command", ["sched", "calibrate"])
+    def test_sched_is_not_a_command(self, command, capsys):
         with pytest.raises(SystemExit) as caught:
-            main(["sched"])
+            main([command])
         assert caught.value.code == 2
         err = capsys.readouterr().err
-        assert "argument command: invalid choice: 'sched'" in err
+        assert f"argument command: invalid choice: '{command}'" in err
         assert "Traceback" not in err
 
     def test_help_lists_every_subcommand(self, capsys):
@@ -454,7 +404,7 @@ class TestParser:
             main(["--help"])
         assert caught.value.code == 0
         assert (
-            "{generate,run,compare,profile,serve,submit,calibrate}"
+            "{generate,run,compare,profile,serve,submit}"
             in capsys.readouterr().out
         )
 

@@ -10,6 +10,8 @@ plus targeted engine-level jobs (word count, failures, empty input).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.evaluation import ExperimentRun, RunSpec, sample_times
@@ -75,6 +77,10 @@ class TestPaperWorkloadParity:
             )
         ).run()
         assert run_fingerprint(serial) == run_fingerprint(process)
+        for run in (serial, process):
+            jobs = (run.result.job1, run.result.job2)
+            tasks = [t for job in jobs for t in job.map_tasks + job.reduce_tasks]
+            assert tasks and all(task.wall_ns > 0 for task in tasks)
 
     def test_fig8_scale_basic_parity(self, citeseer_small, basic_cfg):
         serial = ExperimentRun(
@@ -213,10 +219,15 @@ class TestFaultParity:
 
 
 class TestExecutorApi:
-    def test_make_executor_names(self):
+    def test_make_executor_names(self, monkeypatch):
         assert make_executor("serial").name == "serial"
         assert make_executor("process", 3).name == "process"
         assert make_executor("process", 3).workers == 3
+        # With no count: one worker per CPU the affinity mask allows, not
+        # per CPU installed.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert ParallelExecutor().workers == 2
 
     def test_make_executor_rejects_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -66,25 +66,22 @@ class TestTaskContextChargeEach:
             st.lists(st.floats(0.0, 50.0), max_size=12), max_size=8
         ),
         alpha=st.one_of(st.none(), st.floats(0.5, 40.0)),
-        category=st.sampled_from([None, "compare"]),
     )
-    def test_bulk_charges_equal_single_charges(self, chunks, alpha, category):
-        """Clock, charge profile, and every α-flush file (its close time
-        and the records written before it) end as after one ``charge``
-        per entry."""
+    def test_bulk_charges_equal_single_charges(self, chunks, alpha):
+        """Clock and every α-flush file (its close time and the records
+        written before it) end as after one ``charge`` per entry."""
         def run(bulk):
             context = TaskContext(0, CostModel(), alpha=alpha)
             for number, chunk in enumerate(chunks):
                 if bulk:
-                    context.charge_each(chunk, category)
+                    context.charge_each(chunk)
                 else:
                     for units in chunk:
-                        context.charge(units, category)
+                        context.charge(units)
                 context.write(number)
             files = context.finalize_files()
             return (
                 context.clock.now,
-                context.charge_profile,
                 [(f.index, f.close_time, f.records) for f in files],
             )
 

@@ -55,12 +55,6 @@ class TestCorrectness:
         found = runs[3].found_pairs
         assert len(found & dataset.true_pairs) / len(found) > 0.9
 
-    def test_comparison_charges_are_tagged_for_calibration(self, mrsn_runs):
-        _, runs = mrsn_runs
-        for job in runs[3].jobs:
-            profiles = [dict(task.charge_profile) for task in job.reduce_tasks]
-            assert any(profile.get("compare", 0.0) > 0.0 for profile in profiles)
-
 
 def _digest(result):
     """sha256 over the ``(time, pair)`` events and every task's

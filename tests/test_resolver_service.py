@@ -461,25 +461,6 @@ class TestSubmit:
         assert unedited.submit(original).comparisons == expected.comparisons
         assert unedited.found_pairs != fresh.found_pairs
 
-    def test_delta_charges_are_tagged_for_calibration(
-        self, dataset, config, monkeypatch
-    ):
-        service = make_service(config)
-        run_job = service.session.run_job
-        results = []
-
-        def recording(*args, **kwargs):
-            results.append(run_job(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(service.session, "run_job", recording)
-        service.submit(dataset.entities[:100])
-        profiles = [dict(task.charge_profile) for task in results[0].reduce_tasks]
-        assert any(
-            profile.get("read", 0.0) > 0.0 and profile.get("compare", 0.0) > 0.0
-            for profile in profiles
-        )
-
 
 class TestPairStream:
     def test_seqs_are_contiguous_and_monotone(self, dataset, config):
