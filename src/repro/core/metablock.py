@@ -52,7 +52,7 @@ from math import ceil
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
-from ..data.entity import Entity, Pair, pair_key, pairs_count
+from ..data.entity import Entity, Pair, pair_key, pairs_count, same_source
 
 #: Recognized values of the ``metablock`` knob.
 METABLOCK_MODES: Tuple[str, ...] = ("off", "bf", "wnp")
@@ -240,7 +240,7 @@ def candidate_pairs(
                 key = pair_key(a.id, b.id)
                 if key in pairs:
                     continue
-                if cross_source_only and a.source == b.source:
+                if cross_source_only and same_source(a, b):
                     continue
                 if pruner is not None and not pruner.keep(a, b):
                     continue

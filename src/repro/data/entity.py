@@ -59,6 +59,12 @@ def pair_key(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
+def same_source(a: Entity, b: Entity) -> bool:
+    """Whether two entities come from one source: linkage mode never
+    compares such a pair (two ``None`` sources are one source too)."""
+    return a.source == b.source
+
+
 def pairs_count(n: int) -> int:
     """``Pairs(n) = n * (n - 1) / 2`` — number of unordered pairs (paper IV-A)."""
     if n < 0:
@@ -81,6 +87,7 @@ __all__ = [
     "Entity",
     "Pair",
     "pair_key",
+    "same_source",
     "pairs_count",
     "cross_pairs_count",
 ]

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from ..data.entity import Entity
+from ..data.entity import Entity, same_source
 from ..mapreduce.clock import CostModel
 from ..similarity.batch import BatchMatcher
 
@@ -278,17 +278,17 @@ def column_veto(
     ``source`` (linkage compares only across sources), else ``"skipped"``
     when a skip column holds one value at both member positions (another
     block is responsible), else ``None``."""
-    sources = [entity.source for entity in members] if cross_source_only else None
+    member = members.__getitem__
 
     def admit(lefts: Sequence[int], rights: Sequence[int]) -> List[Optional[str]]:
         skip = [False] * len(lefts)
         for column in skip_columns:
             skip = [s or column[a] == column[b] for s, a, b in zip(skip, lefts, rights)]
-        if sources is None:
+        if not cross_source_only:
             return ["skipped" if s else None for s in skip]
         return [
-            "filtered" if sources[a] == sources[b] else "skipped" if s else None
-            for s, a, b in zip(skip, lefts, rights)
+            "filtered" if same else "skipped" if s else None
+            for s, same in zip(skip, map(same_source, map(member, lefts), map(member, rights)))
         ]
 
     return admit

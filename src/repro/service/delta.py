@@ -1,17 +1,22 @@
 """The delta MapReduce job: resolve only what a new batch can change.
 
 One submit runs one job, and the driver decides all of its work before the
-job starts.  :func:`plan_delta` reads the store's key index and lists the
-batch's exact candidate pairs: a new entity pairs with a stored or an
-earlier new entity when their level-1 keys agree in at least
-``min_family_matches`` families (only across sources in linkage mode).
+job starts.  :func:`plan_delta` lists the batch's exact candidate pairs: a
+new entity pairs with a stored or an earlier new entity when their level-1
+keys agree in at least ``min_family_matches`` families (only across
+sources in linkage mode), which is when the two share an agreement key of
+the store's index (:class:`~repro.service.store.EntityStore`).  So the
+planner looks up a new entity's few agreement keys and reads only the ids
+filed under them; it never counts the members of its blocks.
 Responsibility is settled there, once: each pair is filed under the block
 of the *first* agreeing family in dominance order, the block the paper's
-Section IV-A decides it in.  Block sizes, sort orders and batch boundaries
-never enter that rule, so the union over any batch sequence is the
-one-shot candidate set, decided by the same deterministic kernel; and
-because each submit pairs only its own entities, with what came before,
-every pair is decided exactly once, in the batch of its younger member.
+Section IV-A decides it in, which is the first route of the first
+agreement key, in dominance order, that the two share.  Block sizes, sort
+orders and batch boundaries never enter that rule, so the union over any
+batch sequence is the one-shot candidate set, decided by the same
+deterministic kernel; and because each submit pairs only its own
+entities, with what came before, every pair is decided exactly once, in
+the batch of its younger member.
 
 The job then only executes the plan.  Only blocks that hold a pair are
 routed; a block above the batch's fair share is cut into slices along its
@@ -28,19 +33,18 @@ spans all apply unchanged.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.balance import shard_bounds
 from ..core.schedule import place_units
-from ..data.entity import Entity, pair_key
+from ..data.entity import Entity, pair_key, same_source
 from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
 from ..mechanisms.base import Run, resolve_block
 from ..similarity.batch import BatchMatcher
-from .store import ROUTE_SEP, BlockRoute, EntityStore, route_label
+from .store import ROUTE_SEP, AgreementKey, BlockRoute, EntityStore, route_label
 
 #: One anchor's share of a unit: a new entity's id and the ids, ascending,
 #: of the partners it is compared with there.
@@ -85,10 +89,8 @@ def unit_size(unit: Sequence[AnchorPairs]) -> int:
 def plan_delta(
     store: EntityStore,
     annotated: Sequence[Tuple[Entity, Dict[str, Optional[str]]]],
-    family_order: Sequence[str],
     num_reduce_tasks: int,
     *,
-    min_matches: int,
     cross_source_only: bool = False,
 ) -> DeltaPlan:
     """The batch's candidate pairs, filed by responsible block, sliced to
@@ -96,42 +98,43 @@ def plan_delta(
 
     ``annotated`` is the batch in submission order with each entity's
     level-1 keys; nothing of it is in ``store`` yet.  An entity's partners
-    are counted over the members of its blocks in ``store`` and among the
-    batch entities before it, so each pair is listed once, under its
-    younger member.  Blocks are listed anchor by anchor in batch order,
-    partners by ascending id.  The fair share is ⌈pairs ÷ reduce tasks⌉;
-    a block above it becomes ⌈size ÷ share⌉ slices (:func:`_slices`).
+    are the ids filed under its agreement keys
+    (:meth:`~repro.service.store.EntityStore.agreement_keys`), in ``store``
+    and among the batch entities before it, so each pair is listed once,
+    under its younger member.  A partner's responsible block is the first
+    route of the first agreement key that holds it.  Blocks are listed
+    anchor by anchor in batch order, partners by ascending id.  The fair
+    share is ⌈pairs ÷ reduce tasks⌉; a block above it becomes
+    ⌈size ÷ share⌉ slices (:func:`_slices`).
     """
-    sources = {entity.id: entity.source for entity, _ in annotated}
-    arrived: Dict[BlockRoute, List[int]] = {}
+    agreeing = store.agreeing
+    fresh = {entity.id: entity for entity, _ in annotated}
+    arrived: Dict[AgreementKey, List[int]] = {}
     blocks: Dict[BlockRoute, List[AnchorPairs]] = {}
     for entity, keys in annotated:
-        own = [(family, keys[family]) for family in family_order
-               if keys.get(family) is not None]
-        counts: Counter = Counter()
-        responsible: Dict[int, BlockRoute] = {}
-        # Latest family first, so the first agreeing family writes last.
-        for route in reversed(own):
-            for partners in (store.members(route), arrived.get(route, ())):
-                counts.update(partners)
-                responsible.update(dict.fromkeys(partners, route))
-        candidates = [partner for partner, count in counts.items() if count >= min_matches]
-        if cross_source_only:
-            candidates = [
-                partner for partner in candidates
-                if entity.source != (
-                    sources[partner] if partner in sources
-                    else store.get(partner).entity.source
-                )
-            ]
-        found: Dict[BlockRoute, List[int]] = {}
-        for partner in candidates:
-            found.setdefault(responsible[partner], []).append(partner)
-        for route, partners in found.items():
-            partners.sort()
-            blocks.setdefault(route, []).append((entity.id, partners))
-        for route in own:
-            arrived.setdefault(route, []).append(entity.id)
+        agreements = store.agreement_keys(keys)
+        seen: Set[int] = set()
+        # Agreement keys sharing a first route are adjacent; the first
+        # group that holds a partner names its first agreeing family.
+        for route, group in groupby(agreements, itemgetter(0)):
+            found: Set[int] = set()
+            for agreement in group:
+                found.update(agreeing(agreement))
+                found.update(arrived.get(agreement, ()))
+            found -= seen
+            seen |= found
+            if cross_source_only:
+                found = {
+                    partner for partner in found
+                    if not same_source(
+                        entity,
+                        fresh[partner] if partner in fresh else store.get(partner).entity,
+                    )
+                }
+            if found:
+                blocks.setdefault(route, []).append((entity.id, sorted(found)))
+        for agreement in agreements:
+            arrived.setdefault(agreement, []).append(entity.id)
 
     plan = DeltaPlan()
     loads: Dict[str, int] = {}

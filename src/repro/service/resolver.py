@@ -166,7 +166,7 @@ class ResolverService:
         )
         self.session = ResolverSession(self.spec)
         self.session.begin_run(self.spec.label)
-        self.store = EntityStore()
+        self.store = EntityStore(config.scheme.family_order, self.min_family_matches)
         self._events: List[PairEvent] = []
         self._found: Set[Pair] = set()
         self._clusters = UnionFind()
@@ -191,9 +191,7 @@ class ResolverService:
         plan = plan_delta(
             self.store,
             annotated,
-            self.config.scheme.family_order,
             self.session.cluster.num_reduce_tasks,
-            min_matches=self.min_family_matches,
             cross_source_only=self.config.mode == "linkage",
         )
         batch = self._batches + 1

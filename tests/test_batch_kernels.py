@@ -695,12 +695,10 @@ def run_streams(draw, pool):
             )
             for entity in chosen
         ]
-        store = EntityStore()
+        tasks, min_matches = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        store = EntityStore(FAMILIES, min_matches)
         store.admit([(entity, keys) for entity, keys, new in rows if not new], 1)
-        plan = plan_delta(
-            store, [(entity, keys) for entity, keys, new in rows if new], FAMILIES,
-            draw(st.integers(1, 4)), min_matches=draw(st.integers(1, 3)),
-        )
+        plan = plan_delta(store, [(entity, keys) for entity, keys, new in rows if new], tasks)
         if not plan.units:
             return kind, chosen, []
         unit = draw(st.sampled_from(sorted(plan.units)))

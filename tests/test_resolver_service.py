@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import books_config, citeseer_config, linkage_config, skewed_config
+from repro.core.schedule import place_units
 from repro.data import Entity, make_books, make_citeseer, make_linkage, make_skewed
 from repro.mapreduce import FaultPlan, JobAbortedError, RetryPolicy
 from repro.service import ResolverService
 from repro.service import resolver as resolver_module
-from repro.service.delta import plan_delta, unit_size
+from repro.service.delta import DeltaPlan, _slices, plan_delta, unit_size
 from repro.service.resolver import SNAPSHOT_FORMAT, config_fingerprint
-from repro.service.store import EntityStore, route_label
+from repro.service.store import ROUTE_SEP, EntityStore, route_label
 
 
 @pytest.fixture(scope="module")
@@ -38,24 +41,58 @@ class TestEntityStore:
         keys = config.scheme.main_keys(dataset.entities[0])
         assert list(keys) == config.scheme.family_order
 
-    def test_admit_files_members_per_route(self, config):
-        store = EntityStore()
-        entity = Entity(1, {"title": "Query Optimization", "venue": "VLDB"})
-        keys = config.scheme.main_keys(entity)
-        store.admit([(entity, keys)], batch=1)
+    def test_admit_files_by_agreement_key(self):
+        store = EntityStore(ORDER, 2)
+        keys = {"X": "x", "Y": None, "Z": "z", "W": "w"}
+        store.admit([(Entity(1, {}), keys)], batch=1)
         assert 1 in store
         assert len(store) == 1
-        for family, key in keys.items():
-            if key is not None:
-                assert store.members((family, key)) == [1]
+        # Its routes in dominance order, two at a time; a None key and a
+        # family outside the order file nothing.
+        assert store.agreement_keys(keys) == [(("X", "x"), ("Z", "z"))]
+        assert store.agreeing((("X", "x"), ("Z", "z"))) == [1]
+        assert store.agreeing((("Z", "z"), ("X", "x"))) == ()
+        assert store.num_blocks() == 2
+        store.admit([(Entity(2, {}), {"X": "x", "Y": "y", "Z": None})], batch=2)
+        assert store.agreeing((("X", "x"), ("Y", "y"))) == [2]
+        # An entity with fewer agreeing families than the floor is filed
+        # under nothing, but its blocks still count.
+        store.admit([(Entity(3, {}), {"X": "q", "Y": None, "Z": None})], batch=2)
+        assert store.agreement_keys({"X": "q"}) == []
+        assert store.num_blocks() == 4
+
+    def test_agreement_keys_at_each_floor(self):
+        keys = {"X": "x", "Y": "y", "Z": "z"}
+        x, y, z = ("X", "x"), ("Y", "y"), ("Z", "z")
+        assert EntityStore(ORDER, 1).agreement_keys(keys) == [(x,), (y,), (z,)]
+        assert EntityStore(ORDER, 2).agreement_keys(keys) == [(x, y), (x, z), (y, z)]
+        assert EntityStore(ORDER, 3).agreement_keys(keys) == [(x, y, z)]
+        assert EntityStore(("Z", "X"), 2).agreement_keys(keys) == [(z, x)]
+        with pytest.raises(ValueError, match="min_family_matches"):
+            EntityStore(ORDER, 0)
 
     def test_double_admission_rejected(self, config):
-        store = EntityStore()
+        store = EntityStore(config.scheme.family_order, 2)
         entity = Entity(7, {"title": "t"})
         annotated = [(entity, config.scheme.main_keys(entity))]
         store.admit(annotated, batch=1)
         with pytest.raises(ValueError, match="already admitted"):
             store.admit(annotated, batch=2)
+
+    @pytest.mark.parametrize("ids, error", [
+        ((2, 1), "already admitted"),
+        ((2, 3, 2), "appears twice"),
+    ])
+    def test_rejected_admit_files_nothing(self, ids, error):
+        store = EntityStore(ORDER, 1)
+        store.admit([(Entity(1, {}), {"X": "a"})], batch=1)
+        index = {key: list(store.agreeing(key)) for key in [(("X", "a"),), (("X", "b"),)]}
+        with pytest.raises(ValueError, match=error):
+            store.admit([(Entity(i, {}), {"X": "b"}) for i in ids], batch=2)
+        assert len(store) == 1
+        assert store.entity_ids() == [1]
+        assert {key: list(store.agreeing(key)) for key in index} == index
+        assert store.num_blocks() == 1
 
 
 def responsible_family(keys_a, keys_b, family_order, min_matches):
@@ -91,6 +128,82 @@ def brute_force_candidates(stored, batch, family_order, min_matches, cross_sourc
             if family is not None:
                 pairs[(entity.id, other.id)] = (family, keys[family])
     return pairs
+
+
+def counter_plan(stored, batch, family_order, tasks, min_matches, cross_source_only):
+    """The oracle planner: the delta plan counted per route, as the
+    service planned before its agreement index.  Every stored and earlier
+    batch member of a new entity's level-1 blocks is counted, a partner
+    counted ``min_matches`` times is a candidate, and the last route
+    written for it, walking latest family first, is its responsible block.
+    ``stored`` is ``(entity, keys)`` in admission order.  Slicing and
+    placement are the planner's own; :func:`check_plan` checks those."""
+    members = {}
+    sources = {entity.id: entity.source for entity, _ in list(stored) + list(batch)}
+    for entity, keys in stored:
+        for family in family_order:
+            if keys.get(family) is not None:
+                members.setdefault((family, keys[family]), []).append(entity.id)
+    arrived = {}
+    blocks = {}
+    for entity, keys in batch:
+        own = [(family, keys[family]) for family in family_order
+               if keys.get(family) is not None]
+        counts = Counter()
+        responsible = {}
+        for route in reversed(own):
+            for partners in (members.get(route, ()), arrived.get(route, ())):
+                counts.update(partners)
+                responsible.update(dict.fromkeys(partners, route))
+        candidates = [partner for partner, count in counts.items() if count >= min_matches]
+        if cross_source_only:
+            candidates = [p for p in candidates if entity.source != sources[p]]
+        found = {}
+        for partner in candidates:
+            found.setdefault(responsible[partner], []).append(partner)
+        for route, partners in found.items():
+            partners.sort()
+            blocks.setdefault(route, []).append((entity.id, partners))
+        for route in own:
+            arrived.setdefault(route, []).append(entity.id)
+
+    plan = DeltaPlan()
+    loads = {}
+    total = sum(unit_size(pairs) for pairs in blocks.values())
+    fair_share = max(1, math.ceil(total / tasks))
+    for route, pairs in blocks.items():
+        label = route_label(route)
+        size = unit_size(pairs)
+        parts = math.ceil(size / fair_share)
+        if parts == 1:
+            pieces = {label: pairs}
+        else:
+            pieces = {
+                f"{label}{ROUTE_SEP}{index}": piece
+                for index, piece in enumerate(_slices(pairs, size, parts))
+            }
+        plan.blocks[label] = tuple(pieces)
+        plan.units.update(pieces)
+        loads.update((unit, unit_size(piece)) for unit, piece in pieces.items())
+    plan.assignment = place_units(loads.items(), tasks)
+    for rank, unit in enumerate(plan.assignment):
+        plan.ranks[unit] = rank
+        named = {anchor for anchor, _ in plan.units[unit]}
+        for _, partners in plan.units[unit]:
+            named.update(partners)
+        for entity_id in named:
+            plan.routes.setdefault(entity_id, []).append(unit)
+    return plan
+
+
+def assert_same_plan(plan, expected):
+    """Equal plans, as everything downstream reads them: ``blocks`` as a
+    mapping, ``assignment`` in its order too (the job's task order)."""
+    assert plan.units == expected.units
+    assert list(plan.assignment.items()) == list(expected.assignment.items())
+    assert plan.ranks == expected.ranks
+    assert plan.routes == expected.routes
+    assert plan.blocks == expected.blocks
 
 
 def plan_pairs(plan):
@@ -206,13 +319,38 @@ class TestDeltaPlanning:
             ]
 
         old, new = entities(stored, 1), entities(batch, 2)
-        store = EntityStore()
+        store = EntityStore(ORDER, min_matches)
         store.admit(old, batch=1)
-        plan = plan_delta(
-            store, new, ORDER, tasks,
-            min_matches=min_matches, cross_source_only=cross_source_only,
-        )
+        plan = plan_delta(store, new, tasks, cross_source_only=cross_source_only)
         check_plan(plan, old, new, ORDER, min_matches, cross_source_only, tasks)
+
+    @given(
+        data=st.data(),
+        batches=st.lists(st.lists(synthetic_entity, max_size=8), min_size=1, max_size=4),
+        min_matches=st.integers(1, 3),
+        cross_source_only=st.booleans(),
+        tasks=st.integers(1, 6),
+    )
+    def test_plans_match_the_counter_planner_over_batch_sequences(
+        self, data, batches, min_matches, cross_source_only, tasks
+    ):
+        # Ids are shuffled across batches, so a partner may be younger in
+        # id than its anchor, or than the stored entities.
+        ids = iter(data.draw(st.permutations(range(1, 1 + sum(map(len, batches))))))
+        store = EntityStore(ORDER, min_matches)
+        stored = []
+        for number, rows in enumerate(batches, 1):
+            batch = [
+                (Entity(next(ids), {}, source), dict(zip(ORDER, codes)))
+                for codes, source in rows
+            ]
+            expected = counter_plan(
+                stored, batch, ORDER, tasks, min_matches, cross_source_only
+            )
+            plan = plan_delta(store, batch, tasks, cross_source_only=cross_source_only)
+            assert_same_plan(plan, expected)
+            store.admit(batch, number)
+            stored.extend(batch)
 
     @pytest.mark.parametrize("scenario", ["dirty", "linkage"])
     @pytest.mark.parametrize("split", [(240,), (120, 120), (200, 1, 39), (60,) * 4])
@@ -224,16 +362,13 @@ class TestDeltaPlanning:
         config = configure()
         order = config.scheme.family_order
         keys_of = config.scheme.main_keys
-        store = EntityStore()
+        store = EntityStore(order, 2)
         entities = make(sum(split), seed=5).entities
         start = 0
         for number, size in enumerate(split, 1):
             batch = [(e, keys_of(e)) for e in entities[start:start + size]]
             stored = [(s.entity, keys_of(s.entity)) for s in store.stored()]
-            plan = plan_delta(
-                store, batch, order, 6,
-                min_matches=2, cross_source_only=scenario == "linkage",
-            )
+            plan = plan_delta(store, batch, 6, cross_source_only=scenario == "linkage")
             check_plan(plan, stored, batch, order, 2, scenario == "linkage", 6)
             store.admit(batch, number)
             start += size
@@ -242,18 +377,18 @@ class TestDeltaPlanning:
         batch = [
             (Entity(i, {}), {"X": None, "Y": "y", "Z": "z"}) for i in range(5)
         ]
-        plan = plan_delta(EntityStore(), batch, ORDER, 1, min_matches=2)
+        plan = plan_delta(EntityStore(ORDER, 2), batch, 1)
         # Y and Z agree on every pair: Y, the first of them, decides all 10.
         assert list(plan.blocks) == [route_label(("Y", "y"))]
         assert plan.num_pairs == 10
 
     def test_blocks_within_the_fair_share_stay_whole(self):
         # Two blocks of two pairs on two tasks: the fair share is two.
-        store = EntityStore()
+        store = EntityStore(("X",), 1)
         store.admit([(Entity(i, {}), {"X": key}) for i, key in
                      ((2, "aa"), (3, "aa"), (5, "bb"), (6, "bb"))], 1)
         batch = [(Entity(1, {}), {"X": "aa"}), (Entity(4, {}), {"X": "bb"})]
-        plan = plan_delta(store, batch, ("X",), 2, min_matches=1)
+        plan = plan_delta(store, batch, 2)
         aa, bb = route_label(("X", "aa")), route_label(("X", "bb"))
         assert plan.blocks == {aa: (aa,), bb: (bb,)}
         assert plan.units == {aa: [(1, [2, 3])], bb: [(4, [5, 6])]}
@@ -266,9 +401,9 @@ class TestDeltaPlanning:
         # a stored entity is shipped to one slice only.
         stored = [(Entity(i, {}, "b"), {"X": "k"}) for i in range(100, 132)]
         batch = [(Entity(i, {}, "a"), {"X": "k"}) for i in range(4)]
-        store = EntityStore()
+        store = EntityStore(("X",), 1)
         store.admit(stored, 1)
-        plan = plan_delta(store, batch, ("X",), 4, min_matches=1, cross_source_only=True)
+        plan = plan_delta(store, batch, 4, cross_source_only=True)
         slices = plan.blocks[route_label(("X", "k"))]
         assert [plan.units[s] for s in slices] == [
             [(anchor, list(range(lo, lo + 8))) for anchor in range(4)]
@@ -535,6 +670,33 @@ class TestSnapshotRestore:
         restored.submit(dataset.entities[200:300])
         assert restored.found_pairs == service.found_pairs
         assert restored.clock == service.clock
+
+    @pytest.mark.parametrize("scenario", ["dirty", "linkage"])
+    def test_restored_service_plans_the_next_batch_alike(self, scenario, monkeypatch):
+        make, configure = {
+            "dirty": (make_books, books_config),
+            "linkage": (make_linkage, linkage_config),
+        }[scenario]
+        entities = make(300, seed=2).entities
+        plans = []
+
+        def recording(*args, **kwargs):
+            plans.append(plan_delta(*args, **kwargs))
+            return plans[-1]
+
+        service = ResolverService(configure(), machines=3)
+        for start, end in ((0, 120), (120, 200)):
+            service.submit(entities[start:end])
+        restored = ResolverService.restore(
+            json.loads(json.dumps(service.snapshot())), configure(), machines=3
+        )
+        monkeypatch.setattr(resolver_module, "plan_delta", recording)
+        first = service.submit(entities[200:300])
+        again = restored.submit(entities[200:300])
+        assert plans[0].num_pairs > 0
+        assert_same_plan(plans[1], plans[0])
+        assert again == first
+        assert restored.pairs() == service.pairs()
 
     def test_snapshot_carries_no_decision_ledger(self):
         entities = make_books(400, seed=11).entities
