@@ -40,13 +40,8 @@ def _run(dataset, matcher, faults=None):
 
 
 def _fault_counters(run):
-    jobs = (
-        [run.result.job1, run.result.job2]
-        if hasattr(run.result, "job2")
-        else [run.result.job]
-    )
     totals = {}
-    for job in jobs:
+    for job in run.result.jobs:
         for key, value in job.counters.as_flat_dict().items():
             if key.startswith("fault."):
                 totals[key] = totals.get(key, 0) + value

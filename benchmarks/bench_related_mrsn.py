@@ -15,17 +15,9 @@ not endpoints.
 
 from __future__ import annotations
 
-from repro.baselines import MrsnConfig, MultiPassMRSN
+from repro.baselines import MrsnConfig
 from repro.core import citeseer_config
-from repro.evaluation import (
-    ExperimentRun,
-    RunResult,
-    RunSpec,
-    format_curves,
-    recall_curve,
-    sample_times,
-)
-from repro.mapreduce import Cluster
+from repro.evaluation import ExperimentRun, RunSpec, format_curves, sample_times
 
 MACHINES = 10
 
@@ -40,19 +32,14 @@ def test_related_mrsn(citeseer_dataset, citeseer_cached_matcher, report):
                 label="Our Approach",
             )
         ).run()
-        config = MrsnConfig(citeseer_config(matcher=citeseer_cached_matcher), window=15)
-        mrsn_result = MultiPassMRSN(config, Cluster(MACHINES)).run(
-            citeseer_dataset
-        )
-        mrsn = RunResult(
-            label="Multi-pass MR-SN",
-            curve=recall_curve(
-                mrsn_result.duplicate_events,
+        mrsn = ExperimentRun(
+            RunSpec(
                 citeseer_dataset,
-                end_time=mrsn_result.total_time,
-            ),
-            result=mrsn_result,
-        )
+                MrsnConfig(citeseer_config(matcher=citeseer_cached_matcher), window=15),
+                machines=MACHINES,
+                label="Multi-pass MR-SN",
+            )
+        ).run()
         return ours, mrsn
 
     ours, mrsn = run_comparison()

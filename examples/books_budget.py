@@ -52,7 +52,7 @@ def main() -> None:
     for fraction in (0.2, 0.4, 0.6, 0.8, 1.0):
         budget = full * fraction
         ours_pairs = set(results_available_at(ours.result.job2, budget))
-        basic_pairs = set(results_available_at(basic.result.job, budget))
+        basic_pairs = set(results_available_at(basic.result.jobs[0], budget))
         ours_recall = len(ours_pairs & true_pairs) / len(true_pairs)
         basic_recall = len(basic_pairs & true_pairs) / len(true_pairs)
         print(

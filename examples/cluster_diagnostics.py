@@ -10,11 +10,11 @@ per-task Gantt with block and duplicate counts).
 Run:  python examples/cluster_diagnostics.py
 """
 
-from repro import Cluster, ProgressiveER, Tracer, make_citeseer
+from repro import ExperimentRun, RunSpec, Tracer, make_citeseer
 from repro.core import citeseer_config
 from repro.similarity import citeseer_matcher
 from repro.data import format_profile, profile_dataset, suggest_blocking_order
-from repro.evaluation import RunResult, ascii_chart, recall_curve
+from repro.evaluation import ascii_chart
 from repro.observability import format_trace_summary
 
 MACHINES = 6
@@ -35,36 +35,27 @@ def main() -> None:
     #    split mechanism matters for utilization).  One tracer records
     #    both runs, each under its own label.
     tracer = Tracer()
-    results = {}
-    for strategy in ("ours", "nosplit"):
-        tracer.begin_run(strategy)
-        approach = ProgressiveER(
-            citeseer_config(matcher=matcher), Cluster(MACHINES, tracer=tracer),
-            strategy=strategy,
-        )
-        results[strategy] = approach.run(dataset)
-
     runs = [
-        RunResult(
-            label=name,
-            curve=recall_curve(
-                r.duplicate_events, dataset, end_time=r.total_time
-            ),
-            result=r,
-        )
-        for name, r in results.items()
+        ExperimentRun(
+            RunSpec(
+                dataset, citeseer_config(matcher=matcher), machines=MACHINES,
+                strategy=strategy, label=strategy, tracer=tracer,
+            )
+        ).run()
+        for strategy in ("ours", "nosplit")
     ]
-    horizon = max(r.total_time for r in results.values())
+    horizon = max(run.total_time for run in runs)
     print(ascii_chart(runs, horizon=horizon, width=64, height=14,
                       title="recall vs time"))
     print()
 
     # 3. Scheduling diagnostics.
-    for name, result in results.items():
+    for run in runs:
+        schedule = run.result.schedule
         print(
-            f"{name:8s} trees={result.schedule.num_trees:4d} "
-            f"blocks={result.schedule.num_blocks:4d} "
-            f"total={result.job2.end_time:,.0f}"
+            f"{run.label:8s} trees={schedule.num_trees:4d} "
+            f"blocks={schedule.num_blocks:4d} "
+            f"total={run.total_time:,.0f}"
         )
 
     # 4. Per-phase skew and the per-task Gantt of every traced job.

@@ -16,10 +16,10 @@ from repro import (
     AttributeRule,
     BasicConfig,
     BlockingScheme,
-    Cluster,
     Dataset,
     Entity,
-    ProgressiveER,
+    ExperimentRun,
+    RunSpec,
     SortedNeighborHint,
     WeightedMatcher,
     prefix_function,
@@ -73,19 +73,16 @@ def main() -> None:
         train_fraction=1.0,  # tiny dataset: train the estimator on all of it
     )
 
-    result = ProgressiveER(config, Cluster(machines=2)).run(dataset)
-    print("found duplicate pairs:", sorted(result.found_pairs))
+    run = ExperimentRun(RunSpec(dataset, config, machines=2)).run()
+    print("found duplicate pairs:", sorted(run.found_pairs))
     print("ground truth:         ", sorted(dataset.true_pairs))
-    found_true = result.found_pairs & dataset.true_pairs
+    found_true = run.found_pairs & dataset.true_pairs
     print(f"recall: {len(found_true)}/{dataset.num_true_pairs}")
 
     # The Basic baseline runs on the same custom pieces: it reads the
     # scheme, matcher, mechanism, α and mode from the same config.
-    basic = BasicConfig(config, window=8)
-    from repro import BasicER
-
-    basic_result = BasicER(basic, Cluster(machines=2)).run(dataset)
-    print("basic found:          ", sorted(basic_result.found_pairs))
+    basic = ExperimentRun(RunSpec(dataset, BasicConfig(config, window=8), machines=2)).run()
+    print("basic found:          ", sorted(basic.found_pairs))
 
     # JSONL round trip for persistence: one entity row per line, with its
     # ground-truth cluster (what `repro generate` writes, `--dataset` reads).

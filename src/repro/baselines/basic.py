@@ -20,18 +20,16 @@ placement — which is what Figures 8 and 10 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..core.config import ApproachConfig, check_window
-from ..core.driver import first_discoveries
+from ..core.driver import Resolution, first_discoveries
 from ..data.dataset import Dataset
-from ..data.entity import Entity, Pair, pair_key
+from ..data.entity import Entity
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Reducer, TaskContext
-from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import block_sort_key, column_veto, resolve_block
+from ..mechanisms.base import block_sort_key, column_veto, duplicate_reporter, resolve_block
 from ..mechanisms.popcorn import PopcornCondition
 from ..similarity.batch import BatchMatcher
 
@@ -116,12 +114,6 @@ class BasicReducer(Reducer):
             cross_source_only=approach.mode == "linkage",
         )
 
-        def on_duplicate(e1: Entity, e2: Entity) -> None:
-            context.counters.increment("driver", "duplicates")
-            pair = pair_key(e1.id, e2.id)
-            context.record_event("duplicate", pair)
-            context.write(pair)
-
         stop = (
             PopcornCondition(config.popcorn_threshold)
             if config.popcorn_threshold is not None
@@ -133,7 +125,7 @@ class BasicReducer(Reducer):
             self._batcher,
             context.cost_model,
             context.charge_each,
-            on_duplicate,
+            duplicate_reporter(context, "driver"),
             admit=admit,
             stop=stop,
         )
@@ -175,25 +167,6 @@ def smallest_key_columns(
     ]
 
 
-@dataclass
-class BasicResult:
-    """Outcome of one Basic run."""
-
-    dataset: Dataset
-    job: JobResult
-    duplicate_events: List[Event]
-
-    @property
-    def total_time(self) -> float:
-        return self.job.end_time
-
-    @cached_property
-    def found_pairs(self) -> Set[Pair]:
-        """Distinct duplicate pairs (computed once; the event list is never
-        mutated after construction)."""
-        return {event.payload for event in self.duplicate_events}
-
-
 class BasicER:
     """Driver for the Basic baseline (one MapReduce job)."""
 
@@ -201,7 +174,7 @@ class BasicER:
         self.config = config
         self.cluster = cluster
 
-    def run(self, dataset: Dataset) -> BasicResult:
+    def run(self, dataset: Dataset) -> Resolution:
         """Run the single-job baseline on ``dataset``."""
         batcher = BatchMatcher(self.config.approach.matcher)
         job = MapReduceJob(
@@ -212,13 +185,12 @@ class BasicER:
         )
         result = self.cluster.run_job(job, dataset.entities)
         events = first_discoveries(result.events)
-        return BasicResult(dataset=dataset, job=result, duplicate_events=events)
+        return Resolution(dataset=dataset, jobs=[result], duplicate_events=events)
 
 
 __all__ = [
     "BasicConfig",
     "BasicER",
-    "BasicResult",
     "BasicMapper",
     "BasicReducer",
     "smallest_key_columns",

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from ..core.config import ApproachConfig, check_window
-from ..core.driver import first_discoveries
+from ..core.driver import Resolution, first_discoveries
 from ..data.dataset import Dataset
-from ..data.entity import Entity, Pair, pair_key
+from ..data.entity import Entity, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
@@ -138,7 +138,7 @@ class MrsnReducer(Reducer):
 
         # Plain MR jobs commit reducer output only when the task completes
         # — no incremental α-flushing here, so a pair becomes *available*
-        # at task end (see MrsnResult's availability semantics).
+        # at task end (see MultiPassMRSN.run).
         members = [entity for entity, _ in ordered]
         linkage = self._config.approach.mode == "linkage"
         stats = resolve_block(
@@ -154,23 +154,6 @@ class MrsnReducer(Reducer):
             context.counters.increment("resolve", "pairs_filtered", stats.filtered)
 
 
-@dataclass
-class MrsnResult:
-    """Outcome of a multi-pass MR-SN run."""
-
-    dataset: Dataset
-    jobs: List[JobResult]
-    duplicate_events: List[Event]
-
-    @property
-    def total_time(self) -> float:
-        return self.jobs[-1].end_time if self.jobs else 0.0
-
-    @property
-    def found_pairs(self) -> Set[Pair]:
-        return {event.payload for event in self.duplicate_events}
-
-
 class MultiPassMRSN:
     """Driver: one sequential MapReduce job per blocking pass."""
 
@@ -178,7 +161,7 @@ class MultiPassMRSN:
         self.config = config
         self.cluster = cluster
 
-    def run(self, dataset: Dataset) -> MrsnResult:
+    def run(self, dataset: Dataset) -> Resolution:
         """Run every pass; pass p + 1 starts when pass p ends."""
         jobs: List[JobResult] = []
         start_time = 0.0
@@ -197,7 +180,7 @@ class MultiPassMRSN:
         events = first_discoveries(
             [Event(time=time, kind="duplicate", payload=pair) for time, pair in available]
         )
-        return MrsnResult(dataset=dataset, jobs=jobs, duplicate_events=events)
+        return Resolution(dataset=dataset, jobs=jobs, duplicate_events=events)
 
     # ------------------------------------------------------------------
 
@@ -240,4 +223,4 @@ class MultiPassMRSN:
         return boundaries, replicate
 
 
-__all__ = ["MrsnConfig", "MultiPassMRSN", "MrsnResult", "window_runs"]
+__all__ = ["MrsnConfig", "MultiPassMRSN", "window_runs"]

@@ -263,7 +263,7 @@ def _add_schedule_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--balance",
         choices=BALANCE_STRATEGIES,
-        default="slack",
+        default=None,
         help="load-balancing post-pass over the progressive schedule: "
         "`slack` (paper baseline) or `pairrange` (global PairRange: cut "
         "the whole estimated pair stream into equal contiguous ranges, "
@@ -339,8 +339,8 @@ def _ignored_flag(args: argparse.Namespace) -> Optional[str]:
     """Why a flag given to ``args.command`` would change nothing, or None."""
     if args.command == "run":
         if args.approach == "basic":
-            dests = ("metablock", "metablock_ratio")
-            why = "Basic has no schedule to prune"
+            dests = ("balance", "metablock", "metablock_ratio")
+            why = "Basic has no progressive schedule"
         else:
             dests, why = ("window", "threshold"), "it sets up the Basic baseline"
         for dest in dests:
@@ -428,42 +428,27 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_spec(args: argparse.Namespace, config, **options) -> RunSpec:
-    """A RunSpec wired from the shared CLI options."""
-    return RunSpec(
-        config=config,
-        machines=args.machines,
-        balance=args.balance,
-        backend=args.backend,
-        workers=args.workers,
-        faults=_fault_plan(args) if hasattr(args, "fault_rate") else None,
-        # `compare` runs the baseline next to a pruned ours: it has no
-        # schedule to prune.
-        metablock="off" if isinstance(config, BasicConfig) else args.metablock or "off",
-        **options,
-    )
-
-
 def _command_resolve(args: argparse.Namespace) -> int:
     """`run` prints one approach's recall curve; `compare` prints ours next
     to Basic F and Basic under each --threshold."""
     dataset = _load_dataset(args)
     tracer, metrics = _observers(args)
+    # Only ours reads the schedule options; Basic has no schedule.
+    schedule = {"balance": args.balance or "slack", "metablock": args.metablock or "off"}
     if args.command == "compare":
-        variants = [(_progressive_config(args), {"label": "ours"})] + [
+        variants = [(_progressive_config(args), {"label": "ours", **schedule})] + [
             (_basic_config(args, threshold), {})
             for threshold in [None, *(args.thresholds or [])]
         ]
     elif args.approach == "basic":
         variants = [(_basic_config(args, args.threshold), {})]
     else:
-        variants = [(_progressive_config(args), {"strategy": args.approach})]
-    specs = [
-        _run_spec(
-            args, config, dataset=dataset, tracer=tracer, metrics=metrics, **options
-        )
-        for config, options in variants
-    ]
+        variants = [(_progressive_config(args), {"strategy": args.approach, **schedule})]
+    shared = dict(
+        dataset=dataset, machines=args.machines, backend=args.backend,
+        workers=args.workers, tracer=tracer, metrics=metrics, faults=_fault_plan(args),
+    )
+    specs = [RunSpec(config=config, **shared, **options) for config, options in variants]
     runs = [ExperimentRun(spec).run() for spec in specs]
     horizon = runs[0].total_time
     if args.command == "run":
@@ -478,7 +463,7 @@ def _command_resolve(args: argparse.Namespace) -> int:
     sections = [format_final_summary(runs), format_fault_summary(runs)]
     if args.command == "run":
         plan = getattr(runs[0].result, "balance", None)
-        if plan is not None and (args.balance != "slack" or args.skew):
+        if plan is not None and (plan.strategy != "slack" or args.skew):
             sections.append(format_balance_summary(plan))
         mb_plan = getattr(runs[0].result, "metablock", None)
         if mb_plan is not None:

@@ -22,7 +22,7 @@ from .config import (
     people_config,
     skewed_config,
 )
-from .driver import ProgressiveER, ProgressiveResult
+from .driver import ProgressiveER, ProgressiveResult, Resolution
 from .metablock import (
     METABLOCK_MODES,
     MetablockPlan,
@@ -72,6 +72,7 @@ __all__ = [
     "linear_weights",
     "ProgressiveER",
     "ProgressiveResult",
+    "Resolution",
     "METABLOCK_MODES",
     "MetablockPlan",
     "WnpPruner",

@@ -26,11 +26,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.functions import BlockingScheme
 from ..data.dataset import Dataset
-from ..data.entity import Entity, Pair, cross_pairs_count, pair_key, pairs_count
+from ..data.entity import Entity, Pair, cross_pairs_count, pairs_count
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import DistinctBudget, block_sort_key, column_veto, resolve_block
+from ..mechanisms.base import (
+    DistinctBudget, block_sort_key, column_veto, duplicate_reporter, resolve_block,
+)
 from ..similarity.batch import BatchMatcher
 from .config import ApproachConfig
 from .metablock import METABLOCK_MODES, MetablockPlan, WnpPruner, build_metablock_plan
@@ -316,12 +318,6 @@ def resolve_scheduled_block(
             for x, y in zip(map(ids.__getitem__, lefts), map(ids.__getitem__, rights))
         ])
 
-    def on_duplicate(e1: Entity, e2: Entity) -> None:
-        context.counters.increment("driver", "duplicates")
-        pair = pair_key(e1.id, e2.id)
-        context.record_event("duplicate", pair)
-        context.write(pair)
-
     stop = None if estimate.full else DistinctBudget(estimate.th)
     stats = resolve_block(
         members,
@@ -329,7 +325,7 @@ def resolve_scheduled_block(
         batcher,
         context.cost_model,
         context.charge_each,
-        on_duplicate,
+        duplicate_reporter(context, "driver"),
         admit=admit,
         stop=stop,
         on_resolved=on_resolved,
@@ -358,32 +354,51 @@ def resolve_scheduled_block(
 
 
 @dataclass
-class ProgressiveResult:
-    """Everything one end-to-end run produces.
+class Resolution:
+    """What a run of any approach produces: ours, Basic or MR-SN.
 
-    ``duplicate_events`` are ``(global time, pair)`` occurrences across both
-    phases, already deduplicated to the first discovery of each pair.
+    ``jobs`` are the run's MapReduce jobs in run order (Job 1 and Job 2;
+    Basic's one job; MR-SN's one job per pass), the first starting at
+    time zero.  ``duplicate_events`` are ``(global time, pair)`` events,
+    already reduced to the first discovery of each pair by
+    :func:`first_discoveries`.
     """
 
     dataset: Dataset
-    stats: DatasetStatistics
-    schedule: ProgressiveSchedule
-    job1: JobResult
-    job2: JobResult
+    jobs: List[JobResult]
     duplicate_events: List[Event]
-    balance: Optional["BalancePlan"] = None
-    metablock: Optional[MetablockPlan] = None
 
     @property
     def total_time(self) -> float:
-        """End of the second job (start of Job 1 is time zero)."""
-        return self.job2.end_time
+        """End of the last job."""
+        return self.jobs[-1].end_time
 
     @cached_property
     def found_pairs(self) -> Set[Pair]:
         """All distinct pairs reported as duplicates (computed once; the
         event list is never mutated after construction)."""
         return {event.payload for event in self.duplicate_events}
+
+
+@dataclass
+class ProgressiveResult(Resolution):
+    """A run of the progressive approach: its two jobs plus the plans
+    between them."""
+
+    stats: DatasetStatistics
+    schedule: ProgressiveSchedule
+    balance: Optional["BalancePlan"] = None
+    metablock: Optional[MetablockPlan] = None
+
+    @property
+    def job1(self) -> JobResult:
+        """The statistics job."""
+        return self.jobs[0]
+
+    @property
+    def job2(self) -> JobResult:
+        """The resolution job."""
+        return self.jobs[1]
 
 
 class ProgressiveER:
@@ -485,11 +500,10 @@ class ProgressiveER:
         events = first_discoveries(job2.events)
         return ProgressiveResult(
             dataset=dataset,
+            jobs=[job1, job2],
+            duplicate_events=events,
             stats=stats,
             schedule=schedule,
-            job1=job1,
-            job2=job2,
-            duplicate_events=events,
             balance=plan,
             metablock=mb_plan,
         )
@@ -608,6 +622,7 @@ __all__ = [
     "ResolutionReducer",
     "resolve_scheduled_block",
     "ProgressiveER",
+    "Resolution",
     "ProgressiveResult",
     "first_discoveries",
 ]

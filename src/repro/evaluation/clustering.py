@@ -3,7 +3,7 @@
 The paper's ER model applies "a clustering technique such as transitive
 closure" after similarity computation to group duplicates into disjoint
 clusters.  Implemented as a classic union-find with path compression and
-union by size.
+union by size, each root holding its set's member list.
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ from ..data.entity import Pair
 
 
 class UnionFind:
-    """Disjoint-set forest over arbitrary hashable items."""
+    """Disjoint-set forest over arbitrary hashable items; each root keeps
+    its set's members, the smaller list moving into the larger on union."""
 
     def __init__(self) -> None:
         self._parent: Dict[int, int] = {}
-        self._size: Dict[int, int] = {}
+        self._members: Dict[int, List[int]] = {}
 
     def find(self, item: int) -> int:
         """Representative of ``item``'s set (item is added if unseen)."""
         if item not in self._parent:
             self._parent[item] = item
-            self._size[item] = 1
+            self._members[item] = [item]
             return item
         root = item
         while self._parent[root] != root:
@@ -38,20 +39,19 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self._size[ra] < self._size[rb]:
+        if len(self._members[ra]) < len(self._members[rb]):
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        self._members[ra].extend(self._members.pop(rb))
         return True
+
+    def members(self, item: int) -> List[int]:
+        """Every member of ``item``'s set, sorted (item is added if unseen)."""
+        return sorted(self._members[self.find(item)])
 
     def groups(self) -> List[List[int]]:
         """All sets with at least two members, sorted for determinism."""
-        members: Dict[int, List[int]] = {}
-        for item in self._parent:
-            members.setdefault(self.find(item), []).append(item)
-        result = [sorted(group) for group in members.values() if len(group) > 1]
-        result.sort()
-        return result
+        return sorted(sorted(group) for group in self._members.values() if len(group) > 1)
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> List[List[int]]:

@@ -1,36 +1,40 @@
-"""Experiment harness: the unified run API behind the benchmarks and CLI.
+"""Experiment harness: the one run API behind the benchmarks and CLI.
 
-Describe a run with a :class:`RunSpec`, execute it with
-:class:`ExperimentRun`, get a :class:`RunResult` back — the same shape for
-the progressive approach, its scheduler variants, and the Basic baseline.
-Everything is seeded and deterministic::
+A run is described by a :class:`RunSpec`, executed by
+:class:`ExperimentRun` and returned as a :class:`RunResult`, the same way
+for every approach.  The spec's ``config`` type picks the approach: an
+:class:`~repro.core.config.ApproachConfig` runs ours (under the spec's
+``strategy``, ``balance`` and ``metablock``), a
+:class:`~repro.baselines.basic.BasicConfig` the Basic baseline, a
+:class:`~repro.baselines.mrsn.MrsnConfig` multi-pass MR-SN.  Every
+driver returns a :class:`~repro.core.driver.Resolution` — the dataset, the
+run's jobs in order and the first discovery of each duplicate pair — and
+the run adds its label and recall curve.  Everything is seeded and
+deterministic::
 
     spec = RunSpec(dataset, citeseer_config(), machines=10)
     run = ExperimentRun(spec).run()
-    run.final_recall, run.total_time, run.found_pairs
+    run.final_recall, run.total_time, run.found_pairs, run.result.jobs
 
 Attach a :class:`~repro.observability.Tracer` or
 :class:`~repro.observability.MetricsRegistry` to the spec and the run is
 recorded (see :mod:`repro.observability`); several specs may share one
-tracer — each run is labeled via ``begin_run``.
-
-``ExperimentRun`` is a thin one-shot wrapper over the
-:class:`~repro.service.session.ResolverSession` seam — the same driver
-path the incremental :class:`~repro.service.resolver.ResolverService`
-uses, so batch experiments and streaming sessions share executor backends,
-balance strategies, fault plans and tracer plumbing.
+tracer — each run is labeled via ``begin_run``.  The run executes on a
+:class:`~repro.service.session.ResolverSession`, the configured cluster
+the incremental :class:`~repro.service.resolver.ResolverService` runs its
+delta jobs on too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Set, Union
 
-from ..baselines.basic import BasicConfig, BasicResult
+from ..baselines.basic import BasicConfig, BasicER
+from ..baselines.mrsn import MrsnConfig, MultiPassMRSN
 from ..core.balance import BALANCE_STRATEGIES
 from ..core.config import ApproachConfig
-from ..core.driver import ProgressiveResult
+from ..core.driver import ProgressiveER, ProgressiveResult, Resolution
 from ..core.metablock import METABLOCK_MODES
 from ..data.dataset import Dataset
 from ..data.entity import Pair
@@ -39,7 +43,8 @@ from ..mapreduce.executors import BACKENDS
 from ..mapreduce.faults import FaultPlan
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Tracer
-from ..service.session import PAPER_MAP_SLOTS, PAPER_REDUCE_SLOTS, ResolverSession
+from ..service.session import ResolverSession
+from . import metrics as evaluation_metrics
 from .metrics import RecallCurve
 
 #: Tree schedulers of the progressive approach.
@@ -50,11 +55,6 @@ SCHEDULE_STRATEGIES = ("ours", "nosplit", "lpt")
 class RunSpec:
     """Declarative description of one experiment run.
 
-    The approach is inferred from ``config``'s type: a
-    :class:`~repro.baselines.basic.BasicConfig` runs the Basic baseline, an
-    :class:`~repro.core.config.ApproachConfig` runs the progressive
-    approach under ``strategy``.
-
     Specs are validated at construction (see :meth:`validate`): strategy,
     balance, backend and the numeric knobs are checked up front so a typo
     fails with an actionable message instead of a deep-in-engine error.
@@ -62,13 +62,14 @@ class RunSpec:
     Attributes:
         dataset: the dataset to resolve (``None`` is allowed for specs that
             only configure a session, e.g. the incremental service).
-        config: approach configuration (selects the approach, see above).
+        config: approach configuration; its type selects the approach (see
+            the module docstring).
         machines: simulated cluster size (2 map + 2 reduce slots each).
         strategy: tree scheduler for the progressive approach — ``"ours"``,
-            ``"nosplit"`` or ``"lpt"`` (ignored by Basic).
+            ``"nosplit"`` or ``"lpt"``.
         balance: load-balancing post-pass for the progressive approach —
             ``"slack"`` (paper baseline, schedule untouched) or the global
-            ``"pairrange"`` (ignored by Basic; see :mod:`repro.core.balance`).
+            ``"pairrange"`` (see :mod:`repro.core.balance`).
         seed: seed for training-sample and cost-factor sampling.
         label: run label for reports and traces (default: derived).
         cost_model: virtual-time cost model (default: :class:`CostModel`).
@@ -84,12 +85,15 @@ class RunSpec:
         metablock: meta-blocking pre-pass for the progressive approach —
             ``"off"`` (default), ``"bf"`` (block filtering) or ``"wnp"``
             (weighted node pruning); ``bf``'s ratio lives on the config
-            (``metablock_ratio``).  Rejected for
-            Basic runs — the baseline has no schedule to prune.
+            (``metablock_ratio``).
+
+    A baseline has no progressive schedule: a baseline spec whose
+    ``strategy``, ``balance`` or ``metablock`` is not the default is
+    rejected rather than run as if it were.
     """
 
     dataset: Optional[Dataset]
-    config: Union[ApproachConfig, BasicConfig]
+    config: Union[ApproachConfig, BasicConfig, MrsnConfig]
     machines: int = 10
     strategy: str = "ours"
     balance: str = "slack"
@@ -114,10 +118,10 @@ class RunSpec:
         construction; call it again after mutating a spec in place.
         """
         problems: List[str] = []
-        if not isinstance(self.config, (ApproachConfig, BasicConfig)):
+        if not isinstance(self.config, (ApproachConfig, BasicConfig, MrsnConfig)):
             problems.append(
-                f"config must be an ApproachConfig or BasicConfig, got "
-                f"{type(self.config).__name__}"
+                f"config must be an ApproachConfig, BasicConfig or MrsnConfig, "
+                f"got {type(self.config).__name__}"
             )
         if not isinstance(self.machines, int) or self.machines < 1:
             problems.append(
@@ -149,12 +153,19 @@ class RunSpec:
                 f"unknown metablock mode {self.metablock!r}; pick one of "
                 f"{METABLOCK_MODES}"
             )
-        elif self.metablock != "off" and self.is_basic:
-            problems.append(
-                f"metablock={self.metablock!r} needs the progressive "
-                "approach; the Basic baseline has no schedule to prune"
-            )
-        approach = self.config.approach if self.is_basic else self.config
+        if self.is_baseline:
+            defaults = {f.name: f.default for f in fields(self)}
+            schedule = [
+                f"{name}={getattr(self, name)!r}"
+                for name in ("strategy", "balance", "metablock")
+                if getattr(self, name) != defaults[name]
+            ]
+            if schedule:
+                problems.append(
+                    f"{', '.join(schedule)} needs the progressive approach; "
+                    "a baseline has no progressive schedule"
+                )
+        approach = getattr(self.config, "approach", self.config)
         if (
             isinstance(approach, ApproachConfig)
             and approach.mode == "linkage"
@@ -178,17 +189,19 @@ class RunSpec:
         return self
 
     @property
-    def is_basic(self) -> bool:
-        """True when ``config`` selects the Basic baseline."""
-        return isinstance(self.config, BasicConfig)
+    def is_baseline(self) -> bool:
+        """True when ``config`` selects a baseline (Basic or MR-SN)."""
+        return isinstance(self.config, (BasicConfig, MrsnConfig))
 
     def resolved_label(self) -> str:
         """The explicit label, or one derived from the approach."""
         if self.label is not None:
             return self.label
-        if self.is_basic:
+        if isinstance(self.config, BasicConfig):
             threshold = self.config.popcorn_threshold
             return f"basic[{'F' if threshold is None else threshold}]"
+        if isinstance(self.config, MrsnConfig):
+            return f"mrsn[w={self.config.window}]"
         if self.metablock != "off":
             return f"ours[{self.strategy}+{self.metablock}]"
         return f"ours[{self.strategy}]"
@@ -196,17 +209,13 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """One executed run: a labeled recall curve plus the raw result.
-
-    ``result`` is the approach-specific object
-    (:class:`~repro.core.driver.ProgressiveResult` or
-    :class:`~repro.baselines.basic.BasicResult`); the properties below
-    expose the fields every consumer needs without caring which.
-    """
+    """One executed run: a labeled recall curve plus the approach's
+    :class:`~repro.core.driver.Resolution`; the properties below expose
+    the fields every consumer needs."""
 
     label: str
     curve: RecallCurve
-    result: Union[ProgressiveResult, BasicResult, object]
+    result: Resolution
     spec: Optional[RunSpec] = field(default=None, repr=False)
     tracer: Optional[Tracer] = field(default=None, repr=False)
     metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
@@ -224,7 +233,7 @@ class RunResult:
         """The run's first-discovery duplicate events, in time order."""
         return self.result.duplicate_events
 
-    @cached_property
+    @property
     def found_pairs(self) -> Set[Pair]:
         """Distinct duplicate pairs the run reported (computed once)."""
         return self.result.found_pairs
@@ -233,11 +242,9 @@ class RunResult:
 class ExperimentRun:
     """Executes one :class:`RunSpec` on a freshly built session.
 
-    A thin one-shot wrapper over :class:`ResolverSession`: construction
-    builds the session (and its cluster — kept explicit so callers can
-    inspect :attr:`cluster`, or re-run the same spec on a fresh cluster by
-    constructing a new ``ExperimentRun``); :meth:`run` delegates to
-    :meth:`ResolverSession.run_one_shot`.
+    Construction builds the session and its cluster, kept explicit so
+    callers can inspect :attr:`cluster`; re-running the same spec on a
+    fresh cluster is constructing a new ``ExperimentRun``.
     """
 
     def __init__(self, spec: RunSpec) -> None:
@@ -246,8 +253,54 @@ class ExperimentRun:
         self.cluster = self.session.cluster
 
     def run(self) -> RunResult:
-        """Execute the run and build its recall curve."""
-        return self.session.run_one_shot()
+        """Resolve ``spec.dataset`` end to end and build its recall curve."""
+        spec = self.spec
+        if spec.dataset is None:
+            raise ValueError(
+                "one-shot runs need spec.dataset; the incremental service "
+                "is the API for dataset-less sessions"
+            )
+        label = spec.resolved_label()
+        self.session.begin_run(label)
+        result = self._driver().run(spec.dataset)
+        if spec.metrics is not None and isinstance(result, ProgressiveResult):
+            spec.metrics.snapshot(
+                "balance",
+                {
+                    f"balance.{name}": value
+                    for name, value in result.balance.counter_items().items()
+                },
+                strategy=result.balance.strategy,
+            )
+        # Looked up at call time, so a wrapper installed on the module
+        # sees every run's curve.
+        curve = evaluation_metrics.recall_curve(
+            result.duplicate_events, spec.dataset, end_time=result.total_time
+        )
+        return RunResult(
+            label=label,
+            curve=curve,
+            result=result,
+            spec=spec,
+            tracer=spec.tracer,
+            metrics=spec.metrics,
+        )
+
+    def _driver(self) -> Union[ProgressiveER, BasicER, MultiPassMRSN]:
+        """The driver ``spec.config``'s type selects, on this run's cluster."""
+        spec = self.spec
+        if isinstance(spec.config, BasicConfig):
+            return BasicER(spec.config, self.cluster)
+        if isinstance(spec.config, MrsnConfig):
+            return MultiPassMRSN(spec.config, self.cluster)
+        return ProgressiveER(
+            spec.config,
+            self.cluster,
+            strategy=spec.strategy,
+            seed=spec.seed,
+            balance=spec.balance,
+            metablock=spec.metablock,
+        )
 
 
 def sample_times(end_time: float, points: int = 12) -> List[float]:
@@ -261,8 +314,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "ExperimentRun",
-    "PAPER_MAP_SLOTS",
-    "PAPER_REDUCE_SLOTS",
     "SCHEDULE_STRATEGIES",
     "sample_times",
 ]

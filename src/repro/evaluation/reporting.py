@@ -52,14 +52,6 @@ def format_final_summary(runs: Sequence[RunResult], *, title: str = "") -> str:
     return format_table(headers, rows, title=title)
 
 
-def _run_jobs(run: RunResult):
-    """The MapReduce jobs behind a run, whichever approach produced it."""
-    result = run.result
-    if hasattr(result, "job2"):
-        return [result.job1, result.job2]
-    return [result.job]
-
-
 def format_fault_summary(runs: Sequence[RunResult], *, title: str = "") -> str:
     """Aggregate ``fault.*`` counters per run as an ASCII table.
 
@@ -72,7 +64,7 @@ def format_fault_summary(runs: Sequence[RunResult], *, title: str = "") -> str:
     totals: List[dict] = []
     for run in runs:
         merged: dict = {}
-        for job in _run_jobs(run):
+        for job in run.result.jobs:
             for (group, name), value in job.counters.items():
                 if group != "fault":
                     continue

@@ -72,8 +72,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from ..data.entity import Entity, same_source
+from ..data.entity import Entity, pair_key, same_source
 from ..mapreduce.clock import CostModel
+from ..mapreduce.job import TaskContext
 from ..similarity.batch import BatchMatcher
 
 SortKey = Callable[[Entity], object]
@@ -294,6 +295,21 @@ def column_veto(
     return admit
 
 
+def duplicate_reporter(context: TaskContext, group: str) -> PairCallback:
+    """The ``on_duplicate`` of a reducer that flushes its pairs as it finds
+    them (Job 2, Basic, the delta job): count the pair as ``group``'s
+    ``duplicates``, record its ``"duplicate"`` event at the task's clock
+    and write it to the task's output."""
+
+    def on_duplicate(e1: Entity, e2: Entity) -> None:
+        context.counters.increment(group, "duplicates")
+        pair = pair_key(e1.id, e2.id)
+        context.record_event("duplicate", pair)
+        context.write(pair)
+
+    return on_duplicate
+
+
 def resolve_block(
     members: Sequence[Entity],
     runs: Iterable[Run],
@@ -481,6 +497,7 @@ __all__ = [
     "ResolvedCallback",
     "DistinctBudget",
     "resolve_block",
+    "duplicate_reporter",
     "column_veto",
     "window_pairs_count",
     "SortKey",

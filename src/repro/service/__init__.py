@@ -2,9 +2,9 @@
 
 :class:`ResolverService` is the streaming API over the batch machinery:
 submit entity batches, stream newly found pairs, query live clusters, and
-snapshot/restore the whole session.  :class:`ResolverSession` is the
-driver seam it shares with the one-shot
-:class:`~repro.evaluation.experiment.ExperimentRun`.
+snapshot/restore the whole session.  :class:`ResolverSession` holds the
+configured cluster it runs its delta jobs on; a one-shot
+:class:`~repro.evaluation.experiment.ExperimentRun` holds one too.
 """
 
 from .delta import (

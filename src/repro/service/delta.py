@@ -40,9 +40,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.balance import shard_bounds
 from ..core.schedule import place_units
-from ..data.entity import Entity, pair_key, same_source
+from ..data.entity import Entity, same_source
 from ..mapreduce.job import AssignmentPartitioner, MapReduceJob, Mapper, Reducer, TaskContext
-from ..mechanisms.base import Run, resolve_block
+from ..mechanisms.base import Run, duplicate_reporter, resolve_block
 from ..similarity.batch import BatchMatcher
 from .store import ROUTE_SEP, AgreementKey, BlockRoute, EntityStore, route_label
 
@@ -229,12 +229,6 @@ class DeltaReducer(Reducer):
         context.charge(context.cost_model.read_record * len(values))
         members = sorted(values, key=attrgetter("id"))
 
-        def on_duplicate(e1: Entity, e2: Entity) -> None:
-            context.counters.increment("service", "duplicates")
-            pair = pair_key(e1.id, e2.id)
-            context.record_event("duplicate", pair)
-            context.write(pair)
-
         trace = context.tracing
         started = context.clock.now if trace else 0.0
         stats = resolve_block(
@@ -243,7 +237,7 @@ class DeltaReducer(Reducer):
             self._batcher,
             context.cost_model,
             context.charge_each,
-            on_duplicate,
+            duplicate_reporter(context, "service"),
         )
         context.counters.increment("service", "comparisons", stats.comparisons)
         context.counters.increment("service", "blocks_resolved")

@@ -263,11 +263,7 @@ class ResolverService:
         """Live cluster membership of an admitted entity (sorted ids)."""
         if entity_id not in self.store:
             raise KeyError(f"entity id {entity_id} was never submitted")
-        root = self._clusters.find(entity_id)
-        return tuple(sorted(
-            other for other in self.store.entity_ids()
-            if self._clusters.find(other) == root
-        ))
+        return tuple(self._clusters.members(entity_id))
 
     # -- inspection --------------------------------------------------------
 

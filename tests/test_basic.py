@@ -121,7 +121,8 @@ class TestBasicEndToEnd:
         _, runs = basic_runs
         result = runs[None]
         for event in result.duplicate_events:
-            assert result.job.map_phase_end <= event.time <= result.job.end_time
+            (job,) = result.jobs
+            assert job.map_phase_end <= event.time <= job.end_time
 
     def test_high_precision(self, basic_runs):
         dataset, runs = basic_runs
@@ -142,10 +143,10 @@ class TestBasicEndToEnd:
 def _pairs_filtered(baseline, dataset, config):
     """Every job's ``resolve.pairs_filtered`` counter, where one is set."""
     if baseline == "basic":
-        jobs = [BasicER(BasicConfig(config), Cluster(3)).run(dataset).job]
+        driver = BasicER(BasicConfig(config), Cluster(3))
     else:
-        jobs = MultiPassMRSN(MrsnConfig(config), Cluster(3)).run(dataset).jobs
-    flats = [job.counters.as_flat_dict() for job in jobs]
+        driver = MultiPassMRSN(MrsnConfig(config), Cluster(3))
+    flats = [job.counters.as_flat_dict() for job in driver.run(dataset).jobs]
     return [flat["resolve.pairs_filtered"] for flat in flats if "resolve.pairs_filtered" in flat]
 
 

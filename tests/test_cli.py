@@ -215,6 +215,28 @@ class TestCompare:
         assert "basic[F]" in out
         assert "basic[0.05]" in out
 
+    def test_schedule_options_reach_only_ours(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        specs = []
+
+        class RecordingRun(cli.ExperimentRun):
+            def __init__(self, spec):
+                specs.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(cli, "ExperimentRun", RecordingRun)
+        argv = [
+            "compare", "--family", "books", "--size", "200", "--machines", "2",
+            "--balance", "pairrange", "--metablock", "wnp",
+        ]
+        assert main(argv) == 0
+        assert "basic[F]" in capsys.readouterr().out
+        schedules = [(s.resolved_label(), s.balance, s.metablock) for s in specs]
+        assert schedules == [
+            ("ours", "pairrange", "wnp"), ("basic[F]", "slack", "off")
+        ]
+
     def test_linkage_runs_ours_and_basic(self, capsys):
         # Basic reads the mode from linkage_config(), so its rows compare
         # the same cross-source pair universe as ours.
@@ -301,6 +323,10 @@ class TestParser:
             (["submit", "--snapshot", "state.json", "--workers", "2"], "--workers"),
             (["run", "--size", "60", "--backend", "serial", "--workers", "2"],
              "--workers"),
+            (["run", "--size", "60", "--approach", "basic", "--balance", "pairrange"],
+             "--balance"),
+            (["run", "--size", "60", "--approach", "basic", "--balance", "slack"],
+             "--balance"),
         ],
     )
     def test_flags_the_approach_would_ignore_are_usage_errors(self, argv, flag, capsys):

@@ -58,8 +58,7 @@ def job_fingerprint(job):
 
 def run_fingerprint(run):
     """Fingerprint of a CurveRun: all jobs plus the recall-vs-time curve."""
-    result = run.result
-    jobs = [result.job1, result.job2] if hasattr(result, "job2") else [result.job]
+    jobs = run.result.jobs
     times = sample_times(run.total_time, points=25)
     curve = tuple(run.curve.recall_at(t) for t in times)
     return tuple(job_fingerprint(job) for job in jobs), curve, run.total_time

@@ -1,19 +1,23 @@
 """Tests for the unified run API: RunSpec / ExperimentRun / RunResult,
-plus construction-time spec validation."""
+the one result contract every approach keeps, plus construction-time spec
+validation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import ExperimentRun, RunResult, RunSpec
-from repro.evaluation.experiment import PAPER_MAP_SLOTS, PAPER_REDUCE_SLOTS
+from repro.baselines import BasicConfig, MrsnConfig
+from repro.core import ProgressiveResult, Resolution
+from repro.evaluation import ExperimentRun, RunResult, RunSpec, format_fault_summary
 from repro.mapreduce import FaultPlan, SerialExecutor
+from repro.mapreduce.engine import SLOTS_PER_MACHINE
 
 
 class TestRunSpec:
     def test_approach_inferred_from_config_type(self, citeseer_cfg, basic_cfg):
-        assert not RunSpec(None, citeseer_cfg).is_basic
-        assert RunSpec(None, basic_cfg).is_basic
+        assert not RunSpec(None, citeseer_cfg).is_baseline
+        assert RunSpec(None, basic_cfg).is_baseline
+        assert RunSpec(None, MrsnConfig(citeseer_cfg)).is_baseline
 
     def test_progressive_label_derived_from_strategy(self, citeseer_cfg):
         assert RunSpec(None, citeseer_cfg).resolved_label() == "ours[ours]"
@@ -32,8 +36,8 @@ class TestExperimentRun:
         experiment = ExperimentRun(RunSpec(citeseer_small, citeseer_cfg, machines=4))
         cluster = experiment.cluster
         assert cluster.machines == 4
-        assert cluster.map_slots == PAPER_MAP_SLOTS
-        assert cluster.reduce_slots == PAPER_REDUCE_SLOTS
+        assert cluster.map_slots == SLOTS_PER_MACHINE
+        assert cluster.reduce_slots == SLOTS_PER_MACHINE
 
     def test_backend_name_builds_executor(self, citeseer_small, citeseer_cfg):
         experiment = ExperimentRun(
@@ -55,7 +59,7 @@ class TestExperimentRun:
     def test_basic_run_result_shape(self, citeseer_small, basic_cfg):
         run = ExperimentRun(RunSpec(citeseer_small, basic_cfg, machines=3)).run()
         assert run.label == "basic[F]"
-        assert run.total_time == run.result.job.end_time
+        assert run.total_time == run.result.jobs[0].end_time
         assert run.final_recall > 0.8
 
     def test_seed_flows_through(self, citeseer_small, citeseer_cfg):
@@ -73,13 +77,62 @@ class TestFoundPairsCaching:
         run = ExperimentRun(RunSpec(citeseer_small, citeseer_cfg, machines=2)).run()
         assert run.found_pairs is run.found_pairs
 
-    def test_progressive_result_caches(self, citeseer_small, citeseer_cfg):
-        run = ExperimentRun(RunSpec(citeseer_small, citeseer_cfg, machines=2)).run()
-        assert run.result.found_pairs is run.result.found_pairs
 
-    def test_basic_result_caches(self, citeseer_small, basic_cfg):
-        run = ExperimentRun(RunSpec(citeseer_small, basic_cfg, machines=2)).run()
-        assert run.result.found_pairs is run.result.found_pairs
+#: Every approach, as the config a RunSpec selects it by, with the label
+#: the spec derives for it and its number of jobs.
+APPROACHES = {
+    "ours": (lambda approach: approach, "ours[ours]", 2),
+    "basic-F": (lambda approach: BasicConfig(approach), "basic[F]", 1),
+    "basic-popcorn": (
+        lambda approach: BasicConfig(approach, popcorn_threshold=0.01), "basic[0.01]", 1
+    ),
+    "mrsn": (lambda approach: MrsnConfig(approach, window=10), "mrsn[w=10]", 3),
+}
+
+
+class TestResultContract:
+    """Ours, Basic and MR-SN run through one entry and return one type."""
+
+    @pytest.mark.parametrize("name", APPROACHES)
+    def test_every_approach_keeps_the_result_contract(
+        self, name, citeseer_small, citeseer_cfg
+    ):
+        make_config, label, num_jobs = APPROACHES[name]
+        run = ExperimentRun(
+            RunSpec(citeseer_small, make_config(citeseer_cfg), machines=3)
+        ).run()
+        result = run.result
+        assert isinstance(result, Resolution)
+        assert isinstance(result, ProgressiveResult) == (name == "ours")
+        assert run.label == label
+        assert len(result.jobs) == num_jobs
+        assert result.found_pairs == {e.payload for e in result.duplicate_events}
+        assert result.found_pairs is result.found_pairs
+        assert run.found_pairs == result.found_pairs
+        times = [e.time for e in result.duplicate_events]
+        assert times == sorted(times)
+        assert len(result.found_pairs) == len(result.duplicate_events) > 0
+        assert result.total_time == result.jobs[-1].end_time == run.total_time
+
+    def test_fault_summary_reports_every_approach(self, citeseer_small, citeseer_cfg):
+        faults = FaultPlan(seed=23, fault_rate=0.15)
+        runs = [
+            ExperimentRun(
+                RunSpec(
+                    citeseer_small, make_config(citeseer_cfg), machines=3, faults=faults
+                )
+            ).run()
+            for make_config, _, _ in APPROACHES.values()
+        ]
+        rows = format_fault_summary(runs).splitlines()[3:]
+        assert [row.split()[0] for row in rows] == [run.label for run in runs]
+        for run, row in zip(runs, rows):
+            retries = sum(
+                job.counters.get("fault", f"{phase}_retries")
+                for job in run.result.jobs
+                for phase in ("map", "reduce")
+            )
+            assert retries > 0, run.label
 
 
 class TestDeprecatedWrappersRemoved:
@@ -110,6 +163,20 @@ class TestRunSpecValidation:
                 ValueError, match=f"balance.*'{name}'.*\\('slack', 'pairrange'\\)"
             ):
                 RunSpec(None, citeseer_cfg, balance=name)
+
+    @pytest.mark.parametrize(
+        "option", [{"strategy": "lpt"}, {"balance": "pairrange"}, {"metablock": "wnp"}]
+    )
+    @pytest.mark.parametrize("baseline", [BasicConfig, MrsnConfig])
+    def test_baselines_reject_schedule_options(self, citeseer_cfg, baseline, option):
+        # A baseline has no progressive schedule: running one "under" lpt,
+        # pairrange or wnp would print what the defaults print.
+        ((name, value),) = option.items()
+        with pytest.raises(
+            ValueError, match=f"{name}='{value}' needs the progressive approach"
+        ):
+            RunSpec(None, baseline(citeseer_cfg), **option)
+        RunSpec(None, baseline(citeseer_cfg))
 
     def test_unknown_strategy_rejected(self, citeseer_cfg):
         with pytest.raises(ValueError, match="strategy 'greedy'"):

@@ -642,6 +642,33 @@ class TestClusterOf:
         with pytest.raises(KeyError, match="never submitted"):
             make_service(config).cluster_of(123)
 
+    def test_lookup_reads_one_cluster_not_the_store(self, dataset, config, monkeypatch):
+        def brute_force(service, entity_id):
+            # Every stored id linked to entity_id by found pairs.
+            clusters = {i: {i} for i in service.store.entity_ids()}
+            for a, b in service.found_pairs:
+                merged = clusters[a] | clusters[b]
+                for i in merged:
+                    clusters[i] = merged
+            return tuple(sorted(clusters[entity_id]))
+
+        service = make_service(config)
+        for start in range(0, 300, 100):
+            service.submit(dataset.entities[start : start + 100])
+        restored = ResolverService.restore(
+            json.loads(json.dumps(service.snapshot())), config, machines=3
+        )
+        ids = [entity.id for entity in dataset.entities]
+        for svc in (service, restored):
+            expected = [brute_force(svc, i) for i in ids]
+            assert any(len(cluster) > 2 for cluster in expected)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    type(svc.store), "entity_ids",
+                    lambda store: pytest.fail("cluster_of scanned the store"),
+                )
+                assert [svc.cluster_of(i) for i in ids] == expected
+
 
 class TestSnapshotRestore:
     def test_round_trip_through_json(self, dataset, config):

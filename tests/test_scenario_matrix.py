@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import BasicConfig, MrsnConfig, MultiPassMRSN
+from repro.baselines import BasicConfig, MrsnConfig
 from repro.core import LevelPolicy, books_config, linkage_config
 from repro.data import make_books, make_linkage
 from repro.evaluation import ExperimentRun, RunSpec
-from repro.mapreduce import Cluster, FaultPlan, RetryPolicy
+from repro.mapreduce import FaultPlan, RetryPolicy
 from repro.similarity import books_matcher, linkage_matcher
 
 MACHINES = 3
@@ -223,7 +223,9 @@ class TestLinkagePurity:
             lambda ds, config: ExperimentRun(
                 RunSpec(ds, BasicConfig(config, popcorn_threshold=0.01), machines=MACHINES)
             ).run(),
-            lambda ds, config: MultiPassMRSN(MrsnConfig(config), Cluster(MACHINES)).run(ds),
+            lambda ds, config: ExperimentRun(
+                RunSpec(ds, MrsnConfig(config), machines=MACHINES)
+            ).run(),
         ],
         ids=["ours", "basic-F", "basic-0.01", "mrsn"],
     )
